@@ -6,7 +6,7 @@
 // and compare shapes across the /n=... sub-benchmarks: tractable-side
 // preprocessing grows quasilinearly, access stays flat/logarithmic,
 // selection grows (quasi)linearly, and the baselines grow with the
-// answer-set size. EXPERIMENTS.md records reference runs.
+// answer-set size.
 package rankedaccess
 
 import (

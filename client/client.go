@@ -25,9 +25,9 @@
 //
 // Errors carry the server's {"error": ...} envelope as *APIError and
 // satisfy errors.Is against the package sentinels (ErrNotPrepared,
-// ErrOutOfRange, ErrIntractable, ErrCursorInvalidated), which map the
-// v1 API's stable status codes (404/416/422/410) back to the same
-// conditions the in-process facade reports.
+// ErrOutOfRange, ErrIntractable), which map the v1 API's stable status
+// codes (404/416/422) back to the same conditions the in-process facade
+// reports.
 package client
 
 import (
@@ -59,9 +59,6 @@ var (
 	// ErrIntractable: the spec is on the intractable side of the
 	// dichotomy and was registered strict (HTTP 422).
 	ErrIntractable = errors.New("client: intractable")
-	// ErrCursorInvalidated: the server instance mutated under the
-	// cursor (HTTP 410).
-	ErrCursorInvalidated = errors.New("client: cursor invalidated by instance mutation")
 )
 
 // APIError is a non-2xx response's decoded {"error": ...} envelope.
@@ -85,8 +82,6 @@ func (e *APIError) Is(target error) bool {
 		return e.Status == http.StatusRequestedRangeNotSatisfiable
 	case ErrIntractable:
 		return e.Status == http.StatusUnprocessableEntity
-	case ErrCursorInvalidated:
-		return e.Status == http.StatusGone
 	}
 	return false
 }

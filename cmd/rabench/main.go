@@ -1,7 +1,7 @@
 // Command rabench runs the reproduction harness: one parameter sweep per
 // paper claim (theorem / figure), printing measured preprocessing,
 // access, selection, and baseline times so the claimed complexity shapes
-// can be verified (see EXPERIMENTS.md for recorded runs).
+// can be verified.
 //
 // Usage:
 //
@@ -12,19 +12,6 @@
 //
 //	rabench -exp thm33 -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof cpu.out
-//
-// Sharded serving benchmarks (per-shard build plus merged access and
-// range timings, in Go benchmark format so CI's benchstat gate and
-// cmd/benchgate can diff runs):
-//
-//	rabench -shards 1,2,4,8 > new.txt
-//	go run ./cmd/benchgate -old old.txt -new new.txt
-//
-// Distributed serving benchmarks (coordinator-path access and range
-// quantiles against live shard nodes, next to the in-process sharded
-// baseline over the same instance — see remote.go):
-//
-//	rabench -remote 127.0.0.1:9101,127.0.0.1:9102 -remote-shards 4
 //
 // Tracing overhead benchmark (per-request serving cost with and without
 // an active tracer, for CI's traced/untraced ratio gate — see
@@ -52,11 +39,8 @@ func main() {
 		seed       = flag.Int64("seed", 42, "random seed")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the experiments) to this file")
-		shards     = flag.String("shards", "", "benchmark sharded execution at these shard counts (e.g. 1,2,4,8) instead of the experiments")
 		mixed      = flag.Bool("mixed", false, "benchmark read latency under concurrent writes (MVCC write path) instead of the experiments")
 		tracing    = flag.Bool("tracing", false, "benchmark per-request tracing overhead (traced vs untraced) instead of the experiments")
-		remote     = flag.String("remote", "", "benchmark the coordinator path against these shard-node addrs (comma-separated) instead of the experiments")
-		remoteP    = flag.Int("remote-shards", 4, "cluster-wide shard count for -remote")
 	)
 	flag.Parse()
 
@@ -88,20 +72,6 @@ func main() {
 		}()
 	}
 
-	if *shards != "" {
-		if err := runShardBench(os.Stdout, *shards, *scale, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *remote != "" {
-		if err := runRemoteBench(os.Stdout, *remote, *remoteP, *scale, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *mixed {
 		if err := runMixedBench(os.Stdout, *scale, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)

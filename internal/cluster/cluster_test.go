@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -181,7 +182,7 @@ func TestDistributedOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotN, info, err := tc.ce.CountSharded(twoPath, 0, "")
+		gotN, info, err := tc.ce.CountSharded(context.Background(), twoPath, 0, "")
 		if err != nil || gotN != wantN {
 			t.Fatalf("distributed count = %d (%v), want %d", gotN, err, wantN)
 		}
@@ -199,6 +200,52 @@ func TestDistributedOracle(t *testing.T) {
 		if err := tc.ce.AddRows("R", [][]int64{{1, 2}}); !errors.Is(err, engine.ErrReadOnly) {
 			t.Fatalf("coordinator AddRows = %v, want ErrReadOnly", err)
 		}
+	}
+}
+
+// TestCoordinatorCountHonoursContext: a coordinator count rides the
+// requester's context into the scatter, so a request that already ran
+// out of budget costs the cluster nothing — no Count RPC leaves for any
+// peer.
+func TestCoordinatorCountHonoursContext(t *testing.T) {
+	tc := startCluster(t, 2, 4, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := tc.ce.CountSharded(ctx, twoPath, 0, ""); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CountSharded under a cancelled context = %v, want context.Canceled", err)
+	}
+	for _, peer := range tc.coord.Table().Peers {
+		if n := peer.Client.Stats().Calls[rpc.KindCount]; n != 0 {
+			t.Fatalf("peer %s received %d Count calls for a cancelled request", peer.Addr, n)
+		}
+	}
+	if n, _, err := tc.ce.CountSharded(context.Background(), twoPath, 0, ""); err != nil || n == 0 {
+		t.Fatalf("CountSharded under a live context = %d, %v", n, err)
+	}
+}
+
+// TestFDSpecRejectedOnce: coordinator and node turn an FD spec away
+// with the one message engine.PlanDistributed owns — the coordinator
+// before any RPC, a node (probed directly) as a bad request.
+func TestFDSpecRejectedOnce(t *testing.T) {
+	const msg = "engine: distributed serving does not support FD specs"
+	tc := startCluster(t, 2, 4, nil)
+	fds := []string{"S: y -> z"}
+	_, err := tc.ce.Prepare(engine.Spec{Query: twoPath, Order: "x, z, y", FDs: fds})
+	if err == nil || err.Error() != "cluster: "+msg {
+		t.Fatalf("coordinator Prepare(FD spec) = %v", err)
+	}
+	for _, peer := range tc.coord.Table().Peers {
+		if n := peer.Client.Stats().Calls[rpc.KindPrepare]; n != 0 {
+			t.Fatalf("peer %s received %d Prepare calls for an FD spec", peer.Addr, n)
+		}
+	}
+	_, err = tc.nodes[0].Prepare(context.Background(), rpc.Spec{
+		Query: twoPath, Order: "x, z, y", FDs: fds, P: 4, ShardVar: "y", Owned: []int{0, 2},
+	})
+	var bad *rpc.BadRequestError
+	if !errors.As(err, &bad) || bad.Msg != msg {
+		t.Fatalf("node Prepare(FD spec) = %v, want bad request %q", err, msg)
 	}
 }
 

@@ -2,13 +2,10 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"rankedaccess/internal/access"
-	"rankedaccess/internal/classify"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/order"
@@ -84,42 +81,16 @@ func (c *Coordinator) RegisterMetrics(reg *metrics.Registry) {
 	}
 }
 
-// plan is the locally computed planning state of one distributed spec.
-type plan struct {
-	ps   *engine.ParsedSpec
-	pt   shard.Partitioning
-	spec rpc.Spec // wire spec without Owned (filled per peer)
-}
-
-// planSpec plans a spec locally: parse, reject what the distributed
-// path cannot serve, and fix the partitioning every node must agree
-// on.
-func (c *Coordinator) planSpec(s engine.Spec) (*plan, error) {
-	ps, err := engine.ParseSpec(s)
+// planSpec plans a spec locally, fixing the partitioning every node
+// must agree on. Unshardable queries (boolean, self-joins) cannot run
+// on a cluster at all — there is no local fallback, unlike the
+// single-node sharded path.
+func (c *Coordinator) planSpec(s engine.Spec) (*engine.DistPlan, error) {
+	dp, err := engine.PlanDistributed(s, c.table.Config.Shards, s.ShardBy)
 	if err != nil {
-		return nil, err
-	}
-	if ps.HasFDs {
-		return nil, errors.New("cluster: distributed serving does not support FD specs")
-	}
-	pt, err := shard.Choose(ps.Q, s.ShardBy, c.table.Config.Shards)
-	if err != nil {
-		// Unshardable queries (boolean, self-joins) cannot run on a
-		// cluster at all — there is no local fallback, unlike the
-		// single-node sharded path.
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	return &plan{
-		ps: ps,
-		pt: pt,
-		spec: rpc.Spec{
-			Query:    s.Query,
-			Order:    s.Order,
-			SumBy:    s.SumBy,
-			P:        pt.P,
-			ShardVar: pt.VarName,
-		},
-	}, nil
+	return dp, nil
 }
 
 // activePeers returns the peers owning at least one shard (a node that
@@ -137,7 +108,7 @@ func (c *Coordinator) activePeers() []*Peer {
 // BuildRemote scatters Prepare to every shard-owning node and wires
 // the responses into a handle over remote parts.
 func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.RemoteHandle, error) {
-	pl, err := c.planSpec(s)
+	dp, err := c.planSpec(s)
 	if err != nil {
 		return nil, err
 	}
@@ -149,8 +120,7 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	errs := make([]error, len(peers))
 	var wg sync.WaitGroup
 	for i, p := range peers {
-		sp := pl.spec
-		sp.Owned = p.Shards
+		sp := rpc.Spec{Query: s.Query, Order: s.Order, SumBy: s.SumBy, P: dp.Part.P, ShardVar: dp.Part.VarName, Owned: p.Shards}
 		specs[i] = sp
 		wg.Add(1)
 		go func(i int, p *Peer) {
@@ -184,7 +154,7 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 
 	// One remote part per global shard, probing its owner with the
 	// exact spec (including Owned) the owner cached its build under.
-	parts := make([]shard.RemotePart, pl.pt.P)
+	parts := make([]shard.RemotePart, dp.Part.P)
 	rankPeers := make([]rankPeer, len(peers))
 	for i, p := range peers {
 		rankPeers[i] = rankPeer{c: p.Client, spec: specs[i], version: infos[i].Version, owned: p.Shards}
@@ -200,49 +170,26 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 		}
 	}
 
-	cmp, verdict, err := c.comparator(pl, mode, completed)
+	// Merge by the comparator of the structure kind the nodes agreed
+	// on — the same one the in-process sharded path installs, which is
+	// what makes distributed answers byte-identical.
+	kind, err := dp.Kind(mode)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: nodes disagree with the plan: %w", err)
 	}
-	sh := shard.NewRemote(pl.ps.Q, pl.pt, parts, cmp, &clusterRanker{peers: rankPeers, p: pl.pt.P, tracer: c.tracer}, completed)
+	ranker := &clusterRanker{peers: rankPeers, p: dp.Part.P, tracer: c.tracer}
 	return &engine.RemoteHandle{
-		Query: pl.ps.Q,
+		Query: dp.Query,
 		Plan: engine.Plan{
 			Mode:      mode,
-			Tractable: mode != engine.ModeMaterialized,
-			Verdict:   verdict,
-			Shards:    pl.pt.P,
-			ShardBy:   pl.pt.VarName,
+			Tractable: !kind.Materialized,
+			Verdict:   dp.Verdict(),
+			Shards:    dp.Part.P,
+			ShardBy:   dp.Part.VarName,
 		},
-		Sh:       sh,
-		NoInvert: pl.ps.IsSum,
+		Sh:       shard.NewRemote(dp.Query, dp.Part, parts, kind.Comparator(dp.Query, completed), ranker, completed),
+		NoInvert: kind.IsSum,
 	}, nil
-}
-
-// comparator returns the merge comparator for the agreed mode — the
-// same comparator the in-process sharded builders install, which is
-// what makes distributed answers byte-identical — plus the local
-// classification verdict for the plan.
-func (c *Coordinator) comparator(pl *plan, mode engine.Mode, completed order.Lex) (func(a, b order.Answer) int, classify.Verdict, error) {
-	q := pl.ps.Q
-	if pl.ps.IsSum {
-		w := pl.ps.Sum
-		v := classify.DirectAccessSum(q)
-		switch mode {
-		case engine.ModeSum, engine.ModeMaterialized:
-			return func(a, b order.Answer) int { return access.CompareSumTotal(q, w, a, b) }, v, nil
-		}
-		return nil, v, fmt.Errorf("cluster: nodes built unexpected mode %q for a SUM spec", mode)
-	}
-	v := classify.DirectAccessLex(q, pl.ps.Lex)
-	switch mode {
-	case engine.ModeLayeredLex:
-		return completed.Compare, v, nil
-	case engine.ModeMaterialized:
-		l := pl.ps.Lex
-		return func(a, b order.Answer) int { return access.CompareLexTotal(q, l, a, b) }, v, nil
-	}
-	return nil, v, fmt.Errorf("cluster: nodes built unexpected mode %q for a lex spec", mode)
 }
 
 func sameEntries(a, b []order.LexEntry) bool {
@@ -261,11 +208,11 @@ func sameEntries(a, b []order.LexEntry) bool {
 // (shard answer sets partition Q(I)).
 func (c *Coordinator) CountRemote(ctx context.Context, query, by string) (int64, engine.CountInfo, error) {
 	var info engine.CountInfo
-	pl, err := c.planSpec(engine.Spec{Query: query, ShardBy: by})
+	dp, err := c.planSpec(engine.Spec{Query: query, ShardBy: by})
 	if err != nil {
 		return 0, info, err
 	}
-	info.Shards, info.ShardBy = pl.pt.P, pl.pt.VarName
+	info.Shards, info.ShardBy = dp.Part.P, dp.Part.VarName
 	peers := c.activePeers()
 	counts := make([]int64, len(peers))
 	errs := make([]error, len(peers))
@@ -275,7 +222,7 @@ func (c *Coordinator) CountRemote(ctx context.Context, query, by string) (int64,
 		go func(i int, p *Peer) {
 			defer wg.Done()
 			counts[i], errs[i] = p.Client.Count(ctx, rpc.CountSpec{
-				Query: query, P: pl.pt.P, ShardVar: pl.pt.VarName, Owned: p.Shards,
+				Query: query, P: dp.Part.P, ShardVar: dp.Part.VarName, Owned: p.Shards,
 			})
 		}(i, p)
 	}

@@ -9,7 +9,6 @@ import (
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/rpc"
-	"rankedaccess/internal/shard"
 	"rankedaccess/internal/trace"
 )
 
@@ -63,20 +62,23 @@ func (n *Node) span(ctx context.Context, name string, attrs ...trace.Attr) (cont
 
 var _ rpc.Backend = (*Node)(nil)
 
-// validate pre-checks the parts of a spec whose failure is the
-// caller's fault, so they surface as bad-request, not internal.
-func validate(es engine.Spec, p int, shardVar string) error {
-	ps, err := engine.ParseSpec(es)
+// plan plans a probe's spec (engine.PlanDistributed) and checks what
+// only the wire can get wrong — the partition variable is always
+// explicit there (the coordinator resolves defaulting before fan-out so
+// all nodes agree), and a node is never asked for no shards. All of it
+// is the caller's fault, so it surfaces as bad-request, not internal.
+func plan(es engine.Spec, p int, shardVar string, owned []int) (*engine.DistPlan, error) {
+	if shardVar == "" {
+		return nil, &rpc.BadRequestError{Msg: "distributed build requires an explicit partition variable"}
+	}
+	if len(owned) == 0 {
+		return nil, &rpc.BadRequestError{Msg: "no owned shards requested"}
+	}
+	dp, err := engine.PlanDistributed(es, p, shardVar)
 	if err != nil {
-		return &rpc.BadRequestError{Msg: err.Error()}
+		return nil, &rpc.BadRequestError{Msg: err.Error()}
 	}
-	if ps.HasFDs {
-		return &rpc.BadRequestError{Msg: "distributed serving does not support FD specs"}
-	}
-	if _, err := shard.Choose(ps.Q, shardVar, p); err != nil {
-		return &rpc.BadRequestError{Msg: err.Error()}
-	}
-	return nil
+	return dp, nil
 }
 
 // getBuild returns the cached build for the spec, building it if the
@@ -100,11 +102,12 @@ func (n *Node) getBuild(ctx context.Context, spec rpc.Spec) (*engine.NodeBuild, 
 	n.mu.Unlock()
 
 	ent.once.Do(func() {
-		if err := validate(es, spec.P, spec.ShardVar); err != nil {
+		dp, err := plan(es, spec.P, spec.ShardVar, spec.Owned)
+		if err != nil {
 			ent.err = err
 			return
 		}
-		ent.nb, ent.err = n.e.BuildOwned(ctx, es, spec.P, spec.ShardVar, spec.Owned)
+		ent.nb, ent.err = n.e.BuildOwned(ctx, dp, spec.Owned)
 	})
 	if ent.err != nil {
 		// Failed entries are not cached: the next probe retries.
@@ -164,7 +167,7 @@ func (n *Node) Prepare(ctx context.Context, spec rpc.Spec) (*rpc.PrepareInfo, er
 	info := &rpc.PrepareInfo{
 		Version:   nb.Version,
 		Mode:      string(nb.Mode),
-		Completed: nb.Completed.Entries,
+		Completed: nb.Owned.Completed().Entries,
 		Totals:    make([]int64, len(spec.Owned)),
 	}
 	for i, s := range spec.Owned {
@@ -181,11 +184,11 @@ func (n *Node) Prepare(ctx context.Context, spec rpc.Spec) (*rpc.PrepareInfo, er
 // version (counts are scatter-time consistent per node, not globally
 // transactional — the cluster has no cross-node snapshot).
 func (n *Node) Count(ctx context.Context, spec rpc.CountSpec) (int64, error) {
-	if err := validate(engine.Spec{Query: spec.Query}, spec.P, spec.ShardVar); err != nil {
+	dp, err := plan(engine.Spec{Query: spec.Query}, spec.P, spec.ShardVar, spec.Owned)
+	if err != nil {
 		return 0, err
 	}
-	nres, _, err := n.e.CountOwned(spec.Query, spec.P, spec.ShardVar, spec.Owned)
-	return nres, err
+	return n.e.CountOwned(dp, spec.Owned)
 }
 
 // Rank prices a on every owned shard in one call — the node-local half

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -10,14 +9,6 @@ import (
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/values"
 )
-
-// ErrCursorInvalidated is retained for API compatibility with the
-// pre-MVCC engine, whose prepared-query cursors failed once the
-// instance mutated under them. Cursors no longer invalidate: every
-// cursor is pinned to the immutable epoch of the handle it was opened
-// on and streams its full result set regardless of concurrent writes.
-// No current code path returns this error.
-var ErrCursorInvalidated = errors.New("engine: cursor invalidated by instance mutation")
 
 // cursorChunk is the batch width All uses for its internal AccessRange
 // calls: big enough to amortize per-range setup (shard rank search,

@@ -340,24 +340,6 @@ func (h *Handle) AppendHeadTuple(dst []values.Value, a order.Answer) []values.Va
 // Width returns the number of head columns of each answer tuple.
 func (h *Handle) Width() int { return len(h.Query.Head) }
 
-// ShardBuildNanos returns the per-shard build wall times of a sharded
-// handle (nil when unsharded), for benchmarking and diagnostics.
-func (h *Handle) ShardBuildNanos() []int64 {
-	if h.sh == nil {
-		return nil
-	}
-	return append([]int64(nil), h.sh.BuildNanos...)
-}
-
-// ShardTotals returns the per-shard answer counts of a sharded handle
-// (nil when unsharded).
-func (h *Handle) ShardTotals() []int64 {
-	if h.sh == nil {
-		return nil
-	}
-	return h.sh.PartTotals()
-}
-
 // AppendTuple appends the head tuple of the k-th answer to dst and
 // returns the extended slice. On the layered structure this is the
 // zero-allocation access path (probe scratch comes from a pool, output
@@ -1153,10 +1135,68 @@ func (e *Engine) logBuild(ctx context.Context, s Spec, version uint64, rebuild b
 	e.log.LogAttrs(ctx, level, "engine: structure build", attrs...)
 }
 
+// directAccess runs the paper's direct-access dichotomy for the spec's
+// order — Theorem 4.1 for lex, Theorem 5.1 for SUM, on the FD-extension
+// per §8 when the spec carries FDs — returning the FD witness too.
+func (p *parsed) directAccess() (classify.Verdict, classify.WithFDs) {
+	switch {
+	case p.sum && len(p.fds) == 0:
+		return classify.DirectAccessSum(p.q), classify.WithFDs{}
+	case p.sum:
+		return classify.DirectAccessSumFD(p.q, p.fds)
+	case len(p.fds) == 0:
+		return classify.DirectAccessLex(p.q, p.l), classify.WithFDs{}
+	default:
+		return classify.DirectAccessLexFD(p.q, p.l, p.fds)
+	}
+}
+
+// kind is the tractable structure kind of the spec's order.
+func (p *parsed) kind() shard.Kind { return shard.Kind{IsSum: p.sum, Lex: p.l, Sum: p.w} }
+
+// tractableMode names the tractable structure of a lex or SUM order.
+func tractableMode(sum bool) Mode {
+	if sum {
+		return ModeSum
+	}
+	return ModeLayeredLex
+}
+
+// ladder is the decision procedure every build runs, whoever owns the
+// shards (a local engine all of them or none, a cluster node some):
+// classify; on the tractable side ask build for the ⟨n log n, log n⟩
+// structure; on an intractability certificate — the verdict's or the
+// builder's — ask it for the materialize-and-sort fallback instead.
+// build receives the structure kind and the classification's FD
+// witness; the verdict, mode and side land in plan.
+func ladder(ctx context.Context, p *parsed, plan *Plan, build func(shard.Kind, classify.WithFDs) error) error {
+	var wfd classify.WithFDs
+	plan.Verdict, wfd = p.directAccess()
+	k := p.kind()
+	if plan.Verdict.Tractable {
+		err := build(k, wfd)
+		if err == nil {
+			plan.Mode, plan.Tractable = tractableMode(p.sum), true
+			return nil
+		}
+		var ie *access.IntractableError
+		if !errors.As(err, &ie) {
+			return err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	k.Materialized = true
+	plan.Mode = ModeMaterialized
+	return build(k, wfd)
+}
+
 // build plans and constructs a structure; the caller holds mu.RLock, so
-// the instance is stable throughout. Layered-lex builds check ctx at
-// every preprocessing wave boundary; the other structure kinds check it
-// once before their (uninterruptible) construction.
+// the instance is stable throughout. Layered-lex builds, sharded or
+// not, check ctx at every preprocessing wave boundary; the other
+// structure kinds check it once before their (uninterruptible)
+// construction.
 func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 	if e.remote != nil {
 		return e.buildRemote(ctx, s)
@@ -1177,82 +1217,23 @@ func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 	}
-	h := &Handle{Query: p.q, spec: s, rels: queryRels(p.q)}
-	var wfd classify.WithFDs // FD witness, reused by the sharded builders
-	if p.sum {
-		h.sumW = p.w
-		if len(p.fds) == 0 {
-			h.Plan.Verdict = classify.DirectAccessSum(p.q)
-		} else {
-			h.Plan.Verdict, wfd = classify.DirectAccessSumFD(p.q, p.fds)
-		}
-		if h.Plan.Verdict.Tractable {
-			if shards > 1 && e.shardSum(h, p, wfd, s.ShardBy, shards) {
-				return h, nil
+	h := &Handle{Query: p.q, spec: s, rels: queryRels(p.q), sumW: p.w}
+	err = ladder(ctx, p, &h.Plan, func(k shard.Kind, wfd classify.WithFDs) error {
+		if shards > 1 {
+			err := e.buildSharded(ctx, h, p, k, wfd, s.ShardBy, shards)
+			if err == nil || ctxErr(err) {
+				return err
 			}
-			var sa *access.Sum
-			if len(p.fds) == 0 {
-				sa, err = access.BuildSum(p.q, e.in, p.w)
-			} else {
-				sa, err = access.BuildSumFD(p.q, e.in, p.w, p.fds)
-			}
-			if err == nil {
-				h.Plan.Mode, h.Plan.Tractable, h.sum = ModeSum, true, sa
-				return h, nil
-			}
-			var ie *access.IntractableError
-			if !errors.As(err, &ie) {
-				return nil, err
-			}
+			// Anything else (unshardable query, FD violation, …) falls
+			// back to a single structure, which reproduces query-level
+			// errors exactly.
+			h.Plan.ShardNote = err.Error()
 		}
-		h.Plan.Mode = ModeMaterialized
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if shards > 1 && e.shardMaterialized(h, p, s.ShardBy, shards) {
-			return h, nil
-		}
-		h.mat = access.BuildMaterializedSum(p.q, e.in, p.w)
-		return h, nil
-	}
-
-	if len(p.fds) == 0 {
-		h.Plan.Verdict = classify.DirectAccessLex(p.q, p.l)
-	} else {
-		h.Plan.Verdict, wfd = classify.DirectAccessLexFD(p.q, p.l, p.fds)
-	}
-	if h.Plan.Verdict.Tractable {
-		if shards > 1 && e.shardLex(h, p, wfd, s.ShardBy, shards) {
-			return h, nil
-		}
-		var la *access.Lex
-		if len(p.fds) == 0 {
-			la, err = access.BuildLexCtx(ctx, p.q, e.in, p.l)
-		} else {
-			la, err = access.BuildLexFDCtx(ctx, p.q, e.in, p.l, p.fds)
-		}
-		if ctxErr(err) {
-			return nil, err
-		}
-		if err == nil {
-			h.Plan.Mode, h.Plan.Tractable, h.lex = ModeLayeredLex, true, la
-			return h, nil
-		}
-		var ie *access.IntractableError
-		if !errors.As(err, &ie) {
-			return nil, err
-		}
-	}
-	h.Plan.Mode = ModeMaterialized
-	if err := ctx.Err(); err != nil {
+		return e.buildSingle(ctx, h, p, k)
+	})
+	if err != nil {
 		return nil, err
 	}
-	if shards > 1 && e.shardMaterialized(h, p, s.ShardBy, shards) {
-		return h, nil
-	}
-	h.mat = access.BuildMaterializedLex(p.q, e.in, p.l)
-	h.matIsLex = true
-	h.matLex = p.l
 	return h, nil
 }
 
@@ -1265,117 +1246,69 @@ func queryRels(q *cq.Query) map[string]bool {
 	return rels
 }
 
-// shardFallback records why a sharded build fell back and clears any
-// partial sharded state from the handle.
-func (h *Handle) shardFallback(note string) bool {
-	h.Plan.ShardNote = note
-	h.sh, h.shProject, h.shExtend, h.shNoInvert = nil, nil, nil, false
-	return false
+// buildSingle builds h's one unsharded structure of kind k.
+func (e *Engine) buildSingle(ctx context.Context, h *Handle, p *parsed, k shard.Kind) (err error) {
+	switch {
+	case k.Materialized && k.IsSum:
+		h.mat = access.BuildMaterializedSum(p.q, e.in, p.w)
+	case k.Materialized:
+		h.mat, h.matIsLex, h.matLex = access.BuildMaterializedLex(p.q, e.in, p.l), true, p.l
+	case k.IsSum && len(p.fds) == 0:
+		h.sum, err = access.BuildSum(p.q, e.in, p.w)
+	case k.IsSum:
+		h.sum, err = access.BuildSumFD(p.q, e.in, p.w, p.fds)
+	case len(p.fds) == 0:
+		h.lex, err = access.BuildLexCtx(ctx, p.q, e.in, p.l)
+	default:
+		h.lex, err = access.BuildLexFDCtx(ctx, p.q, e.in, p.l, p.fds)
+	}
+	return err
 }
 
-// shardLex attempts a sharded layered build for a tractable lex spec;
-// w is the FD witness build() already computed (zero without FDs). FD
-// specs are extended globally first — the extension shares variable
-// ids with the original query and the reordered order L⁺ sorts Q⁺(I⁺)
-// exactly as L sorts Q(I) (Lemma 8.16) — and the plain extension is
-// then partitioned, so every shard prices foreign candidates against
-// complete FD-implied values. Returns true when h now serves sharded;
-// false records a fallback note and leaves h untouched.
-func (e *Engine) shardLex(h *Handle, p *parsed, w classify.WithFDs, by string, shards int) bool {
-	q, in, l := p.q, e.in, p.l
-	if len(p.fds) > 0 {
-		if w.Ext == nil {
-			return h.shardFallback("no FD extension available")
-		}
-		if err := p.fds.Check(p.q, e.in); err != nil {
-			return h.shardFallback(err.Error())
-		}
-		iplus, err := w.Ext.ExtendInstance(p.q, e.in)
-		if err != nil {
-			return h.shardFallback(err.Error())
-		}
-		extender, err := w.Ext.AnswerExtender(p.q, e.in)
-		if err != nil {
-			return h.shardFallback(err.Error())
-		}
-		orig := p.q
-		h.shProject = func(a order.Answer) order.Answer { return fd.ProjectAnswer(orig, a) }
-		h.shExtend = extender
-		q, in, l = w.Ext.Query, iplus, w.LPlus
-	}
-	pt, err := shard.Choose(q, by, shards)
-	if err != nil {
-		return h.shardFallback(err.Error())
-	}
-	sh, err := shard.BuildLex(q, in, l, pt)
-	if err != nil {
-		return h.shardFallback(err.Error())
-	}
-	h.sh = sh
-	h.Plan.Mode, h.Plan.Tractable = ModeLayeredLex, true
-	h.Plan.Shards, h.Plan.ShardBy = pt.P, pt.VarName
-	return true
-}
-
-// shardSum is shardLex for tractable SUM specs. SUM groups have no
-// inverse (as in the single-structure case). Promoted FD variables
-// weigh zero (Lemma 8.5), so sharding the extension preserves weights.
-func (e *Engine) shardSum(h *Handle, p *parsed, w classify.WithFDs, by string, shards int) bool {
+// buildSharded builds h's structure of kind k hash-partitioned: choose
+// the partitioning, then split, build per shard and merge (shard.Build).
+// FD specs on the tractable side are extended globally first, once,
+// before the split — the extension shares variable ids with the
+// original query, the reordered order L⁺ sorts Q⁺(I⁺) exactly as L
+// sorts Q(I) (Lemma 8.16), and promoted variables weigh zero under SUM
+// (Lemma 8.5) — so every shard prices foreign candidates against
+// complete FD-implied values. The fallback ignores FDs, as it does
+// unsharded: they change neither the answer set nor the realized order.
+// SUM groups have no inverse (as in the single-structure case). An
+// error leaves h untouched.
+func (e *Engine) buildSharded(ctx context.Context, h *Handle, p *parsed, k shard.Kind, w classify.WithFDs, by string, shards int) error {
 	q, in := p.q, e.in
-	if len(p.fds) > 0 {
-		if w.Ext == nil {
-			return h.shardFallback("no FD extension available")
-		}
+	var project func(order.Answer) order.Answer
+	var extend func(order.Answer) (order.Answer, bool)
+	if len(p.fds) > 0 && !k.Materialized {
 		if err := p.fds.Check(p.q, e.in); err != nil {
-			return h.shardFallback(err.Error())
+			return err
 		}
 		iplus, err := w.Ext.ExtendInstance(p.q, e.in)
 		if err != nil {
-			return h.shardFallback(err.Error())
+			return err
+		}
+		if !k.IsSum {
+			if extend, err = w.Ext.AnswerExtender(p.q, e.in); err != nil {
+				return err
+			}
+			k.Lex = w.LPlus
 		}
 		orig := p.q
-		h.shProject = func(a order.Answer) order.Answer { return fd.ProjectAnswer(orig, a) }
+		project = func(a order.Answer) order.Answer { return fd.ProjectAnswer(orig, a) }
 		q, in = w.Ext.Query, iplus
 	}
 	pt, err := shard.Choose(q, by, shards)
 	if err != nil {
-		return h.shardFallback(err.Error())
+		return err
 	}
-	sh, err := shard.BuildSum(q, in, p.w, pt)
+	sh, err := shard.Merge(shard.Build(ctx, q, in, k, pt, nil))
 	if err != nil {
-		return h.shardFallback(err.Error())
+		return err
 	}
-	h.sh = sh
-	h.shNoInvert = true
-	h.Plan.Mode, h.Plan.Tractable = ModeSum, true
+	h.sh, h.shProject, h.shExtend, h.shNoInvert = sh, project, extend, k.IsSum
 	h.Plan.Shards, h.Plan.ShardBy = pt.P, pt.VarName
-	return true
-}
-
-// shardMaterialized attempts a sharded materialize-and-sort fallback:
-// each shard materializes only its slice of the answer space, so even
-// the intractable side parallelizes P ways. FDs do not change the
-// answer set or the realized order here (the single-shard fallback
-// ignores them too), so the original query is partitioned directly.
-func (e *Engine) shardMaterialized(h *Handle, p *parsed, by string, shards int) bool {
-	pt, err := shard.Choose(p.q, by, shards)
-	if err != nil {
-		return h.shardFallback(err.Error())
-	}
-	var sh *shard.Handle
-	if p.sum {
-		sh, err = shard.BuildMaterializedSum(p.q, e.in, p.w, pt)
-		h.shNoInvert = true
-	} else {
-		sh, err = shard.BuildMaterializedLex(p.q, e.in, p.l, pt)
-	}
-	if err != nil {
-		return h.shardFallback(err.Error())
-	}
-	h.sh = sh
-	h.Plan.Mode = ModeMaterialized
-	h.Plan.Shards, h.Plan.ShardBy = pt.P, pt.VarName
-	return true
+	return nil
 }
 
 // Access is Prepare plus a batch of probes in one call: it returns the
@@ -1461,7 +1394,7 @@ func (e *Engine) selectParsed(p *parsed, k int64) ([]values.Value, error) {
 
 // Count returns |Q(I)| in linear time for free-connex queries.
 func (e *Engine) Count(query string) (int64, error) {
-	n, _, err := e.CountSharded(query, 0, "")
+	n, _, err := e.CountSharded(context.Background(), query, 0, "")
 	return n, err
 }
 
@@ -1480,14 +1413,18 @@ type CountInfo struct {
 // counts sum (shard answer sets partition Q(I)). Queries that cannot
 // be partitioned fall back to the single-instance count, recorded in
 // the returned CountInfo; an explicit partition variable that is not a
-// free variable of the query is an error.
-func (e *Engine) CountSharded(query string, shards int, by string) (int64, CountInfo, error) {
+// free variable of the query is an error. On a coordinator ctx rides
+// the scatter (deadline, trace); a local count only checks it up front.
+func (e *Engine) CountSharded(ctx context.Context, query string, shards int, by string) (int64, CountInfo, error) {
+	var info CountInfo
+	if err := ctx.Err(); err != nil {
+		return 0, info, err
+	}
 	if e.remote != nil {
 		// A coordinator counts by scatter-gather over its cluster; the
 		// cluster's own shard count applies, not the request's.
-		return e.remote.CountRemote(context.Background(), query, by)
+		return e.remote.CountRemote(ctx, query, by)
 	}
-	var info CountInfo
 	q, err := cq.Parse(query)
 	if err != nil {
 		return 0, info, err
@@ -1499,7 +1436,7 @@ func (e *Engine) CountSharded(query string, shards int, by string) (int64, Count
 		var ue *shard.UnshardableError
 		switch {
 		case err == nil:
-			if n, err := shard.Count(q, e.in, pt); err == nil {
+			if n, err := shard.Count(q, e.in, pt, nil); err == nil {
 				info.Shards, info.ShardBy = pt.P, pt.VarName
 				return n, info, nil
 			}

@@ -9,9 +9,11 @@
 // The write path is disabled (ErrReadOnly): the coordinator owns no
 // data, so mutations go to the nodes' own ingestion paths.
 //
-// Node side: BuildOwned builds only the shard subset a cluster node
-// owns, mirroring build()'s classify → tractable → intractable-fallback
-// → materialized ladder over the shard package's owned builders.
+// Node side: BuildOwned runs the same ladder a local build runs (see
+// ladder), asking shard.Build for only the shard subset the node owns.
+//
+// Both sides plan a spec through PlanDistributed, the one place a
+// distributed spec is parsed, checked servable and partitioned.
 package engine
 
 import (
@@ -19,10 +21,8 @@ import (
 	"errors"
 	"fmt"
 
-	"rankedaccess/internal/access"
 	"rankedaccess/internal/classify"
 	"rankedaccess/internal/cq"
-	"rankedaccess/internal/order"
 	"rankedaccess/internal/shard"
 	"rankedaccess/internal/values"
 )
@@ -88,31 +88,58 @@ func (e *Engine) selectRemote(s Spec, k int64) ([]values.Value, error) {
 	return h.AppendTuple(make([]values.Value, 0, h.Width()), k)
 }
 
-// ParsedSpec is a Spec validated and parsed against its own query —
-// exported for the cluster coordinator, which plans from the same
-// parse the engine itself would use.
-type ParsedSpec struct {
-	// Q is the parsed query.
-	Q *cq.Query
-	// Lex is the requested lexicographic order (zero when IsSum).
-	Lex order.Lex
-	// Sum is the requested SUM weighting (zero unless IsSum).
-	Sum order.Sum
-	// IsSum reports a SUM-ordered spec.
-	IsSum bool
-	// HasFDs reports functional dependencies on the spec; the
-	// distributed path rejects them (FD extension is global, not
-	// per-shard — a follow-up).
-	HasFDs bool
+// DistPlan is a Spec planned for distributed serving: the coordinator
+// plans before it scatters Prepare, and every node plans what a Prepare
+// carries, through the same PlanDistributed.
+type DistPlan struct {
+	// Query is the parsed query.
+	Query *cq.Query
+	// Part is the cluster-wide partitioning every node must agree on.
+	Part shard.Partitioning
+
+	p *parsed
 }
 
-// ParseSpec parses and validates a Spec exactly as Prepare would.
-func ParseSpec(s Spec) (*ParsedSpec, error) {
+// PlanDistributed parses s as Prepare would, rejects what the
+// distributed path cannot serve — FD specs (the extension is global,
+// not per-shard) and unshardable queries (there is no single-structure
+// fallback across nodes) — and fixes the partitioning: shards ways on
+// the free variable by names (empty picks one deterministically). Every
+// error is the requester's fault.
+func PlanDistributed(s Spec, shards int, by string) (*DistPlan, error) {
 	p, err := s.parse()
 	if err != nil {
 		return nil, err
 	}
-	return &ParsedSpec{Q: p.q, Lex: p.l, Sum: p.w, IsSum: p.sum, HasFDs: len(p.fds) > 0}, nil
+	if len(p.fds) > 0 {
+		return nil, errors.New("engine: distributed serving does not support FD specs")
+	}
+	pt, err := shard.Choose(p.q, by, shards)
+	if err != nil {
+		return nil, err
+	}
+	return &DistPlan{Query: p.q, Part: pt, p: p}, nil
+}
+
+// Verdict classifies the spec (the dichotomies are data-free, so a
+// coordinator can report it without any node's help).
+func (dp *DistPlan) Verdict() classify.Verdict {
+	v, _ := dp.p.directAccess()
+	return v
+}
+
+// Kind maps the structure mode the nodes' ladders landed on to the
+// structure kind they built, whose comparator a coordinator merges by.
+func (dp *DistPlan) Kind(mode Mode) (shard.Kind, error) {
+	k := dp.p.kind()
+	switch mode {
+	case ModeMaterialized:
+		k.Materialized = true
+	case tractableMode(k.IsSum):
+	default:
+		return k, fmt.Errorf("engine: structure mode %q does not serve this spec's order", mode)
+	}
+	return k, nil
 }
 
 // NodeBuild is the node-side result of building the owned slice of a
@@ -122,97 +149,35 @@ type NodeBuild struct {
 	Owned *shard.Owned
 	// Mode is the structure mode every owned shard was built with.
 	Mode Mode
-	// Completed is the realized total lex order of layered builds
-	// (zero for SUM and materialized modes).
-	Completed order.Lex
 	// Version is the instance version (epoch) the structures reflect.
 	Version uint64
 }
 
-// BuildOwned builds the owned shards of a distributed spec against the
-// node's current instance, mirroring build()'s mode ladder: classify,
-// build the tractable structure, fall back to materialize-and-sort on
-// an intractability certificate. FD specs are rejected — the
-// distributed path serves the plain dichotomies only.
-func (e *Engine) BuildOwned(ctx context.Context, s Spec, p int, shardVar string, owned []int) (*NodeBuild, error) {
-	ps, err := s.parse()
-	if err != nil {
-		return nil, err
-	}
-	if len(ps.fds) > 0 {
-		return nil, fmt.Errorf("engine: distributed serving does not support FD specs")
-	}
-	if shardVar == "" {
-		return nil, fmt.Errorf("engine: distributed build requires an explicit partition variable")
-	}
-	pt, err := shard.Choose(ps.q, shardVar, p)
-	if err != nil {
-		return nil, err
-	}
+// BuildOwned builds the owned shards (nil = all) of a planned
+// distributed spec against the node's current instance.
+func (e *Engine) BuildOwned(ctx context.Context, dp *DistPlan, owned []int) (*NodeBuild, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	nb := &NodeBuild{Version: e.version}
-
-	if ps.sum {
-		if classify.DirectAccessSum(ps.q).Tractable {
-			o, err := shard.BuildOwnedSum(ps.q, e.in, ps.w, pt, owned)
-			if err == nil {
-				nb.Owned, nb.Mode = o, ModeSum
-				return nb, nil
-			}
-			var ie *access.IntractableError
-			if !errors.As(err, &ie) {
-				return nil, err
-			}
-		}
-		o, err := shard.BuildOwnedMaterializedSum(ps.q, e.in, ps.w, pt, owned)
-		if err != nil {
-			return nil, err
-		}
-		nb.Owned, nb.Mode = o, ModeMaterialized
-		return nb, nil
-	}
-
-	if classify.DirectAccessLex(ps.q, ps.l).Tractable {
-		o, err := shard.BuildOwnedLex(ps.q, e.in, ps.l, pt, owned)
-		if err == nil {
-			nb.Owned, nb.Mode, nb.Completed = o, ModeLayeredLex, o.Completed()
-			return nb, nil
-		}
-		if ctxErr(err) {
-			return nil, err
-		}
-		var ie *access.IntractableError
-		if !errors.As(err, &ie) {
-			return nil, err
-		}
-	}
-	o, err := shard.BuildOwnedMaterializedLex(ps.q, e.in, ps.l, pt, owned)
+	var plan Plan
+	err := ladder(ctx, dp.p, &plan, func(k shard.Kind, _ classify.WithFDs) (err error) {
+		nb.Owned, err = shard.Build(ctx, dp.Query, e.in, k, dp.Part, owned)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	nb.Owned, nb.Mode = o, ModeMaterialized
+	nb.Mode = plan.Mode
 	return nb, nil
 }
 
 // CountOwned counts the owned shards' contribution to a distributed
-// count against the node's current instance, returning the count and
-// the version it was taken at.
-func (e *Engine) CountOwned(query string, p int, shardVar string, owned []int) (int64, uint64, error) {
-	q, err := cq.Parse(query)
-	if err != nil {
-		return 0, 0, err
-	}
-	pt, err := shard.Choose(q, shardVar, p)
-	if err != nil {
-		return 0, 0, err
-	}
+// count against the node's current instance.
+func (e *Engine) CountOwned(dp *DistPlan, owned []int) (int64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	n, err := shard.CountOwned(q, e.in, pt, owned)
-	return n, e.version, err
+	return shard.Count(dp.Query, e.in, dp.Part, owned)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -17,15 +18,7 @@ func shardCases() []struct {
 	spec Spec
 	eng  *Engine
 } {
-	e := New(randomInstance(600, 48, 17), Options{})
-	fdIn := randomInstance(600, 48, 19)
-	fdIn.SetRelation("S", fdIn.Relation("S").Clone())
-	s := fdIn.Relation("S")
-	for i := 0; i < s.Len(); i++ {
-		t := s.Tuple(i)
-		t[1] = (t[0]*7 + 3) % 48 // z is a function of y
-	}
-	eFD := New(fdIn, Options{})
+	e, eFD := shardEngines()
 	return []struct {
 		spec Spec
 		eng  *Engine
@@ -36,6 +29,20 @@ func shardCases() []struct {
 		{Spec{Query: twoPath, Order: "x, z, y"}, e},
 		{Spec{Query: twoPath, Order: "x, z, y", FDs: []string{"S: y -> z"}}, eFD},
 	}
+}
+
+// shardEngines returns an engine over a random two-path instance and
+// one whose S relation satisfies the FD y → z.
+func shardEngines() (e, eFD *Engine) {
+	e = New(randomInstance(600, 48, 17), Options{})
+	fdIn := randomInstance(600, 48, 19)
+	fdIn.SetRelation("S", fdIn.Relation("S").Clone())
+	s := fdIn.Relation("S")
+	for i := 0; i < s.Len(); i++ {
+		t := s.Tuple(i)
+		t[1] = (t[0]*7 + 3) % 48 // z is a function of y
+	}
+	return e, New(fdIn, Options{})
 }
 
 // TestShardedMatchesSingle cross-checks the sharded engine against the
@@ -242,7 +249,7 @@ func TestCountSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 3, 8} {
-		got, info, err := e.CountSharded(twoPath, p, "")
+		got, info, err := e.CountSharded(context.Background(), twoPath, p, "")
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -253,11 +260,11 @@ func TestCountSharded(t *testing.T) {
 			t.Fatalf("P=%d: info = %+v", p, info)
 		}
 	}
-	if _, _, err := e.CountSharded(twoPath, 2, "nope"); err == nil {
+	if _, _, err := e.CountSharded(context.Background(), twoPath, 2, "nope"); err == nil {
 		t.Fatal("bad shard_by accepted by CountSharded")
 	}
 	// Unshardable queries fall back to the global count and say so.
-	got, info, err := e.CountSharded("Q() :- R(x, y)", 4, "")
+	got, info, err := e.CountSharded(context.Background(), "Q() :- R(x, y)", 4, "")
 	if err != nil {
 		t.Fatal(err)
 	}

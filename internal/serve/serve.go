@@ -628,7 +628,7 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	// Shards ≥ 2 scatter-gathers: per-shard counts run in parallel and
 	// sum (shard answer sets partition the answer space).
-	n, info, err := s.e.CountSharded(req.Query, req.Shards, req.ShardBy)
+	n, info, err := s.e.CountSharded(r.Context(), req.Query, req.Shards, req.ShardBy)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return

@@ -22,12 +22,12 @@
 // Sentinel errors map to stable status codes: an unknown name or cursor
 // is 404 (engine.ErrNotPrepared), an out-of-range index is 416
 // (access.ErrOutOfBound), and an intractable spec registered with
-// "strict": true is 422 (access.ErrIntractable). The 410 Gone mapping
-// for engine.ErrCursorInvalidated is retained for API compatibility,
-// but the MVCC engine pins every cursor to its epoch, so mutations no
-// longer orphan cursors and no current path produces it. A request
-// that runs out of deadline inside the engine is 503 with Retry-After
-// (see fail).
+// "strict": true is 422 (access.ErrIntractable). Mutations never orphan
+// a cursor — the MVCC engine pins every cursor to its epoch — so 410
+// Gone is produced only on a coordinator, for a shard node whose data
+// moved past the prepared version (rpc.ErrStaleVersion). A request that
+// runs out of deadline inside the engine is 503 with Retry-After (see
+// fail).
 //
 // The hot probe endpoints (/access, /range) coalesce: concurrent
 // identical requests against one epoch share a single probe + encode,
@@ -61,7 +61,7 @@ import (
 // distributed sentinels follow the same philosophy: an unreachable
 // shard node is the server's problem (503, with Retry-After set by
 // fail), a shard node whose data moved past the prepared version means
-// the registration is gone (410, like an invalidated cursor), and a
+// the registration is gone (410), and a
 // write against a coordinator is not the coordinator's to take (403).
 func statusFor(err error) int {
 	var mbe *http.MaxBytesError
@@ -74,8 +74,6 @@ func statusFor(err error) int {
 		return http.StatusRequestedRangeNotSatisfiable
 	case errors.Is(err, access.ErrIntractable):
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, engine.ErrCursorInvalidated):
-		return http.StatusGone
 	case errors.Is(err, rpc.ErrUnavailable):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, rpc.ErrStaleVersion):
@@ -474,7 +472,7 @@ func (s *server) handleCursorNext(w http.ResponseWriter, r *http.Request) {
 	flat, emitted, err := sc.cur.NextN((*flatP)[:0], n)
 	if err != nil {
 		putTupleBuf(flatP, flat)
-		s.cursorFail(sc, w, err)
+		failErr(w, err)
 		return
 	}
 	width := sc.cur.Width()
@@ -488,16 +486,6 @@ func (s *server) handleCursorNext(w http.ResponseWriter, r *http.Request) {
 	}
 	reply(w, resp)
 	putTupleBuf(flatP, flat)
-}
-
-// cursorFail reports a cursor error, dropping cursors that can never
-// answer again (invalidated by mutation) so the store does not pin
-// their handles.
-func (s *server) cursorFail(sc *serverCursor, w http.ResponseWriter, err error) {
-	if errors.Is(err, engine.ErrCursorInvalidated) {
-		s.st.remove(sc.id)
-	}
-	failErr(w, err)
 }
 
 func wantsNDJSON(r *http.Request) bool {
@@ -532,7 +520,7 @@ func (s *server) streamNDJSON(sc *serverCursor, w http.ResponseWriter, n int) {
 	// Bounds check + position commit in one step: a bad window fails
 	// here, before any header is written.
 	if _, err := cur.Seek(end, io.SeekStart); err != nil {
-		s.cursorFail(sc, w, err)
+		failErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -1,8 +1,9 @@
 package shard
 
 import (
+	"context"
 	"fmt"
-	"time"
+	"sort"
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/cq"
@@ -12,44 +13,143 @@ import (
 	"rankedaccess/internal/selection"
 )
 
-// BuildLex splits the instance per pt and builds one layered
-// lexicographic structure per shard in parallel. All shards complete
-// the requested order over the same query structure, so they realize
-// the same total order; that is verified defensively and a mismatch is
-// an error. FD specs must be extended globally by the caller first
-// (extend once, shard the extension): per-shard FD plumbing would
-// price foreign candidates against incomplete local FD tables.
-func BuildLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning) (*Handle, error) {
-	ins := Split(q, in, pt)
-	las := make([]*access.Lex, pt.P)
-	nanos := make([]int64, pt.P)
-	err := par.DoErr(pt.P, func(i int) error {
-		start := time.Now()
-		la, err := access.BuildLex(q, ins[i], l)
+// Kind names the structure every shard of one build gets — a lex or a
+// SUM order, served by the tractable structure or by the materialize-
+// and-sort fallback — and thereby also the total order the shards
+// share (see Comparator). It is the one place the mapping from
+// structure kind to per-shard builder and merge comparator lives.
+type Kind struct {
+	// IsSum selects the SUM order Sum; otherwise the lex order Lex.
+	IsSum bool
+	// Materialized selects the materialize-and-sort fallback of the
+	// intractable side instead of the layered / SUM structure.
+	Materialized bool
+	Lex          order.Lex
+	Sum          order.Sum
+}
+
+// build constructs one shard's structure and reports the total lex
+// order it realized (zero unless layered). Only layered builds are
+// interruptible: they check ctx at every preprocessing wave boundary.
+func (k Kind) build(ctx context.Context, q *cq.Query, in *database.Instance) (part, order.Lex, error) {
+	switch {
+	case k.IsSum && k.Materialized:
+		return matSumPart{m: access.BuildMaterializedSum(q, in, k.Sum), w: k.Sum}, order.Lex{}, nil
+	case k.Materialized:
+		return matLexPart{m: access.BuildMaterializedLex(q, in, k.Lex), l: k.Lex}, order.Lex{}, nil
+	case k.IsSum:
+		s, err := access.BuildSum(q, in, k.Sum)
 		if err != nil {
-			return err
+			return nil, order.Lex{}, err
 		}
-		las[i], nanos[i] = la, time.Since(start).Nanoseconds()
-		return nil
+		return sumPart{s: s}, order.Lex{}, nil
+	}
+	la, err := access.BuildLexCtx(ctx, q, in, k.Lex)
+	if err != nil {
+		return nil, order.Lex{}, err
+	}
+	return lexPart{la: la}, la.Completed, nil
+}
+
+// Comparator returns the total order every shard built with this kind
+// sorts by, which is what a merge across shards (in one process or
+// across nodes) must compare with: the completed order of layered
+// builds, otherwise the requested order with ties broken by ascending
+// head values.
+func (k Kind) Comparator(q *cq.Query, completed order.Lex) func(a, b order.Answer) int {
+	switch {
+	case k.IsSum:
+		return func(a, b order.Answer) int { return access.CompareSumTotal(q, k.Sum, a, b) }
+	case k.Materialized:
+		return func(a, b order.Answer) int { return access.CompareLexTotal(q, k.Lex, a, b) }
+	}
+	return completed.Compare
+}
+
+// ownedShards validates and deduplicates the owned shard indices into
+// ascending order; nil owns every shard of the partitioning.
+func ownedShards(pt Partitioning, owned []int) ([]int, error) {
+	if owned == nil {
+		out := make([]int, pt.P)
+		for s := range out {
+			out[s] = s
+		}
+		return out, nil
+	}
+	if len(owned) == 0 {
+		return nil, fmt.Errorf("shard: no owned shards requested")
+	}
+	set := make(map[int]bool, len(owned))
+	for _, s := range owned {
+		if s < 0 || s >= pt.P {
+			return nil, fmt.Errorf("shard: owned shard %d outside [0, %d)", s, pt.P)
+		}
+		set[s] = true
+	}
+	out := make([]int, 0, len(set))
+	for s := range set {
+		out = append(out, s)
+	}
+	sort.Ints(out)
+	return out, nil
+}
+
+// Build splits the instance per pt and builds one structure of the
+// given kind per owned shard (nil = all of them) in parallel. All
+// shards complete the requested order over the same query structure,
+// so they realize the same total order; that is verified defensively
+// and a mismatch is an error (a coordinator additionally verifies it
+// ACROSS nodes from the Prepare responses). FD specs must be extended
+// globally by the caller first (extend once, shard the extension):
+// per-shard FD plumbing would price foreign candidates against
+// incomplete local FD tables.
+func Build(ctx context.Context, q *cq.Query, in *database.Instance, k Kind, pt Partitioning, owned []int) (*Owned, error) {
+	shards, err := ownedShards(pt, owned)
+	if err != nil {
+		return nil, err
+	}
+	ins := Split(q, in, pt, shards...)
+	o := &Owned{Query: q, Part: pt, kind: k, parts: make([]part, pt.P)}
+	lexes := make([]order.Lex, len(shards))
+	err = par.DoErr(len(shards), func(i int) error {
+		var err error
+		o.parts[shards[i]], lexes[i], err = k.build(ctx, q, ins[shards[i]])
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	completed := las[0].Completed
-	for i := 1; i < pt.P; i++ {
-		if !sameLex(completed, las[i].Completed) {
-			return nil, fmt.Errorf("shard: internal: shard %d realized order %v, shard 0 realized %v",
-				i, las[i].Completed.Entries, completed.Entries)
+	o.completed = lexes[0]
+	for i, s := range shards {
+		if !sameLex(lexes[0], lexes[i]) {
+			return nil, fmt.Errorf("shard: internal: shard %d realized order %v, shard %d realized %v",
+				s, lexes[i].Entries, shards[0], lexes[0].Entries)
 		}
 	}
-	parts := make([]part, pt.P)
-	for i, la := range las {
-		parts[i] = lexPart{la: la}
+	return o, nil
+}
+
+// Merge turns the result of a Build that owns every shard into the
+// merging accessor; it takes Build's results directly so a full build
+// is one expression.
+func Merge(o *Owned, err error) (*Handle, error) {
+	if err != nil {
+		return nil, err
 	}
-	h := newHandle(q, pt, parts, completed.Compare)
-	h.Completed = completed
-	h.BuildNanos = nanos
+	for s, p := range o.parts {
+		if p == nil {
+			return nil, fmt.Errorf("shard: cannot merge: shard %d of %d was not built", s, o.Part.P)
+		}
+	}
+	h := newHandle(o.Query, o.Part, o.parts, o.kind.Comparator(o.Query, o.completed))
+	h.Completed = o.completed
 	return h, nil
+}
+
+// BuildLex builds and merges the layered lexicographic structures of
+// every shard.
+func BuildLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning) (*Handle, error) {
+	return Merge(Build(context.Background(), q, in, Kind{Lex: l}, pt, nil))
 }
 
 func sameLex(a, b order.Lex) bool {
@@ -64,89 +164,20 @@ func sameLex(a, b order.Lex) bool {
 	return true
 }
 
-// BuildSum is BuildLex for the ⟨n log n, 1⟩ SUM structures: per-shard
-// answer arrays sorted by (weight, head), merged under the same
-// comparator. FD specs must be extended globally by the caller first.
-func BuildSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning) (*Handle, error) {
-	ins := Split(q, in, pt)
-	sums := make([]*access.Sum, pt.P)
-	nanos := make([]int64, pt.P)
-	err := par.DoErr(pt.P, func(i int) error {
-		start := time.Now()
-		s, err := access.BuildSum(q, ins[i], w)
-		if err != nil {
-			return err
-		}
-		sums[i], nanos[i] = s, time.Since(start).Nanoseconds()
-		return nil
-	})
+// Count answers the owned shards' share of |Q(I)| (nil = all shards,
+// i.e. |Q(I)| itself) by splitting the instance and counting every
+// owned shard in parallel; shard answer sets partition Q(I), so the
+// counts sum. The per-shard counting is the same linear free-connex
+// counting the single-shard path uses, and builds no structure.
+func Count(q *cq.Query, in *database.Instance, pt Partitioning, owned []int) (int64, error) {
+	shards, err := ownedShards(pt, owned)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	parts := make([]part, pt.P)
-	for i, s := range sums {
-		parts[i] = sumPart{s: s}
-	}
-	h := newHandle(q, pt, parts, func(a, b order.Answer) int {
-		return access.CompareSumTotal(q, w, a, b)
-	})
-	h.BuildNanos = nanos
-	return h, nil
-}
-
-// BuildMaterializedLex shards the materialize-and-sort fallback: each
-// shard materializes only its own slice of the (possibly intractable)
-// answer space, so the Θ(|Q(I)|) cost is split P ways across cores.
-func BuildMaterializedLex(q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning) (*Handle, error) {
-	ins := Split(q, in, pt)
-	mats := make([]*access.Materialized, pt.P)
-	nanos := make([]int64, pt.P)
-	par.Do(pt.P, func(i int) {
-		start := time.Now()
-		mats[i] = access.BuildMaterializedLex(q, ins[i], l)
-		nanos[i] = time.Since(start).Nanoseconds()
-	})
-	parts := make([]part, pt.P)
-	for i, m := range mats {
-		parts[i] = matLexPart{m: m, l: l}
-	}
-	h := newHandle(q, pt, parts, func(a, b order.Answer) int {
-		return access.CompareLexTotal(q, l, a, b)
-	})
-	h.BuildNanos = nanos
-	return h, nil
-}
-
-// BuildMaterializedSum is BuildMaterializedLex for SUM orders.
-func BuildMaterializedSum(q *cq.Query, in *database.Instance, w order.Sum, pt Partitioning) (*Handle, error) {
-	ins := Split(q, in, pt)
-	mats := make([]*access.Materialized, pt.P)
-	nanos := make([]int64, pt.P)
-	par.Do(pt.P, func(i int) {
-		start := time.Now()
-		mats[i] = access.BuildMaterializedSum(q, ins[i], w)
-		nanos[i] = time.Since(start).Nanoseconds()
-	})
-	parts := make([]part, pt.P)
-	for i, m := range mats {
-		parts[i] = matSumPart{m: m, w: w}
-	}
-	h := newHandle(q, pt, parts, func(a, b order.Answer) int {
-		return access.CompareSumTotal(q, w, a, b)
-	})
-	h.BuildNanos = nanos
-	return h, nil
-}
-
-// Count answers |Q(I)| by splitting the instance and counting every
-// shard in parallel; shard answer sets partition Q(I), so the counts
-// sum. The per-shard counting is the same linear free-connex counting
-// the single-shard path uses.
-func Count(q *cq.Query, in *database.Instance, pt Partitioning) (int64, error) {
-	ins := Split(q, in, pt)
-	counts := make([]int64, pt.P)
-	err := par.DoErr(pt.P, func(i int) error {
-		n, err := selection.CountAnswers(q, ins[i])
+	ins := Split(q, in, pt, shards...)
+	counts := make([]int64, len(shards))
+	err = par.DoErr(len(shards), func(i int) error {
+		n, err := selection.CountAnswers(q, ins[shards[i]])
 		counts[i] = n
 		return err
 	})

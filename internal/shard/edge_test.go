@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -59,7 +60,7 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 	if _, err := sh.Access(1); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("Access(1) = %v, want ErrOutOfBound", err)
 	}
-	if n, err := Count(q, in, pt); err != nil || n != 1 {
+	if n, err := Count(q, in, pt, nil); err != nil || n != 1 {
 		t.Fatalf("Count = %d, %v, want 1", n, err)
 	}
 
@@ -81,7 +82,7 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := order.IdentitySum(qs.Head...)
-	shs, err := BuildSum(qs, ins, w, pts)
+	shs, err := buildAll(qs, ins, Kind{IsSum: true, Sum: w}, pts)
 	if err != nil || shs.Total() != 1 {
 		t.Fatalf("BuildSum with empty shards: err %v", err)
 	}
@@ -104,14 +105,14 @@ func TestEmptyShardEdgeCases(t *testing.T) {
 	if _, err := sh.Access(0); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("empty instance Access(0) = %v, want ErrOutOfBound", err)
 	}
-	if n, err := Count(q, emptyIn, pt); err != nil || n != 0 {
+	if n, err := Count(q, emptyIn, pt, nil); err != nil || n != 0 {
 		t.Fatalf("empty instance Count = %d, %v", n, err)
 	}
 }
 
 func mustBuildMatLex(t *testing.T, q *cq.Query, in *database.Instance, l order.Lex, pt Partitioning) *Handle {
 	t.Helper()
-	sh, err := BuildMaterializedLex(q, in, l, pt)
+	sh, err := buildAll(q, in, Kind{Materialized: true, Lex: l}, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestOwnedBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	owned := []int{1, 3}
-	o, err := BuildOwnedLex(q, in, l, pt, owned)
+	o, err := Build(context.Background(), q, in, Kind{Lex: l}, pt, owned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,25 +234,25 @@ func TestOwnedBuild(t *testing.T) {
 	if _, err := o.Access(2, 0); err == nil {
 		t.Fatal("accessing a non-owned shard must error")
 	}
-	if _, err := BuildOwnedLex(q, in, l, pt, []int{9}); err == nil {
+	if _, err := Build(context.Background(), q, in, Kind{Lex: l}, pt, []int{9}); err == nil {
 		t.Fatal("owned shard outside [0, P) must error")
 	}
 
-	// CountOwned over a partition of the shards sums to the global count.
-	nAll, err := Count(q, in, pt)
+	// Count over a partition of the shards sums to the global count.
+	nAll, err := Count(q, in, pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n13, err := CountOwned(q, in, pt, []int{1, 3})
+	n13, err := Count(q, in, pt, []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n02, err := CountOwned(q, in, pt, []int{0, 2})
+	n02, err := Count(q, in, pt, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n13+n02 != nAll {
-		t.Fatalf("CountOwned partition: %d + %d != %d", n13, n02, nAll)
+		t.Fatalf("Count partition: %d + %d != %d", n13, n02, nAll)
 	}
 }
 
@@ -260,4 +261,59 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+// TestOwnedBuildKinds extends TestOwnedBuild's pin to every structure
+// kind: two disjoint owned halves hold, shard for shard, exactly the
+// parts of the full build (same totals, same local order), and half a
+// build does not merge.
+func TestOwnedBuildKinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	q, in := pathQuery(t, rng, 400, 30)
+	pt, err := Choose(q, "", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trio, err := order.ParseLex(q, "x, z, y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := order.IdentitySum(q.Head...)
+	for _, k := range []Kind{
+		{Lex: order.Lex{}},
+		{Materialized: true, Lex: trio},
+		{IsSum: true, Materialized: true, Sum: w},
+	} {
+		full, err := buildAll(q, in, k, pt)
+		if err != nil {
+			t.Fatalf("%+v: %v", k, err)
+		}
+		totals := full.PartTotals()
+		for _, owned := range [][]int{{0, 2}, {1, 3}} {
+			o, err := Build(context.Background(), q, in, k, pt, owned)
+			if err != nil {
+				t.Fatalf("%+v owned %v: %v", k, owned, err)
+			}
+			if _, err := Merge(o, nil); err == nil {
+				t.Fatalf("%+v: merged %v of 4 shards", k, owned)
+			}
+			for _, s := range owned {
+				if n, err := o.Total(s); err != nil || n != totals[s] {
+					t.Fatalf("%+v shard %d: total %d (%v), want %d", k, s, n, err, totals[s])
+				}
+				for i := int64(0); i < totals[s]; i += 5 {
+					a, err := o.Access(s, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r, exact, err := full.Rank(a); err != nil || !exact {
+						t.Fatalf("%+v shard %d: full build does not hold %v (rank %d, %v)", k, s, a, r, err)
+					}
+					if r, exact, err := o.Rank(s, a); err != nil || !exact || r != i {
+						t.Fatalf("%+v shard %d: Rank(Access(%d)) = (%d, %v, %v)", k, s, i, r, exact, err)
+					}
+				}
+			}
+		}
+	}
 }

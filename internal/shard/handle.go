@@ -101,9 +101,6 @@ type Handle struct {
 	// Completed is the realized total lex order of layered parts (zero
 	// for SUM and materialized-SUM groups).
 	Completed order.Lex
-	// BuildNanos records each part's build wall time, for rabench and
-	// scaling diagnostics. Read-only.
-	BuildNanos []int64
 
 	parts  []part
 	totals []int64

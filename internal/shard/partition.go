@@ -142,35 +142,27 @@ func atomHasVar(at *cq.Atom, v cq.VarID) bool {
 	return false
 }
 
-// Split partitions the relations the query references into pt.P shard
-// instances: relations whose atom contains the partition variable are
-// hash-split on that column, the rest are shared by reference (the
-// caller must not mutate them while shard structures are live). The
-// value dictionary is shared. Relations absent from the instance stay
-// absent from every shard. Per-relation splitting fans out over the
-// bounded worker pool.
-func Split(q *cq.Query, in *database.Instance, pt Partitioning) []*database.Instance {
-	tasks := splitTasks(q, pt)
-	if pt.P == 1 {
-		// Degenerate partitioning: every tuple hashes to shard 0, so the
-		// single shard IS the original instance. Share each relation by
-		// reference instead of copying — the resulting structure is then
-		// exactly the unsharded one, built over the same storage.
-		out := database.NewInstance()
-		out.Dict = in.Dict
-		for _, t := range tasks {
-			if r := in.Relation(t.name); r != nil {
-				out.SetRelation(t.name, r)
-			}
-		}
-		return []*database.Instance{out}
-	}
+// Split partitions the relations the query references into shard
+// instances, indexed by shard: relations whose atom contains the
+// partition variable are hash-split on that column, the rest are
+// shared by reference (the caller must not mutate them while shard
+// structures are live). Only the owned shards are materialized (none
+// named = all pt.P of them; the other entries stay nil), so a node in
+// a P-way cluster holding one shard pays 1/P of the split memory:
+// tuples hashing to non-owned shards are simply skipped. The value
+// dictionary is shared. Relations absent from the instance stay absent
+// from every shard. Per-relation splitting fans out over the bounded
+// worker pool.
+func Split(q *cq.Query, in *database.Instance, pt Partitioning, owned ...int) []*database.Instance {
 	outs := make([]*database.Instance, pt.P)
-	for i := range outs {
-		outs[i] = database.NewInstance()
-		outs[i].Dict = in.Dict
+	if owned == nil {
+		owned, _ = ownedShards(pt, nil)
 	}
-
+	for _, s := range owned {
+		outs[s] = database.NewInstance()
+		outs[s].Dict = in.Dict
+	}
+	tasks := splitTasks(q, pt)
 	split := make([][]*database.Relation, len(tasks))
 	par.Do(len(tasks), func(ti int) {
 		t := tasks[ti]
@@ -179,29 +171,35 @@ func Split(q *cq.Query, in *database.Instance, pt Partitioning) []*database.Inst
 			return
 		}
 		rels := make([]*database.Relation, pt.P)
-		if t.col < 0 {
-			for i := range rels {
-				rels[i] = r
+		split[ti] = rels
+		// Degenerate partitioning (P = 1): every tuple hashes to shard
+		// 0, so the single shard IS the original instance. Share each
+		// relation by reference instead of copying — the resulting
+		// structure is then exactly the unsharded one, built over the
+		// same storage.
+		if t.col < 0 || pt.P == 1 {
+			for _, s := range owned {
+				rels[s] = r
 			}
-			split[ti] = rels
 			return
 		}
-		for i := range rels {
-			rels[i] = database.NewRelation(r.Arity())
+		for _, s := range owned {
+			rels[s] = database.NewRelation(r.Arity())
 		}
 		n := r.Len()
 		for i := 0; i < n; i++ {
 			tu := r.Tuple(i)
-			rels[ShardOf(tu[t.col], pt.P)].Append(tu...)
+			if dst := rels[ShardOf(tu[t.col], pt.P)]; dst != nil {
+				dst.Append(tu...)
+			}
 		}
-		split[ti] = rels
 	})
 	for ti, t := range tasks {
 		if split[ti] == nil {
 			continue
 		}
-		for i := range outs {
-			outs[i].SetRelation(t.name, split[ti][i])
+		for _, s := range owned {
+			outs[s].SetRelation(t.name, split[ti][s])
 		}
 	}
 	return outs
@@ -234,60 +232,4 @@ func splitTasks(q *cq.Query, pt Partitioning) []splitTask {
 		tasks = append(tasks, splitTask{name: at.Rel, col: col})
 	}
 	return tasks
-}
-
-// SplitOwned is Split restricted to a subset of the shards: only the
-// owned shard instances are materialized, so a node in a P-way cluster
-// holding one shard pays 1/P of the split memory, not all of it.
-// Tuples hashing to non-owned shards are simply skipped; replicated
-// relations are still shared by reference. The result maps shard index
-// to instance for exactly the requested owned indices (deduplicated).
-func SplitOwned(q *cq.Query, in *database.Instance, pt Partitioning, owned []int) map[int]*database.Instance {
-	ownSet := make(map[int]bool, len(owned))
-	for _, s := range owned {
-		ownSet[s] = true
-	}
-	outs := make(map[int]*database.Instance, len(ownSet))
-	for s := range ownSet {
-		outs[s] = database.NewInstance()
-		outs[s].Dict = in.Dict
-	}
-	tasks := splitTasks(q, pt)
-	type result struct{ rels map[int]*database.Relation }
-	split := make([]result, len(tasks))
-	par.Do(len(tasks), func(ti int) {
-		t := tasks[ti]
-		r := in.Relation(t.name)
-		if r == nil {
-			return
-		}
-		rels := make(map[int]*database.Relation, len(ownSet))
-		if t.col < 0 {
-			for s := range ownSet {
-				rels[s] = r
-			}
-			split[ti] = result{rels: rels}
-			return
-		}
-		for s := range ownSet {
-			rels[s] = database.NewRelation(r.Arity())
-		}
-		n := r.Len()
-		for i := 0; i < n; i++ {
-			tu := r.Tuple(i)
-			if dst, ok := rels[ShardOf(tu[t.col], pt.P)]; ok {
-				dst.Append(tu...)
-			}
-		}
-		split[ti] = result{rels: rels}
-	})
-	for ti, t := range tasks {
-		if split[ti].rels == nil {
-			continue
-		}
-		for s, rel := range split[ti].rels {
-			outs[s].SetRelation(t.name, rel)
-		}
-	}
-	return outs
 }

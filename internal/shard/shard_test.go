@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -29,6 +30,11 @@ func pathQuery(t *testing.T, rng *rand.Rand, n, dom int) (*cq.Query, *database.I
 	in.SetRelation("R", in.Relation("R").Dedup())
 	in.SetRelation("S", in.Relation("S").Dedup())
 	return q, in
+}
+
+// buildAll builds every shard with kind k and merges them.
+func buildAll(q *cq.Query, in *database.Instance, k Kind, pt Partitioning) (*Handle, error) {
+	return Merge(Build(context.Background(), q, in, k, pt, nil))
 }
 
 func TestChoose(t *testing.T) {
@@ -273,7 +279,7 @@ func TestShardedSumMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := BuildSum(q, in, w, pt)
+		sh, err := buildAll(q, in, Kind{IsSum: true, Sum: w}, pt)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -309,7 +315,7 @@ func TestShardedMaterializedMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := BuildMaterializedLex(q, in, l, pt)
+		sh, err := buildAll(q, in, Kind{Materialized: true, Lex: l}, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +349,7 @@ func TestShardedMaterializedSumMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := BuildMaterializedSum(q, in, w, pt)
+		sh, err := buildAll(q, in, Kind{IsSum: true, Materialized: true, Sum: w}, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +400,7 @@ func TestShardedCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Count(q, in, pt)
+		got, err := Count(q, in, pt, nil)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}

@@ -127,9 +127,6 @@ var (
 	// side of the paper's dichotomy. Every *access.IntractableError
 	// unwraps to it (mapped to HTTP 422 by the v1 API's strict mode).
 	ErrIntractable = access.ErrIntractable
-	// ErrCursorInvalidated: the instance mutated under a cursor bound
-	// to a prepared query (mapped to HTTP 410 by the v1 API).
-	ErrCursorInvalidated = engine.ErrCursorInvalidated
 )
 
 // ParseQuery parses the textual form "Q(x, z) :- R(x, y), S(y, z)".
