@@ -1,7 +1,8 @@
 // Package client is the Go SDK for the ranked direct-access service's
 // v1 prepared-query API (cmd/serve). It depends only on the standard
-// library (plus the dependency-free internal/trace context package),
-// so importing it does not pull in the engine.
+// library (plus the dependency-free internal/trace context package and
+// the internal/stats counter declaration), so importing it does not
+// pull in the engine.
 //
 // When the calling context carries a trace span (internal/trace), every
 // request sends a W3C traceparent header, so a traced caller's requests
@@ -42,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"rankedaccess/internal/stats"
 	"rankedaccess/internal/trace"
 )
 
@@ -263,55 +265,10 @@ func decodeAPIError(resp *http.Response) error {
 	return &APIError{Status: resp.StatusCode, Message: msg}
 }
 
-// Stats mirrors GET /v1/stats — the full typed counter surface the
-// server exports, field for field. A schema test on the server side
-// keeps the two in lockstep.
-type Stats struct {
-	// Structure-cache and registry counters.
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheMisses  uint64 `json:"cache_misses"`
-	CacheEntries int    `json:"cache_entries"`
-	Version      uint64 `json:"version"`
-	Tuples       int    `json:"tuples"`
-	Prepared     int    `json:"prepared"`
-	RegistryHits uint64 `json:"registry_hits"`
-	Reprepares   uint64 `json:"reprepares"`
-	OpenCursors  int    `json:"open_cursors"`
-	// Snapshot counters: checkpoints written, restores applied, and
-	// structures the last warm start rehydrated from a mapped snapshot.
-	Checkpoints    uint64 `json:"snapshot_checkpoints"`
-	Restores       uint64 `json:"snapshot_restores"`
-	WarmStructures uint64 `json:"warm_structures"`
-	// Write-path counters: mutation batches applied, and how stale
-	// structures caught up — republished unchanged, advanced by delta
-	// overlay, or forced to rebuild — plus background re-preprocesses
-	// that swapped in.
-	WALBatches    uint64 `json:"wal_batches"`
-	DeltaSkips    uint64 `json:"delta_skips"`
-	DeltaEpochs   uint64 `json:"delta_epochs"`
-	DeltaRebuilds uint64 `json:"delta_rebuilds"`
-	BGRebuilds    uint64 `json:"bg_rebuilds"`
-	// WALErrors counts absorbed durable-WAL append failures; nonzero
-	// means the disk under the server's WAL is unhealthy.
-	WALErrors uint64 `json:"wal_errors"`
-	// Overload counters: requests shed by the rate limiter (429) and
-	// the concurrency gate (503), current gate occupancy and queue
-	// depth, coalescer traffic, reads served from a stale epoch while
-	// degraded, and writes refused while degraded.
-	Shed429        uint64 `json:"shed_rate_limited"`
-	Shed503        uint64 `json:"shed_overload"`
-	InFlight       int    `json:"in_flight"`
-	QueueDepth     int    `json:"queue_depth"`
-	CoalesceHits   uint64 `json:"coalesce_hits"`
-	CoalesceMisses uint64 `json:"coalesce_misses"`
-	DegradedReads  uint64 `json:"degraded_reads"`
-	WriteSheds     uint64 `json:"write_sheds"`
-	// Degraded is true while the engine sheds writes to catch up.
-	Degraded bool `json:"degraded"`
-	// DeprecatedRequests counts requests answered through deprecated
-	// legacy routes (the unversioned shims over /v1).
-	DeprecatedRequests uint64 `json:"deprecated_requests"`
-}
+// Stats is the body of GET /v1/stats: every counter the server exports,
+// in the one type the server itself renders (internal/stats), so SDK
+// and server cannot drift.
+type Stats = stats.Snapshot
 
 // Stats fetches the server's counters via GET /v1/stats.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {

@@ -256,7 +256,6 @@ type view struct {
 	inFlight              float64
 	shed429PS, shed503PS  float64
 	coalescePct           float64 // hit share of coalescer traffic, 0-100
-	deprecatedPS          float64
 	epochsPS, rebuildsPS  float64
 	bgRebuilds            float64
 	walBatches, walErrors float64
@@ -297,7 +296,6 @@ func digest(prev, cur *snap) view {
 	if hits+misses > 0 {
 		v.coalescePct = 100 * hits / (hits + misses)
 	}
-	v.deprecatedPS = d("ra_http_deprecated_requests_sum") / secs
 	v.epochsPS = d("ra_engine_delta_epochs_total") / secs
 	v.rebuildsPS = (d("ra_engine_delta_rebuilds_total") + d("ra_engine_bg_rebuilds_total")) / secs
 	v.bgRebuilds = cur.sum("ra_engine_bg_rebuilding")
@@ -389,8 +387,8 @@ func render(w io.Writer, base string, prev, cur *snap, hist *history) {
 		fmt.Fprintf(w, "requests  %.1f/s   p50 %s  p95 %s  p99 %s   in-flight %.0f\n",
 			v.qps, ms(v.p50), ms(v.p95), ms(v.p99), v.inFlight)
 	}
-	fmt.Fprintf(w, "shed      %.1f/s rate-limited, %.1f/s overload   coalesce hit %.0f%%   deprecated %.1f/s\n",
-		v.shed429PS, v.shed503PS, v.coalescePct, v.deprecatedPS)
+	fmt.Fprintf(w, "shed      %.1f/s rate-limited, %.1f/s overload   coalesce hit %.0f%%\n",
+		v.shed429PS, v.shed503PS, v.coalescePct)
 	fmt.Fprintf(w, "epochs    %.1f/s overlay, %.1f/s rebuilt   bg rebuilding %.0f\n",
 		v.epochsPS, v.rebuildsPS, v.bgRebuilds)
 	wal := "healthy"

@@ -1,10 +1,10 @@
 // Command serve runs the ranked direct-access engine as an HTTP/JSON
 // service: load an instance (from TSV files at startup and/or POST
-// /load at runtime), then serve the /v1 prepared-query API (register a
-// query once, probe and stream it by name — see internal/serve) plus
-// the legacy one-shot endpoints. Access structures are cached across
-// requests, so a repeated (query, order) pair skips its O(n log n)
-// preprocessing.
+// /v1/instance/load at runtime), then serve the /v1 prepared-query API
+// (register a query once, probe and stream it by name — see
+// internal/serve) plus the one-shot endpoints under /v1/instance.
+// Access structures are cached across requests, so a repeated (query,
+// order) pair skips its O(n log n) preprocessing.
 //
 // Usage:
 //
@@ -25,7 +25,8 @@
 //
 // Observability: GET /metrics serves every engine and serving counter
 // in the Prometheus text format (scrape it, or point cmd/dash at the
-// server); -log-requests emits one JSON log record per request to
+// server) and GET /v1/stats the same counters as typed JSON, both off
+// one snapshot; -log-requests emits one JSON log record per request to
 // stderr, with request ids that thread through to engine build and
 // rebuild events; -ops-addr starts a second, private listener carrying
 // /debug/pprof plus /metrics and the health probes — keep it on

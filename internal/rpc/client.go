@@ -47,12 +47,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// pconn is one pooled connection with its buffered reader and the
-// protocol version the handshake negotiated for it.
+// pconn is one pooled connection with its buffered reader.
 type pconn struct {
 	c    net.Conn
 	br   *bufio.Reader
-	ver  uint16
 	last time.Time
 }
 
@@ -181,7 +179,7 @@ func (c *Client) dial(deadline time.Time) (*pconn, bool, error) {
 			ErrBadFrame, ver, minProtoVersion, ProtoVersion)
 	}
 	conn.SetDeadline(time.Time{})
-	return &pconn{c: conn, br: br, ver: ver}, true, nil
+	return &pconn{c: conn, br: br}, true, nil
 }
 
 // put returns a healthy connection to the pool (closing it when the
@@ -266,8 +264,6 @@ func (c *Client) callInner(ctx context.Context, kind Kind, body func(*enc)) (*de
 		deadline = time.Now().Add(c.opts.CallTimeout)
 	}
 	reqID := c.seq.Add(1)
-	be := &enc{b: make([]byte, 0, 224)}
-	body(be)
 	millis := time.Until(deadline).Milliseconds()
 	if millis < 1 {
 		millis = 1
@@ -276,6 +272,12 @@ func (c *Client) callInner(ctx context.Context, kind Kind, body func(*enc)) (*de
 		millis = 1<<31 - 1
 	}
 	sc, _ := trace.SpanContextOf(ctx)
+	e := &enc{b: make([]byte, 0, 256)}
+	e.u64(reqID)
+	e.u8(uint8(kind))
+	e.u32(uint32(millis))
+	encTraceContext(e, sc)
+	body(e)
 
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -293,17 +295,6 @@ func (c *Client) callInner(ctx context.Context, kind Kind, body func(*enc)) (*de
 			lastErr = err
 			continue
 		}
-		// The request header depends on the connection's negotiated
-		// version (v2 carries the trace field), so assemble it per
-		// attempt around the version-independent body.
-		e := &enc{b: make([]byte, 0, len(be.b)+8+1+4+traceContextLen)}
-		e.u64(reqID)
-		e.u8(uint8(kind))
-		e.u32(uint32(millis))
-		if pc.ver >= 2 {
-			encTraceContext(e, sc)
-		}
-		e.b = append(e.b, be.b...)
 		payload, err := c.roundTrip(pc, e.b, reqID, kind, deadline)
 		if err != nil {
 			pc.c.Close()

@@ -60,8 +60,8 @@ func NewServer(b Backend) *Server {
 }
 
 // SetTracer makes every dispatched request run under a server span
-// that continues the trace carried in the v2 wire field (or roots a
-// fresh one for untraced v1 peers). nil disables.
+// that continues the trace carried in the wire's trace field (or roots
+// a fresh one when the field is all-zero). nil disables.
 func (s *Server) SetTracer(t *trace.Tracer) { s.tracer.Store(t) }
 
 // Instrument registers the server-side RPC series (requests served by
@@ -154,8 +154,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	// Negotiate down to the client's version when it is older; refuse
-	// clients older than our floor (close without replying, matching
-	// the v1 server's refusal of any mismatch).
+	// clients older than our floor by closing without replying.
 	if ver < minProtoVersion {
 		return
 	}
@@ -176,10 +175,8 @@ func (s *Server) handle(conn net.Conn) {
 		kind := Kind(d.u8())
 		deadlineMillis := d.u32()
 		ctx := context.Background()
-		if ver >= 2 {
-			if rsc, ok := decTraceContext(d); ok {
-				ctx = trace.ContextWithRemote(ctx, rsc)
-			}
+		if rsc, ok := decTraceContext(d); ok {
+			ctx = trace.ContextWithRemote(ctx, rsc)
 		}
 		if d.bad {
 			return

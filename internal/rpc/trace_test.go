@@ -12,67 +12,26 @@ import (
 	"rankedaccess/internal/trace"
 )
 
-// TestV1ClientStillServed pins backward compatibility of the v2
-// handshake: a v1 client (no trace field in its requests) negotiates
-// version 1 and gets answers.
-func TestV1ClientStillServed(t *testing.T) {
+// TestBelowFloorClientRefused pins that every version below the floor
+// — the never-shipped v1 included — gets no handshake reply: the peer
+// fails at connect, not mid-call.
+func TestBelowFloorClientRefused(t *testing.T) {
 	b := &fakeBackend{total: 10}
 	_, lis := startServer(t, b, nil)
-
-	conn, err := net.Dial("tcp", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeHandshake(conn, 1); err != nil {
-		t.Fatal(err)
-	}
-	ver, err := readHandshake(conn)
-	if err != nil {
-		t.Fatalf("handshake reply: %v", err)
-	}
-	if ver != 1 {
-		t.Fatalf("server negotiated version %d for a v1 client, want 1", ver)
-	}
-	// A v1 Health request: reqID | kind | deadlineMillis, no trace field.
-	e := &enc{}
-	e.u64(7)
-	e.u8(uint8(KindHealth))
-	e.u32(1000)
-	if err := writeFrame(conn, e.b); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := readFrame(conn)
-	if err != nil {
-		t.Fatalf("v1 response: %v", err)
-	}
-	d := &dec{b: payload}
-	if id, kind := d.u64(), Kind(d.u8()); id != 7 || kind != KindHealth {
-		t.Fatalf("response header id=%d kind=%d", id, kind)
-	}
-	if status := d.u8(); status != statusOK {
-		t.Fatalf("v1 call status %d", status)
-	}
-}
-
-// TestTooOldClientRefused pins that a below-floor version gets no
-// handshake reply.
-func TestTooOldClientRefused(t *testing.T) {
-	b := &fakeBackend{total: 10}
-	_, lis := startServer(t, b, nil)
-	conn, err := net.Dial("tcp", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeHandshake(conn, 0); err != nil {
-		t.Fatal(err)
-	}
-	var buf [8]byte
-	if _, err := io.ReadFull(conn, buf[:]); err == nil {
-		t.Fatalf("version-0 client got a handshake reply %v", buf)
+	for ver := uint16(0); ver < minProtoVersion; ver++ {
+		conn, err := net.Dial("tcp", lis.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeHandshake(conn, ver); err != nil {
+			t.Fatal(err)
+		}
+		var buf [8]byte
+		if _, err := io.ReadFull(conn, buf[:]); err == nil {
+			t.Errorf("version-%d client got a handshake reply %v", ver, buf)
+		}
+		conn.Close()
 	}
 }
 
@@ -199,6 +158,7 @@ func TestUntracedCallCarriesZeroField(t *testing.T) {
 	}
 	req := <-got
 	// reqID(8) | kind(1) | deadline(4) | trace(25) for a bodyless call.
+	const traceContextLen = 1 + 16 + 8 // flags | trace id | span id
 	if len(req) != 8+1+4+traceContextLen {
 		t.Fatalf("v2 bodyless request is %d bytes, want %d", len(req), 8+1+4+traceContextLen)
 	}

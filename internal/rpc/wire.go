@@ -23,18 +23,19 @@
 // concurrency (it opens more connections instead, see Client's pool).
 //
 // Versioning. ProtoVersion is bumped on any incompatible change to the
-// framing or message bodies. Since version 2 the handshake negotiates:
-// the client leads with its own version, the server replies with
-// min(client, server) and the connection speaks that version — so an
-// old coordinator keeps working against upgraded shard nodes, while a
-// new coordinator against an old node fails fast at connect time (the
-// v1 server's strict equality check refuses the newer preamble). See
-// CONTRIBUTING.md for the bump policy (it mirrors the snapshot/WAL
-// format rules).
+// framing or message bodies. The handshake negotiates: the client
+// leads with its own version, the server replies with min(client,
+// server) and the connection speaks that version — so an old
+// coordinator keeps working against upgraded shard nodes for as long
+// as its version is at or above minProtoVersion; a peer below the
+// floor is refused at connect time (the server closes without
+// replying). See CONTRIBUTING.md for the bump policy (it mirrors the
+// snapshot/WAL format rules).
 //
 // Version history:
 //
-//	1 — initial framed protocol (PR 9).
+//	1 — initial framed protocol (PR 9). Never shipped to a peer;
+//	    below the floor since PR 14.
 //	2 — request payloads gain a fixed 25-byte trace-context field
 //	    (flags, trace id, span id; all-zero = untraced) between
 //	    deadlineMillis and the body, so distributed traces stitch
@@ -61,7 +62,7 @@ const ProtoVersion = 2
 // minProtoVersion is the oldest version this build still serves; the
 // negotiated connection version always lands in [minProtoVersion,
 // ProtoVersion].
-const minProtoVersion = 1
+const minProtoVersion = 2
 
 // magic opens every handshake; "RARC" = RankedAccess RPC.
 var magic = [4]byte{'R', 'A', 'R', 'C'}
@@ -179,9 +180,6 @@ func readHandshake(r io.Reader) (uint16, error) {
 	}
 	return binary.LittleEndian.Uint16(b[4:6]), nil
 }
-
-// traceContextLen is the fixed length of the v2 trace field.
-const traceContextLen = 1 + 16 + 8
 
 // encTraceContext appends the fixed v2 trace field: flags, trace id,
 // parent span id. A zero SpanContext encodes as 25 zero bytes, which

@@ -22,17 +22,16 @@ import (
 	"rankedaccess/internal/trace"
 )
 
-// defaultCoalesceCache bounds cached response bodies. Entries are hot
-// ranked windows (a leaderboard page, a dashboard's top-k); 256 bodies
-// of a few KB each is plenty and bounded.
-const defaultCoalesceCache = 256
+// coalesceCache bounds cached response bodies. Entries are hot ranked
+// windows (a leaderboard page, a dashboard's top-k); 256 bodies of a
+// few KB each is plenty and bounded.
+const coalesceCache = 256
 
 type coalescer struct {
 	mu      sync.Mutex
 	flights map[string]*coalFlight
 	entries map[string]*coalEntry
 	seq     uint64
-	max     int
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -51,14 +50,10 @@ type coalEntry struct {
 	seq  uint64 // LRU stamp
 }
 
-func newCoalescer(max int) *coalescer {
-	if max <= 0 {
-		max = defaultCoalesceCache
-	}
+func newCoalescer() *coalescer {
 	return &coalescer{
 		flights: make(map[string]*coalFlight),
 		entries: make(map[string]*coalEntry),
-		max:     max,
 	}
 }
 
@@ -95,7 +90,7 @@ func (c *coalescer) do(ctx context.Context, key string, fill func() ([]byte, err
 	c.mu.Lock()
 	delete(c.flights, key)
 	if fl.err == nil {
-		for len(c.entries) >= c.max {
+		for len(c.entries) >= coalesceCache {
 			var oldestKey string
 			var oldest uint64
 			for k, e := range c.entries {

@@ -1,30 +1,33 @@
-// metrics.go is the serve layer's observability surface: a
-// metrics.Registry exporting every engine/admission/coalesce/cursor/
-// durability counter, per-endpoint HTTP middleware (request counts by
-// response class, latency histograms, in-flight gauges), and the
-// GET /metrics Prometheus-text endpoint.
+// metrics.go is the serve layer's observability surface: the one
+// snapshot() both stats surfaces render (GET /v1/stats as JSON, GET
+// /metrics as func-backed series walked off stats.Snapshot's tags), a
+// metrics.Registry holding them, and the per-endpoint HTTP middleware
+// (request counts by response class, latency histograms, in-flight
+// gauges).
 //
 // Cardinality is bounded by construction: endpoint label values are
-// the fixed route names below, response classes are "1xx".."5xx", and
-// histogram buckets are metrics.DefBuckets. Nothing mints a new series
-// at request time (see CONTRIBUTING.md for the naming and label
+// the fixed route names in serve.go, response classes are "1xx".."5xx",
+// and histogram buckets are metrics.DefBuckets. Nothing mints a new
+// series at request time (see CONTRIBUTING.md for the naming and label
 // rules).
 //
-// The engine's own counters are not mirrored: a scrape snapshots
-// engine.Stats()/Health() once (refresh), and func-backed series read
-// from that snapshot, so one scrape costs one pass over the engine's
-// locks no matter how many series it exports.
+// The engine's own counters are not mirrored: a scrape takes one
+// snapshot() and every declared series reads its field of it, so one
+// scrape costs one pass over the engine's locks no matter how many
+// series it exports.
 package serve
 
 import (
 	"net/http"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rankedaccess/internal/engine"
 	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/reqid"
+	"rankedaccess/internal/stats"
 	"rankedaccess/internal/trace"
 )
 
@@ -35,25 +38,20 @@ type serverMetrics struct {
 	mu     sync.Mutex
 	routes map[string]*routeMetrics
 
-	// deprecatedTotal sums deprecated-shim traffic across endpoints
-	// (per-endpoint children live in routeMetrics.deprecated).
-	deprecatedTotal atomic.Uint64
-
 	// logsSampledOut counts request-log records dropped by load
 	// sampling.
 	logsSampledOut *metrics.Counter
 
-	// Scrape-time snapshots of engine state (see refresh).
-	stats  atomic.Pointer[engine.Stats]
-	health atomic.Pointer[engine.Health]
+	// snap is the sample the declared series read; handleMetrics
+	// replaces it before every render.
+	snap atomic.Pointer[stats.Snapshot]
 }
 
 // routeMetrics is one endpoint's series set.
 type routeMetrics struct {
-	classes    [5]*metrics.Counter // response class 1xx..5xx
-	lat        *metrics.Histogram
-	inflight   *metrics.Gauge
-	deprecated *metrics.Counter // non-nil only for legacy shim routes
+	classes  [5]*metrics.Counter // response class 1xx..5xx
+	lat      *metrics.Histogram
+	inflight *metrics.Gauge
 }
 
 // observe records one finished request; a non-empty traceID becomes
@@ -70,9 +68,6 @@ func (rm *routeMetrics) observe(status int, d time.Duration, traceID string) {
 var classNames = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
 // route returns (registering on first use) the series for an endpoint.
-// Legacy shims share their successor's endpoint label, so per-endpoint
-// traffic is the union of both paths; the deprecated counter is what
-// splits them.
 func (m *serverMetrics) route(endpoint string) *routeMetrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -94,169 +89,85 @@ func (m *serverMetrics) route(endpoint string) *routeMetrics {
 	return rm
 }
 
-// deprecatedFor registers the deprecated-shim counter for an endpoint
-// (idempotent: the legacy route table registers each shim once).
-func (m *serverMetrics) deprecatedFor(endpoint string) *metrics.Counter {
-	rm := m.route(endpoint)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rm.deprecated == nil {
-		rm.deprecated = m.reg.Counter("ra_http_deprecated_requests_total",
-			"requests answered through a deprecated legacy route", "endpoint", endpoint)
+// snapshot samples every exported counter once: engine stats and
+// health, admission gate, coalescer, cursor store, and the server's own
+// overload counters. Both stats surfaces render this and nothing else,
+// so they cannot disagree about a value's source.
+func (s *server) snapshot() *stats.Snapshot {
+	st, h := s.e.Stats(), s.e.Health()
+	snap := &stats.Snapshot{
+		CacheHits:       st.Hits,
+		CacheMisses:     st.Misses,
+		CacheEntries:    st.Entries,
+		Version:         st.Version,
+		Tuples:          st.Tuples,
+		Prepared:        st.Prepared,
+		RegistryHits:    st.RegistryHits,
+		Reprepares:      st.Reprepares,
+		OpenCursors:     s.st.open(),
+		Checkpoints:     st.Checkpoints,
+		Restores:        st.Restores,
+		WarmStructures:  st.WarmStructures,
+		WALBatches:      st.WALBatches,
+		DeltaSkips:      st.DeltaSkips,
+		DeltaEpochs:     st.DeltaEpochs,
+		DeltaRebuilds:   st.DeltaRebuilds,
+		BGRebuilds:      st.BGRebuilds,
+		WALErrors:       st.WALErrors,
+		Shed429:         s.shed429.Load(),
+		Shed503:         s.shed503.Load(),
+		CoalesceHits:    s.coal.hits.Load(),
+		CoalesceMisses:  s.coal.misses.Load(),
+		DegradedReads:   s.degradedReads.Load(),
+		WriteSheds:      s.writeSheds.Load(),
+		Degraded:        h.Degraded(),
+		OverlayEditsMax: h.MaxOverlayEdits,
+		BGRebuilding:    h.BGRebuilding,
 	}
-	return rm.deprecated
+	if s.gate != nil {
+		snap.InFlight, snap.QueueDepth = s.gate.Active(), s.gate.QueueDepth()
+	}
+	return snap
 }
 
-// refresh snapshots the engine state every func-backed series reads;
-// called once per scrape, before rendering.
-func (m *serverMetrics) refresh(s *server) {
-	st := s.e.Stats()
-	h := s.e.Health()
-	m.stats.Store(&st)
-	m.health.Store(&h)
-}
-
-// newServerMetrics builds the registry and registers every non-HTTP
-// series: engine counters off the scrape snapshot, admission/coalesce/
-// cursor state off the live server. Called after the server's gate,
-// coalescer, and cursor store exist.
+// newServerMetrics builds the registry and registers one func-backed
+// series per stats.Snapshot field, named and described by its tags; a
+// name ending in _total is a counter, anything else a gauge.
 func newServerMetrics(s *server) *serverMetrics {
 	m := &serverMetrics{reg: metrics.NewRegistry(), routes: make(map[string]*routeMetrics)}
-	m.refresh(s) // seed the snapshots so a pre-scrape read never sees nil
-	reg := m.reg
-	st := func() *engine.Stats { return m.stats.Load() }
-	hl := func() *engine.Health { return m.health.Load() }
-
-	// Engine: structure cache and prepared-query registry.
-	reg.CounterFunc("ra_engine_cache_hits_total",
-		"structure cache hits (prepared probes answered without building)",
-		func() float64 { return float64(st().Hits) })
-	reg.CounterFunc("ra_engine_cache_misses_total",
-		"structure cache misses (synchronous O(n log n) builds)",
-		func() float64 { return float64(st().Misses) })
-	reg.GaugeFunc("ra_engine_cache_entries",
-		"access structures currently cached",
-		func() float64 { return float64(st().Entries) })
-	reg.GaugeFunc("ra_engine_instance_version",
-		"current MVCC instance version (bumped by every write batch)",
-		func() float64 { return float64(st().Version) })
-	reg.GaugeFunc("ra_engine_tuples",
-		"tuples in the database instance",
-		func() float64 { return float64(st().Tuples) })
-	reg.GaugeFunc("ra_engine_prepared_queries",
-		"registered named queries",
-		func() float64 { return float64(st().Prepared) })
-	reg.CounterFunc("ra_engine_registry_hits_total",
-		"by-name probes served from a registered query's current handle",
-		func() float64 { return float64(st().RegistryHits) })
-	reg.CounterFunc("ra_engine_reprepares_total",
-		"automatic re-prepares of registered queries after instance mutation",
-		func() float64 { return float64(st().Reprepares) })
-
-	// Engine: durability (snapshots + WAL).
-	reg.CounterFunc("ra_engine_snapshot_checkpoints_total",
-		"snapshot checkpoints written",
-		func() float64 { return float64(st().Checkpoints) })
-	reg.CounterFunc("ra_engine_snapshot_restores_total",
-		"snapshot restores applied",
-		func() float64 { return float64(st().Restores) })
-	reg.GaugeFunc("ra_engine_warm_structures",
-		"structures the most recent warm start rehydrated from a mapped snapshot",
-		func() float64 { return float64(st().WarmStructures) })
-	reg.CounterFunc("ra_engine_wal_batches_total",
-		"mutation batches applied through the write path",
-		func() float64 { return float64(st().WALBatches) })
-	reg.CounterFunc("ra_engine_wal_errors_total",
-		"absorbed durable-WAL append failures (nonzero: the WAL disk is unhealthy)",
-		func() float64 { return float64(st().WALErrors) })
-
-	// Engine: MVCC catch-up traffic.
-	reg.CounterFunc("ra_engine_delta_skips_total",
-		"stale structures republished unchanged (writes missed their relations)",
-		func() float64 { return float64(st().DeltaSkips) })
-	reg.CounterFunc("ra_engine_delta_epochs_total",
-		"overlay epochs published (writes absorbed without rebuilding)",
-		func() float64 { return float64(st().DeltaEpochs) })
-	reg.CounterFunc("ra_engine_delta_rebuilds_total",
-		"stale structures forced into a synchronous rebuild",
-		func() float64 { return float64(st().DeltaRebuilds) })
-	reg.CounterFunc("ra_engine_bg_rebuilds_total",
-		"background re-preprocesses that completed and swapped in",
-		func() float64 { return float64(st().BGRebuilds) })
-
-	// Engine: degradation state.
-	reg.GaugeFunc("ra_engine_degraded",
-		"1 while the engine sheds writes (broken WAL or overlay backlog at the hard limit)",
-		func() float64 {
-			if hl().Degraded() {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("ra_engine_overlay_edits_max",
-		"largest delta overlay any cached structure carries",
-		func() float64 { return float64(hl().MaxOverlayEdits) })
-	reg.GaugeFunc("ra_engine_bg_rebuilding",
-		"background re-preprocesses in flight",
-		func() float64 { return float64(hl().BGRebuilding) })
-
-	// Serve: admission, coalescing, degradation, cursors.
-	reg.CounterFunc("ra_serve_shed_rate_limited_total",
-		"requests shed by the per-client rate limiter (429)",
-		func() float64 { return float64(s.shed429.Load()) })
-	reg.CounterFunc("ra_serve_shed_overload_total",
-		"requests shed by the concurrency gate (503)",
-		func() float64 { return float64(s.shed503.Load()) })
-	reg.GaugeFunc("ra_serve_gate_in_flight",
-		"requests holding a concurrency-gate slot",
-		func() float64 {
-			if s.gate == nil {
-				return 0
-			}
-			return float64(s.gate.Active())
-		})
-	reg.GaugeFunc("ra_serve_gate_queue_depth",
-		"requests waiting for a concurrency-gate slot",
-		func() float64 {
-			if s.gate == nil {
-				return 0
-			}
-			return float64(s.gate.QueueDepth())
-		})
-	reg.CounterFunc("ra_serve_coalesce_hits_total",
-		"probe windows served from the coalescer (shared flight or cached body)",
-		func() float64 {
-			if s.coal == nil {
-				return 0
-			}
-			return float64(s.coal.hits.Load())
-		})
-	reg.CounterFunc("ra_serve_coalesce_misses_total",
-		"probe windows that paid their own probe + encode",
-		func() float64 {
-			if s.coal == nil {
-				return 0
-			}
-			return float64(s.coal.misses.Load())
-		})
-	reg.CounterFunc("ra_serve_degraded_reads_total",
-		"reads answered from a stale epoch while the engine was degraded",
-		func() float64 { return float64(s.degradedReads.Load()) })
-	reg.CounterFunc("ra_serve_write_sheds_total",
-		"writes refused while the engine was degraded",
-		func() float64 { return float64(s.writeSheds.Load()) })
-	reg.GaugeFunc("ra_serve_open_cursors",
-		"server-side cursors currently open",
-		func() float64 { return float64(s.st.open()) })
-	reg.CounterFunc("ra_http_deprecated_requests_sum",
-		"total requests answered through any deprecated legacy route",
-		func() float64 { return float64(m.deprecatedTotal.Load()) })
-	m.logsSampledOut = reg.Counter("ra_http_request_logs_sampled_out_total",
+	rt := reflect.TypeOf(stats.Snapshot{})
+	for i := 0; i < rt.NumField(); i++ {
+		tag := rt.Field(i).Tag
+		name, help := tag.Get("metric"), tag.Get("help")
+		read := func() float64 { return number(reflect.ValueOf(m.snap.Load()).Elem().Field(i)) }
+		if strings.HasSuffix(name, "_total") {
+			m.reg.CounterFunc(name, help, read)
+		} else {
+			m.reg.GaugeFunc(name, help, read)
+		}
+	}
+	m.logsSampledOut = m.reg.Counter("ra_http_request_logs_sampled_out_total",
 		"request-log records dropped by under-load sampling")
 	if s.cfg.ExtraMetrics != nil {
-		s.cfg.ExtraMetrics(reg)
+		s.cfg.ExtraMetrics(m.reg)
 	}
 	return m
+}
+
+// number renders one Snapshot field as a sample value: the struct holds
+// only uint64 and int counts and bool states (exported as 0/1).
+func number(v reflect.Value) float64 {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return 1
+		}
+		return 0
+	case reflect.Int:
+		return float64(v.Int())
+	default:
+		return float64(v.Uint())
+	}
 }
 
 // recPool recycles status recorders so the middleware adds no
@@ -367,10 +278,14 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// handleMetrics renders the registry in the Prometheus text exposition
-// format. Monitoring surface: bypasses admission, like /stats.
+// handleStats and handleMetrics are the two renderings of snapshot().
+// Monitoring surface: both bypass admission.
+func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	reply(w, s.snapshot())
+}
+
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.mets.refresh(s)
+	s.mets.snap.Store(s.snapshot())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.mets.reg.WritePrometheus(w)
 }

@@ -9,12 +9,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"rankedaccess/client"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/workload"
@@ -122,82 +120,6 @@ func TestMetricsCountShedRequests(t *testing.T) {
 	}
 	if v := got[`ra_serve_shed_rate_limited_total`]; v != 1 {
 		t.Errorf("shed_rate_limited_total = %v, want 1", v)
-	}
-}
-
-func TestLegacyShimsByteIdenticalWithDeprecationHeaders(t *testing.T) {
-	srv := metricsServer(t, Config{})
-	body := func(path string) ([]byte, *http.Response) {
-		raw, _ := json.Marshal(accessRequest{
-			specPayload: specPayload{Query: twoPath, Order: "x, y, z"}, Ks: []int64{0, 2, 5},
-		})
-		resp, err := srv.Client().Post(srv.URL+path, "application/json", bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b, resp
-	}
-	v1Body, v1Resp := body("/v1/instance/access")
-	legacyBody, legacyResp := body("/access")
-	if !bytes.Equal(v1Body, legacyBody) {
-		t.Fatalf("shim body diverged:\nv1:     %s\nlegacy: %s", v1Body, legacyBody)
-	}
-	if h := legacyResp.Header.Get("Deprecation"); h != "true" {
-		t.Errorf("legacy Deprecation header = %q, want true", h)
-	}
-	if h := legacyResp.Header.Get("Link"); !strings.Contains(h, "/v1/instance/access") || !strings.Contains(h, "successor-version") {
-		t.Errorf("legacy Link header = %q", h)
-	}
-	if h := v1Resp.Header.Get("Deprecation"); h != "" {
-		t.Errorf("v1 route carries Deprecation header %q", h)
-	}
-
-	// The legacy call is visible in the deprecation counter and in the
-	// typed stats — and the shared endpoint series counts both calls.
-	var st statsResponse
-	get(t, srv, "/v1/stats", &st)
-	if st.DeprecatedRequests != 1 {
-		t.Errorf("stats deprecated_requests = %d, want 1", st.DeprecatedRequests)
-	}
-	got := scrapeMetrics(t, srv)
-	if v := got[`ra_http_deprecated_requests_total|endpoint=instance_access`]; v != 1 {
-		t.Errorf("deprecated counter = %v, want 1", v)
-	}
-	if v := got[`ra_http_requests_total|code=2xx|endpoint=instance_access`]; v != 2 {
-		t.Errorf("shared endpoint series = %v, want 2 (v1 + shim)", v)
-	}
-}
-
-// TestStatsSchemaMatchesClient keeps the server's /v1/stats response
-// and the SDK's typed Stats in lockstep, field for field, by comparing
-// their JSON key sets.
-func TestStatsSchemaMatchesClient(t *testing.T) {
-	keys := func(v any) map[string]bool {
-		out := map[string]bool{}
-		rt := reflect.TypeOf(v)
-		for i := 0; i < rt.NumField(); i++ {
-			tag := rt.Field(i).Tag.Get("json")
-			if name, _, _ := strings.Cut(tag, ","); name != "" && name != "-" {
-				out[name] = true
-			}
-		}
-		return out
-	}
-	server, sdk := keys(statsResponse{}), keys(client.Stats{})
-	for k := range server {
-		if !sdk[k] {
-			t.Errorf("client.Stats is missing %q (server exports it)", k)
-		}
-	}
-	for k := range sdk {
-		if !server[k] {
-			t.Errorf("client.Stats has %q the server does not export", k)
-		}
 	}
 }
 

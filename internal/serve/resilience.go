@@ -6,7 +6,7 @@
 // The shedding contract is uniform: a shed request gets a structured
 // JSON error, an honest status (429 when the client is out of budget,
 // 503 when the server is), and a Retry-After telling it when trying
-// again is worth the bytes. Monitoring endpoints (/stats, /healthz,
+// again is worth the bytes. Monitoring endpoints (/v1/stats, /healthz,
 // /readyz) bypass admission entirely — an operator must be able to see
 // an overloaded server.
 package serve

@@ -16,6 +16,7 @@ import (
 
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/faultfs"
+	"rankedaccess/internal/stats"
 	"rankedaccess/internal/values"
 )
 
@@ -36,10 +37,10 @@ func resilServer(t *testing.T, eopts engine.Options, cfg Config) (*httptest.Serv
 	return srv, e
 }
 
-func stats(t *testing.T, srv *httptest.Server) statsResponse {
+func getStats(t *testing.T, srv *httptest.Server) stats.Snapshot {
 	t.Helper()
-	var st statsResponse
-	get(t, srv, "/stats", &st)
+	var st stats.Snapshot
+	get(t, srv, "/v1/stats", &st)
 	return st
 }
 
@@ -63,8 +64,8 @@ func TestRateLimitSheds429WithRetryAfter(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("429 without usable Retry-After (%q)", ra)
 	}
-	// Monitoring is exempt: /stats must answer and count the shed.
-	if st := stats(t, srv); st.Shed429 == 0 {
+	// Monitoring is exempt: /v1/stats must answer and count the shed.
+	if st := getStats(t, srv); st.Shed429 == 0 {
 		t.Fatalf("shed_rate_limited = %d, want > 0", st.Shed429)
 	}
 }
@@ -79,9 +80,9 @@ func TestGateShedsWhenSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprint(conn, "POST /count HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{")
+	fmt.Fprint(conn, "POST /v1/instance/count HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{")
 	deadline := time.Now().Add(5 * time.Second)
-	for stats(t, srv).InFlight < 1 {
+	for getStats(t, srv).InFlight < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("stalled request never occupied the gate")
 		}
@@ -89,14 +90,14 @@ func TestGateShedsWhenSaturated(t *testing.T) {
 	}
 
 	// With the slot held and no queue, the next request sheds 503.
-	resp := postRaw(t, srv, "/count", countRequest{Query: twoPath})
+	resp := postRaw(t, srv, "/v1/instance/count", countRequest{Query: twoPath})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request into full gate: status %d, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	if st := stats(t, srv); st.Shed503 == 0 {
+	if st := getStats(t, srv); st.Shed503 == 0 {
 		t.Fatalf("shed_overload = %d, want > 0", st.Shed503)
 	}
 	conn.Close()
@@ -104,7 +105,7 @@ func TestGateShedsWhenSaturated(t *testing.T) {
 	// The slot frees once the stalled request dies; service resumes.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		resp := postRaw(t, srv, "/count", countRequest{Query: twoPath})
+		resp := postRaw(t, srv, "/v1/instance/count", countRequest{Query: twoPath})
 		if resp.StatusCode == http.StatusOK {
 			break
 		}
@@ -120,7 +121,7 @@ func TestRequestDeadlineMapsTo503(t *testing.T) {
 	// A cold /access must build a structure; the expired deadline stops
 	// the build at its first cancellation point, and the API reports
 	// overload (503 + Retry-After), not a client error.
-	resp := postRaw(t, srv, "/access", accessRequest{
+	resp := postRaw(t, srv, "/v1/instance/access", accessRequest{
 		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
 		Ks:          []int64{0},
 	})
@@ -181,7 +182,7 @@ func TestDegradedEngineShedsWritesServesStaleReads(t *testing.T) {
 	if staleAcc.Total != 3 {
 		t.Fatalf("degraded read total = %d, want stale 3", staleAcc.Total)
 	}
-	st := stats(t, srv)
+	st := getStats(t, srv)
 	if !st.Degraded || st.WriteSheds == 0 || st.DegradedReads == 0 {
 		t.Fatalf("stats = degraded %v, write_sheds %d, degraded_reads %d",
 			st.Degraded, st.WriteSheds, st.DegradedReads)
@@ -198,7 +199,7 @@ func TestCoalesceServesIdenticalProbesFromCache(t *testing.T) {
 	if fmt.Sprint(first) != fmt.Sprint(second) {
 		t.Fatalf("identical probes diverged: %+v vs %+v", first, second)
 	}
-	st := stats(t, srv)
+	st := getStats(t, srv)
 	if st.CoalesceHits == 0 || st.CoalesceMisses == 0 {
 		t.Fatalf("coalesce hits %d / misses %d, want both > 0", st.CoalesceHits, st.CoalesceMisses)
 	}
@@ -395,12 +396,12 @@ func TestV1WriteBodyLimit413(t *testing.T) {
 	if resp := postRaw(t, srv, "/v1/write", big); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized /v1/write: status %d, want 413", resp.StatusCode)
 	}
-	// The same limit guards the legacy bulk-load endpoint.
+	// The same limit guards the bulk-load endpoint.
 	rows := make([][]values.Value, 500)
 	for i := range rows {
 		rows[i] = []values.Value{values.Value(i), values.Value(i)}
 	}
-	if resp := postRaw(t, srv, "/load", loadRequest{Relation: "R", Rows: rows}); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	if resp := postRaw(t, srv, "/v1/instance/load", loadRequest{Relation: "R", Rows: rows}); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized /load: status %d, want 413", resp.StatusCode)
 	}
 	// An in-budget write still lands.

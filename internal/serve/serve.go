@@ -21,27 +21,23 @@
 //	GET  /readyz
 //	GET  /metrics
 //
-// The unversioned originals (/load, /access, ..., /stats) stay mounted
-// as deprecation shims over the same handlers: byte-identical bodies,
-// plus Deprecation and Link: rel="successor-version" headers (see
-// CONTRIBUTING.md for the sunset policy).
-//
 // Observability (this file + metrics.go/reqlog.go/ops.go): every
 // route passes a per-endpoint middleware recording request counts by
 // response class, latency histograms, and in-flight gauges; GET
-// /metrics renders them — plus every engine/admission/coalescer/WAL
-// counter — in the Prometheus text format; Config.RequestLog enables
+// /metrics renders them — plus every counter /v1/stats reports, both
+// off one snapshot (internal/stats declares each counter once) — in
+// the Prometheus text format; Config.RequestLog enables
 // structured per-request slog records with propagated request ids; and
 // NewOpsHandler mounts pprof + monitoring for a private ops listener.
 //
-// /access is batched: any number of indices is answered with a single
+// access is batched: any number of indices is answered with a single
 // plan/cache lookup, so a cold query pays one preprocessing and a warm
-// query pays none. /range answers a contiguous index window through the
+// query pays none. range answers a contiguous index window through the
 // engine's AccessRange, which reuses one probe buffer for the whole
 // window. Response encoding goes through pooled buffers, so the handlers
 // allocate per response burst, not per answer.
 //
-// Sharded serving: /access, /range, and /count accept "shards" (and
+// Sharded serving: access, range, and count accept "shards" (and
 // optionally "shard_by"); the engine partitions the instance, builds
 // per-shard structures in parallel, and the handlers' probes fan out
 // across shards and merge by global rank — each shard keeping its
@@ -51,8 +47,8 @@
 // pipeline (per-client token bucket → per-request deadline → global
 // concurrency gate, see resilience.go); hot probe windows coalesce
 // (see coalesce.go); a degraded engine serves reads from the last
-// published epoch and sheds writes with 503 + Retry-After. /stats,
-// /healthz, and /readyz bypass admission.
+// published epoch and sheds writes with 503 + Retry-After. /v1/stats,
+// /metrics, /healthz, and /readyz bypass admission.
 //
 // Error handling: every response funnels through one writer that
 // encodes the full body before emitting the status line, so error
@@ -120,7 +116,8 @@ func putTupleBuf(flatP *[]values.Value, flat []values.Value) {
 // Config tunes optional server features. The zero value serves with
 // resilience features at safe defaults: no rate limit, no concurrency
 // gate, no request deadline (set them to engage admission control),
-// coalescing on, 256 MiB bodies, 30s stream write deadline.
+// 256 MiB bodies, 30s stream write deadline. Probe-window coalescing
+// is always on (see coalesce.go).
 type Config struct {
 	// SnapshotDir, when non-empty, enables the durability endpoints
 	// (/v1/snapshots — checkpoint, list, restore) against that
@@ -154,10 +151,6 @@ type Config struct {
 	// stalled reader cannot pin a cursor's epoch forever. 0 means 30s;
 	// negative disables the deadline.
 	StreamWriteTimeout time.Duration
-
-	// CoalesceCache is the number of hot probe-window bodies kept for
-	// reuse. 0 means 256; negative disables coalescing entirely.
-	CoalesceCache int
 
 	// RequestLog, when non-nil, emits one structured record per request
 	// (pair it with slog.NewJSONHandler for JSON logs): method, path,
@@ -204,7 +197,7 @@ type server struct {
 
 	lim  *admission.RateLimiter // nil: rate limiting off
 	gate *admission.Gate        // nil: concurrency gate off
-	coal *coalescer             // nil: coalescing off
+	coal *coalescer
 
 	maxBody     int64
 	streamWrite time.Duration // <= 0: no per-chunk write deadline
@@ -233,11 +226,9 @@ func NewHandler(e *engine.Engine) http.Handler {
 // NewHandlerWith mounts the API for one engine: the versioned /v1
 // prepared-query surface (see v1.go), the snapshot endpoints when
 // configured (see snapshots.go), the probe endpoints (see health.go),
-// and the legacy one-shot endpoints, which are thin shims over the
-// same cores and remain supported (see CONTRIBUTING.md for the
-// deprecation policy).
+// and the one-shot endpoints under /v1/instance.
 func NewHandlerWith(e *engine.Engine, cfg Config) http.Handler {
-	s := &server{e: e, cfg: cfg, st: newCursorStore(defaultMaxCursors)}
+	s := &server{e: e, cfg: cfg, st: newCursorStore(defaultMaxCursors), coal: newCoalescer()}
 	s.maxBody = cfg.MaxBodyBytes
 	if s.maxBody <= 0 {
 		s.maxBody = defaultMaxBody
@@ -252,47 +243,32 @@ func NewHandlerWith(e *engine.Engine, cfg Config) http.Handler {
 	if cfg.MaxConcurrent > 0 {
 		s.gate = admission.NewGate(cfg.MaxConcurrent, cfg.MaxQueue)
 	}
-	if cfg.CoalesceCache >= 0 {
-		s.coal = newCoalescer(cfg.CoalesceCache)
-	}
 	s.reqLog = cfg.RequestLog
 	s.tracer = cfg.Tracer
 	s.logSamp.max = int64(cfg.LogMaxPerSec)
 	if s.logSamp.max == 0 {
 		s.logSamp.max = defaultLogMaxPerSec
 	}
-	// The metrics registry needs the gate/coalescer/cursor store above;
-	// the routes below need the registry (instrument resolves each
+	// The routes below need the registry (instrument resolves each
 	// endpoint's series at mount time, so request paths never look one
 	// up).
 	s.mets = newServerMetrics(s)
 
 	mux := http.NewServeMux()
 
-	// One-shot instance endpoints, canonical under /v1/instance. The
-	// unversioned originals stay mounted as deprecation shims: the same
-	// handler chain (bodies stay byte-identical), plus Deprecation and
-	// Link response headers and a deprecated-traffic counter. See
-	// CONTRIBUTING.md for the sunset policy.
+	// One-shot instance endpoints.
 	s.route(mux, "POST /v1/instance/load", "instance_load", s.admit(s.handleLoad))
 	s.route(mux, "POST /v1/instance/access", "instance_access", s.admit(s.handleAccess))
 	s.route(mux, "POST /v1/instance/range", "instance_range", s.admit(s.handleRange))
 	s.route(mux, "POST /v1/instance/select", "instance_select", s.admit(s.handleSelect))
 	s.route(mux, "POST /v1/instance/classify", "instance_classify", s.admit(s.handleClassify))
 	s.route(mux, "POST /v1/instance/count", "instance_count", s.admit(s.handleCount))
-	s.routeDeprecated(mux, "POST /load", "instance_load", "/v1/instance/load", s.admit(s.handleLoad))
-	s.routeDeprecated(mux, "POST /access", "instance_access", "/v1/instance/access", s.admit(s.handleAccess))
-	s.routeDeprecated(mux, "POST /range", "instance_range", "/v1/instance/range", s.admit(s.handleRange))
-	s.routeDeprecated(mux, "POST /select", "instance_select", "/v1/instance/select", s.admit(s.handleSelect))
-	s.routeDeprecated(mux, "POST /classify", "instance_classify", "/v1/instance/classify", s.admit(s.handleClassify))
-	s.routeDeprecated(mux, "POST /count", "instance_count", "/v1/instance/count", s.admit(s.handleCount))
 
 	// Monitoring endpoints bypass admission: an operator must be able
 	// to observe (and an orchestrator to probe) an overloaded server.
 	// They still pass the middleware, so scrape/probe traffic is
 	// visible in the request series like everything else.
 	s.route(mux, "GET /v1/stats", "stats", s.handleStats)
-	s.routeDeprecated(mux, "GET /stats", "stats", "/v1/stats", s.handleStats)
 	s.route(mux, "GET /healthz", "healthz", s.handleHealthz)
 	s.route(mux, "GET /readyz", "readyz", s.handleReadyz)
 	s.route(mux, "GET /metrics", "metrics", s.handleMetrics)
@@ -326,26 +302,6 @@ func NewHandlerWith(e *engine.Engine, cfg Config) http.Handler {
 // one of a fixed set chosen here, never derived from the request.
 func (s *server) route(mux *http.ServeMux, pattern, endpoint string, h http.HandlerFunc) {
 	mux.HandleFunc(pattern, s.instrument(endpoint, h))
-}
-
-// routeDeprecated mounts a legacy path as a shim over its /v1
-// successor: the same handler chain, so bodies stay byte-identical,
-// plus RFC 8594-style deprecation headers and a per-endpoint
-// deprecated-traffic counter (how much legacy traffic remains is the
-// input to the sunset policy in CONTRIBUTING.md). The shim shares the
-// successor's endpoint label; the deprecated counter is what splits
-// legacy volume out of the shared series.
-func (s *server) routeDeprecated(mux *http.ServeMux, pattern, endpoint, successor string, h http.HandlerFunc) {
-	dep := s.mets.deprecatedFor(endpoint)
-	link := "<" + successor + `>; rel="successor-version"`
-	mux.HandleFunc(pattern, s.instrument(endpoint, func(w http.ResponseWriter, r *http.Request) {
-		dep.Inc()
-		s.mets.deprecatedTotal.Add(1)
-		hd := w.Header()
-		hd.Set("Deprecation", "true")
-		hd.Set("Link", link)
-		h(w, r)
-	}))
 }
 
 // specPayload is the request fragment shared by the query endpoints.
@@ -433,7 +389,7 @@ type accessResponse struct {
 }
 
 // buildAccessResponse probes a batch of indices against a prepared
-// handle — the core shared by the legacy /access endpoint and
+// handle — the core shared by /v1/instance/access and
 // /v1/queries/{name}/access. One flat backing array serves the whole
 // batch; per-index failures land in the answer entries without failing
 // the batch — EXCEPT infrastructure failures (an unreachable or stale
@@ -534,7 +490,7 @@ func (s *server) handleRange(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildRangeResponse slices one flat answer buffer into per-tuple
-// views — the core shared by the legacy /range endpoint and
+// views — the core shared by /v1/instance/range and
 // /v1/queries/{name}/range.
 func buildRangeResponse(h *engine.Handle, flat []values.Value, k0, k1 int64) rangeResponse {
 	width := h.Width()
@@ -636,84 +592,6 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	reply(w, countResponse{Count: n, shardEcho: shardEcho{
 		Shards: info.Shards, ShardBy: info.ShardBy, ShardNote: info.ShardNote,
 	}})
-}
-
-type statsResponse struct {
-	Hits    uint64 `json:"cache_hits"`
-	Misses  uint64 `json:"cache_misses"`
-	Entries int    `json:"cache_entries"`
-	Version uint64 `json:"version"`
-	Tuples  int    `json:"tuples"`
-	// Prepared-query registry counters: RegistryHits counts by-name
-	// probes answered with zero spec re-parsing, Reprepares counts
-	// automatic rebuilds after instance mutation.
-	Prepared     int    `json:"prepared"`
-	RegistryHits uint64 `json:"registry_hits"`
-	Reprepares   uint64 `json:"reprepares"`
-	OpenCursors  int    `json:"open_cursors"`
-	// Snapshot counters: checkpoints written, restores applied, and the
-	// number of structures the most recent warm start rehydrated from a
-	// mapped snapshot instead of rebuilding.
-	Checkpoints    uint64 `json:"snapshot_checkpoints"`
-	Restores       uint64 `json:"snapshot_restores"`
-	WarmStructures uint64 `json:"warm_structures"`
-	// Write-path counters: mutation batches applied, and how stale
-	// structures caught up — republished unchanged (untouched
-	// relations), advanced by delta overlay, or forced to rebuild —
-	// plus background re-preprocesses that swapped in.
-	WALBatches    uint64 `json:"wal_batches"`
-	DeltaSkips    uint64 `json:"delta_skips"`
-	DeltaEpochs   uint64 `json:"delta_epochs"`
-	DeltaRebuilds uint64 `json:"delta_rebuilds"`
-	BGRebuilds    uint64 `json:"bg_rebuilds"`
-	WALErrors     uint64 `json:"wal_errors"`
-	// Overload counters: requests shed by the rate limiter (429) and
-	// the concurrency gate (503), current gate occupancy and queue
-	// depth, coalescer traffic, reads served from a stale epoch while
-	// degraded, and writes refused while degraded.
-	Shed429        uint64 `json:"shed_rate_limited"`
-	Shed503        uint64 `json:"shed_overload"`
-	InFlight       int    `json:"in_flight"`
-	QueueDepth     int    `json:"queue_depth"`
-	CoalesceHits   uint64 `json:"coalesce_hits"`
-	CoalesceMisses uint64 `json:"coalesce_misses"`
-	DegradedReads  uint64 `json:"degraded_reads"`
-	WriteSheds     uint64 `json:"write_sheds"`
-	Degraded       bool   `json:"degraded"`
-	// DeprecatedRequests counts requests answered through a deprecated
-	// legacy route (the unversioned shims over /v1/instance/* and
-	// /v1/stats).
-	DeprecatedRequests uint64 `json:"deprecated_requests"`
-}
-
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := s.e.Stats()
-	resp := statsResponse{
-		Hits: st.Hits, Misses: st.Misses, Entries: st.Entries,
-		Version: st.Version, Tuples: st.Tuples,
-		Prepared: st.Prepared, RegistryHits: st.RegistryHits,
-		Reprepares: st.Reprepares, OpenCursors: s.st.open(),
-		Checkpoints: st.Checkpoints, Restores: st.Restores,
-		WarmStructures: st.WarmStructures,
-		WALBatches:     st.WALBatches, DeltaSkips: st.DeltaSkips,
-		DeltaEpochs: st.DeltaEpochs, DeltaRebuilds: st.DeltaRebuilds,
-		BGRebuilds: st.BGRebuilds, WALErrors: st.WALErrors,
-		Shed429:            s.shed429.Load(),
-		Shed503:            s.shed503.Load(),
-		DegradedReads:      s.degradedReads.Load(),
-		WriteSheds:         s.writeSheds.Load(),
-		Degraded:           s.health().Degraded(),
-		DeprecatedRequests: s.mets.deprecatedTotal.Load(),
-	}
-	if s.gate != nil {
-		resp.InFlight = s.gate.Active()
-		resp.QueueDepth = s.gate.QueueDepth()
-	}
-	if s.coal != nil {
-		resp.CoalesceHits = s.coal.hits.Load()
-		resp.CoalesceMisses = s.coal.misses.Load()
-	}
-	reply(w, resp)
 }
 
 func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {

@@ -36,7 +36,7 @@ func post(t *testing.T, srv *httptest.Server, path string, body any, into any) *
 	return resp
 }
 
-// TestAccessEndToEnd drives POST /access against a generated instance
+// TestAccessEndToEnd drives POST /v1/instance/access against a generated instance
 // and cross-checks every answer with the library.
 func TestAccessEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -57,7 +57,7 @@ func TestAccessEndToEnd(t *testing.T) {
 
 	ks := []int64{0, total / 2, total - 1, total + 5}
 	var resp accessResponse
-	post(t, srv, "/access", accessRequest{
+	post(t, srv, "/v1/instance/access", accessRequest{
 		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
 		Ks:          ks,
 	}, &resp)
@@ -93,23 +93,23 @@ func TestLoadThenQueryLifecycle(t *testing.T) {
 	defer srv.Close()
 
 	var lr loadResponse
-	post(t, srv, "/load", loadRequest{Relation: "R", Rows: [][]values.Value{{1, 5}, {1, 2}, {6, 2}}}, &lr)
+	post(t, srv, "/v1/instance/load", loadRequest{Relation: "R", Rows: [][]values.Value{{1, 5}, {1, 2}, {6, 2}}}, &lr)
 	if lr.Loaded != 3 || lr.Version != 1 {
 		t.Fatalf("load R = %+v", lr)
 	}
-	post(t, srv, "/load", loadRequest{Relation: "S", Rows: [][]values.Value{{5, 3}, {5, 4}, {5, 6}, {2, 5}}}, &lr)
+	post(t, srv, "/v1/instance/load", loadRequest{Relation: "S", Rows: [][]values.Value{{5, 3}, {5, 4}, {5, 6}, {2, 5}}}, &lr)
 	if lr.Version != 2 {
 		t.Fatalf("load S = %+v", lr)
 	}
 
 	var cr countResponse
-	post(t, srv, "/count", countRequest{Query: twoPath}, &cr)
+	post(t, srv, "/v1/instance/count", countRequest{Query: twoPath}, &cr)
 	if cr.Count != 5 {
 		t.Fatalf("count = %d, want 5", cr.Count)
 	}
 
 	var ar accessResponse
-	post(t, srv, "/access", accessRequest{
+	post(t, srv, "/v1/instance/access", accessRequest{
 		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
 		Ks:          []int64{0},
 	}, &ar)
@@ -119,7 +119,7 @@ func TestLoadThenQueryLifecycle(t *testing.T) {
 	first := ar.Answers[0].Tuple
 
 	var sr selectResponse
-	post(t, srv, "/select", selectRequest{
+	post(t, srv, "/v1/instance/select", selectRequest{
 		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
 		K:           0,
 	}, &sr)
@@ -131,8 +131,8 @@ func TestLoadThenQueryLifecycle(t *testing.T) {
 
 	// Loading more rows publishes a new version: the same access now
 	// sees the new answers (served by a delta overlay, not a rebuild).
-	post(t, srv, "/load", loadRequest{Relation: "R", Rows: [][]values.Value{{7, 5}}}, &lr)
-	post(t, srv, "/access", accessRequest{
+	post(t, srv, "/v1/instance/load", loadRequest{Relation: "R", Rows: [][]values.Value{{7, 5}}}, &lr)
+	post(t, srv, "/v1/instance/access", accessRequest{
 		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
 		Ks:          []int64{0},
 	}, &ar)
@@ -140,16 +140,8 @@ func TestLoadThenQueryLifecycle(t *testing.T) {
 		t.Fatalf("total after load = %d, want 8", ar.Total)
 	}
 
-	var st statsResponse
-	resp, err := srv.Client().Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Tuples != 8 || st.Version != 3 || st.Misses < 1 {
+	st := getStats(t, srv)
+	if st.Tuples != 8 || st.Version != 3 || st.CacheMisses < 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.WALBatches != 3 || st.DeltaEpochs < 1 {
@@ -165,7 +157,7 @@ func TestClassifyAndSumEndpoints(t *testing.T) {
 	defer srv.Close()
 
 	var cl classifyResponse
-	post(t, srv, "/classify", classifyRequest{
+	post(t, srv, "/v1/instance/classify", classifyRequest{
 		specPayload: specPayload{Query: twoPath, Order: "x, z, y"},
 		Problem:     engine.ProblemDirectAccessLex,
 	}, &cl)
@@ -178,7 +170,7 @@ func TestClassifyAndSumEndpoints(t *testing.T) {
 
 	// SUM access over a full single-atom query is tractable.
 	var ar accessResponse
-	post(t, srv, "/access", accessRequest{
+	post(t, srv, "/v1/instance/access", accessRequest{
 		specPayload: specPayload{Query: "Q(x, y) :- R(x, y)", SumBy: []string{"x", "y"}},
 		Ks:          []int64{0, 1},
 	}, &ar)
@@ -203,7 +195,7 @@ func TestBadRequests(t *testing.T) {
 
 	// Establish T with arity 2 so the arity-mismatch-with-existing case
 	// below is exercised.
-	if resp := post(t, srv, "/load", loadRequest{Relation: "T", Rows: [][]values.Value{{1, 2}}}, nil); resp.StatusCode != http.StatusOK {
+	if resp := post(t, srv, "/v1/instance/load", loadRequest{Relation: "T", Rows: [][]values.Value{{1, 2}}}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seeding T: status %d", resp.StatusCode)
 	}
 
@@ -211,14 +203,14 @@ func TestBadRequests(t *testing.T) {
 		path string
 		body any
 	}{
-		{"/access", accessRequest{specPayload: specPayload{Query: "not a query"}}},
-		{"/access", accessRequest{specPayload: specPayload{Query: twoPath, Order: "nosuchvar"}}},
-		{"/count", countRequest{Query: ""}},
-		{"/load", loadRequest{Relation: ""}},
-		{"/load", loadRequest{Relation: "R", Rows: [][]values.Value{{1}, {1, 2}}}},
-		{"/load", loadRequest{Relation: "T", Rows: [][]values.Value{{1, 2, 3}}}}, // arity clash with existing T
+		{"/v1/instance/access", accessRequest{specPayload: specPayload{Query: "not a query"}}},
+		{"/v1/instance/access", accessRequest{specPayload: specPayload{Query: twoPath, Order: "nosuchvar"}}},
+		{"/v1/instance/count", countRequest{Query: ""}},
+		{"/v1/instance/load", loadRequest{Relation: ""}},
+		{"/v1/instance/load", loadRequest{Relation: "R", Rows: [][]values.Value{{1}, {1, 2}}}},
+		{"/v1/instance/load", loadRequest{Relation: "T", Rows: [][]values.Value{{1, 2, 3}}}}, // arity clash with existing T
 
-		{"/classify", classifyRequest{specPayload: specPayload{Query: twoPath}, Problem: "nonsense"}},
+		{"/v1/instance/classify", classifyRequest{specPayload: specPayload{Query: twoPath}, Problem: "nonsense"}},
 	}
 	for _, c := range cases {
 		resp := post(t, srv, c.path, c.body, nil)
@@ -228,17 +220,17 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	// Wrong method.
-	resp, err := srv.Client().Get(srv.URL + "/access")
+	resp, err := srv.Client().Get(srv.URL + "/v1/instance/access")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /access: status %d, want 405", resp.StatusCode)
+		t.Fatalf("GET /v1/instance/access: status %d, want 405", resp.StatusCode)
 	}
 }
 
-// TestRangeEndpoint drives POST /range and cross-checks the window
+// TestRangeEndpoint drives POST /v1/instance/range and cross-checks the window
 // against per-index access.
 func TestRangeEndpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -258,7 +250,7 @@ func TestRangeEndpoint(t *testing.T) {
 	k0, k1 := total/4, total/4+5
 
 	var rr rangeResponse
-	post(t, srv, "/range", rangeRequest{
+	post(t, srv, "/v1/instance/range", rangeRequest{
 		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
 		K0:          k0, K1: k1,
 	}, &rr)
@@ -282,7 +274,7 @@ func TestRangeEndpoint(t *testing.T) {
 	}
 
 	// Out-of-bound window → 416.
-	resp := post(t, srv, "/range", rangeRequest{
+	resp := post(t, srv, "/v1/instance/range", rangeRequest{
 		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
 		K0:          total - 1, K1: total + 5,
 	}, nil)
@@ -291,7 +283,7 @@ func TestRangeEndpoint(t *testing.T) {
 	}
 
 	// Oversized window → 400.
-	resp = post(t, srv, "/range", rangeRequest{
+	resp = post(t, srv, "/v1/instance/range", rangeRequest{
 		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
 		K0:          0, K1: maxRange + 1,
 	}, nil)

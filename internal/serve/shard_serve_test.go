@@ -28,8 +28,8 @@ func TestShardedEndpointsMatchUnsharded(t *testing.T) {
 
 	var plain, shard accessResponse
 	ks := []int64{0, 1, 5, 17, 1 << 40}
-	post(t, srv, "/access", accessRequest{specPayload: base, Ks: ks}, &plain)
-	post(t, srv, "/access", accessRequest{specPayload: sharded, Ks: ks}, &shard)
+	post(t, srv, "/v1/instance/access", accessRequest{specPayload: base, Ks: ks}, &plain)
+	post(t, srv, "/v1/instance/access", accessRequest{specPayload: sharded, Ks: ks}, &shard)
 	if shard.Shards != 3 || shard.ShardBy == "" || shard.ShardNote != "" {
 		t.Fatalf("shard echo = %+v, want 3 shards, a variable, no note", shard.shardEcho)
 	}
@@ -52,8 +52,8 @@ func TestShardedEndpointsMatchUnsharded(t *testing.T) {
 	}
 
 	var rp, rs rangeResponse
-	post(t, srv, "/range", rangeRequest{specPayload: base, K0: 3, K1: 40}, &rp)
-	post(t, srv, "/range", rangeRequest{specPayload: sharded, K0: 3, K1: 40}, &rs)
+	post(t, srv, "/v1/instance/range", rangeRequest{specPayload: base, K0: 3, K1: 40}, &rp)
+	post(t, srv, "/v1/instance/range", rangeRequest{specPayload: sharded, K0: 3, K1: 40}, &rs)
 	if rs.Shards != 3 {
 		t.Fatalf("range shard echo = %+v", rs.shardEcho)
 	}
@@ -69,8 +69,8 @@ func TestShardedEndpointsMatchUnsharded(t *testing.T) {
 	}
 
 	var cp, cs countResponse
-	post(t, srv, "/count", countRequest{Query: twoPath}, &cp)
-	post(t, srv, "/count", countRequest{Query: twoPath, Shards: 4}, &cs)
+	post(t, srv, "/v1/instance/count", countRequest{Query: twoPath}, &cp)
+	post(t, srv, "/v1/instance/count", countRequest{Query: twoPath, Shards: 4}, &cs)
 	if cp.Count != cs.Count {
 		t.Fatalf("count %d vs sharded %d", cp.Count, cs.Count)
 	}
@@ -81,7 +81,7 @@ func TestShardedEndpointsMatchUnsharded(t *testing.T) {
 	// Unshardable query: the response carries the fallback note.
 	selfjoin := specPayload{Query: "Q(x, y, z) :- R(x, y), R(y, z)", Shards: 2}
 	var fb accessResponse
-	post(t, srv, "/access", accessRequest{specPayload: selfjoin, Ks: []int64{0}}, &fb)
+	post(t, srv, "/v1/instance/access", accessRequest{specPayload: selfjoin, Ks: []int64{0}}, &fb)
 	if fb.Shards != 0 || fb.ShardNote == "" {
 		t.Fatalf("fallback echo = %+v, want a shard_note", fb.shardEcho)
 	}
@@ -108,20 +108,20 @@ func TestErrorStatusAndBody(t *testing.T) {
 		body   string
 		status int
 	}{
-		{"malformed json", "/access", `{"query": `, http.StatusBadRequest},
-		{"unknown field", "/access", `{"query": "Q(x) :- R(x, y)", "bogus": 1}`, http.StatusBadRequest},
-		{"bad query", "/access", `{"query": "not a query", "ks": [0]}`, http.StatusBadRequest},
-		{"bad order", "/access", `{"query": "Q(x, y) :- R(x, y)", "order": "nope", "ks": [0]}`, http.StatusBadRequest},
-		{"bad shard_by", "/access", `{"query": "Q(x, y) :- R(x, y)", "shards": 2, "shard_by": "zzz", "ks": [0]}`, http.StatusBadRequest},
-		{"load without relation", "/load", `{"rows": [[1, 2]]}`, http.StatusBadRequest},
-		{"load arity mismatch", "/load", `{"relation": "R", "rows": [[1, 2, 3]]}`, http.StatusBadRequest},
-		{"range too wide", "/range", `{"query": "Q(x, y) :- R(x, y)", "k0": 0, "k1": 99999999}`, http.StatusBadRequest},
-		{"range out of bounds", "/range", `{"query": "Q(x, y) :- R(x, y)", "k0": 0, "k1": 1000}`, http.StatusRequestedRangeNotSatisfiable},
-		{"sharded range out of bounds", "/range", `{"query": "Q(x, y) :- R(x, y)", "shards": 2, "k0": 0, "k1": 1000}`, http.StatusRequestedRangeNotSatisfiable},
-		{"select out of bounds", "/select", `{"query": "Q(x, y) :- R(x, y)", "k": 1000}`, http.StatusNotFound},
-		{"bad classify problem", "/classify", `{"query": "Q(x, y) :- R(x, y)", "problem": "nonsense"}`, http.StatusBadRequest},
-		{"bad count query", "/count", `{"query": "broken("}`, http.StatusBadRequest},
-		{"bad count shard_by", "/count", `{"query": "Q(x, y) :- R(x, y)", "shards": 2, "shard_by": "zzz"}`, http.StatusBadRequest},
+		{"malformed json", "/v1/instance/access", `{"query": `, http.StatusBadRequest},
+		{"unknown field", "/v1/instance/access", `{"query": "Q(x) :- R(x, y)", "bogus": 1}`, http.StatusBadRequest},
+		{"bad query", "/v1/instance/access", `{"query": "not a query", "ks": [0]}`, http.StatusBadRequest},
+		{"bad order", "/v1/instance/access", `{"query": "Q(x, y) :- R(x, y)", "order": "nope", "ks": [0]}`, http.StatusBadRequest},
+		{"bad shard_by", "/v1/instance/access", `{"query": "Q(x, y) :- R(x, y)", "shards": 2, "shard_by": "zzz", "ks": [0]}`, http.StatusBadRequest},
+		{"load without relation", "/v1/instance/load", `{"rows": [[1, 2]]}`, http.StatusBadRequest},
+		{"load arity mismatch", "/v1/instance/load", `{"relation": "R", "rows": [[1, 2, 3]]}`, http.StatusBadRequest},
+		{"range too wide", "/v1/instance/range", `{"query": "Q(x, y) :- R(x, y)", "k0": 0, "k1": 99999999}`, http.StatusBadRequest},
+		{"range out of bounds", "/v1/instance/range", `{"query": "Q(x, y) :- R(x, y)", "k0": 0, "k1": 1000}`, http.StatusRequestedRangeNotSatisfiable},
+		{"sharded range out of bounds", "/v1/instance/range", `{"query": "Q(x, y) :- R(x, y)", "shards": 2, "k0": 0, "k1": 1000}`, http.StatusRequestedRangeNotSatisfiable},
+		{"select out of bounds", "/v1/instance/select", `{"query": "Q(x, y) :- R(x, y)", "k": 1000}`, http.StatusNotFound},
+		{"bad classify problem", "/v1/instance/classify", `{"query": "Q(x, y) :- R(x, y)", "problem": "nonsense"}`, http.StatusBadRequest},
+		{"bad count query", "/v1/instance/count", `{"query": "broken("}`, http.StatusBadRequest},
+		{"bad count shard_by", "/v1/instance/count", `{"query": "Q(x, y) :- R(x, y)", "shards": 2, "shard_by": "zzz"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

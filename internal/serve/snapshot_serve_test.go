@@ -60,7 +60,7 @@ func TestSnapshotEndpoints(t *testing.T) {
 	}
 
 	// Mutate the instance away from the snapshotted state.
-	post(t, srv, "/load", loadRequest{Relation: "R", Rows: [][]values.Value{{1 << 40, 1}}}, nil)
+	post(t, srv, "/v1/instance/load", loadRequest{Relation: "R", Rows: [][]values.Value{{1 << 40, 1}}}, nil)
 
 	// Restore brings the snapshotted answers back.
 	var restored snapshotRestoreResponse
@@ -90,8 +90,7 @@ func TestSnapshotEndpoints(t *testing.T) {
 	}
 
 	// Stats expose the snapshot counters.
-	var st statsResponse
-	get(t, srv, "/stats", &st)
+	st := getStats(t, srv)
 	if st.Checkpoints != 1 || st.Restores != 1 || st.WarmStructures == 0 {
 		t.Fatalf("stats %+v: want 1 checkpoint, 1 restore, warm structures", st)
 	}

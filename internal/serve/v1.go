@@ -235,15 +235,6 @@ func (s *server) handleV1Access(w http.ResponseWriter, r *http.Request) {
 		failErr(w, err)
 		return
 	}
-	if s.coal == nil {
-		resp, err := buildAccessResponse(r.Context(), h, req.Ks)
-		if err != nil {
-			failErr(w, err)
-			return
-		}
-		reply(w, resp)
-		return
-	}
 	key := coalesceKey("access", pq.ID(), h.Version(), req.Ks...)
 	body, err := s.coal.do(r.Context(), key, func() ([]byte, error) {
 		resp, err := buildAccessResponse(r.Context(), h, req.Ks)
@@ -282,10 +273,6 @@ func (s *server) handleV1Range(w http.ResponseWriter, r *http.Request) {
 		failErr(w, err)
 		return
 	}
-	if s.coal == nil {
-		s.writeRange(w, h, req.K0, req.K1)
-		return
-	}
 	key := coalesceKey("range", pq.ID(), h.Version(), req.K0, req.K1)
 	body, err := s.coal.do(r.Context(), key, func() ([]byte, error) {
 		flatP := tuplePool.Get().(*[]values.Value)
@@ -303,19 +290,6 @@ func (s *server) handleV1Range(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeRaw(w, http.StatusOK, body)
-}
-
-// writeRange is the uncoalesced /range body path.
-func (s *server) writeRange(w http.ResponseWriter, h *engine.Handle, k0, k1 int64) {
-	flatP := tuplePool.Get().(*[]values.Value)
-	flat, err := h.AccessRange((*flatP)[:0], k0, k1)
-	if err != nil {
-		putTupleBuf(flatP, flat)
-		failErr(w, err)
-		return
-	}
-	reply(w, buildRangeResponse(h, flat, k0, k1))
-	putTupleBuf(flatP, flat)
 }
 
 type v1SelectRequest struct {
@@ -345,9 +319,9 @@ func (s *server) handleV1Count(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The prepared handle already knows |Q(I)| for the current version
-	// in O(1) — no re-parse, no counting pass (and, unlike the legacy
-	// /count, no free-connex requirement: the materialized fallback
-	// counts too).
+	// in O(1) — no re-parse, no counting pass (and, unlike
+	// /v1/instance/count, no free-connex requirement: the materialized
+	// fallback counts too).
 	h, err := s.acquireRead(r.Context(), pq)
 	if err != nil {
 		failErr(w, err)

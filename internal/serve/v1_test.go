@@ -69,14 +69,14 @@ func TestV1RegisterProbeLifecycle(t *testing.T) {
 		}
 	}
 
-	// Range by name equals the legacy /range.
-	var v1r, legacy rangeResponse
+	// Range by name equals the one-shot /v1/instance/range.
+	var v1r, oneShot rangeResponse
 	post(t, srv, "/v1/queries/by_xyz/range", v1RangeRequest{K0: 5, K1: 25}, &v1r)
-	post(t, srv, "/range", rangeRequest{
+	post(t, srv, "/v1/instance/range", rangeRequest{
 		specPayload: specPayload{Query: twoPath, Order: "x, y, z"}, K0: 5, K1: 25,
-	}, &legacy)
-	if fmt.Sprint(v1r.Tuples) != fmt.Sprint(legacy.Tuples) {
-		t.Fatal("v1 range diverges from legacy range")
+	}, &oneShot)
+	if fmt.Sprint(v1r.Tuples) != fmt.Sprint(oneShot.Tuples) {
+		t.Fatal("by-name range diverges from one-shot range")
 	}
 
 	// Count and classify by name.
@@ -454,29 +454,25 @@ func TestStatsRegistryCounters(t *testing.T) {
 	srv, _ := v1Server(t, 128, 48)
 	register(t, srv, "counted", twoPath, "x, y, z")
 
-	var before statsResponse
-	get(t, srv, "/stats", &before)
+	before := getStats(t, srv)
 	if before.Prepared != 1 {
 		t.Fatalf("prepared = %d, want 1", before.Prepared)
 	}
 	for i := 0; i < 5; i++ {
 		post(t, srv, "/v1/queries/counted/access", v1AccessRequest{Ks: []int64{0}}, nil)
 	}
-	var after statsResponse
-	get(t, srv, "/stats", &after)
+	after := getStats(t, srv)
 	if after.RegistryHits < before.RegistryHits+5 {
 		t.Fatalf("registry_hits %d -> %d, want +5", before.RegistryHits, after.RegistryHits)
 	}
 
 	var cr cursorResponse
 	post(t, srv, "/v1/queries/counted/cursor", cursorRequest{}, &cr)
-	get(t, srv, "/stats", &after)
-	if after.OpenCursors != 1 {
+	if after = getStats(t, srv); after.OpenCursors != 1 {
 		t.Fatalf("open_cursors = %d, want 1", after.OpenCursors)
 	}
 	del(t, srv, "/v1/cursors/"+cr.Cursor, http.StatusNoContent)
-	get(t, srv, "/stats", &after)
-	if after.OpenCursors != 0 {
+	if after = getStats(t, srv); after.OpenCursors != 0 {
 		t.Fatalf("open_cursors after close = %d, want 0", after.OpenCursors)
 	}
 }

@@ -9,7 +9,7 @@
 // the response carries the single new version the batch published.
 // Prepared structures over untouched relations republish at that
 // version without rebuilding; structures over written relations absorb
-// the batch as a delta overlay when eligible (see /stats delta_epochs
+// the batch as a delta overlay when eligible (see /v1/stats delta_epochs
 // vs delta_rebuilds).
 package serve
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -37,15 +36,7 @@ func TestV1WriteBatch(t *testing.T) {
 
 	// The catch-up was a delta overlay, not a rebuild, and the batch is
 	// counted.
-	var st statsResponse
-	resp2, err := srv.Client().Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if err := json.NewDecoder(resp2.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := getStats(t, srv)
 	if st.WALBatches != 1 || st.DeltaEpochs < 1 || st.DeltaRebuilds != 0 {
 		t.Fatalf("write-path stats = %+v", st)
 	}
