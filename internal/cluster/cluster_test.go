@@ -12,14 +12,17 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/database"
 	"rankedaccess/internal/engine"
+	"rankedaccess/internal/order"
 	"rankedaccess/internal/rpc"
 	"rankedaccess/internal/serve"
+	"rankedaccess/internal/shard"
 	"rankedaccess/internal/workload"
 )
 
@@ -43,6 +46,66 @@ type testCluster struct {
 	nodes   []*Node
 	servers []*rpc.Server
 	addrs   []string
+	// maxBatch is the largest pivot list any node was sent in one
+	// batched call.
+	maxBatch atomic.Int64
+}
+
+// batchMeter is a node backend that records the size of every batched
+// request on its way in.
+type batchMeter struct {
+	rpc.Backend
+	max *atomic.Int64
+}
+
+func (b batchMeter) note(n int) {
+	for {
+		m := b.max.Load()
+		if int64(n) <= m || b.max.CompareAndSwap(m, int64(n)) {
+			return
+		}
+	}
+}
+
+func (b batchMeter) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error) {
+	b.note(len(pos))
+	return b.Backend.AccessBatch(ctx, spec, version, shards, pos)
+}
+
+func (b batchMeter) RankBatch(ctx context.Context, spec rpc.Spec, version uint64, answers []order.Answer) ([]int64, []bool, error) {
+	b.note(len(answers))
+	return b.Backend.RankBatch(ctx, spec, version, answers)
+}
+
+// meteredListener counts every byte its connections carry, both ways.
+type meteredListener struct {
+	net.Listener
+	bytes *atomic.Int64
+}
+
+func (l meteredListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return meteredConn{Conn: c, bytes: l.bytes}, nil
+}
+
+type meteredConn struct {
+	net.Conn
+	bytes *atomic.Int64
+}
+
+func (c meteredConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.bytes.Add(int64(n))
+	return n, err
+}
+
+func (c meteredConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.bytes.Add(int64(n))
+	return n, err
 }
 
 // startCluster boots nNodes shard nodes with explicit round-robin
@@ -50,10 +113,17 @@ type testCluster struct {
 // non-nil, wraps each node's listener (fault injection).
 func startCluster(t *testing.T, nNodes, p int, wrap func(net.Listener) net.Listener) *testCluster {
 	t.Helper()
+	return startClusterOn(t, testInstance, nNodes, p, wrap)
+}
+
+// startClusterOn is startCluster over another instance; every call of
+// inst must produce identical data.
+func startClusterOn(t *testing.T, inst func() *database.Instance, nNodes, p int, wrap func(net.Listener) net.Listener) *testCluster {
+	t.Helper()
 	tc := &testCluster{}
 	nodes := make([]NodeConfig, nNodes)
 	for i := 0; i < nNodes; i++ {
-		e := engine.New(testInstance(), engine.Options{})
+		e := engine.New(inst(), engine.Options{})
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -62,7 +132,7 @@ func startCluster(t *testing.T, nNodes, p int, wrap func(net.Listener) net.Liste
 			lis = wrap(lis)
 		}
 		node := NewNode(e)
-		srv := rpc.NewServer(node)
+		srv := rpc.NewServer(batchMeter{Backend: node, max: &tc.maxBatch})
 		go func() { _ = srv.Serve(lis) }()
 		t.Cleanup(func() { _ = srv.Close() })
 		tc.engines = append(tc.engines, e)
@@ -357,50 +427,103 @@ func TestDistributedHTTPByteIdentity(t *testing.T) {
 }
 
 // TestDistributedRPCBudget pins the paper's complexity promise at the
-// network layer: one Access(k) costs at most ⌈log2(n)⌉+P scatter
-// ROUNDS (each round = one batched rank RPC per node), plus at most
-// rounds+1 single-shard access RPCs in total. If someone replaces the
-// rank-merge binary search with a gather-everything approach, this
-// fails loudly.
+// network layer. One Access(k) is a handful of k-ary rank rounds: each
+// round is two RPCs per peer (one batched access, one batched rank)
+// pricing up to m·P pivots and cutting the candidates to about
+// 1/(m·P+1), so a peer sees at most 2·(⌈log_{m·P+1} n⌉+2) RPCs of ANY
+// kind per access, no request carries more than m·P pivots (let alone
+// the wire cap), and the bytes on the wire stay O(m·P·log n). If
+// someone replaces the rank search with a gather-everything approach —
+// by ranges, by oversized batches, or by one RPC per answer — one of
+// the three fails loudly.
 func TestDistributedRPCBudget(t *testing.T) {
 	const p = 4
-	tc := startCluster(t, 2, p, nil)
+	var wire atomic.Int64
+	// Large enough that gathering the answers costs tens of times the
+	// budget.
+	big := func() *database.Instance {
+		_, in := workload.TwoPath(rand.New(rand.NewSource(34)), 3000, 256, 0.4)
+		return in
+	}
+	tc := startClusterOn(t, big, 2, p, func(l net.Listener) net.Listener {
+		return meteredListener{Listener: l, bytes: &wire}
+	})
 	spec := engine.Spec{Query: twoPath, Order: "x, y, z"}
 	h, err := tc.ce.Prepare(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := h.Total()
-	bound := int64(math.Ceil(math.Log2(float64(total)))) + p
-
-	snap := func() (rank, acc []uint64) {
-		for _, peer := range tc.coord.Table().Peers {
-			st := peer.Client.Stats()
-			rank = append(rank, st.Calls[rpc.KindRank])
-			acc = append(acc, st.Calls[rpc.KindAccess])
-		}
-		return rank, acc
+	const pivots = shard.PivotsPerWindow * p
+	rounds := math.Ceil(math.Log(float64(total))/math.Log(pivots+1)) + 2
+	rpcBound := uint64(2 * rounds)
+	// Per RPC: framing, trace field and the spec (~300 bytes), plus per
+	// pivot an answer one way and its ranks or position the other.
+	byteBound := int64(2*rounds) * int64(len(tc.addrs)) * (512 + 64*pivots)
+	if gather := total * 8 * 3; gather < 10*byteBound {
+		t.Fatalf("instance too small to tell the budget (%d bytes) from gathering all %d answers (%d bytes)", byteBound, total, gather)
 	}
-	for _, k := range []int64{0, total / 3, total - 1} {
-		rank0, acc0 := snap()
+
+	calls := func() []uint64 {
+		var out []uint64
+		for _, peer := range tc.coord.Table().Peers {
+			var n uint64
+			for _, c := range peer.Client.Stats().Calls {
+				n += c
+			}
+			out = append(out, n-peer.Client.Stats().Calls[rpc.KindHealth]) // the prober's, not the access's
+		}
+		return out
+	}
+	for _, k := range []int64{0, 1, total / 3, total / 2, total - 2, total - 1} {
+		before, wire0 := calls(), wire.Load()
 		if _, err := h.Access(k); err != nil {
 			t.Fatalf("Access(%d): %v", k, err)
 		}
-		rank1, acc1 := snap()
-		var rounds, accesses uint64
-		for i := range rank0 {
-			d := rank1[i] - rank0[i]
-			if d > rounds {
-				rounds = d
+		after, used := calls(), wire.Load()-wire0
+		t.Logf("Access(%d) of %d: RPCs per peer %d/%d (bound %d), %d bytes (bound %d)", k, total, after[0]-before[0], after[1]-before[1], rpcBound, used, byteBound)
+		for i := range before {
+			if d := after[i] - before[i]; d > rpcBound {
+				t.Fatalf("Access(%d) sent peer %d %d RPCs over n=%d, bound %d", k, i, d, total, rpcBound)
 			}
-			accesses += acc1[i] - acc0[i]
 		}
-		if rounds > uint64(bound) {
-			t.Fatalf("Access(%d) took %d scatter rounds over n=%d, bound %d", k, rounds, total, bound)
+		if used > byteBound {
+			t.Fatalf("Access(%d) moved %d bytes over n=%d, bound %d", k, used, total, byteBound)
 		}
-		if accesses > rounds+1 {
-			t.Fatalf("Access(%d) issued %d access RPCs for %d rounds", k, accesses, rounds)
+	}
+	if got := tc.maxBatch.Load(); got == 0 || got > pivots || got > rpc.MaxPivots || shard.MaxPivots > rpc.MaxPivots {
+		t.Fatalf("largest batched request carried %d pivots; want 1..%d (a round's m·P), wire cap %d, shard cap %d",
+			got, pivots, rpc.MaxPivots, shard.MaxPivots)
+	}
+}
+
+// TestAccessCancelledBetweenRounds: a caller that gives up mid-search
+// costs the cluster nothing further — the rank search checks the
+// context before every round, so no RPC leaves after the cancel.
+func TestAccessCancelledBetweenRounds(t *testing.T) {
+	tc := startCluster(t, 2, 4, nil)
+	h, err := tc.ce.Prepare(engine.Spec{Query: twoPath, Order: "x, y, z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sent := func() (n uint64) {
+		for _, peer := range tc.coord.Table().Peers {
+			st := peer.Client.Stats()
+			n += st.Calls[rpc.KindAccessBatch] + st.Calls[rpc.KindRankBatch] + st.Calls[rpc.KindRange]
 		}
+		return n
+	}
+	before := sent()
+	if _, err := h.AppendTupleCtx(ctx, nil, h.Total()/2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Access under a cancelled context = %v, want context.Canceled", err)
+	}
+	if _, err := h.AccessRangeCtx(ctx, nil, h.Total()/2, h.Total()/2+8); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AccessRange under a cancelled context = %v, want context.Canceled", err)
+	}
+	if d := sent() - before; d != 0 {
+		t.Fatalf("%d probe RPCs left for a cancelled request", d)
 	}
 }
 

@@ -22,11 +22,15 @@ import (
 // machinery the in-process sharded path uses, so distributed answers
 // are byte-identical to single-node answers by construction.
 //
-// A global Access(k) costs O(log n) scatter ROUNDS: each binary-search
-// iteration prices one candidate answer on every shard via one
-// parallel batched-rank RPC per node (the clusterRanker), plus the one
-// access that fetched the candidate. See the distributed oracle test
-// for the empirical pin.
+// A global Access(k) costs about log_{m·P+1} n scatter ROUNDS (m =
+// shard's PivotsPerWindow): each round of the handle's rank search
+// takes m pivots from every open shard window, fetches them with one
+// AccessBatch RPC per owning node and prices all of them on all shards
+// with one RankBatch RPC per node, nodes in parallel (the
+// clusterRanker) — two sequential round trips per round however wide
+// it is — plus at most one single-position AccessBatch for the result.
+// A range adds one parallel Range scatter to prime the merge, then one
+// Range RPC per refill. TestDistributedRPCBudget pins the arithmetic.
 type Coordinator struct {
 	table  *Table
 	prober *Prober
@@ -117,22 +121,17 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	// Scatter Prepare: every node builds its owned shards in parallel.
 	infos := make([]*rpc.PrepareInfo, len(peers))
 	specs := make([]rpc.Spec, len(peers))
-	errs := make([]error, len(peers))
-	var wg sync.WaitGroup
 	for i, p := range peers {
-		sp := rpc.Spec{Query: s.Query, Order: s.Order, SumBy: s.SumBy, P: dp.Part.P, ShardVar: dp.Part.VarName, Owned: p.Shards}
-		specs[i] = sp
-		wg.Add(1)
-		go func(i int, p *Peer) {
-			defer wg.Done()
-			infos[i], errs[i] = p.Client.Prepare(ctx, sp)
-		}(i, p)
+		specs[i] = rpc.Spec{Query: s.Query, Order: s.Order, SumBy: s.SumBy, P: dp.Part.P, ShardVar: dp.Part.VarName, Owned: p.Shards}
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: prepare on %s: %w", peers[i].Addr, err)
+	err = scatter(len(peers), func(i int) (err error) {
+		if infos[i], err = peers[i].Client.Prepare(ctx, specs[i]); err != nil {
+			return fmt.Errorf("cluster: prepare on %s: %w", peers[i].Addr, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Unanimity: all nodes must have chosen the same structure mode and
@@ -155,18 +154,14 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	// One remote part per global shard, probing its owner with the
 	// exact spec (including Owned) the owner cached its build under.
 	parts := make([]shard.RemotePart, dp.Part.P)
-	rankPeers := make([]rankPeer, len(peers))
+	ranker := &clusterRanker{peers: make([]rankPeer, len(peers)), owner: make([]int, dp.Part.P), tracer: c.tracer}
 	for i, p := range peers {
-		rankPeers[i] = rankPeer{c: p.Client, spec: specs[i], version: infos[i].Version, owned: p.Shards}
-		for _, sIdx := range p.Shards {
-			parts[sIdx] = &clusterPart{c: p.Client, spec: specs[i], version: infos[i].Version, shard: sIdx}
-		}
-	}
-	// Seed part totals from the Prepare responses so constructing the
-	// handle performs no extra RPCs.
-	for i, p := range peers {
+		ranker.peers[i] = rankPeer{c: p.Client, spec: specs[i], version: infos[i].Version}
+		// Part totals come from the Prepare responses, so constructing
+		// the handle performs no extra RPCs.
 		for j, sIdx := range p.Shards {
-			parts[sIdx].(*clusterPart).total = infos[i].Totals[j]
+			ranker.owner[sIdx] = i
+			parts[sIdx] = &clusterPart{rankPeer: &ranker.peers[i], shard: sIdx, total: infos[i].Totals[j]}
 		}
 	}
 
@@ -177,7 +172,6 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	if err != nil {
 		return nil, fmt.Errorf("cluster: nodes disagree with the plan: %w", err)
 	}
-	ranker := &clusterRanker{peers: rankPeers, p: dp.Part.P, tracer: c.tracer}
 	return &engine.RemoteHandle{
 		Query: dp.Query,
 		Plan: engine.Plan{
@@ -215,130 +209,167 @@ func (c *Coordinator) CountRemote(ctx context.Context, query, by string) (int64,
 	info.Shards, info.ShardBy = dp.Part.P, dp.Part.VarName
 	peers := c.activePeers()
 	counts := make([]int64, len(peers))
-	errs := make([]error, len(peers))
-	var wg sync.WaitGroup
-	for i, p := range peers {
-		wg.Add(1)
-		go func(i int, p *Peer) {
-			defer wg.Done()
-			counts[i], errs[i] = p.Client.Count(ctx, rpc.CountSpec{
-				Query: query, P: dp.Part.P, ShardVar: dp.Part.VarName, Owned: p.Shards,
-			})
-		}(i, p)
-	}
-	wg.Wait()
-	var total int64
-	for i := range peers {
-		if errs[i] != nil {
-			return 0, info, fmt.Errorf("cluster: count on %s: %w", peers[i].Addr, errs[i])
+	err = scatter(len(peers), func(i int) (err error) {
+		counts[i], err = peers[i].Client.Count(ctx, rpc.CountSpec{
+			Query: query, P: dp.Part.P, ShardVar: dp.Part.VarName, Owned: peers[i].Shards,
+		})
+		if err != nil {
+			return fmt.Errorf("cluster: count on %s: %w", peers[i].Addr, err)
 		}
-		total += counts[i]
+		return nil
+	})
+	if err != nil {
+		return 0, info, err
+	}
+	var total int64
+	for _, n := range counts {
+		total += n
 	}
 	return total, info, nil
 }
 
-// clusterPart is one global shard probed over RPC at its owner.
-type clusterPart struct {
+// scatter runs fn(0) … fn(n-1) in parallel and returns the first
+// failure in index order. The last call runs on the caller's goroutine:
+// a scatter to one node spawns nothing, one to two nodes spawns one.
+func scatter(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	if n > 0 {
+		errs[n-1] = fn(n - 1)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rankPeer is one node as a probe target: its client, and the exact
+// spec (including Owned) and version the node cached its build under.
+type rankPeer struct {
 	c       *rpc.Client
 	spec    rpc.Spec
 	version uint64
-	shard   int
-	total   int64
+}
+
+// clusterPart is one global shard's range window, served by its owner.
+type clusterPart struct {
+	*rankPeer
+	shard int
+	total int64
 }
 
 var _ shard.RemotePart = (*clusterPart)(nil)
 
 func (p *clusterPart) Total() int64 { return p.total }
 
-func (p *clusterPart) Rank(ctx context.Context, a order.Answer) (int64, bool, error) {
-	// Single-shard rank: reuse the batched call with this part's owner;
-	// it ranks all the node's shards, we pick ours. This path only runs
-	// when no BatchRanker is installed (not the cluster default).
-	ranks, exact, err := p.c.Rank(ctx, p.spec, p.version, a)
-	if err != nil {
-		return 0, false, err
-	}
-	for i, s := range p.spec.Owned {
-		if s == p.shard {
-			return ranks[i], exact, nil
-		}
-	}
-	return 0, false, fmt.Errorf("cluster: shard %d missing from rank response", p.shard)
-}
-
-func (p *clusterPart) Access(ctx context.Context, k int64) (order.Answer, error) {
-	return p.c.Access(ctx, p.spec, p.version, p.shard, k)
-}
-
 func (p *clusterPart) FetchRange(ctx context.Context, k0, k1 int64) ([]order.Answer, error) {
 	return p.c.Range(ctx, p.spec, p.version, p.shard, k0, k1)
 }
 
-// rankPeer is one node's batched-rank target.
-type rankPeer struct {
-	c       *rpc.Client
-	spec    rpc.Spec
-	version uint64
-	owned   []int
-}
-
-// clusterRanker prices an answer on all P shards in ONE scatter round:
-// one parallel RPC per node, each ranking all its owned shards
-// locally. This is what keeps a global Access(k) at O(log n) rounds
-// instead of O(P log n) sequential calls.
+// clusterRanker is the batched probe surface of the cluster: every
+// call is ONE scatter — one RPC per node involved, nodes in parallel,
+// each serving all its owned shards locally — so a rank round costs two
+// sequential round trips whatever P and the pivot count are.
 type clusterRanker struct {
 	peers  []rankPeer
-	p      int
+	owner  []int // global shard → index of its owner in peers
 	tracer *trace.Tracer
 	rounds atomic.Uint64
 }
 
 var _ shard.BatchRanker = (*clusterRanker)(nil)
 
-func (r *clusterRanker) RankAll(ctx context.Context, a order.Answer, ranks []int64) (bool, error) {
-	if len(ranks) != r.p {
-		return false, fmt.Errorf("cluster: %d rank slots for %d shards", len(ranks), r.p)
+func (r *clusterRanker) AccessAll(ctx context.Context, shards []int, pos []int64) ([]order.Answer, error) {
+	// Split the request by owner, keeping request order within a node.
+	type batch struct {
+		peer   *rankPeer
+		at     []int // indices into the request
+		shards []int
+		pos    []int64
 	}
-	// One rank round = one RankAll = one locate iteration; number them
-	// so a trace waterfall shows the binary search converging.
-	round := int64(r.rounds.Add(1))
-	exacts := make([]bool, len(r.peers))
-	errs := make([]error, len(r.peers))
-	var wg sync.WaitGroup
-	for i := range r.peers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pr := &r.peers[i]
-			// The per-peer rank-round span: the unit of scatter-gather
-			// attribution (which peer, which round ate the budget).
-			sctx, span := r.tracer.Start(ctx, "cluster.rank_round", trace.KindInternal)
-			span.SetAttr(
-				trace.Str("peer", pr.c.Addr()),
-				trace.Int("round_seq", round),
-				trace.Int("owned_shards", int64(len(pr.owned))),
-			)
-			got, ex, err := pr.c.Rank(sctx, pr.spec, pr.version, a)
-			if err != nil {
-				span.SetError(err)
-				span.End()
-				errs[i] = err
-				return
-			}
-			span.End()
-			for j, s := range pr.owned {
-				ranks[s] = got[j]
-			}
-			exacts[i] = ex
-		}(i)
-	}
-	wg.Wait()
-	exact := false
-	for i := range r.peers {
-		if errs[i] != nil {
-			return false, fmt.Errorf("cluster: rank on %s: %w", r.peers[i].c.Addr(), errs[i])
+	byPeer := make([]*batch, len(r.peers))
+	var batches []*batch
+	for i, s := range shards {
+		if s < 0 || s >= len(r.owner) {
+			return nil, fmt.Errorf("cluster: access of shard %d outside [0, %d)", s, len(r.owner))
 		}
-		exact = exact || exacts[i]
+		b := byPeer[r.owner[s]]
+		if b == nil {
+			b = &batch{peer: &r.peers[r.owner[s]]}
+			byPeer[r.owner[s]] = b
+			batches = append(batches, b)
+		}
+		b.at, b.shards, b.pos = append(b.at, i), append(b.shards, s), append(b.pos, pos[i])
+	}
+	out := make([]order.Answer, len(pos))
+	err := scatter(len(batches), func(i int) error {
+		b := batches[i]
+		got, err := b.peer.c.AccessBatch(ctx, b.peer.spec, b.peer.version, b.shards, b.pos)
+		if err != nil {
+			return fmt.Errorf("cluster: access on %s: %w", b.peer.c.Addr(), err)
+		}
+		for j, at := range b.at {
+			out[at] = got[j]
+		}
+		return nil
+	})
+	return out, err
+}
+
+func (r *clusterRanker) RankAll(ctx context.Context, answers []order.Answer, ranks []int64) ([]bool, error) {
+	p := len(r.owner)
+	if len(ranks) != len(answers)*p {
+		return nil, fmt.Errorf("cluster: %d rank slots for %d answers on %d shards", len(ranks), len(answers), p)
+	}
+	// One RankAll = one round of the handle's rank search; number them
+	// so a trace waterfall shows the search converging.
+	round := int64(r.rounds.Add(1))
+	exacts := make([][]bool, len(r.peers))
+	err := scatter(len(r.peers), func(i int) error {
+		pr := &r.peers[i]
+		owned := pr.spec.Owned
+		// The per-peer rank-round span: the unit of scatter-gather
+		// attribution (which peer, which round ate the budget).
+		sctx, span := r.tracer.Start(ctx, "cluster.rank_round", trace.KindInternal)
+		span.SetAttr(
+			trace.Str("peer", pr.c.Addr()),
+			trace.Int("round_seq", round),
+			trace.Int("owned_shards", int64(len(owned))),
+			trace.Int("pivots", int64(len(answers))),
+		)
+		got, ex, err := pr.c.RankBatch(sctx, pr.spec, pr.version, answers)
+		if err != nil {
+			span.SetError(err)
+			span.End()
+			return fmt.Errorf("cluster: rank on %s: %w", pr.c.Addr(), err)
+		}
+		span.End()
+		for a := range answers {
+			for j, s := range owned {
+				ranks[a*p+s] = got[a*len(owned)+j]
+			}
+		}
+		exacts[i] = ex
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	exact := make([]bool, len(answers))
+	for _, ex := range exacts {
+		for a, held := range ex {
+			exact[a] = exact[a] || held
+		}
 	}
 	return exact, nil
 }

@@ -191,39 +191,59 @@ func (n *Node) Count(ctx context.Context, spec rpc.CountSpec) (int64, error) {
 	return n.e.CountOwned(dp, spec.Owned)
 }
 
-// Rank prices a on every owned shard in one call — the node-local half
-// of the coordinator's one-scatter-round rank pricing.
+// Rank prices a on every owned shard in one call: the single-answer
+// form of RankBatch, kept for coordinators that predate the batch kind.
 func (n *Node) Rank(ctx context.Context, spec rpc.Spec, version uint64, a order.Answer) ([]int64, bool, error) {
-	ctx, sp := n.span(ctx, "node.rank", trace.Int("owned_shards", int64(len(spec.Owned))))
+	ranks, exact, err := n.RankBatch(ctx, spec, version, []order.Answer{a})
+	if err != nil {
+		return nil, false, err
+	}
+	return ranks, exact[0], nil
+}
+
+// RankBatch prices every answer on every owned shard — the node-local
+// half of one coordinator rank round.
+func (n *Node) RankBatch(ctx context.Context, spec rpc.Spec, version uint64, answers []order.Answer) ([]int64, []bool, error) {
+	ctx, sp := n.span(ctx, "node.rank", trace.Int("owned_shards", int64(len(spec.Owned))), trace.Int("pivots", int64(len(answers))))
 	defer sp.End()
 	nb, err := n.getVersioned(ctx, spec, version)
 	if err != nil {
 		sp.SetError(err)
-		return nil, false, err
+		return nil, nil, err
 	}
-	ranks := make([]int64, len(spec.Owned))
-	exact, err := nb.Owned.RankAll(a, spec.Owned, ranks)
+	ranks, exact, err := nb.Owned.RankBatch(answers, spec.Owned)
 	if err != nil {
 		sp.SetError(err)
-		return nil, false, err
 	}
-	return ranks, exact, nil
+	return ranks, exact, err
 }
 
-// Access returns one owned shard's k-th local answer.
+// Access returns one owned shard's k-th local answer: the single-answer
+// form of AccessBatch, kept for coordinators that predate the batch
+// kind.
 func (n *Node) Access(ctx context.Context, spec rpc.Spec, version uint64, s int, k int64) (order.Answer, error) {
-	ctx, sp := n.span(ctx, "node.access", trace.Int("shard", int64(s)), trace.Int("k", k))
+	out, err := n.AccessBatch(ctx, spec, version, []int{s}, []int64{k})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// AccessBatch returns the local answers at (shards[i], pos[i]) — the
+// pivots one coordinator rank round takes from this node.
+func (n *Node) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error) {
+	ctx, sp := n.span(ctx, "node.access", trace.Int("pivots", int64(len(pos))))
 	defer sp.End()
 	nb, err := n.getVersioned(ctx, spec, version)
 	if err != nil {
 		sp.SetError(err)
 		return nil, err
 	}
-	a, err := nb.Owned.Access(s, k)
+	out, err := nb.Owned.AccessBatch(shards, pos)
 	if err != nil {
 		sp.SetError(err)
 	}
-	return a, err
+	return out, err
 }
 
 // Range returns one owned shard's local answers k0 ≤ k < k1.

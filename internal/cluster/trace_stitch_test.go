@@ -69,20 +69,41 @@ func TestTraceStitchesAcrossCluster(t *testing.T) {
 		t.Fatalf("coordinator root span: %q kind %v", root.Name, root.Kind)
 	}
 	// ≥1 rank-round span per peer, parented inside this trace.
-	roundsByPeer := map[string]int{}
+	// Exactly one span per peer per round: every round_seq shows up
+	// once under each peer, and says how many pivots the round priced.
+	roundsByPeer := map[string]map[int64]int{}
 	for _, sp := range co.Spans {
 		if sp.Name != "cluster.rank_round" {
 			continue
 		}
+		var peer string
+		round, pivots := int64(-1), int64(0)
 		for _, a := range sp.Attrs {
-			if a.Key == "peer" {
-				roundsByPeer[a.Str]++
+			switch a.Key {
+			case "peer":
+				peer = a.Str
+			case "round_seq":
+				round = a.Num
+			case "pivots":
+				pivots = a.Num
 			}
 		}
+		if round < 1 || pivots < 1 {
+			t.Fatalf("cluster.rank_round span of %s lacks round_seq/pivots: %+v", peer, sp.Attrs)
+		}
+		if roundsByPeer[peer] == nil {
+			roundsByPeer[peer] = map[int64]int{}
+		}
+		roundsByPeer[peer][round]++
 	}
 	for _, addr := range tc.addrs {
-		if roundsByPeer[addr] == 0 {
-			t.Fatalf("no cluster.rank_round span for peer %s (got %v)", addr, roundsByPeer)
+		if len(roundsByPeer[addr]) == 0 || len(roundsByPeer[addr]) != len(roundsByPeer[tc.addrs[0]]) {
+			t.Fatalf("rank rounds differ across peers, or a peer has none: %v", roundsByPeer)
+		}
+		for round, n := range roundsByPeer[addr] {
+			if n != 1 || roundsByPeer[tc.addrs[0]][round] != 1 {
+				t.Fatalf("round %d: %d spans for peer %s (all: %v)", round, n, addr, roundsByPeer)
+			}
 		}
 	}
 

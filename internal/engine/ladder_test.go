@@ -10,6 +10,7 @@ import (
 	"rankedaccess/internal/baseline"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/shard"
+	"rankedaccess/internal/shard/shardtest"
 )
 
 // flipCtx is a context whose deadline expires mid-build,
@@ -67,28 +68,6 @@ func TestShardedBuildHonoursContext(t *testing.T) {
 	if _, err := e.BuildOwned(context.Background(), dp, []int{0, 2}); err != nil {
 		t.Fatalf("BuildOwned after an abandoned build: %v", err)
 	}
-}
-
-// ownedPart serves one shard of a NodeBuild as a shard.RemotePart, so
-// two nodes' owned halves merge through the coordinator's machinery
-// without a network.
-type ownedPart struct {
-	o *shard.Owned
-	s int
-}
-
-func (p ownedPart) Total() int64 {
-	n, _ := p.o.Total(p.s)
-	return n
-}
-func (p ownedPart) Rank(_ context.Context, a order.Answer) (int64, bool, error) {
-	return p.o.Rank(p.s, a)
-}
-func (p ownedPart) Access(_ context.Context, k int64) (order.Answer, error) {
-	return p.o.Access(p.s, k)
-}
-func (p ownedPart) FetchRange(_ context.Context, k0, k1 int64) ([]order.Answer, error) {
-	return p.o.Range(p.s, k0, k1)
 }
 
 // TestPlanParityAcrossOwners pins that the one ladder lands every
@@ -178,26 +157,28 @@ func TestPlanParityAcrossOwners(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts := make([]shard.RemotePart, 4)
-			var completed order.Lex
-			for _, owned := range [][]int{{0, 2}, {1, 3}} {
-				nb, err := tc.eng.BuildOwned(context.Background(), dp, owned)
+			var owned []*shard.Owned
+			for _, shards := range [][]int{{0, 2}, {1, 3}} {
+				nb, err := tc.eng.BuildOwned(context.Background(), dp, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if nb.Mode != tc.mode {
-					t.Fatalf("owned %v: mode %s, want %s", owned, nb.Mode, tc.mode)
+					t.Fatalf("owned %v: mode %s, want %s", shards, nb.Mode, tc.mode)
 				}
-				for _, s := range owned {
-					parts[s] = ownedPart{o: nb.Owned, s: s}
-				}
-				completed = nb.Owned.Completed()
+				owned = append(owned, nb.Owned)
 			}
 			kind, err := dp.Kind(tc.mode)
 			if err != nil || kind.Materialized == tc.tractable {
 				t.Fatalf("Kind(%s) = %+v, %v", tc.mode, kind, err)
 			}
-			merged := shard.NewRemote(dp.Query, dp.Part, parts, kind.Comparator(dp.Query, completed), nil, completed)
+			// Two nodes' owned halves merge through the coordinator's
+			// machinery without a network.
+			loop, err := shardtest.New(owned...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged := loop.Handle(kind)
 			check("owned {0,2}+{1,3}", func(k0, k1 int64) ([]int64, error) {
 				if k1 == k0+1 {
 					return merged.AppendTuple(nil, dp.Query.Head, k0)

@@ -58,8 +58,8 @@ type pconn struct {
 // (atomic counters), for tests and diagnostics independent of any
 // metrics registry.
 type CallStats struct {
-	Calls  [8]uint64 // indexed by Kind
-	Errors [8]uint64
+	Calls  [numKinds]uint64 // indexed by Kind
+	Errors [numKinds]uint64
 }
 
 // Client issues typed calls to one peer over pooled connections. It is
@@ -75,8 +75,8 @@ type Client struct {
 	closed bool
 
 	seq   atomic.Uint64
-	calls [8]atomic.Uint64
-	errs  [8]atomic.Uint64
+	calls [numKinds]atomic.Uint64
+	errs  [numKinds]atomic.Uint64
 
 	m      atomic.Pointer[ClientMetrics]
 	tracer atomic.Pointer[trace.Tracer]
@@ -398,7 +398,9 @@ func (c *Client) Count(ctx context.Context, spec CountSpec) (int64, error) {
 
 // Rank prices the answer on every owned shard: ranks is aligned with
 // the spec's Owned slice, exact reports whether some owned shard holds
-// the answer.
+// the answer. Coordinators of this build price whole rounds with
+// RankBatch; Rank and Access remain the client half of the
+// single-answer kinds nodes keep serving for older coordinators.
 func (c *Client) Rank(ctx context.Context, spec Spec, version uint64, a order.Answer) (ranks []int64, exact bool, err error) {
 	d, err := c.call(ctx, KindRank, func(e *enc) {
 		spec.encode(e)
@@ -447,21 +449,61 @@ func (c *Client) Range(ctx context.Context, spec Spec, version uint64, shard int
 	if err != nil {
 		return nil, err
 	}
-	width := int(d.u32())
-	count := d.count(8 * max(width, 1))
-	if d.bad {
-		return nil, finish(d)
-	}
-	out := make([]order.Answer, count)
-	flat := make([]int64, count*width)
-	for i := range out {
-		row := flat[i*width : (i+1)*width]
-		for j := range row {
-			row[j] = d.i64()
-		}
-		out[i] = row
-	}
+	// A node never serves more than it was asked for, and what was
+	// asked for is bounded by the frame.
+	out := d.answers(maxFrame / 8)
 	return out, finish(d)
+}
+
+// AccessBatch returns the local answers at (shards[i], pos[i]) over
+// the peer's owned shards, in request order: one round trip for all of
+// a rank round's pivots this peer owns.
+func (c *Client) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error) {
+	if len(shards) != len(pos) || len(pos) > MaxPivots {
+		return nil, fmt.Errorf("rpc: access batch of %d shards and %d positions (cap %d)", len(shards), len(pos), MaxPivots)
+	}
+	req := AccessBatchReq{Spec: spec, Version: version, Shards: shards, Pos: pos}
+	d, err := c.call(ctx, KindAccessBatch, req.encode)
+	if err != nil {
+		return nil, err
+	}
+	out := d.answers(MaxPivots)
+	if err := finish(d); err != nil {
+		return nil, err
+	}
+	if len(out) != len(pos) {
+		return nil, fmt.Errorf("%w: %d answers for %d positions", ErrBadFrame, len(out), len(pos))
+	}
+	return out, nil
+}
+
+// RankBatch prices every answer on every owned shard in one round
+// trip: ranks[i*len(spec.Owned)+j] is the spec's j-th owned shard's
+// count of answers strictly below answers[i], exact[i] whether one of
+// them holds answers[i].
+func (c *Client) RankBatch(ctx context.Context, spec Spec, version uint64, answers []order.Answer) (ranks []int64, exact []bool, err error) {
+	if len(answers) > MaxPivots {
+		return nil, nil, fmt.Errorf("rpc: rank batch of %d answers exceeds the cap %d", len(answers), MaxPivots)
+	}
+	for _, a := range answers {
+		if len(a) != len(answers[0]) {
+			return nil, nil, fmt.Errorf("rpc: rank batch mixes answers of %d and %d values", len(answers[0]), len(a))
+		}
+	}
+	req := RankBatchReq{Spec: spec, Version: version, Answers: answers}
+	d, err := c.call(ctx, KindRankBatch, req.encode)
+	if err != nil {
+		return nil, nil, err
+	}
+	resp := decodeRankBatchResp(d)
+	if err := finish(d); err != nil {
+		return nil, nil, err
+	}
+	if len(resp.Exact) != len(answers) || len(resp.Ranks) != len(answers)*len(spec.Owned) {
+		return nil, nil, fmt.Errorf("%w: %d ranks and %d flags for %d answers on %d owned shards",
+			ErrBadFrame, len(resp.Ranks), len(resp.Exact), len(answers), len(spec.Owned))
+	}
+	return resp.Ranks, resp.Exact, nil
 }
 
 // StatsCall returns the peer's node-level counters.
@@ -487,8 +529,8 @@ func (c *Client) Health(ctx context.Context) (*HealthInfo, error) {
 // ClientMetrics are the per-peer instruments a coordinator exports on
 // /metrics for every shard node it talks to.
 type ClientMetrics struct {
-	requests map[Kind]*metrics.Counter
-	errors   map[Kind]*metrics.Counter
+	requests [numKinds]*metrics.Counter // indexed by Kind; kinds of one method share a counter
+	errors   [numKinds]*metrics.Counter
 	latency  *metrics.Histogram
 	inflight *metrics.Gauge
 }
@@ -507,19 +549,14 @@ var rpcLatencyBounds = []float64{
 // gauge) labeled with the peer address, and returns the bundle to
 // attach via Client.SetMetrics.
 func NewClientMetrics(reg *metrics.Registry, peer string) *ClientMetrics {
-	m := &ClientMetrics{
-		requests: make(map[Kind]*metrics.Counter, len(kindNames)),
-		errors:   make(map[Kind]*metrics.Counter, len(kindNames)),
+	return &ClientMetrics{
+		requests: methodCounters(reg, "ra_rpc_client_requests_total",
+			"RPCs issued to this peer by method.", "peer", peer),
+		errors: methodCounters(reg, "ra_rpc_client_errors_total",
+			"Failed RPCs to this peer by method.", "peer", peer),
 		latency: reg.Histogram("ra_rpc_client_latency_seconds",
 			"RPC round-trip latency to this peer.", rpcLatencyBounds, "peer", peer),
 		inflight: reg.Gauge("ra_rpc_client_in_flight",
 			"RPCs currently outstanding to this peer.", "peer", peer),
 	}
-	for kind, name := range kindNames {
-		m.requests[kind] = reg.Counter("ra_rpc_client_requests_total",
-			"RPCs issued to this peer by method.", "peer", peer, "method", name)
-		m.errors[kind] = reg.Counter("ra_rpc_client_errors_total",
-			"Failed RPCs to this peer by method.", "peer", peer, "method", name)
-	}
-	return m
 }

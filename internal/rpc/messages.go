@@ -138,3 +138,88 @@ type HealthInfo struct {
 	Ready   bool
 	Reasons []string
 }
+
+// AccessBatchReq asks a node for the local answers at (Shards[i],
+// Pos[i]) — the pivots one rank round takes from its owned shards. The
+// response is one answers block in request order.
+type AccessBatchReq struct {
+	Spec    Spec
+	Version uint64
+	Shards  []int
+	Pos     []int64
+}
+
+func (r *AccessBatchReq) encode(e *enc) {
+	r.Spec.encode(e)
+	e.u64(r.Version)
+	e.u32(uint32(len(r.Pos)))
+	for i, k := range r.Pos {
+		e.u32(uint32(r.Shards[i]))
+		e.i64(k)
+	}
+}
+
+func decodeAccessBatchReq(d *dec) AccessBatchReq {
+	r := AccessBatchReq{Spec: decodeSpec(d), Version: d.u64()}
+	n := d.count(12)
+	if n > MaxPivots {
+		d.fail()
+	}
+	if d.bad || n == 0 {
+		return r
+	}
+	r.Shards, r.Pos = make([]int, n), make([]int64, n)
+	for i := range r.Pos {
+		r.Shards[i], r.Pos[i] = int(d.u32()), d.i64()
+	}
+	return r
+}
+
+// RankBatchReq asks a node to price every answer on every owned shard.
+type RankBatchReq struct {
+	Spec    Spec
+	Version uint64
+	Answers []order.Answer
+}
+
+func (r *RankBatchReq) encode(e *enc) {
+	r.Spec.encode(e)
+	e.u64(r.Version)
+	e.answers(r.Answers)
+}
+
+func decodeRankBatchReq(d *dec) RankBatchReq {
+	return RankBatchReq{Spec: decodeSpec(d), Version: d.u64(), Answers: d.answers(MaxPivots)}
+}
+
+// RankBatchResp is a node's answer to RankBatchReq: Ranks[i*owned+j]
+// is the count of answers strictly below the request's i-th answer on
+// the spec's j-th owned shard, Exact[i] whether one of them holds it.
+type RankBatchResp struct {
+	Ranks []int64
+	Exact []bool
+}
+
+func (r *RankBatchResp) encode(e *enc) {
+	e.u32(uint32(len(r.Exact)))
+	e.i64s(r.Ranks)
+	for _, ex := range r.Exact {
+		e.bool(ex)
+	}
+}
+
+func decodeRankBatchResp(d *dec) RankBatchResp {
+	n := d.count(1)
+	if n > MaxPivots {
+		d.fail()
+	}
+	r := RankBatchResp{Ranks: d.i64s()}
+	if d.bad || n == 0 {
+		return r
+	}
+	r.Exact = make([]bool, n)
+	for i := range r.Exact {
+		r.Exact[i] = d.u8() != 0
+	}
+	return r
+}

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"net"
 	"sync/atomic"
@@ -94,6 +95,31 @@ func (f *fakeBackend) Range(ctx context.Context, spec Spec, version uint64, shar
 	return out, nil
 }
 
+func (f *fakeBackend) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error) {
+	out := make([]order.Answer, len(pos))
+	for i, k := range pos {
+		a, err := f.Access(ctx, spec, version, shards[i], k)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = a
+	}
+	return out, nil
+}
+
+func (f *fakeBackend) RankBatch(ctx context.Context, spec Spec, version uint64, answers []order.Answer) ([]int64, []bool, error) {
+	var ranks []int64
+	exact := make([]bool, len(answers))
+	for i, a := range answers {
+		r, ex, err := f.Rank(ctx, spec, version, a)
+		if err != nil {
+			return nil, nil, err
+		}
+		ranks, exact[i] = append(ranks, r...), ex
+	}
+	return ranks, exact, nil
+}
+
 func (f *fakeBackend) Stats(ctx context.Context) (*PeerStats, error) {
 	return &PeerStats{Version: 7, Tuples: 1234, Builds: 3}, nil
 }
@@ -167,6 +193,19 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Range = %v, %v", rows, err)
 	}
 
+	batch, err := c.AccessBatch(ctx, testSpec(), 7, []int{3, 1, 3}, []int64{4, 0, 9})
+	if err != nil || len(batch) != 3 || batch[0][0] != 304 || batch[1][0] != 100 || batch[2][1] != -9 {
+		t.Fatalf("AccessBatch = %v, %v", batch, err)
+	}
+	branks, bexact, err := c.RankBatch(ctx, testSpec(), 7, []order.Answer{{6, 0}, {3, 1}, {14, 2}})
+	if err != nil || fmt.Sprint(branks) != "[6 6 3 3 4 4]" || fmt.Sprint(bexact) != "[true false true]" {
+		t.Fatalf("RankBatch = %v, %v, %v", branks, bexact, err)
+	}
+	// An empty round is legal on the wire and costs no allocation.
+	if got, err := c.AccessBatch(ctx, testSpec(), 7, nil, nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty AccessBatch = %v, %v", got, err)
+	}
+
 	st, err := c.StatsCall(ctx)
 	if err != nil || st.Tuples != 1234 || st.Builds != 3 {
 		t.Fatalf("Stats = %+v, %v", st, err)
@@ -193,6 +232,13 @@ func TestSentinelStatuses(t *testing.T) {
 	}
 	if _, _, err := c.Rank(ctx, testSpec(), 8, order.Answer{0, 0}); !errors.Is(err, ErrStaleVersion) {
 		t.Fatalf("stale Rank = %v, want ErrStaleVersion", err)
+	}
+	// The batch kinds carry the same sentinels as their single forms.
+	if _, err := c.AccessBatch(ctx, testSpec(), 7, []int{1, 1}, []int64{2, 99}); !errors.Is(err, access.ErrOutOfBound) {
+		t.Fatalf("out-of-range AccessBatch = %v, want ErrOutOfBound", err)
+	}
+	if _, _, err := c.RankBatch(ctx, testSpec(), 8, []order.Answer{{0, 0}}); !errors.Is(err, ErrStaleVersion) {
+		t.Fatalf("stale RankBatch = %v, want ErrStaleVersion", err)
 	}
 
 	b.failWith = access.ErrNotAnAnswer
@@ -390,6 +436,99 @@ func TestHostileLengths(t *testing.T) {
 	_ = d2.i64s()
 	if !d2.bad {
 		t.Fatal("decoder accepted a hostile i64 count")
+	}
+
+	// The batch kinds are capped at MaxPivots however much payload
+	// backs the claim: one answer, one position over the cap is refused
+	// before anything is allocated for it.
+	over := make([]order.Answer, MaxPivots+1)
+	for i := range over {
+		over[i] = order.Answer{int64(i)}
+	}
+	rank := RankBatchReq{Spec: testSpec(), Version: 7, Answers: over}
+	e3 := &enc{}
+	rank.encode(e3)
+	d3 := &dec{b: e3.b}
+	if got := decodeRankBatchReq(d3); !d3.bad || got.Answers != nil {
+		t.Fatalf("decoder accepted %d answers over the %d cap", len(got.Answers), MaxPivots)
+	}
+	acc := AccessBatchReq{Spec: testSpec(), Version: 7, Shards: make([]int, MaxPivots+1), Pos: make([]int64, MaxPivots+1)}
+	e4 := &enc{}
+	acc.encode(e4)
+	d4 := &dec{b: e4.b}
+	if got := decodeAccessBatchReq(d4); !d4.bad || got.Pos != nil {
+		t.Fatalf("decoder accepted %d positions over the %d cap", len(got.Pos), MaxPivots)
+	}
+	// At the cap both decode.
+	rank.Answers, acc.Shards, acc.Pos = over[:MaxPivots], acc.Shards[:MaxPivots], acc.Pos[:MaxPivots]
+	e5, e6 := &enc{}, &enc{}
+	rank.encode(e5)
+	acc.encode(e6)
+	d5, d6 := &dec{b: e5.b}, &dec{b: e6.b}
+	if got := decodeRankBatchReq(d5); d5.err() != nil || len(got.Answers) != MaxPivots {
+		t.Fatalf("rank batch at the cap: %d answers, %v", len(got.Answers), d5.err())
+	}
+	if got := decodeAccessBatchReq(d6); d6.err() != nil || len(got.Pos) != MaxPivots {
+		t.Fatalf("access batch at the cap: %d positions, %v", len(got.Pos), d6.err())
+	}
+	// A claimed width the payload cannot back never reaches make().
+	e7 := &enc{}
+	e7.u32(1 << 31) // width
+	e7.u32(2)       // count
+	e7.i64(1)
+	d7 := &dec{b: e7.b}
+	if got := d7.answers(MaxPivots); !d7.bad || got != nil {
+		t.Fatal("decoder accepted a hostile answer width")
+	}
+}
+
+// TestKindTables pins the per-kind tables against the kind list: every
+// named kind has a slot in the client's and the server's counters (a
+// kind numbered past a table used to panic on its first call), kinds
+// sharing a method label share ONE series, and a kind this build does
+// not know is answered with the bad-request status, not a crash.
+func TestKindTables(t *testing.T) {
+	b := &fakeBackend{total: 10}
+	srv, lis := startServer(t, b, nil)
+	sreg, creg := metrics.NewRegistry(), metrics.NewRegistry()
+	srv.Instrument(sreg)
+	c := NewClient(lis.Addr().String(), Options{})
+	defer c.Close()
+	cm := NewClientMetrics(creg, "peer-a")
+	c.SetMetrics(cm)
+	for kind, name := range kindNames {
+		if kind == 0 || int(kind) >= numKinds {
+			t.Fatalf("kind %d (%s) has no slot in tables of %d", kind, name, numKinds)
+		}
+		if cm.requests[kind] == nil || cm.errors[kind] == nil || srv.requests[kind] == nil {
+			t.Fatalf("kind %d (%s) has no counter", kind, name)
+		}
+	}
+	if cm.requests[KindRank] != cm.requests[KindRankBatch] || cm.requests[KindAccess] != cm.requests[KindAccessBatch] {
+		t.Fatal("a batch kind does not share its single form's counter")
+	}
+	ctx := context.Background()
+	if _, _, err := c.Rank(ctx, testSpec(), 7, order.Answer{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.RankBatch(ctx, testSpec(), 7, []order.Answer{{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Calls[KindRank] != 1 || st.Calls[KindRankBatch] != 1 || cm.requests[KindRank].Value() != 2 || srv.requests[KindRankBatch].Value() != 2 {
+		t.Fatalf("calls %v, client rank series %d, server rank series %d; want one call per kind and 2 on the shared series",
+			st.Calls, cm.requests[KindRank].Value(), srv.requests[KindRankBatch].Value())
+	}
+
+	// An unknown kind: what a node that predates a kind sees.
+	const future = Kind(200)
+	_, err := c.callInner(ctx, future, func(*enc) {})
+	var bad *BadRequestError
+	if !errors.As(err, &bad) {
+		t.Fatalf("unknown kind answered %v, want a BadRequestError (status 3)", err)
+	}
+	if _, err := c.Health(ctx); err != nil {
+		t.Fatalf("server unusable after an unknown kind: %v", err)
 	}
 }
 

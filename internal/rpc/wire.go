@@ -1,7 +1,8 @@
 // Package rpc is the cluster's wire protocol: a stdlib-only framed
 // binary protocol over TCP carrying the typed calls a coordinator
 // issues against shard nodes (Prepare/Count/Rank/Access/Range/Stats/
-// Health — see Client and Backend).
+// Health, plus the batched AccessBatch/RankBatch a coordinator's rank
+// rounds are made of — see Client and Backend).
 //
 // Connection layout. A connection opens with an 8-byte handshake in
 // each direction (magic, protocol version); every subsequent exchange
@@ -40,6 +41,13 @@
 //	    (flags, trace id, span id; all-zero = untraced) between
 //	    deadlineMillis and the body, so distributed traces stitch
 //	    across the coordinator/shard boundary.
+//
+// Adding a call kind is NOT a version bump: no existing frame or body
+// changes, and a node that predates the kind answers it with the
+// bad-request status (3) every client already decodes into a
+// BadRequestError. KindAccessBatch and KindRankBatch (PR 15) joined
+// version 2 this way; nodes keep serving the single-answer KindAccess
+// and KindRank for coordinators that predate them.
 package rpc
 
 import (
@@ -50,6 +58,7 @@ import (
 	"io"
 	"math"
 
+	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/trace"
 	"rankedaccess/internal/values"
@@ -94,17 +103,37 @@ const (
 	KindStats Kind = 6
 	// KindHealth reports node readiness (the prober's call).
 	KindHealth Kind = 7
+	// KindAccessBatch returns the local answers at a list of (shard,
+	// position) pairs over the node's owned shards: the pivots of one
+	// rank round, at most MaxPivots of them.
+	KindAccessBatch Kind = 8
+	// KindRankBatch prices a list of answers, at most MaxPivots, on
+	// every owned shard: KindRank for a whole rank round.
+	KindRankBatch Kind = 9
+
+	// numKinds sizes every per-kind table; kinds are 1 … numKinds-1.
+	numKinds = 10
 )
 
-// kindNames maps kinds to the method label used in metrics.
+// MaxPivots caps the positions of one KindAccessBatch and the answers
+// of one KindRankBatch: decoders reject a longer list before allocating
+// for it, and nodes refuse to serve one.
+const MaxPivots = 256
+
+// kindNames maps kinds to the method label used in metrics and span
+// names. The label names the operation, the kind names the encoding: a
+// batch kind shares its single-answer form's label, so "rank" keeps
+// counting rank calls whichever encoding carries them.
 var kindNames = map[Kind]string{
-	KindPrepare: "prepare",
-	KindCount:   "count",
-	KindRank:    "rank",
-	KindAccess:  "access",
-	KindRange:   "range",
-	KindStats:   "stats",
-	KindHealth:  "health",
+	KindPrepare:     "prepare",
+	KindCount:       "count",
+	KindRank:        "rank",
+	KindAccess:      "access",
+	KindRange:       "range",
+	KindStats:       "stats",
+	KindHealth:      "health",
+	KindAccessBatch: "access",
+	KindRankBatch:   "rank",
 }
 
 // KindName returns the metrics label of a kind ("?" when unknown).
@@ -113,6 +142,20 @@ func KindName(k Kind) string {
 		return n
 	}
 	return "?"
+}
+
+// methodCounters registers one counter per distinct method label and
+// points every kind at the counter of its label.
+func methodCounters(reg *metrics.Registry, name, help string, labels ...string) [numKinds]*metrics.Counter {
+	var out [numKinds]*metrics.Counter
+	byLabel := make(map[string]*metrics.Counter, len(kindNames))
+	for kind, method := range kindNames {
+		if byLabel[method] == nil {
+			byLabel[method] = reg.Counter(name, help, append(labels[:len(labels):len(labels)], "method", method)...)
+		}
+		out[kind] = byLabel[method]
+	}
+	return out
 }
 
 // Response status bytes. Statuses carrying a well-known engine
@@ -249,6 +292,14 @@ func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
 
+func (e *enc) bool(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
+
 func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
 	e.b = append(e.b, s...)
@@ -279,6 +330,23 @@ func (e *enc) answer(a order.Answer) {
 	e.u32(uint32(len(a)))
 	for _, v := range a {
 		e.i64(int64(v))
+	}
+}
+
+// answers writes a block of equal-width answers: width, count, then
+// the values row by row. The width is the first row's; callers hand in
+// rows of one width.
+func (e *enc) answers(rows []order.Answer) {
+	width := 0
+	if len(rows) > 0 {
+		width = len(rows[0])
+	}
+	e.u32(uint32(width))
+	e.u32(uint32(len(rows)))
+	for _, row := range rows {
+		for _, v := range row {
+			e.i64(int64(v))
+		}
 	}
 }
 
@@ -410,6 +478,30 @@ func (d *dec) answer() order.Answer {
 	out := make(order.Answer, n)
 	for i := range out {
 		out[i] = values.Value(d.i64())
+	}
+	return out
+}
+
+// answers reads a block written by enc.answers, of at most limit rows.
+// Width and count are checked against the limit and the remaining
+// payload before anything is allocated; the rows share one backing
+// array.
+func (d *dec) answers(limit int) []order.Answer {
+	width, count := int(d.u32()), int(d.u32())
+	if d.bad || count == 0 {
+		return nil
+	}
+	if count > limit || width == 0 || width > (len(d.b)-d.off)/8/count {
+		d.fail()
+		return nil
+	}
+	out := make([]order.Answer, count)
+	flat := make([]int64, count*width)
+	for i := range flat {
+		flat[i] = d.i64()
+	}
+	for i := range out {
+		out[i] = flat[i*width : (i+1)*width : (i+1)*width]
 	}
 	return out
 }

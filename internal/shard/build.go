@@ -136,12 +136,15 @@ func Merge(o *Owned, err error) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
+	totals := make([]int64, len(o.parts))
 	for s, p := range o.parts {
 		if p == nil {
 			return nil, fmt.Errorf("shard: cannot merge: shard %d of %d was not built", s, o.Part.P)
 		}
+		totals[s] = p.total()
 	}
-	h := newHandle(o.Query, o.Part, o.parts, o.kind.Comparator(o.Query, o.completed))
+	h := newHandle(o.Query, o.Part, totals, o.kind.Comparator(o.Query, o.completed))
+	h.parts = o.parts
 	h.Completed = o.completed
 	return h, nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -167,6 +168,85 @@ func TestSplitP1Degenerate(t *testing.T) {
 		for _, v := range q.Head {
 			if want[v] != got[v] {
 				t.Fatalf("k=%d: sharded %v, single %v", k, got, want)
+			}
+		}
+	}
+}
+
+// countingPart counts the probes that reach one in-process part.
+type countingPart struct {
+	part
+	accesses, ranks *int
+}
+
+func (c countingPart) access(k int64, b *access.LexBuf) (order.Answer, error) {
+	*c.accesses++
+	return c.part.access(k, b)
+}
+
+func (c countingPart) rank(a order.Answer) (int64, bool) {
+	*c.ranks++
+	return c.part.rank(a)
+}
+
+// TestSingleOpenWindowIsOneAccess pins the single-open-window shortcut:
+// once one shard window is left open the result's local index is
+// determined, so a P = 1 handle answers a probe with exactly one part
+// access and no rank at all (it used to binary-search its own window),
+// and a P = 4 handle stops searching when three windows have closed.
+// The per-shard cursors locate leaves behind still open ranges right.
+func TestSingleOpenWindowIsOneAccess(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	q, in := pathQuery(t, rng, 300, 40)
+	l, err := order.ParseLex(q, "x, y desc, z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := access.BuildLex(q, in, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 4} {
+		pt, err := Choose(q, "", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := BuildLex(q, in, l, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accesses, ranks int
+		for i, pp := range sh.parts {
+			sh.parts[i] = countingPart{part: pp, accesses: &accesses, ranks: &ranks}
+		}
+		total := sh.Total()
+		for k := int64(0); k < total; k += 13 {
+			accesses, ranks = 0, 0
+			got, err := sh.Access(k)
+			want, _ := single.Access(k)
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("P=%d Access(%d) = %v (%v), single %v", p, k, got, err, want)
+			}
+			if p == 1 && (accesses != 1 || ranks != 0) {
+				t.Fatalf("P=1 Access(%d) cost %d part accesses and %d ranks, want 1 and 0", k, accesses, ranks)
+			}
+			// Every iteration of the search is one access and P-1
+			// ranks; the shortcut's access comes with none.
+			if p > 1 && ranks > (p-1)*accesses {
+				t.Fatalf("P=%d Access(%d): %d ranks for %d accesses", p, k, ranks, accesses)
+			}
+		}
+		// A range opens with locate(k0) and merges from the cursors it
+		// leaves in pr.ranks, whichever way the search ended.
+		for k0 := int64(1); k0+40 <= total; k0 += total / 9 {
+			accesses = 0
+			got, err := sh.AppendRange(nil, q.Head, k0, k0+40)
+			want, _ := single.AppendRange(nil, k0, k0+40)
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("P=%d range [%d, %d) diverges from the single structure (%v)", p, k0, k0+40, err)
+			}
+			if p == 1 && accesses != 1+40 {
+				t.Fatalf("P=1 range of 40 rows cost %d part accesses, want 41 (one locate, one per row)", accesses)
 			}
 		}
 	}

@@ -11,49 +11,34 @@ import (
 	"rankedaccess/internal/values"
 )
 
-// part is one shard's direct-access structure. access may return an
-// answer aliasing the given probe buffer (layered structures) or the
-// part's immutable storage (SUM / materialized); either way the result
-// is valid until the next access with the same buffer. The error
-// returns exist for parts served over the network (see NewRemote);
-// in-process parts never fail a rank.
-// The context parameter exists for the network path (deadlines, trace
-// propagation); in-process parts ignore it, so it costs nothing there.
+// part is one shard's in-process direct-access structure. access may
+// return an answer aliasing the given probe buffer (layered structures)
+// or the part's immutable storage (SUM / materialized); either way the
+// result is valid until the next access with the same buffer. Parts
+// served over the network are not parts: a Handle reaches them through
+// RemotePart and BatchRanker (see NewRemote).
 type part interface {
 	total() int64
-	rank(ctx context.Context, a order.Answer) (int64, bool, error)
-	access(ctx context.Context, k int64, b *access.LexBuf) (order.Answer, error)
+	rank(a order.Answer) (int64, bool)
+	access(k int64, b *access.LexBuf) (order.Answer, error)
 	newBuf() *access.LexBuf
-}
-
-// chunkedPart marks parts whose per-answer access pays a network round
-// trip: AppendRange prefetches windows of their local answers through
-// fetchRange instead of probing one answer at a time.
-type chunkedPart interface {
-	fetchRange(ctx context.Context, k0, k1 int64) ([]order.Answer, error)
 }
 
 type lexPart struct{ la *access.Lex }
 
-func (p lexPart) total() int64           { return p.la.Total() }
-func (p lexPart) newBuf() *access.LexBuf { return p.la.NewBuf() }
-func (p lexPart) rank(_ context.Context, a order.Answer) (int64, bool, error) {
-	r, ex := p.la.Rank(a)
-	return r, ex, nil
-}
-func (p lexPart) access(_ context.Context, k int64, b *access.LexBuf) (order.Answer, error) {
+func (p lexPart) total() int64                      { return p.la.Total() }
+func (p lexPart) newBuf() *access.LexBuf            { return p.la.NewBuf() }
+func (p lexPart) rank(a order.Answer) (int64, bool) { return p.la.Rank(a) }
+func (p lexPart) access(k int64, b *access.LexBuf) (order.Answer, error) {
 	return p.la.AccessInto(b, k)
 }
 
 type sumPart struct{ s *access.Sum }
 
-func (p sumPart) total() int64           { return p.s.Total() }
-func (p sumPart) newBuf() *access.LexBuf { return nil }
-func (p sumPart) rank(_ context.Context, a order.Answer) (int64, bool, error) {
-	r, ex := p.s.Rank(a)
-	return r, ex, nil
-}
-func (p sumPart) access(_ context.Context, k int64, _ *access.LexBuf) (order.Answer, error) {
+func (p sumPart) total() int64                      { return p.s.Total() }
+func (p sumPart) newBuf() *access.LexBuf            { return nil }
+func (p sumPart) rank(a order.Answer) (int64, bool) { return p.s.Rank(a) }
+func (p sumPart) access(k int64, _ *access.LexBuf) (order.Answer, error) {
 	return p.s.Access(k)
 }
 
@@ -62,13 +47,10 @@ type matLexPart struct {
 	l order.Lex
 }
 
-func (p matLexPart) total() int64           { return p.m.Total() }
-func (p matLexPart) newBuf() *access.LexBuf { return nil }
-func (p matLexPart) rank(_ context.Context, a order.Answer) (int64, bool, error) {
-	r, ex := p.m.RankLex(a, p.l)
-	return r, ex, nil
-}
-func (p matLexPart) access(_ context.Context, k int64, _ *access.LexBuf) (order.Answer, error) {
+func (p matLexPart) total() int64                      { return p.m.Total() }
+func (p matLexPart) newBuf() *access.LexBuf            { return nil }
+func (p matLexPart) rank(a order.Answer) (int64, bool) { return p.m.RankLex(a, p.l) }
+func (p matLexPart) access(k int64, _ *access.LexBuf) (order.Answer, error) {
 	return p.m.Access(k)
 }
 
@@ -77,13 +59,10 @@ type matSumPart struct {
 	w order.Sum
 }
 
-func (p matSumPart) total() int64           { return p.m.Total() }
-func (p matSumPart) newBuf() *access.LexBuf { return nil }
-func (p matSumPart) rank(_ context.Context, a order.Answer) (int64, bool, error) {
-	r, ex := p.m.RankSum(a, p.w)
-	return r, ex, nil
-}
-func (p matSumPart) access(_ context.Context, k int64, _ *access.LexBuf) (order.Answer, error) {
+func (p matSumPart) total() int64                      { return p.m.Total() }
+func (p matSumPart) newBuf() *access.LexBuf            { return nil }
+func (p matSumPart) rank(a order.Answer) (int64, bool) { return p.m.RankSum(a, p.w) }
+func (p matSumPart) access(k int64, _ *access.LexBuf) (order.Answer, error) {
 	return p.m.Access(k)
 }
 
@@ -102,15 +81,18 @@ type Handle struct {
 	// for SUM and materialized-SUM groups).
 	Completed order.Lex
 
+	// Exactly one of parts and remote is set: in-process structures
+	// (Merge), or parts served by other processes and probed in batches
+	// through ranker (NewRemote). Which one it is decides how wide a
+	// rank round is — a network round trip is worth many pivots, an
+	// in-process call is worth one.
 	parts  []part
+	remote []RemotePart
+	ranker BatchRanker
+
 	totals []int64
 	total  int64
 	cmp    func(a, b order.Answer) int
-
-	// ranker, when non-nil, prices an answer on every shard in one
-	// call (the network path batches the per-node rank RPCs and runs
-	// nodes in parallel); nil falls back to per-part rank calls.
-	ranker BatchRanker
 
 	probes sync.Pool
 }
@@ -123,31 +105,42 @@ type probe struct {
 	ranks []int64
 	cur   []order.Answer
 	idx   []int64
-	// pend/pi buffer prefetched windows of chunked (remote) parts
-	// during AppendRange merges.
+	// One rank round's pivots: xs[i] is the answer at local index
+	// pivPos[i] of shard pivShard[i]. In process a round has one pivot
+	// priced into ranks; a remote round prices its i-th pivot into
+	// pivRanks[i*P : (i+1)*P].
+	pivShard []int
+	pivPos   []int64
+	xs       []order.Answer
+	pivRanks []int64
+	// pend/pi buffer prefetched windows of remote parts during
+	// AppendRange merges.
 	pend [][]order.Answer
 	pi   []int
 }
 
-func newHandle(q *cq.Query, pt Partitioning, parts []part, cmp func(a, b order.Answer) int) *Handle {
-	h := &Handle{Query: q, Part: pt, parts: parts, cmp: cmp, totals: make([]int64, len(parts))}
-	for i, p := range parts {
-		h.totals[i] = p.total()
-		h.total += h.totals[i]
+func newHandle(q *cq.Query, pt Partitioning, totals []int64, cmp func(a, b order.Answer) int) *Handle {
+	h := &Handle{Query: q, Part: pt, cmp: cmp, totals: totals}
+	for _, t := range totals {
+		h.total += t
 	}
+	p := len(totals)
 	h.probes.New = func() any {
 		pr := &probe{
-			bufs:  make([]*access.LexBuf, len(parts)),
-			lo:    make([]int64, len(parts)),
-			hi:    make([]int64, len(parts)),
-			ranks: make([]int64, len(parts)),
-			cur:   make([]order.Answer, len(parts)),
-			idx:   make([]int64, len(parts)),
-			pend:  make([][]order.Answer, len(parts)),
-			pi:    make([]int, len(parts)),
+			bufs:     make([]*access.LexBuf, p),
+			lo:       make([]int64, p),
+			hi:       make([]int64, p),
+			ranks:    make([]int64, p),
+			cur:      make([]order.Answer, p),
+			idx:      make([]int64, p),
+			pivShard: make([]int, 1),
+			pivPos:   make([]int64, 1),
+			xs:       make([]order.Answer, 1),
+			pend:     make([][]order.Answer, p),
+			pi:       make([]int, p),
 		}
-		for i, p := range parts {
-			pr.bufs[i] = p.newBuf()
+		for i, part := range h.parts {
+			pr.bufs[i] = part.newBuf()
 		}
 		return pr
 	}
@@ -158,7 +151,7 @@ func newHandle(q *cq.Query, pt Partitioning, parts []part, cmp func(a, b order.A
 func (h *Handle) Total() int64 { return h.total }
 
 // Shards returns the shard count.
-func (h *Handle) Shards() int { return len(h.parts) }
+func (h *Handle) Shards() int { return len(h.totals) }
 
 // PartTotals returns a copy of the per-shard answer counts.
 func (h *Handle) PartTotals() []int64 {
@@ -168,94 +161,231 @@ func (h *Handle) PartTotals() []int64 {
 func (h *Handle) getProbe() *probe  { return h.probes.Get().(*probe) }
 func (h *Handle) putProbe(p *probe) { h.probes.Put(p) }
 
-// locate finds the global k-th answer by binary-searching the global
-// rank against per-shard answer counts. It keeps, per shard, the local
-// index window that could still hold the k-th answer; each step probes
-// the median candidate of the widest window, prices it on every shard
-// (Rank = answers strictly below, O(log n) each), and either returns it
-// (global rank k) or discards half of the widest window plus everything
-// every other shard has priced on the wrong side. On return pr.ranks
-// holds each shard's count of answers strictly below the result — the
-// owner's entry is the result's local index — which AppendRange uses as
-// its per-shard merge cursors. The returned answer may alias the
-// owner's probe buffer in pr.
+// locate finds the global k-th answer by searching the global rank
+// against per-shard answer counts. It keeps, per shard, the local index
+// window that could still hold the k-th answer. Each round prices
+// pivots — local answers taken from the open windows — on every shard
+// (Rank = answers strictly below, O(log n) each) and applies one
+// narrowing rule per pivot: a pivot of global rank k is the result,
+// otherwise every shard discards what the pivot priced on the wrong
+// side of k. In process a round is one pivot, the median of the widest
+// window; over remote parts a round is a batch (see pickPivots), because
+// there a round costs two network round trips however many pivots ride
+// in it. Once a single window is left open the result's local index is
+// determined and is fetched directly. On return pr.ranks holds each
+// shard's count of answers strictly below the result — the owner's
+// entry is the result's local index — which AppendRange uses as its
+// per-shard merge cursors. The returned answer may alias the owner's
+// probe buffer in pr.
 func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, error) {
 	if k < 0 || k >= h.total {
 		return nil, access.ErrOutOfBound
 	}
+	p := len(h.totals)
 	lo, hi := pr.lo, pr.hi
-	for i := range h.parts {
-		lo[i], hi[i] = 0, h.totals[i]
+	for j := range lo {
+		lo[j], hi[j] = 0, h.totals[j]
 	}
-	// Each iteration halves some window; 64 bits per part bounds the
-	// total number of halvings.
-	maxIter := 64*len(h.parts) + 2
+	// A round at least halves every window it takes pivots from (in
+	// process the widest, remote all that fit the round); 64 bits per
+	// part bounds the total number of halvings.
+	maxIter := 64*p + 2
 	for iter := 0; iter < maxIter; iter++ {
-		s, width := -1, int64(0)
-		for j := range h.parts {
-			if w := hi[j] - lo[j]; w > width {
+		s, width, open := -1, int64(0), 0
+		for j := range lo {
+			w := hi[j] - lo[j]
+			if w > 0 {
+				open++
+			}
+			if w > width {
 				s, width = j, w
 			}
 		}
-		if s < 0 {
+		if open == 0 {
 			break
 		}
-		m := lo[s] + width/2
-		x, err := h.parts[s].access(ctx, m, pr.bufs[s])
-		if err != nil {
-			return nil, fmt.Errorf("shard: internal: part %d access(%d): %w", s, m, err)
+		if open == 1 {
+			// Every other shard's count below the result is pinned
+			// (lo = hi), so the result is the one answer of shard s
+			// that makes the counts sum to k.
+			m := k
+			for j := range lo {
+				if j != s {
+					m -= lo[j]
+					pr.ranks[j] = lo[j]
+				}
+			}
+			if m < lo[s] || m >= hi[s] {
+				break
+			}
+			pr.ranks[s] = m
+			return h.accessOne(ctx, pr, s, m)
 		}
+		xs, ranks := pr.xs, pr.ranks
 		if h.ranker != nil {
-			// One scatter round: every node prices x on all its shards
-			// in a single RPC, nodes run in parallel.
-			if _, err := h.ranker.RankAll(ctx, x, pr.ranks); err != nil {
+			var err error
+			if xs, ranks, err = h.priceRemote(ctx, pr, open); err != nil {
 				return nil, err
 			}
 		} else {
-			for j := range h.parts {
-				if j == s {
-					continue
+			m := lo[s] + width/2
+			x, err := h.accessOne(ctx, pr, s, m)
+			if err != nil {
+				return nil, err
+			}
+			pr.pivShard[0], pr.pivPos[0], xs[0] = s, m, x
+			for j, part := range h.parts {
+				if j != s {
+					ranks[j], _ = part.rank(x)
 				}
-				rj, _, err := h.parts[j].rank(ctx, x)
-				if err != nil {
-					return nil, err
-				}
-				pr.ranks[j] = rj
 			}
 		}
-		// The owner's rank of its own m-th answer is m by definition;
-		// pinning it also shields the batched path from owner drift.
-		pr.ranks[s] = m
-		var r int64
-		for j := range h.parts {
-			r += pr.ranks[j]
-		}
-		switch {
-		case r == k:
-			return x, nil
-		case r > k:
-			// The k-th answer precedes x: its local index in any shard
-			// is below that shard's count of answers preceding x.
-			for j := range h.parts {
-				if pr.ranks[j] < hi[j] {
-					hi[j] = pr.ranks[j]
-				}
+		for i, x := range xs {
+			s, m, rk := pr.pivShard[i], pr.pivPos[i], ranks[i*p:(i+1)*p]
+			// The owner's rank of its own m-th answer is m by
+			// definition; pinning it also shields the batched path
+			// from owner drift.
+			rk[s] = m
+			var r int64
+			for _, rj := range rk {
+				r += rj
 			}
-		default:
-			// The k-th answer follows x: at least ranks[j] local
-			// answers precede it everywhere, and x itself is excluded
-			// in its own shard.
-			for j := range h.parts {
-				if pr.ranks[j] > lo[j] {
-					lo[j] = pr.ranks[j]
+			switch {
+			case r == k:
+				copy(pr.ranks, rk)
+				return x, nil
+			case r > k:
+				// The k-th answer precedes x: its local index in any
+				// shard is below that shard's count of answers
+				// preceding x.
+				for j, rj := range rk {
+					if rj < hi[j] {
+						hi[j] = rj
+					}
 				}
-			}
-			if m+1 > lo[s] {
-				lo[s] = m + 1
+			default:
+				// The k-th answer follows x: at least rk[j] local
+				// answers precede it everywhere, and x itself is
+				// excluded in its own shard.
+				for j, rj := range rk {
+					if rj > lo[j] {
+						lo[j] = rj
+					}
+				}
+				if m+1 > lo[s] {
+					lo[s] = m + 1
+				}
 			}
 		}
 	}
 	return nil, fmt.Errorf("shard: internal: rank search did not converge for k=%d", k)
+}
+
+// accessOne fetches the answer at local index m of shard s.
+func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (order.Answer, error) {
+	if h.ranker == nil {
+		x, err := h.parts[s].access(m, pr.bufs[s])
+		if err != nil {
+			return nil, fmt.Errorf("shard: internal: part %d access(%d): %w", s, m, err)
+		}
+		return x, nil
+	}
+	xs, err := h.ranker.AccessAll(ctx, append(pr.pivShard[:0], s), append(pr.pivPos[:0], m))
+	if err != nil {
+		return nil, err
+	}
+	if len(xs) != 1 {
+		return nil, fmt.Errorf("shard: part %d access(%d) returned %d answers", s, m, len(xs))
+	}
+	return xs[0], nil
+}
+
+// PivotsPerWindow is how many pivots one remote rank round takes from
+// each open window. A round costs two network round trips whatever it
+// carries, and P windows of m staggered pivots cut the candidates to
+// about 1/(m·P+1), so rounds fall from log₂ n to log_{m·P+1} n. Chosen
+// by measurement, not a setting: on the cluster_read benchmark workload
+// (P = 4, n ≈ 10⁹) m = 4, 6, 8, 12 gave point medians of 2.9–3.1, 2.7–
+// 3.1, 2.7 and 2.8 ms and m ≥ 16 was slower still — past 8 the extra
+// pivots cost the nodes more CPU than the rounds they save.
+const PivotsPerWindow = 8
+
+// MaxPivots caps the pivots of one rank round, and with it what a
+// single batched access or rank call may ask of a node (Owned enforces
+// it, like maxOwnedRange for Range). At least MaxShards, so every open
+// window gets a pivot in every round.
+const MaxPivots = 256
+
+const _ = uint(MaxPivots - MaxShards) // does not compile if a round cannot hold a pivot per shard
+
+// pickPivots chooses one remote round's pivots into pr.pivShard and
+// pr.pivPos: a window no wider than its share is taken whole (so the
+// search ends by pricing the result itself), a wider one contributes
+// evenly spaced positions, at most 1/per of the window apart. The o-th
+// open window is offset by o/open of a step: shards of one partitioning
+// hold statistically alike slices of the order, so unstaggered quantiles
+// would price P near-equal pivots per step and waste all but one. The
+// choice depends on the windows alone, so a probe's rounds repeat
+// exactly.
+func (h *Handle) pickPivots(pr *probe, open int) {
+	per, stagger := PivotsPerWindow, open
+	if per*open > MaxPivots {
+		// More open windows than a full round carries (MaxShards keeps
+		// MaxPivots/open ≥ 4): fewer pivots each, at plain quantiles —
+		// a stagger over that many windows would push a window's few
+		// pivots toward its edge.
+		per, stagger = MaxPivots/open, 1
+	}
+	den := int64(per*stagger + 1)
+	pr.pivShard, pr.pivPos = pr.pivShard[:0], pr.pivPos[:0]
+	o := 0
+	for j, l := range pr.lo {
+		w := pr.hi[j] - l
+		if w <= 0 {
+			continue
+		}
+		if w <= int64(per) {
+			for m := l; m < pr.hi[j]; m++ {
+				pr.pivShard, pr.pivPos = append(pr.pivShard, j), append(pr.pivPos, m)
+			}
+		} else {
+			// l + w·num/den without overflowing on 2^62-answer shards.
+			q, r := w/den, w%den
+			for i := 0; i < per; i++ {
+				num := int64(i*stagger + o%stagger + 1)
+				pr.pivShard, pr.pivPos = append(pr.pivShard, j), append(pr.pivPos, l+q*num+r*num/den)
+			}
+		}
+		o++
+	}
+}
+
+// priceRemote runs one remote rank round: pick the pivots, fetch them
+// with one batched access per owning node, price all of them on all
+// shards with one batched rank per node.
+func (h *Handle) priceRemote(ctx context.Context, pr *probe, open int) ([]order.Answer, []int64, error) {
+	// A caller that gave up stops the search between rounds: no
+	// further call leaves for any node.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	h.pickPivots(pr, open)
+	xs, err := h.ranker.AccessAll(ctx, pr.pivShard, pr.pivPos)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(xs) != len(pr.pivPos) {
+		return nil, nil, fmt.Errorf("shard: batched access of %d positions returned %d answers", len(pr.pivPos), len(xs))
+	}
+	n := len(xs) * len(h.totals)
+	if cap(pr.pivRanks) < n {
+		pr.pivRanks = make([]int64, n)
+	}
+	ranks := pr.pivRanks[:n]
+	if _, err := h.ranker.RankAll(ctx, xs, ranks); err != nil {
+		return nil, nil, err
+	}
+	return xs, ranks, nil
 }
 
 // Access returns the global k-th answer in the shared order. The answer
@@ -311,26 +441,22 @@ func (h *Handle) Rank(a order.Answer) (int64, bool, error) {
 
 // RankCtx is Rank with a caller context threaded through remote parts.
 func (h *Handle) RankCtx(ctx context.Context, a order.Answer) (int64, bool, error) {
+	var k int64
 	if h.ranker != nil {
 		pr := h.getProbe()
 		defer h.putProbe(pr)
-		exact, err := h.ranker.RankAll(ctx, a, pr.ranks)
+		exact, err := h.ranker.RankAll(ctx, []order.Answer{a}, pr.ranks)
 		if err != nil {
 			return 0, false, err
 		}
-		var k int64
 		for _, r := range pr.ranks {
 			k += r
 		}
-		return k, exact, nil
+		return k, exact[0], nil
 	}
-	var k int64
 	exact := false
 	for _, p := range h.parts {
-		r, ex, err := p.rank(ctx, a)
-		if err != nil {
-			return 0, false, err
-		}
+		r, ex := p.rank(a)
 		k += r
 		exact = exact || ex
 	}
@@ -369,7 +495,7 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 	pr := h.getProbe()
 	defer h.putProbe(pr)
 	if k0 == 0 {
-		for j := range h.parts {
+		for j := range pr.idx {
 			pr.idx[j] = 0
 		}
 	} else {
@@ -378,17 +504,24 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 		}
 		copy(pr.idx, pr.ranks)
 	}
-	for j := range h.parts {
+	for j := range pr.cur {
 		pr.cur[j] = nil
 		pr.pend[j] = pr.pend[j][:0]
 		pr.pi[j] = 0
+	}
+	if h.remote != nil {
+		if err := h.prime(ctx, pr, k1-k0); err != nil {
+			return dst, err
+		}
+	}
+	for j := range pr.cur {
 		if err := h.fillCursor(ctx, pr, j, k1-k0); err != nil {
 			return dst, err
 		}
 	}
 	for n := k1 - k0; n > 0; n-- {
 		best := -1
-		for j := range h.parts {
+		for j := range pr.cur {
 			if pr.cur[j] == nil {
 				continue
 			}
@@ -405,6 +538,9 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 		pr.idx[best]++
 		pr.pi[best]++
 		pr.cur[best] = nil
+		if n == 1 {
+			break // the window is complete: no probe (or RPC) for a row nobody reads
+		}
 		if err := h.fillCursor(ctx, pr, best, n-1); err != nil {
 			return dst, err
 		}
@@ -412,53 +548,73 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 	return dst, nil
 }
 
-// rangeChunk caps one prefetched window of a chunked (remote) part,
-// matching the engine's cursor batch so an NDJSON stream chunk costs
-// O(P) range RPCs instead of one RPC per emitted row.
+// rangeChunk caps one prefetched window of a remote part, matching the
+// engine's cursor batch so an NDJSON stream chunk costs O(P) range RPCs
+// instead of one RPC per emitted row.
 const rangeChunk = 256
 
+// prime fetches every remote part's first window in one parallel
+// scatter, so a range pays one round trip before its first row instead
+// of P sequential ones (mid-merge refills stay sequential: the merge
+// cannot know which part runs dry next).
+func (h *Handle) prime(ctx context.Context, pr *probe, remaining int64) error {
+	errs := make([]error, len(h.remote))
+	var wg sync.WaitGroup
+	for j := range h.remote {
+		if pr.idx[j] >= h.totals[j] {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[j] = h.fetchWindow(ctx, pr, j, remaining)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fetchWindow prefetches remote part j's next window into pr.pend[j],
+// sized to the remaining merge demand — each shard contributes roughly
+// remaining/P of the window, so that estimate (plus slack) usually
+// makes one fetch per shard suffice.
+func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, remaining int64) error {
+	want := min(remaining/int64(len(h.totals))+16, remaining, rangeChunk)
+	k0 := pr.idx[j]
+	k1 := min(k0+max(want, 1), h.totals[j])
+	rows, err := h.remote[j].FetchRange(ctx, k0, k1)
+	if err != nil {
+		return fmt.Errorf("shard: part %d range [%d, %d): %w", j, k0, k1, err)
+	}
+	if int64(len(rows)) != k1-k0 {
+		return fmt.Errorf("shard: part %d range [%d, %d) returned %d answers", j, k0, k1, len(rows))
+	}
+	pr.pend[j], pr.pi[j] = rows, 0
+	return nil
+}
+
 // fillCursor makes pr.cur[j] hold part j's next answer (nil when the
-// part is exhausted). Chunked parts are served from a prefetched
-// window, refilled with a size scaled to the remaining merge demand —
-// each shard contributes roughly remaining/P of the window, so that
-// estimate (plus slack) usually makes one fetch per shard suffice.
+// part is exhausted). Remote parts are served from their prefetched
+// window, refilled when it runs out.
 func (h *Handle) fillCursor(ctx context.Context, pr *probe, j int, remaining int64) error {
 	if pr.idx[j] >= h.totals[j] {
 		pr.cur[j] = nil
 		return nil
 	}
-	cp, chunked := h.parts[j].(chunkedPart)
-	if !chunked {
-		x, err := h.parts[j].access(ctx, pr.idx[j], pr.bufs[j])
-		if err != nil {
-			return fmt.Errorf("shard: internal: part %d access(%d): %w", j, pr.idx[j], err)
-		}
+	if h.remote == nil {
+		x, err := h.accessOne(ctx, pr, j, pr.idx[j])
 		pr.cur[j] = x
-		return nil
+		return err
 	}
 	if pr.pi[j] >= len(pr.pend[j]) {
-		want := remaining/int64(len(h.parts)) + 16
-		if want > remaining {
-			want = remaining
+		if err := h.fetchWindow(ctx, pr, j, remaining); err != nil {
+			return err
 		}
-		if want > rangeChunk {
-			want = rangeChunk
-		}
-		if want < 1 {
-			want = 1
-		}
-		hi := pr.idx[j] + want
-		if hi > h.totals[j] {
-			hi = h.totals[j]
-		}
-		rows, err := cp.fetchRange(ctx, pr.idx[j], hi)
-		if err != nil {
-			return fmt.Errorf("shard: part %d range [%d, %d): %w", j, pr.idx[j], hi, err)
-		}
-		if int64(len(rows)) != hi-pr.idx[j] {
-			return fmt.Errorf("shard: part %d range [%d, %d) returned %d answers", j, pr.idx[j], hi, len(rows))
-		}
-		pr.pend[j], pr.pi[j] = rows, 0
 	}
 	pr.cur[j] = pr.pend[j][pr.pi[j]]
 	return nil

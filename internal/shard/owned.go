@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 
 	"rankedaccess/internal/access"
@@ -60,43 +59,101 @@ func (o *Owned) Total(shard int) (int64, error) {
 
 // Rank returns one owned shard's count of answers strictly below a.
 func (o *Owned) Rank(shard int, a order.Answer) (int64, bool, error) {
-	p, err := o.part(shard)
+	ranks, exact, err := o.RankBatch([]order.Answer{a}, []int{shard})
 	if err != nil {
 		return 0, false, err
 	}
-	return p.rank(context.Background(), a)
+	return ranks[0], exact[0], nil
 }
 
-// RankAll prices a on the given owned shards, filling ranks (aligned
-// with shards) and reporting whether any of them holds a exactly.
-func (o *Owned) RankAll(a order.Answer, shards []int, ranks []int64) (bool, error) {
-	if len(ranks) != len(shards) {
-		return false, fmt.Errorf("shard: %d rank slots for %d shards", len(ranks), len(shards))
+// RankBatch prices every answer on every given owned shard — the
+// node-side half of a coordinator's rank round. ranks[i*len(shards)+j]
+// is shard shards[j]'s count of answers strictly below answers[i];
+// exact[i] reports whether one of the shards holds answers[i]. The
+// answers arrive off the wire: a batch over MaxPivots or an answer that
+// does not assign every query variable is an error, not a panic.
+func (o *Owned) RankBatch(answers []order.Answer, shards []int) (ranks []int64, exact []bool, err error) {
+	if len(answers) > MaxPivots {
+		return nil, nil, fmt.Errorf("shard: rank batch of %d answers exceeds the per-call cap %d", len(answers), MaxPivots)
 	}
-	exact := false
-	for i, s := range shards {
-		r, ex, err := o.Rank(s, a)
-		if err != nil {
-			return false, err
+	parts := make([]part, len(shards))
+	for j, s := range shards {
+		if parts[j], err = o.part(s); err != nil {
+			return nil, nil, err
 		}
-		ranks[i] = r
-		exact = exact || ex
 	}
-	return exact, nil
+	ranks = make([]int64, len(answers)*len(parts))
+	exact = make([]bool, len(answers))
+	for i, a := range answers {
+		if len(a) != o.Query.NumVars() {
+			return nil, nil, fmt.Errorf("shard: answer %d has %d values, the query has %d variables", i, len(a), o.Query.NumVars())
+		}
+		for j, p := range parts {
+			r, ex := p.rank(a)
+			ranks[i*len(parts)+j] = r
+			exact[i] = exact[i] || ex
+		}
+	}
+	return ranks, exact, nil
 }
 
-// Access returns one owned shard's k-th local answer. The answer is
-// freshly allocated (wire-safe — it aliases no probe buffer).
+// answerBlock collects wire-safe copies of probed answers — they alias
+// no probe buffer — off one backing array.
+type answerBlock struct {
+	flat []int64
+	out  []order.Answer
+}
+
+func (o *Owned) newAnswerBlock(n int) answerBlock {
+	return answerBlock{flat: make([]int64, 0, n*o.Query.NumVars()), out: make([]order.Answer, 0, n)}
+}
+
+func (b *answerBlock) add(a order.Answer) {
+	start := len(b.flat)
+	b.flat = append(b.flat, a...)
+	b.out = append(b.out, b.flat[start:len(b.flat):len(b.flat)])
+}
+
+// Access returns one owned shard's k-th local answer, freshly
+// allocated.
 func (o *Owned) Access(shard int, k int64) (order.Answer, error) {
-	p, err := o.part(shard)
+	out, err := o.AccessBatch([]int{shard}, []int64{k})
 	if err != nil {
 		return nil, err
 	}
-	a, err := p.access(context.Background(), k, p.newBuf())
-	if err != nil {
-		return nil, err
+	return out[0], nil
+}
+
+// AccessBatch returns, in request order, the answer at local index
+// pos[i] of owned shard shards[i] — the node-side half of the batched
+// pivot fetch. A run of positions on one shard shares one probe buffer.
+func (o *Owned) AccessBatch(shards []int, pos []int64) ([]order.Answer, error) {
+	if len(shards) != len(pos) {
+		return nil, fmt.Errorf("shard: %d positions for %d shards", len(pos), len(shards))
 	}
-	return append(order.Answer(nil), a...), nil
+	if len(pos) > MaxPivots {
+		return nil, fmt.Errorf("shard: access batch of %d positions exceeds the per-call cap %d", len(pos), MaxPivots)
+	}
+	out := o.newAnswerBlock(len(pos))
+	var (
+		p   part
+		buf *access.LexBuf
+	)
+	for i, s := range shards {
+		if i == 0 || s != shards[i-1] {
+			var err error
+			if p, err = o.part(s); err != nil {
+				return nil, err
+			}
+			buf = p.newBuf()
+		}
+		a, err := p.access(pos[i], buf)
+		if err != nil {
+			return nil, err
+		}
+		out.add(a)
+	}
+	return out.out, nil
 }
 
 // maxOwnedRange caps one Range call, bounding the response frame a
@@ -118,17 +175,13 @@ func (o *Owned) Range(shard int, k0, k1 int64) ([]order.Answer, error) {
 		return nil, fmt.Errorf("shard: range of %d answers exceeds the per-call cap %d", n, maxOwnedRange)
 	}
 	buf := p.newBuf()
-	width := o.Query.NumVars()
-	flat := make([]int64, 0, int(n)*width)
-	out := make([]order.Answer, 0, n)
+	out := o.newAnswerBlock(int(n))
 	for k := k0; k < k1; k++ {
-		a, err := p.access(context.Background(), k, buf)
+		a, err := p.access(k, buf)
 		if err != nil {
 			return nil, err
 		}
-		start := len(flat)
-		flat = append(flat, a...)
-		out = append(out, flat[start:len(flat):len(flat)])
+		out.add(a)
 	}
-	return out, nil
+	return out.out, nil
 }

@@ -3,64 +3,54 @@ package shard
 import (
 	"context"
 
-	"rankedaccess/internal/access"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/order"
 )
 
-// RemotePart is one shard's structure served by another process: the
-// same total/rank/access surface as a local part plus a windowed range
-// fetch so merges amortize the per-call round trip. Implementations
-// must be safe for concurrent use and must return answers that do not
-// alias shared mutable state.
+// RemotePart is one shard's structure served by another process, as
+// far as a single shard can be addressed on its own: its answer count
+// and a windowed range fetch, so merges amortize the per-call round
+// trip. Point probes go through the BatchRanker, which batches them
+// across shards. Implementations must be safe for concurrent use and
+// must return answers that do not alias shared mutable state.
 type RemotePart interface {
 	Total() int64
-	Rank(ctx context.Context, a order.Answer) (int64, bool, error)
-	Access(ctx context.Context, k int64) (order.Answer, error)
 	FetchRange(ctx context.Context, k0, k1 int64) ([]order.Answer, error)
 }
 
-// BatchRanker prices an answer on every shard of the partitioning in
-// one scatter round, filling ranks (length P, indexed by shard) and
-// reporting whether any shard holds the answer exactly. The network
-// implementation issues one RPC per node — each node ranks all its
-// owned shards locally — and runs the nodes in parallel, so a locate
-// iteration costs one access round trip plus one parallel rank round
-// trip regardless of P.
+// BatchRanker is the batched probe surface of a remote partitioning:
+// both calls address many shards at once, so the network implementation
+// issues one RPC per owning node — each node serves all its owned
+// shards locally — and runs the nodes in parallel. A locate round is
+// one AccessAll plus one RankAll, two round trips, regardless of P and
+// of how many pivots it prices. Implementations must be safe for
+// concurrent use.
 type BatchRanker interface {
-	RankAll(ctx context.Context, a order.Answer, ranks []int64) (exact bool, err error)
-}
-
-// remotePart adapts a RemotePart to the internal part interface; it
-// also implements chunkedPart so AppendRange prefetches windows.
-type remotePart struct{ rp RemotePart }
-
-func (p remotePart) total() int64           { return p.rp.Total() }
-func (p remotePart) newBuf() *access.LexBuf { return nil }
-func (p remotePart) rank(ctx context.Context, a order.Answer) (int64, bool, error) {
-	return p.rp.Rank(ctx, a)
-}
-func (p remotePart) access(ctx context.Context, k int64, _ *access.LexBuf) (order.Answer, error) {
-	return p.rp.Access(ctx, k)
-}
-func (p remotePart) fetchRange(ctx context.Context, k0, k1 int64) ([]order.Answer, error) {
-	return p.rp.FetchRange(ctx, k0, k1)
+	// AccessAll returns, for every i, the answer at local index pos[i]
+	// of shard shards[i], in request order. The answers must not alias
+	// shared mutable state.
+	AccessAll(ctx context.Context, shards []int, pos []int64) ([]order.Answer, error)
+	// RankAll prices every answer on every shard of the partitioning:
+	// ranks[i*P+j] becomes shard j's count of answers strictly below
+	// answers[i], and exact[i] reports whether some shard holds
+	// answers[i].
+	RankAll(ctx context.Context, answers []order.Answer, ranks []int64) (exact []bool, err error)
 }
 
 // NewRemote assembles a Handle over network-served parts: the same
 // rank-merge machinery as the in-process sharded path (so distributed
-// answers are byte-identical by construction), with per-answer probes
-// going over parts[i] and whole-front rank pricing going through the
-// batch ranker when one is given. cmp must realize the same total
-// order every node's structures sort by; completed is the realized
-// lex order of layered builds (zero for SUM orders).
+// answers are byte-identical by construction), with point probes and
+// rank pricing going through the batch ranker and range windows through
+// parts[i]. cmp must realize the same total order every node's
+// structures sort by; completed is the realized lex order of layered
+// builds (zero for SUM orders).
 func NewRemote(q *cq.Query, pt Partitioning, parts []RemotePart, cmp func(a, b order.Answer) int, ranker BatchRanker, completed order.Lex) *Handle {
-	ps := make([]part, len(parts))
+	totals := make([]int64, len(parts))
 	for i, rp := range parts {
-		ps[i] = remotePart{rp: rp}
+		totals[i] = rp.Total()
 	}
-	h := newHandle(q, pt, ps, cmp)
-	h.ranker = ranker
+	h := newHandle(q, pt, totals, cmp)
+	h.remote, h.ranker = parts, ranker
 	h.Completed = completed
 	return h
 }

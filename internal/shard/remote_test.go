@@ -1,0 +1,336 @@
+package shard_test
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"rankedaccess/internal/baseline"
+	"rankedaccess/internal/cq"
+	"rankedaccess/internal/database"
+	"rankedaccess/internal/order"
+	"rankedaccess/internal/shard"
+	"rankedaccess/internal/shard/shardtest"
+	"rankedaccess/internal/values"
+)
+
+const (
+	twoPath  = "Q(x, y, z) :- R(x, y), S(y, z)"
+	oneAtom  = "Q(x, y) :- R(x, y)"
+	skewedAt = 7 // the partition value the skewed layout piles onto
+)
+
+// layout is one adversarial way of spreading answers over shards; every
+// layout partitions on y, which both queries bind in R.
+type layout struct {
+	name string
+	p    int
+	in   *database.Instance
+}
+
+func layouts() []layout {
+	// One shard holds > 99 % of the answers of either query.
+	skew := database.NewInstance()
+	for i := 0; i < 300; i++ {
+		skew.AddRow("R", values.Value(i), skewedAt)
+	}
+	for j := 0; j < 6; j++ {
+		skew.AddRow("S", skewedAt, values.Value(j))
+	}
+	for _, y := range []values.Value{1, 2} {
+		skew.AddRow("R", 1, y)
+		skew.AddRow("S", y, 0)
+	}
+	// Two partition values: at P = 8 most shards are empty, and P
+	// exceeds the number of distinct partition values.
+	sparse := database.NewInstance()
+	for i := 0; i < 40; i++ {
+		sparse.AddRow("R", values.Value(i%13), values.Value(i%2))
+		sparse.AddRow("S", values.Value(i%2), values.Value(i%11))
+	}
+	sparse.SetRelation("R", sparse.Relation("R").Dedup())
+	sparse.SetRelation("S", sparse.Relation("S").Dedup())
+	random := func(seed int64, n, dom int) *database.Instance {
+		rng := rand.New(rand.NewSource(seed))
+		in := database.NewInstance()
+		for i := 0; i < n; i++ {
+			in.AddRow("R", values.Value(rng.Intn(dom)), values.Value(rng.Intn(dom)))
+			in.AddRow("S", values.Value(rng.Intn(dom)), values.Value(rng.Intn(dom)))
+		}
+		in.SetRelation("R", in.Relation("R").Dedup())
+		in.SetRelation("S", in.Relation("S").Dedup())
+		return in
+	}
+	return []layout{
+		{"one shard holds 99%", 4, skew},
+		{"empty shards, P > partition values", 8, sparse},
+		{"P = 1", 1, random(5, 120, 12)},
+		// Every shard window is narrower than PivotsPerWindow from the
+		// first round on.
+		{"windows narrower than m", 3, random(6, 7, 4)},
+		{"balanced", 4, random(7, 300, 25)},
+	}
+}
+
+// remoteCase is one structure kind over one query.
+type remoteCase struct {
+	name  string
+	query string
+	kind  func(q *cq.Query) shard.Kind
+}
+
+func remoteCases(t *testing.T) []remoteCase {
+	lex := func(spec string, materialized bool) func(q *cq.Query) shard.Kind {
+		return func(q *cq.Query) shard.Kind {
+			l, err := order.ParseLex(q, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return shard.Kind{Lex: l, Materialized: materialized}
+		}
+	}
+	sum := func(materialized bool) func(q *cq.Query) shard.Kind {
+		return func(q *cq.Query) shard.Kind {
+			return shard.Kind{IsSum: true, Materialized: materialized, Sum: order.IdentitySum(q.Head...)}
+		}
+	}
+	return []remoteCase{
+		{"layered lex", twoPath, lex("y desc, x, z", false)},
+		{"materialized lex", twoPath, lex("x, z, y", true)},
+		{"sum", oneAtom, sum(false)},
+		{"materialized sum", twoPath, sum(true)},
+	}
+}
+
+// remoteHandle builds the layout's shards as two owners (even and odd
+// shard indices, as two nodes would) and merges them through the
+// loopback.
+func remoteHandle(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind, p int) (*shard.Handle, *shardtest.Loopback) {
+	t.Helper()
+	pt, err := shard.Choose(q, "y", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owned []*shard.Owned
+	for first := 0; first < min(p, 2); first++ {
+		var shards []int
+		for s := first; s < p; s += 2 {
+			shards = append(shards, s)
+		}
+		o, err := shard.Build(context.Background(), q, in, k, pt, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned = append(owned, o)
+	}
+	loop, err := shardtest.New(owned...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loop.Handle(k), loop
+}
+
+// TestRemoteOracle checks the batched k-ary rank search against the
+// brute-force baseline with no socket in the way: for every structure
+// kind on every adversarial layout, EVERY rank k, the inverse of every
+// answer, and AppendRange over random windows must reproduce the sorted
+// answer list exactly, with no request over a round's m·P pivots.
+func TestRemoteOracle(t *testing.T) {
+	for _, lay := range layouts() {
+		for _, rc := range remoteCases(t) {
+			t.Run(lay.name+"/"+rc.name, func(t *testing.T) {
+				q, err := cq.Parse(rc.query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := rc.kind(q)
+				var sorted []order.Answer
+				if k.IsSum {
+					sorted = baseline.SortedBySum(q, lay.in, k.Sum)
+				} else {
+					sorted = baseline.SortedByLex(q, lay.in, k.Lex)
+				}
+				var want []values.Value
+				for _, a := range sorted {
+					for _, v := range q.Head {
+						want = append(want, a[v])
+					}
+				}
+				w := int64(len(q.Head))
+				h, loop := remoteHandle(t, q, lay.in, k, lay.p)
+				total := int64(len(sorted))
+				if h.Total() != total || total == 0 {
+					t.Fatalf("total %d, baseline %d (must be non-empty)", h.Total(), total)
+				}
+				if lay.p == 4 && lay.in.Relation("R").Len() > 300 {
+					if big := slices.Max(h.PartTotals()); float64(big) < 0.99*float64(total) {
+						t.Fatalf("skewed layout: largest shard holds %d of %d", big, total)
+					}
+				}
+				var dst []values.Value
+				for i := int64(0); i < total; i++ {
+					dst, err = h.AppendTuple(dst[:0], q.Head, i)
+					if err != nil || !slices.Equal(dst, want[i*w:(i+1)*w]) {
+						t.Fatalf("k=%d: %v (%v), baseline %v", i, dst, err, want[i*w:(i+1)*w])
+					}
+					if r, exact, err := h.Rank(sorted[i]); err != nil || !exact || r != i {
+						t.Fatalf("Rank(answer %d) = %d, %v, %v", i, r, exact, err)
+					}
+				}
+				// The search is k-ary: far fewer rank rounds than the
+				// log₂ n + P of a one-pivot search (each Rank above
+				// was one RankAll of its own).
+				if rounds := float64(loop.RankCalls.Load()-total) / float64(total); rounds > 5 {
+					t.Fatalf("%.1f rank rounds per probe over %d answers", rounds, total)
+				}
+				rng := rand.New(rand.NewSource(total))
+				for i := 0; i < 40; i++ {
+					k0 := rng.Int63n(total)
+					k1 := k0 + 1 + rng.Int63n(min(total-k0, 700))
+					dst, err = h.AppendRange(dst[:0], q.Head, k0, k1)
+					if err != nil || !slices.Equal(dst, want[k0*w:k1*w]) {
+						t.Fatalf("range [%d, %d): %d values (%v), baseline %d", k0, k1, len(dst), err, (k1-k0)*w)
+					}
+				}
+				if got := loop.MaxBatch.Load(); got > int64(shard.PivotsPerWindow*lay.p) || got > shard.MaxPivots {
+					t.Fatalf("a request carried %d pivots; a round is at most m·P = %d", got, shard.PivotsPerWindow*lay.p)
+				}
+			})
+		}
+	}
+}
+
+// TestRemoteMoreWindowsThanARoundCarries covers the far side of the
+// pivot cap: at MaxShards there are more open windows than a round of
+// m pivots each may carry, so every window contributes fewer. Answers
+// stay exact and the round fills the cap without exceeding it.
+func TestRemoteMoreWindowsThanARoundCarries(t *testing.T) {
+	q := cq.MustParse(twoPath)
+	k := remoteCases(t)[0].kind(q)
+	const p, n = shard.MaxShards, 1500
+	rng := rand.New(rand.NewSource(p))
+	in := database.NewInstance()
+	for i := 0; i < n; i++ {
+		in.AddRow("R", values.Value(rng.Intn(n)), values.Value(i))
+		in.AddRow("S", values.Value(i), values.Value(rng.Intn(n)))
+	}
+	sorted := baseline.SortedByLex(q, in, k.Lex)
+	h, loop := remoteHandle(t, q, in, k, p)
+	for s, total := range h.PartTotals() {
+		if total <= shard.PivotsPerWindow {
+			t.Fatalf("shard %d holds %d answers: its window would be taken whole", s, total)
+		}
+	}
+	for i := 0; i < len(sorted); i += 97 {
+		got, err := h.Access(int64(i))
+		if err != nil || !slices.Equal(got, sorted[i]) {
+			t.Fatalf("k=%d: %v (%v), baseline %v", i, got, err, sorted[i])
+		}
+	}
+	if got := loop.MaxBatch.Load(); got != shard.MaxPivots {
+		t.Fatalf("largest request carried %d pivots, want the cap %d (%d windows of %d)", got, shard.MaxPivots, p, shard.MaxPivots/p)
+	}
+}
+
+// TestRemoteSingleShardIsOneAccess: with one shard there is nothing to
+// search — each probe is one batched access of one position and no rank
+// round at all.
+func TestRemoteSingleShardIsOneAccess(t *testing.T) {
+	lay := layouts()[2]
+	q := cq.MustParse(twoPath)
+	k := remoteCases(t)[0].kind(q)
+	h, loop := remoteHandle(t, q, lay.in, k, 1)
+	for i := int64(0); i < h.Total(); i += 7 {
+		if _, err := h.Access(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probes := (h.Total() + 6) / 7
+	if a, r, p := loop.AccessCalls.Load(), loop.RankCalls.Load(), loop.Pivots.Load(); a != probes || r != 0 || p != probes {
+		t.Fatalf("%d probes cost %d accesses of %d positions and %d rank rounds; want one position each, no ranks", probes, a, p, r)
+	}
+}
+
+// TestRemoteRangePrimesInParallel: a range over P remote parts pays ONE
+// round trip before its first row — the initial window fetches leave
+// together — not P sequential ones.
+func TestRemoteRangePrimesInParallel(t *testing.T) {
+	const (
+		p       = 4
+		latency = 40 * time.Millisecond
+	)
+	// Four partition values per shard, every x joined with all of them:
+	// consecutive answers of the order "x, y, z" spread evenly over the
+	// shards, so the primed windows cover the range with no refill.
+	var ys []values.Value
+	perShard := make([]int, p)
+	for v := values.Value(0); len(ys) < 4*p; v++ {
+		if s := shard.ShardOf(v, p); perShard[s] < 4 {
+			perShard[s]++
+			ys = append(ys, v)
+		}
+	}
+	in := database.NewInstance()
+	for _, y := range ys {
+		in.AddRow("S", y, 0)
+		for x := values.Value(0); x < 40; x++ {
+			in.AddRow("R", x, y)
+		}
+	}
+	q := cq.MustParse(twoPath)
+	l, err := order.ParseLex(q, "x, y, z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, loop := remoteHandle(t, q, in, shard.Kind{Lex: l}, p)
+	if h.Total() < 512 {
+		t.Fatalf("instance too small: %d answers", h.Total())
+	}
+	loop.Delay = latency
+	start := time.Now()
+	rows, err := h.AppendRange(nil, q.Head, 0, 512)
+	elapsed := time.Since(start)
+	if err != nil || len(rows) != 512*len(q.Head) {
+		t.Fatalf("range: %d values, %v", len(rows), err)
+	}
+	// Refills are sequential by design; this window needs none, so the
+	// whole range is the one primed round trip.
+	if n := loop.RangeCalls.Load(); n != p {
+		t.Fatalf("%d range fetches, want the %d primed windows and no refill", n, p)
+	}
+	if elapsed >= 2*latency {
+		t.Fatalf("512-row range over %d parts took %v at %v per round trip; want about one round trip, not %d", p, elapsed, latency, p)
+	}
+}
+
+// TestRemoteLocateStopsBetweenRounds: a caller that gives up while a
+// round is in flight gets its error before the next round starts — not
+// one more call leaves.
+func TestRemoteLocateStopsBetweenRounds(t *testing.T) {
+	lay := layouts()[4]
+	q := cq.MustParse(twoPath)
+	h, loop := remoteHandle(t, q, lay.in, remoteCases(t)[0].kind(q), lay.p)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sent := func() int64 { return loop.AccessCalls.Load() + loop.RankCalls.Load() }
+	loop.OnCall = func() {
+		if sent() == 2 { // round 1's rank scatter is in flight
+			cancel()
+		}
+	}
+	_, err := h.AccessCtx(ctx, h.Total()/2)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Access cancelled mid-search = %v, want context.Canceled", err)
+	}
+	if n := sent(); n != 2 {
+		t.Fatalf("%d calls left for a search cancelled during its first round, want 2", n)
+	}
+	// The same probe, uncancelled, needs more than the one round.
+	loop.OnCall = nil
+	if _, err := h.Access(h.Total() / 2); err != nil || sent() <= 4 {
+		t.Fatalf("uncancelled probe: %d calls, %v; the layout must need more than one round", sent()-2, err)
+	}
+}
