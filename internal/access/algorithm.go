@@ -27,29 +27,33 @@ func (la *Lex) NewBuf() *LexBuf {
 	}
 }
 
-// getBuf/putBuf feed the allocating convenience wrappers from a pool so
-// even Access/Rank skip the scratch allocations in steady state.
-func (la *Lex) getBuf() *LexBuf {
+// GetBuf borrows a probe buffer from the structure's pool and PutBuf
+// returns it: the allocating convenience wrappers (and callers that
+// probe in short bursts, like a shard node serving one batch) skip the
+// scratch allocations in steady state. A borrowed buffer that is never
+// returned is garbage, not a leak.
+func (la *Lex) GetBuf() *LexBuf {
 	if b, ok := la.bufs.Get().(*LexBuf); ok {
 		return b
 	}
 	return la.NewBuf()
 }
 
-func (la *Lex) putBuf(b *LexBuf) { la.bufs.Put(b) }
+// PutBuf returns a buffer borrowed with GetBuf.
+func (la *Lex) PutBuf(b *LexBuf) { la.bufs.Put(b) }
 
 // Access returns the k-th answer (0-based) in the completed
 // lexicographic order, in O(log n) time (Algorithm 1). The returned
 // answer is freshly allocated; use AccessInto to reuse a caller buffer.
 func (la *Lex) Access(k int64) (order.Answer, error) {
-	buf := la.getBuf()
+	buf := la.GetBuf()
 	a, err := la.AccessInto(buf, k)
 	if err != nil {
-		la.putBuf(buf)
+		la.PutBuf(buf)
 		return nil, err
 	}
 	out := append(order.Answer(nil), a...)
-	la.putBuf(buf)
+	la.PutBuf(buf)
 	return out, nil
 }
 
@@ -108,16 +112,16 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 // AppendTuple appends the head projection of the k-th answer to dst and
 // returns the extended slice, allocating only when dst lacks capacity.
 func (la *Lex) AppendTuple(dst []values.Value, k int64) ([]values.Value, error) {
-	buf := la.getBuf()
+	buf := la.GetBuf()
 	a, err := la.AccessInto(buf, k)
 	if err != nil {
-		la.putBuf(buf)
+		la.PutBuf(buf)
 		return dst, err
 	}
 	for _, v := range la.Query.Head {
 		dst = append(dst, a[v])
 	}
-	la.putBuf(buf)
+	la.PutBuf(buf)
 	return dst, nil
 }
 
@@ -125,8 +129,8 @@ func (la *Lex) AppendTuple(dst []values.Value, k int64) ([]values.Value, error) 
 // dst, reusing one probe buffer for the whole range so the per-answer
 // overhead is a single descent (no allocation beyond dst growth).
 func (la *Lex) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value, error) {
-	buf := la.getBuf()
-	defer la.putBuf(buf)
+	buf := la.GetBuf()
+	defer la.PutBuf(buf)
 	for k := k0; k < k1; k++ {
 		a, err := la.AccessInto(buf, k)
 		if err != nil {
@@ -176,8 +180,8 @@ func (la *Lex) Rank(a order.Answer) (int64, bool) {
 		return 0, false
 	}
 	f := len(la.layers)
-	buf := la.getBuf()
-	defer la.putBuf(buf)
+	buf := la.GetBuf()
+	defer la.PutBuf(buf)
 	bucket := buf.bucket[:f]
 	bucket[0] = 0
 	factor := la.total

@@ -23,6 +23,7 @@ import (
 	"rankedaccess/internal/rpc"
 	"rankedaccess/internal/serve"
 	"rankedaccess/internal/shard"
+	"rankedaccess/internal/shard/shardtest"
 	"rankedaccess/internal/workload"
 )
 
@@ -698,5 +699,66 @@ func TestConfigPlacement(t *testing.T) {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Fatalf("Parse accepted %s", bad)
 		}
+	}
+}
+
+// specTap hands the test the Spec a node was actually given: decoded off
+// the wire, carrying its wire bytes as its build-cache key.
+type specTap struct {
+	rpc.Backend
+	seen chan rpc.Spec
+}
+
+func (s specTap) Prepare(ctx context.Context, spec rpc.Spec) (*rpc.PrepareInfo, error) {
+	s.seen <- spec
+	return s.Backend.Prepare(ctx, spec)
+}
+
+// TestNodeProbeAllocs pins the node-side cost of one batched rank call
+// below the RPC layer: the rank and flag slices it returns and the part
+// list, nothing for finding the build (the spec's key is the bytes it
+// arrived in; re-encoding it per probe was four more).
+func TestNodeProbeAllocs(t *testing.T) {
+	if shardtest.RaceEnabled() {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	node := NewNode(engine.New(testInstance(), engine.Options{}))
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := specTap{Backend: node, seen: make(chan rpc.Spec, 1)}
+	srv := rpc.NewServer(tap)
+	go func() { _ = srv.Serve(lis) }()
+	defer srv.Close()
+	c := rpc.NewClient(lis.Addr().String(), rpc.Options{})
+	defer c.Close()
+
+	ctx := context.Background()
+	info, err := c.Prepare(ctx, rpc.Spec{Query: "Q(x, y, z) :- R(x, y), S(y, z)", Order: "x, y, z", P: 4, ShardVar: "y", Owned: []int{0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := <-tap.seen
+	shards, pos := make([]int, 32), make([]int64, 32)
+	for i := range pos {
+		j := i / 16
+		if info.Totals[j] == 0 {
+			t.Fatalf("owned shard %d is empty", spec.Owned[j])
+		}
+		shards[i], pos[i] = spec.Owned[j], int64(i%16)*info.Totals[j]/16
+	}
+	answers, err := node.AccessBatch(ctx, spec, info.Version, shards, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		ranks, exact, err := node.RankBatch(ctx, spec, info.Version, answers)
+		if err != nil || len(ranks) != 2*len(answers) || len(exact) != len(answers) {
+			t.Fatalf("RankBatch = %d ranks, %d flags, %v", len(ranks), len(exact), err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("RankBatch of 32 answers on 2 owned shards allocates %.0f times, ceiling 4", allocs)
 	}
 }

@@ -47,11 +47,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// pconn is one pooled connection with its buffered reader.
+// pconn is one pooled connection with its buffered reader and the two
+// frame buffers every call on it reuses: w holds the request being
+// written, r the response last read. A decoded value must be out of r
+// before the connection is pooled again (see callInner).
 type pconn struct {
 	c    net.Conn
 	br   *bufio.Reader
 	last time.Time
+	w    enc
+	r    dec
 }
 
 // CallStats counts a client's calls and failures per kind, always on
@@ -160,26 +165,31 @@ func (c *Client) dial(deadline time.Time) (*pconn, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	conn.SetDeadline(dialDeadline)
-	if err := writeHandshake(conn, ProtoVersion); err != nil {
+	pc, err := handshake(conn, dialDeadline)
+	if err != nil {
 		conn.Close()
-		return nil, true, err
+	}
+	return pc, true, err
+}
+
+// handshake runs the client side of the connect preamble on conn.
+func handshake(conn net.Conn, deadline time.Time) (*pconn, error) {
+	conn.SetDeadline(deadline)
+	if err := writeHandshake(conn, ProtoVersion); err != nil {
+		return nil, err
 	}
 	br := bufio.NewReader(conn)
 	// The server replies min(our version, its version); anything above
 	// what we offered or below our floor is a protocol violation.
 	ver, err := readHandshake(br)
 	if err != nil {
-		conn.Close()
-		return nil, true, err
+		return nil, err
 	}
 	if ver < minProtoVersion || ver > ProtoVersion {
-		conn.Close()
-		return nil, true, fmt.Errorf("%w: server negotiated version %d, want %d..%d",
+		return nil, fmt.Errorf("%w: server negotiated version %d, want %d..%d",
 			ErrBadFrame, ver, minProtoVersion, ProtoVersion)
 	}
-	conn.SetDeadline(time.Time{})
-	return &pconn{c: conn, br: br}, true, nil
+	return &pconn{c: conn, br: br}, nil
 }
 
 // put returns a healthy connection to the pool (closing it when the
@@ -187,6 +197,7 @@ func (c *Client) dial(deadline time.Time) (*pconn, bool, error) {
 func (c *Client) put(pc *pconn) {
 	c.reapOnce.Do(func() { go c.reap() })
 	pc.last = time.Now()
+	pc.w.b, pc.r.b = kept(pc.w.b), kept(pc.r.b)
 	c.mu.Lock()
 	if c.closed || len(c.idle) >= c.opts.MaxIdle {
 		c.mu.Unlock()
@@ -225,11 +236,14 @@ func (c *Client) reap() {
 	}
 }
 
-// call performs one request/response exchange: encode, send, decode
-// status. Transport errors are retried once on a freshly dialed
+// call performs one request/response exchange: encode, send, read the
+// status, decode. decode runs on an OK response only, against the
+// connection's read buffer, and must copy out what it keeps (every dec
+// reader does); call checks afterwards that it consumed the response
+// exactly. Transport errors are retried once on a freshly dialed
 // connection; the retry never reuses the pool, so a stale pooled
 // connection cannot fail a call twice.
-func (c *Client) call(ctx context.Context, kind Kind, body func(*enc)) (*dec, error) {
+func (c *Client) call(ctx context.Context, kind Kind, body func(*enc), decode func(*dec)) error {
 	c.calls[kind].Add(1)
 	m := c.m.Load()
 	var span *trace.Span
@@ -241,7 +255,7 @@ func (c *Client) call(ctx context.Context, kind Kind, body func(*enc)) (*dec, er
 	if m != nil {
 		m.inflight.Inc()
 	}
-	d, err := c.callInner(ctx, kind, body)
+	err := c.callInner(ctx, kind, body, decode)
 	if m != nil {
 		m.inflight.Dec()
 		m.latency.ObserveExemplar(time.Since(start).Seconds(), span.TraceIDString())
@@ -255,34 +269,23 @@ func (c *Client) call(ctx context.Context, kind Kind, body func(*enc)) (*dec, er
 		span.SetError(err)
 	}
 	span.End()
-	return d, err
+	return err
 }
 
-func (c *Client) callInner(ctx context.Context, kind Kind, body func(*enc)) (*dec, error) {
+func (c *Client) callInner(ctx context.Context, kind Kind, body func(*enc), decode func(*dec)) error {
+	now := time.Now()
 	deadline, ok := ctx.Deadline()
 	if !ok {
-		deadline = time.Now().Add(c.opts.CallTimeout)
+		deadline = now.Add(c.opts.CallTimeout)
 	}
-	reqID := c.seq.Add(1)
-	millis := time.Until(deadline).Milliseconds()
-	if millis < 1 {
-		millis = 1
-	}
-	if millis > 1<<31-1 {
-		millis = 1<<31 - 1
-	}
-	sc, _ := trace.SpanContextOf(ctx)
-	e := &enc{b: make([]byte, 0, 256)}
-	e.u64(reqID)
-	e.u8(uint8(kind))
-	e.u32(uint32(millis))
-	encTraceContext(e, sc)
-	body(e)
+	millis := min(max(deadline.Sub(now).Milliseconds(), 1), 1<<31-1)
+	h := reqHeader{id: c.seq.Add(1), kind: kind, deadlineMillis: uint32(millis)}
+	h.trace, _ = trace.SpanContextOf(ctx)
 
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		var pc *pconn
 		var err error
@@ -295,89 +298,90 @@ func (c *Client) callInner(ctx context.Context, kind Kind, body func(*enc)) (*de
 			lastErr = err
 			continue
 		}
-		payload, err := c.roundTrip(pc, e.b, reqID, kind, deadline)
-		if err != nil {
+		// The request is encoded into the connection's own buffer, so a
+		// retry encodes it again for the fresh connection.
+		pc.w.frame()
+		h.encode(&pc.w)
+		body(&pc.w)
+		if err := pc.roundTrip(&h, deadline); err != nil {
 			pc.c.Close()
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
 			lastErr = err
 			continue
 		}
+		// Decode BEFORE pooling: pc.r is the connection's read buffer,
+		// and the next caller to take the connection overwrites it.
+		err = decodeStatus(&pc.r)
+		if err == nil {
+			decode(&pc.r)
+			err = pc.r.err()
+		}
 		c.put(pc)
-		return decodeStatus(payload)
+		return err
 	}
 	if ctx.Err() != nil {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return nil, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.addr, lastErr)
+	return fmt.Errorf("%w: %s: %v", ErrUnavailable, c.addr, lastErr)
 }
 
-// roundTrip writes the request frame and reads the matching response
-// payload (sans the echoed id/kind header).
-func (c *Client) roundTrip(pc *pconn, req []byte, reqID uint64, kind Kind, deadline time.Time) ([]byte, error) {
+// roundTrip writes the request frame in pc.w and reads the matching
+// response into pc.r, leaving it positioned past the echoed id and kind.
+// The deadline is set once and never cleared: the next call on the
+// connection replaces it before touching the socket, and a pooled
+// connection is not read in between.
+func (pc *pconn) roundTrip(h *reqHeader, deadline time.Time) error {
 	pc.c.SetDeadline(deadline)
-	defer pc.c.SetDeadline(time.Time{})
-	if err := writeFrame(pc.c, req); err != nil {
-		return nil, err
+	if err := writeFrame(pc.c, pc.w.b); err != nil {
+		return err
 	}
-	payload, err := readFrame(pc.br)
+	payload, err := readFrame(pc.br, pc.r.b)
+	pc.r = dec{b: payload}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d := &dec{b: payload}
-	gotID, gotKind := d.u64(), Kind(d.u8())
-	if d.bad || gotID != reqID || gotKind != kind {
-		return nil, fmt.Errorf("%w: response for request %d kind %d, want %d kind %d",
-			ErrBadFrame, gotID, gotKind, reqID, kind)
+	gotID, gotKind := pc.r.u64(), Kind(pc.r.u8())
+	if pc.r.bad || gotID != h.id || gotKind != h.kind {
+		return fmt.Errorf("%w: response for request %d kind %d, want %d kind %d",
+			ErrBadFrame, gotID, gotKind, h.id, h.kind)
 	}
-	return payload[d.off:], nil
+	return nil
 }
 
-// decodeStatus maps a response status byte back to the caller-visible
-// error; well-known statuses decode to the exact engine sentinels so
-// distributed error behavior matches single-node behavior.
-func decodeStatus(payload []byte) (*dec, error) {
-	d := &dec{b: payload}
+// decodeStatus consumes a response's status byte and, for a non-OK
+// status, maps it back to the caller-visible error; well-known statuses
+// decode to the exact engine sentinels so distributed error behavior
+// matches single-node behavior.
+func decodeStatus(d *dec) error {
 	status := d.u8()
 	if d.bad {
-		return nil, fmt.Errorf("%w: empty response payload", ErrBadFrame)
+		return fmt.Errorf("%w: empty response payload", ErrBadFrame)
 	}
 	if status == statusOK {
-		return d, nil
+		return nil
 	}
 	msg := d.str()
 	switch status {
 	case statusOutOfBound:
-		return nil, access.ErrOutOfBound
+		return access.ErrOutOfBound
 	case statusNotAnAnswer:
-		return nil, access.ErrNotAnAnswer
+		return access.ErrNotAnAnswer
 	case statusStale:
-		return nil, ErrStaleVersion
+		return ErrStaleVersion
 	case statusBadRequest:
-		return nil, &BadRequestError{Msg: msg}
+		return &BadRequestError{Msg: msg}
 	default:
-		return nil, &RemoteError{Msg: msg}
+		return &RemoteError{Msg: msg}
 	}
-}
-
-// finish validates that a decoded response consumed cleanly.
-func finish(d *dec) error {
-	if err := d.err(); err != nil {
-		return err
-	}
-	return nil
 }
 
 // Prepare asks the peer to build (or reuse) the owned shard structures
 // for the spec.
 func (c *Client) Prepare(ctx context.Context, spec Spec) (*PrepareInfo, error) {
-	d, err := c.call(ctx, KindPrepare, spec.encode)
-	if err != nil {
-		return nil, err
-	}
-	p := decodePrepareInfo(d)
-	if err := finish(d); err != nil {
+	var p *PrepareInfo
+	if err := c.call(ctx, KindPrepare, spec.encode, func(d *dec) { p = decodePrepareInfo(d) }); err != nil {
 		return nil, err
 	}
 	if len(p.Totals) != len(spec.Owned) {
@@ -387,13 +391,9 @@ func (c *Client) Prepare(ctx context.Context, spec Spec) (*PrepareInfo, error) {
 }
 
 // Count returns the total answer count over the peer's owned shards.
-func (c *Client) Count(ctx context.Context, spec CountSpec) (int64, error) {
-	d, err := c.call(ctx, KindCount, spec.encode)
-	if err != nil {
-		return 0, err
-	}
-	n := d.i64()
-	return n, finish(d)
+func (c *Client) Count(ctx context.Context, spec CountSpec) (n int64, err error) {
+	err = c.call(ctx, KindCount, spec.encode, func(d *dec) { n = d.i64() })
+	return n, err
 }
 
 // Rank prices the answer on every owned shard: ranks is aligned with
@@ -402,17 +402,15 @@ func (c *Client) Count(ctx context.Context, spec CountSpec) (int64, error) {
 // RankBatch; Rank and Access remain the client half of the
 // single-answer kinds nodes keep serving for older coordinators.
 func (c *Client) Rank(ctx context.Context, spec Spec, version uint64, a order.Answer) (ranks []int64, exact bool, err error) {
-	d, err := c.call(ctx, KindRank, func(e *enc) {
+	err = c.call(ctx, KindRank, func(e *enc) {
 		spec.encode(e)
 		e.u64(version)
 		e.answer(a)
+	}, func(d *dec) {
+		ranks = d.i64s()
+		exact = d.u8() != 0
 	})
 	if err != nil {
-		return nil, false, err
-	}
-	ranks = d.i64s()
-	exact = d.u8() != 0
-	if err := finish(d); err != nil {
 		return nil, false, err
 	}
 	if len(ranks) != len(spec.Owned) {
@@ -423,36 +421,30 @@ func (c *Client) Rank(ctx context.Context, spec Spec, version uint64, a order.An
 
 // Access returns one shard's k-th local answer (full answer width,
 // all query variables).
-func (c *Client) Access(ctx context.Context, spec Spec, version uint64, shard int, k int64) (order.Answer, error) {
-	d, err := c.call(ctx, KindAccess, func(e *enc) {
+func (c *Client) Access(ctx context.Context, spec Spec, version uint64, shard int, k int64) (a order.Answer, err error) {
+	err = c.call(ctx, KindAccess, func(e *enc) {
 		spec.encode(e)
 		e.u64(version)
 		e.u32(uint32(shard))
 		e.i64(k)
-	})
-	if err != nil {
-		return nil, err
-	}
-	a := d.answer()
-	return a, finish(d)
+	}, func(d *dec) { a = d.answer() })
+	return a, err
 }
 
 // Range returns one shard's local answers k0 ≤ k < k1 in order.
-func (c *Client) Range(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64) ([]order.Answer, error) {
-	d, err := c.call(ctx, KindRange, func(e *enc) {
+func (c *Client) Range(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64) (out []order.Answer, err error) {
+	err = c.call(ctx, KindRange, func(e *enc) {
 		spec.encode(e)
 		e.u64(version)
 		e.u32(uint32(shard))
 		e.i64(k0)
 		e.i64(k1)
+	}, func(d *dec) {
+		// A node never serves more than it was asked for, and what was
+		// asked for is bounded by the frame.
+		out = d.answers(maxFrame / 8)
 	})
-	if err != nil {
-		return nil, err
-	}
-	// A node never serves more than it was asked for, and what was
-	// asked for is bounded by the frame.
-	out := d.answers(maxFrame / 8)
-	return out, finish(d)
+	return out, err
 }
 
 // AccessBatch returns the local answers at (shards[i], pos[i]) over
@@ -463,12 +455,8 @@ func (c *Client) AccessBatch(ctx context.Context, spec Spec, version uint64, sha
 		return nil, fmt.Errorf("rpc: access batch of %d shards and %d positions (cap %d)", len(shards), len(pos), MaxPivots)
 	}
 	req := AccessBatchReq{Spec: spec, Version: version, Shards: shards, Pos: pos}
-	d, err := c.call(ctx, KindAccessBatch, req.encode)
-	if err != nil {
-		return nil, err
-	}
-	out := d.answers(MaxPivots)
-	if err := finish(d); err != nil {
+	var out []order.Answer
+	if err := c.call(ctx, KindAccessBatch, req.encode, func(d *dec) { out = d.answers(MaxPivots) }); err != nil {
 		return nil, err
 	}
 	if len(out) != len(pos) {
@@ -491,12 +479,8 @@ func (c *Client) RankBatch(ctx context.Context, spec Spec, version uint64, answe
 		}
 	}
 	req := RankBatchReq{Spec: spec, Version: version, Answers: answers}
-	d, err := c.call(ctx, KindRankBatch, req.encode)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp := decodeRankBatchResp(d)
-	if err := finish(d); err != nil {
+	var resp RankBatchResp
+	if err := c.call(ctx, KindRankBatch, req.encode, func(d *dec) { resp = decodeRankBatchResp(d) }); err != nil {
 		return nil, nil, err
 	}
 	if len(resp.Exact) != len(answers) || len(resp.Ranks) != len(answers)*len(spec.Owned) {
@@ -508,22 +492,26 @@ func (c *Client) RankBatch(ctx context.Context, spec Spec, version uint64, answe
 
 // StatsCall returns the peer's node-level counters.
 func (c *Client) StatsCall(ctx context.Context) (*PeerStats, error) {
-	d, err := c.call(ctx, KindStats, func(*enc) {})
+	st := &PeerStats{}
+	err := c.call(ctx, KindStats, func(*enc) {}, func(d *dec) {
+		*st = PeerStats{Version: d.u64(), Tuples: d.i64(), Builds: d.i64()}
+	})
 	if err != nil {
 		return nil, err
 	}
-	st := &PeerStats{Version: d.u64(), Tuples: d.i64(), Builds: d.i64()}
-	return st, finish(d)
+	return st, nil
 }
 
 // Health returns the peer's readiness.
 func (c *Client) Health(ctx context.Context) (*HealthInfo, error) {
-	d, err := c.call(ctx, KindHealth, func(*enc) {})
+	h := &HealthInfo{}
+	err := c.call(ctx, KindHealth, func(*enc) {}, func(d *dec) {
+		*h = HealthInfo{Ready: d.u8() != 0, Reasons: d.strs()}
+	})
 	if err != nil {
 		return nil, err
 	}
-	h := &HealthInfo{Ready: d.u8() != 0, Reasons: d.strs()}
-	return h, finish(d)
+	return h, nil
 }
 
 // ClientMetrics are the per-peer instruments a coordinator exports on

@@ -26,6 +26,12 @@ type Spec struct {
 	ShardVar string
 	// Owned lists the shard indices in [0, P) this node builds.
 	Owned []int
+
+	// key is the spec's encoding as it arrived, set by decodeSpec only
+	// (decoding is strict, so the wire bytes ARE the canonical
+	// encoding): a node looks up a probe's build without encoding the
+	// spec again. A Spec built or changed in code must not carry one.
+	key string
 }
 
 func (s *Spec) encode(e *enc) {
@@ -39,7 +45,8 @@ func (s *Spec) encode(e *enc) {
 }
 
 func decodeSpec(d *dec) Spec {
-	return Spec{
+	start := d.off
+	s := Spec{
 		Query:    d.str(),
 		Order:    d.str(),
 		SumBy:    d.strs(),
@@ -48,11 +55,18 @@ func decodeSpec(d *dec) Spec {
 		ShardVar: d.str(),
 		Owned:    d.ints(),
 	}
+	if !d.bad {
+		s.key = string(d.b[start:d.off])
+	}
+	return s
 }
 
 // Key returns a canonical identity string for the spec, used by nodes
 // to cache builds across stateless probes.
 func (s *Spec) Key() string {
+	if s.key != "" {
+		return s.key
+	}
 	var e enc
 	s.encode(&e)
 	return string(e.b)

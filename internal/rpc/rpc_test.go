@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -398,7 +399,7 @@ func TestCorruptFrame(t *testing.T) {
 		buf = append(buf, e.b...)
 		_ = writeFrameCorrupted(srvConn, buf)
 	}()
-	_, err := readFrame(cliConn)
+	_, err := readFrame(cliConn, nil)
 	if !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupt frame read = %v, want ErrBadFrame", err)
 	}
@@ -500,7 +501,7 @@ func TestKindTables(t *testing.T) {
 		if kind == 0 || int(kind) >= numKinds {
 			t.Fatalf("kind %d (%s) has no slot in tables of %d", kind, name, numKinds)
 		}
-		if cm.requests[kind] == nil || cm.errors[kind] == nil || srv.requests[kind] == nil {
+		if cm.requests[kind] == nil || cm.errors[kind] == nil || srv.m.Load().requests[kind] == nil {
 			t.Fatalf("kind %d (%s) has no counter", kind, name)
 		}
 	}
@@ -515,14 +516,14 @@ func TestKindTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st.Calls[KindRank] != 1 || st.Calls[KindRankBatch] != 1 || cm.requests[KindRank].Value() != 2 || srv.requests[KindRankBatch].Value() != 2 {
+	if st.Calls[KindRank] != 1 || st.Calls[KindRankBatch] != 1 || cm.requests[KindRank].Value() != 2 || srv.m.Load().requests[KindRankBatch].Value() != 2 {
 		t.Fatalf("calls %v, client rank series %d, server rank series %d; want one call per kind and 2 on the shared series",
-			st.Calls, cm.requests[KindRank].Value(), srv.requests[KindRankBatch].Value())
+			st.Calls, cm.requests[KindRank].Value(), srv.m.Load().requests[KindRankBatch].Value())
 	}
 
 	// An unknown kind: what a node that predates a kind sees.
 	const future = Kind(200)
-	_, err := c.callInner(ctx, future, func(*enc) {})
+	err := c.callInner(ctx, future, func(*enc) {}, func(*dec) {})
 	var bad *BadRequestError
 	if !errors.As(err, &bad) {
 		t.Fatalf("unknown kind answered %v, want a BadRequestError (status 3)", err)
@@ -562,16 +563,59 @@ func TestClientMetrics(t *testing.T) {
 	}
 }
 
-// TestServerInstrument pins the server-side series.
+// TestServerInstrument pins the server-side series, and that the
+// instruments are published without a lock on the request path:
+// Instrument may race with in-flight calls (-race checks the hand-over),
+// and every call that starts after it returned is counted exactly once.
 func TestServerInstrument(t *testing.T) {
 	b := &fakeBackend{total: 10}
 	srv, lis := startServer(t, b, nil)
-	reg := metrics.NewRegistry()
-	srv.Instrument(reg)
 	c := NewClient(lis.Addr().String(), Options{})
 	defer c.Close()
-	if _, err := c.Health(context.Background()); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.Health(ctx); err != nil {
+					t.Errorf("Health during Instrument: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	reg := metrics.NewRegistry()
+	srv.Instrument(reg)
+	close(stop)
+	wg.Wait()
+
+	m := srv.m.Load()
+	before, timed := m.requests[KindHealth].Value(), m.duration.Count()
+	const calls = 25
+	for i := 0; i < calls; i++ {
+		if _, err := c.Health(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.requests[KindHealth].Value() - before; got != calls {
+		t.Fatalf("%d calls after Instrument counted %d times", calls, got)
+	}
+	if got := m.duration.Count() - timed; got != calls {
+		t.Fatalf("%d calls after Instrument timed %d times", calls, got)
+	}
+	// A request that began uninstrumented neither raised nor lowers the
+	// gauge: at rest it reads zero.
+	if got := m.inflight.Value(); got != 0 {
+		t.Fatalf("in-flight gauge at rest = %d", got)
 	}
 	found := false
 	for _, n := range reg.Names() {

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -33,8 +34,9 @@ type Backend interface {
 	Health(ctx context.Context) (*HealthInfo, error)
 }
 
-// serverIdleTimeout reaps connections with no request for this long,
-// so half-dead peers cannot pin goroutines forever.
+// serverIdleTimeout reaps connections with no request for this long
+// (or down to half of it, see handle), so half-dead peers cannot pin
+// goroutines forever.
 const serverIdleTimeout = 5 * time.Minute
 
 // handshakeTimeout bounds the connect preamble in both directions.
@@ -51,12 +53,16 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	im       sync.Mutex
+	m      atomic.Pointer[serverMetrics]
+	tracer atomic.Pointer[trace.Tracer]
+}
+
+// serverMetrics are the instruments Instrument registers, published as
+// one pointer so a request reads them without a lock.
+type serverMetrics struct {
 	requests [numKinds]*metrics.Counter
 	inflight *metrics.Gauge
 	duration *metrics.Histogram
-
-	tracer atomic.Pointer[trace.Tracer]
 }
 
 // NewServer returns a server dispatching to b.
@@ -73,12 +79,12 @@ func (s *Server) SetTracer(t *trace.Tracer) { s.tracer.Store(t) }
 // method, in-flight gauge, handling-duration histogram with
 // sub-millisecond buckets) on reg; call before Serve.
 func (s *Server) Instrument(reg *metrics.Registry) {
-	s.im.Lock()
-	defer s.im.Unlock()
-	s.requests = methodCounters(reg, "ra_rpc_server_requests_total", "RPC requests served by method.")
-	s.inflight = reg.Gauge("ra_rpc_server_in_flight", "RPC requests currently executing.")
-	s.duration = reg.Histogram("ra_rpc_server_duration_seconds",
-		"RPC request handling time (decode to encode).", rpcLatencyBounds)
+	s.m.Store(&serverMetrics{
+		requests: methodCounters(reg, "ra_rpc_server_requests_total", "RPC requests served by method."),
+		inflight: reg.Gauge("ra_rpc_server_in_flight", "RPC requests currently executing."),
+		duration: reg.Histogram("ra_rpc_server_duration_seconds",
+			"RPC request handling time (decode to encode).", rpcLatencyBounds),
+	})
 }
 
 // Serve accepts connections on l until Close (which returns nil) or an
@@ -150,7 +156,8 @@ func (s *Server) handle(conn net.Conn) {
 		s.wg.Done()
 	}()
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	ver, err := readHandshake(conn)
+	br := bufio.NewReader(conn)
+	ver, err := readHandshake(br)
 	if err != nil {
 		return
 	}
@@ -165,104 +172,108 @@ func (s *Server) handle(conn net.Conn) {
 	if err := writeHandshake(conn, ver); err != nil {
 		return
 	}
+	// The connection's frame buffers: one request at a time, so one of
+	// each, reused for every request. Nothing decoded from r outlives
+	// its request (the dec readers copy).
+	var (
+		r dec
+		w enc
+	)
+	// One deadline covers waiting for a request and writing its
+	// response. It is pushed out only once half of it is used up — a
+	// timer operation every few minutes, not two per request.
+	idleAt := time.Now().Add(serverIdleTimeout)
+	conn.SetDeadline(idleAt)
 	for {
-		conn.SetDeadline(time.Now().Add(serverIdleTimeout))
-		req, err := readFrame(conn)
+		req, err := readFrame(br, r.b)
 		if err != nil {
 			return
 		}
-		d := &dec{b: req}
-		reqID := d.u64()
-		kind := Kind(d.u8())
-		deadlineMillis := d.u32()
-		ctx := context.Background()
-		if rsc, ok := decTraceContext(d); ok {
-			ctx = trace.ContextWithRemote(ctx, rsc)
-		}
-		if d.bad {
+		r = dec{b: req}
+		h := decodeReqHeader(&r)
+		if r.bad {
 			return
+		}
+		ctx := context.Background()
+		if h.trace.Valid() {
+			ctx = trace.ContextWithRemote(ctx, h.trace)
 		}
 		var cancel context.CancelFunc = func() {}
-		if deadlineMillis > 0 {
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMillis)*time.Millisecond)
+		if h.deadlineMillis > 0 {
+			ctx, cancel = context.WithTimeout(ctx, time.Duration(h.deadlineMillis)*time.Millisecond)
 		}
-		resp := s.dispatch(ctx, kind, d, reqID)
+		s.dispatch(ctx, &h, &r, &w)
 		cancel()
-		conn.SetDeadline(time.Now().Add(serverIdleTimeout))
-		if err := writeFrame(conn, resp); err != nil {
+		if now := time.Now(); idleAt.Sub(now) < serverIdleTimeout/2 {
+			idleAt = now.Add(serverIdleTimeout)
+			conn.SetDeadline(idleAt)
+		}
+		if err := writeFrame(conn, w.b); err != nil {
 			return
 		}
+		r.b, w.b = kept(r.b), kept(w.b)
 	}
 }
 
 // dispatch decodes the body for the kind, runs the backend call, and
-// encodes the response payload (id, kind, status, body).
-func (s *Server) dispatch(ctx context.Context, kind Kind, d *dec, reqID uint64) []byte {
-	s.im.Lock()
-	var ctr *metrics.Counter
-	if int(kind) < numKinds {
-		ctr = s.requests[kind] // a kind this build does not know is counted nowhere and refused below
-	}
-	gauge, dur := s.inflight, s.duration
-	s.im.Unlock()
-	if ctr != nil {
-		ctr.Inc()
-	}
-	if gauge != nil {
-		gauge.Inc()
-		defer gauge.Dec()
+// encodes the response frame (id, kind, status, body) into e.
+func (s *Server) dispatch(ctx context.Context, h *reqHeader, d *dec, e *enc) {
+	m := s.m.Load()
+	if m != nil {
+		if int(h.kind) < numKinds && m.requests[h.kind] != nil {
+			m.requests[h.kind].Inc() // a kind this build does not know is counted nowhere and refused below
+		}
+		m.inflight.Inc()
+		defer m.inflight.Dec()
 	}
 	// The server span is this node's local root: it continues the
 	// coordinator's trace when the wire field carried one, and its End
 	// decides whether this node stores its slice of the trace.
 	var span *trace.Span
 	if t := s.tracer.Load(); t != nil {
-		ctx, span = t.Start(ctx, "rarc.server."+KindName(kind), trace.KindServer)
+		ctx, span = t.Start(ctx, "rarc.server."+KindName(h.kind), trace.KindServer)
 	}
 	start := time.Now()
 
-	e := &enc{b: make([]byte, 0, 256)}
-	e.u64(reqID)
-	e.u8(uint8(kind))
-	body, err := s.run(ctx, kind, d)
-	if dur != nil {
-		dur.ObserveExemplar(time.Since(start).Seconds(), span.TraceIDString())
+	e.frame()
+	e.u64(h.id)
+	e.u8(uint8(h.kind))
+	status := len(e.b)
+	e.u8(statusOK)
+	err := s.run(ctx, h.kind, d, e)
+	if m != nil {
+		m.duration.ObserveExemplar(time.Since(start).Seconds(), span.TraceIDString())
 	}
 	if err != nil {
 		span.SetError(err)
-		span.End()
+		e.b = e.b[:status]
 		e.u8(statusFor(err))
 		e.str(err.Error())
-		return e.b
 	}
 	span.End()
-	e.u8(statusOK)
-	e.b = append(e.b, body...)
-	return e.b
 }
 
-// run executes one decoded call and returns the encoded OK body.
-func (s *Server) run(ctx context.Context, kind Kind, d *dec) ([]byte, error) {
-	e := &enc{}
+// run executes one decoded call and appends the OK body to e.
+func (s *Server) run(ctx context.Context, kind Kind, d *dec, e *enc) error {
 	switch kind {
 	case KindPrepare:
 		spec := decodeSpec(d)
 		if err := d.err(); err != nil {
-			return nil, &BadRequestError{Msg: err.Error()}
+			return &BadRequestError{Msg: err.Error()}
 		}
 		info, err := s.b.Prepare(ctx, spec)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		info.encode(e)
 	case KindCount:
 		spec := decodeCountSpec(d)
 		if err := d.err(); err != nil {
-			return nil, &BadRequestError{Msg: err.Error()}
+			return &BadRequestError{Msg: err.Error()}
 		}
 		n, err := s.b.Count(ctx, spec)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.i64(n)
 	case KindRank:
@@ -270,11 +281,11 @@ func (s *Server) run(ctx context.Context, kind Kind, d *dec) ([]byte, error) {
 		version := d.u64()
 		a := d.answer()
 		if err := d.err(); err != nil {
-			return nil, &BadRequestError{Msg: err.Error()}
+			return &BadRequestError{Msg: err.Error()}
 		}
 		ranks, exact, err := s.b.Rank(ctx, spec, version, a)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.i64s(ranks)
 		e.bool(exact)
@@ -284,11 +295,11 @@ func (s *Server) run(ctx context.Context, kind Kind, d *dec) ([]byte, error) {
 		shard := int(d.u32())
 		k := d.i64()
 		if err := d.err(); err != nil {
-			return nil, &BadRequestError{Msg: err.Error()}
+			return &BadRequestError{Msg: err.Error()}
 		}
 		a, err := s.b.Access(ctx, spec, version, shard, k)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.answer(a)
 	case KindRange:
@@ -297,58 +308,58 @@ func (s *Server) run(ctx context.Context, kind Kind, d *dec) ([]byte, error) {
 		shard := int(d.u32())
 		k0, k1 := d.i64(), d.i64()
 		if err := d.err(); err != nil {
-			return nil, &BadRequestError{Msg: err.Error()}
+			return &BadRequestError{Msg: err.Error()}
 		}
 		rows, err := s.b.Range(ctx, spec, version, shard, k0, k1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.answers(rows)
 	case KindAccessBatch:
 		req := decodeAccessBatchReq(d)
 		if err := d.err(); err != nil {
-			return nil, &BadRequestError{Msg: err.Error()}
+			return &BadRequestError{Msg: err.Error()}
 		}
 		rows, err := s.b.AccessBatch(ctx, req.Spec, req.Version, req.Shards, req.Pos)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.answers(rows)
 	case KindRankBatch:
 		req := decodeRankBatchReq(d)
 		if err := d.err(); err != nil {
-			return nil, &BadRequestError{Msg: err.Error()}
+			return &BadRequestError{Msg: err.Error()}
 		}
 		ranks, exact, err := s.b.RankBatch(ctx, req.Spec, req.Version, req.Answers)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		(&RankBatchResp{Ranks: ranks, Exact: exact}).encode(e)
 	case KindStats:
 		if err := d.err(); err != nil {
-			return nil, &BadRequestError{Msg: err.Error()}
+			return &BadRequestError{Msg: err.Error()}
 		}
 		st, err := s.b.Stats(ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.u64(st.Version)
 		e.i64(st.Tuples)
 		e.i64(st.Builds)
 	case KindHealth:
 		if err := d.err(); err != nil {
-			return nil, &BadRequestError{Msg: err.Error()}
+			return &BadRequestError{Msg: err.Error()}
 		}
 		h, err := s.b.Health(ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.bool(h.Ready)
 		e.strs(h.Reasons)
 	default:
-		return nil, &BadRequestError{Msg: fmt.Sprintf("rpc: unknown call kind %d", kind)}
+		return &BadRequestError{Msg: fmt.Sprintf("rpc: unknown call kind %d", kind)}
 	}
-	return e.b, nil
+	return nil
 }
 
 // statusFor maps a backend error to its wire status; well-known

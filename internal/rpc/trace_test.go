@@ -134,7 +134,7 @@ func TestUntracedCallCarriesZeroField(t *testing.T) {
 		if err := writeHandshake(conn, ProtoVersion); err != nil {
 			return
 		}
-		req, err := readFrame(conn)
+		req, err := readFrame(conn, nil)
 		if err != nil {
 			return
 		}
@@ -143,6 +143,7 @@ func TestUntracedCallCarriesZeroField(t *testing.T) {
 		d := &dec{b: req}
 		id := d.u64()
 		e := &enc{}
+		e.frame()
 		e.u64(id)
 		e.u8(uint8(KindHealth))
 		e.u8(statusOK)

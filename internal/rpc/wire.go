@@ -23,6 +23,24 @@
 // complicate failure attribution for no win at the coordinator's
 // concurrency (it opens more connections instead, see Client's pool).
 //
+// Frame I/O. A frame costs each side one system call. The writer
+// encodes the payload behind eight reserved bytes (enc.frame), and
+// writeFrame fills length and CRC into them and hands the whole frame to
+// ONE Write: two Writes are two TCP transmits and two wake-ups of the
+// peer. Both ends read through a bufio.Reader, so header and payload of
+// a frame that arrived together cost one read. The buffers belong to
+// the connection: because a connection carries one request at a time,
+// the client's pooled connection and the server's handler each keep one
+// read and one write buffer and reuse them for every call (dropped when
+// a call grew one past keepBuf, so a large Range cannot pin memory). A
+// payload therefore aliases its connection's buffer and dies with the
+// next frame; every dec reader copies what it returns, so a decoded
+// value never does — which is why the client decodes a response BEFORE
+// it returns the connection to the pool. None of this is visible to the
+// peer: the bytes on the wire are the ones version 2 always carried, in
+// the same order, so the version stands and a peer that splits its
+// frames or reads them unbuffered interoperates in both directions.
+//
 // Versioning. ProtoVersion is bumped on any incompatible change to the
 // framing or message bodies. The handshake negotiates: the client
 // leads with its own version, the server replies with min(client,
@@ -224,68 +242,108 @@ func readHandshake(r io.Reader) (uint16, error) {
 	return binary.LittleEndian.Uint16(b[4:6]), nil
 }
 
-// encTraceContext appends the fixed v2 trace field: flags, trace id,
-// parent span id. A zero SpanContext encodes as 25 zero bytes, which
-// decodes back to "no trace".
-func encTraceContext(e *enc, sc trace.SpanContext) {
-	e.u8(sc.Flags)
-	e.b = append(e.b, sc.TraceID[:]...)
-	e.b = append(e.b, sc.SpanID[:]...)
+// reqHeader is the fixed prefix of every request payload: what the
+// server must know before it can pick the body's decoder.
+type reqHeader struct {
+	id             uint64
+	kind           Kind
+	deadlineMillis uint32
+	// trace is the fixed 25-byte v2 field (flags, trace id, parent span
+	// id); all-zero — an invalid SpanContext — means untraced.
+	trace trace.SpanContext
 }
 
-// decTraceContext consumes the fixed v2 trace field; ok is false for
-// the all-zero (untraced) field.
-func decTraceContext(d *dec) (trace.SpanContext, bool) {
-	var sc trace.SpanContext
-	sc.Flags = d.u8()
+func (h *reqHeader) encode(e *enc) {
+	e.u64(h.id)
+	e.u8(uint8(h.kind))
+	e.u32(h.deadlineMillis)
+	e.u8(h.trace.Flags)
+	e.b = append(e.b, h.trace.TraceID[:]...)
+	e.b = append(e.b, h.trace.SpanID[:]...)
+}
+
+func decodeReqHeader(d *dec) reqHeader {
+	h := reqHeader{id: d.u64(), kind: Kind(d.u8()), deadlineMillis: d.u32()}
+	h.trace.Flags = d.u8()
 	if d.bad || d.off+16+8 > len(d.b) {
 		d.fail()
-		return trace.SpanContext{}, false
+		return h
 	}
-	copy(sc.TraceID[:], d.b[d.off:])
-	d.off += 16
-	copy(sc.SpanID[:], d.b[d.off:])
-	d.off += 8
-	return sc, sc.Valid()
+	d.off += copy(h.trace.TraceID[:], d.b[d.off:])
+	d.off += copy(h.trace.SpanID[:], d.b[d.off:])
+	return h
 }
 
-// writeFrame writes one length+CRC framed payload.
-func writeFrame(w io.Writer, payload []byte) error {
+// frameHeader is the length+CRC prefix of a frame.
+const frameHeader = 8
+
+// keepBuf is the largest buffer a connection keeps between calls, and
+// the most readFrame allocates ahead of the bytes that have arrived.
+const keepBuf = 64 << 10
+
+// kept returns b emptied for the connection's next call, or nil when
+// the last call grew it past keepBuf.
+func kept(b []byte) []byte {
+	if cap(b) > keepBuf {
+		return nil
+	}
+	return b[:0]
+}
+
+// writeFrame sends one frame built by enc.frame: it fills the reserved
+// header with the payload's length and CRC and issues a single Write.
+func writeFrame(w io.Writer, frame []byte) error {
+	payload := frame[frameHeader:]
 	if len(payload) > maxFrame {
 		return fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrBadFrame, len(payload), maxFrame)
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	_, err := w.Write(frame)
 	return err
 }
 
-// readFrame reads one frame, verifying length bound and CRC.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readFrame reads one frame into buf's storage, verifying length bound
+// and CRC, and returns the payload — valid until buf's next use. The
+// claimed length is trusted only as far as bytes arrive: the buffer
+// grows by at most max(keepBuf, what was read so far) per step, so a
+// bare header claiming maxFrame costs keepBuf, not 64 MB.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < frameHeader {
+		buf = make([]byte, 0, 512)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	hdr := buf[:frameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return buf[:0], err
+	}
+	n, want := int(binary.LittleEndian.Uint32(hdr[0:4])), binary.LittleEndian.Uint32(hdr[4:8])
 	if n > maxFrame {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrBadFrame, n, maxFrame)
+		return buf[:0], fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrBadFrame, n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), max(len(buf), keepBuf))
+		if cap(buf)-len(buf) < step {
+			buf = append(make([]byte, 0, len(buf)+step), buf...)
+		}
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
 	}
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
-		return nil, fmt.Errorf("%w: payload CRC %08x, want %08x", ErrBadFrame, got, want)
+	if got := crc32.Checksum(buf, castagnoli); got != want {
+		return buf, fmt.Errorf("%w: payload CRC %08x, want %08x", ErrBadFrame, got, want)
 	}
-	return payload, nil
+	return buf, nil
 }
 
 // enc builds a little-endian message body.
 type enc struct{ b []byte }
+
+// frame empties e, keeping its storage, and reserves the header that
+// writeFrame fills in; what the caller appends next is the payload.
+func (e *enc) frame() { e.b = append(e.b[:0], make([]byte, frameHeader)...) }
 
 func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }

@@ -14,53 +14,66 @@ import (
 // part is one shard's in-process direct-access structure. access may
 // return an answer aliasing the given probe buffer (layered structures)
 // or the part's immutable storage (SUM / materialized); either way the
-// result is valid until the next access with the same buffer. Parts
+// result is valid until the next access with the same buffer. Probe
+// buffers are borrowed from the part (getBuf) and handed back after a
+// burst of probes (putBuf, Owned) or kept for good (a Handle's pooled
+// probes); both are nil for parts that probe without scratch. Parts
 // served over the network are not parts: a Handle reaches them through
 // RemotePart and BatchRanker (see NewRemote).
 type part interface {
 	total() int64
 	rank(a order.Answer) (int64, bool)
 	access(k int64, b *access.LexBuf) (order.Answer, error)
-	newBuf() *access.LexBuf
+	getBuf() *access.LexBuf
+	putBuf(*access.LexBuf)
 }
 
 type lexPart struct{ la *access.Lex }
 
 func (p lexPart) total() int64                      { return p.la.Total() }
-func (p lexPart) newBuf() *access.LexBuf            { return p.la.NewBuf() }
+func (p lexPart) getBuf() *access.LexBuf            { return p.la.GetBuf() }
+func (p lexPart) putBuf(b *access.LexBuf)           { p.la.PutBuf(b) }
 func (p lexPart) rank(a order.Answer) (int64, bool) { return p.la.Rank(a) }
 func (p lexPart) access(k int64, b *access.LexBuf) (order.Answer, error) {
 	return p.la.AccessInto(b, k)
 }
 
-type sumPart struct{ s *access.Sum }
+// noBuf is embedded by the parts that probe without scratch.
+type noBuf struct{}
+
+func (noBuf) getBuf() *access.LexBuf { return nil }
+func (noBuf) putBuf(*access.LexBuf)  {}
+
+type sumPart struct {
+	noBuf
+	s *access.Sum
+}
 
 func (p sumPart) total() int64                      { return p.s.Total() }
-func (p sumPart) newBuf() *access.LexBuf            { return nil }
 func (p sumPart) rank(a order.Answer) (int64, bool) { return p.s.Rank(a) }
 func (p sumPart) access(k int64, _ *access.LexBuf) (order.Answer, error) {
 	return p.s.Access(k)
 }
 
 type matLexPart struct {
+	noBuf
 	m *access.Materialized
 	l order.Lex
 }
 
 func (p matLexPart) total() int64                      { return p.m.Total() }
-func (p matLexPart) newBuf() *access.LexBuf            { return nil }
 func (p matLexPart) rank(a order.Answer) (int64, bool) { return p.m.RankLex(a, p.l) }
 func (p matLexPart) access(k int64, _ *access.LexBuf) (order.Answer, error) {
 	return p.m.Access(k)
 }
 
 type matSumPart struct {
+	noBuf
 	m *access.Materialized
 	w order.Sum
 }
 
 func (p matSumPart) total() int64                      { return p.m.Total() }
-func (p matSumPart) newBuf() *access.LexBuf            { return nil }
 func (p matSumPart) rank(a order.Answer) (int64, bool) { return p.m.RankSum(a, p.w) }
 func (p matSumPart) access(k int64, _ *access.LexBuf) (order.Answer, error) {
 	return p.m.Access(k)
@@ -140,7 +153,7 @@ func newHandle(q *cq.Query, pt Partitioning, totals []int64, cmp func(a, b order
 			pi:       make([]int, p),
 		}
 		for i, part := range h.parts {
-			pr.bufs[i] = part.newBuf()
+			pr.bufs[i] = part.getBuf()
 		}
 		return pr
 	}

@@ -126,7 +126,9 @@ func (o *Owned) Access(shard int, k int64) (order.Answer, error) {
 
 // AccessBatch returns, in request order, the answer at local index
 // pos[i] of owned shard shards[i] — the node-side half of the batched
-// pivot fetch. A run of positions on one shard shares one probe buffer.
+// pivot fetch. A run of positions on one shard shares one probe buffer,
+// borrowed from the shard's structure (an error path keeps it: garbage,
+// not a leak).
 func (o *Owned) AccessBatch(shards []int, pos []int64) ([]order.Answer, error) {
 	if len(shards) != len(pos) {
 		return nil, fmt.Errorf("shard: %d positions for %d shards", len(pos), len(shards))
@@ -141,17 +143,23 @@ func (o *Owned) AccessBatch(shards []int, pos []int64) ([]order.Answer, error) {
 	)
 	for i, s := range shards {
 		if i == 0 || s != shards[i-1] {
+			if p != nil {
+				p.putBuf(buf)
+			}
 			var err error
 			if p, err = o.part(s); err != nil {
 				return nil, err
 			}
-			buf = p.newBuf()
+			buf = p.getBuf()
 		}
 		a, err := p.access(pos[i], buf)
 		if err != nil {
 			return nil, err
 		}
 		out.add(a)
+	}
+	if p != nil {
+		p.putBuf(buf)
 	}
 	return out.out, nil
 }
@@ -174,7 +182,7 @@ func (o *Owned) Range(shard int, k0, k1 int64) ([]order.Answer, error) {
 	if n > maxOwnedRange {
 		return nil, fmt.Errorf("shard: range of %d answers exceeds the per-call cap %d", n, maxOwnedRange)
 	}
-	buf := p.newBuf()
+	buf := p.getBuf()
 	out := o.newAnswerBlock(int(n))
 	for k := k0; k < k1; k++ {
 		a, err := p.access(k, buf)
@@ -183,5 +191,6 @@ func (o *Owned) Range(shard int, k0, k1 int64) ([]order.Answer, error) {
 		}
 		out.add(a)
 	}
+	p.putBuf(buf)
 	return out.out, nil
 }

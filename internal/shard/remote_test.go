@@ -334,3 +334,51 @@ func TestRemoteLocateStopsBetweenRounds(t *testing.T) {
 		t.Fatalf("uncancelled probe: %d calls, %v; the layout must need more than one round", sent()-2, err)
 	}
 }
+
+// TestOwnedProbeAllocs pins the node-side cost of one batched pivot fetch
+// and one range window: the answer block's two slices and nothing per
+// shard run — the probe buffers are borrowed from the structures' pools
+// (a fresh LexBuf per run was four allocations each).
+func TestOwnedProbeAllocs(t *testing.T) {
+	if shardtest.RaceEnabled() {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	q, err := cq.Parse(twoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := layouts()[4]
+	pt, err := shard.Choose(q, "y", lay.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := shard.Build(context.Background(), q, lay.in, remoteCases(t)[0].kind(q), pt, []int{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, pos := make([]int, 32), make([]int64, 32)
+	for i := range pos {
+		shards[i] = 1 + 2*(i/16)
+		n, err := o.Total(shards[i])
+		if err != nil || n < 16 {
+			t.Fatalf("shard %d total %d, %v", shards[i], n, err)
+		}
+		pos[i] = int64(i%16) * n / 16
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if out, err := o.AccessBatch(shards, pos); err != nil || len(out) != len(pos) {
+			t.Fatalf("AccessBatch = %d answers, %v", len(out), err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("AccessBatch of 32 positions on 2 shards allocates %.0f times, ceiling 3", allocs)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		if out, err := o.Range(3, 0, 16); err != nil || len(out) != 16 {
+			t.Fatalf("Range = %d answers, %v", len(out), err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("Range of 16 answers allocates %.0f times, ceiling 3", allocs)
+	}
+}
