@@ -8,12 +8,14 @@ package rankedaccess
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/order"
+	"rankedaccess/internal/shard/shardtest"
 	"rankedaccess/internal/trace"
 	"rankedaccess/internal/values"
 	"rankedaccess/internal/workload"
@@ -53,6 +55,57 @@ func TestSteadyStateAccessZeroAllocs(t *testing.T) {
 		k = (k + step) % total
 	}); n != 0 {
 		t.Fatalf("steady-state AccessInto allocates %v times per access, want 0", n)
+	}
+}
+
+// TestOverlaidEpochZeroAllocs extends the guard to epochs that carry
+// edits: after a write the handle serves its structure through a delta
+// overlay, and a probe of it — by AppendTuple or by a cursor — must
+// still allocate nothing. It allocated one answer per probe while the
+// overlay reached its layered base through the copying Lex.Access.
+func TestOverlaidEpochZeroAllocs(t *testing.T) {
+	if shardtest.RaceEnabled() {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rng := rand.New(rand.NewSource(7))
+	_, in := workload.TwoPath(rng, 1<<12, 1<<9, 0.3)
+	e := engine.New(in, engine.Options{})
+	pq, err := e.Register("guard", engine.Spec{Query: "Q(x, y, z) :- R(x, y), S(y, z)", Order: "x, y, z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Join keys outside the domain: exactly one new answer, one edit.
+	if err := e.AddRows("R", [][]values.Value{{900001, 777777}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddRows("S", [][]values.Value{{777777, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	h, err := pq.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.DeltaEdits() == 0 {
+		t.Fatal("the write did not publish an overlay epoch")
+	}
+	total := h.Total()
+	cur := h.Cursor()
+	dst := make([]values.Value, 0, 8)
+	k := int64(0)
+	step := total/89 + 1
+	if n := testing.AllocsPerRun(500, func() {
+		if dst, err = h.AppendTuple(dst[:0], k); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = cur.Seek(k, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if dst, _, err = cur.Next(dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+		k = (k + step) % total
+	}); n != 0 {
+		t.Fatalf("overlaid AppendTuple + Cursor.Next allocate %v times per pair, want 0", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rankedaccess/internal/cq"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/values"
 )
@@ -118,9 +119,7 @@ func (la *Lex) AppendTuple(dst []values.Value, k int64) ([]values.Value, error) 
 		la.PutBuf(buf)
 		return dst, err
 	}
-	for _, v := range la.Query.Head {
-		dst = append(dst, a[v])
-	}
+	dst = appendHead(dst, la.Query.Head, a)
 	la.PutBuf(buf)
 	return dst, nil
 }
@@ -136,9 +135,7 @@ func (la *Lex) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value, er
 		if err != nil {
 			return dst, err
 		}
-		for _, v := range la.Query.Head {
-			dst = append(dst, a[v])
-		}
+		dst = appendHead(dst, la.Query.Head, a)
 	}
 	return dst, nil
 }
@@ -160,6 +157,13 @@ func (la *Lex) input(a order.Answer) (order.Answer, bool) {
 	}
 	return a, true
 }
+
+// Head returns the head variables of Query.
+func (la *Lex) Head() []cq.VarID { return la.Query.Head }
+
+// Compare is the completed order, which names every free variable and
+// so totally orders answers (Lemma 4.4).
+func (la *Lex) Compare(a, b order.Answer) int { return la.Completed.Compare(a, b) }
 
 // Rank returns the number of answers strictly preceding the given tuple
 // in the completed order, and whether the tuple is itself an answer. The
@@ -226,13 +230,7 @@ func (la *Lex) Rank(a order.Answer) (int64, bool) {
 
 // Inverted implements Algorithm 2: given an answer, return its index in
 // the completed order; ErrNotAnAnswer if the tuple is not an answer.
-func (la *Lex) Inverted(a order.Answer) (int64, error) {
-	k, exact := la.Rank(a)
-	if !exact {
-		return 0, ErrNotAnAnswer
-	}
-	return k, nil
-}
+func (la *Lex) Inverted(a order.Answer) (int64, error) { return Inverted(la, a) }
 
 // NextGE returns the index of the first answer that is ≥ the given tuple
 // in the completed order (Remark 3's "next answer" access); if every

@@ -17,6 +17,7 @@ import (
 // back to q's free variables on the way out.
 //
 // The instance must satisfy the FDs (checked; a violation is an error).
+// Without FDs it is BuildLex.
 func BuildLexFD(q *cq.Query, in *database.Instance, l order.Lex, fds fd.Set) (*Lex, error) {
 	return BuildLexFDCtx(context.Background(), q, in, l, fds)
 }
@@ -24,6 +25,9 @@ func BuildLexFD(q *cq.Query, in *database.Instance, l order.Lex, fds fd.Set) (*L
 // BuildLexFDCtx is BuildLexFD with cancellation, with the same wave
 // granularity as BuildLexCtx.
 func BuildLexFDCtx(ctx context.Context, q *cq.Query, in *database.Instance, l order.Lex, fds fd.Set) (*Lex, error) {
+	if len(fds) == 0 {
+		return BuildLexCtx(ctx, q, in, l)
+	}
 	verdict, w := classify.DirectAccessLexFD(q, l, fds)
 	if !verdict.Tractable {
 		return nil, &IntractableError{Verdict: verdict}

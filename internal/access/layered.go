@@ -8,6 +8,40 @@
 //   - partial-order completion (Lemma 4.4),
 //   - the FD-extension wrappers of §8.2, and
 //   - the ⟨n log n, 1⟩ direct access by SUM of Lemma 5.9.
+//
+// # One contract
+//
+// The paper builds one kind of object — a structure over Q(I) that
+// answers count, access(k) and rank/inverted(a) in one realized total
+// order — and everything built here answers by one interface,
+// Structure: *Lex (Theorem 4.1), *Sum (Theorem 5.1), *Materialized (the
+// materialize-and-sort fallback of the intractable side; with Sum it
+// shares one row-array representation) and *Overlay (a structure plus
+// sorted answer-level edits). How a structure of some kind answers, and
+// what its total order is, is known here and nowhere else: shards,
+// engine handles and cluster nodes hold a Structure.
+//
+// Aliasing. Access returns an answer the caller may keep. AccessInto
+// takes a probe buffer borrowed with GetBuf and returns an answer that
+// may alias that buffer (layered structures descend into it) or the
+// structure's immutable storage (row arrays; their GetBuf is nil): it
+// is valid until the buffer's next use and must not be mutated.
+// AppendTuple and AppendRange copy head projections into the caller's
+// slice and are the batched entry points — one dynamic call per
+// operation, the per-row loop stays inside this package.
+//
+// Compare is the total order Access enumerates and Rank searches. A Lex
+// realizes its Completed order, which names every free variable. A row
+// array realizes what it was sorted by, recorded at build or restore
+// time: the requested (possibly partial) lex order or ascending weight,
+// ties broken by ascending head values. An Overlay keeps its base's.
+//
+// Overlay eligibility. An Overlay edits answers of the base's own shape,
+// so any FD-free structure over a query with a non-empty head can carry
+// one; BaseOfLex is that predicate for layered structures (not Boolean:
+// no tuples to edit; not FD-extended: answers live in the extended
+// space). FD-built Sums are out for the same reason. The engine adds a
+// condition of its own for SUM orders (see its overlayEligible).
 package access
 
 import (

@@ -29,100 +29,12 @@ import (
 // merged ranks the added answer is provably the last event), otherwise
 // shift k by the run's cumulative offset and probe the base.
 
-// MergeBase adapts one built structure to what an Overlay needs:
-// ordered access, rank, and the realized total-order comparator. Build
-// one with BaseOfLex/BaseOfSum/BaseOfMatLex/BaseOfMatSum.
-type MergeBase struct {
-	q           *cq.Query
-	total       int64
-	access      func(k int64) (order.Answer, error)
-	appendRange func(dst []values.Value, k0, k1 int64) ([]values.Value, error)
-	rank        func(a order.Answer) (int64, bool)
-	cmp         func(a, b order.Answer) int
-}
-
-// BaseOfLex adapts a layered lex structure. ok is false for structures
-// an overlay cannot merge over: Boolean queries (no answer tuples to
-// edit) and FD-extended builds (their answers live in the extended
-// space).
-func BaseOfLex(la *Lex) (*MergeBase, bool) {
-	if la.boolean || la.extend != nil || la.project != nil {
-		return nil, false
-	}
-	return &MergeBase{
-		q:           la.Query,
-		total:       la.total,
-		access:      la.Access,
-		appendRange: la.AppendRange,
-		rank:        la.Rank,
-		cmp: func(a, b order.Answer) int {
-			// Completed totally orders answers (Lemma 4.4); the head
-			// tie-break is a safety net only.
-			if c := la.Completed.Compare(a, b); c != 0 {
-				return c
-			}
-			return compareHead(la.Query, a, b)
-		},
-	}, true
-}
-
-// BaseOfSum adapts a SUM structure (realized order: weight, then head).
-func BaseOfSum(s *Sum) *MergeBase {
-	b := &MergeBase{
-		q:      s.Query,
-		total:  s.Total(),
-		access: s.Access,
-		rank:   s.Rank,
-		cmp: func(a, b order.Answer) int {
-			return CompareSumTotal(s.Query, s.Weights, a, b)
-		},
-	}
-	b.appendRange = b.genericRange(s.Query.Head)
-	return b
-}
-
-// BaseOfMatLex adapts a lex-sorted materialization (realized order: l,
-// then head).
-func BaseOfMatLex(m *Materialized, l order.Lex) *MergeBase {
-	b := &MergeBase{
-		q:      m.Query,
-		total:  m.Total(),
-		access: m.Access,
-		rank:   func(a order.Answer) (int64, bool) { return m.RankLex(a, l) },
-		cmp:    func(a, b order.Answer) int { return compareFull(m.Query, l, a, b) },
-	}
-	b.appendRange = b.genericRange(m.Query.Head)
-	return b
-}
-
-// BaseOfMatSum adapts a SUM-sorted materialization.
-func BaseOfMatSum(m *Materialized, w order.Sum) *MergeBase {
-	b := &MergeBase{
-		q:      m.Query,
-		total:  m.Total(),
-		access: m.Access,
-		rank:   func(a order.Answer) (int64, bool) { return m.RankSum(a, w) },
-		cmp:    func(a, b order.Answer) int { return CompareSumTotal(m.Query, w, a, b) },
-	}
-	b.appendRange = b.genericRange(m.Query.Head)
-	return b
-}
-
-// genericRange implements appendRange by per-position access, for bases
-// without a batched range path.
-func (b *MergeBase) genericRange(head []cq.VarID) func([]values.Value, int64, int64) ([]values.Value, error) {
-	return func(dst []values.Value, k0, k1 int64) ([]values.Value, error) {
-		for k := k0; k < k1; k++ {
-			a, err := b.access(k)
-			if err != nil {
-				return dst, err
-			}
-			for _, v := range head {
-				dst = append(dst, a[v])
-			}
-		}
-		return dst, nil
-	}
+// BaseOfLex reports whether an overlay can merge over a layered
+// structure, handing it back when it can. It cannot over Boolean queries
+// (no answer tuples to edit) or FD-extended builds (their answers live
+// in the extended space). Every FD-free row array is eligible as is.
+func BaseOfLex(la *Lex) (*Lex, bool) {
+	return la, !la.boolean && la.extend == nil && la.project == nil
 }
 
 // ovEvent is one edit in the base's realized order: mr is the answer's
@@ -138,8 +50,8 @@ type ovEvent struct {
 // Overlay is an immutable merged view: the base structure plus a sorted
 // edit list. Like the base structures it is safe for concurrent use.
 type Overlay struct {
-	b      *MergeBase
-	head   []cq.VarID // head variable ids, for tuple projection
+	b      Structure
+	head   []cq.VarID // head variable ids, for projecting added answers
 	events []ovEvent
 	total  int64
 	adds   int
@@ -150,29 +62,29 @@ type Overlay struct {
 // may appear twice across the two lists; violations are construction
 // errors (they indicate a broken delta computation, not bad user
 // input).
-func NewOverlay(b *MergeBase, adds, dels []order.Answer) (*Overlay, error) {
+func NewOverlay(b Structure, adds, dels []order.Answer) (*Overlay, error) {
 	events := make([]ovEvent, 0, len(adds)+len(dels))
 	for _, a := range adds {
-		r, exact := b.rank(a)
+		r, exact := b.Rank(a)
 		if exact {
 			return nil, fmt.Errorf("access: overlay add already in base")
 		}
 		events = append(events, ovEvent{a: a, add: true, mr: r})
 	}
 	for _, d := range dels {
-		r, exact := b.rank(d)
+		r, exact := b.Rank(d)
 		if !exact {
 			return nil, fmt.Errorf("access: overlay delete not in base")
 		}
 		events = append(events, ovEvent{a: d, mr: r})
 	}
 	sort.SliceStable(events, func(i, j int) bool {
-		return b.cmp(events[i].a, events[j].a) < 0
+		return b.Compare(events[i].a, events[j].a) < 0
 	})
 	// mr currently holds the base rank; fold in the running offset.
 	var off int64
 	for i := range events {
-		if i > 0 && b.cmp(events[i-1].a, events[i].a) == 0 {
+		if i > 0 && b.Compare(events[i-1].a, events[i].a) == 0 {
 			return nil, fmt.Errorf("access: duplicate overlay edit")
 		}
 		events[i].mr += off
@@ -183,19 +95,28 @@ func NewOverlay(b *MergeBase, adds, dels []order.Answer) (*Overlay, error) {
 		}
 		events[i].cum = off
 	}
-	total := b.total + off
+	total := b.Total() + off
 	if total < 0 {
 		return nil, fmt.Errorf("access: overlay deletes more answers than the base holds")
 	}
-	head := b.q.Head
-	return &Overlay{b: b, head: head, events: events, total: total, adds: len(adds)}, nil
+	return &Overlay{b: b, head: b.Head(), events: events, total: total, adds: len(adds)}, nil
 }
 
-// Rank exposes the base's rank probe: the number of base answers
-// strictly preceding a in the realized order, and whether a is itself a
-// base answer. The engine's delta evaluator uses it as the
-// epoch-membership oracle for structures that carry no overlay yet.
-func (b *MergeBase) Rank(a order.Answer) (int64, bool) { return b.rank(a) }
+// Base returns the structure the overlay merges over.
+func (o *Overlay) Base() Structure { return o.b }
+
+// Head returns the base's head variables.
+func (o *Overlay) Head() []cq.VarID { return o.head }
+
+// Compare is the base's realized total order, which the edits are
+// sorted by.
+func (o *Overlay) Compare(a, b order.Answer) int { return o.b.Compare(a, b) }
+
+// GetBuf borrows a probe buffer from the base and PutBuf returns it.
+func (o *Overlay) GetBuf() *LexBuf { return o.b.GetBuf() }
+
+// PutBuf returns a buffer borrowed with GetBuf.
+func (o *Overlay) PutBuf(buf *LexBuf) { o.b.PutBuf(buf) }
 
 // Total returns the merged answer count.
 func (o *Overlay) Total() int64 { return o.total }
@@ -211,34 +132,52 @@ func (o *Overlay) locate(k int64) int {
 	return sort.Search(len(o.events), func(i int) bool { return o.events[i].mr > k })
 }
 
-// Access returns the k-th merged answer: two binary searches — one over
-// the edits, one descent/search of the base.
-func (o *Overlay) Access(k int64) (order.Answer, error) {
+// slot resolves merged position k — two binary searches per probe: this
+// one over the edits, then the base's own — to the added answer
+// occupying it, or else to the base position that serves it.
+func (o *Overlay) slot(k int64) (added order.Answer, baseK int64, err error) {
 	if k < 0 || k >= o.total {
-		return nil, fmt.Errorf("access: overlay index %d of %d: %w", k, o.total, ErrOutOfBound)
+		return nil, 0, fmt.Errorf("access: overlay index %d of %d: %w", k, o.total, ErrOutOfBound)
 	}
 	j := o.locate(k)
-	if j > 0 && o.events[j-1].mr == k && o.events[j-1].add {
-		return o.events[j-1].a, nil
+	if j == 0 {
+		return nil, k, nil
 	}
-	var off int64
-	if j > 0 {
-		off = o.events[j-1].cum
+	if e := &o.events[j-1]; e.mr == k && e.add {
+		return e.a, 0, nil
 	}
-	return o.b.access(k - off)
+	return nil, k - o.events[j-1].cum, nil
+}
+
+// Access returns the k-th merged answer.
+func (o *Overlay) Access(k int64) (order.Answer, error) {
+	a, baseK, err := o.slot(k)
+	if a != nil || err != nil {
+		return a, err
+	}
+	return o.b.Access(baseK)
+}
+
+// AccessInto is Access through a buffer borrowed with GetBuf.
+func (o *Overlay) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
+	a, baseK, err := o.slot(k)
+	if a != nil || err != nil {
+		return a, err
+	}
+	return o.b.AccessInto(buf, baseK)
 }
 
 // AppendTuple appends the head projection of the k-th merged answer to
-// dst.
+// dst; like the base's, it allocates only when dst lacks capacity.
 func (o *Overlay) AppendTuple(dst []values.Value, k int64) ([]values.Value, error) {
-	a, err := o.Access(k)
-	if err != nil {
+	a, baseK, err := o.slot(k)
+	switch {
+	case err != nil:
 		return dst, err
+	case a != nil:
+		return appendHead(dst, o.head, a), nil
 	}
-	for _, v := range o.head {
-		dst = append(dst, a[v])
-	}
-	return dst, nil
+	return o.b.AppendTuple(dst, baseK)
 }
 
 // AppendRange appends the head projections of merged answers
@@ -253,9 +192,7 @@ func (o *Overlay) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value,
 	var err error
 	for k < k1 {
 		if j > 0 && o.events[j-1].mr == k && o.events[j-1].add {
-			for _, v := range o.head {
-				dst = append(dst, o.events[j-1].a[v])
-			}
+			dst = appendHead(dst, o.head, o.events[j-1].a)
 			k++
 			for j < len(o.events) && o.events[j].mr <= k {
 				j++
@@ -270,7 +207,7 @@ func (o *Overlay) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value,
 		if j < len(o.events) && o.events[j].mr < end {
 			end = o.events[j].mr
 		}
-		if dst, err = o.b.appendRange(dst, k-off, end-off); err != nil {
+		if dst, err = o.b.AppendRange(dst, k-off, end-off); err != nil {
 			return dst, err
 		}
 		k = end
@@ -285,25 +222,15 @@ func (o *Overlay) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value,
 // tuple in the realized order, and whether the tuple is itself a merged
 // answer. The tuple must assign every head variable.
 func (o *Overlay) Rank(a order.Answer) (int64, bool) {
-	br, exact := o.b.rank(a)
-	idx := sort.Search(len(o.events), func(i int) bool { return o.b.cmp(o.events[i].a, a) >= 0 })
+	br, exact := o.b.Rank(a)
+	idx := sort.Search(len(o.events), func(i int) bool { return o.b.Compare(o.events[i].a, a) >= 0 })
 	var off int64
 	if idx > 0 {
 		off = o.events[idx-1].cum
 	}
 	member := exact
-	if idx < len(o.events) && o.b.cmp(o.events[idx].a, a) == 0 {
+	if idx < len(o.events) && o.b.Compare(o.events[idx].a, a) == 0 {
 		member = o.events[idx].add
 	}
 	return br + off, member
-}
-
-// Inverted returns the merged rank of an answer, ErrNotAnAnswer when
-// the tuple is not in the merged set.
-func (o *Overlay) Inverted(a order.Answer) (int64, error) {
-	k, exact := o.Rank(a)
-	if !exact {
-		return 0, ErrNotAnAnswer
-	}
-	return k, nil
 }

@@ -2,17 +2,19 @@ package access
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
+	"rankedaccess/internal/fd"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/values"
 )
 
-// twoPathInstance builds a random 2-path instance; the overlay tests
-// edit its answer set and check every merged probe against a naive
-// reference merge.
+// twoPathInstance builds a random 2-path instance. (The merged probes
+// themselves are checked by the conformance table, TestOverlay* in
+// conformance_test.go.)
 func twoPathInstance(rng *rand.Rand, n, dom int) (*cq.Query, *database.Instance) {
 	q := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
 	in := database.NewInstance()
@@ -21,219 +23,6 @@ func twoPathInstance(rng *rand.Rand, n, dom int) (*cq.Query, *database.Instance)
 		in.AddRow("S", values.Value(rng.Intn(dom)), values.Value(rng.Intn(dom)))
 	}
 	return q, in
-}
-
-// refMerge applies adds/dels to the base answer list and re-sorts with
-// the overlay's comparator.
-func refMerge(base []order.Answer, adds, dels []order.Answer, cmp func(a, b order.Answer) int) []order.Answer {
-	out := make([]order.Answer, 0, len(base)+len(adds))
-	for _, a := range base {
-		deleted := false
-		for _, d := range dels {
-			if cmp(a, d) == 0 {
-				deleted = true
-				break
-			}
-		}
-		if !deleted {
-			out = append(out, a)
-		}
-	}
-	out = append(out, adds...)
-	// Insertion sort suffices for test sizes and keeps the comparator
-	// authoritative.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && cmp(out[j], out[j-1]) < 0; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// checkOverlay probes every merged position and rank against the
-// reference.
-func checkOverlay(t *testing.T, q *cq.Query, o *Overlay, want []order.Answer, cmp func(a, b order.Answer) int) {
-	t.Helper()
-	if o.Total() != int64(len(want)) {
-		t.Fatalf("merged total %d, want %d", o.Total(), len(want))
-	}
-	var flat []values.Value
-	for k := range want {
-		got, err := o.Access(int64(k))
-		if err != nil {
-			t.Fatalf("Access(%d): %v", k, err)
-		}
-		if cmp(got, want[k]) != 0 {
-			t.Fatalf("Access(%d) = %v, want %v", k, got, want[k])
-		}
-		r, member := o.Rank(want[k])
-		if r != int64(k) || !member {
-			t.Fatalf("Rank(answer %d) = (%d, %v)", k, r, member)
-		}
-		var one []values.Value
-		one, err = o.AppendTuple(one, int64(k))
-		if err != nil {
-			t.Fatalf("AppendTuple(%d): %v", k, err)
-		}
-		for i, v := range q.Head {
-			if one[i] != want[k][v] {
-				t.Fatalf("AppendTuple(%d) col %d = %d, want %d", k, i, one[i], want[k][v])
-			}
-		}
-	}
-	var err error
-	flat, err = o.AppendRange(flat[:0], 0, o.Total())
-	if err != nil {
-		t.Fatalf("AppendRange: %v", err)
-	}
-	w := len(q.Head)
-	if len(flat) != len(want)*w {
-		t.Fatalf("AppendRange length %d, want %d", len(flat), len(want)*w)
-	}
-	for k := range want {
-		for i, v := range q.Head {
-			if flat[k*w+i] != want[k][v] {
-				t.Fatalf("AppendRange pos %d col %d = %d, want %d", k, i, flat[k*w+i], want[k][v])
-			}
-		}
-	}
-	if _, err := o.Access(o.Total()); err == nil {
-		t.Fatalf("Access(Total) should be out of bound")
-	}
-}
-
-// editSets draws a random set of deletions from the base answers and a
-// random set of additions guaranteed absent from it.
-func editSets(rng *rand.Rand, q *cq.Query, base []order.Answer, cmp func(a, b order.Answer) int) (adds, dels []order.Answer) {
-	inBase := func(a order.Answer) bool {
-		for _, b := range base {
-			if cmp(a, b) == 0 {
-				return true
-			}
-		}
-		return false
-	}
-	for _, a := range base {
-		if rng.Intn(4) == 0 {
-			dels = append(dels, a)
-		}
-	}
-	for len(adds) < 5 {
-		a := make(order.Answer, q.NumVars())
-		for _, v := range q.Head {
-			a[v] = values.Value(100 + rng.Intn(40)) // outside the data domain half the time
-		}
-		dup := false
-		for _, p := range adds {
-			if cmp(a, p) == 0 {
-				dup = true
-				break
-			}
-		}
-		if !dup && !inBase(a) {
-			adds = append(adds, a)
-		}
-	}
-	return adds, dels
-}
-
-func TestOverlayLex(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		q, in := twoPathInstance(rng, 60, 12)
-		l, err := order.ParseLex(q, "y, x desc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		la, err := BuildLex(q, in, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, ok := BaseOfLex(la)
-		if !ok {
-			t.Fatal("lex base refused")
-		}
-		var base []order.Answer
-		for k := int64(0); k < la.Total(); k++ {
-			a, err := la.Access(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base = append(base, a)
-		}
-		adds, dels := editSets(rng, q, base, b.cmp)
-		o, err := NewOverlay(b, adds, dels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkOverlay(t, q, o, refMerge(base, adds, dels, b.cmp), b.cmp)
-	}
-}
-
-func TestOverlayMatLex(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		_, in := twoPathInstance(rng, 40, 8)
-		// Project to (x, z): existential join variable, materialized
-		// fallback territory for many orders; force the fallback.
-		qp := cq.MustParse("Q(x, z) :- R(x, y), S(y, z)")
-		l, err := order.ParseLex(qp, "z desc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := BuildMaterializedLex(qp, in, l)
-		b := BaseOfMatLex(m, l)
-		var base []order.Answer
-		for k := int64(0); k < m.Total(); k++ {
-			a, err := m.Access(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base = append(base, a)
-		}
-		adds, dels := editSets(rng, qp, base, b.cmp)
-		o, err := NewOverlay(b, adds, dels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkOverlay(t, qp, o, refMerge(base, adds, dels, b.cmp), b.cmp)
-	}
-}
-
-func TestOverlaySum(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	q := cq.MustParse("Q(x, y) :- R(x, y)")
-	in := database.NewInstance()
-	seen := map[[2]values.Value]bool{}
-	for len(seen) < 50 {
-		k := [2]values.Value{values.Value(rng.Intn(30)), values.Value(rng.Intn(30))}
-		if !seen[k] {
-			seen[k] = true
-			in.AddRow("R", k[0], k[1])
-		}
-	}
-	x, _ := q.VarByName("x")
-	y, _ := q.VarByName("y")
-	w := order.IdentitySum(x, y)
-	s, err := BuildSum(q, in, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := BaseOfSum(s)
-	var base []order.Answer
-	for k := int64(0); k < s.Total(); k++ {
-		a, err := s.Access(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base = append(base, a)
-	}
-	adds, dels := editSets(rng, q, base, b.cmp)
-	o, err := NewOverlay(b, adds, dels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOverlay(t, q, o, refMerge(base, adds, dels, b.cmp), b.cmp)
 }
 
 func TestOverlayRejectsBadEdits(t *testing.T) {
@@ -248,7 +37,7 @@ func TestOverlayRejectsBadEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, ok := BaseOfLex(la)
-	if !ok {
+	if !ok || b != la {
 		t.Fatal("lex base refused")
 	}
 	a0, err := la.Access(0)
@@ -264,5 +53,95 @@ func TestOverlayRejectsBadEdits(t *testing.T) {
 	}
 	if _, err := NewOverlay(b, nil, []order.Answer{ghost}); err == nil {
 		t.Fatal("deleting a missing answer should fail")
+	}
+}
+
+// BaseOfLex is the overlay-eligibility predicate of layered structures.
+func TestBaseOfLexRefusesBooleanAndFD(t *testing.T) {
+	qb := cq.MustParse("Q() :- R(x, y), S(y, z)")
+	lb, err := BuildLex(qb, fig2(), order.Lex{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := BaseOfLex(lb); ok {
+		t.Fatal("a Boolean structure has no answer tuples to edit")
+	}
+	q := cq.MustParse("Q(x, y) :- R(x, y)")
+	fds, err := fd.Parse(q, "R: x -> y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := database.NewInstance()
+	in.AddRow("R", 1, 2)
+	lf, err := BuildLexFD(q, in, lex(t, q, "y, x"), fds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := BaseOfLex(lf); ok {
+		t.Fatal("an FD-extended structure answers in the extended space")
+	}
+}
+
+// A snapshot whose checksums are valid can still carry rows in the
+// wrong order; a row array that served them would answer Rank — and so
+// Inverted, shard merges and overlay edits — silently wrong. The
+// FromParts constructors know the order and refuse.
+func TestRowsFromPartsRejectsUnsortedRows(t *testing.T) {
+	q := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
+	l := lex(t, q, "x, z, y")
+	w := order.IdentitySum(q.Head...)
+	qs := cq.MustParse("Q(x, y) :- R(x, y)")
+	ws := order.IdentitySum(qs.Head...)
+	s, err := BuildSum(qs, fig2(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]struct {
+		parts func() (*RowParts, bool)
+		load  func(*RowParts) (Structure, error)
+	}{
+		"mat-lex": {BuildMaterializedLex(q, fig2(), l).Parts,
+			func(p *RowParts) (Structure, error) { return MatFromParts(q, l, order.Sum{}, false, p) }},
+		"mat-sum": {BuildMaterializedSum(q, fig2(), w).Parts,
+			func(p *RowParts) (Structure, error) { return MatFromParts(q, order.Lex{}, w, true, p) }},
+		"sum": {s.Parts,
+			func(p *RowParts) (Structure, error) { return SumFromParts(qs, ws, p) }},
+	}
+	for name, c := range cases {
+		p, ok := c.parts()
+		if !ok {
+			t.Fatalf("%s: no parts", name)
+		}
+		st, err := c.load(p)
+		if err != nil {
+			t.Fatalf("%s: round trip: %v", name, err)
+		}
+		for k := int64(0); k < st.Total(); k++ {
+			a, _ := st.Access(k)
+			if r, exact := st.Rank(a); r != k || !exact {
+				t.Fatalf("%s: restored Rank(Access(%d)) = (%d, %v)", name, k, r, exact)
+			}
+		}
+		// Swap rows 0 and 1, answers and weights together: each row still
+		// carries its own weight, only the order is wrong.
+		nv := p.NumVars
+		swapped := &RowParts{NumVars: nv, Flat: slices.Clone(p.Flat), Weights: slices.Clone(p.Weights)}
+		for i := 0; i < nv; i++ {
+			swapped.Flat[i], swapped.Flat[nv+i] = swapped.Flat[nv+i], swapped.Flat[i]
+		}
+		if swapped.Weights != nil {
+			swapped.Weights[0], swapped.Weights[1] = swapped.Weights[1], swapped.Weights[0]
+		}
+		if _, err := c.load(swapped); err == nil {
+			t.Fatalf("%s: rows 0 and 1 swapped, still loaded", name)
+		}
+		// Swap the answers alone: the stored weights stay sorted but no
+		// longer belong to their rows.
+		if p.Weights != nil && p.Weights[0] != p.Weights[1] {
+			swapped.Weights = p.Weights
+			if _, err := c.load(swapped); err == nil {
+				t.Fatalf("%s: answers swapped under their weights, still loaded", name)
+			}
+		}
 	}
 }

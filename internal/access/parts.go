@@ -18,8 +18,9 @@ import (
 //
 // The FromParts constructors validate the structural invariants the
 // probe algorithms rely on for memory safety and termination (shapes,
-// index bounds, zero start offsets, strictly positive weights); value-
-// level correctness is the snapshot checksums' job.
+// index bounds, zero start offsets, strictly positive weights) and,
+// for row arrays, the rank order itself (see rowsFromParts); the rest
+// of value-level correctness is the snapshot checksums' job.
 
 // LexLayerParts is the flat state of one layer of a built Lex. Children
 // and the child key-gather plans are not part of it: they are
@@ -236,9 +237,10 @@ func layerFromParts(ly *layer, i int, lp *LexLayerParts, numVars int) error {
 	return nil
 }
 
-// SumParts is the flat state of a built Sum structure: the answers in
-// rank order, row-major at stride NumVars, plus the per-answer weights.
-type SumParts struct {
+// RowParts is the flat state of a built Sum or Materialized structure:
+// the answers in rank order, row-major at stride NumVars, plus the
+// per-answer weights of a SUM order (nil for lex materializations).
+type RowParts struct {
 	NumVars int
 	Flat    []values.Value
 	Weights []float64
@@ -247,64 +249,67 @@ type SumParts struct {
 // Parts exports the structure's answers as one flat array (copied: the
 // built answers alias construction-order backing). ok is false when the
 // structure carries an FD projection closure.
-func (s *Sum) Parts() (*SumParts, bool) {
-	if s.project != nil {
+func (r *rowArray) Parts() (*RowParts, bool) {
+	if r.project != nil {
 		return nil, false
 	}
-	nv := s.Query.NumVars()
-	flat := make([]values.Value, 0, len(s.answers)*nv)
-	for _, a := range s.answers {
+	nv := r.Query.NumVars()
+	flat := make([]values.Value, 0, len(r.answers)*nv)
+	for _, a := range r.answers {
 		flat = append(flat, a...)
 	}
-	return &SumParts{NumVars: nv, Flat: flat, Weights: s.weights}, true
+	return &RowParts{NumVars: nv, Flat: flat, Weights: r.weights}, true
 }
 
 // SumFromParts reconstructs a Sum for q under the weight order w. The
 // flat answer array is aliased and sliced per answer.
-func SumFromParts(q *cq.Query, w order.Sum, p *SumParts) (*Sum, error) {
-	answers, err := sliceAnswers(q, p.NumVars, p.Flat)
+func SumFromParts(q *cq.Query, w order.Sum, p *RowParts) (*Sum, error) {
+	r, err := rowsFromParts(rowArray{Query: q, Weights: w, bySum: true}, p)
 	if err != nil {
 		return nil, err
 	}
-	if len(p.Weights) != len(answers) {
-		return nil, fmt.Errorf("access: %d weights for %d answers", len(p.Weights), len(answers))
+	return &Sum{r}, nil
+}
+
+// MatFromParts reconstructs a Materialized for q, sorted by the SUM
+// order w when bySum and by the lex order l otherwise.
+func MatFromParts(q *cq.Query, l order.Lex, w order.Sum, bySum bool, p *RowParts) (*Materialized, error) {
+	r, err := rowsFromParts(rowArray{Query: q, lex: l, Weights: w, bySum: bySum}, p)
+	if err != nil {
+		return nil, err
 	}
-	for i := 1; i < len(p.Weights); i++ {
-		if p.Weights[i] < p.Weights[i-1] {
-			return nil, fmt.Errorf("access: answer weights not sorted at rank %d", i)
+	return &Materialized{r}, nil
+}
+
+// rowsFromParts installs persisted rows into r, which names their
+// order, and verifies what Rank's binary search relies on: every stored
+// weight is the row's weight and the rows strictly increase in the
+// realized order. Checksums cannot vouch for that — a file written from
+// rows in the wrong order has valid ones — and a structure serving such
+// rows answers Rank and overlay probes silently wrong.
+func rowsFromParts(r rowArray, p *RowParts) (rowArray, error) {
+	var err error
+	if r.answers, err = sliceAnswers(r.Query, p.NumVars, p.Flat); err != nil {
+		return r, err
+	}
+	if r.bySum {
+		if len(p.Weights) != len(r.answers) {
+			return r, fmt.Errorf("access: %d weights for %d answers", len(p.Weights), len(r.answers))
+		}
+		r.weights = p.Weights
+	}
+	for i, a := range r.answers {
+		var wa float64
+		if r.bySum {
+			if wa = r.Weights.AnswerWeight(r.Query, a); wa != r.weights[i] {
+				return r, fmt.Errorf("access: stored weight %v of rank %d, its answer weighs %v", r.weights[i], i, wa)
+			}
+		}
+		if i > 0 && r.cmpRow(i-1, a, wa) >= 0 {
+			return r, fmt.Errorf("access: answers not in rank order at rank %d", i)
 		}
 	}
-	return &Sum{Query: q, Weights: w, answers: answers, weights: p.Weights}, nil
-}
-
-// MatParts is SumParts for materialized structures; Weights is nil for
-// lex materializations.
-type MatParts struct {
-	NumVars int
-	Flat    []values.Value
-	Weights []float64
-}
-
-// Parts exports the materialized answers as one flat array (copied).
-func (m *Materialized) Parts() *MatParts {
-	nv := m.Query.NumVars()
-	flat := make([]values.Value, 0, len(m.answers)*nv)
-	for _, a := range m.answers {
-		flat = append(flat, a...)
-	}
-	return &MatParts{NumVars: nv, Flat: flat, Weights: m.weights}
-}
-
-// MatFromParts reconstructs a Materialized for q.
-func MatFromParts(q *cq.Query, p *MatParts) (*Materialized, error) {
-	answers, err := sliceAnswers(q, p.NumVars, p.Flat)
-	if err != nil {
-		return nil, err
-	}
-	if p.Weights != nil && len(p.Weights) != len(answers) {
-		return nil, fmt.Errorf("access: %d weights for %d answers", len(p.Weights), len(answers))
-	}
-	return &Materialized{Query: q, answers: answers, weights: p.Weights}, nil
+	return r, nil
 }
 
 // sliceAnswers carves a flat row-major answer array into per-answer

@@ -17,16 +17,7 @@ import (
 // tractable class of Theorem 5.1 (acyclic queries with an atom containing
 // all free variables, equivalently α_free ≤ 1): the answer set fits in a
 // single reduced relation, so it is materialized, weighted, and sorted.
-type Sum struct {
-	// Query is the original query.
-	Query *cq.Query
-	// Weights is the SUM order used.
-	Weights order.Sum
-
-	answers []order.Answer
-	weights []float64
-	project func(order.Answer) order.Answer
-}
+type Sum struct{ rowArray }
 
 // BuildSum constructs the structure, failing with *IntractableError when
 // q is outside the tractable class of Theorem 5.1.
@@ -40,7 +31,11 @@ func BuildSum(q *cq.Query, in *database.Instance, w order.Sum) (*Sum, error) {
 // BuildSumFD is the Theorem 8.9 variant: the criterion and the structure
 // apply to the FD-extension over the extended instance; the promoted free
 // variables weigh zero (Lemma 8.5), so answer weights are unchanged.
+// Without FDs it is BuildSum.
 func BuildSumFD(q *cq.Query, in *database.Instance, w order.Sum, fds fd.Set) (*Sum, error) {
+	if len(fds) == 0 {
+		return BuildSum(q, in, w)
+	}
 	verdict, wfd := classify.DirectAccessSumFD(q, fds)
 	if !verdict.Tractable {
 		return nil, &IntractableError{Verdict: verdict}
@@ -73,7 +68,7 @@ func buildSum(q *cq.Query, in *database.Instance, w order.Sum) (*Sum, error) {
 	}
 	tree.Yannakakis()
 
-	s := &Sum{Query: q, Weights: w}
+	s := &Sum{rowArray{Query: q, Weights: w, bySum: true}}
 	if q.IsBoolean() {
 		if booleanTrue(full) {
 			s.answers = []order.Answer{make(order.Answer, q.NumVars())}
@@ -120,17 +115,7 @@ func buildSum(q *cq.Query, in *database.Instance, w order.Sum) (*Sum, error) {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(i, j int) bool {
-		wi, wj := s.weights[idx[i]], s.weights[idx[j]]
-		if wi != wj {
-			return wi < wj
-		}
-		ai, aj := s.answers[idx[i]], s.answers[idx[j]]
-		for _, v := range q.Head {
-			if ai[v] != aj[v] {
-				return ai[v] < aj[v]
-			}
-		}
-		return false
+		return s.cmpRow(idx[i], s.answers[idx[j]], s.weights[idx[j]]) < 0
 	})
 	ans := make([]order.Answer, n)
 	ws := make([]float64, n)
@@ -139,29 +124,6 @@ func buildSum(q *cq.Query, in *database.Instance, w order.Sum) (*Sum, error) {
 	}
 	s.answers, s.weights = ans, ws
 	return s, nil
-}
-
-// Total returns |Q(I)|.
-func (s *Sum) Total() int64 { return int64(len(s.answers)) }
-
-// Access returns the k-th answer by increasing weight in O(1).
-func (s *Sum) Access(k int64) (order.Answer, error) {
-	if k < 0 || k >= int64(len(s.answers)) {
-		return nil, ErrOutOfBound
-	}
-	a := s.answers[k]
-	if s.project != nil {
-		return s.project(a), nil
-	}
-	return a, nil
-}
-
-// WeightAt returns the weight of the k-th answer.
-func (s *Sum) WeightAt(k int64) (float64, error) {
-	if k < 0 || k >= int64(len(s.weights)) {
-		return 0, ErrOutOfBound
-	}
-	return s.weights[k], nil
 }
 
 // WeightLookup returns the first index whose answer has exactly weight

@@ -181,8 +181,7 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 			Shards:    dp.Part.P,
 			ShardBy:   dp.Part.VarName,
 		},
-		Sh:       shard.NewRemote(dp.Query, dp.Part, parts, kind.Comparator(dp.Query, completed), ranker, completed),
-		NoInvert: kind.IsSum,
+		Sh: shard.NewRemote(dp.Query, dp.Part, parts, kind.Comparator(dp.Query, completed), ranker, completed),
 	}, nil
 }
 

@@ -32,11 +32,12 @@ type Cursor struct {
 	pos int64
 
 	// buf is the cursor-owned probe scratch for single-step Next on an
-	// unsharded layered structure (lazily created). A dedicated buffer
-	// instead of the handle's pooled path keeps Next deterministically
-	// allocation-free: sync.Pool may shed entries (GC, and randomly
-	// under the race detector), a buffer owned by this single-consumer
-	// cursor cannot.
+	// unsharded structure, borrowed from it on first use and never
+	// handed back (nil for structures that probe without scratch). A
+	// dedicated buffer instead of the handle's pooled path keeps Next
+	// deterministically allocation-free: sync.Pool may shed entries
+	// (GC, and randomly under the race detector), a buffer owned by
+	// this single-consumer cursor cannot.
 	buf *access.LexBuf
 }
 
@@ -98,30 +99,26 @@ func (c *Cursor) Seek(offset int64, whence int) (int64, error) {
 // Next appends the head tuple at the current position to dst, advances,
 // and returns the extended slice and true. At the end of the answer
 // list it returns (dst, false, nil). Steady-state calls with a reused
-// dst perform zero allocations on the layered structure.
+// dst perform zero allocations on an unsharded structure, overlaid or
+// not.
 func (c *Cursor) Next(dst []values.Value) ([]values.Value, bool, error) {
 	if c.pos >= c.h.Total() {
 		return dst, false, nil
 	}
 	var err error
-	// The direct layered fast path applies only without an overlay: a
-	// merged epoch routes every probe through the overlay's two binary
-	// searches.
-	if lex := c.h.lex; lex != nil && c.h.ov == nil {
+	if st := c.h.st; st != nil {
 		if c.buf == nil {
-			c.buf = lex.NewBuf()
+			c.buf = st.GetBuf()
 		}
 		var a order.Answer
-		a, err = lex.AccessInto(c.buf, c.pos)
-		if err != nil {
-			return dst, false, err
+		if a, err = st.AccessInto(c.buf, c.pos); err == nil {
+			dst = c.h.AppendHeadTuple(dst, a)
 		}
-		dst = c.h.AppendHeadTuple(dst, a)
 	} else {
 		dst, err = c.h.AppendTuple(dst, c.pos)
-		if err != nil {
-			return dst, false, err
-		}
+	}
+	if err != nil {
+		return dst, false, err
 	}
 	c.pos++
 	return dst, true, nil

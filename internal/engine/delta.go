@@ -43,11 +43,10 @@ func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Han
 		e.deltaSkips.Add(1)
 		return &nh
 	}
-	base := stale.ovBase
-	if base == nil {
-		base = mergeBase(stale)
-	}
-	if base == nil {
+	base := stale.st
+	if stale.ov != nil {
+		base = stale.ov.Base()
+	} else if !overlayEligible(stale) {
 		e.deltaRebuilds.Add(1)
 		return nil
 	}
@@ -57,11 +56,7 @@ func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Han
 		return nil
 	}
 	member := func(a order.Answer) bool {
-		if stale.ov != nil {
-			_, m := stale.ov.Rank(a)
-			return m
-		}
-		_, m := base.Rank(a)
+		_, m := stale.st.Rank(a)
 		return m
 	}
 	adds, dels := delta.Diff(stale.Query, e.in, sp, member)
@@ -79,7 +74,7 @@ func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Han
 	}
 	nh := *stale
 	nh.version = version
-	nh.ov, nh.ovBase = ov, base
+	nh.st, nh.ov = ov, ov
 	nh.ovAdds, nh.ovDels = newAdds, newDels
 	e.deltaEpochs.Add(1)
 	if ov.Edits() > e.deltaSoft {
@@ -88,38 +83,16 @@ func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Han
 	return &nh
 }
 
-// mergeBase adapts a handle's structure for overlay merging, or nil
-// when the handle is ineligible: sharded and FD-extended handles carry
-// per-shard state or extended answer spaces the answer-level delta
-// cannot edit, Boolean queries have no answer tuples, and SUM-ordered
-// handles qualify only when every summed variable is a head variable
-// (delta answers zero the existential slots, which would corrupt
-// weights otherwise).
-func mergeBase(h *Handle) *access.MergeBase {
-	if h.sh != nil || len(h.spec.FDs) > 0 || len(h.Query.Head) == 0 {
-		return nil
-	}
-	switch {
-	case h.lex != nil:
-		b, ok := access.BaseOfLex(h.lex)
-		if !ok {
-			return nil
-		}
-		return b
-	case h.sum != nil:
-		if !sumByInHead(h) {
-			return nil
-		}
-		return access.BaseOfSum(h.sum)
-	case h.mat != nil && h.matIsLex:
-		return access.BaseOfMatLex(h.mat, h.matLex)
-	case h.mat != nil:
-		if !sumByInHead(h) {
-			return nil
-		}
-		return access.BaseOfMatSum(h.mat, h.sumW)
-	}
-	return nil
+// overlayEligible reports whether an overlay can merge over the
+// handle's structure: sharded and FD-extended handles carry per-shard
+// state or extended answer spaces the answer-level delta cannot edit,
+// Boolean queries have no answer tuples, and SUM-ordered handles
+// qualify only when every summed variable is a head variable (delta
+// answers zero the existential slots, which would corrupt weights
+// otherwise). These are access.BaseOfLex's conditions and more, read
+// off the spec.
+func overlayEligible(h *Handle) bool {
+	return h.sh == nil && len(h.spec.FDs) == 0 && len(h.Query.Head) > 0 && sumByInHead(h)
 }
 
 // sumByInHead reports whether every summed variable of the handle's

@@ -207,31 +207,24 @@ type Handle struct {
 	// touching none of them republish the handle unchanged.
 	rels map[string]bool
 
-	lex      *access.Lex
-	sum      *access.Sum
-	mat      *access.Materialized
-	matIsLex bool      // the materialization is lex-sorted (not SUM-sorted)
-	matLex   order.Lex // realized order of a materialized-lex handle
-	sumW     order.Sum // weights of a SUM-ordered handle (sum or mat-sum)
-
-	// Delta overlay: when ov is non-nil every probe goes through the
-	// merged view of ovBase (an adapter over lex/sum/mat) plus the
-	// answer-level edits ovAdds/ovDels accumulated since the base was
-	// built. Immutable, like everything else on a Handle: a catch-up
-	// publishes a new Handle with a new overlay.
+	// st is the structure unsharded probes go through (nil on a sharded
+	// handle): the built structure itself, or — when ov is non-nil —
+	// ov, the merged view of that structure (ov.Base()) plus the
+	// answer-level edits ovAdds/ovDels accumulated since it was built.
+	// Immutable, like everything else on a Handle: a catch-up publishes
+	// a new Handle with a new overlay.
+	st     access.Structure
 	ov     *access.Overlay
-	ovBase *access.MergeBase
 	ovAdds []order.Answer
 	ovDels []order.Answer
 
 	// Sharded serving: sh merges per-shard structures; shProject maps a
 	// merged (possibly FD-extended) answer to the original query's
-	// shape, shExtend maps a caller answer into the merged shape for
-	// inverted access, and shNoInvert marks SUM groups (no inverse).
-	sh         *shard.Handle
-	shProject  func(order.Answer) order.Answer
-	shExtend   func(order.Answer) (order.Answer, bool)
-	shNoInvert bool
+	// shape and shExtend maps a caller answer into the merged shape for
+	// inverted access.
+	sh        *shard.Handle
+	shProject func(order.Answer) order.Answer
+	shExtend  func(order.Answer) (order.Answer, bool)
 }
 
 // Version returns the instance version (epoch) the handle answers for.
@@ -248,18 +241,10 @@ func (h *Handle) DeltaEdits() int {
 
 // Total returns |Q(I)| as of the handle's build.
 func (h *Handle) Total() int64 {
-	switch {
-	case h.ov != nil:
-		return h.ov.Total()
-	case h.sh != nil:
+	if h.sh != nil {
 		return h.sh.Total()
-	case h.lex != nil:
-		return h.lex.Total()
-	case h.sum != nil:
-		return h.sum.Total()
-	default:
-		return h.mat.Total()
 	}
+	return h.st.Total()
 }
 
 // Access returns the k-th answer in the handle's order.
@@ -271,56 +256,36 @@ func (h *Handle) Access(k int64) (order.Answer, error) {
 // the context rides the network scatter (trace propagation, deadline);
 // in-process structures ignore it.
 func (h *Handle) AccessCtx(ctx context.Context, k int64) (order.Answer, error) {
-	switch {
-	case h.ov != nil:
-		return h.ov.Access(k)
-	case h.sh != nil:
-		a, err := h.sh.AccessCtx(ctx, k)
-		if err != nil {
-			return nil, err
-		}
-		if h.shProject != nil {
-			a = h.shProject(a)
-		}
-		return a, nil
-	case h.lex != nil:
-		return h.lex.Access(k)
-	case h.sum != nil:
-		return h.sum.Access(k)
-	default:
-		return h.mat.Access(k)
+	if h.sh == nil {
+		return h.st.Access(k)
 	}
+	a, err := h.sh.AccessCtx(ctx, k)
+	if err != nil {
+		return nil, err
+	}
+	if h.shProject != nil {
+		a = h.shProject(a)
+	}
+	return a, nil
 }
 
-// Inverted returns the index of an answer, when the underlying structure
-// supports it (layered and materialized lex structures do; SUM-sorted
-// structures do not).
+// Inverted returns the index of an answer, when the order has an
+// inverse (lex orders do; the engine serves none for SUM orders).
 func (h *Handle) Inverted(a order.Answer) (int64, error) {
-	switch {
-	case h.ov != nil:
-		if h.sum != nil || (h.mat != nil && !h.matIsLex) {
-			return 0, ErrNoInverted
-		}
-		return h.ov.Inverted(a)
-	case h.sh != nil:
-		if h.shNoInvert {
-			return 0, ErrNoInverted
-		}
-		if h.shExtend != nil {
-			ext, ok := h.shExtend(a)
-			if !ok {
-				return 0, access.ErrNotAnAnswer
-			}
-			a = ext
-		}
-		return h.sh.Inverted(a)
-	case h.lex != nil:
-		return h.lex.Inverted(a)
-	case h.matIsLex:
-		return h.mat.Inverted(a, h.matLex)
-	default:
+	if len(h.spec.SumBy) > 0 {
 		return 0, ErrNoInverted
 	}
+	if h.sh == nil {
+		return access.Inverted(h.st, a)
+	}
+	if h.shExtend != nil {
+		ext, ok := h.shExtend(a)
+		if !ok {
+			return 0, access.ErrNotAnAnswer
+		}
+		a = ext
+	}
+	return h.sh.Inverted(a)
 }
 
 // HeadTuple projects an answer onto the query head, in head order.
@@ -341,35 +306,19 @@ func (h *Handle) AppendHeadTuple(dst []values.Value, a order.Answer) []values.Va
 func (h *Handle) Width() int { return len(h.Query.Head) }
 
 // AppendTuple appends the head tuple of the k-th answer to dst and
-// returns the extended slice. On the layered structure this is the
-// zero-allocation access path (probe scratch comes from a pool, output
-// goes into dst); the other structures only pay dst growth.
+// returns the extended slice. This is the zero-allocation access path
+// (probe scratch comes from a pool, output goes into dst), with or
+// without an overlay: one dynamic call, whatever the structure.
 func (h *Handle) AppendTuple(dst []values.Value, k int64) ([]values.Value, error) {
 	return h.AppendTupleCtx(context.Background(), dst, k)
 }
 
 // AppendTupleCtx is AppendTuple with a caller context (see AccessCtx).
 func (h *Handle) AppendTupleCtx(ctx context.Context, dst []values.Value, k int64) ([]values.Value, error) {
-	switch {
-	case h.ov != nil:
-		return h.ov.AppendTuple(dst, k)
-	case h.sh != nil:
+	if h.sh != nil {
 		return h.sh.AppendTupleCtx(ctx, dst, h.Query.Head, k)
-	case h.lex != nil:
-		return h.lex.AppendTuple(dst, k)
-	case h.sum != nil:
-		a, err := h.sum.Access(k)
-		if err != nil {
-			return dst, err
-		}
-		return h.AppendHeadTuple(dst, a), nil
-	default:
-		a, err := h.mat.Access(k)
-		if err != nil {
-			return dst, err
-		}
-		return h.AppendHeadTuple(dst, a), nil
 	}
+	return h.st.AppendTuple(dst, k)
 }
 
 // AccessRange appends the head tuples of answers k0 ≤ k < k1 to dst
@@ -386,23 +335,10 @@ func (h *Handle) AccessRangeCtx(ctx context.Context, dst []values.Value, k0, k1 
 	if k0 < 0 || k1 < k0 {
 		return dst, fmt.Errorf("engine: bad access range [%d, %d)", k0, k1)
 	}
-	if h.ov != nil {
-		return h.ov.AppendRange(dst, k0, k1)
-	}
 	if h.sh != nil {
 		return h.sh.AppendRangeCtx(ctx, dst, h.Query.Head, k0, k1)
 	}
-	if h.lex != nil {
-		return h.lex.AppendRange(dst, k0, k1)
-	}
-	for k := k0; k < k1; k++ {
-		var err error
-		dst, err = h.AppendTupleCtx(ctx, dst, k)
-		if err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
+	return h.st.AppendRange(dst, k0, k1)
 }
 
 // Stats is a snapshot of engine counters.
@@ -1152,7 +1088,9 @@ func (p *parsed) directAccess() (classify.Verdict, classify.WithFDs) {
 }
 
 // kind is the tractable structure kind of the spec's order.
-func (p *parsed) kind() shard.Kind { return shard.Kind{IsSum: p.sum, Lex: p.l, Sum: p.w} }
+func (p *parsed) kind() shard.Kind {
+	return shard.Kind{IsSum: p.sum, Lex: p.l, Sum: p.w, FDs: p.fds}
+}
 
 // tractableMode names the tractable structure of a lex or SUM order.
 func tractableMode(sum bool) Mode {
@@ -1217,8 +1155,8 @@ func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 	}
-	h := &Handle{Query: p.q, spec: s, rels: queryRels(p.q), sumW: p.w}
-	err = ladder(ctx, p, &h.Plan, func(k shard.Kind, wfd classify.WithFDs) error {
+	h := &Handle{Query: p.q, spec: s, rels: queryRels(p.q)}
+	err = ladder(ctx, p, &h.Plan, func(k shard.Kind, wfd classify.WithFDs) (err error) {
 		if shards > 1 {
 			err := e.buildSharded(ctx, h, p, k, wfd, s.ShardBy, shards)
 			if err == nil || ctxErr(err) {
@@ -1229,7 +1167,8 @@ func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 			// errors exactly.
 			h.Plan.ShardNote = err.Error()
 		}
-		return e.buildSingle(ctx, h, p, k)
+		h.st, _, err = k.Build(ctx, p.q, e.in)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -1246,25 +1185,6 @@ func queryRels(q *cq.Query) map[string]bool {
 	return rels
 }
 
-// buildSingle builds h's one unsharded structure of kind k.
-func (e *Engine) buildSingle(ctx context.Context, h *Handle, p *parsed, k shard.Kind) (err error) {
-	switch {
-	case k.Materialized && k.IsSum:
-		h.mat = access.BuildMaterializedSum(p.q, e.in, p.w)
-	case k.Materialized:
-		h.mat, h.matIsLex, h.matLex = access.BuildMaterializedLex(p.q, e.in, p.l), true, p.l
-	case k.IsSum && len(p.fds) == 0:
-		h.sum, err = access.BuildSum(p.q, e.in, p.w)
-	case k.IsSum:
-		h.sum, err = access.BuildSumFD(p.q, e.in, p.w, p.fds)
-	case len(p.fds) == 0:
-		h.lex, err = access.BuildLexCtx(ctx, p.q, e.in, p.l)
-	default:
-		h.lex, err = access.BuildLexFDCtx(ctx, p.q, e.in, p.l, p.fds)
-	}
-	return err
-}
-
 // buildSharded builds h's structure of kind k hash-partitioned: choose
 // the partitioning, then split, build per shard and merge (shard.Build).
 // FD specs on the tractable side are extended globally first, once,
@@ -1274,10 +1194,10 @@ func (e *Engine) buildSingle(ctx context.Context, h *Handle, p *parsed, k shard.
 // (Lemma 8.5) — so every shard prices foreign candidates against
 // complete FD-implied values. The fallback ignores FDs, as it does
 // unsharded: they change neither the answer set nor the realized order.
-// SUM groups have no inverse (as in the single-structure case). An
-// error leaves h untouched.
+// An error leaves h untouched.
 func (e *Engine) buildSharded(ctx context.Context, h *Handle, p *parsed, k shard.Kind, w classify.WithFDs, by string, shards int) error {
 	q, in := p.q, e.in
+	k.FDs = nil // extended away below, and the fallback ignores them
 	var project func(order.Answer) order.Answer
 	var extend func(order.Answer) (order.Answer, bool)
 	if len(p.fds) > 0 && !k.Materialized {
@@ -1306,7 +1226,7 @@ func (e *Engine) buildSharded(ctx context.Context, h *Handle, p *parsed, k shard
 	if err != nil {
 		return err
 	}
-	h.sh, h.shProject, h.shExtend, h.shNoInvert = sh, project, extend, k.IsSum
+	h.sh, h.shProject, h.shExtend = sh, project, extend
 	h.Plan.Shards, h.Plan.ShardBy = pt.P, pt.VarName
 	return nil
 }

@@ -56,8 +56,6 @@ type RemoteHandle struct {
 	Plan Plan
 	// Sh merges the remote shard parts (see shard.NewRemote).
 	Sh *shard.Handle
-	// NoInvert marks orders with no inverse (SUM groups).
-	NoInvert bool
 }
 
 // buildRemote is build() for a coordinator engine: delegate to the
@@ -68,12 +66,11 @@ func (e *Engine) buildRemote(ctx context.Context, s Spec) (*Handle, error) {
 		return nil, err
 	}
 	return &Handle{
-		Query:      rh.Query,
-		Plan:       rh.Plan,
-		spec:       s,
-		rels:       queryRels(rh.Query),
-		sh:         rh.Sh,
-		shNoInvert: rh.NoInvert,
+		Query: rh.Query,
+		Plan:  rh.Plan,
+		spec:  s,
+		rels:  queryRels(rh.Query),
+		sh:    rh.Sh,
 	}, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rankedaccess/internal/access"
-	"rankedaccess/internal/classify"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
 	"rankedaccess/internal/delta"
@@ -412,63 +411,41 @@ func (e *Engine) rehydrate(f *snapshot.File, sm *snapshot.StructureMeta) (*Handl
 		return nil, err
 	}
 	h := &Handle{Query: p.q, spec: s, rels: queryRels(p.q)}
-	if p.sum {
-		h.Plan.Verdict = classify.DirectAccessSum(p.q)
-		h.sumW = p.w
-	} else {
-		h.Plan.Verdict = classify.DirectAccessLex(p.q, p.l)
-	}
+	h.Plan.Verdict, _ = p.directAccess()
 	h.Plan.Tractable = sm.Tractable
 	switch sm.Kind {
 	case snapshot.KindLayeredLex:
 		if p.sum {
 			return nil, fmt.Errorf("layered-lex structure for a SUM spec")
 		}
-		lp, err := lexPartsFromMeta(f, sm)
-		if err != nil {
-			return nil, err
+		h.Plan.Mode = ModeLayeredLex
+		var lp *access.LexParts
+		if lp, err = layeredPartsFromMeta(f, sm); err == nil {
+			h.st, err = access.LexFromParts(p.q, lp)
 		}
-		la, err := access.LexFromParts(p.q, lp)
-		if err != nil {
-			return nil, err
-		}
-		if la.Total() != sm.Total {
-			return nil, fmt.Errorf("structure total %d, meta claims %d", la.Total(), sm.Total)
-		}
-		h.Plan.Mode, h.lex = ModeLayeredLex, la
 	case snapshot.KindSum:
 		if !p.sum {
 			return nil, fmt.Errorf("SUM structure for a lex spec")
 		}
-		sp, err := rowPartsFromMeta(f, sm, true)
-		if err != nil {
-			return nil, err
+		h.Plan.Mode = ModeSum
+		var rp *access.RowParts
+		if rp, err = rowPartsFromMeta(f, sm, true); err == nil {
+			h.st, err = access.SumFromParts(p.q, p.w, rp)
 		}
-		sa, err := access.SumFromParts(p.q, p.w, &access.SumParts{
-			NumVars: sp.NumVars, Flat: sp.Flat, Weights: sp.Weights,
-		})
-		if err != nil {
-			return nil, err
-		}
-		h.Plan.Mode, h.sum = ModeSum, sa
 	case snapshot.KindMaterialized:
 		if sm.MatIsLex == p.sum {
 			return nil, fmt.Errorf("materialized order kind disagrees with the spec")
 		}
-		mp, err := rowPartsFromMeta(f, sm, p.sum)
-		if err != nil {
-			return nil, err
-		}
-		ma, err := access.MatFromParts(p.q, mp)
-		if err != nil {
-			return nil, err
-		}
-		h.Plan.Mode, h.mat = ModeMaterialized, ma
-		if sm.MatIsLex {
-			h.matIsLex, h.matLex = true, p.l
+		h.Plan.Mode = ModeMaterialized
+		var rp *access.RowParts
+		if rp, err = rowPartsFromMeta(f, sm, p.sum); err == nil {
+			h.st, err = access.MatFromParts(p.q, p.l, p.w, p.sum, rp)
 		}
 	default:
 		return nil, fmt.Errorf("unknown structure kind %q", sm.Kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if h.Total() != sm.Total {
 		return nil, fmt.Errorf("structure total %d, meta claims %d", h.Total(), sm.Total)
@@ -479,6 +456,8 @@ func (e *Engine) rehydrate(f *snapshot.File, sm *snapshot.StructureMeta) (*Handl
 // structureMeta serializes one handle's structure into the builder,
 // reporting ok=false for handles that cannot be persisted (sharded
 // execution, FD closures, or shapes the flat encoding cannot carry).
+// With rehydrate, it is the one place outside access and Kind.Build
+// that tells the structure types apart: the kind tag is file format.
 func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool) {
 	sm := snapshot.StructureMeta{
 		Spec:       specMeta(h.spec),
@@ -491,9 +470,11 @@ func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool
 	if h.sh != nil || len(h.spec.FDs) > 0 {
 		return sm, false
 	}
-	switch {
-	case h.lex != nil:
-		lp, ok := h.lex.Parts()
+	var rp *access.RowParts
+	var ok bool
+	switch st := h.st.(type) {
+	case *access.Lex:
+		lp, ok := st.Parts()
 		if !ok {
 			return sm, false
 		}
@@ -520,42 +501,30 @@ func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool
 			sm.Layers = append(sm.Layers, lm)
 		}
 		return sm, true
-	case h.sum != nil:
-		sp, ok := h.sum.Parts()
-		if !ok {
-			return sm, false
-		}
-		if sp.NumVars == 0 && len(sp.Weights) > 0 {
-			return sm, false // variable-free answers do not flat-encode
-		}
+	case *access.Sum:
 		sm.Kind = snapshot.KindSum
-		sm.NumVars = sp.NumVars
-		sm.Rows = len(sp.Weights)
-		sm.AnswersCol = b.I64Col(sp.Flat)
-		sm.WeightsCol = b.F64Col(sp.Weights)
-		return sm, true
-	default:
-		mp := h.mat.Parts()
-		if mp.NumVars == 0 && h.mat.Total() > 0 {
-			return sm, false // variable-free answers do not flat-encode
-		}
-		sm.Kind = snapshot.KindMaterialized
-		sm.NumVars = mp.NumVars
-		sm.MatIsLex = h.matIsLex
-		if mp.NumVars > 0 {
-			sm.Rows = len(mp.Flat) / mp.NumVars
-		}
-		sm.AnswersCol = b.I64Col(mp.Flat)
-		if mp.Weights != nil {
-			sm.WeightsCol = b.F64Col(mp.Weights)
-		}
-		return sm, true
+		rp, ok = st.Parts()
+	case *access.Materialized:
+		sm.Kind, sm.MatIsLex = snapshot.KindMaterialized, len(h.spec.SumBy) == 0
+		rp, ok = st.Parts()
 	}
+	if !ok || (rp.NumVars == 0 && sm.Total > 0) {
+		return sm, false // variable-free answers do not flat-encode
+	}
+	sm.NumVars = rp.NumVars
+	if rp.NumVars > 0 {
+		sm.Rows = len(rp.Flat) / rp.NumVars
+	}
+	sm.AnswersCol = b.I64Col(rp.Flat)
+	if len(h.spec.SumBy) > 0 {
+		sm.WeightsCol = b.F64Col(rp.Weights)
+	}
+	return sm, true
 }
 
-// lexPartsFromMeta resolves a layered-lex structure's columns into
+// layeredPartsFromMeta resolves a layered-lex structure's columns into
 // access parts, all zero-copy views of the mapped file.
-func lexPartsFromMeta(f *snapshot.File, sm *snapshot.StructureMeta) (*access.LexParts, error) {
+func layeredPartsFromMeta(f *snapshot.File, sm *snapshot.StructureMeta) (*access.LexParts, error) {
 	lp := &access.LexParts{
 		Total: sm.Total, NumVars: sm.NumVars,
 		Boolean: sm.Boolean, BoolTrue: sm.BoolTrue,
@@ -607,12 +576,12 @@ func lexPartsFromMeta(f *snapshot.File, sm *snapshot.StructureMeta) (*access.Lex
 
 // rowPartsFromMeta resolves a SUM or materialized structure's columns
 // (answers flat in rank order, optional weights).
-func rowPartsFromMeta(f *snapshot.File, sm *snapshot.StructureMeta, wantWeights bool) (*access.MatParts, error) {
+func rowPartsFromMeta(f *snapshot.File, sm *snapshot.StructureMeta, wantWeights bool) (*access.RowParts, error) {
 	flat, err := f.ColI64(sm.AnswersCol)
 	if err != nil {
 		return nil, err
 	}
-	p := &access.MatParts{NumVars: sm.NumVars, Flat: flat}
+	p := &access.RowParts{NumVars: sm.NumVars, Flat: flat}
 	if sm.WeightsCol != snapshot.NoCol {
 		if p.Weights, err = f.ColF64(sm.WeightsCol); err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -8,7 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"rankedaccess/internal/access"
 	"rankedaccess/internal/database"
+	"rankedaccess/internal/order"
 	"rankedaccess/internal/snapshot"
 	"rankedaccess/internal/values"
 	"rankedaccess/internal/workload"
@@ -340,7 +343,8 @@ func TestRestoreIntoLiveEngine(t *testing.T) {
 }
 
 func TestRestoreCorruptFileFailsCleanly(t *testing.T) {
-	e := New(snapInstance(t, 256), Options{})
+	in := snapInstance(t, 256)
+	e := New(in, Options{})
 	if _, err := e.Prepare(snapSpecs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -349,17 +353,185 @@ func TestRestoreCorruptFileFailsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, ck.Name)
-	corruptFile(t, path, 100)
+	flipped := filepath.Join(dir, ck.Name)
+	corruptFile(t, flipped, 100)
+	paths := map[string]string{"flipped byte": flipped}
+	// Valid checksums over rows in the wrong order: written, as any
+	// writer could, from Parts() with two rows swapped.
+	for i, name := range map[int]string{2: "permuted sum rows", 3: "permuted materialized rows", 4: "permuted materialized-sum rows"} {
+		paths[name] = writeParentFormat(t, t.TempDir(), in, snapSpecs[i:i+1], func(rp *access.RowParts) {
+			last := len(rp.Flat) - rp.NumVars
+			for c := 0; c < rp.NumVars; c++ {
+				rp.Flat[c], rp.Flat[last+c] = rp.Flat[last+c], rp.Flat[c]
+			}
+			if n := len(rp.Weights); n > 0 {
+				rp.Weights[0], rp.Weights[n-1] = rp.Weights[n-1], rp.Weights[0]
+			}
+		})
+	}
 	vBefore := e.Version()
-	if _, err := e.Restore(path); err == nil {
-		t.Fatal("restore of a corrupt snapshot succeeded")
+	for name, path := range paths {
+		if _, err := e.Restore(path); err == nil {
+			t.Fatalf("%s: restore of a corrupt snapshot succeeded", name)
+		}
+		if e.Version() != vBefore {
+			t.Fatalf("%s: failed restore mutated the engine", name)
+		}
+		if n, err := e.Count(snapSpecs[0].Query); err != nil || n == 0 {
+			t.Fatalf("%s: engine unusable after failed restore: %d, %v", name, n, err)
+		}
 	}
-	if e.Version() != vBefore {
-		t.Fatal("failed restore mutated the engine")
+}
+
+// writeParentFormat writes a snapshot of in holding one structure per
+// spec, encoded exactly as structureMeta encoded the three kinds at the
+// commit before access.Structure existed — sm.Kind, sm.MatIsLex and the
+// column layout are file format, not implementation. The structures are
+// built here, straight from internal/access, and their row parts pass
+// through mutate (nil = untouched) on the way to the file.
+func writeParentFormat(t *testing.T, dir string, in *database.Instance, specs []Spec, mutate func(*access.RowParts)) string {
+	t.Helper()
+	b := snapshot.NewBuilder(1, 1)
+	for _, name := range in.Names() {
+		r := in.Relation(name)
+		b.AddRelation(name, r.Arity(), r.Data())
 	}
-	if n, err := e.Count(snapSpecs[0].Query); err != nil || n == 0 {
-		t.Fatalf("engine unusable after failed restore: %d, %v", n, err)
+	for _, s := range specs {
+		p, err := s.parse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm := snapshot.StructureMeta{
+			Spec: specMeta(s), NumVars: p.q.NumVars(),
+			AnswersCol: snapshot.NoCol, WeightsCol: snapshot.NoCol,
+		}
+		rows := func(rp *access.RowParts, ok bool) {
+			if !ok {
+				t.Fatal("structure has no parts")
+			}
+			if mutate != nil {
+				mutate(rp)
+			}
+			sm.Rows = len(rp.Flat) / rp.NumVars
+			sm.Total = int64(sm.Rows)
+			sm.AnswersCol = b.I64Col(rp.Flat)
+			if rp.Weights != nil {
+				sm.WeightsCol = b.F64Col(rp.Weights)
+			}
+		}
+		v, _ := p.directAccess()
+		switch {
+		case !v.Tractable:
+			sm.Kind, sm.MatIsLex = snapshot.KindMaterialized, !p.sum
+			if p.sum {
+				rows(access.BuildMaterializedSum(p.q, in, p.w).Parts())
+			} else {
+				rows(access.BuildMaterializedLex(p.q, in, p.l).Parts())
+			}
+		case p.sum:
+			sa, err := access.BuildSum(p.q, in, p.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sm.Kind, sm.Tractable = snapshot.KindSum, true
+			rows(sa.Parts())
+		default:
+			la, err := access.BuildLex(p.q, in, p.l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lp, _ := la.Parts()
+			sm.Kind, sm.Tractable, sm.Total = snapshot.KindLayeredLex, true, lp.Total
+			for _, entry := range lp.Completed.Entries {
+				sm.Completed = append(sm.Completed, snapshot.OrderEntryMeta{Var: int(entry.Var), Desc: entry.Dir == order.Desc})
+			}
+			for i := range lp.Layers {
+				l := &lp.Layers[i]
+				lm := snapshot.LayerMeta{
+					Var: int(l.Var), Desc: l.Desc, Parent: l.Parent, Buckets: l.Buckets,
+					ValsCol: b.I64Col(l.Vals), WeightsCol: b.I64Col(l.Weights), StartsCol: b.I64Col(l.Starts),
+					BucketStartCol: b.IntCol(l.BucketStart), BucketEndCol: b.IntCol(l.BucketEnd),
+					BucketWeightCol: b.I64Col(l.BucketWeight),
+					BucketKeysCol:   b.I64Col(l.BucketKeys), BucketTableCol: b.I32Col(l.BucketTable),
+				}
+				for _, u := range l.KeyVars {
+					lm.KeyVars = append(lm.KeyVars, int(u))
+				}
+				sm.Layers = append(sm.Layers, lm)
+			}
+		}
+		b.AddStructure(sm)
+	}
+	name, _, err := snapshot.WriteFile(dir, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(dir, name)
+}
+
+// TestRestoreParentFormatCheckpoint is the cross-version check: a
+// checkpoint laid out by the previous commit's structureMeta restores
+// every kind warm and scans byte-identically to a cold build, and
+// today's structureMeta lays the same structures out the same way.
+func TestRestoreParentFormatCheckpoint(t *testing.T) {
+	in := snapInstance(t, 512)
+	specs := snapSpecs[:5]
+	dir := t.TempDir()
+	path := writeParentFormat(t, dir, in, specs, nil)
+
+	cold := New(in, Options{})
+	e, warm, err := Open(dir, Options{})
+	if err != nil || !warm {
+		t.Fatalf("open: warm=%v err=%v", warm, err)
+	}
+	defer e.Close()
+	if st := e.Stats(); st.WarmStructures != uint64(len(specs)) {
+		t.Fatalf("warm structures = %d, want %d", st.WarmStructures, len(specs))
+	}
+	today := snapshot.NewBuilder(1, 1)
+	for _, name := range in.Names() {
+		r := in.Relation(name)
+		today.AddRelation(name, r.Arity(), r.Data())
+	}
+	for i, s := range specs {
+		hc, err := cold.Prepare(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hw, err := e.Prepare(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := hc.AccessRange(nil, 0, hc.Total())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := hw.AccessRange(nil, 0, hw.Total())
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("spec %d: warm scan of the parent-format structure differs from the cold build (%v)", i, err)
+		}
+		if hw.Plan.Mode != hc.Plan.Mode || hw.Plan.Tractable != hc.Plan.Tractable {
+			t.Fatalf("spec %d: warm plan %+v, cold %+v", i, hw.Plan, hc.Plan)
+		}
+		sm, ok := structureMeta(today, hc)
+		if !ok {
+			t.Fatalf("spec %d: not persistable", i)
+		}
+		today.AddStructure(sm)
+	}
+	if st := e.Stats(); st.Misses != 0 {
+		t.Fatalf("warm prepares built %d structures; want pure cache hits", st.Misses)
+	}
+	wantBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBytes, err := today.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatal("structureMeta no longer writes the parent commit's snapshot bytes")
 	}
 }
 

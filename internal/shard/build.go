@@ -8,16 +8,17 @@ import (
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
+	"rankedaccess/internal/fd"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/par"
 	"rankedaccess/internal/selection"
 )
 
-// Kind names the structure every shard of one build gets — a lex or a
-// SUM order, served by the tractable structure or by the materialize-
-// and-sort fallback — and thereby also the total order the shards
-// share (see Comparator). It is the one place the mapping from
-// structure kind to per-shard builder and merge comparator lives.
+// Kind names a structure — a lex or a SUM order, served by the
+// tractable structure or by the materialize-and-sort fallback — and
+// thereby also the total order every shard built with it shares (see
+// Comparator). It is the one place the mapping from structure kind to
+// builder and merge comparator lives.
 type Kind struct {
 	// IsSum selects the SUM order Sum; otherwise the lex order Lex.
 	IsSum bool
@@ -26,36 +27,42 @@ type Kind struct {
 	Materialized bool
 	Lex          order.Lex
 	Sum          order.Sum
+	// FDs refine the tractable builds of an unsharded structure (§8);
+	// the fallback ignores them, and Build (the sharded one) wants them
+	// extended away first.
+	FDs fd.Set
 }
 
-// build constructs one shard's structure and reports the total lex
-// order it realized (zero unless layered). Only layered builds are
+// Build constructs the structure of this kind over one instance — the
+// unsharded handle's, or one shard's — and reports the total lex order
+// it realized (zero unless layered). Only layered builds are
 // interruptible: they check ctx at every preprocessing wave boundary.
-func (k Kind) build(ctx context.Context, q *cq.Query, in *database.Instance) (part, order.Lex, error) {
+func (k Kind) Build(ctx context.Context, q *cq.Query, in *database.Instance) (access.Structure, order.Lex, error) {
 	switch {
 	case k.IsSum && k.Materialized:
-		return matSumPart{m: access.BuildMaterializedSum(q, in, k.Sum), w: k.Sum}, order.Lex{}, nil
+		return access.BuildMaterializedSum(q, in, k.Sum), order.Lex{}, nil
 	case k.Materialized:
-		return matLexPart{m: access.BuildMaterializedLex(q, in, k.Lex), l: k.Lex}, order.Lex{}, nil
+		return access.BuildMaterializedLex(q, in, k.Lex), order.Lex{}, nil
 	case k.IsSum:
-		s, err := access.BuildSum(q, in, k.Sum)
+		s, err := access.BuildSumFD(q, in, k.Sum, k.FDs)
 		if err != nil {
 			return nil, order.Lex{}, err
 		}
-		return sumPart{s: s}, order.Lex{}, nil
+		return s, order.Lex{}, nil
 	}
-	la, err := access.BuildLexCtx(ctx, q, in, k.Lex)
+	la, err := access.BuildLexFDCtx(ctx, q, in, k.Lex, k.FDs)
 	if err != nil {
 		return nil, order.Lex{}, err
 	}
-	return lexPart{la: la}, la.Completed, nil
+	return la, la.Completed, nil
 }
 
 // Comparator returns the total order every shard built with this kind
 // sorts by, which is what a merge across shards (in one process or
 // across nodes) must compare with: the completed order of layered
 // builds, otherwise the requested order with ties broken by ascending
-// head values.
+// head values — the functions the structures' own Compare is made of. A
+// coordinator merges by it without holding any structure.
 func (k Kind) Comparator(q *cq.Query, completed order.Lex) func(a, b order.Answer) int {
 	switch {
 	case k.IsSum:
@@ -100,8 +107,8 @@ func ownedShards(pt Partitioning, owned []int) ([]int, error) {
 // so they realize the same total order; that is verified defensively
 // and a mismatch is an error (a coordinator additionally verifies it
 // ACROSS nodes from the Prepare responses). FD specs must be extended
-// globally by the caller first (extend once, shard the extension):
-// per-shard FD plumbing would price foreign candidates against
+// globally by the caller first (extend once, shard the extension, clear
+// k.FDs): per-shard FD plumbing would price foreign candidates against
 // incomplete local FD tables.
 func Build(ctx context.Context, q *cq.Query, in *database.Instance, k Kind, pt Partitioning, owned []int) (*Owned, error) {
 	shards, err := ownedShards(pt, owned)
@@ -109,11 +116,11 @@ func Build(ctx context.Context, q *cq.Query, in *database.Instance, k Kind, pt P
 		return nil, err
 	}
 	ins := Split(q, in, pt, shards...)
-	o := &Owned{Query: q, Part: pt, kind: k, parts: make([]part, pt.P)}
+	o := &Owned{Query: q, Part: pt, kind: k, parts: make([]access.Structure, pt.P)}
 	lexes := make([]order.Lex, len(shards))
 	err = par.DoErr(len(shards), func(i int) error {
 		var err error
-		o.parts[shards[i]], lexes[i], err = k.build(ctx, q, ins[shards[i]])
+		o.parts[shards[i]], lexes[i], err = k.Build(ctx, q, ins[shards[i]])
 		return err
 	})
 	if err != nil {
@@ -141,7 +148,7 @@ func Merge(o *Owned, err error) (*Handle, error) {
 		if p == nil {
 			return nil, fmt.Errorf("shard: cannot merge: shard %d of %d was not built", s, o.Part.P)
 		}
-		totals[s] = p.total()
+		totals[s] = p.Total()
 	}
 	h := newHandle(o.Query, o.Part, totals, o.kind.Comparator(o.Query, o.completed))
 	h.parts = o.parts

@@ -175,18 +175,18 @@ func TestSplitP1Degenerate(t *testing.T) {
 
 // countingPart counts the probes that reach one in-process part.
 type countingPart struct {
-	part
+	access.Structure
 	accesses, ranks *int
 }
 
-func (c countingPart) access(k int64, b *access.LexBuf) (order.Answer, error) {
+func (c countingPart) AccessInto(b *access.LexBuf, k int64) (order.Answer, error) {
 	*c.accesses++
-	return c.part.access(k, b)
+	return c.Structure.AccessInto(b, k)
 }
 
-func (c countingPart) rank(a order.Answer) (int64, bool) {
+func (c countingPart) Rank(a order.Answer) (int64, bool) {
 	*c.ranks++
-	return c.part.rank(a)
+	return c.Structure.Rank(a)
 }
 
 // TestSingleOpenWindowIsOneAccess pins the single-open-window shortcut:
@@ -217,7 +217,7 @@ func TestSingleOpenWindowIsOneAccess(t *testing.T) {
 		}
 		var accesses, ranks int
 		for i, pp := range sh.parts {
-			sh.parts[i] = countingPart{part: pp, accesses: &accesses, ranks: &ranks}
+			sh.parts[i] = countingPart{Structure: pp, accesses: &accesses, ranks: &ranks}
 		}
 		total := sh.Total()
 		for k := int64(0); k < total; k += 13 {

@@ -11,74 +11,6 @@ import (
 	"rankedaccess/internal/values"
 )
 
-// part is one shard's in-process direct-access structure. access may
-// return an answer aliasing the given probe buffer (layered structures)
-// or the part's immutable storage (SUM / materialized); either way the
-// result is valid until the next access with the same buffer. Probe
-// buffers are borrowed from the part (getBuf) and handed back after a
-// burst of probes (putBuf, Owned) or kept for good (a Handle's pooled
-// probes); both are nil for parts that probe without scratch. Parts
-// served over the network are not parts: a Handle reaches them through
-// RemotePart and BatchRanker (see NewRemote).
-type part interface {
-	total() int64
-	rank(a order.Answer) (int64, bool)
-	access(k int64, b *access.LexBuf) (order.Answer, error)
-	getBuf() *access.LexBuf
-	putBuf(*access.LexBuf)
-}
-
-type lexPart struct{ la *access.Lex }
-
-func (p lexPart) total() int64                      { return p.la.Total() }
-func (p lexPart) getBuf() *access.LexBuf            { return p.la.GetBuf() }
-func (p lexPart) putBuf(b *access.LexBuf)           { p.la.PutBuf(b) }
-func (p lexPart) rank(a order.Answer) (int64, bool) { return p.la.Rank(a) }
-func (p lexPart) access(k int64, b *access.LexBuf) (order.Answer, error) {
-	return p.la.AccessInto(b, k)
-}
-
-// noBuf is embedded by the parts that probe without scratch.
-type noBuf struct{}
-
-func (noBuf) getBuf() *access.LexBuf { return nil }
-func (noBuf) putBuf(*access.LexBuf)  {}
-
-type sumPart struct {
-	noBuf
-	s *access.Sum
-}
-
-func (p sumPart) total() int64                      { return p.s.Total() }
-func (p sumPart) rank(a order.Answer) (int64, bool) { return p.s.Rank(a) }
-func (p sumPart) access(k int64, _ *access.LexBuf) (order.Answer, error) {
-	return p.s.Access(k)
-}
-
-type matLexPart struct {
-	noBuf
-	m *access.Materialized
-	l order.Lex
-}
-
-func (p matLexPart) total() int64                      { return p.m.Total() }
-func (p matLexPart) rank(a order.Answer) (int64, bool) { return p.m.RankLex(a, p.l) }
-func (p matLexPart) access(k int64, _ *access.LexBuf) (order.Answer, error) {
-	return p.m.Access(k)
-}
-
-type matSumPart struct {
-	noBuf
-	m *access.Materialized
-	w order.Sum
-}
-
-func (p matSumPart) total() int64                      { return p.m.Total() }
-func (p matSumPart) rank(a order.Answer) (int64, bool) { return p.m.RankSum(a, p.w) }
-func (p matSumPart) access(k int64, _ *access.LexBuf) (order.Answer, error) {
-	return p.m.Access(k)
-}
-
 // Handle merges P per-shard structures sharing one total answer order
 // into a single logical accessor. It is immutable after construction
 // and safe for any number of concurrent goroutines: per-probe scratch
@@ -98,8 +30,10 @@ type Handle struct {
 	// (Merge), or parts served by other processes and probed in batches
 	// through ranker (NewRemote). Which one it is decides how wide a
 	// rank round is — a network round trip is worth many pivots, an
-	// in-process call is worth one.
-	parts  []part
+	// in-process call is worth one. A probe keeps the buffers it
+	// borrowed from its parts for good (see newHandle); a located
+	// answer may alias one, valid until the probe's next access.
+	parts  []access.Structure
 	remote []RemotePart
 	ranker BatchRanker
 
@@ -153,7 +87,7 @@ func newHandle(q *cq.Query, pt Partitioning, totals []int64, cmp func(a, b order
 			pi:       make([]int, p),
 		}
 		for i, part := range h.parts {
-			pr.bufs[i] = part.getBuf()
+			pr.bufs[i] = part.GetBuf()
 		}
 		return pr
 	}
@@ -249,7 +183,7 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, 
 			pr.pivShard[0], pr.pivPos[0], xs[0] = s, m, x
 			for j, part := range h.parts {
 				if j != s {
-					ranks[j], _ = part.rank(x)
+					ranks[j], _ = part.Rank(x)
 				}
 			}
 		}
@@ -297,7 +231,7 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, 
 // accessOne fetches the answer at local index m of shard s.
 func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (order.Answer, error) {
 	if h.ranker == nil {
-		x, err := h.parts[s].access(m, pr.bufs[s])
+		x, err := h.parts[s].AccessInto(pr.bufs[s], m)
 		if err != nil {
 			return nil, fmt.Errorf("shard: internal: part %d access(%d): %w", s, m, err)
 		}
@@ -469,7 +403,7 @@ func (h *Handle) RankCtx(ctx context.Context, a order.Answer) (int64, bool, erro
 	}
 	exact := false
 	for _, p := range h.parts {
-		r, ex := p.rank(a)
+		r, ex := p.Rank(a)
 		k += r
 		exact = exact || ex
 	}

@@ -23,7 +23,7 @@ type Owned struct {
 
 	kind      Kind
 	completed order.Lex
-	parts     []part // indexed by shard; nil where not owned
+	parts     []access.Structure // indexed by shard; nil where not owned
 }
 
 // Completed returns the realized total lex order of layered builds
@@ -41,7 +41,7 @@ func (o *Owned) Shards() []int {
 	return out
 }
 
-func (o *Owned) part(shard int) (part, error) {
+func (o *Owned) part(shard int) (access.Structure, error) {
 	if shard < 0 || shard >= len(o.parts) || o.parts[shard] == nil {
 		return nil, fmt.Errorf("shard: shard %d is not owned by this node", shard)
 	}
@@ -54,7 +54,7 @@ func (o *Owned) Total(shard int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.total(), nil
+	return p.Total(), nil
 }
 
 // Rank returns one owned shard's count of answers strictly below a.
@@ -76,7 +76,7 @@ func (o *Owned) RankBatch(answers []order.Answer, shards []int) (ranks []int64, 
 	if len(answers) > MaxPivots {
 		return nil, nil, fmt.Errorf("shard: rank batch of %d answers exceeds the per-call cap %d", len(answers), MaxPivots)
 	}
-	parts := make([]part, len(shards))
+	parts := make([]access.Structure, len(shards))
 	for j, s := range shards {
 		if parts[j], err = o.part(s); err != nil {
 			return nil, nil, err
@@ -89,7 +89,7 @@ func (o *Owned) RankBatch(answers []order.Answer, shards []int) (ranks []int64, 
 			return nil, nil, fmt.Errorf("shard: answer %d has %d values, the query has %d variables", i, len(a), o.Query.NumVars())
 		}
 		for j, p := range parts {
-			r, ex := p.rank(a)
+			r, ex := p.Rank(a)
 			ranks[i*len(parts)+j] = r
 			exact[i] = exact[i] || ex
 		}
@@ -138,28 +138,28 @@ func (o *Owned) AccessBatch(shards []int, pos []int64) ([]order.Answer, error) {
 	}
 	out := o.newAnswerBlock(len(pos))
 	var (
-		p   part
+		p   access.Structure
 		buf *access.LexBuf
 	)
 	for i, s := range shards {
 		if i == 0 || s != shards[i-1] {
 			if p != nil {
-				p.putBuf(buf)
+				p.PutBuf(buf)
 			}
 			var err error
 			if p, err = o.part(s); err != nil {
 				return nil, err
 			}
-			buf = p.getBuf()
+			buf = p.GetBuf()
 		}
-		a, err := p.access(pos[i], buf)
+		a, err := p.AccessInto(buf, pos[i])
 		if err != nil {
 			return nil, err
 		}
 		out.add(a)
 	}
 	if p != nil {
-		p.putBuf(buf)
+		p.PutBuf(buf)
 	}
 	return out.out, nil
 }
@@ -175,22 +175,22 @@ func (o *Owned) Range(shard int, k0, k1 int64) ([]order.Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if k0 < 0 || k1 < k0 || k1 > p.total() {
+	if k0 < 0 || k1 < k0 || k1 > p.Total() {
 		return nil, access.ErrOutOfBound
 	}
 	n := k1 - k0
 	if n > maxOwnedRange {
 		return nil, fmt.Errorf("shard: range of %d answers exceeds the per-call cap %d", n, maxOwnedRange)
 	}
-	buf := p.getBuf()
+	buf := p.GetBuf()
 	out := o.newAnswerBlock(int(n))
 	for k := k0; k < k1; k++ {
-		a, err := p.access(k, buf)
+		a, err := p.AccessInto(buf, k)
 		if err != nil {
 			return nil, err
 		}
 		out.add(a)
 	}
-	p.putBuf(buf)
+	p.PutBuf(buf)
 	return out.out, nil
 }

@@ -213,18 +213,12 @@ func Classify(p Problem, q *Query, l LexOrder, fds FDSet) Verdict {
 // structure; fds may be nil. It fails with *access.IntractableError
 // (carrying the hardness certificate) on the intractable side.
 func NewDirectAccess(q *Query, in *Instance, l LexOrder, fds FDSet) (*DirectAccess, error) {
-	if len(fds) == 0 {
-		return access.BuildLex(q, in, l)
-	}
 	return access.BuildLexFD(q, in, l, fds)
 }
 
 // NewDirectAccessSum builds the ⟨n log n, 1⟩ SUM direct-access structure
 // for the tractable class of Theorem 5.1; fds may be nil.
 func NewDirectAccessSum(q *Query, in *Instance, w SumOrder, fds FDSet) (*SumDirectAccess, error) {
-	if len(fds) == 0 {
-		return access.BuildSum(q, in, w)
-	}
 	return access.BuildSumFD(q, in, w, fds)
 }
 
@@ -294,15 +288,11 @@ func NewUnionAccess(queries []*Query, in *Instance, l LexOrder) (*UnionAccess, e
 	return ucq.BuildUnion(queries, in, l)
 }
 
-// Accessor is the common read interface of all direct-access structures:
-// the layered lexicographic structure, the SUM structure, and the
-// materializing fallback.
-type Accessor interface {
-	// Total returns |Q(I)|.
-	Total() int64
-	// Access returns the k-th answer of the sorted answer list.
-	Access(k int64) (Answer, error)
-}
+// Accessor is the one interface every direct-access structure answers
+// by — the layered lexicographic structure, the SUM structure and the
+// materializing fallback alike: count, access, rank and the realized
+// total order.
+type Accessor = access.Structure
 
 // NewDirectAccessAny builds the best available access structure for the
 // requested lexicographic order: the ⟨n log n, log n⟩ layered structure
