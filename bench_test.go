@@ -214,7 +214,7 @@ func BenchmarkThm61_SelectionLex(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := selection.SelectLex(q, in, l, count/2); err != nil {
+				if _, err := selection.SelectLex(q, in, l, nil, count/2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -236,7 +236,7 @@ func BenchmarkThm73_SelectionSum(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := selection.SelectSum(q, in, w, count/2); err != nil {
+				if _, err := selection.SelectSum(q, in, w, nil, count/2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -253,7 +253,7 @@ func BenchmarkThm79_XYSelection(b *testing.B) {
 			total := int64(n) * int64(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := selection.SelectSum(q, in, w, total/2); err != nil {
+				if _, err := selection.SelectSum(q, in, w, nil, total/2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -390,10 +390,10 @@ func BenchmarkClassify_AllProblems(b *testing.B) {
 	l, _ := order.ParseLex(q, "v1, v2, v3, v4, v5")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = classify.DirectAccessLex(q, l)
-		_ = classify.SelectionLex(q, l)
-		_ = classify.DirectAccessSum(q)
-		_ = classify.SelectionSum(q)
+		_, _ = classify.DirectAccessLex(q, l, nil)
+		_, _ = classify.SelectionLex(q, l, nil)
+		_, _ = classify.DirectAccessSum(q, nil)
+		_, _ = classify.SelectionSum(q, nil)
 	}
 }
 

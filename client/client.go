@@ -1,8 +1,11 @@
 // Package client is the Go SDK for the ranked direct-access service's
 // v1 prepared-query API (cmd/serve). It depends only on the standard
 // library (plus the dependency-free internal/trace context package and
-// the internal/stats counter declaration), so importing it does not
-// pull in the engine.
+// the leaf declarations of the wire: internal/api for every /v1 body,
+// internal/stats for the counters), so importing it does not pull in
+// the engine. The SDK's data types are aliases of those declarations —
+// the server encodes the very types the SDK decodes, so the two cannot
+// drift.
 //
 // When the calling context carries a trace span (internal/trace), every
 // request sends a W3C traceparent header, so a traced caller's requests
@@ -43,12 +46,13 @@ import (
 	"strings"
 	"time"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/stats"
 	"rankedaccess/internal/trace"
 )
 
 // Value is a dictionary-encoded domain value, as served by the engine.
-type Value = int64
+type Value = api.Value
 
 // Sentinel errors mirroring the facade's serving errors; *APIError
 // values returned by every method satisfy errors.Is against them.
@@ -88,23 +92,9 @@ func (e *APIError) Is(target error) bool {
 	return false
 }
 
-// Spec is the textual ranked-access request registered under a name;
-// it mirrors the server's engine.Spec.
-type Spec struct {
-	// Query is the conjunctive query text, e.g. "Q(x, z) :- R(x, y), S(y, z)".
-	Query string `json:"query"`
-	// Order is a lexicographic order such as "x, z desc" (ignored when
-	// SumBy is set).
-	Order string `json:"order,omitempty"`
-	// SumBy ranks by the sum of the named variables' values.
-	SumBy []string `json:"sum_by,omitempty"`
-	// FDs are unary functional dependencies "R: x -> y".
-	FDs []string `json:"fds,omitempty"`
-	// Shards ≥ 2 requests hash-partitioned scatter-gather execution.
-	Shards int `json:"shards,omitempty"`
-	// ShardBy optionally names the partition variable.
-	ShardBy string `json:"shard_by,omitempty"`
-}
+// Spec is the textual ranked-access request registered under a name:
+// Query, Order | SumBy, FDs, Shards, ShardBy.
+type Spec = api.Spec
 
 // Options configures Dial.
 type Options struct {
@@ -255,9 +245,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, accep
 // back to the raw body when it is not the structured envelope.
 func decodeAPIError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var envelope struct {
-		Error string `json:"error"`
-	}
+	var envelope api.Error
 	msg := strings.TrimSpace(string(raw))
 	if err := json.Unmarshal(raw, &envelope); err == nil && envelope.Error != "" {
 		msg = envelope.Error
@@ -280,33 +268,18 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // Load appends rows to the named relation via POST /v1/instance/load
 // and returns the count loaded.
 func (c *Client) Load(ctx context.Context, relation string, rows [][]Value) (int, error) {
-	in := struct {
-		Relation string    `json:"relation"`
-		Rows     [][]Value `json:"rows"`
-	}{relation, rows}
-	var out struct {
-		Loaded int `json:"loaded"`
-	}
-	_, err := c.do(ctx, http.MethodPost, "/v1/instance/load", in, &out, "")
+	var out api.LoadResponse
+	_, err := c.do(ctx, http.MethodPost, "/v1/instance/load", api.LoadRequest{Relation: relation, Rows: rows}, &out, "")
 	return out.Loaded, err
 }
 
 // Write is one relation's rows in a batch mutation: rows to insert and
 // rows to delete. Deletes of absent rows are idempotent no-ops.
-type Write struct {
-	Relation string    `json:"relation"`
-	Insert   [][]Value `json:"insert,omitempty"`
-	Delete   [][]Value `json:"delete,omitempty"`
-}
+type Write = api.Write
 
-// WriteResult reports the outcome of one batch mutation.
-type WriteResult struct {
-	// Version is the engine version the batch published.
-	Version uint64 `json:"version"`
-	// Inserted and Deleted count rows requested in the batch.
-	Inserted int `json:"inserted"`
-	Deleted  int `json:"deleted"`
-}
+// WriteResult reports the outcome of one batch mutation: the Version
+// the batch published and the rows Inserted and Deleted as requested.
+type WriteResult = api.WriteResult
 
 // Write applies a batch of relational mutations atomically via POST
 // /v1/write: the whole group is durably logged and published as one
@@ -314,31 +287,15 @@ type WriteResult struct {
 // without rebuilding; queries over written relations absorb the batch
 // as a delta overlay when possible.
 func (c *Client) Write(ctx context.Context, writes ...Write) (WriteResult, error) {
-	in := struct {
-		Writes []Write `json:"writes"`
-	}{writes}
 	var out WriteResult
-	_, err := c.do(ctx, http.MethodPost, "/v1/write", in, &out, "")
+	_, err := c.do(ctx, http.MethodPost, "/v1/write", api.WriteRequest{Writes: writes}, &out, "")
 	return out, err
 }
 
-// QueryInfo describes one server-side registration.
-type QueryInfo struct {
-	Name      string   `json:"name"`
-	Gen       uint64   `json:"gen"`
-	Query     string   `json:"query"`
-	Order     string   `json:"order,omitempty"`
-	SumBy     []string `json:"sum_by,omitempty"`
-	FDs       []string `json:"fds,omitempty"`
-	Mode      string   `json:"mode"`
-	Tractable bool     `json:"tractable"`
-	Verdict   string   `json:"verdict,omitempty"`
-	Total     int64    `json:"total"`
-	Version   uint64   `json:"version"`
-	Shards    int      `json:"shards,omitempty"`
-	ShardBy   string   `json:"shard_by,omitempty"`
-	ShardNote string   `json:"shard_note,omitempty"`
-}
+// QueryInfo describes one server-side registration: the spec's text,
+// the plan's Mode, Tractable, Verdict and sharding, Total = |Q(I)| and
+// the instance Version it was computed at.
+type QueryInfo = api.QueryInfo
 
 // Prepared is a client-side handle to a named server registration.
 type Prepared struct {
@@ -347,13 +304,6 @@ type Prepared struct {
 	Name string
 	// Info is the registration snapshot from the last Register/Refresh.
 	Info QueryInfo
-}
-
-// registerRequest mirrors the server's POST /v1/queries body.
-type registerRequest struct {
-	Name string `json:"name"`
-	Spec
-	Strict bool `json:"strict,omitempty"`
 }
 
 // Register registers the spec under name via POST /v1/queries. The
@@ -372,7 +322,7 @@ func (c *Client) RegisterStrict(ctx context.Context, name string, s Spec) (*Prep
 
 func (c *Client) register(ctx context.Context, name string, s Spec, strict bool) (*Prepared, error) {
 	p := &Prepared{c: c, Name: name}
-	_, err := c.do(ctx, http.MethodPost, "/v1/queries", registerRequest{Name: name, Spec: s, Strict: strict}, &p.Info, "")
+	_, err := c.do(ctx, http.MethodPost, "/v1/queries", api.RegisterRequest{Name: name, Spec: s, Strict: strict}, &p.Info, "")
 	if err != nil {
 		return nil, err
 	}
@@ -381,9 +331,7 @@ func (c *Client) register(ctx context.Context, name string, s Spec, strict bool)
 
 // Queries lists the server's registrations via GET /v1/queries.
 func (c *Client) Queries(ctx context.Context) ([]QueryInfo, error) {
-	var out struct {
-		Queries []QueryInfo `json:"queries"`
-	}
+	var out api.ListResponse
 	_, err := c.do(ctx, http.MethodGet, "/v1/queries", nil, &out, "")
 	return out.Queries, err
 }
@@ -414,79 +362,51 @@ func (p *Prepared) path(suffix string) string {
 	return "/v1/queries/" + url.PathEscape(p.Name) + suffix
 }
 
-// Answer is one probed index: the head tuple, or the server's
-// per-index error string (e.g. "out of bound").
-type Answer struct {
-	K     int64   `json:"k"`
-	Tuple []Value `json:"tuple,omitempty"`
-	Err   string  `json:"error,omitempty"`
-}
+// Answer is one probed index K: the head Tuple, or the server's
+// per-index error string in Err (e.g. "out of bound").
+type Answer = api.Answer
 
 // Access probes a batch of global ranks by name. Per-index failures
 // land in the returned answers without failing the batch.
 func (p *Prepared) Access(ctx context.Context, ks ...int64) ([]Answer, error) {
-	in := struct {
-		Ks []int64 `json:"ks"`
-	}{ks}
-	var out struct {
-		Answers []Answer `json:"answers"`
-	}
-	_, err := p.c.do(ctx, http.MethodPost, p.path("/access"), in, &out, "")
+	var out api.AccessResponse
+	_, err := p.c.do(ctx, http.MethodPost, p.path("/access"), api.AccessRequest{Ks: ks}, &out, "")
 	return out.Answers, err
 }
 
 // Range fetches the head tuples of global ranks k0 ≤ k < k1 in one
 // batched request.
 func (p *Prepared) Range(ctx context.Context, k0, k1 int64) ([][]Value, error) {
-	in := struct {
-		K0 int64 `json:"k0"`
-		K1 int64 `json:"k1"`
-	}{k0, k1}
-	var out struct {
-		Tuples [][]Value `json:"tuples"`
-	}
-	_, err := p.c.do(ctx, http.MethodPost, p.path("/range"), in, &out, "")
+	var out api.RangeResponse
+	_, err := p.c.do(ctx, http.MethodPost, p.path("/range"), api.RangeRequest{K0: k0, K1: k1}, &out, "")
 	return out.Tuples, err
 }
 
 // Select answers the one-shot selection problem for rank k (no
 // structure is built or cached server-side).
 func (p *Prepared) Select(ctx context.Context, k int64) ([]Value, error) {
-	in := struct {
-		K int64 `json:"k"`
-	}{k}
-	var out struct {
-		Tuple []Value `json:"tuple"`
-	}
-	_, err := p.c.do(ctx, http.MethodPost, p.path("/select"), in, &out, "")
+	var out api.SelectResponse
+	_, err := p.c.do(ctx, http.MethodPost, p.path("/select"), api.SelectRequest{K: k}, &out, "")
 	return out.Tuple, err
 }
 
 // Count returns |Q(I)| for the registered query.
 func (p *Prepared) Count(ctx context.Context) (int64, error) {
-	var out struct {
-		Count int64 `json:"count"`
-	}
+	var out api.CountResponse
 	_, err := p.c.do(ctx, http.MethodPost, p.path("/count"), struct{}{}, &out, "")
 	return out.Count, err
 }
 
-// Classification is the verdict of one of the paper's dichotomies.
-type Classification struct {
-	Tractable bool     `json:"tractable"`
-	Bound     string   `json:"bound"`
-	Verdict   string   `json:"verdict"`
-	Trio      []string `json:"trio,omitempty"`
-}
+// Classification is the verdict of one of the paper's dichotomies:
+// Tractable, the Bound, the rendered Verdict and, when a disruptive
+// trio is the certificate, the Trio.
+type Classification = api.Classification
 
 // Classify runs the named dichotomy problem ("direct-access-lex",
 // "selection-lex", "direct-access-sum", "selection-sum"; empty means
 // direct-access-lex) on the registered spec.
 func (p *Prepared) Classify(ctx context.Context, problem string) (Classification, error) {
-	in := struct {
-		Problem string `json:"problem,omitempty"`
-	}{problem}
 	var out Classification
-	_, err := p.c.do(ctx, http.MethodPost, p.path("/classify"), in, &out, "")
+	_, err := p.c.do(ctx, http.MethodPost, p.path("/classify"), api.ClassifyRequest{Problem: problem}, &out, "")
 	return out, err
 }

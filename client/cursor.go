@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"rankedaccess/internal/api"
 )
 
 // Cursor is a server-side scan position: created once, advanced by
@@ -25,16 +27,8 @@ type Cursor struct {
 
 // Cursor opens a server-side cursor at global rank start.
 func (p *Prepared) Cursor(ctx context.Context, start int64) (*Cursor, error) {
-	in := struct {
-		Start int64 `json:"start,omitempty"`
-	}{start}
-	var out struct {
-		Cursor string `json:"cursor"`
-		Total  int64  `json:"total"`
-		Pos    int64  `json:"pos"`
-		Width  int    `json:"width"`
-	}
-	if _, err := p.c.do(ctx, http.MethodPost, p.path("/cursor"), in, &out, ""); err != nil {
+	var out api.CursorResponse
+	if _, err := p.c.do(ctx, http.MethodPost, p.path("/cursor"), api.CursorRequest{Start: start}, &out, ""); err != nil {
 		return nil, err
 	}
 	return &Cursor{
@@ -62,11 +56,7 @@ func (c *Cursor) nextPath(n int) string {
 // Next fetches up to n rows as one JSON batch and advances the cursor.
 // It returns an empty slice when the scan is exhausted.
 func (c *Cursor) Next(ctx context.Context, n int) ([][]Value, error) {
-	var out struct {
-		Pos    int64     `json:"pos"`
-		Done   bool      `json:"done"`
-		Tuples [][]Value `json:"tuples"`
-	}
+	var out api.CursorPage
 	if _, err := c.p.c.do(ctx, http.MethodGet, c.nextPath(n), nil, &out, ""); err != nil {
 		return nil, err
 	}

@@ -4,41 +4,23 @@ import (
 	"context"
 	"net/http"
 	"net/url"
+
+	"rankedaccess/internal/api"
 )
 
-// SnapshotInfo describes one server-side snapshot: the response of
-// POST /v1/snapshots (creation counters filled) and the entries of
-// GET /v1/snapshots (file-level fields filled).
-type SnapshotInfo struct {
-	// Name identifies the snapshot file; pass it to Restore.
-	Name string `json:"name"`
-	// Bytes is the snapshot file size.
-	Bytes int64 `json:"bytes"`
-	// Version is the instance version the snapshot captured.
-	Version uint64 `json:"version,omitempty"`
-	// EngineVersion mirrors Version in directory listings.
-	EngineVersion uint64 `json:"engine_version,omitempty"`
-	// CreatedUnixNano is the checkpoint wall time (listings only).
-	CreatedUnixNano int64 `json:"created_unix_nano,omitempty"`
-	// Structures counts persisted access structures; Skipped counts
-	// structures that will rebuild on demand after a warm start
-	// (creation only).
-	Structures int `json:"structures,omitempty"`
-	Skipped    int `json:"skipped,omitempty"`
-	// Registrations counts persisted prepared-query registrations
-	// (creation only).
-	Registrations int `json:"registrations,omitempty"`
-}
+// SnapshotInfo reports what a checkpoint wrote: the file's Name (pass
+// it to Restore) and Bytes, the instance Version captured, and how many
+// Structures and Registrations were persisted (Skipped structures
+// rebuild on demand after a warm start).
+type SnapshotInfo = api.SnapshotInfo
+
+// SnapshotFile describes one snapshot in the server's directory
+// listing: Name, Bytes, EngineVersion and CreatedUnixNano.
+type SnapshotFile = api.SnapshotFile
 
 // RestoreInfo is the result of restoring a snapshot into the live
 // server.
-type RestoreInfo struct {
-	Name          string `json:"name"`
-	Version       uint64 `json:"version"`
-	Tuples        int    `json:"tuples"`
-	Structures    int    `json:"structures"`
-	Registrations int    `json:"registrations"`
-}
+type RestoreInfo = api.RestoreInfo
 
 // Snapshot checkpoints the server's current state (instance, built
 // structures, prepared-query registry) into its snapshot directory via
@@ -51,10 +33,8 @@ func (c *Client) Snapshot(ctx context.Context) (SnapshotInfo, error) {
 
 // Snapshots lists the server's snapshots, newest first, via
 // GET /v1/snapshots.
-func (c *Client) Snapshots(ctx context.Context) ([]SnapshotInfo, error) {
-	var out struct {
-		Snapshots []SnapshotInfo `json:"snapshots"`
-	}
+func (c *Client) Snapshots(ctx context.Context) ([]SnapshotFile, error) {
+	var out api.SnapshotList
 	_, err := c.do(ctx, http.MethodGet, "/v1/snapshots", nil, &out, "")
 	return out.Snapshots, err
 }

@@ -28,7 +28,7 @@ func BuildLexFDCtx(ctx context.Context, q *cq.Query, in *database.Instance, l or
 	if len(fds) == 0 {
 		return BuildLexCtx(ctx, q, in, l)
 	}
-	verdict, w := classify.DirectAccessLexFD(q, l, fds)
+	verdict, w := classify.DirectAccessLex(q, l, fds)
 	if !verdict.Tractable {
 		return nil, &IntractableError{Verdict: verdict}
 	}

@@ -169,7 +169,7 @@ func BuildLex(q *cq.Query, in *database.Instance, l order.Lex) (*Lex, error) {
 // up. Cancellation granularity is one wave unit (a layer's bucketize),
 // never mid-layer.
 func BuildLexCtx(ctx context.Context, q *cq.Query, in *database.Instance, l order.Lex) (*Lex, error) {
-	if v := classify.DirectAccessLex(q, l); !v.Tractable {
+	if v, _ := classify.DirectAccessLex(q, l, nil); !v.Tractable {
 		return nil, &IntractableError{Verdict: v}
 	}
 	return buildLayered(ctx, q, in, l)

@@ -22,7 +22,7 @@ type Sum struct{ rowArray }
 // BuildSum constructs the structure, failing with *IntractableError when
 // q is outside the tractable class of Theorem 5.1.
 func BuildSum(q *cq.Query, in *database.Instance, w order.Sum) (*Sum, error) {
-	if v := classify.DirectAccessSum(q); !v.Tractable {
+	if v, _ := classify.DirectAccessSum(q, nil); !v.Tractable {
 		return nil, &IntractableError{Verdict: v}
 	}
 	return buildSum(q, in, w)
@@ -36,7 +36,7 @@ func BuildSumFD(q *cq.Query, in *database.Instance, w order.Sum, fds fd.Set) (*S
 	if len(fds) == 0 {
 		return BuildSum(q, in, w)
 	}
-	verdict, wfd := classify.DirectAccessSumFD(q, fds)
+	verdict, wfd := classify.DirectAccessSum(q, fds)
 	if !verdict.Tractable {
 		return nil, &IntractableError{Verdict: verdict}
 	}
@@ -89,7 +89,8 @@ func buildSum(q *cq.Query, in *database.Instance, w order.Sum) (*Sum, error) {
 	}
 	if big == nil {
 		// Unreachable given the classification; keep a defensive error.
-		return nil, &IntractableError{Verdict: classify.DirectAccessSum(q)}
+		v, _ := classify.DirectAccessSum(q, nil)
+		return nil, &IntractableError{Verdict: v}
 	}
 	// After the full reduction every tuple of big participates in an
 	// answer, and big's variables are exactly the free variables, so its

@@ -16,6 +16,10 @@
 //   - Theorems 8.9/8.10/8.21/8.22: with unary FDs, the same criteria
 //     applied to the FD-extension Q⁺ and the FD-reordered order L⁺.
 //
+// §8 is written once: every dichotomy takes the FD set and decides on
+// the extension. With no FDs the extension is the identity (Q⁺ = Q,
+// L⁺ = L), so an FD-free call is the nil case, not a second function.
+//
 // Intractability statements assume the paper's fine-grained hypotheses
 // and, for the hard side, self-join-freeness; verdicts carry both caveats.
 package classify
@@ -99,9 +103,35 @@ func lexIDs(l order.Lex) []int {
 
 func caveat(q *cq.Query) bool { return !q.IsSelfJoinFree() }
 
+// WithFDs is the FD-extension a dichotomy decided on, which the
+// algorithms then run on.
+type WithFDs struct {
+	Ext *fd.Extension
+	// LPlus is the FD-reordered order (only for LEX problems).
+	LPlus order.Lex
+}
+
+// onExtension applies a criterion to the FD-extension of (q, l) under
+// fds; note says so in the reason when there is an extension to speak
+// of.
+func onExtension(q *cq.Query, l order.Lex, fds fd.Set, note string, criterion func(*cq.Query, order.Lex) Verdict) (Verdict, WithFDs) {
+	ext := fd.Extend(q, fds)
+	w := WithFDs{Ext: ext, LPlus: ext.ReorderLex(l)}
+	v := criterion(ext.Query, w.LPlus)
+	if len(fds) > 0 {
+		v.Reason = note + v.Reason
+	}
+	return v, w
+}
+
 // DirectAccessLex classifies direct access by a (possibly partial)
-// lexicographic order (Theorems 3.3 and 4.1).
-func DirectAccessLex(q *cq.Query, l order.Lex) Verdict {
+// lexicographic order (Theorems 3.3 and 4.1; under unary FDs Theorem
+// 8.21: the same criteria applied to Q⁺ and L⁺).
+func DirectAccessLex(q *cq.Query, l order.Lex, fds fd.Set) (Verdict, WithFDs) {
+	return onExtension(q, l, fds, "on the FD-extension Q⁺ with reordered order L⁺: ", directAccessLex)
+}
+
+func directAccessLex(q *cq.Query, l order.Lex) Verdict {
 	if err := l.Validate(q); err != nil {
 		return Verdict{Bound: "-", Reason: "invalid order: " + err.Error()}
 	}
@@ -149,8 +179,12 @@ func DirectAccessLex(q *cq.Query, l order.Lex) Verdict {
 
 // SelectionLex classifies selection by a lexicographic order
 // (Theorem 6.1): the order itself is irrelevant; only free-connexity
-// matters.
-func SelectionLex(q *cq.Query, l order.Lex) Verdict {
+// matters (under unary FDs Theorem 8.22: free-connexity of Q⁺).
+func SelectionLex(q *cq.Query, l order.Lex, fds fd.Set) (Verdict, WithFDs) {
+	return onExtension(q, l, fds, "on the FD-extension Q⁺: ", selectionLex)
+}
+
+func selectionLex(q *cq.Query, l order.Lex) Verdict {
 	if err := l.Validate(q); err != nil {
 		return Verdict{Bound: "-", Reason: "invalid order: " + err.Error()}
 	}
@@ -178,8 +212,13 @@ func SelectionLex(q *cq.Query, l order.Lex) Verdict {
 	}
 }
 
-// DirectAccessSum classifies direct access by SUM (Theorem 5.1).
-func DirectAccessSum(q *cq.Query) Verdict {
+// DirectAccessSum classifies direct access by SUM (Theorem 5.1; under
+// unary FDs Theorem 8.9: the criterion applied to Q⁺).
+func DirectAccessSum(q *cq.Query, fds fd.Set) (Verdict, WithFDs) {
+	return onExtension(q, order.Lex{}, fds, "on the FD-extension Q⁺: ", directAccessSum)
+}
+
+func directAccessSum(q *cq.Query, _ order.Lex) Verdict {
 	s := structOf(q)
 	if !s.acyclic() {
 		return Verdict{
@@ -210,8 +249,13 @@ func DirectAccessSum(q *cq.Query) Verdict {
 	}
 }
 
-// SelectionSum classifies selection by SUM (Theorem 7.3).
-func SelectionSum(q *cq.Query) Verdict {
+// SelectionSum classifies selection by SUM (Theorem 7.3; under unary
+// FDs Theorem 8.10: the criterion applied to Q⁺).
+func SelectionSum(q *cq.Query, fds fd.Set) (Verdict, WithFDs) {
+	return onExtension(q, order.Lex{}, fds, "on the FD-extension Q⁺: ", selectionSum)
+}
+
+func selectionSum(q *cq.Query, _ order.Lex) Verdict {
 	s := structOf(q)
 	if !s.acyclic() {
 		return Verdict{
@@ -252,49 +296,4 @@ func SelectionSum(q *cq.Query) Verdict {
 		v.Reason += "; chordless 4-path " + strings.Join(v.SPath, "–")
 	}
 	return v
-}
-
-// WithFDs bundles the FD-extension artifacts used by the §8 dichotomies.
-type WithFDs struct {
-	Ext *fd.Extension
-	// LPlus is the FD-reordered order (only for LEX problems).
-	LPlus order.Lex
-}
-
-// DirectAccessLexFD classifies direct access by LEX under unary FDs
-// (Theorem 8.21): the criteria of Theorem 4.1 applied to Q⁺ and L⁺.
-func DirectAccessLexFD(q *cq.Query, l order.Lex, fds fd.Set) (Verdict, WithFDs) {
-	ext := fd.Extend(q, fds)
-	lp := ext.ReorderLex(l)
-	v := DirectAccessLex(ext.Query, lp)
-	v.Reason = "on the FD-extension Q⁺ with reordered order L⁺: " + v.Reason
-	return v, WithFDs{Ext: ext, LPlus: lp}
-}
-
-// SelectionLexFD classifies selection by LEX under unary FDs
-// (Theorem 8.22): free-connexity of Q⁺.
-func SelectionLexFD(q *cq.Query, l order.Lex, fds fd.Set) (Verdict, WithFDs) {
-	ext := fd.Extend(q, fds)
-	lp := ext.ReorderLex(l)
-	v := SelectionLex(ext.Query, lp)
-	v.Reason = "on the FD-extension Q⁺: " + v.Reason
-	return v, WithFDs{Ext: ext, LPlus: lp}
-}
-
-// DirectAccessSumFD classifies direct access by SUM under unary FDs
-// (Theorem 8.9): the criterion of Theorem 5.1 applied to Q⁺.
-func DirectAccessSumFD(q *cq.Query, fds fd.Set) (Verdict, WithFDs) {
-	ext := fd.Extend(q, fds)
-	v := DirectAccessSum(ext.Query)
-	v.Reason = "on the FD-extension Q⁺: " + v.Reason
-	return v, WithFDs{Ext: ext}
-}
-
-// SelectionSumFD classifies selection by SUM under unary FDs
-// (Theorem 8.10): the criterion of Theorem 7.3 applied to Q⁺.
-func SelectionSumFD(q *cq.Query, fds fd.Set) (Verdict, WithFDs) {
-	ext := fd.Extend(q, fds)
-	v := SelectionSum(ext.Query)
-	v.Reason = "on the FD-extension Q⁺: " + v.Reason
-	return v, WithFDs{Ext: ext}
 }

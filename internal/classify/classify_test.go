@@ -24,52 +24,52 @@ func TestExample11Bullets(t *testing.T) {
 	qFull := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
 
 	// LEX ⟨x,y,z⟩: direct access tractable.
-	if v := DirectAccessLex(qFull, lex(t, qFull, "x, y, z")); !v.Tractable {
+	if v, _ := DirectAccessLex(qFull, lex(t, qFull, "x, y, z"), nil); !v.Tractable {
 		t.Fatalf("⟨x,y,z⟩ must be tractable: %v", v)
 	}
 	// LEX ⟨x,z,y⟩: DA intractable (disruptive trio); selection tractable.
-	v := DirectAccessLex(qFull, lex(t, qFull, "x, z, y"))
+	v, _ := DirectAccessLex(qFull, lex(t, qFull, "x, z, y"), nil)
 	if v.Tractable {
 		t.Fatalf("⟨x,z,y⟩ must be intractable: %v", v)
 	}
 	if len(v.Trio) != 3 {
 		t.Fatalf("expected a trio certificate, got %+v", v)
 	}
-	if s := SelectionLex(qFull, lex(t, qFull, "x, z, y")); !s.Tractable {
+	if s, _ := SelectionLex(qFull, lex(t, qFull, "x, z, y"), nil); !s.Tractable {
 		t.Fatalf("selection by ⟨x,z,y⟩ must be tractable: %v", s)
 	}
 	// LEX ⟨x,z⟩ partial: DA intractable (not L-connex); selection tractable.
-	v = DirectAccessLex(qFull, lex(t, qFull, "x, z"))
+	v, _ = DirectAccessLex(qFull, lex(t, qFull, "x, z"), nil)
 	if v.Tractable {
 		t.Fatalf("⟨x,z⟩ must be intractable: %v", v)
 	}
 	if len(v.SPath) == 0 || !strings.Contains(v.Reason, "L-connex") {
 		t.Fatalf("expected an L-path certificate, got %+v", v)
 	}
-	if s := SelectionLex(qFull, lex(t, qFull, "x, z")); !s.Tractable {
+	if s, _ := SelectionLex(qFull, lex(t, qFull, "x, z"), nil); !s.Tractable {
 		t.Fatalf("selection by partial ⟨x,z⟩ must be tractable: %v", s)
 	}
 
 	// y projected away: selection intractable (not free-connex).
 	qProj := cq.MustParse("Q(x, z) :- R(x, y), S(y, z)")
-	if s := SelectionLex(qProj, lex(t, qProj, "x, z")); s.Tractable {
+	if s, _ := SelectionLex(qProj, lex(t, qProj, "x, z"), nil); s.Tractable {
 		t.Fatalf("selection for non-free-connex query must be intractable: %v", s)
 	}
 
 	// SUM x+y+z: DA intractable, selection tractable.
-	if v := DirectAccessSum(qFull); v.Tractable {
+	if v, _ := DirectAccessSum(qFull, nil); v.Tractable {
 		t.Fatalf("DA by SUM on the 2-path must be intractable: %v", v)
 	}
-	if s := SelectionSum(qFull); !s.Tractable {
+	if s, _ := SelectionSum(qFull, nil); !s.Tractable {
 		t.Fatalf("selection by SUM on the 2-path must be tractable: %v", s)
 	}
 	// SUM x+y with z projected: DA tractable (free vars inside R).
 	qXY := cq.MustParse("Q(x, y) :- R(x, y), S(y, z)")
-	if v := DirectAccessSum(qXY); !v.Tractable {
+	if v, _ := DirectAccessSum(qXY, nil); !v.Tractable {
 		t.Fatalf("DA by SUM with free vars in one atom must be tractable: %v", v)
 	}
 	// SUM x+z with y projected: selection intractable (not free-connex).
-	if s := SelectionSum(qProj); s.Tractable {
+	if s, _ := SelectionSum(qProj, nil); s.Tractable {
 		t.Fatalf("selection by SUM for non-free-connex query must be intractable: %v", s)
 	}
 }
@@ -81,15 +81,15 @@ func TestExample11FDBullets(t *testing.T) {
 	l := lex(t, q, "x, z, y")
 
 	// FD R: y → x makes it tractable.
-	if v, _ := DirectAccessLexFD(q, l, fd.MustParse(q, "R: y -> x")); !v.Tractable {
+	if v, _ := DirectAccessLex(q, l, fd.MustParse(q, "R: y -> x")); !v.Tractable {
 		t.Fatalf("FD R: y->x must make ⟨x,z,y⟩ tractable: %v", v)
 	}
 	// FD S: y → z makes it tractable.
-	if v, _ := DirectAccessLexFD(q, l, fd.MustParse(q, "S: y -> z")); !v.Tractable {
+	if v, _ := DirectAccessLex(q, l, fd.MustParse(q, "S: y -> z")); !v.Tractable {
 		t.Fatalf("FD S: y->z must make ⟨x,z,y⟩ tractable: %v", v)
 	}
 	// FD R: x → y makes it tractable (order reorders to ⟨x,y,z⟩).
-	v, w := DirectAccessLexFD(q, l, fd.MustParse(q, "R: x -> y"))
+	v, w := DirectAccessLex(q, l, fd.MustParse(q, "R: x -> y"))
 	if !v.Tractable {
 		t.Fatalf("FD R: x->y must make ⟨x,z,y⟩ tractable: %v", v)
 	}
@@ -101,11 +101,11 @@ func TestExample11FDBullets(t *testing.T) {
 		t.Fatalf("L+ = %v, want x,y,z", got)
 	}
 	// FD S: z → y does not help.
-	if v, _ := DirectAccessLexFD(q, l, fd.MustParse(q, "S: z -> y")); v.Tractable {
+	if v, _ := DirectAccessLex(q, l, fd.MustParse(q, "S: z -> y")); v.Tractable {
 		t.Fatalf("FD S: z->y must not help: %v", v)
 	}
 	// No FDs at all: intractable.
-	if v, _ := DirectAccessLexFD(q, l, nil); v.Tractable {
+	if v, _ := DirectAccessLex(q, l, nil); v.Tractable {
 		t.Fatal("without FDs the trio must remain")
 	}
 }
@@ -116,34 +116,34 @@ func TestIntroVisitsCases(t *testing.T) {
 	q := cq.MustParse("Q(person, age, city, date, cases) :- Visits(person, age, city), Cases(city, date, cases)")
 
 	// (cases, age, city, date, person): disruptive trio cases/age/city.
-	v := DirectAccessLex(q, lex(t, q, "cases, age, city, date, person"))
+	v, _ := DirectAccessLex(q, lex(t, q, "cases, age, city, date, person"), nil)
 	if v.Tractable || len(v.Trio) != 3 {
 		t.Fatalf("intro order must be intractable with a trio: %+v", v)
 	}
 	// Partial (cases, age): not L-connex.
-	v = DirectAccessLex(q, lex(t, q, "cases, age"))
+	v, _ = DirectAccessLex(q, lex(t, q, "cases, age"), nil)
 	if v.Tractable || !strings.Contains(v.Reason, "L-connex") {
 		t.Fatalf("(cases, age) must fail L-connexity: %+v", v)
 	}
 	// (cases, city, age): tractable.
-	if v := DirectAccessLex(q, lex(t, q, "cases, city, age")); !v.Tractable {
+	if v, _ := DirectAccessLex(q, lex(t, q, "cases, city, age"), nil); !v.Tractable {
 		t.Fatalf("(cases, city, age) must be tractable: %v", v)
 	}
 	// Descending directions do not change the classification.
-	if v := DirectAccessLex(q, lex(t, q, "cases desc, city, age")); !v.Tractable {
+	if v, _ := DirectAccessLex(q, lex(t, q, "cases desc, city, age"), nil); !v.Tractable {
 		t.Fatalf("descending component must stay tractable: %v", v)
 	}
 	// SUM over all five attributes: intractable.
-	if v := DirectAccessSum(q); v.Tractable {
+	if v, _ := DirectAccessSum(q, nil); v.Tractable {
 		t.Fatalf("SUM on the join must be intractable: %v", v)
 	}
 	// The Cartesian-product variant from §5 is intractable by SUM even
 	// though every full lexicographic order is tractable.
 	qp := cq.MustParse("Q(c1, d, x, p, a, c2) :- Visits(p, a, c1), Cases(c2, d, x)")
-	if v := DirectAccessSum(qp); v.Tractable {
+	if v, _ := DirectAccessSum(qp, nil); v.Tractable {
 		t.Fatalf("cross product by SUM must be intractable: %v", v)
 	}
-	if v := DirectAccessLex(qp, lex(t, qp, "c1, d, x, p, a, c2")); !v.Tractable {
+	if v, _ := DirectAccessLex(qp, lex(t, qp, "c1, d, x, p, a, c2"), nil); !v.Tractable {
 		t.Fatalf("lexicographic order on the product must be tractable: %v", v)
 	}
 }
@@ -151,16 +151,16 @@ func TestIntroVisitsCases(t *testing.T) {
 // Example 4.2: partial orders on the 2-path.
 func TestExample42(t *testing.T) {
 	q := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
-	if v := DirectAccessLex(q, lex(t, q, "x, y, z")); !v.Tractable {
+	if v, _ := DirectAccessLex(q, lex(t, q, "x, y, z"), nil); !v.Tractable {
 		t.Fatal("⟨x,y,z⟩ tractable")
 	}
-	if v := DirectAccessLex(q, lex(t, q, "z, y")); !v.Tractable {
+	if v, _ := DirectAccessLex(q, lex(t, q, "z, y"), nil); !v.Tractable {
 		t.Fatal("⟨z,y⟩ tractable")
 	}
-	if v := DirectAccessLex(q, lex(t, q, "x, z")); v.Tractable {
+	if v, _ := DirectAccessLex(q, lex(t, q, "x, z"), nil); v.Tractable {
 		t.Fatal("⟨x,z⟩ intractable")
 	}
-	if v := DirectAccessLex(q, lex(t, q, "x, z, y")); v.Tractable {
+	if v, _ := DirectAccessLex(q, lex(t, q, "x, z, y"), nil); v.Tractable {
 		t.Fatal("⟨x,z,y⟩ intractable")
 	}
 }
@@ -180,7 +180,7 @@ func TestSection25Queries(t *testing.T) {
 	}
 	for _, c := range cases {
 		q := cq.MustParse(c.src)
-		if v := DirectAccessLex(q, lex(t, q, c.order)); !v.Tractable {
+		if v, _ := DirectAccessLex(q, lex(t, q, c.order), nil); !v.Tractable {
 			t.Errorf("%s with ⟨%s⟩ must be tractable: %v", c.src, c.order, v)
 		}
 	}
@@ -190,7 +190,7 @@ func TestSection25Queries(t *testing.T) {
 // variable last.
 func TestExample31(t *testing.T) {
 	q := cq.MustParse("Q(v1, v2, v3) :- R(v1, v3), S(v3, v2)")
-	v := DirectAccessLex(q, lex(t, q, "v1, v2, v3"))
+	v, _ := DirectAccessLex(q, lex(t, q, "v1, v2, v3"), nil)
 	if v.Tractable || len(v.Trio) != 3 {
 		t.Fatalf("Example 3.1 order must be intractable with a trio: %+v", v)
 	}
@@ -199,19 +199,19 @@ func TestExample31(t *testing.T) {
 // Example 7.4: fmh-based SUM selection classification.
 func TestExample74(t *testing.T) {
 	q2 := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
-	if v := SelectionSum(q2); !v.Tractable {
+	if v, _ := SelectionSum(q2, nil); !v.Tractable {
 		t.Fatalf("2-path selection by SUM tractable: %v", v)
 	}
 	q3proj := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z), T(z, u)")
-	if v := SelectionSum(q3proj); !v.Tractable {
+	if v, _ := SelectionSum(q3proj, nil); !v.Tractable {
 		t.Fatalf("3-path with u projected must be tractable (fmh = 2): %v", v)
 	}
 	q3 := cq.MustParse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)")
-	if v := SelectionSum(q3); v.Tractable {
+	if v, _ := SelectionSum(q3, nil); v.Tractable {
 		t.Fatalf("full 3-path selection by SUM must be intractable: %v", v)
 	}
 	// Certificate: chordless 4-path.
-	if v := SelectionSum(q3); len(v.SPath) != 4 {
+	if v, _ := SelectionSum(q3, nil); len(v.SPath) != 4 {
 		t.Fatalf("expected chordless 4-path certificate: %+v", v)
 	}
 }
@@ -221,24 +221,24 @@ func TestExample74(t *testing.T) {
 func TestFig8Rows(t *testing.T) {
 	// α_free = 1: tractable.
 	q1 := cq.MustParse("Q(x, y) :- R(x, y), S(y, z)")
-	if v := DirectAccessSum(q1); !v.Tractable {
+	if v, _ := DirectAccessSum(q1, nil); !v.Tractable {
 		t.Fatalf("α=1 row: %v", v)
 	}
 	// α_free = 2 row: ⟨n^(2-ε), n^(1-ε)⟩ refuted.
 	q2 := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z), T(z, u)")
-	v := DirectAccessSum(q2)
+	v, _ := DirectAccessSum(q2, nil)
 	if v.Tractable || !strings.Contains(v.Bound, "n^(1-ε)") {
 		t.Fatalf("α=2 row: %+v", v)
 	}
 	// α_free = 3 row: ⟨n^(2-ε), n^(2-ε)⟩ refuted.
 	q3 := cq.MustParse("Q(x, y, z) :- R(x), S(y), T(z)")
-	v = DirectAccessSum(q3)
+	v, _ = DirectAccessSum(q3, nil)
 	if v.Tractable || !strings.Contains(v.Bound, "n^(2-ε)") {
 		t.Fatalf("α=3 row: %+v", v)
 	}
 	// Cyclic row.
 	qc := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z), T(z, x)")
-	v = DirectAccessSum(qc)
+	v, _ = DirectAccessSum(qc, nil)
 	if v.Tractable || v.Hypotheses[0] != "HYPERCLIQUE" {
 		t.Fatalf("cyclic row: %+v", v)
 	}
@@ -250,30 +250,30 @@ func TestExample83Classify(t *testing.T) {
 	q := cq.MustParse("Q(x, z) :- R(x, y), S(y, z)")
 	fds := fd.MustParse(q, "S: y -> z")
 	// Without FDs: selection intractable.
-	if v := SelectionLex(q, lex(t, q, "x, z")); v.Tractable {
+	if v, _ := SelectionLex(q, lex(t, q, "x, z"), nil); v.Tractable {
 		t.Fatal("without FDs Q2P must be intractable")
 	}
 	// With the FD: everything becomes tractable.
-	if v, _ := SelectionLexFD(q, lex(t, q, "x, z"), fds); !v.Tractable {
+	if v, _ := SelectionLex(q, lex(t, q, "x, z"), fds); !v.Tractable {
 		t.Fatalf("selection with FD: %v", v)
 	}
-	if v, _ := DirectAccessLexFD(q, lex(t, q, "x, z"), fds); !v.Tractable {
+	if v, _ := DirectAccessLex(q, lex(t, q, "x, z"), fds); !v.Tractable {
 		t.Fatalf("DA with FD: %v", v)
 	}
-	if v, _ := DirectAccessSumFD(q, fds); !v.Tractable {
+	if v, _ := DirectAccessSum(q, fds); !v.Tractable {
 		t.Fatalf("DA by SUM with FD: %v", v)
 	}
-	if v, _ := SelectionSumFD(q, fds); !v.Tractable {
+	if v, _ := SelectionSum(q, fds); !v.Tractable {
 		t.Fatalf("selection by SUM with FD: %v", v)
 	}
 
 	// Triangle with FD S: y → z: acyclic extension, R⁺ covers everything.
 	qt := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z), T(z, x)")
 	fdt := fd.MustParse(qt, "S: y -> z")
-	if v := DirectAccessSum(qt); v.Tractable {
+	if v, _ := DirectAccessSum(qt, nil); v.Tractable {
 		t.Fatal("triangle without FDs is cyclic")
 	}
-	if v, _ := DirectAccessSumFD(qt, fdt); !v.Tractable {
+	if v, _ := DirectAccessSum(qt, fdt); !v.Tractable {
 		t.Fatalf("triangle with FD must be tractable: %v", v)
 	}
 }
@@ -284,7 +284,7 @@ func TestExample83Classify(t *testing.T) {
 func TestExample819Classify(t *testing.T) {
 	q := cq.MustParse("Q(v1, v2) :- R(v1, v3), S(v3, v2)")
 	fds := fd.MustParse(q, "S: v2 -> v3")
-	v, w := DirectAccessLexFD(q, lex(t, q, "v1, v2"), fds)
+	v, w := DirectAccessLex(q, lex(t, q, "v1, v2"), fds)
 	if v.Tractable {
 		t.Fatalf("Example 8.19 must be intractable: %v", v)
 	}
@@ -299,7 +299,7 @@ func TestExample819Classify(t *testing.T) {
 		t.Fatalf("L+ = %v", names)
 	}
 	// Selection, by contrast, becomes tractable: Q⁺ is free-connex.
-	if s, _ := SelectionLexFD(q, lex(t, q, "v1, v2"), fds); !s.Tractable {
+	if s, _ := SelectionLex(q, lex(t, q, "v1, v2"), fds); !s.Tractable {
 		t.Fatalf("selection for Example 8.19 must be tractable: %v", s)
 	}
 }
@@ -308,12 +308,12 @@ func TestExample819Classify(t *testing.T) {
 // the caveat flag.
 func TestSelfJoinCaveat(t *testing.T) {
 	q := cq.MustParse("Q(x, y, z) :- R(x, y), R(y, z)")
-	v := DirectAccessLex(q, lex(t, q, "x, z, y"))
+	v, _ := DirectAccessLex(q, lex(t, q, "x, z, y"), nil)
 	if v.Tractable || !v.SelfJoinCaveat {
 		t.Fatalf("self-join hard verdict must carry caveat: %+v", v)
 	}
 	// Tractable verdicts don't need the caveat.
-	v = DirectAccessLex(q, lex(t, q, "x, y, z"))
+	v, _ = DirectAccessLex(q, lex(t, q, "x, y, z"), nil)
 	if !v.Tractable || v.SelfJoinCaveat {
 		t.Fatalf("tractable self-join verdict: %+v", v)
 	}
@@ -321,12 +321,12 @@ func TestSelfJoinCaveat(t *testing.T) {
 
 func TestVerdictString(t *testing.T) {
 	q := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
-	v := DirectAccessLex(q, lex(t, q, "x, z, y"))
+	v, _ := DirectAccessLex(q, lex(t, q, "x, z, y"), nil)
 	s := v.String()
 	if !strings.Contains(s, "INTRACTABLE") || !strings.Contains(s, "sparseBMM") {
 		t.Fatalf("verdict string = %q", s)
 	}
-	v = DirectAccessLex(q, lex(t, q, "x, y, z"))
+	v, _ = DirectAccessLex(q, lex(t, q, "x, y, z"), nil)
 	if !strings.Contains(v.String(), "TRACTABLE") {
 		t.Fatalf("verdict string = %q", v.String())
 	}
@@ -335,17 +335,17 @@ func TestVerdictString(t *testing.T) {
 // Boolean queries: trivially tractable everywhere when acyclic.
 func TestBooleanQueries(t *testing.T) {
 	q := cq.MustParse("Q() :- R(x, y), S(y, z)")
-	if v := DirectAccessLex(q, order.Lex{}); !v.Tractable {
+	if v, _ := DirectAccessLex(q, order.Lex{}, nil); !v.Tractable {
 		t.Fatalf("Boolean acyclic DA: %v", v)
 	}
-	if v := DirectAccessSum(q); !v.Tractable {
+	if v, _ := DirectAccessSum(q, nil); !v.Tractable {
 		t.Fatalf("Boolean acyclic DA-SUM: %v", v)
 	}
-	if v := SelectionSum(q); !v.Tractable {
+	if v, _ := SelectionSum(q, nil); !v.Tractable {
 		t.Fatalf("Boolean acyclic selection-SUM: %v", v)
 	}
 	qc := cq.MustParse("Q() :- R(x, y), S(y, z), T(z, x)")
-	if v := DirectAccessLex(qc, order.Lex{}); v.Tractable {
+	if v, _ := DirectAccessLex(qc, order.Lex{}, nil); v.Tractable {
 		t.Fatalf("Boolean cyclic DA must be intractable: %v", v)
 	}
 }
@@ -354,10 +354,10 @@ func TestInvalidOrderVerdicts(t *testing.T) {
 	q := cq.MustParse("Q(x, z) :- R(x, y), S(y, z)")
 	y, _ := q.VarByName("y")
 	bad := order.NewLex(y)
-	if v := DirectAccessLex(q, bad); v.Tractable || !strings.Contains(v.Reason, "invalid order") {
+	if v, _ := DirectAccessLex(q, bad, nil); v.Tractable || !strings.Contains(v.Reason, "invalid order") {
 		t.Fatalf("invalid order verdict: %+v", v)
 	}
-	if v := SelectionLex(q, bad); v.Tractable || !strings.Contains(v.Reason, "invalid order") {
+	if v, _ := SelectionLex(q, bad, nil); v.Tractable || !strings.Contains(v.Reason, "invalid order") {
 		t.Fatalf("invalid order verdict: %+v", v)
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"rankedaccess/internal/access"
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/classify"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
@@ -116,33 +117,9 @@ type Options struct {
 	Remote RemoteBuilder
 }
 
-// Spec identifies a ranked-access request against the engine's instance.
-// Exactly the textual inputs a remote caller can send; the engine parses
-// and validates them.
-type Spec struct {
-	// Query is the conjunctive query text, e.g. "Q(x, z) :- R(x, y), S(y, z)".
-	Query string
-	// Order is a lexicographic order such as "x, z desc" (possibly
-	// partial, possibly empty). Ignored when SumBy is set.
-	Order string
-	// SumBy, when non-empty, requests ranking by the sum of the named
-	// variables' values (the identity-weight SUM order).
-	SumBy []string
-	// FDs are unary functional dependencies "R: x -> y" to refine the
-	// classification (§8).
-	FDs []string
-	// Shards, when ≥ 2, requests hash-partitioned execution: the
-	// instance is split on a partition variable, per-shard structures
-	// are built in parallel, and accesses merge per-shard answer counts
-	// (internal/shard). Queries that cannot be partitioned fall back to
-	// a single structure; Plan.ShardNote records why. Values above
-	// shard.MaxShards are clamped.
-	Shards int
-	// ShardBy optionally names the partition variable, which must be a
-	// free variable of the query; empty picks the free variable
-	// appearing in the most atoms. Ignored unless Shards ≥ 2.
-	ShardBy string
-}
+// Spec identifies a ranked-access request against the engine's
+// instance: the /v1 wire type itself, so no layer copies it.
+type Spec = api.Spec
 
 // normShards canonicalizes a requested shard count: anything below 2 is
 // unsharded, anything above the shard package's bound is clamped.
@@ -837,7 +814,7 @@ func (e *Engine) Health() Health {
 	return h
 }
 
-// key canonicalizes a Spec into a cache key. The key is versionless —
+// specKey canonicalizes a Spec into a cache key. The key is versionless —
 // one cache slot per spec, holding the handle for whatever epoch it
 // last built or caught up to (Handle.version records which). FD and
 // SumBy lists are order-insensitive, and Order is dropped when SumBy is
@@ -845,7 +822,7 @@ func (e *Engine) Health() Health {
 // shard count and partition variable are part of the accessor identity:
 // the same query sharded differently is a different structure. ShardBy
 // is dropped when the request is unsharded.
-func (s Spec) key() string {
+func specKey(s Spec) string {
 	fds := append([]string(nil), s.FDs...)
 	sort.Strings(fds)
 	sumBy := append([]string(nil), s.SumBy...)
@@ -880,7 +857,7 @@ type parsed struct {
 	sum bool
 }
 
-func (s Spec) parse() (*parsed, error) {
+func parseSpec(s Spec) (*parsed, error) {
 	q, err := cq.Parse(s.Query)
 	if err != nil {
 		return nil, err
@@ -960,7 +937,7 @@ func ctxErr(err error) bool {
 // live retry with a fresh flight rather than inheriting the stranger's
 // cancellation.
 func (e *Engine) prepareVersionedCtx(ctx context.Context, s Spec) (*Handle, uint64, error) {
-	key := s.key()
+	key := specKey(s)
 	for {
 		h, version, retry, err := e.prepareOnce(ctx, s, key)
 		if retry && ctx.Err() == nil {
@@ -1075,16 +1052,10 @@ func (e *Engine) logBuild(ctx context.Context, s Spec, version uint64, rebuild b
 // order — Theorem 4.1 for lex, Theorem 5.1 for SUM, on the FD-extension
 // per §8 when the spec carries FDs — returning the FD witness too.
 func (p *parsed) directAccess() (classify.Verdict, classify.WithFDs) {
-	switch {
-	case p.sum && len(p.fds) == 0:
-		return classify.DirectAccessSum(p.q), classify.WithFDs{}
-	case p.sum:
-		return classify.DirectAccessSumFD(p.q, p.fds)
-	case len(p.fds) == 0:
-		return classify.DirectAccessLex(p.q, p.l), classify.WithFDs{}
-	default:
-		return classify.DirectAccessLexFD(p.q, p.l, p.fds)
+	if p.sum {
+		return classify.DirectAccessSum(p.q, p.fds)
 	}
+	return classify.DirectAccessLex(p.q, p.l, p.fds)
 }
 
 // kind is the tractable structure kind of the spec's order.
@@ -1139,7 +1110,7 @@ func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 	if e.remote != nil {
 		return e.buildRemote(ctx, s)
 	}
-	p, err := s.parse()
+	p, err := parseSpec(s)
 	if err != nil {
 		return nil, err
 	}
@@ -1278,7 +1249,7 @@ func (e *Engine) Select(s Spec, k int64) ([]values.Value, error) {
 	if e.remote != nil {
 		return e.selectRemote(s, k)
 	}
-	p, err := s.parse()
+	p, err := parseSpec(s)
 	if err != nil {
 		return nil, err
 	}
@@ -1292,15 +1263,10 @@ func (e *Engine) selectParsed(p *parsed, k int64) ([]values.Value, error) {
 	defer e.mu.RUnlock()
 	var err error
 	var a order.Answer
-	switch {
-	case p.sum && len(p.fds) == 0:
-		a, err = selection.SelectSum(p.q, e.in, p.w, k)
-	case p.sum:
-		a, err = selection.SelectSumFD(p.q, e.in, p.w, p.fds, k)
-	case len(p.fds) == 0:
-		a, err = selection.SelectLex(p.q, e.in, p.l, k)
-	default:
-		a, err = selection.SelectLexFD(p.q, e.in, p.l, p.fds, k)
+	if p.sum {
+		a, err = selection.SelectSum(p.q, e.in, p.w, p.fds, k)
+	} else {
+		a, err = selection.SelectLex(p.q, e.in, p.l, p.fds, k)
 	}
 	if err != nil {
 		return nil, err
@@ -1322,11 +1288,7 @@ func (e *Engine) Count(query string) (int64, error) {
 // count and partition variable actually used (zero/empty when the
 // count ran unsharded), and the fallback reason if sharding was
 // requested but impossible.
-type CountInfo struct {
-	Shards    int
-	ShardBy   string
-	ShardNote string
-}
+type CountInfo = api.ShardEcho
 
 // CountSharded is Count with scatter-gather: for shards ≥ 2 the
 // instance is partitioned, every shard is counted in parallel, and the
@@ -1384,7 +1346,7 @@ const (
 
 // Classify runs the paper's dichotomy for the named problem on a Spec.
 func (e *Engine) Classify(problem string, s Spec) (classify.Verdict, error) {
-	p, err := s.parse()
+	p, err := parseSpec(s)
 	if err != nil {
 		return classify.Verdict{}, err
 	}
@@ -1393,34 +1355,18 @@ func (e *Engine) Classify(problem string, s Spec) (classify.Verdict, error) {
 
 // classifyParsed is Classify after parsing (the dichotomies depend only
 // on the query, order, and FDs — never on data).
-func classifyParsed(problem string, p *parsed) (classify.Verdict, error) {
-	hasFDs := len(p.fds) > 0
+func classifyParsed(problem string, p *parsed) (v classify.Verdict, err error) {
 	switch problem {
 	case ProblemDirectAccessLex:
-		if hasFDs {
-			v, _ := classify.DirectAccessLexFD(p.q, p.l, p.fds)
-			return v, nil
-		}
-		return classify.DirectAccessLex(p.q, p.l), nil
+		v, _ = classify.DirectAccessLex(p.q, p.l, p.fds)
 	case ProblemSelectionLex:
-		if hasFDs {
-			v, _ := classify.SelectionLexFD(p.q, p.l, p.fds)
-			return v, nil
-		}
-		return classify.SelectionLex(p.q, p.l), nil
+		v, _ = classify.SelectionLex(p.q, p.l, p.fds)
 	case ProblemDirectAccessSum:
-		if hasFDs {
-			v, _ := classify.DirectAccessSumFD(p.q, p.fds)
-			return v, nil
-		}
-		return classify.DirectAccessSum(p.q), nil
+		v, _ = classify.DirectAccessSum(p.q, p.fds)
 	case ProblemSelectionSum:
-		if hasFDs {
-			v, _ := classify.SelectionSumFD(p.q, p.fds)
-			return v, nil
-		}
-		return classify.SelectionSum(p.q), nil
+		v, _ = classify.SelectionSum(p.q, p.fds)
 	default:
-		return classify.Verdict{}, fmt.Errorf("engine: unknown problem %q", problem)
+		err = fmt.Errorf("engine: unknown problem %q", problem)
 	}
+	return v, err
 }

@@ -93,7 +93,7 @@ func TestPlanParityAcrossOwners(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := tc.spec.parse()
+			p, err := parseSpec(tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -187,7 +187,7 @@ func (e *Engine) Register(name string, s Spec) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.parse() // cannot fail: prepareVersioned parsed the same spec
+	p, err := parseSpec(s) // cannot fail: prepareVersioned parsed the same spec
 	if err != nil {
 		return nil, err
 	}

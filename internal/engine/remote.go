@@ -104,7 +104,7 @@ type DistPlan struct {
 // the free variable by names (empty picks one deterministically). Every
 // error is the requester's fault.
 func PlanDistributed(s Spec, shards int, by string) (*DistPlan, error) {
-	p, err := s.parse()
+	p, err := parseSpec(s)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rankedaccess/internal/access"
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
 	"rankedaccess/internal/delta"
@@ -35,36 +36,13 @@ const WALFileName = "wal.log"
 // rehydrated lazily, so the first by-name probe after a warm start hits
 // the preloaded structure cache instead of re-preparing.
 
-// CheckpointInfo reports what a Checkpoint wrote.
-type CheckpointInfo struct {
-	// Name is the snapshot file name within the checkpoint directory.
-	Name string
-	// Bytes is the file size.
-	Bytes int64
-	// Version is the instance version the snapshot captured.
-	Version uint64
-	// Structures counts persisted access structures; Skipped counts
-	// cached structures that cannot be persisted (sharded or
-	// FD-extended) and will rebuild on demand after a warm start.
-	Structures, Skipped int
-	// Registrations counts persisted prepared-query registrations.
-	Registrations int
-}
-
-// RestoreInfo reports what an Open or Restore loaded.
-type RestoreInfo struct {
-	// Name is the snapshot file name loaded.
-	Name string
-	// Version is the instance version after the load (the persisted
-	// version for a fresh Open; strictly newer than both the persisted
-	// and the pre-restore version for a live Restore).
-	Version uint64
-	// Tuples is the restored instance size.
-	Tuples int
-	// Structures counts access structures rehydrated into the cache;
-	// Registrations counts rehydrated prepared queries.
-	Structures, Registrations int
-}
+// CheckpointInfo reports what a Checkpoint wrote, and RestoreInfo what
+// an Open or Restore loaded: the /v1/snapshots response bodies
+// themselves.
+type (
+	CheckpointInfo = api.SnapshotInfo
+	RestoreInfo    = api.RestoreInfo
+)
 
 // Checkpoint atomically persists the engine's current state into dir
 // (write to a temporary file, fsync, rename). It holds the instance
@@ -117,7 +95,7 @@ func (e *Engine) checkpointLocked(dir string) (CheckpointInfo, error) {
 			info.Skipped++
 			continue
 		}
-		key := h.spec.key()
+		key := specKey(h.spec)
 		if _, ok := byKey[key]; ok {
 			continue
 		}
@@ -135,7 +113,7 @@ func (e *Engine) checkpointLocked(dir string) (CheckpointInfo, error) {
 		info.Structures++
 	}
 	for _, pq := range regs {
-		b.AddRegistration(pq.id.Name, specMeta(pq.spec))
+		b.AddRegistration(pq.id.Name, pq.spec)
 		info.Registrations++
 	}
 
@@ -320,7 +298,7 @@ func (e *Engine) loadSnapshot(path string, fresh bool) (RestoreInfo, error) {
 			return info, fmt.Errorf("engine: snapshot structure %d: %w", i, err)
 		}
 		h.version = version
-		entries = append(entries, entry{key: h.spec.key(), h: h})
+		entries = append(entries, entry{key: specKey(h.spec), h: h})
 	}
 	type reg struct {
 		name string
@@ -332,8 +310,8 @@ func (e *Engine) loadSnapshot(path string, fresh bool) (RestoreInfo, error) {
 			m.Close()
 			return info, fmt.Errorf("engine: snapshot registration has invalid name %q", rm.Name)
 		}
-		s := specFromMeta(rm.Spec)
-		p, err := s.parse()
+		s := rm.Spec
+		p, err := parseSpec(s)
 		if err != nil {
 			m.Close()
 			return info, fmt.Errorf("engine: snapshot registration %q: %w", rm.Name, err)
@@ -402,11 +380,11 @@ func (e *Engine) loadSnapshot(path string, fresh bool) (RestoreInfo, error) {
 // spec is re-parsed and re-classified (query-level work, microseconds);
 // only the data-level arrays come from the file, zero-copy.
 func (e *Engine) rehydrate(f *snapshot.File, sm *snapshot.StructureMeta) (*Handle, error) {
-	s := specFromMeta(sm.Spec)
+	s := sm.Spec
 	if len(s.FDs) > 0 || normShards(s.Shards) > 1 {
 		return nil, fmt.Errorf("snapshot holds a structure for an unsupported spec (FDs or shards)")
 	}
-	p, err := s.parse()
+	p, err := parseSpec(s)
 	if err != nil {
 		return nil, err
 	}
@@ -460,14 +438,16 @@ func (e *Engine) rehydrate(f *snapshot.File, sm *snapshot.StructureMeta) (*Handl
 // that tells the structure types apart: the kind tag is file format.
 func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool) {
 	sm := snapshot.StructureMeta{
-		Spec:       specMeta(h.spec),
+		Spec:       h.spec,
 		Tractable:  h.Plan.Tractable,
 		Total:      h.Total(),
 		NumVars:    h.Query.NumVars(),
 		AnswersCol: snapshot.NoCol,
 		WeightsCol: snapshot.NoCol,
 	}
-	if h.sh != nil || len(h.spec.FDs) > 0 {
+	// Exactly the specs rehydrate takes back: a spec that asked for
+	// shards is out even when its plan fell back to one structure.
+	if h.sh != nil || normShards(h.spec.Shards) > 1 || len(h.spec.FDs) > 0 {
 		return sm, false
 	}
 	var rp *access.RowParts
@@ -590,18 +570,4 @@ func rowPartsFromMeta(f *snapshot.File, sm *snapshot.StructureMeta, wantWeights 
 		return nil, fmt.Errorf("weighted structure without a weights column")
 	}
 	return p, nil
-}
-
-func specMeta(s Spec) snapshot.SpecMeta {
-	return snapshot.SpecMeta{
-		Query: s.Query, Order: s.Order, SumBy: s.SumBy, FDs: s.FDs,
-		Shards: s.Shards, ShardBy: s.ShardBy,
-	}
-}
-
-func specFromMeta(sm snapshot.SpecMeta) Spec {
-	return Spec{
-		Query: sm.Query, Order: sm.Order, SumBy: sm.SumBy, FDs: sm.FDs,
-		Shards: sm.Shards, ShardBy: sm.ShardBy,
-	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -203,6 +204,29 @@ func TestWarmStartFullScanByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointSkipsShardFallback: a spec that asked for shards but
+// fell back to one structure (a self-join cannot be partitioned) is one
+// rehydrate refuses, so a checkpoint must not persist it — it used to,
+// and every later Open or Restore of that file failed.
+func TestCheckpointSkipsShardFallback(t *testing.T) {
+	e := New(snapInstance(t, 64), Options{})
+	s := Spec{Query: "Q(x, y, z) :- R(x, y), R(y, z)", Shards: 2}
+	h, err := e.Prepare(s)
+	if err != nil || h.Plan.ShardNote == "" {
+		t.Fatalf("prepare: note %q, err %v; want an unsharded fallback", h.Plan.ShardNote, err)
+	}
+	dir := t.TempDir()
+	info, err := e.Checkpoint(dir)
+	if err != nil || info.Skipped != 1 || info.Structures != 0 {
+		t.Fatalf("checkpoint %+v, err %v; want the fallback structure skipped", info, err)
+	}
+	e2, warm, err := Open(dir, Options{})
+	if err != nil || !warm {
+		t.Fatalf("open: warm=%v err=%v", warm, err)
+	}
+	e2.Close()
+}
+
 // TestCheckpointSkipsFDStructures: FD-extended structures carry
 // closures that do not persist; checkpoints skip them and warm starts
 // rebuild them on demand.
@@ -397,12 +421,12 @@ func writeParentFormat(t *testing.T, dir string, in *database.Instance, specs []
 		b.AddRelation(name, r.Arity(), r.Data())
 	}
 	for _, s := range specs {
-		p, err := s.parse()
+		p, err := parseSpec(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sm := snapshot.StructureMeta{
-			Spec: specMeta(s), NumVars: p.q.NumVars(),
+			Spec: s, NumVars: p.q.NumVars(),
 			AnswersCol: snapshot.NoCol, WeightsCol: snapshot.NoCol,
 		}
 		rows := func(rp *access.RowParts, ok bool) {
@@ -521,6 +545,12 @@ func TestRestoreParentFormatCheckpoint(t *testing.T) {
 	}
 	if st := e.Stats(); st.Misses != 0 {
 		t.Fatalf("warm prepares built %d structures; want pure cache hits", st.Misses)
+	}
+	// The meta section spells a spec as the parent's snapshot.SpecMeta
+	// did, key for key (the type is the /v1 wire's api.Spec now).
+	spec, err := json.Marshal(snapshot.SpecMeta{Query: "Q(x) :- R(x)", Order: "x", SumBy: []string{"x"}, FDs: []string{"R: x"}, Shards: 2, ShardBy: "x"})
+	if want := `{"query":"Q(x) :- R(x)","order":"x","sum_by":["x"],"fds":["R: x"],"shards":2,"shard_by":"x"}`; err != nil || string(spec) != want {
+		t.Fatalf("spec meta %s (%v), want %s", spec, err, want)
 	}
 	wantBytes, err := os.ReadFile(path)
 	if err != nil {

@@ -214,7 +214,7 @@ func TestPrepareKeepsNewerCachedHandle(t *testing.T) {
 	}
 	// Simulate the race's end state: a newer-version handle is already
 	// cached when this request's (older) flight completes.
-	key := s.key()
+	key := specKey(s)
 	newer := *h
 	newer.version = h.version + 5
 	e.cmu.Lock()

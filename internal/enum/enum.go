@@ -158,7 +158,7 @@ func NewSumEnumerator(q *cq.Query, in *database.Instance, w order.Sum) (*SumEnum
 	// Free-connexity is the exact tractability frontier for ranked
 	// enumeration by SUM (the contrast recalled in §5); the SelectionLex
 	// classifier tests precisely free-connexity.
-	if v := classify.SelectionLex(q, order.Lex{}); !v.Tractable {
+	if v, _ := classify.SelectionLex(q, order.Lex{}, nil); !v.Tractable {
 		return nil, fmt.Errorf("enum: %s", v.String())
 	}
 	full, err := reduce.FreeReduce(q, in)
@@ -238,7 +238,7 @@ func NewTupleSumEnumerator(q *cq.Query, in *database.Instance, tw order.TupleSum
 	if q.HasRepeatedVarInAtom() {
 		return nil, fmt.Errorf("enum: tuple-weight enumeration requires atoms without repeated variables")
 	}
-	if v := classify.SelectionLex(q, order.Lex{}); !v.Tractable {
+	if v, _ := classify.SelectionLex(q, order.Lex{}, nil); !v.Tractable {
 		return nil, fmt.Errorf("enum: %s", v.String())
 	}
 	full, err := reduce.FreeReduce(q, in)

@@ -195,7 +195,7 @@ func Theorem61(ns []int, seed int64) Table {
 		var sel time.Duration
 		if count > 0 {
 			start := time.Now()
-			if _, err := selection.SelectLex(q, in, l, count/2); err != nil {
+			if _, err := selection.SelectLex(q, in, l, nil, count/2); err != nil {
 				panic(err)
 			}
 			sel = time.Since(start)
@@ -224,7 +224,7 @@ func Theorem73(ns []int, seed int64) Table {
 		var sel time.Duration
 		if count > 0 {
 			start := time.Now()
-			if _, err := selection.SelectSum(q, in, w, count/2); err != nil {
+			if _, err := selection.SelectSum(q, in, w, nil, count/2); err != nil {
 				panic(err)
 			}
 			sel = time.Since(start)

@@ -13,25 +13,6 @@ import (
 	"rankedaccess/internal/values"
 )
 
-// SelectLex returns the k-th answer (0-based) of q over in under the
-// (possibly partial) lexicographic order l, in O(n) time (Theorem 6.1,
-// algorithm of Lemma 6.6). Ties beyond l's variables are broken by
-// ascending variable-id order, making the result deterministic.
-//
-// It fails with *classify-based IntractableError analog when q is not
-// free-connex; callers should consult classify.SelectionLex first for
-// the certificate.
-func SelectLex(q *cq.Query, in *database.Instance, l order.Lex, k int64) (order.Answer, error) {
-	if v := classify.SelectionLex(q, l); !v.Tractable {
-		return nil, &IntractableError{Verdict: v}
-	}
-	full, err := reduce.FreeReduce(q, in)
-	if err != nil {
-		return nil, err
-	}
-	return selectLexFull(q, full, l, k)
-}
-
 // IntractableError mirrors access.IntractableError for the selection
 // problems.
 type IntractableError struct {
@@ -42,18 +23,22 @@ func (e *IntractableError) Error() string {
 	return "selection: " + e.Verdict.String()
 }
 
-// SelectLexFD is the Theorem 8.22 variant: selection under unary FDs is
-// performed on the FD-extension (which must be free-connex) and mapped
-// back.
-func SelectLexFD(q *cq.Query, in *database.Instance, l order.Lex, fds fd.Set, k int64) (order.Answer, error) {
-	verdict, w := classify.SelectionLexFD(q, l, fds)
+// SelectLex returns the k-th answer (0-based) of q over in under the
+// (possibly partial) lexicographic order l, in O(n) time (Theorem 6.1,
+// algorithm of Lemma 6.6). Ties beyond l's variables are broken by
+// ascending variable-id order, making the result deterministic. Under
+// unary FDs (Theorem 8.22) selection is performed on the FD-extension
+// and mapped back; fds may be nil, and then nothing is extended.
+//
+// It fails with *IntractableError when the extension is not
+// free-connex; callers should consult classify.SelectionLex first for
+// the certificate.
+func SelectLex(q *cq.Query, in *database.Instance, l order.Lex, fds fd.Set, k int64) (order.Answer, error) {
+	verdict, w := classify.SelectionLex(q, l, fds)
 	if !verdict.Tractable {
 		return nil, &IntractableError{Verdict: verdict}
 	}
-	if err := fds.Check(q, in); err != nil {
-		return nil, err
-	}
-	iplus, err := w.Ext.ExtendInstance(q, in)
+	iplus, err := extendInstance(q, in, fds, w.Ext)
 	if err != nil {
 		return nil, err
 	}
@@ -66,6 +51,19 @@ func SelectLexFD(q *cq.Query, in *database.Instance, l order.Lex, fds fd.Set, k 
 		return nil, err
 	}
 	return fd.ProjectAnswer(q, a), nil
+}
+
+// extendInstance checks the FDs on in and builds the instance I⁺ the
+// extension's query runs on. With no FDs the extension is the identity
+// and I⁺ is in itself — not a copy, and self-joins stay allowed.
+func extendInstance(q *cq.Query, in *database.Instance, fds fd.Set, ext *fd.Extension) (*database.Instance, error) {
+	if len(fds) == 0 {
+		return in, nil
+	}
+	if err := fds.Check(q, in); err != nil {
+		return nil, err
+	}
+	return ext.ExtendInstance(q, in)
 }
 
 // selectLexFull runs the iterative selection over a reduced full CQ.

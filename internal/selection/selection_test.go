@@ -158,7 +158,7 @@ func TestSelectLexExample62(t *testing.T) {
 		full := completeForTest(q, l)
 		want := baseline.SortedByLex(q, in, full)
 		for k := range want {
-			got, err := SelectLex(q, in, l, int64(k))
+			got, err := SelectLex(q, in, l, nil, int64(k))
 			if err != nil {
 				t.Fatalf("⟨%s⟩ k=%d: %v", ord, k, err)
 			}
@@ -166,7 +166,7 @@ func TestSelectLexExample62(t *testing.T) {
 				t.Fatalf("⟨%s⟩ k=%d: %v, want %v", ord, k, proj(q, got), proj(q, want[k]))
 			}
 		}
-		if _, err := SelectLex(q, in, l, int64(len(want))); !errors.Is(err, ErrOutOfBound) {
+		if _, err := SelectLex(q, in, l, nil, int64(len(want))); !errors.Is(err, ErrOutOfBound) {
 			t.Fatalf("out of bound expected, got %v", err)
 		}
 	}
@@ -190,7 +190,7 @@ func completeForTest(q *cq.Query, l order.Lex) order.Lex {
 
 func TestSelectLexNotFreeConnexRejected(t *testing.T) {
 	q := cq.MustParse("Q(x, z) :- R(x, y), S(y, z)")
-	_, err := SelectLex(q, fig2(), lex(t, q, "x, z"), 0)
+	_, err := SelectLex(q, fig2(), lex(t, q, "x, z"), nil, 0)
 	var ie *IntractableError
 	if !errors.As(err, &ie) {
 		t.Fatalf("expected IntractableError, got %v", err)
@@ -206,6 +206,9 @@ func TestSelectLexRandomAgainstOracle(t *testing.T) {
 		{"Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)", "x, u, z, y"},
 		{"Q3(v1, v2, v3, v4) :- R(v1, v3), S(v2, v4)", "v3, v2"},
 		{"Q(x, y) :- R(x), S(y)", "y desc, x desc"},
+		// A self-join: with no FDs the instance is read as it is, never
+		// extended (fd.Extension.ExtendInstance refuses self-joins).
+		{"Q(x, y, z) :- R(x, y), R(y, z)", "x, y, z"},
 	}
 	rng := rand.New(rand.NewSource(21))
 	for _, c := range catalog {
@@ -215,7 +218,7 @@ func TestSelectLexRandomAgainstOracle(t *testing.T) {
 			in := randomInstance(q, rng, 6, 4)
 			want := baseline.SortedByLex(q, in, completeForTest(q, l))
 			for k := 0; k < len(want); k++ {
-				got, err := SelectLex(q, in, l, int64(k))
+				got, err := SelectLex(q, in, l, nil, int64(k))
 				if err != nil {
 					t.Fatalf("%s ⟨%s⟩ k=%d: %v", c.src, c.order, k, err)
 				}
@@ -223,7 +226,7 @@ func TestSelectLexRandomAgainstOracle(t *testing.T) {
 					t.Fatalf("%s ⟨%s⟩ k=%d: %v, want %v", c.src, c.order, k, proj(q, got), proj(q, want[k]))
 				}
 			}
-			if _, err := SelectLex(q, in, l, int64(len(want))); !errors.Is(err, ErrOutOfBound) {
+			if _, err := SelectLex(q, in, l, nil, int64(len(want))); !errors.Is(err, ErrOutOfBound) {
 				t.Fatalf("%s: out of bound expected", c.src)
 			}
 		}
@@ -232,11 +235,11 @@ func TestSelectLexRandomAgainstOracle(t *testing.T) {
 
 func TestSelectLexBoolean(t *testing.T) {
 	q := cq.MustParse("Q() :- R(x, y), S(y, z)")
-	a, err := SelectLex(q, fig2(), order.Lex{}, 0)
+	a, err := SelectLex(q, fig2(), order.Lex{}, nil, 0)
 	if err != nil || a == nil {
 		t.Fatalf("Boolean select: %v", err)
 	}
-	if _, err := SelectLex(q, fig2(), order.Lex{}, 1); !errors.Is(err, ErrOutOfBound) {
+	if _, err := SelectLex(q, fig2(), order.Lex{}, nil, 1); !errors.Is(err, ErrOutOfBound) {
 		t.Fatal("Boolean k=1 out of bound")
 	}
 }
@@ -254,7 +257,7 @@ func TestSelectLexFD(t *testing.T) {
 	l := lex(t, q, "x, z")
 	want := baseline.SortedByLex(q, in, l)
 	for k := range want {
-		got, err := SelectLexFD(q, in, l, fds, int64(k))
+		got, err := SelectLex(q, in, l, fds, int64(k))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -263,7 +266,7 @@ func TestSelectLexFD(t *testing.T) {
 		}
 	}
 	// Without the FD: rejected.
-	if _, err := SelectLex(q, in, l, 0); err == nil {
+	if _, err := SelectLex(q, in, l, nil, 0); err == nil {
 		t.Fatal("must be rejected without FDs")
 	}
 }
@@ -349,7 +352,7 @@ func TestSelectSumTwoPath(t *testing.T) {
 	q := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
 	w := identityAll(q)
 	checkSumSelection(t, q, fig2(), w, func(k int64) (order.Answer, error) {
-		return SelectSum(q, fig2(), w, k)
+		return SelectSum(q, fig2(), w, nil, k)
 	})
 }
 
@@ -365,7 +368,7 @@ func TestSelectSumXY(t *testing.T) {
 	}
 	w := identityAll(q)
 	checkSumSelection(t, q, in, w, func(k int64) (order.Answer, error) {
-		return SelectSum(q, in, w, k)
+		return SelectSum(q, in, w, nil, k)
 	})
 }
 
@@ -378,14 +381,14 @@ func TestSelectSumSingleAtom(t *testing.T) {
 	in.AddRow("S", 2)
 	w := identityAll(q)
 	checkSumSelection(t, q, in, w, func(k int64) (order.Answer, error) {
-		return SelectSum(q, in, w, k)
+		return SelectSum(q, in, w, nil, k)
 	})
 }
 
 func TestSelectSumIntractableRejected(t *testing.T) {
 	q := cq.MustParse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)")
 	in := randomInstance(q, rand.New(rand.NewSource(1)), 4, 3)
-	_, err := SelectSum(q, in, identityAll(q), 0)
+	_, err := SelectSum(q, in, identityAll(q), nil, 0)
 	var ie *IntractableError
 	if !errors.As(err, &ie) {
 		t.Fatalf("3-path by SUM must be rejected: %v", err)
@@ -418,7 +421,7 @@ func TestSelectSumRandomAgainstOracle(t *testing.T) {
 			}
 			w := order.TableSum(tables)
 			checkSumSelection(t, q, in, w, func(k int64) (order.Answer, error) {
-				return SelectSum(q, in, w, k)
+				return SelectSum(q, in, w, nil, k)
 			})
 		}
 	}
@@ -440,7 +443,7 @@ func TestSelectSumFractionalWeights(t *testing.T) {
 	y, _ := q.VarByName("y")
 	w := order.TableSum(map[cq.VarID]map[values.Value]float64{x: tabX, y: tabY})
 	checkSumSelection(t, q, in, w, func(k int64) (order.Answer, error) {
-		return SelectSum(q, in, w, k)
+		return SelectSum(q, in, w, nil, k)
 	})
 }
 
@@ -459,16 +462,16 @@ func TestSelectSumFD(t *testing.T) {
 	z, _ := q.VarByName("z")
 	w := order.IdentitySum(x, z)
 	checkSumSelection(t, q, in, w, func(k int64) (order.Answer, error) {
-		return SelectSumFD(q, in, w, fds, k)
+		return SelectSum(q, in, w, fds, k)
 	})
 }
 
 func TestSelectSumBoolean(t *testing.T) {
 	q := cq.MustParse("Q() :- R(x, y), S(y, z)")
-	if _, err := SelectSum(q, fig2(), order.NewSum(), 0); err != nil {
+	if _, err := SelectSum(q, fig2(), order.NewSum(), nil, 0); err != nil {
 		t.Fatalf("Boolean SUM select: %v", err)
 	}
-	if _, err := SelectSum(q, fig2(), order.NewSum(), 1); !errors.Is(err, ErrOutOfBound) {
+	if _, err := SelectSum(q, fig2(), order.NewSum(), nil, 1); !errors.Is(err, ErrOutOfBound) {
 		t.Fatal("Boolean k=1 out of bound")
 	}
 }

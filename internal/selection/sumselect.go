@@ -15,27 +15,18 @@ import (
 )
 
 // SelectSum returns the k-th answer (0-based) of q over in by increasing
-// total weight, in O(n log n) time (Theorem 7.3). Applicable iff q is
-// free-connex with at most two free-maximal hyperedges. Ties between
-// equal-weight answers are broken by an internal deterministic order
-// (bucket, then side positions), not necessarily by answer values.
-func SelectSum(q *cq.Query, in *database.Instance, w order.Sum, k int64) (order.Answer, error) {
-	if v := classify.SelectionSum(q); !v.Tractable {
-		return nil, &IntractableError{Verdict: v}
-	}
-	return selectSumChecked(q, in, w, k)
-}
-
-// SelectSumFD is the Theorem 8.10 variant under unary FDs.
-func SelectSumFD(q *cq.Query, in *database.Instance, w order.Sum, fds fd.Set, k int64) (order.Answer, error) {
-	verdict, wfd := classify.SelectionSumFD(q, fds)
+// total weight, in O(n log n) time (Theorem 7.3; under unary FDs
+// Theorem 8.10, on the FD-extension — fds may be nil). Applicable iff
+// the extension is free-connex with at most two free-maximal
+// hyperedges. Ties between equal-weight answers are broken by an
+// internal deterministic order (bucket, then side positions), not
+// necessarily by answer values.
+func SelectSum(q *cq.Query, in *database.Instance, w order.Sum, fds fd.Set, k int64) (order.Answer, error) {
+	verdict, wfd := classify.SelectionSum(q, fds)
 	if !verdict.Tractable {
 		return nil, &IntractableError{Verdict: verdict}
 	}
-	if err := fds.Check(q, in); err != nil {
-		return nil, err
-	}
-	iplus, err := wfd.Ext.ExtendInstance(q, in)
+	iplus, err := extendInstance(q, in, fds, wfd.Ext)
 	if err != nil {
 		return nil, err
 	}

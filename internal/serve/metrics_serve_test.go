@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/workload"
@@ -59,10 +60,11 @@ func scrapeMetrics(t *testing.T, srv *httptest.Server) map[string]float64 {
 func TestMetricsScrapeCoversServingActivity(t *testing.T) {
 	srv := metricsServer(t, Config{})
 
-	post(t, srv, "/v1/instance/access", accessRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"}, Ks: []int64{0, 1},
+	post(t, srv, "/v1/instance/access", api.InstanceAccessRequest{
+		Spec:          api.Spec{Query: twoPath, Order: "x, y, z"},
+		AccessRequest: api.AccessRequest{Ks: []int64{0, 1}},
 	}, nil)
-	post(t, srv, "/v1/instance/count", countRequest{Query: twoPath}, nil)
+	post(t, srv, "/v1/instance/count", api.CountRequest{Query: twoPath}, nil)
 	// A malformed request must land in the 4xx class of the same series.
 	resp, err := srv.Client().Post(srv.URL+"/v1/instance/access", "application/json", strings.NewReader(`{"query": `))
 	if err != nil {
@@ -109,8 +111,8 @@ func TestMetricsCountShedRequests(t *testing.T) {
 	// second sheds with 429 — which must still be counted by the
 	// middleware (the shed happens inside the instrumented chain).
 	srv := metricsServer(t, Config{RatePerSec: 0.001, RateBurst: 1})
-	post(t, srv, "/v1/instance/count", countRequest{Query: twoPath}, nil)
-	resp := postRaw(t, srv, "/v1/instance/count", countRequest{Query: twoPath})
+	post(t, srv, "/v1/instance/count", api.CountRequest{Query: twoPath}, nil)
+	resp := postRaw(t, srv, "/v1/instance/count", api.CountRequest{Query: twoPath})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second request = %d, want 429", resp.StatusCode)
 	}
@@ -125,11 +127,11 @@ func TestMetricsCountShedRequests(t *testing.T) {
 
 func TestStreamedCursorCountedByMiddleware(t *testing.T) {
 	srv := metricsServer(t, Config{})
-	post(t, srv, "/v1/queries", registerRequest{
-		Name: "m_by_xyz", specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
+	post(t, srv, "/v1/queries", api.RegisterRequest{
+		Name: "m_by_xyz", Spec: api.Spec{Query: twoPath, Order: "x, y, z"},
 	}, nil)
-	var cr cursorResponse
-	post(t, srv, "/v1/queries/m_by_xyz/cursor", cursorRequest{}, &cr)
+	var cr api.CursorResponse
+	post(t, srv, "/v1/queries/m_by_xyz/cursor", api.CursorRequest{}, &cr)
 
 	// NDJSON streaming never calls WriteHeader explicitly: the recorder
 	// must still classify it 2xx, and ResponseController flushes must
@@ -235,7 +237,7 @@ func TestConcurrentTrafficAndScrapes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				raw, _ := json.Marshal(countRequest{Query: twoPath})
+				raw, _ := json.Marshal(api.CountRequest{Query: twoPath})
 				resp, err := srv.Client().Post(srv.URL+"/v1/instance/count", "application/json", bytes.NewReader(raw))
 				if err != nil {
 					t.Error(err)

@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"time"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/reqid"
 )
@@ -82,7 +83,7 @@ func clientKey(r *http.Request) string {
 // shed writes a shed response: status, Retry-After, structured body.
 func shed(w http.ResponseWriter, status int, retry time.Duration, err error) {
 	setRetryAfter(w, retry)
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+	writeJSON(w, status, api.Error{Error: err.Error()})
 }
 
 // setRetryAfter renders a Retry-After header in whole seconds, rounded

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/faultfs"
 	"rankedaccess/internal/stats"
@@ -51,13 +52,13 @@ func TestRateLimitSheds429WithRetryAfter(t *testing.T) {
 	if reg.Total != 3 {
 		t.Fatalf("seed total = %d, want 3", reg.Total)
 	}
-	resp := postRaw(t, srv, "/v1/queries/q/access", v1AccessRequest{Ks: []int64{0}})
+	resp := postRaw(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("probe within burst: status %d", resp.StatusCode)
 	}
 	// Burst exhausted; the next request must shed with 429 and an
 	// honest Retry-After.
-	resp = postRaw(t, srv, "/v1/queries/q/access", v1AccessRequest{Ks: []int64{0}})
+	resp = postRaw(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("probe past burst: status %d, want 429", resp.StatusCode)
 	}
@@ -90,7 +91,7 @@ func TestGateShedsWhenSaturated(t *testing.T) {
 	}
 
 	// With the slot held and no queue, the next request sheds 503.
-	resp := postRaw(t, srv, "/v1/instance/count", countRequest{Query: twoPath})
+	resp := postRaw(t, srv, "/v1/instance/count", api.CountRequest{Query: twoPath})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request into full gate: status %d, want 503", resp.StatusCode)
 	}
@@ -105,7 +106,7 @@ func TestGateShedsWhenSaturated(t *testing.T) {
 	// The slot frees once the stalled request dies; service resumes.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		resp := postRaw(t, srv, "/v1/instance/count", countRequest{Query: twoPath})
+		resp := postRaw(t, srv, "/v1/instance/count", api.CountRequest{Query: twoPath})
 		if resp.StatusCode == http.StatusOK {
 			break
 		}
@@ -121,9 +122,9 @@ func TestRequestDeadlineMapsTo503(t *testing.T) {
 	// A cold /access must build a structure; the expired deadline stops
 	// the build at its first cancellation point, and the API reports
 	// overload (503 + Retry-After), not a client error.
-	resp := postRaw(t, srv, "/v1/instance/access", accessRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
-		Ks:          []int64{0},
+	resp := postRaw(t, srv, "/v1/instance/access", api.InstanceAccessRequest{
+		Spec:          api.Spec{Query: twoPath, Order: "x, y, z"},
+		AccessRequest: api.AccessRequest{Ks: []int64{0}},
 	})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("expired deadline: status %d, want 503", resp.StatusCode)
@@ -145,15 +146,15 @@ func TestDegradedEngineShedsWritesServesStaleReads(t *testing.T) {
 	// One row into R that joins S exactly once: (7,5)+(5,3) → answer
 	// (7,5,3). The "fresh" query's next probe absorbs it as a 1-edit
 	// overlay, which IS the hard threshold.
-	var wr writeResponse
-	post(t, srv, "/v1/write", writeRequest{Writes: []writeEntry{
+	var wr api.WriteResult
+	post(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
 		{Relation: "R", Insert: [][]values.Value{{7, 5}}},
 	}}, &wr)
 	if wr.Inserted != 1 {
 		t.Fatalf("write response = %+v", wr)
 	}
-	var acc accessResponse
-	post(t, srv, "/v1/queries/fresh/access", v1AccessRequest{Ks: []int64{0}}, &acc)
+	var acc api.AccessResponse
+	post(t, srv, "/v1/queries/fresh/access", api.AccessRequest{Ks: []int64{0}}, &acc)
 	if acc.Total != 4 {
 		t.Fatalf("post-write total = %d, want 4", acc.Total)
 	}
@@ -164,7 +165,7 @@ func TestDegradedEngineShedsWritesServesStaleReads(t *testing.T) {
 	time.Sleep(healthTTL + 50*time.Millisecond)
 
 	// Writes shed with 503 + Retry-After while degraded.
-	resp := postRaw(t, srv, "/v1/write", writeRequest{Writes: []writeEntry{
+	resp := postRaw(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
 		{Relation: "R", Insert: [][]values.Value{{8, 5}}},
 	}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -177,8 +178,8 @@ func TestDegradedEngineShedsWritesServesStaleReads(t *testing.T) {
 	// Reads on a never-re-acquired registration serve its last
 	// published epoch (3 answers — pre-write) instead of paying a
 	// catch-up the server has no budget for.
-	var staleAcc accessResponse
-	post(t, srv, "/v1/queries/stale/access", v1AccessRequest{Ks: []int64{0}}, &staleAcc)
+	var staleAcc api.AccessResponse
+	post(t, srv, "/v1/queries/stale/access", api.AccessRequest{Ks: []int64{0}}, &staleAcc)
 	if staleAcc.Total != 3 {
 		t.Fatalf("degraded read total = %d, want stale 3", staleAcc.Total)
 	}
@@ -192,8 +193,8 @@ func TestDegradedEngineShedsWritesServesStaleReads(t *testing.T) {
 func TestCoalesceServesIdenticalProbesFromCache(t *testing.T) {
 	srv, _ := resilServer(t, engine.Options{}, Config{})
 	register(t, srv, "q", twoPath, "x, y, z")
-	body := v1AccessRequest{Ks: []int64{0, 1, 2}}
-	var first, second accessResponse
+	body := api.AccessRequest{Ks: []int64{0, 1, 2}}
+	var first, second api.AccessResponse
 	post(t, srv, "/v1/queries/q/access", body, &first)
 	post(t, srv, "/v1/queries/q/access", body, &second)
 	if fmt.Sprint(first) != fmt.Sprint(second) {
@@ -206,11 +207,11 @@ func TestCoalesceServesIdenticalProbesFromCache(t *testing.T) {
 
 	// A write publishes a new epoch; the same request must NOT be
 	// served from the old epoch's cache entry.
-	var wr writeResponse
-	post(t, srv, "/v1/write", writeRequest{Writes: []writeEntry{
+	var wr api.WriteResult
+	post(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
 		{Relation: "R", Insert: [][]values.Value{{7, 5}}},
 	}}, &wr)
-	var third accessResponse
+	var third api.AccessResponse
 	post(t, srv, "/v1/queries/q/access", body, &third)
 	if third.Total != first.Total+1 {
 		t.Fatalf("post-write coalesced read: total %d, want %d", third.Total, first.Total+1)
@@ -249,7 +250,7 @@ func TestCoalescedProbesRacingEpochSwap(t *testing.T) {
 					return
 				default:
 				}
-				body, err := json.Marshal(v1RangeRequest{K0: 0, K1: window})
+				body, err := json.Marshal(api.RangeRequest{K0: 0, K1: window})
 				if err != nil {
 					errc <- err
 					return
@@ -259,7 +260,7 @@ func TestCoalescedProbesRacingEpochSwap(t *testing.T) {
 					errc <- err
 					return
 				}
-				var rr rangeResponse
+				var rr api.RangeResponse
 				err = json.NewDecoder(resp.Body).Decode(&rr)
 				resp.Body.Close()
 				if err != nil {
@@ -287,8 +288,8 @@ func TestCoalescedProbesRacingEpochSwap(t *testing.T) {
 		}()
 	}
 	for i := 2; i <= rows; i++ {
-		var wr writeResponse
-		post(t, srv, "/v1/write", writeRequest{Writes: []writeEntry{
+		var wr api.WriteResult
+		post(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
 			{Relation: "R", Insert: [][]values.Value{{values.Value(i), values.Value(i)}}},
 		}}, &wr)
 	}
@@ -301,8 +302,8 @@ func TestCoalescedProbesRacingEpochSwap(t *testing.T) {
 	}
 
 	// Fresh-build oracle for the final epoch.
-	var final rangeResponse
-	post(t, srv, "/v1/queries/ids/range", v1RangeRequest{K0: 0, K1: rows}, &final)
+	var final api.RangeResponse
+	post(t, srv, "/v1/queries/ids/range", api.RangeRequest{K0: 0, K1: rows}, &final)
 	if final.Total != rows || len(final.Tuples) != rows {
 		t.Fatalf("final epoch: total %d, tuples %d, want %d", final.Total, len(final.Tuples), rows)
 	}
@@ -389,7 +390,7 @@ func TestReadyzFlipsOnUnwritableSnapshotDir(t *testing.T) {
 
 func TestV1WriteBodyLimit413(t *testing.T) {
 	srv, _ := resilServer(t, engine.Options{}, Config{MaxBodyBytes: 1 << 10})
-	big := writeRequest{Writes: []writeEntry{{Relation: "R"}}}
+	big := api.WriteRequest{Writes: []api.Write{{Relation: "R"}}}
 	for i := 0; i < 500; i++ {
 		big.Writes[0].Insert = append(big.Writes[0].Insert, []values.Value{values.Value(i), values.Value(i)})
 	}
@@ -401,12 +402,12 @@ func TestV1WriteBodyLimit413(t *testing.T) {
 	for i := range rows {
 		rows[i] = []values.Value{values.Value(i), values.Value(i)}
 	}
-	if resp := postRaw(t, srv, "/v1/instance/load", loadRequest{Relation: "R", Rows: rows}); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	if resp := postRaw(t, srv, "/v1/instance/load", api.LoadRequest{Relation: "R", Rows: rows}); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized /load: status %d, want 413", resp.StatusCode)
 	}
 	// An in-budget write still lands.
-	var wr writeResponse
-	post(t, srv, "/v1/write", writeRequest{Writes: []writeEntry{
+	var wr api.WriteResult
+	post(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
 		{Relation: "R", Insert: [][]values.Value{{500, 500}}},
 	}}, &wr)
 	if wr.Inserted != 1 {

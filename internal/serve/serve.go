@@ -8,7 +8,11 @@
 // WAL-durable relational writes — see write.go), plus the snapshot
 // durability endpoints when a snapshot directory is configured
 // (checkpoint/list/restore — see snapshots.go).
-// The one-shot endpoints live under /v1/instance:
+// Every body is declared once, in internal/api, which the client SDK
+// aliases. The one-shot endpoints live under /v1/instance; access,
+// range, select and classify are the by-name handlers themselves, fed
+// a spec from the body instead of a registration from the path (see
+// probeTarget):
 //
 //	POST /v1/instance/load      {"relation": "R", "rows": [[1,2], ...]}
 //	POST /v1/instance/access    {"query", "order"|"sum_by", "fds", "ks": [0, 7, ...]}
@@ -50,7 +54,8 @@
 // published epoch and sheds writes with 503 + Retry-After. /v1/stats,
 // /metrics, /healthz, and /readyz bypass admission.
 //
-// Error handling: every response funnels through one writer that
+// Error handling: every handler error takes its status from one table
+// (statusFor), and every response funnels through one writer that
 // encodes the full body before emitting the status line, so error
 // statuses are always set before any byte of the body and every error
 // body is a structured {"error": ...} object.
@@ -70,6 +75,9 @@ import (
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/admission"
+	"rankedaccess/internal/api"
+	"rankedaccess/internal/classify"
+	"rankedaccess/internal/delta"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/rpc"
@@ -278,11 +286,11 @@ func NewHandlerWith(e *engine.Engine, cfg Config) http.Handler {
 	s.route(mux, "GET /v1/queries", "queries_list", s.admit(s.handleList))
 	s.route(mux, "GET /v1/queries/{name}", "queries_get", s.admit(s.handleGetQuery))
 	s.route(mux, "DELETE /v1/queries/{name}", "queries_evict", s.admit(s.handleEvict))
-	s.route(mux, "POST /v1/queries/{name}/access", "query_access", s.admit(s.handleV1Access))
-	s.route(mux, "POST /v1/queries/{name}/range", "query_range", s.admit(s.handleV1Range))
-	s.route(mux, "POST /v1/queries/{name}/select", "query_select", s.admit(s.handleV1Select))
+	s.route(mux, "POST /v1/queries/{name}/access", "query_access", s.admit(s.handleAccess))
+	s.route(mux, "POST /v1/queries/{name}/range", "query_range", s.admit(s.handleRange))
+	s.route(mux, "POST /v1/queries/{name}/select", "query_select", s.admit(s.handleSelect))
 	s.route(mux, "POST /v1/queries/{name}/count", "query_count", s.admit(s.handleV1Count))
-	s.route(mux, "POST /v1/queries/{name}/classify", "query_classify", s.admit(s.handleV1Classify))
+	s.route(mux, "POST /v1/queries/{name}/classify", "query_classify", s.admit(s.handleClassify))
 	s.route(mux, "POST /v1/queries/{name}/cursor", "cursor_create", s.admit(s.handleCursorCreate))
 	s.route(mux, "GET /v1/cursors/{id}/next", "cursor_next", s.admitStream(s.handleCursorNext))
 	s.route(mux, "DELETE /v1/cursors/{id}", "cursor_close", s.admit(s.handleCursorClose))
@@ -304,54 +312,15 @@ func (s *server) route(mux *http.ServeMux, pattern, endpoint string, h http.Hand
 	mux.HandleFunc(pattern, s.instrument(endpoint, h))
 }
 
-// specPayload is the request fragment shared by the query endpoints.
-// Shards ≥ 2 requests scatter-gather execution: the engine partitions
-// the instance, builds per-shard structures in parallel, and the
-// handlers' accesses fan out across shards and merge by global rank.
-type specPayload struct {
-	Query   string   `json:"query"`
-	Order   string   `json:"order,omitempty"`
-	SumBy   []string `json:"sum_by,omitempty"`
-	FDs     []string `json:"fds,omitempty"`
-	Shards  int      `json:"shards,omitempty"`
-	ShardBy string   `json:"shard_by,omitempty"`
-}
-
-func (p specPayload) spec() engine.Spec {
-	return engine.Spec{
-		Query: p.Query, Order: p.Order, SumBy: p.SumBy, FDs: p.FDs,
-		Shards: p.Shards, ShardBy: p.ShardBy,
-	}
-}
-
-// shardEcho is the response fragment reporting how a request was
-// sharded (omitted entirely when execution was single-structure).
-type shardEcho struct {
-	Shards    int    `json:"shards,omitempty"`
-	ShardBy   string `json:"shard_by,omitempty"`
-	ShardNote string `json:"shard_note,omitempty"`
-}
-
-func shardInfo(p engine.Plan) shardEcho {
-	return shardEcho{Shards: p.Shards, ShardBy: p.ShardBy, ShardNote: p.ShardNote}
-}
-
-type loadRequest struct {
-	Relation string           `json:"relation"`
-	Rows     [][]values.Value `json:"rows"`
-}
-
-type loadResponse struct {
-	Relation string `json:"relation"`
-	Loaded   int    `json:"loaded"`
-	Version  uint64 `json:"version"`
+func shardInfo(p engine.Plan) api.ShardEcho {
+	return api.ShardEcho{Shards: p.Shards, ShardBy: p.ShardBy, ShardNote: p.ShardNote}
 }
 
 func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if s.shedWrite(w, r) {
 		return
 	}
-	var req loadRequest
+	var req api.LoadRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -362,48 +331,74 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	// AddRows validates arity (against the existing relation or within
 	// the batch) before mutating anything.
 	if err := s.e.AddRows(req.Relation, req.Rows); err != nil {
-		fail(w, http.StatusBadRequest, err)
+		failErr(w, err)
 		return
 	}
-	reply(w, loadResponse{Relation: req.Relation, Loaded: len(req.Rows), Version: s.e.Version()})
+	reply(w, api.LoadResponse{Relation: req.Relation, Loaded: len(req.Rows), Version: s.e.Version()})
 }
 
-type accessRequest struct {
-	specPayload
-	Ks []int64 `json:"ks"`
+// probeTarget decodes a probe's body and names what the probe runs
+// against — the one step in which the two handler generations differ.
+// On /v1/queries/{name}/… that is the registration (parsed once, at
+// registration) and the body is byName alone, so a body carrying spec
+// fields is an unknown-field 400; on /v1/instance/… it is nil and the
+// body is oneShot, which carries the spec next to the same arguments.
+func (s *server) probeTarget(w http.ResponseWriter, r *http.Request, oneShot, byName any) (*engine.PreparedQuery, bool) {
+	name := r.PathValue("name")
+	if name == "" {
+		return nil, s.decode(w, r, oneShot)
+	}
+	pq, err := s.e.Prepared(name)
+	if err != nil {
+		failErr(w, err)
+		return nil, false
+	}
+	return pq, s.decode(w, r, byName)
 }
 
-type accessAnswer struct {
-	K     int64          `json:"k"`
-	Tuple []values.Value `json:"tuple,omitempty"`
-	Error string         `json:"error,omitempty"`
+// probeHandle resolves the structure a probe reads: the registration's
+// current epoch (see acquireRead), or a one-shot prepare of the spec —
+// served from the engine's cache when the same spec was built before.
+func (s *server) probeHandle(ctx context.Context, pq *engine.PreparedQuery, spec engine.Spec) (*engine.Handle, error) {
+	if pq != nil {
+		return s.acquireRead(ctx, pq)
+	}
+	return s.e.PrepareCtx(ctx, spec)
 }
 
-type accessResponse struct {
-	Total     int64  `json:"total"`
-	Mode      string `json:"mode"`
-	Tractable bool   `json:"tractable"`
-	Verdict   string `json:"verdict"`
-	shardEcho
-	Answers []accessAnswer `json:"answers"`
+// answer writes a probe's encoded response. By name, concurrent
+// identical probes of one epoch share a single probe + encode through
+// the coalescer, keyed under the registration's id (see coalesce.go); a
+// one-shot probe has no id to coalesce under and encodes for itself.
+func (s *server) answer(w http.ResponseWriter, r *http.Request, op string, pq *engine.PreparedQuery, h *engine.Handle, args []int64, encode func() ([]byte, error)) {
+	var body []byte
+	var err error
+	if pq != nil {
+		body, err = s.coal.do(r.Context(), coalesceKey(op, pq.ID(), h.Version(), args...), encode)
+	} else {
+		body, err = encode()
+	}
+	if err != nil {
+		failErr(w, err)
+		return
+	}
+	writeRaw(w, http.StatusOK, body)
 }
 
 // buildAccessResponse probes a batch of indices against a prepared
-// handle — the core shared by /v1/instance/access and
-// /v1/queries/{name}/access. One flat backing array serves the whole
-// batch; per-index failures land in the answer entries without failing
-// the batch — EXCEPT infrastructure failures (an unreachable or stale
-// shard node), which abort the whole batch: a half-answered batch
-// whose gaps mean "the cluster is down", not "out of range", would
-// read as data.
-func buildAccessResponse(ctx context.Context, h *engine.Handle, ks []int64) (accessResponse, error) {
-	resp := accessResponse{
+// handle. One flat backing array serves the whole batch; per-index
+// failures land in the answer entries without failing the batch —
+// EXCEPT infrastructure failures (an unreachable or stale shard node),
+// which abort the whole batch: a half-answered batch whose gaps mean
+// "the cluster is down", not "out of range", would read as data.
+func buildAccessResponse(ctx context.Context, h *engine.Handle, ks []int64) (api.AccessResponse, error) {
+	resp := api.AccessResponse{
 		Total:     h.Total(),
 		Mode:      string(h.Plan.Mode),
 		Tractable: h.Plan.Tractable,
 		Verdict:   h.Plan.Verdict.String(),
-		shardEcho: shardInfo(h.Plan),
-		Answers:   make([]accessAnswer, len(ks)),
+		ShardEcho: shardInfo(h.Plan),
+		Answers:   make([]api.Answer, len(ks)),
 	}
 	flat := make([]values.Value, 0, len(ks)*h.Width())
 	for i, k := range ks {
@@ -413,9 +408,9 @@ func buildAccessResponse(ctx context.Context, h *engine.Handle, ks []int64) (acc
 		flat, err = h.AppendTupleCtx(ctx, flat, k)
 		if err != nil {
 			if errors.Is(err, rpc.ErrUnavailable) || errors.Is(err, rpc.ErrStaleVersion) {
-				return accessResponse{}, err
+				return api.AccessResponse{}, err
 			}
-			resp.Answers[i].Error = publicErr(err)
+			resp.Answers[i].Err = publicErr(err)
 			flat = flat[:start]
 			continue
 		}
@@ -424,79 +419,68 @@ func buildAccessResponse(ctx context.Context, h *engine.Handle, ks []int64) (acc
 	return resp, nil
 }
 
+// handleAccess serves both /v1/instance/access and
+// /v1/queries/{name}/access.
 func (s *server) handleAccess(w http.ResponseWriter, r *http.Request) {
-	var req accessRequest
-	if !s.decode(w, r, &req) {
+	var req api.InstanceAccessRequest
+	pq, ok := s.probeTarget(w, r, &req, &req.AccessRequest)
+	if !ok {
 		return
 	}
-	h, err := s.e.PrepareCtx(r.Context(), req.spec())
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, err := buildAccessResponse(r.Context(), h, req.Ks)
+	h, err := s.probeHandle(r.Context(), pq, req.Spec)
 	if err != nil {
 		failErr(w, err)
 		return
 	}
-	reply(w, resp)
-}
-
-type rangeRequest struct {
-	specPayload
-	K0 int64 `json:"k0"`
-	K1 int64 `json:"k1"`
-}
-
-type rangeResponse struct {
-	Total     int64  `json:"total"`
-	Mode      string `json:"mode"`
-	Tractable bool   `json:"tractable"`
-	K0        int64  `json:"k0"`
-	shardEcho
-	Tuples [][]values.Value `json:"tuples"`
+	s.answer(w, r, "access", pq, h, req.Ks, func() ([]byte, error) {
+		resp, err := buildAccessResponse(r.Context(), h, req.Ks)
+		if err != nil {
+			return nil, err
+		}
+		return encodeJSON(resp)
+	})
 }
 
 // maxRange bounds one /range window (the client can page).
 const maxRange = 1 << 20
 
+// handleRange serves both /v1/instance/range and
+// /v1/queries/{name}/range.
 func (s *server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req rangeRequest
-	if !s.decode(w, r, &req) {
+	var req api.InstanceRangeRequest
+	pq, ok := s.probeTarget(w, r, &req, &req.RangeRequest)
+	if !ok {
 		return
 	}
 	if req.K1-req.K0 > maxRange {
 		fail(w, http.StatusBadRequest, fmt.Errorf("serve: range wider than %d; page the request", maxRange))
 		return
 	}
-	h, err := s.e.PrepareCtx(r.Context(), req.spec())
+	h, err := s.probeHandle(r.Context(), pq, req.Spec)
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		failErr(w, err)
 		return
 	}
-	flatP := tuplePool.Get().(*[]values.Value)
-	flat, err := h.AccessRangeCtx(r.Context(), (*flatP)[:0], req.K0, req.K1)
-	if err != nil {
-		putTupleBuf(flatP, flat)
-		status := http.StatusBadRequest
-		if errors.Is(err, access.ErrOutOfBound) {
-			status = http.StatusRequestedRangeNotSatisfiable
+	s.answer(w, r, "range", pq, h, []int64{req.K0, req.K1}, func() ([]byte, error) {
+		flatP := tuplePool.Get().(*[]values.Value)
+		flat, err := h.AccessRangeCtx(r.Context(), (*flatP)[:0], req.K0, req.K1)
+		if err != nil {
+			putTupleBuf(flatP, flat)
+			return nil, err
 		}
-		fail(w, status, err)
-		return
-	}
-	reply(w, buildRangeResponse(h, flat, req.K0, req.K1))
-	putTupleBuf(flatP, flat)
+		b, err := encodeJSON(buildRangeResponse(h, flat, req.K0, req.K1))
+		putTupleBuf(flatP, flat)
+		return b, err
+	})
 }
 
 // buildRangeResponse slices one flat answer buffer into per-tuple
-// views — the core shared by /v1/instance/range and
-// /v1/queries/{name}/range.
-func buildRangeResponse(h *engine.Handle, flat []values.Value, k0, k1 int64) rangeResponse {
+// views.
+func buildRangeResponse(h *engine.Handle, flat []values.Value, k0, k1 int64) api.RangeResponse {
 	width := h.Width()
-	resp := rangeResponse{
+	resp := api.RangeResponse{
 		Total: h.Total(), Mode: string(h.Plan.Mode), Tractable: h.Plan.Tractable, K0: k0,
-		shardEcho: shardInfo(h.Plan),
+		ShardEcho: shardInfo(h.Plan),
 	}
 	n := 0
 	if width > 0 {
@@ -511,74 +495,56 @@ func buildRangeResponse(h *engine.Handle, flat []values.Value, k0, k1 int64) ran
 	return resp
 }
 
-type selectRequest struct {
-	specPayload
-	K int64 `json:"k"`
-}
-
-type selectResponse struct {
-	K     int64          `json:"k"`
-	Tuple []values.Value `json:"tuple"`
-}
-
+// handleSelect serves both /v1/instance/select and
+// /v1/queries/{name}/select (by name: the registration-time parse, no
+// re-parsing).
 func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	var req selectRequest
-	if !s.decode(w, r, &req) {
+	var req api.InstanceSelectRequest
+	pq, ok := s.probeTarget(w, r, &req, &req.SelectRequest)
+	if !ok {
 		return
 	}
-	tuple, err := s.e.Select(req.spec(), req.K)
+	var tuple []values.Value
+	var err error
+	if pq != nil {
+		tuple, err = pq.Select(req.K)
+	} else {
+		tuple, err = s.e.Select(req.Spec, req.K)
+	}
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, access.ErrOutOfBound) {
-			status = http.StatusNotFound
-		}
-		fail(w, status, err)
+		failErr(w, err)
 		return
 	}
-	reply(w, selectResponse{K: req.K, Tuple: tuple})
+	reply(w, api.SelectResponse{K: req.K, Tuple: tuple})
 }
 
-type classifyRequest struct {
-	specPayload
-	Problem string `json:"problem"`
-}
-
-type classifyResponse struct {
-	Tractable bool     `json:"tractable"`
-	Bound     string   `json:"bound"`
-	Verdict   string   `json:"verdict"`
-	Trio      []string `json:"trio,omitempty"`
-}
-
+// handleClassify serves both /v1/instance/classify and
+// /v1/queries/{name}/classify.
 func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var req classifyRequest
-	if !s.decode(w, r, &req) {
+	var req api.InstanceClassifyRequest
+	pq, ok := s.probeTarget(w, r, &req, &req.ClassifyRequest)
+	if !ok {
 		return
 	}
 	if req.Problem == "" {
 		req.Problem = engine.ProblemDirectAccessLex
 	}
-	v, err := s.e.Classify(req.Problem, req.spec())
+	var v classify.Verdict
+	var err error
+	if pq != nil {
+		v, err = pq.Classify(req.Problem)
+	} else {
+		v, err = s.e.Classify(req.Problem, req.Spec)
+	}
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		failErr(w, err)
 		return
 	}
-	reply(w, classifyResponse{Tractable: v.Tractable, Bound: v.Bound, Verdict: v.String(), Trio: v.Trio})
-}
-
-type countRequest struct {
-	Query   string `json:"query"`
-	Shards  int    `json:"shards,omitempty"`
-	ShardBy string `json:"shard_by,omitempty"`
-}
-
-type countResponse struct {
-	Count int64 `json:"count"`
-	shardEcho
+	reply(w, api.Classification{Tractable: v.Tractable, Bound: v.Bound, Verdict: v.String(), Trio: v.Trio})
 }
 
 func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req countRequest
+	var req api.CountRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -586,50 +552,68 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	// sum (shard answer sets partition the answer space).
 	n, info, err := s.e.CountSharded(r.Context(), req.Query, req.Shards, req.ShardBy)
 	if err != nil {
-		fail(w, http.StatusBadRequest, err)
+		failErr(w, err)
 		return
 	}
-	reply(w, countResponse{Count: n, shardEcho: shardEcho{
-		Shards: info.Shards, ShardBy: info.ShardBy, ShardNote: info.ShardNote,
-	}})
+	reply(w, api.CountResponse{Count: n, ShardEcho: info})
 }
 
 func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		fail(w, status, fmt.Errorf("serve: bad request body: %w", err))
+		failErr(w, fmt.Errorf("serve: bad request body: %w", err))
 		return false
 	}
 	return true
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
+// statusFor is the API's one status table: it maps cross-layer sentinel
+// errors to stable status codes; anything unrecognized is a plain bad
+// request. Running out of deadline inside the engine, an unreachable
+// shard node (which already survived the RPC layer's retry-once) and a
+// broken WAL (which fails every write until repair) are the server's
+// problem, never the client's: 503, and fail adds the Retry-After. A
+// shard node whose data moved past the prepared version means the
+// registration is gone (410), and a write against a coordinator is not
+// the coordinator's to take (403).
+func statusFor(err error) int {
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled),
+		errors.Is(err, rpc.ErrUnavailable), errors.Is(err, delta.ErrWALBroken):
+		return http.StatusServiceUnavailable
+	case errors.As(err, &mbe):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, engine.ErrNotPrepared):
+		return http.StatusNotFound
+	case errors.Is(err, access.ErrOutOfBound):
+		return http.StatusRequestedRangeNotSatisfiable
+	case errors.Is(err, access.ErrIntractable):
+		return http.StatusUnprocessableEntity
+	case errors.Is(err, rpc.ErrStaleVersion):
+		return http.StatusGone
+	case errors.Is(err, engine.ErrReadOnly):
+		return http.StatusForbidden
+	default:
+		return http.StatusBadRequest
+	}
 }
 
-// fail writes a structured error. A deadline or cancellation error is
-// never the client's fault in this API — it means the request ran out
-// of budget inside the engine — so it is reported as overload: 503
-// with a Retry-After, regardless of the status the handler guessed.
+// failErr writes a structured error with the table's status.
+func failErr(w http.ResponseWriter, err error) { fail(w, statusFor(err), err) }
+
+// fail writes a structured error with the status the handler chose —
+// unless the table says the error is the server's own unavailability,
+// which is reported as such (503 + Retry-After, telling the client when
+// to come back instead of letting it hammer a server that is
+// mid-failover) regardless of what the handler guessed.
 func fail(w http.ResponseWriter, status int, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		status = http.StatusServiceUnavailable
-		setRetryAfter(w, time.Second)
+	if statusFor(err) == http.StatusServiceUnavailable {
+		shed(w, http.StatusServiceUnavailable, time.Second, err)
+		return
 	}
-	// An unreachable shard node already survived the RPC layer's
-	// retry-once; tell the client when to come back instead of letting
-	// it hammer a cluster that is mid-failover.
-	if errors.Is(err, rpc.ErrUnavailable) {
-		status = http.StatusServiceUnavailable
-		setRetryAfter(w, time.Second)
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+	writeJSON(w, status, api.Error{Error: err.Error()})
 }
 
 func reply(w http.ResponseWriter, body any) {

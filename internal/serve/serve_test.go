@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/database"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/order"
@@ -56,10 +57,10 @@ func TestAccessEndToEnd(t *testing.T) {
 	}
 
 	ks := []int64{0, total / 2, total - 1, total + 5}
-	var resp accessResponse
-	post(t, srv, "/v1/instance/access", accessRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
-		Ks:          ks,
+	var resp api.AccessResponse
+	post(t, srv, "/v1/instance/access", api.InstanceAccessRequest{
+		Spec:          api.Spec{Query: twoPath, Order: "x, y, z"},
+		AccessRequest: api.AccessRequest{Ks: ks},
 	}, &resp)
 
 	if resp.Total != total || !resp.Tractable || resp.Mode != string(engine.ModeLayeredLex) {
@@ -81,7 +82,7 @@ func TestAccessEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if resp.Answers[3].Error != "out of bound" {
+	if resp.Answers[3].Err != "out of bound" {
 		t.Fatalf("out-of-range probe: %+v", resp.Answers[3])
 	}
 	_ = q
@@ -92,36 +93,36 @@ func TestLoadThenQueryLifecycle(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 
-	var lr loadResponse
-	post(t, srv, "/v1/instance/load", loadRequest{Relation: "R", Rows: [][]values.Value{{1, 5}, {1, 2}, {6, 2}}}, &lr)
+	var lr api.LoadResponse
+	post(t, srv, "/v1/instance/load", api.LoadRequest{Relation: "R", Rows: [][]values.Value{{1, 5}, {1, 2}, {6, 2}}}, &lr)
 	if lr.Loaded != 3 || lr.Version != 1 {
 		t.Fatalf("load R = %+v", lr)
 	}
-	post(t, srv, "/v1/instance/load", loadRequest{Relation: "S", Rows: [][]values.Value{{5, 3}, {5, 4}, {5, 6}, {2, 5}}}, &lr)
+	post(t, srv, "/v1/instance/load", api.LoadRequest{Relation: "S", Rows: [][]values.Value{{5, 3}, {5, 4}, {5, 6}, {2, 5}}}, &lr)
 	if lr.Version != 2 {
 		t.Fatalf("load S = %+v", lr)
 	}
 
-	var cr countResponse
-	post(t, srv, "/v1/instance/count", countRequest{Query: twoPath}, &cr)
+	var cr api.CountResponse
+	post(t, srv, "/v1/instance/count", api.CountRequest{Query: twoPath}, &cr)
 	if cr.Count != 5 {
 		t.Fatalf("count = %d, want 5", cr.Count)
 	}
 
-	var ar accessResponse
-	post(t, srv, "/v1/instance/access", accessRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
-		Ks:          []int64{0},
+	var ar api.AccessResponse
+	post(t, srv, "/v1/instance/access", api.InstanceAccessRequest{
+		Spec:          api.Spec{Query: twoPath, Order: "x, y, z"},
+		AccessRequest: api.AccessRequest{Ks: []int64{0}},
 	}, &ar)
-	if ar.Total != 5 || len(ar.Answers) != 1 || ar.Answers[0].Error != "" {
+	if ar.Total != 5 || len(ar.Answers) != 1 || ar.Answers[0].Err != "" {
 		t.Fatalf("access = %+v", ar)
 	}
 	first := ar.Answers[0].Tuple
 
-	var sr selectResponse
-	post(t, srv, "/v1/instance/select", selectRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
-		K:           0,
+	var sr api.SelectResponse
+	post(t, srv, "/v1/instance/select", api.InstanceSelectRequest{
+		Spec:          api.Spec{Query: twoPath, Order: "x, y, z"},
+		SelectRequest: api.SelectRequest{K: 0},
 	}, &sr)
 	for p := range first {
 		if sr.Tuple[p] != first[p] {
@@ -131,10 +132,10 @@ func TestLoadThenQueryLifecycle(t *testing.T) {
 
 	// Loading more rows publishes a new version: the same access now
 	// sees the new answers (served by a delta overlay, not a rebuild).
-	post(t, srv, "/v1/instance/load", loadRequest{Relation: "R", Rows: [][]values.Value{{7, 5}}}, &lr)
-	post(t, srv, "/v1/instance/access", accessRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
-		Ks:          []int64{0},
+	post(t, srv, "/v1/instance/load", api.LoadRequest{Relation: "R", Rows: [][]values.Value{{7, 5}}}, &lr)
+	post(t, srv, "/v1/instance/access", api.InstanceAccessRequest{
+		Spec:          api.Spec{Query: twoPath, Order: "x, y, z"},
+		AccessRequest: api.AccessRequest{Ks: []int64{0}},
 	}, &ar)
 	if ar.Total != 8 {
 		t.Fatalf("total after load = %d, want 8", ar.Total)
@@ -156,10 +157,10 @@ func TestClassifyAndSumEndpoints(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 
-	var cl classifyResponse
-	post(t, srv, "/v1/instance/classify", classifyRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, z, y"},
-		Problem:     engine.ProblemDirectAccessLex,
+	var cl api.Classification
+	post(t, srv, "/v1/instance/classify", api.InstanceClassifyRequest{
+		Spec:            api.Spec{Query: twoPath, Order: "x, z, y"},
+		ClassifyRequest: api.ClassifyRequest{Problem: engine.ProblemDirectAccessLex},
 	}, &cl)
 	if cl.Tractable {
 		t.Fatalf("⟨x,z,y⟩ classified tractable: %+v", cl)
@@ -169,15 +170,15 @@ func TestClassifyAndSumEndpoints(t *testing.T) {
 	}
 
 	// SUM access over a full single-atom query is tractable.
-	var ar accessResponse
-	post(t, srv, "/v1/instance/access", accessRequest{
-		specPayload: specPayload{Query: "Q(x, y) :- R(x, y)", SumBy: []string{"x", "y"}},
-		Ks:          []int64{0, 1},
+	var ar api.AccessResponse
+	post(t, srv, "/v1/instance/access", api.InstanceAccessRequest{
+		Spec:          api.Spec{Query: "Q(x, y) :- R(x, y)", SumBy: []string{"x", "y"}},
+		AccessRequest: api.AccessRequest{Ks: []int64{0, 1}},
 	}, &ar)
 	if ar.Mode != string(engine.ModeSum) || !ar.Tractable {
 		t.Fatalf("sum access = %+v", ar)
 	}
-	if len(ar.Answers) != 2 || ar.Answers[0].Error != "" || ar.Answers[1].Error != "" {
+	if len(ar.Answers) != 2 || ar.Answers[0].Err != "" || ar.Answers[1].Err != "" {
 		t.Fatalf("sum answers = %+v", ar.Answers)
 	}
 	w0 := ar.Answers[0].Tuple[0] + ar.Answers[0].Tuple[1]
@@ -195,7 +196,7 @@ func TestBadRequests(t *testing.T) {
 
 	// Establish T with arity 2 so the arity-mismatch-with-existing case
 	// below is exercised.
-	if resp := post(t, srv, "/v1/instance/load", loadRequest{Relation: "T", Rows: [][]values.Value{{1, 2}}}, nil); resp.StatusCode != http.StatusOK {
+	if resp := post(t, srv, "/v1/instance/load", api.LoadRequest{Relation: "T", Rows: [][]values.Value{{1, 2}}}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seeding T: status %d", resp.StatusCode)
 	}
 
@@ -203,14 +204,14 @@ func TestBadRequests(t *testing.T) {
 		path string
 		body any
 	}{
-		{"/v1/instance/access", accessRequest{specPayload: specPayload{Query: "not a query"}}},
-		{"/v1/instance/access", accessRequest{specPayload: specPayload{Query: twoPath, Order: "nosuchvar"}}},
-		{"/v1/instance/count", countRequest{Query: ""}},
-		{"/v1/instance/load", loadRequest{Relation: ""}},
-		{"/v1/instance/load", loadRequest{Relation: "R", Rows: [][]values.Value{{1}, {1, 2}}}},
-		{"/v1/instance/load", loadRequest{Relation: "T", Rows: [][]values.Value{{1, 2, 3}}}}, // arity clash with existing T
+		{"/v1/instance/access", api.InstanceAccessRequest{Spec: api.Spec{Query: "not a query"}}},
+		{"/v1/instance/access", api.InstanceAccessRequest{Spec: api.Spec{Query: twoPath, Order: "nosuchvar"}}},
+		{"/v1/instance/count", api.CountRequest{Query: ""}},
+		{"/v1/instance/load", api.LoadRequest{Relation: ""}},
+		{"/v1/instance/load", api.LoadRequest{Relation: "R", Rows: [][]values.Value{{1}, {1, 2}}}},
+		{"/v1/instance/load", api.LoadRequest{Relation: "T", Rows: [][]values.Value{{1, 2, 3}}}}, // arity clash with existing T
 
-		{"/v1/instance/classify", classifyRequest{specPayload: specPayload{Query: twoPath}, Problem: "nonsense"}},
+		{"/v1/instance/classify", api.InstanceClassifyRequest{Spec: api.Spec{Query: twoPath}, ClassifyRequest: api.ClassifyRequest{Problem: "nonsense"}}},
 	}
 	for _, c := range cases {
 		resp := post(t, srv, c.path, c.body, nil)
@@ -249,10 +250,10 @@ func TestRangeEndpoint(t *testing.T) {
 	}
 	k0, k1 := total/4, total/4+5
 
-	var rr rangeResponse
-	post(t, srv, "/v1/instance/range", rangeRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
-		K0:          k0, K1: k1,
+	var rr api.RangeResponse
+	post(t, srv, "/v1/instance/range", api.InstanceRangeRequest{
+		Spec:         api.Spec{Query: twoPath, Order: "x, y, z"},
+		RangeRequest: api.RangeRequest{K0: k0, K1: k1},
 	}, &rr)
 	if rr.Total != total || rr.K0 != k0 || len(rr.Tuples) != int(k1-k0) {
 		t.Fatalf("range response: %+v", rr)
@@ -274,18 +275,18 @@ func TestRangeEndpoint(t *testing.T) {
 	}
 
 	// Out-of-bound window → 416.
-	resp := post(t, srv, "/v1/instance/range", rangeRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
-		K0:          total - 1, K1: total + 5,
+	resp := post(t, srv, "/v1/instance/range", api.InstanceRangeRequest{
+		Spec:         api.Spec{Query: twoPath, Order: "x, y, z"},
+		RangeRequest: api.RangeRequest{K0: total - 1, K1: total + 5},
 	}, nil)
 	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
 		t.Fatalf("out-of-bound range: status %d, want 416", resp.StatusCode)
 	}
 
 	// Oversized window → 400.
-	resp = post(t, srv, "/v1/instance/range", rangeRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
-		K0:          0, K1: maxRange + 1,
+	resp = post(t, srv, "/v1/instance/range", api.InstanceRangeRequest{
+		Spec:         api.Spec{Query: twoPath, Order: "x, y, z"},
+		RangeRequest: api.RangeRequest{K0: 0, K1: maxRange + 1},
 	}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized range: status %d, want 400", resp.StatusCode)

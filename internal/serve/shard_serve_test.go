@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/workload"
 )
@@ -22,16 +23,16 @@ func TestShardedEndpointsMatchUnsharded(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 
-	base := specPayload{Query: twoPath, Order: "x, y, z"}
+	base := api.Spec{Query: twoPath, Order: "x, y, z"}
 	sharded := base
 	sharded.Shards = 3
 
-	var plain, shard accessResponse
+	var plain, shard api.AccessResponse
 	ks := []int64{0, 1, 5, 17, 1 << 40}
-	post(t, srv, "/v1/instance/access", accessRequest{specPayload: base, Ks: ks}, &plain)
-	post(t, srv, "/v1/instance/access", accessRequest{specPayload: sharded, Ks: ks}, &shard)
+	post(t, srv, "/v1/instance/access", api.InstanceAccessRequest{Spec: base, AccessRequest: api.AccessRequest{Ks: ks}}, &plain)
+	post(t, srv, "/v1/instance/access", api.InstanceAccessRequest{Spec: sharded, AccessRequest: api.AccessRequest{Ks: ks}}, &shard)
 	if shard.Shards != 3 || shard.ShardBy == "" || shard.ShardNote != "" {
-		t.Fatalf("shard echo = %+v, want 3 shards, a variable, no note", shard.shardEcho)
+		t.Fatalf("shard echo = %+v, want 3 shards, a variable, no note", shard.ShardEcho)
 	}
 	if plain.Shards != 0 {
 		t.Fatalf("unsharded response echoes shards=%d", plain.Shards)
@@ -41,7 +42,7 @@ func TestShardedEndpointsMatchUnsharded(t *testing.T) {
 	}
 	for i := range plain.Answers {
 		pa, sa := plain.Answers[i], shard.Answers[i]
-		if pa.Error != sa.Error || len(pa.Tuple) != len(sa.Tuple) {
+		if pa.Err != sa.Err || len(pa.Tuple) != len(sa.Tuple) {
 			t.Fatalf("k=%d: %+v vs %+v", pa.K, pa, sa)
 		}
 		for j := range pa.Tuple {
@@ -51,11 +52,11 @@ func TestShardedEndpointsMatchUnsharded(t *testing.T) {
 		}
 	}
 
-	var rp, rs rangeResponse
-	post(t, srv, "/v1/instance/range", rangeRequest{specPayload: base, K0: 3, K1: 40}, &rp)
-	post(t, srv, "/v1/instance/range", rangeRequest{specPayload: sharded, K0: 3, K1: 40}, &rs)
+	var rp, rs api.RangeResponse
+	post(t, srv, "/v1/instance/range", api.InstanceRangeRequest{Spec: base, RangeRequest: api.RangeRequest{K0: 3, K1: 40}}, &rp)
+	post(t, srv, "/v1/instance/range", api.InstanceRangeRequest{Spec: sharded, RangeRequest: api.RangeRequest{K0: 3, K1: 40}}, &rs)
 	if rs.Shards != 3 {
-		t.Fatalf("range shard echo = %+v", rs.shardEcho)
+		t.Fatalf("range shard echo = %+v", rs.ShardEcho)
 	}
 	if len(rp.Tuples) != len(rs.Tuples) {
 		t.Fatalf("range lengths %d vs %d", len(rp.Tuples), len(rs.Tuples))
@@ -68,22 +69,22 @@ func TestShardedEndpointsMatchUnsharded(t *testing.T) {
 		}
 	}
 
-	var cp, cs countResponse
-	post(t, srv, "/v1/instance/count", countRequest{Query: twoPath}, &cp)
-	post(t, srv, "/v1/instance/count", countRequest{Query: twoPath, Shards: 4}, &cs)
+	var cp, cs api.CountResponse
+	post(t, srv, "/v1/instance/count", api.CountRequest{Query: twoPath}, &cp)
+	post(t, srv, "/v1/instance/count", api.CountRequest{Query: twoPath, Shards: 4}, &cs)
 	if cp.Count != cs.Count {
 		t.Fatalf("count %d vs sharded %d", cp.Count, cs.Count)
 	}
 	if cp.Shards != 0 || cs.Shards != 4 || cs.ShardBy == "" {
-		t.Fatalf("count shard echo: plain %+v, sharded %+v", cp.shardEcho, cs.shardEcho)
+		t.Fatalf("count shard echo: plain %+v, sharded %+v", cp.ShardEcho, cs.ShardEcho)
 	}
 
 	// Unshardable query: the response carries the fallback note.
-	selfjoin := specPayload{Query: "Q(x, y, z) :- R(x, y), R(y, z)", Shards: 2}
-	var fb accessResponse
-	post(t, srv, "/v1/instance/access", accessRequest{specPayload: selfjoin, Ks: []int64{0}}, &fb)
+	selfjoin := api.Spec{Query: "Q(x, y, z) :- R(x, y), R(y, z)", Shards: 2}
+	var fb api.AccessResponse
+	post(t, srv, "/v1/instance/access", api.InstanceAccessRequest{Spec: selfjoin, AccessRequest: api.AccessRequest{Ks: []int64{0}}}, &fb)
 	if fb.Shards != 0 || fb.ShardNote == "" {
-		t.Fatalf("fallback echo = %+v, want a shard_note", fb.shardEcho)
+		t.Fatalf("fallback echo = %+v, want a shard_note", fb.ShardEcho)
 	}
 }
 
@@ -118,7 +119,7 @@ func TestErrorStatusAndBody(t *testing.T) {
 		{"range too wide", "/v1/instance/range", `{"query": "Q(x, y) :- R(x, y)", "k0": 0, "k1": 99999999}`, http.StatusBadRequest},
 		{"range out of bounds", "/v1/instance/range", `{"query": "Q(x, y) :- R(x, y)", "k0": 0, "k1": 1000}`, http.StatusRequestedRangeNotSatisfiable},
 		{"sharded range out of bounds", "/v1/instance/range", `{"query": "Q(x, y) :- R(x, y)", "shards": 2, "k0": 0, "k1": 1000}`, http.StatusRequestedRangeNotSatisfiable},
-		{"select out of bounds", "/v1/instance/select", `{"query": "Q(x, y) :- R(x, y)", "k": 1000}`, http.StatusNotFound},
+		{"select out of bounds", "/v1/instance/select", `{"query": "Q(x, y) :- R(x, y)", "k": 1000}`, http.StatusRequestedRangeNotSatisfiable},
 		{"bad classify problem", "/v1/instance/classify", `{"query": "Q(x, y) :- R(x, y)", "problem": "nonsense"}`, http.StatusBadRequest},
 		{"bad count query", "/v1/instance/count", `{"query": "broken("}`, http.StatusBadRequest},
 		{"bad count shard_by", "/v1/instance/count", `{"query": "Q(x, y) :- R(x, y)", "shards": 2, "shard_by": "zzz"}`, http.StatusBadRequest},
@@ -136,7 +137,7 @@ func TestErrorStatusAndBody(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("Content-Type = %q, want application/json", ct)
 			}
-			var body errorResponse
+			var body api.Error
 			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 				t.Fatalf("error body is not JSON: %v", err)
 			}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/snapshot"
 	"rankedaccess/internal/values"
@@ -29,10 +30,10 @@ func snapServer(t *testing.T) (*engine.Engine, *httptest.Server, string) {
 
 func TestSnapshotEndpoints(t *testing.T) {
 	e, srv, _ := snapServer(t)
-	var reg queryInfo
-	post(t, srv, "/v1/queries", registerRequest{
-		Name:        "snap",
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"},
+	var reg api.QueryInfo
+	post(t, srv, "/v1/queries", api.RegisterRequest{
+		Name: "snap",
+		Spec: api.Spec{Query: twoPath, Order: "x, y, z"},
 	}, &reg)
 	h, err := e.Prepare(engine.Spec{Query: twoPath, Order: "x, y, z"})
 	if err != nil {
@@ -44,7 +45,7 @@ func TestSnapshotEndpoints(t *testing.T) {
 	}
 
 	// Checkpoint.
-	var created snapshotCreateResponse
+	var created api.SnapshotInfo
 	if resp := post(t, srv, "/v1/snapshots", nil, &created); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d", resp.StatusCode)
 	}
@@ -53,17 +54,17 @@ func TestSnapshotEndpoints(t *testing.T) {
 	}
 
 	// List shows it.
-	var listed snapshotListResponse
+	var listed api.SnapshotList
 	get(t, srv, "/v1/snapshots", &listed)
 	if len(listed.Snapshots) != 1 || listed.Snapshots[0].Name != created.Name {
 		t.Fatalf("list %+v, want the created snapshot", listed)
 	}
 
 	// Mutate the instance away from the snapshotted state.
-	post(t, srv, "/v1/instance/load", loadRequest{Relation: "R", Rows: [][]values.Value{{1 << 40, 1}}}, nil)
+	post(t, srv, "/v1/instance/load", api.LoadRequest{Relation: "R", Rows: [][]values.Value{{1 << 40, 1}}}, nil)
 
 	// Restore brings the snapshotted answers back.
-	var restored snapshotRestoreResponse
+	var restored api.RestoreInfo
 	if resp := post(t, srv, "/v1/snapshots/"+created.Name+"/restore", nil, &restored); resp.StatusCode != http.StatusOK {
 		t.Fatalf("restore status %d", resp.StatusCode)
 	}
@@ -83,7 +84,7 @@ func TestSnapshotEndpoints(t *testing.T) {
 	}
 
 	// The registry came back with the snapshot.
-	var info queryInfo
+	var info api.QueryInfo
 	get(t, srv, "/v1/queries/snap", &info)
 	if info.Query != twoPath {
 		t.Fatalf("restored registration %+v", info)

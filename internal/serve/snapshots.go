@@ -19,18 +19,10 @@ import (
 	"os"
 	"path/filepath"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/snapshot"
 )
-
-type snapshotCreateResponse struct {
-	Name          string `json:"name"`
-	Bytes         int64  `json:"bytes"`
-	Version       uint64 `json:"version"`
-	Structures    int    `json:"structures"`
-	Skipped       int    `json:"skipped,omitempty"`
-	Registrations int    `json:"registrations"`
-}
 
 func handleSnapshotCreate(e *engine.Engine, dir string, w http.ResponseWriter, _ *http.Request) {
 	info, err := e.Checkpoint(dir)
@@ -38,15 +30,7 @@ func handleSnapshotCreate(e *engine.Engine, dir string, w http.ResponseWriter, _
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, snapshotCreateResponse{
-		Name: info.Name, Bytes: info.Bytes, Version: info.Version,
-		Structures: info.Structures, Skipped: info.Skipped,
-		Registrations: info.Registrations,
-	})
-}
-
-type snapshotListResponse struct {
-	Snapshots []snapshot.Info `json:"snapshots"`
+	writeJSON(w, http.StatusCreated, info)
 }
 
 func handleSnapshotList(dir string, w http.ResponseWriter, _ *http.Request) {
@@ -58,15 +42,7 @@ func handleSnapshotList(dir string, w http.ResponseWriter, _ *http.Request) {
 	if infos == nil {
 		infos = []snapshot.Info{}
 	}
-	reply(w, snapshotListResponse{Snapshots: infos})
-}
-
-type snapshotRestoreResponse struct {
-	Name          string `json:"name"`
-	Version       uint64 `json:"version"`
-	Tuples        int    `json:"tuples"`
-	Structures    int    `json:"structures"`
-	Registrations int    `json:"registrations"`
+	reply(w, api.SnapshotList{Snapshots: infos})
 }
 
 func handleSnapshotRestore(e *engine.Engine, dir string, w http.ResponseWriter, r *http.Request) {
@@ -90,8 +66,5 @@ func handleSnapshotRestore(e *engine.Engine, dir string, w http.ResponseWriter, 
 		fail(w, status, err)
 		return
 	}
-	reply(w, snapshotRestoreResponse{
-		Name: info.Name, Version: info.Version, Tuples: info.Tuples,
-		Structures: info.Structures, Registrations: info.Registrations,
-	})
+	reply(w, info)
 }

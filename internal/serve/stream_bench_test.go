@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/workload"
 )
@@ -47,7 +48,7 @@ func BenchmarkNDJSONStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resp := post0(b, client, srv.URL+"/v1/queries/bench/cursor", `{"start":0}`)
-		var cr cursorResponse
+		var cr api.CursorResponse
 		decodeBody(b, resp, &cr)
 
 		req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/cursors/"+cr.Cursor+"/next?n=4096", nil)

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/stats"
 	"rankedaccess/internal/values"
@@ -102,13 +103,13 @@ func TestTelemetryContract(t *testing.T) {
 	// registration, a coalesce miss then hit, a write and its catch-up,
 	// an open cursor.
 	register(t, srv, "q", twoPath, "x, y, z")
-	post(t, srv, "/v1/queries/q/access", v1AccessRequest{Ks: []int64{0}}, nil)
-	post(t, srv, "/v1/queries/q/access", v1AccessRequest{Ks: []int64{0}}, nil)
-	post(t, srv, "/v1/write", writeRequest{Writes: []writeEntry{
+	post(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}}, nil)
+	post(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}}, nil)
+	post(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
 		{Relation: "R", Insert: [][]values.Value{{7, 5}}},
 	}}, nil)
-	post(t, srv, "/v1/queries/q/access", v1AccessRequest{Ks: []int64{0}}, nil)
-	post(t, srv, "/v1/queries/q/cursor", cursorRequest{}, nil)
+	post(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}}, nil)
+	post(t, srv, "/v1/queries/q/cursor", api.CursorRequest{}, nil)
 
 	var asJSON map[string]any
 	get(t, srv, "/v1/stats", &asJSON)
@@ -155,11 +156,11 @@ func TestTelemetryContract(t *testing.T) {
 func TestStatsSurfacesShareOneHealthSample(t *testing.T) {
 	srv, _ := resilServer(t, engine.Options{DeltaHard: 1, DeltaSoft: 1}, Config{})
 	register(t, srv, "q", twoPath, "x, y, z")
-	post(t, srv, "/v1/write", writeRequest{Writes: []writeEntry{
+	post(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
 		{Relation: "R", Insert: [][]values.Value{{7, 5}}},
 	}}, nil)
 	// The probe absorbs the write as a 1-edit overlay: the hard limit.
-	post(t, srv, "/v1/queries/q/access", v1AccessRequest{Ks: []int64{0}}, nil)
+	post(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}}, nil)
 
 	var asJSON map[string]any
 	get(t, srv, "/v1/stats", &asJSON)

@@ -19,8 +19,9 @@
 //	                                       when Accept: application/x-ndjson)
 //	DELETE /v1/cursors/{id}                close the cursor
 //
-// Sentinel errors map to stable status codes: an unknown name or cursor
-// is 404 (engine.ErrNotPrepared), an out-of-range index is 416
+// Sentinel errors map to stable status codes (statusFor, in serve.go,
+// is the whole table): an unknown name or cursor is 404
+// (engine.ErrNotPrepared), an out-of-range index is 416
 // (access.ErrOutOfBound), and an intractable spec registered with
 // "strict": true is 422 (access.ErrIntractable). Mutations never orphan
 // a cursor — the MVCC engine pins every cursor to its epoch — so 410
@@ -42,7 +43,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -51,94 +51,36 @@ import (
 	"time"
 
 	"rankedaccess/internal/access"
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
-	"rankedaccess/internal/rpc"
 	"rankedaccess/internal/values"
 )
 
-// statusFor maps cross-layer sentinel errors to the v1 API's stable
-// status codes; anything unrecognized is a plain bad request. The
-// distributed sentinels follow the same philosophy: an unreachable
-// shard node is the server's problem (503, with Retry-After set by
-// fail), a shard node whose data moved past the prepared version means
-// the registration is gone (410), and a
-// write against a coordinator is not the coordinator's to take (403).
-func statusFor(err error) int {
-	var mbe *http.MaxBytesError
-	switch {
-	case errors.As(err, &mbe):
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, engine.ErrNotPrepared):
-		return http.StatusNotFound
-	case errors.Is(err, access.ErrOutOfBound):
-		return http.StatusRequestedRangeNotSatisfiable
-	case errors.Is(err, access.ErrIntractable):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, rpc.ErrUnavailable):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, rpc.ErrStaleVersion):
-		return http.StatusGone
-	case errors.Is(err, engine.ErrReadOnly):
-		return http.StatusForbidden
-	default:
-		return http.StatusBadRequest
+// describe renders one registration: the spec's text, the plan's
+// outcome.
+func describe(id engine.PreparedID, spec engine.Spec, plan engine.Plan, total int64, version uint64) api.QueryInfo {
+	return api.QueryInfo{
+		Name:      id.Name,
+		Gen:       id.Gen,
+		Query:     spec.Query,
+		Order:     spec.Order,
+		SumBy:     spec.SumBy,
+		FDs:       spec.FDs,
+		Mode:      string(plan.Mode),
+		Tractable: plan.Tractable,
+		Verdict:   plan.Verdict.String(),
+		Total:     total,
+		Version:   version,
+		ShardEcho: shardInfo(plan),
 	}
 }
 
-// failErr writes a structured error with the sentinel-derived status.
-func failErr(w http.ResponseWriter, err error) { fail(w, statusFor(err), err) }
-
-// registerRequest registers a spec under a name. With Strict set,
-// registration fails (422) unless the plan landed on the tractable side
-// of the paper's dichotomy — for callers that would rather know than
-// silently pay Θ(|Q(I)|) materialization.
-type registerRequest struct {
-	Name string `json:"name"`
-	specPayload
-	Strict bool `json:"strict,omitempty"`
-}
-
-// queryInfo describes one registration in v1 responses.
-type queryInfo struct {
-	Name      string   `json:"name"`
-	Gen       uint64   `json:"gen"`
-	Query     string   `json:"query"`
-	Order     string   `json:"order,omitempty"`
-	SumBy     []string `json:"sum_by,omitempty"`
-	FDs       []string `json:"fds,omitempty"`
-	Mode      string   `json:"mode"`
-	Tractable bool     `json:"tractable"`
-	Verdict   string   `json:"verdict,omitempty"`
-	Total     int64    `json:"total"`
-	Version   uint64   `json:"version"`
-	shardEcho
-}
-
-func infoOf(pi engine.PreparedInfo) queryInfo {
-	return queryInfo{
-		Name:      pi.ID.Name,
-		Gen:       pi.ID.Gen,
-		Query:     pi.Spec.Query,
-		Order:     pi.Spec.Order,
-		SumBy:     pi.Spec.SumBy,
-		FDs:       pi.Spec.FDs,
-		Mode:      string(pi.Plan.Mode),
-		Tractable: pi.Plan.Tractable,
-		Verdict:   pi.Plan.Verdict.String(),
-		Total:     pi.Total,
-		Version:   pi.Version,
-		shardEcho: shardInfo(pi.Plan),
-	}
-}
-
-func pqInfo(pq *engine.PreparedQuery, h *engine.Handle, version uint64) queryInfo {
-	return infoOf(engine.PreparedInfo{
-		ID: pq.ID(), Spec: pq.Spec(), Plan: h.Plan, Total: h.Total(), Version: version,
-	})
+func pqInfo(pq *engine.PreparedQuery, h *engine.Handle, version uint64) api.QueryInfo {
+	return describe(pq.ID(), pq.Spec(), h.Plan, h.Total(), version)
 }
 
 func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req registerRequest
+	var req api.RegisterRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -148,7 +90,7 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// serving). Tractability depends only on (query, order, FDs),
 		// and the built structure lands in the engine cache, so the
 		// Register below reuses it.
-		h, err := s.e.PrepareCtx(r.Context(), req.spec())
+		h, err := s.e.PrepareCtx(r.Context(), req.Spec)
 		if err != nil {
 			failErr(w, err)
 			return
@@ -159,7 +101,7 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	pq, err := s.e.Register(req.Name, req.spec())
+	pq, err := s.e.Register(req.Name, req.Spec)
 	if err != nil {
 		failErr(w, err)
 		return
@@ -172,15 +114,11 @@ func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, pqInfo(pq, h, s.e.Version()))
 }
 
-type listResponse struct {
-	Queries []queryInfo `json:"queries"`
-}
-
 func (s *server) handleList(w http.ResponseWriter, _ *http.Request) {
 	infos := s.e.ListPrepared()
-	resp := listResponse{Queries: make([]queryInfo, len(infos))}
+	resp := api.ListResponse{Queries: make([]api.QueryInfo, len(infos))}
 	for i, pi := range infos {
-		resp.Queries[i] = infoOf(pi)
+		resp.Queries[i] = describe(pi.ID, pi.Spec, pi.Plan, pi.Total, pi.Version)
 	}
 	reply(w, resp)
 }
@@ -217,102 +155,6 @@ func (s *server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-type v1AccessRequest struct {
-	Ks []int64 `json:"ks"`
-}
-
-func (s *server) handleV1Access(w http.ResponseWriter, r *http.Request) {
-	pq, ok := s.prepared(w, r)
-	if !ok {
-		return
-	}
-	var req v1AccessRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	h, err := s.acquireRead(r.Context(), pq)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	key := coalesceKey("access", pq.ID(), h.Version(), req.Ks...)
-	body, err := s.coal.do(r.Context(), key, func() ([]byte, error) {
-		resp, err := buildAccessResponse(r.Context(), h, req.Ks)
-		if err != nil {
-			return nil, err
-		}
-		return encodeJSON(resp)
-	})
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, body)
-}
-
-type v1RangeRequest struct {
-	K0 int64 `json:"k0"`
-	K1 int64 `json:"k1"`
-}
-
-func (s *server) handleV1Range(w http.ResponseWriter, r *http.Request) {
-	pq, ok := s.prepared(w, r)
-	if !ok {
-		return
-	}
-	var req v1RangeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if req.K1-req.K0 > maxRange {
-		fail(w, http.StatusBadRequest, fmt.Errorf("serve: range wider than %d; page the request", maxRange))
-		return
-	}
-	h, err := s.acquireRead(r.Context(), pq)
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	key := coalesceKey("range", pq.ID(), h.Version(), req.K0, req.K1)
-	body, err := s.coal.do(r.Context(), key, func() ([]byte, error) {
-		flatP := tuplePool.Get().(*[]values.Value)
-		flat, err := h.AccessRangeCtx(r.Context(), (*flatP)[:0], req.K0, req.K1)
-		if err != nil {
-			putTupleBuf(flatP, flat)
-			return nil, err
-		}
-		b, err := encodeJSON(buildRangeResponse(h, flat, req.K0, req.K1))
-		putTupleBuf(flatP, flat)
-		return b, err
-	})
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	writeRaw(w, http.StatusOK, body)
-}
-
-type v1SelectRequest struct {
-	K int64 `json:"k"`
-}
-
-func (s *server) handleV1Select(w http.ResponseWriter, r *http.Request) {
-	pq, ok := s.prepared(w, r)
-	if !ok {
-		return
-	}
-	var req v1SelectRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	tuple, err := pq.Select(req.K) // registration-time parse, no re-parsing
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	reply(w, selectResponse{K: req.K, Tuple: tuple})
-}
-
 func (s *server) handleV1Count(w http.ResponseWriter, r *http.Request) {
 	pq, ok := s.prepared(w, r)
 	if !ok {
@@ -327,43 +169,7 @@ func (s *server) handleV1Count(w http.ResponseWriter, r *http.Request) {
 		failErr(w, err)
 		return
 	}
-	reply(w, countResponse{Count: h.Total(), shardEcho: shardInfo(h.Plan)})
-}
-
-type v1ClassifyRequest struct {
-	Problem string `json:"problem"`
-}
-
-func (s *server) handleV1Classify(w http.ResponseWriter, r *http.Request) {
-	pq, ok := s.prepared(w, r)
-	if !ok {
-		return
-	}
-	var req v1ClassifyRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if req.Problem == "" {
-		req.Problem = engine.ProblemDirectAccessLex
-	}
-	v, err := pq.Classify(req.Problem) // registration-time parse, no re-parsing
-	if err != nil {
-		failErr(w, err)
-		return
-	}
-	reply(w, classifyResponse{Tractable: v.Tractable, Bound: v.Bound, Verdict: v.String(), Trio: v.Trio})
-}
-
-type cursorRequest struct {
-	Start int64 `json:"start,omitempty"`
-}
-
-type cursorResponse struct {
-	Cursor string `json:"cursor"`
-	Query  string `json:"query"`
-	Total  int64  `json:"total"`
-	Pos    int64  `json:"pos"`
-	Width  int    `json:"width"`
+	reply(w, api.CountResponse{Count: h.Total(), ShardEcho: shardInfo(h.Plan)})
 }
 
 func (s *server) handleCursorCreate(w http.ResponseWriter, r *http.Request) {
@@ -371,7 +177,7 @@ func (s *server) handleCursorCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req cursorRequest
+	var req api.CursorRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -389,7 +195,7 @@ func (s *server) handleCursorCreate(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, cursorResponse{
+	writeJSON(w, http.StatusCreated, api.CursorResponse{
 		Cursor: sc.id, Query: sc.query, Total: cur.Total(), Pos: cur.Pos(), Width: cur.Width(),
 	})
 }
@@ -399,14 +205,6 @@ const defaultCursorBatch = 1024
 
 // ndjsonChunk rows are encoded and flushed per write in streaming mode.
 const ndjsonChunk = 1024
-
-type cursorNextResponse struct {
-	Cursor string           `json:"cursor"`
-	Query  string           `json:"query"`
-	Pos    int64            `json:"pos"`
-	Done   bool             `json:"done"`
-	Tuples [][]values.Value `json:"tuples"`
-}
 
 // cursorByID resolves {id} or writes a 404.
 func (s *server) cursorByID(w http.ResponseWriter, r *http.Request) (*serverCursor, bool) {
@@ -450,7 +248,7 @@ func (s *server) handleCursorNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	width := sc.cur.Width()
-	resp := cursorNextResponse{
+	resp := api.CursorPage{
 		Cursor: sc.id, Query: sc.query,
 		Pos: sc.cur.Pos(), Done: sc.cur.Pos() >= sc.cur.Total(),
 		Tuples: make([][]values.Value, emitted),

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/values"
 	"rankedaccess/internal/workload"
@@ -29,12 +30,12 @@ func v1Server(t *testing.T, n int, seed int64) (*httptest.Server, *engine.Engine
 }
 
 // register posts a v1 registration and fails the test on a non-2xx.
-func register(t *testing.T, srv *httptest.Server, name, query, order string) queryInfo {
+func register(t *testing.T, srv *httptest.Server, name, query, order string) api.QueryInfo {
 	t.Helper()
-	var info queryInfo
-	resp := post(t, srv, "/v1/queries", registerRequest{
-		Name:        name,
-		specPayload: specPayload{Query: query, Order: order},
+	var info api.QueryInfo
+	resp := post(t, srv, "/v1/queries", api.RegisterRequest{
+		Name: name,
+		Spec: api.Spec{Query: query, Order: order},
 	}, &info)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("register %s: status %d", name, resp.StatusCode)
@@ -55,8 +56,8 @@ func TestV1RegisterProbeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ks := []int64{0, info.Total / 2, info.Total - 1}
-	var acc accessResponse
-	post(t, srv, "/v1/queries/by_xyz/access", v1AccessRequest{Ks: ks}, &acc)
+	var acc api.AccessResponse
+	post(t, srv, "/v1/queries/by_xyz/access", api.AccessRequest{Ks: ks}, &acc)
 	for i, k := range ks {
 		a, err := h.Access(k)
 		if err != nil {
@@ -70,42 +71,43 @@ func TestV1RegisterProbeLifecycle(t *testing.T) {
 	}
 
 	// Range by name equals the one-shot /v1/instance/range.
-	var v1r, oneShot rangeResponse
-	post(t, srv, "/v1/queries/by_xyz/range", v1RangeRequest{K0: 5, K1: 25}, &v1r)
-	post(t, srv, "/v1/instance/range", rangeRequest{
-		specPayload: specPayload{Query: twoPath, Order: "x, y, z"}, K0: 5, K1: 25,
+	var v1r, oneShot api.RangeResponse
+	post(t, srv, "/v1/queries/by_xyz/range", api.RangeRequest{K0: 5, K1: 25}, &v1r)
+	post(t, srv, "/v1/instance/range", api.InstanceRangeRequest{
+		Spec:         api.Spec{Query: twoPath, Order: "x, y, z"},
+		RangeRequest: api.RangeRequest{K0: 5, K1: 25},
 	}, &oneShot)
 	if fmt.Sprint(v1r.Tuples) != fmt.Sprint(oneShot.Tuples) {
 		t.Fatal("by-name range diverges from one-shot range")
 	}
 
 	// Count and classify by name.
-	var cnt countResponse
+	var cnt api.CountResponse
 	post(t, srv, "/v1/queries/by_xyz/count", struct{}{}, &cnt)
 	if cnt.Count != info.Total {
 		t.Fatalf("count = %d, want %d", cnt.Count, info.Total)
 	}
-	var cls classifyResponse
-	post(t, srv, "/v1/queries/by_xyz/classify", v1ClassifyRequest{}, &cls)
+	var cls api.Classification
+	post(t, srv, "/v1/queries/by_xyz/classify", api.ClassifyRequest{}, &cls)
 	if !cls.Tractable {
 		t.Fatalf("classify = %+v", cls)
 	}
 
 	// Select by name agrees with access.
-	var sel selectResponse
-	post(t, srv, "/v1/queries/by_xyz/select", v1SelectRequest{K: 3}, &sel)
+	var sel api.SelectResponse
+	post(t, srv, "/v1/queries/by_xyz/select", api.SelectRequest{K: 3}, &sel)
 	if fmt.Sprint(sel.Tuple) != fmt.Sprint(acc.Answers[0].Tuple) && sel.K != 3 {
 		t.Fatalf("select = %+v", sel)
 	}
 
 	// List shows the registration; eviction removes it.
-	var list listResponse
+	var list api.ListResponse
 	get(t, srv, "/v1/queries", &list)
 	if len(list.Queries) != 1 || list.Queries[0].Name != "by_xyz" {
 		t.Fatalf("list = %+v", list)
 	}
 	del(t, srv, "/v1/queries/by_xyz", http.StatusNoContent)
-	if resp := postRaw(t, srv, "/v1/queries/by_xyz/access", v1AccessRequest{Ks: []int64{0}}); resp.StatusCode != http.StatusNotFound {
+	if resp := postRaw(t, srv, "/v1/queries/by_xyz/access", api.AccessRequest{Ks: []int64{0}}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("access after evict: status %d, want 404", resp.StatusCode)
 	}
 }
@@ -162,43 +164,43 @@ func TestV1ErrorStatusCodes(t *testing.T) {
 	srv, e := v1Server(t, 256, 43)
 	info := register(t, srv, "q", twoPath, "x, y, z")
 
-	if resp := postRaw(t, srv, "/v1/queries/ghost/access", v1AccessRequest{Ks: []int64{0}}); resp.StatusCode != http.StatusNotFound {
+	if resp := postRaw(t, srv, "/v1/queries/ghost/access", api.AccessRequest{Ks: []int64{0}}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown name: %d, want 404", resp.StatusCode)
 	}
-	if resp := postRaw(t, srv, "/v1/queries/q/range", v1RangeRequest{K0: 0, K1: info.Total + 10}); resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
+	if resp := postRaw(t, srv, "/v1/queries/q/range", api.RangeRequest{K0: 0, K1: info.Total + 10}); resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
 		t.Fatalf("oob range: %d, want 416", resp.StatusCode)
 	}
-	if resp := postRaw(t, srv, "/v1/queries/q/cursor", cursorRequest{Start: info.Total + 1}); resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
+	if resp := postRaw(t, srv, "/v1/queries/q/cursor", api.CursorRequest{Start: info.Total + 1}); resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
 		t.Fatalf("oob cursor start: %d, want 416", resp.StatusCode)
 	}
-	if resp := postRaw(t, srv, "/v1/queries/q/select", v1SelectRequest{K: info.Total + 7}); resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
+	if resp := postRaw(t, srv, "/v1/queries/q/select", api.SelectRequest{K: info.Total + 7}); resp.StatusCode != http.StatusRequestedRangeNotSatisfiable {
 		t.Fatalf("oob select: %d, want 416", resp.StatusCode)
 	}
 
 	// Strict registration of the canonical intractable order is 422 and
 	// leaves nothing registered.
-	resp := postRaw(t, srv, "/v1/queries", registerRequest{
-		Name:        "hard",
-		specPayload: specPayload{Query: twoPath, Order: "x, z, y"},
-		Strict:      true,
+	resp := postRaw(t, srv, "/v1/queries", api.RegisterRequest{
+		Name:   "hard",
+		Spec:   api.Spec{Query: twoPath, Order: "x, z, y"},
+		Strict: true,
 	})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("strict intractable: %d, want 422", resp.StatusCode)
 	}
-	if resp := postRaw(t, srv, "/v1/queries/hard/access", v1AccessRequest{Ks: []int64{0}}); resp.StatusCode != http.StatusNotFound {
+	if resp := postRaw(t, srv, "/v1/queries/hard/access", api.AccessRequest{Ks: []int64{0}}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("strict reject must not register: %d, want 404", resp.StatusCode)
 	}
 	// A rejected strict re-registration of an EXISTING name must leave
 	// the existing registration serving.
-	if resp := postRaw(t, srv, "/v1/queries", registerRequest{
-		Name:        "q",
-		specPayload: specPayload{Query: twoPath, Order: "x, z, y"},
-		Strict:      true,
+	if resp := postRaw(t, srv, "/v1/queries", api.RegisterRequest{
+		Name:   "q",
+		Spec:   api.Spec{Query: twoPath, Order: "x, z, y"},
+		Strict: true,
 	}); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("strict intractable re-register: %d, want 422", resp.StatusCode)
 	}
-	var stillThere accessResponse
-	if resp := post(t, srv, "/v1/queries/q/access", v1AccessRequest{Ks: []int64{0}}, &stillThere); resp.StatusCode != http.StatusOK {
+	var stillThere api.AccessResponse
+	if resp := post(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}}, &stillThere); resp.StatusCode != http.StatusOK {
 		t.Fatalf("existing registration lost after strict rejection: %d", resp.StatusCode)
 	}
 	if stillThere.Mode != string(engine.ModeLayeredLex) {
@@ -206,10 +208,10 @@ func TestV1ErrorStatusCodes(t *testing.T) {
 	}
 	// Non-strict registration of the same order succeeds as
 	// materialized fallback.
-	var hardInfo queryInfo
-	post(t, srv, "/v1/queries", registerRequest{
-		Name:        "hard",
-		specPayload: specPayload{Query: twoPath, Order: "x, z, y"},
+	var hardInfo api.QueryInfo
+	post(t, srv, "/v1/queries", api.RegisterRequest{
+		Name: "hard",
+		Spec: api.Spec{Query: twoPath, Order: "x, z, y"},
 	}, &hardInfo)
 	if hardInfo.Tractable || hardInfo.Mode != string(engine.ModeMaterialized) {
 		t.Fatalf("non-strict fallback info = %+v", hardInfo)
@@ -217,12 +219,12 @@ func TestV1ErrorStatusCodes(t *testing.T) {
 
 	// An open cursor is pinned to its epoch: it keeps serving its
 	// pre-mutation result set after the instance mutates.
-	var cr cursorResponse
-	post(t, srv, "/v1/queries/q/cursor", cursorRequest{}, &cr)
+	var cr api.CursorResponse
+	post(t, srv, "/v1/queries/q/cursor", api.CursorRequest{}, &cr)
 	if err := e.AddRows("R", [][]values.Value{{999, 999}}); err != nil {
 		t.Fatal(err)
 	}
-	var nout cursorNextResponse
+	var nout api.CursorPage
 	nresp := get(t, srv, "/v1/cursors/"+cr.Cursor+"/next?n=4", &nout)
 	if nresp.StatusCode != http.StatusOK {
 		t.Fatalf("cursor across mutation: %d, want 200", nresp.StatusCode)
@@ -236,9 +238,9 @@ func TestV1ErrorStatusCodes(t *testing.T) {
 }
 
 // cursorNext pages one JSON batch.
-func cursorNext(t *testing.T, srv *httptest.Server, id string, n int) cursorNextResponse {
+func cursorNext(t *testing.T, srv *httptest.Server, id string, n int) api.CursorPage {
 	t.Helper()
-	var out cursorNextResponse
+	var out api.CursorPage
 	resp := get(t, srv, "/v1/cursors/"+id+"/next?n="+strconv.Itoa(n), &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("next: status %d", resp.StatusCode)
@@ -252,8 +254,8 @@ func TestCursorPagingMatchesBatchAccess(t *testing.T) {
 	srv, _ := v1Server(t, 300, 44)
 	info := register(t, srv, "page", twoPath, "x, y desc, z")
 
-	var cr cursorResponse
-	if resp := post(t, srv, "/v1/queries/page/cursor", cursorRequest{}, &cr); resp.StatusCode != http.StatusCreated {
+	var cr api.CursorResponse
+	if resp := post(t, srv, "/v1/queries/page/cursor", api.CursorRequest{}, &cr); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("cursor create: %d", resp.StatusCode)
 	}
 	if cr.Total != info.Total || cr.Pos != 0 {
@@ -278,8 +280,8 @@ func TestCursorPagingMatchesBatchAccess(t *testing.T) {
 	for i := range ks {
 		ks[i] = int64(i)
 	}
-	var batch accessResponse
-	post(t, srv, "/v1/queries/page/access", v1AccessRequest{Ks: ks}, &batch)
+	var batch api.AccessResponse
+	post(t, srv, "/v1/queries/page/access", api.AccessRequest{Ks: ks}, &batch)
 	for i := range ks {
 		if fmt.Sprint(paged[i]) != fmt.Sprint(batch.Answers[i].Tuple) {
 			t.Fatalf("row %d: paged %v, batch %v", i, paged[i], batch.Answers[i].Tuple)
@@ -341,8 +343,8 @@ func TestNDJSONStreamEqualsAccessBatch(t *testing.T) {
 		t.Fatalf("instance too small: %d answers", info.Total)
 	}
 
-	var cr cursorResponse
-	post(t, srv, "/v1/queries/s/cursor", cursorRequest{Start: 10}, &cr)
+	var cr api.CursorResponse
+	post(t, srv, "/v1/queries/s/cursor", api.CursorRequest{Start: 10}, &cr)
 	rows, hdr := streamNDJSONRows(t, srv, cr.Cursor, 30)
 	if len(rows) != 30 {
 		t.Fatalf("streamed %d rows, want 30", len(rows))
@@ -358,8 +360,8 @@ func TestNDJSONStreamEqualsAccessBatch(t *testing.T) {
 	for i := range ks {
 		ks[i] = int64(10 + i)
 	}
-	var batch accessResponse
-	post(t, srv, "/v1/queries/s/access", v1AccessRequest{Ks: ks}, &batch)
+	var batch api.AccessResponse
+	post(t, srv, "/v1/queries/s/access", api.AccessRequest{Ks: ks}, &batch)
 	for i := range ks {
 		if fmt.Sprint(rows[i]) != fmt.Sprint(batch.Answers[i].Tuple) {
 			t.Fatalf("row %d: stream %v, batch %v", i, rows[i], batch.Answers[i].Tuple)
@@ -389,19 +391,19 @@ func TestNDJSONStreamEqualsAccessBatch(t *testing.T) {
 func TestV1ShardedCursorEquivalence(t *testing.T) {
 	srv, _ := v1Server(t, 400, 46)
 	register(t, srv, "plain", twoPath, "x, y, z")
-	var plainCr cursorResponse
-	post(t, srv, "/v1/queries/plain/cursor", cursorRequest{}, &plainCr)
+	var plainCr api.CursorResponse
+	post(t, srv, "/v1/queries/plain/cursor", api.CursorRequest{}, &plainCr)
 	want, _ := streamNDJSONRows(t, srv, plainCr.Cursor, int(plainCr.Total))
 
 	for _, p := range []int{1, 4} {
 		name := fmt.Sprintf("shard%d", p)
-		var info queryInfo
-		post(t, srv, "/v1/queries", registerRequest{
-			Name:        name,
-			specPayload: specPayload{Query: twoPath, Order: "x, y, z", Shards: p},
+		var info api.QueryInfo
+		post(t, srv, "/v1/queries", api.RegisterRequest{
+			Name: name,
+			Spec: api.Spec{Query: twoPath, Order: "x, y, z", Shards: p},
 		}, &info)
-		var cr cursorResponse
-		post(t, srv, "/v1/queries/"+name+"/cursor", cursorRequest{}, &cr)
+		var cr api.CursorResponse
+		post(t, srv, "/v1/queries/"+name+"/cursor", api.CursorRequest{}, &cr)
 		got, _ := streamNDJSONRows(t, srv, cr.Cursor, int(cr.Total))
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("P=%d stream diverges from unsharded", p)
@@ -416,8 +418,8 @@ func TestConcurrentHTTPCursors(t *testing.T) {
 	srv, _ := v1Server(t, 300, 47)
 	info := register(t, srv, "conc", twoPath, "x, y, z")
 
-	var refCr cursorResponse
-	post(t, srv, "/v1/queries/conc/cursor", cursorRequest{}, &refCr)
+	var refCr api.CursorResponse
+	post(t, srv, "/v1/queries/conc/cursor", api.CursorRequest{}, &refCr)
 	want, _ := streamNDJSONRows(t, srv, refCr.Cursor, int(info.Total))
 
 	const workers = 6
@@ -426,8 +428,8 @@ func TestConcurrentHTTPCursors(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var cr cursorResponse
-			post(t, srv, "/v1/queries/conc/cursor", cursorRequest{}, &cr)
+			var cr api.CursorResponse
+			post(t, srv, "/v1/queries/conc/cursor", api.CursorRequest{}, &cr)
 			var rows [][]values.Value
 			if g%2 == 0 {
 				for {
@@ -459,15 +461,15 @@ func TestStatsRegistryCounters(t *testing.T) {
 		t.Fatalf("prepared = %d, want 1", before.Prepared)
 	}
 	for i := 0; i < 5; i++ {
-		post(t, srv, "/v1/queries/counted/access", v1AccessRequest{Ks: []int64{0}}, nil)
+		post(t, srv, "/v1/queries/counted/access", api.AccessRequest{Ks: []int64{0}}, nil)
 	}
 	after := getStats(t, srv)
 	if after.RegistryHits < before.RegistryHits+5 {
 		t.Fatalf("registry_hits %d -> %d, want +5", before.RegistryHits, after.RegistryHits)
 	}
 
-	var cr cursorResponse
-	post(t, srv, "/v1/queries/counted/cursor", cursorRequest{}, &cr)
+	var cr api.CursorResponse
+	post(t, srv, "/v1/queries/counted/cursor", api.CursorRequest{}, &cr)
 	if after = getStats(t, srv); after.OpenCursors != 1 {
 		t.Fatalf("open_cursors = %d, want 1", after.OpenCursors)
 	}

@@ -1,19 +1,26 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/faultfs"
 	"rankedaccess/internal/values"
@@ -439,4 +446,96 @@ func TestWireGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("wire transcript has %d lines, testdata/wire.golden %d", len(gl), len(wl))
+}
+
+// wireRequestTypes is every request body internal/api declares, by the
+// route generation that decodes it.
+var wireRequestTypes = []any{
+	api.LoadRequest{}, api.CountRequest{}, api.RegisterRequest{}, api.CursorRequest{}, api.WriteRequest{},
+	api.AccessRequest{}, api.RangeRequest{}, api.SelectRequest{}, api.ClassifyRequest{},
+	api.InstanceAccessRequest{}, api.InstanceRangeRequest{}, api.InstanceSelectRequest{}, api.InstanceClassifyRequest{},
+}
+
+// FuzzRequestBodies feeds arbitrary bytes to the server's own decode
+// (strict, size-capped) as every request type: it never panics, a
+// refusal is a 400 or a 413 with the error envelope, and an accepted
+// body re-encodes to bytes that are accepted again and re-encode to
+// themselves. Seeded with every request body of testdata/wire.golden.
+func FuzzRequestBodies(f *testing.F) {
+	golden, err := os.ReadFile("testdata/wire.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(golden), "\n") {
+		if parts := strings.SplitN(line, " ", 4); len(parts) == 4 && parts[0] == ">" && parts[1] == "POST" {
+			f.Add([]byte(parts[3]))
+		}
+	}
+	s := &server{maxBody: 1 << 12}
+	decode := func(body []byte, into any) (*httptest.ResponseRecorder, bool) {
+		rec := httptest.NewRecorder()
+		return rec, s.decode(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), into)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, typ := range wireRequestTypes {
+			v := reflect.New(reflect.TypeOf(typ)).Interface()
+			rec, ok := decode(body, v)
+			if !ok {
+				var envelope api.Error
+				if (rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge) ||
+					json.Unmarshal(rec.Body.Bytes(), &envelope) != nil || envelope.Error == "" {
+					t.Fatalf("%T refused %q with %d %s", typ, body, rec.Code, rec.Body)
+				}
+				continue
+			}
+			first, err := json.Marshal(v)
+			if err != nil {
+				t.Fatalf("%T accepted %q but does not encode: %v", typ, body, err)
+			}
+			if len(first) > int(s.maxBody) {
+				continue // an accepted body may re-encode larger than the cap (escapes)
+			}
+			again := reflect.New(reflect.TypeOf(typ)).Interface()
+			if _, ok := decode(first, again); !ok {
+				t.Fatalf("%T: %q re-encoded to %q, which is refused", typ, body, first)
+			}
+			if second, _ := json.Marshal(again); !bytes.Equal(first, second) {
+				t.Fatalf("%T: %q round-trips %q → %q", typ, body, first, second)
+			}
+		}
+	})
+}
+
+// TestWireTypesDeclaredOnce keeps every /v1 body declared in
+// internal/api alone: no non-test file of internal/serve or client may
+// declare a struct field with a JSON tag, except the health and
+// readiness bodies, which no client decodes.
+func TestWireTypesDeclaredOnce(t *testing.T) {
+	allowed := map[string]bool{"healthzResponse": true, "readyzResponse": true}
+	for _, dir := range []string{".", "../../client"} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for name, file := range pkg.Files {
+				var owner string // the enclosing named type, "" inside a function
+				ast.Inspect(file, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.TypeSpec:
+						owner = n.Name.Name
+					case *ast.FuncDecl:
+						owner = ""
+					case *ast.Field:
+						if n.Tag != nil && strings.Contains(n.Tag.Value, `json:"`) && !allowed[owner] {
+							t.Errorf("%s: field %v carries %s: declare the body in internal/api", name, n.Names, n.Tag.Value)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
 }

@@ -17,34 +17,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/delta"
 	"rankedaccess/internal/values"
 )
-
-// writeEntry is one relation's rows in a write batch. Deletes apply
-// after inserts of the same entry (they are separate mutations in one
-// atomic batch; deleting a row the same batch inserted removes it).
-type writeEntry struct {
-	Relation string           `json:"relation"`
-	Insert   [][]values.Value `json:"insert,omitempty"`
-	Delete   [][]values.Value `json:"delete,omitempty"`
-}
-
-type writeRequest struct {
-	Writes []writeEntry `json:"writes"`
-}
-
-type writeResponse struct {
-	// Version is the engine version the batch published (the current
-	// version when the batch was empty).
-	Version uint64 `json:"version"`
-	// Inserted and Deleted count rows requested, not rows that changed
-	// the instance (deletes of absent rows are idempotent no-ops).
-	Inserted int `json:"inserted"`
-	Deleted  int `json:"deleted"`
-}
 
 func (s *server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	// A degraded engine (broken WAL, or an overlay backlog at the hard
@@ -53,7 +30,7 @@ func (s *server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	if s.shedWrite(w, r) {
 		return
 	}
-	var req writeRequest
+	var req api.WriteRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -85,22 +62,15 @@ func (s *server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(muts) == 0 {
 		// An empty batch publishes nothing: echo the current version.
-		reply(w, writeResponse{Version: s.e.Version()})
+		reply(w, api.WriteResult{Version: s.e.Version()})
 		return
 	}
 	v, err := s.e.ApplyBatchCtx(r.Context(), muts)
 	if err != nil {
-		// A broken WAL fails every write until repair: that is server
-		// overload/unavailability, not a bad request.
-		if errors.Is(err, delta.ErrWALBroken) {
-			setRetryAfter(w, time.Second)
-			fail(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		fail(w, http.StatusBadRequest, err)
+		failErr(w, err)
 		return
 	}
-	reply(w, writeResponse{Version: v, Inserted: inserted, Deleted: deleted})
+	reply(w, api.WriteResult{Version: v, Inserted: inserted, Deleted: deleted})
 }
 
 // flatMutation flattens row slices into one mutation record, checking

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"testing"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/values"
 )
 
@@ -14,8 +15,8 @@ func TestV1WriteBatch(t *testing.T) {
 
 	// One atomic batch across two relations: inserts that join into new
 	// answers plus a delete, published as a single new version.
-	var wr writeResponse
-	resp := post(t, srv, "/v1/write", writeRequest{Writes: []writeEntry{
+	var wr api.WriteResult
+	resp := post(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
 		{Relation: "R", Insert: [][]values.Value{{90001, 70007}, {90002, 70007}}},
 		{Relation: "S", Insert: [][]values.Value{{70007, 1}, {70007, 2}}, Delete: [][]values.Value{{70007, 999}}},
 	}}, &wr)
@@ -28,7 +29,7 @@ func TestV1WriteBatch(t *testing.T) {
 
 	// The registered query sees the joined rows: the two new R rows each
 	// match the two new S rows.
-	var cnt countResponse
+	var cnt api.CountResponse
 	post(t, srv, "/v1/queries/w/count", struct{}{}, &cnt)
 	if cnt.Count != info.Total+4 {
 		t.Fatalf("count after write = %d, want %d", cnt.Count, info.Total+4)
@@ -42,21 +43,21 @@ func TestV1WriteBatch(t *testing.T) {
 	}
 
 	// An empty batch publishes nothing.
-	var empty writeResponse
-	post(t, srv, "/v1/write", writeRequest{}, &empty)
+	var empty api.WriteResult
+	post(t, srv, "/v1/write", api.WriteRequest{}, &empty)
 	if empty.Version != wr.Version || empty.Inserted != 0 {
 		t.Fatalf("empty write = %+v, want version %d", empty, wr.Version)
 	}
 
 	// Ragged rows in one entry are rejected before anything applies.
-	bad := postRaw(t, srv, "/v1/write", writeRequest{Writes: []writeEntry{
+	bad := postRaw(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
 		{Relation: "R", Insert: [][]values.Value{{1, 2}, {3}}},
 	}})
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("ragged write: %d, want 400", bad.StatusCode)
 	}
 	// A wrong-arity batch against an existing relation is rejected too.
-	bad2 := postRaw(t, srv, "/v1/write", writeRequest{Writes: []writeEntry{
+	bad2 := postRaw(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
 		{Relation: "R", Insert: [][]values.Value{{1, 2, 3}}},
 	}})
 	if bad2.StatusCode != http.StatusBadRequest {

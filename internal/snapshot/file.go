@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"rankedaccess/internal/api"
 	"rankedaccess/internal/faultfs"
 )
 
@@ -60,12 +61,7 @@ func parseName(name string) (engineVersion uint64, createdUnixNano int64, ok boo
 
 // Info describes one snapshot file in a directory listing, from the
 // name and file size alone (no decode).
-type Info struct {
-	Name            string `json:"name"`
-	Bytes           int64  `json:"bytes"`
-	EngineVersion   uint64 `json:"engine_version"`
-	CreatedUnixNano int64  `json:"created_unix_nano"`
-}
+type Info = api.SnapshotFile
 
 // List returns the snapshots in dir, newest first. A missing directory
 // lists empty.

@@ -45,6 +45,8 @@
 // are preserved verbatim on re-encode.
 package snapshot
 
+import "rankedaccess/internal/api"
+
 // FormatVersion is the on-disk format version this package reads and
 // writes. See the package comment and CONTRIBUTING.md for the bump
 // policy.
@@ -116,15 +118,8 @@ type RelationMeta struct {
 }
 
 // SpecMeta is the engine spec a structure or registration was built
-// from, as plain data (mirrors engine.Spec).
-type SpecMeta struct {
-	Query   string   `json:"query"`
-	Order   string   `json:"order,omitempty"`
-	SumBy   []string `json:"sum_by,omitempty"`
-	FDs     []string `json:"fds,omitempty"`
-	Shards  int      `json:"shards,omitempty"`
-	ShardBy string   `json:"shard_by,omitempty"`
-}
+// from: the /v1 wire type, whose JSON form the meta section stores.
+type SpecMeta = api.Spec
 
 // OrderEntryMeta is one component of a realized lexicographic order.
 type OrderEntryMeta struct {

@@ -67,7 +67,7 @@ func Fig1() string {
 		if err != nil {
 			panic(err)
 		}
-		mark := func(v classify.Verdict) string {
+		mark := func(v classify.Verdict, _ classify.WithFDs) string {
 			if v.Tractable {
 				return "tractable"
 			}
@@ -79,10 +79,10 @@ func Fig1() string {
 		}
 		fmt.Fprintf(&b, "%-34s | %-44s | %-10s | %-11s | %-10s | %-11s\n",
 			r.label, qo,
-			mark(classify.DirectAccessLex(q, l)),
-			mark(classify.SelectionLex(q, l)),
-			mark(classify.DirectAccessSum(q)),
-			mark(classify.SelectionSum(q)))
+			mark(classify.DirectAccessLex(q, l, nil)),
+			mark(classify.SelectionLex(q, l, nil)),
+			mark(classify.DirectAccessSum(q, nil)),
+			mark(classify.SelectionSum(q, nil)))
 	}
 	return b.String()
 }
@@ -145,24 +145,20 @@ func Example11() string {
 		}
 		fmt.Fprintf(&b, "  %-46s %s\n", label, side)
 	}
-	emit("LEX ⟨x,y,z⟩: direct access", classify.DirectAccessLex(q, l(q, "x, y, z")))
-	emit("LEX ⟨x,z,y⟩: direct access", classify.DirectAccessLex(q, l(q, "x, z, y")))
-	emit("LEX ⟨x,z,y⟩: selection", classify.SelectionLex(q, l(q, "x, z, y")))
-	emit("LEX ⟨x,z⟩: direct access", classify.DirectAccessLex(q, l(q, "x, z")))
-	emit("LEX ⟨x,z⟩: selection", classify.SelectionLex(q, l(q, "x, z")))
-	emit("LEX ⟨x,z⟩, y projected: selection", classify.SelectionLex(qProj, l(qProj, "x, z")))
-	v, _ := classify.DirectAccessLexFD(q, l(q, "x, z, y"), fd.MustParse(q, "R: y -> x"))
-	emit("LEX ⟨x,z,y⟩ + FD R: y→x: direct access", v)
-	v, _ = classify.DirectAccessLexFD(q, l(q, "x, z, y"), fd.MustParse(q, "S: y -> z"))
-	emit("LEX ⟨x,z,y⟩ + FD S: y→z: direct access", v)
-	v, _ = classify.DirectAccessLexFD(q, l(q, "x, z, y"), fd.MustParse(q, "R: x -> y"))
-	emit("LEX ⟨x,z,y⟩ + FD R: x→y: direct access", v)
-	v, _ = classify.DirectAccessLexFD(q, l(q, "x, z, y"), fd.MustParse(q, "S: z -> y"))
-	emit("LEX ⟨x,z,y⟩ + FD S: z→y: direct access", v)
-	emit("SUM x+y+z: direct access", classify.DirectAccessSum(q))
-	emit("SUM x+y+z: selection", classify.SelectionSum(q))
-	emit("SUM x+y, z projected: direct access", classify.DirectAccessSum(qXY))
-	emit("SUM x+z, y projected: selection", classify.SelectionSum(qProj))
+	emit("LEX ⟨x,y,z⟩: direct access", verdict(classify.DirectAccessLex(q, l(q, "x, y, z"), nil)))
+	emit("LEX ⟨x,z,y⟩: direct access", verdict(classify.DirectAccessLex(q, l(q, "x, z, y"), nil)))
+	emit("LEX ⟨x,z,y⟩: selection", verdict(classify.SelectionLex(q, l(q, "x, z, y"), nil)))
+	emit("LEX ⟨x,z⟩: direct access", verdict(classify.DirectAccessLex(q, l(q, "x, z"), nil)))
+	emit("LEX ⟨x,z⟩: selection", verdict(classify.SelectionLex(q, l(q, "x, z"), nil)))
+	emit("LEX ⟨x,z⟩, y projected: selection", verdict(classify.SelectionLex(qProj, l(qProj, "x, z"), nil)))
+	emit("LEX ⟨x,z,y⟩ + FD R: y→x: direct access", verdict(classify.DirectAccessLex(q, l(q, "x, z, y"), fd.MustParse(q, "R: y -> x"))))
+	emit("LEX ⟨x,z,y⟩ + FD S: y→z: direct access", verdict(classify.DirectAccessLex(q, l(q, "x, z, y"), fd.MustParse(q, "S: y -> z"))))
+	emit("LEX ⟨x,z,y⟩ + FD R: x→y: direct access", verdict(classify.DirectAccessLex(q, l(q, "x, z, y"), fd.MustParse(q, "R: x -> y"))))
+	emit("LEX ⟨x,z,y⟩ + FD S: z→y: direct access", verdict(classify.DirectAccessLex(q, l(q, "x, z, y"), fd.MustParse(q, "S: z -> y"))))
+	emit("SUM x+y+z: direct access", verdict(classify.DirectAccessSum(q, nil)))
+	emit("SUM x+y+z: selection", verdict(classify.SelectionSum(q, nil)))
+	emit("SUM x+y, z projected: direct access", verdict(classify.DirectAccessSum(qXY, nil)))
+	emit("SUM x+z, y projected: selection", verdict(classify.SelectionSum(qProj, nil)))
 	return b.String()
 }
 
@@ -227,7 +223,7 @@ func Fig8() string {
 	b.WriteString(strings.Repeat("-", 120) + "\n")
 	for _, r := range rows {
 		q := cq.MustParse(r.query)
-		v := classify.DirectAccessSum(q)
+		v, _ := classify.DirectAccessSum(q, nil)
 		fmt.Fprintf(&b, "%-22s | %-44s | %s\n", r.cond, r.query, v.String())
 	}
 	return b.String()
@@ -241,22 +237,25 @@ func FDExamples() string {
 	ext := fd.Extend(q2p, fd.MustParse(q2p, "S: y -> z"))
 	fmt.Fprintf(&b, "  Example 8.3: %s + FD S: y→z\n", q2p.String())
 	fmt.Fprintf(&b, "    Q+ = %s\n", ext.Query.String())
-	v, _ := classify.DirectAccessSumFD(q2p, fd.MustParse(q2p, "S: y -> z"))
+	v, _ := classify.DirectAccessSum(q2p, fd.MustParse(q2p, "S: y -> z"))
 	fmt.Fprintf(&b, "    direct access by SUM: %s\n", v.String())
 
 	q814 := cq.MustParse("Q(v1, v2, v3, v4) :- R(v1, v3), S(v3, v2), T(v2, v4)")
 	l814, _ := order.ParseLex(q814, "v1, v2, v3, v4")
-	v2, w := classify.DirectAccessLexFD(q814, l814, fd.MustParse(q814, "R: v1 -> v3"))
+	v2, w := classify.DirectAccessLex(q814, l814, fd.MustParse(q814, "R: v1 -> v3"))
 	fmt.Fprintf(&b, "  Example 8.14: order ⟨v1,v2,v3,v4⟩ + FD R: v1→v3 reorders to ⟨%s⟩: %s\n",
 		w.LPlus.Render(q814), sideOf(v2))
 
 	q819 := cq.MustParse("Q(v1, v2) :- R(v1, v3), S(v3, v2)")
 	l819, _ := order.ParseLex(q819, "v1, v2")
-	v3, w3 := classify.DirectAccessLexFD(q819, l819, fd.MustParse(q819, "S: v2 -> v3"))
+	v3, w3 := classify.DirectAccessLex(q819, l819, fd.MustParse(q819, "S: v2 -> v3"))
 	fmt.Fprintf(&b, "  Example 8.19: ⟨v1,v2⟩ + FD S: v2→v3 reorders to ⟨%s⟩: %s (trio %v)\n",
 		w3.LPlus.Render(q819), sideOf(v3), v3.Trio)
 	return b.String()
 }
+
+// verdict drops the FD witness of a classification.
+func verdict(v classify.Verdict, _ classify.WithFDs) classify.Verdict { return v }
 
 func sideOf(v classify.Verdict) string {
 	if v.Tractable {

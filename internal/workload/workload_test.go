@@ -34,7 +34,7 @@ func TestKPath(t *testing.T) {
 		t.Fatalf("size = %d", in.Size())
 	}
 	l, _ := order.ParseLex(q, "x0, x1, x2, x3")
-	if v := classify.DirectAccessLex(q, l); !v.Tractable {
+	if v, _ := classify.DirectAccessLex(q, l, nil); !v.Tractable {
 		t.Fatalf("path order must be tractable: %v", v)
 	}
 }
@@ -76,7 +76,7 @@ func TestEpidemicUniqueCity(t *testing.T) {
 func TestProductSelection(t *testing.T) {
 	q, in, w := Product(rand.New(rand.NewSource(5)), 30)
 	// 30×30 product: selection by SUM must work (fmh = 2).
-	a, err := selection.SelectSum(q, in, w, 450) // median-ish
+	a, err := selection.SelectSum(q, in, w, nil, 450) // median-ish
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,12 @@ func TestProductSelection(t *testing.T) {
 func TestThreeSumInstance(t *testing.T) {
 	a, b, c := RandomThreeSum(rand.New(rand.NewSource(6)), 20, true)
 	q, in, w := ThreeSumInstance(a, b, c)
-	if v := classify.DirectAccessSum(q); v.Tractable {
+	if v, _ := classify.DirectAccessSum(q, nil); v.Tractable {
 		t.Fatal("triple product must be DA-SUM intractable")
 	}
 	// Selection by SUM is also intractable (fmh = 3); verified by the
 	// classifier.
-	if v := classify.SelectionSum(q); v.Tractable {
+	if v, _ := classify.SelectionSum(q, nil); v.Tractable {
 		t.Fatal("triple product must be selection-SUM intractable")
 	}
 	_ = in
@@ -112,7 +112,7 @@ func TestExample53Instance(t *testing.T) {
 	// Selection by SUM is tractable here (fmh = 2 after projection of u).
 	cnt := 0
 	for k := int64(0); k < 25; k++ {
-		a, err := selection.SelectSum(q, in, w, k)
+		a, err := selection.SelectSum(q, in, w, nil, k)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -129,15 +129,15 @@ func TestExample53Instance(t *testing.T) {
 func TestStar(t *testing.T) {
 	q, in := Star(rand.New(rand.NewSource(7)), 3, 40, 10)
 	l, _ := order.ParseLex(q, "c, l1, l2, l3")
-	if v := classify.DirectAccessLex(q, l); !v.Tractable {
+	if v, _ := classify.DirectAccessLex(q, l, nil); !v.Tractable {
 		t.Fatalf("star with center-first order: %v", v)
 	}
 	// Leaf-first orders have a disruptive trio (l1, l2 via c).
 	l2, _ := order.ParseLex(q, "l1, l2, c, l3")
-	if v := classify.DirectAccessLex(q, l2); v.Tractable {
+	if v, _ := classify.DirectAccessLex(q, l2, nil); v.Tractable {
 		t.Fatal("leaf-first star order must be intractable")
 	}
-	if v := classify.DirectAccessSum(q); v.Tractable {
+	if v, _ := classify.DirectAccessSum(q, nil); v.Tractable {
 		t.Fatal("star by SUM must be intractable")
 	}
 	_ = in

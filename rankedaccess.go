@@ -180,33 +180,18 @@ const (
 
 // Classify runs the paper's dichotomy for the given problem. The lex
 // order is ignored for the SUM problems; fds may be nil.
-func Classify(p Problem, q *Query, l LexOrder, fds FDSet) Verdict {
-	if len(fds) == 0 {
-		switch p {
-		case DirectAccessLex:
-			return classify.DirectAccessLex(q, l)
-		case SelectionLex:
-			return classify.SelectionLex(q, l)
-		case DirectAccessSum:
-			return classify.DirectAccessSum(q)
-		default:
-			return classify.SelectionSum(q)
-		}
-	}
+func Classify(p Problem, q *Query, l LexOrder, fds FDSet) (v Verdict) {
 	switch p {
 	case DirectAccessLex:
-		v, _ := classify.DirectAccessLexFD(q, l, fds)
-		return v
+		v, _ = classify.DirectAccessLex(q, l, fds)
 	case SelectionLex:
-		v, _ := classify.SelectionLexFD(q, l, fds)
-		return v
+		v, _ = classify.SelectionLex(q, l, fds)
 	case DirectAccessSum:
-		v, _ := classify.DirectAccessSumFD(q, fds)
-		return v
+		v, _ = classify.DirectAccessSum(q, fds)
 	default:
-		v, _ := classify.SelectionSumFD(q, fds)
-		return v
+		v, _ = classify.SelectionSum(q, fds)
 	}
+	return v
 }
 
 // NewDirectAccess builds the ⟨n log n, log n⟩ lexicographic direct-access
@@ -225,19 +210,13 @@ func NewDirectAccessSum(q *Query, in *Instance, w SumOrder, fds FDSet) (*SumDire
 // Select answers the selection problem by a lexicographic order in O(n)
 // (Theorem 6.1); fds may be nil.
 func Select(q *Query, in *Instance, l LexOrder, k int64, fds FDSet) (Answer, error) {
-	if len(fds) == 0 {
-		return selection.SelectLex(q, in, l, k)
-	}
-	return selection.SelectLexFD(q, in, l, fds, k)
+	return selection.SelectLex(q, in, l, fds, k)
 }
 
 // SelectBySum answers the selection problem by a SUM order in O(n log n)
 // (Theorem 7.3); fds may be nil.
 func SelectBySum(q *Query, in *Instance, w SumOrder, k int64, fds FDSet) (Answer, error) {
-	if len(fds) == 0 {
-		return selection.SelectSum(q, in, w, k)
-	}
-	return selection.SelectSumFD(q, in, w, fds, k)
+	return selection.SelectSum(q, in, w, fds, k)
 }
 
 // Count returns |Q(I)| in linear time for free-connex CQs.
