@@ -38,6 +38,14 @@ func testInstance() *database.Instance {
 	return in
 }
 
+// bigInstance is a second such instance, ≈ 150 000 two-path answers:
+// every shard is wide enough for a full share of splitters, and
+// gathering the answers costs tens of times a search's budget.
+func bigInstance() *database.Instance {
+	_, in := workload.TwoPath(rand.New(rand.NewSource(34)), 3000, 256, 0.4)
+	return in
+}
+
 // testCluster is one in-process cluster: real TCP listeners, real RPC
 // servers, a real prober — only the machines are missing.
 type testCluster struct {
@@ -50,13 +58,60 @@ type testCluster struct {
 	// maxBatch is the largest pivot list any node was sent in one
 	// batched call.
 	maxBatch atomic.Int64
+	// onRank, when set, runs as a node receives a batched rank call.
+	onRank atomic.Pointer[func()]
+}
+
+// calls returns, per peer, the RPCs of any kind sent so far, less the
+// prober's health checks.
+func (tc *testCluster) calls() []uint64 {
+	var out []uint64
+	for _, peer := range tc.coord.Table().Peers {
+		st := peer.Client.Stats()
+		var n uint64
+		for _, c := range st.Calls {
+			n += c
+		}
+		out = append(out, n-st.Calls[rpc.KindHealth])
+	}
+	return out
+}
+
+// splitterRank returns the global rank of a splitter whose owner is
+// the given node: the coordinator's table settles its search, which
+// costs the cluster ONE RPC — the fetch from that node.
+func (tc *testCluster) splitterRank(t *testing.T, spec engine.Spec, node int) int64 {
+	t.Helper()
+	rh, err := tc.coord.BuildRemote(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range rh.Sh.Splitters() {
+		before := tc.calls()
+		if _, err := rh.Sh.Access(k); err != nil {
+			t.Fatalf("Access(splitter rank %d): %v", k, err)
+		}
+		after, all := tc.calls(), uint64(0)
+		for i := range after {
+			all += after[i] - before[i]
+		}
+		if all != 1 {
+			t.Fatalf("Access(splitter rank %d) cost %d RPCs, want the one fetch from its owner", k, all)
+		}
+		if after[node] == before[node]+1 {
+			return k
+		}
+	}
+	t.Fatalf("none of %d splitters is owned by node %d", len(rh.Sh.Splitters()), node)
+	return 0
 }
 
 // batchMeter is a node backend that records the size of every batched
 // request on its way in.
 type batchMeter struct {
 	rpc.Backend
-	max *atomic.Int64
+	max    *atomic.Int64
+	onRank *atomic.Pointer[func()]
 }
 
 func (b batchMeter) note(n int) {
@@ -75,6 +130,9 @@ func (b batchMeter) AccessBatch(ctx context.Context, spec rpc.Spec, version uint
 
 func (b batchMeter) RankBatch(ctx context.Context, spec rpc.Spec, version uint64, answers []order.Answer) ([]int64, []bool, error) {
 	b.note(len(answers))
+	if f := b.onRank.Load(); f != nil {
+		(*f)()
+	}
 	return b.Backend.RankBatch(ctx, spec, version, answers)
 }
 
@@ -133,7 +191,7 @@ func startClusterOn(t *testing.T, inst func() *database.Instance, nNodes, p int,
 			lis = wrap(lis)
 		}
 		node := NewNode(e)
-		srv := rpc.NewServer(batchMeter{Backend: node, max: &tc.maxBatch})
+		srv := rpc.NewServer(batchMeter{Backend: node, max: &tc.maxBatch, onRank: &tc.onRank})
 		go func() { _ = srv.Serve(lis) }()
 		t.Cleanup(func() { _ = srv.Close() })
 		tc.engines = append(tc.engines, e)
@@ -428,35 +486,81 @@ func TestDistributedHTTPByteIdentity(t *testing.T) {
 }
 
 // TestDistributedRPCBudget pins the paper's complexity promise at the
-// network layer. One Access(k) is a handful of k-ary rank rounds: each
-// round is two RPCs per peer (one batched access, one batched rank)
-// pricing up to m·P pivots and cutting the candidates to about
-// 1/(m·P+1), so a peer sees at most 2·(⌈log_{m·P+1} n⌉+2) RPCs of ANY
-// kind per access, no request carries more than m·P pivots (let alone
-// the wire cap), and the bytes on the wire stay O(m·P·log n). If
-// someone replaces the rank search with a gather-everything approach —
-// by ranges, by oversized batches, or by one RPC per answer — one of
-// the three fails loudly.
+// network layer. Preparing a handle prices its S splitters in
+// ⌈S/MaxPivots⌉ batches: one batched rank per peer per batch and one
+// batched access per peer owning a position in it, and never again.
+// One Access(k) then starts between the two splitters bracketing k and
+// is a handful of k-ary rank rounds: each round is two RPCs per peer
+// (one batched access, one batched rank) pricing up to m·P pivots and
+// cutting the candidates to about 1/(m·P+1), so a peer sees at most
+// 2·(⌈log_{m·P+1}(n/(S+1))⌉+2) RPCs of ANY kind per access, no request
+// carries more than m·P pivots (let alone the wire cap), the bytes on
+// the wire stay O(m·P·log(n/S)), and the access of a splitter's own rank
+// is ONE RPC to one node. If someone replaces the rank search with a
+// gather-everything approach — by ranges, by oversized batches, or by
+// one RPC per answer — or builds the table without using it, one of the
+// checks fails loudly.
 func TestDistributedRPCBudget(t *testing.T) {
 	const p = 4
 	var wire atomic.Int64
-	// Large enough that gathering the answers costs tens of times the
-	// budget.
-	big := func() *database.Instance {
-		_, in := workload.TwoPath(rand.New(rand.NewSource(34)), 3000, 256, 0.4)
-		return in
-	}
-	tc := startClusterOn(t, big, 2, p, func(l net.Listener) net.Listener {
+	tc := startClusterOn(t, bigInstance, 2, p, func(l net.Listener) net.Listener {
 		return meteredListener{Listener: l, bytes: &wire}
 	})
 	spec := engine.Spec{Query: twoPath, Order: "x, y, z"}
-	h, err := tc.ce.Prepare(spec)
+
+	// A fill cancelled while its first batch is being ranked stops
+	// there: no second batch leaves, and Prepare fails.
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := func() { cancel() }
+	tc.onRank.Store(&stop)
+	if _, err := tc.coord.BuildRemote(ctx, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("BuildRemote cancelled mid-fill = %v, want context.Canceled", err)
+	}
+	tc.onRank.Store(nil)
+	for i, peer := range tc.coord.Table().Peers {
+		if st := peer.Client.Stats(); st.Calls[rpc.KindRankBatch] != 1 || st.Calls[rpc.KindAccessBatch] > 1 {
+			t.Fatalf("peer %d was sent %d rank and %d access batches by a fill cancelled in its first", i, st.Calls[rpc.KindRankBatch], st.Calls[rpc.KindAccessBatch])
+		}
+	}
+
+	// The fill: exactly its batches' RPCs on top of the Prepare.
+	before := tc.calls()
+	rh, err := tc.coord.BuildRemote(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := h.Total()
+	h := rh.Sh
+	total, splitters := h.Total(), len(h.Splitters())
+	if splitters != p*shard.SplittersPerShard {
+		t.Fatalf("%d splitters over shards of %v, want %d each", splitters, h.PartTotals(), shard.SplittersPerShard)
+	}
+	batches := (splitters + shard.MaxPivots - 1) / shard.MaxPivots
+	// Positions go shard by shard; a batch reaches the owners of the
+	// shards it spans (startClusterOn places shard s on node s mod 2).
+	fill := make([]uint64, len(tc.addrs))
+	for b := 0; b < batches; b++ {
+		first, last := b*shard.MaxPivots/shard.SplittersPerShard, (min((b+1)*shard.MaxPivots, splitters)-1)/shard.SplittersPerShard
+		for i := range fill {
+			fill[i]++ // the batch's rank
+			for s := first; s <= last; s++ {
+				if s%len(fill) == i {
+					fill[i]++ // its access
+					break
+				}
+			}
+		}
+	}
+	for i, n := range tc.calls() {
+		if d := n - before[i]; d != 1+fill[i] || fill[i] > uint64(2*batches) {
+			t.Fatalf("preparing sent peer %d %d RPCs; want the Prepare and %d for a fill of %d splitters in %d batches", i, d, fill[i], splitters, batches)
+		}
+	}
+	if got := tc.maxBatch.Swap(0); got != shard.MaxPivots || shard.MaxPivots > rpc.MaxPivots {
+		t.Fatalf("largest fill batch carried %d pivots; want full batches of %d, wire cap %d", got, shard.MaxPivots, rpc.MaxPivots)
+	}
+
 	const pivots = shard.PivotsPerWindow * p
-	rounds := math.Ceil(math.Log(float64(total))/math.Log(pivots+1)) + 2
+	rounds := math.Ceil(math.Log(float64(total)/float64(splitters+1))/math.Log(pivots+1)) + 2
 	rpcBound := uint64(2 * rounds)
 	// Per RPC: framing, trace field and the spec (~300 bytes), plus per
 	// pivot an answer one way and its ranks or position the other.
@@ -464,37 +568,29 @@ func TestDistributedRPCBudget(t *testing.T) {
 	if gather := total * 8 * 3; gather < 10*byteBound {
 		t.Fatalf("instance too small to tell the budget (%d bytes) from gathering all %d answers (%d bytes)", byteBound, total, gather)
 	}
-
-	calls := func() []uint64 {
-		var out []uint64
-		for _, peer := range tc.coord.Table().Peers {
-			var n uint64
-			for _, c := range peer.Client.Stats().Calls {
-				n += c
-			}
-			out = append(out, n-peer.Client.Stats().Calls[rpc.KindHealth]) // the prober's, not the access's
-		}
-		return out
-	}
-	for _, k := range []int64{0, 1, total / 3, total / 2, total - 2, total - 1} {
-		before, wire0 := calls(), wire.Load()
+	ks := []int64{0, 1, total / 3, total / 2, total - 2, total - 1}
+	hit := h.Splitters()[splitters/2]
+	for _, k := range append(ks, hit) {
+		before, wire0 := tc.calls(), wire.Load()
 		if _, err := h.Access(k); err != nil {
 			t.Fatalf("Access(%d): %v", k, err)
 		}
-		after, used := calls(), wire.Load()-wire0
+		after, used := tc.calls(), wire.Load()-wire0
 		t.Logf("Access(%d) of %d: RPCs per peer %d/%d (bound %d), %d bytes (bound %d)", k, total, after[0]-before[0], after[1]-before[1], rpcBound, used, byteBound)
 		for i := range before {
 			if d := after[i] - before[i]; d > rpcBound {
-				t.Fatalf("Access(%d) sent peer %d %d RPCs over n=%d, bound %d", k, i, d, total, rpcBound)
+				t.Fatalf("Access(%d) sent peer %d %d RPCs over n=%d behind %d splitters, bound %d", k, i, d, total, splitters, rpcBound)
 			}
 		}
 		if used > byteBound {
 			t.Fatalf("Access(%d) moved %d bytes over n=%d, bound %d", k, used, total, byteBound)
 		}
+		if d := after[0] - before[0] + after[1] - before[1]; k == hit && d != 1 {
+			t.Fatalf("Access(%d), a splitter's rank, cost %d RPCs; the table settles it but for one fetch", k, d)
+		}
 	}
-	if got := tc.maxBatch.Load(); got == 0 || got > pivots || got > rpc.MaxPivots || shard.MaxPivots > rpc.MaxPivots {
-		t.Fatalf("largest batched request carried %d pivots; want 1..%d (a round's m·P), wire cap %d, shard cap %d",
-			got, pivots, rpc.MaxPivots, shard.MaxPivots)
+	if got := tc.maxBatch.Load(); got == 0 || got > pivots {
+		t.Fatalf("largest batched request of a probe carried %d pivots; want 1..%d (a round's m·P)", got, pivots)
 	}
 }
 
@@ -532,13 +628,16 @@ func TestAccessCancelledBetweenRounds(t *testing.T) {
 // the failure contract: queries fail fast with ErrUnavailable (HTTP
 // 503 + Retry-After), and the prober flips the coordinator's readiness.
 func TestDeadNodeDegradation(t *testing.T) {
-	tc := startCluster(t, 2, 2, nil)
+	tc := startClusterOn(t, bigInstance, 2, 2, nil)
 	spec := engine.Spec{Query: twoPath, Order: "x, y, z"}
 	h, err := tc.ce.Prepare(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Access(0); err != nil {
+	// A rank the coordinator's splitter table settles on its own: what
+	// is cached must not answer for a node that is gone.
+	k := tc.splitterRank(t, spec, 1)
+	if _, err := h.Access(k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -550,7 +649,7 @@ func TestDeadNodeDegradation(t *testing.T) {
 	// warm paths hit the retry-once-then-fail contract.
 	_ = tc.servers[1].Close()
 
-	if _, err := h.Access(0); !errors.Is(err, rpc.ErrUnavailable) {
+	if _, err := h.Access(k); !errors.Is(err, rpc.ErrUnavailable) {
 		t.Fatalf("Access over dead node = %v, want ErrUnavailable", err)
 	}
 	// A fresh spec cannot even prepare.
@@ -563,7 +662,7 @@ func TestDeadNodeDegradation(t *testing.T) {
 	srv := httptest.NewServer(serve.NewHandlerWith(tc.ce, serve.Config{ReadyCheck: tc.coord.ReadyReasons}))
 	defer srv.Close()
 	st, _, hdr := postBody(t, srv.URL+"/v1/instance/access", map[string]any{
-		"query": twoPath, "order": "x, y, z", "ks": []int64{0},
+		"query": twoPath, "order": "x, y, z", "ks": []int64{k},
 	})
 	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Fatalf("access over dead node: status %d, Retry-After %q", st, hdr.Get("Retry-After"))
@@ -624,18 +723,23 @@ func TestFaultInjectedBoot(t *testing.T) {
 // coordinator's cached handles permanently — honest ErrStaleVersion
 // (HTTP 410 Gone), never silently mixed-version answers.
 func TestStaleVersionAfterNodeMutation(t *testing.T) {
-	tc := startCluster(t, 2, 2, nil)
+	tc := startClusterOn(t, bigInstance, 2, 2, nil)
 	srv := httptest.NewServer(serve.NewHandler(tc.ce))
 	defer srv.Close()
 	reg := map[string]any{"name": "q", "query": twoPath, "order": "x, y, z"}
 	if st, body, _ := postBody(t, srv.URL+"/v1/queries", reg); st != http.StatusOK && st != http.StatusCreated {
 		t.Fatalf("register: %d %s", st, body)
 	}
-	h, err := tc.ce.Prepare(engine.Spec{Query: twoPath, Order: "x, y, z"})
+	spec := engine.Spec{Query: twoPath, Order: "x, y, z"}
+	h, err := tc.ce.Prepare(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Access(0); err != nil {
+	// A rank the coordinator's splitter table settles on its own: what
+	// was priced at the prepared version must not answer for a node
+	// that moved past it.
+	k := tc.splitterRank(t, spec, 0)
+	if _, err := h.Access(k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -644,10 +748,10 @@ func TestStaleVersionAfterNodeMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := h.Access(0); !errors.Is(err, rpc.ErrStaleVersion) {
+	if _, err := h.Access(k); !errors.Is(err, rpc.ErrStaleVersion) {
 		t.Fatalf("Access after node mutation = %v, want ErrStaleVersion", err)
 	}
-	st, body, _ := postBody(t, srv.URL+"/v1/queries/q/access", map[string]any{"ks": []int64{0}})
+	st, body, _ := postBody(t, srv.URL+"/v1/queries/q/access", map[string]any{"ks": []int64{k}})
 	if st != http.StatusGone {
 		t.Fatalf("v1 access after node mutation = %d %s, want 410", st, body)
 	}
@@ -699,6 +803,42 @@ func TestConfigPlacement(t *testing.T) {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Fatalf("Parse accepted %s", bad)
 		}
+	}
+}
+
+// TestAccessSplitAllocs pins the coordinator-side cost of dividing one
+// round's batched access among the nodes: five allocations whatever the
+// round carries, sized by one counting pass.
+func TestAccessSplitAllocs(t *testing.T) {
+	r := &clusterRanker{peers: make([]rankPeer, 2), owner: []int{0, 1, 0, 1}}
+	shards, pos := make([]int, shard.PivotsPerWindow*len(r.owner)), make([]int64, shard.PivotsPerWindow*len(r.owner))
+	for i := range shards {
+		shards[i], pos[i] = i/shard.PivotsPerWindow, int64(i)
+	}
+	batches, err := r.split(shards, pos)
+	if err != nil || len(batches) != 2 {
+		t.Fatalf("split = %d batches, %v", len(batches), err)
+	}
+	for i, b := range batches {
+		if b.peer != &r.peers[i] || len(b.at) != len(shards)/2 || len(b.shards) != len(b.at) || len(b.pos) != len(b.at) {
+			t.Fatalf("batch %d: %+v", i, b)
+		}
+		for j, at := range b.at {
+			if r.owner[shards[at]] != i || b.shards[j] != shards[at] || b.pos[j] != pos[at] || (j > 0 && at <= b.at[j-1]) {
+				t.Fatalf("batch %d entry %d: request index %d, shard %d, position %d", i, j, at, b.shards[j], b.pos[j])
+			}
+		}
+	}
+	if _, err := r.split([]int{len(r.owner)}, []int64{0}); err == nil {
+		t.Fatal("split accepted a shard outside the partitioning")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := r.split(shards, pos); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("splitting %d positions over 2 nodes allocates %.0f times, ceiling 5", len(shards), allocs)
 	}
 }
 

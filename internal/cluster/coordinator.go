@@ -22,15 +22,25 @@ import (
 // machinery the in-process sharded path uses, so distributed answers
 // are byte-identical to single-node answers by construction.
 //
-// A global Access(k) costs about log_{m·P+1} n scatter ROUNDS (m =
-// shard's PivotsPerWindow): each round of the handle's rank search
-// takes m pivots from every open shard window, fetches them with one
-// AccessBatch RPC per owning node and prices all of them on all shards
-// with one RankBatch RPC per node, nodes in parallel (the
+// Preparing a spec also prices the handle's splitter table (shard's
+// SplittersPerShard positions of every shard, S in all, S·(P+2) words
+// on the coordinator, at most 1 MiB): ⌈S/MaxPivots⌉ rounds like the ones
+// below over fixed positions, once per (spec, version); a fill that
+// fails fails the Prepare.
+//
+// A global Access(k) then costs about log_{m·P+1}(n/(S+1)) scatter
+// ROUNDS (m = shard's PivotsPerWindow) — the table starts the search
+// between the two splitters that bracket k: each round of the handle's
+// rank search takes m pivots from every open shard window, fetches them
+// with one AccessBatch RPC per owning node and prices all of them on
+// all shards with one RankBatch RPC per node, nodes in parallel (the
 // clusterRanker) — two sequential round trips per round however wide
-// it is — plus at most one single-position AccessBatch for the result.
-// A range adds one parallel Range scatter to prime the merge, then one
-// Range RPC per refill. TestDistributedRPCBudget pins the arithmetic.
+// it is — plus at most one single-position AccessBatch for the result,
+// which a search the table settles outright still sends: the table
+// holds ranks, never answers, so a node that died or moved past the
+// prepared version still fails every access that needs it. A range adds
+// one parallel Range scatter to prime the merge, then one Range RPC per
+// refill. TestDistributedRPCBudget pins the arithmetic.
 type Coordinator struct {
 	table  *Table
 	prober *Prober
@@ -157,8 +167,8 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	ranker := &clusterRanker{peers: make([]rankPeer, len(peers)), owner: make([]int, dp.Part.P), tracer: c.tracer}
 	for i, p := range peers {
 		ranker.peers[i] = rankPeer{c: p.Client, spec: specs[i], version: infos[i].Version}
-		// Part totals come from the Prepare responses, so constructing
-		// the handle performs no extra RPCs.
+		// Part totals come from the Prepare responses: the only RPCs of
+		// assembling the handle are its splitter fill's.
 		for j, sIdx := range p.Shards {
 			ranker.owner[sIdx] = i
 			parts[sIdx] = &clusterPart{rankPeer: &ranker.peers[i], shard: sIdx, total: infos[i].Totals[j]}
@@ -172,6 +182,13 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	if err != nil {
 		return nil, fmt.Errorf("cluster: nodes disagree with the plan: %w", err)
 	}
+	// Assembling the handle prices its splitter table on the nodes; a
+	// node that fails that fails the Prepare (the ranker's errors
+	// already say which).
+	sh, err := shard.NewRemote(ctx, dp.Query, dp.Part, parts, kind.Comparator(dp.Query, completed), ranker, completed)
+	if err != nil {
+		return nil, err
+	}
 	return &engine.RemoteHandle{
 		Query: dp.Query,
 		Plan: engine.Plan{
@@ -181,7 +198,7 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 			Shards:    dp.Part.P,
 			ShardBy:   dp.Part.VarName,
 		},
-		Sh: shard.NewRemote(dp.Query, dp.Part, parts, kind.Comparator(dp.Query, completed), ranker, completed),
+		Sh: sh,
 	}, nil
 }
 
@@ -288,31 +305,57 @@ type clusterRanker struct {
 
 var _ shard.BatchRanker = (*clusterRanker)(nil)
 
-func (r *clusterRanker) AccessAll(ctx context.Context, shards []int, pos []int64) ([]order.Answer, error) {
-	// Split the request by owner, keeping request order within a node.
-	type batch struct {
-		peer   *rankPeer
-		at     []int // indices into the request
-		shards []int
-		pos    []int64
-	}
-	byPeer := make([]*batch, len(r.peers))
-	var batches []*batch
-	for i, s := range shards {
+// ownerBatch is one node's share of a batched access.
+type ownerBatch struct {
+	peer   *rankPeer
+	at     []int // indices into the request
+	shards []int
+	pos    []int64
+}
+
+// split divides a batched access by owner, keeping request order within
+// a node. One counting pass sizes every slice, so a split allocates five
+// times whatever the request's length and the number of nodes — the
+// count table, the batches, and one backing array per field — where
+// appending from nil regrew three slices per node per round.
+func (r *clusterRanker) split(shards []int, pos []int64) ([]ownerBatch, error) {
+	counts := make([]int, len(r.peers))
+	owners := 0
+	for _, s := range shards {
 		if s < 0 || s >= len(r.owner) {
 			return nil, fmt.Errorf("cluster: access of shard %d outside [0, %d)", s, len(r.owner))
 		}
-		b := byPeer[r.owner[s]]
-		if b == nil {
-			b = &batch{peer: &r.peers[r.owner[s]]}
-			byPeer[r.owner[s]] = b
-			batches = append(batches, b)
+		if counts[r.owner[s]]++; counts[r.owner[s]] == 1 {
+			owners++
 		}
+	}
+	batches := make([]ownerBatch, 0, owners)
+	at, sh, ps := make([]int, len(shards)), make([]int, len(shards)), make([]int64, len(shards))
+	off := 0
+	for i, n := range counts {
+		if n == 0 {
+			continue
+		}
+		counts[i] = len(batches) // from here on: the node's batch
+		end := off + n
+		batches = append(batches, ownerBatch{peer: &r.peers[i], at: at[off:off:end], shards: sh[off:off:end], pos: ps[off:off:end]})
+		off = end
+	}
+	for i, s := range shards {
+		b := &batches[counts[r.owner[s]]]
 		b.at, b.shards, b.pos = append(b.at, i), append(b.shards, s), append(b.pos, pos[i])
 	}
+	return batches, nil
+}
+
+func (r *clusterRanker) AccessAll(ctx context.Context, shards []int, pos []int64) ([]order.Answer, error) {
+	batches, err := r.split(shards, pos)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]order.Answer, len(pos))
-	err := scatter(len(batches), func(i int) error {
-		b := batches[i]
+	err = scatter(len(batches), func(i int) error {
+		b := &batches[i]
 		got, err := b.peer.c.AccessBatch(ctx, b.peer.spec, b.peer.version, b.shards, b.pos)
 		if err != nil {
 			return fmt.Errorf("cluster: access on %s: %w", b.peer.c.Addr(), err)

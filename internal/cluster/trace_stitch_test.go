@@ -16,10 +16,12 @@ import (
 // TestTraceStitchesAcrossCluster is the end-to-end tracing contract:
 // one client request through an HTTP coordinator over two shard nodes
 // produces ONE trace — rooted at the coordinator's HTTP server span,
-// with at least one rank-round span per peer, continued on every shard
-// node (server + per-shard engine spans under the same trace id),
-// visible in each process's /debug/traces, and linked from a /metrics
-// latency exemplar on the coordinator.
+// with at least one rank-round span per peer (the request prepares its
+// spec, so the splitter fill's rounds are its own; the probes behind the
+// table may need none), continued on every shard node (server +
+// per-shard engine spans under the same trace id), visible in each
+// process's /debug/traces, and linked from a /metrics latency exemplar
+// on the coordinator.
 func TestTraceStitchesAcrossCluster(t *testing.T) {
 	const p = 4
 	tc := startCluster(t, 2, p, nil)
@@ -68,7 +70,8 @@ func TestTraceStitchesAcrossCluster(t *testing.T) {
 	if root := co.Root(); root.Kind != trace.KindServer {
 		t.Fatalf("coordinator root span: %q kind %v", root.Name, root.Kind)
 	}
-	// ≥1 rank-round span per peer, parented inside this trace.
+	// ≥1 rank-round span per peer, parented inside this trace: the
+	// fill's at least, whatever the three probes needed on top.
 	// Exactly one span per peer per round: every round_seq shows up
 	// once under each peer, and says how many pivots the round priced.
 	roundsByPeer := map[string]map[int64]int{}

@@ -178,7 +178,10 @@ func TestPlanParityAcrossOwners(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			merged := loop.Handle(kind)
+			merged, err := loop.Handle(context.Background(), kind)
+			if err != nil {
+				t.Fatal(err)
+			}
 			check("owned {0,2}+{1,3}", func(k0, k1 int64) ([]int64, error) {
 				if k1 == k0+1 {
 					return merged.AppendTuple(nil, dp.Query.Head, k0)

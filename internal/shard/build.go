@@ -138,7 +138,8 @@ func Build(ctx context.Context, q *cq.Query, in *database.Instance, k Kind, pt P
 
 // Merge turns the result of a Build that owns every shard into the
 // merging accessor; it takes Build's results directly so a full build
-// is one expression.
+// is one expression. It prices the handle's splitter table in process
+// (one AccessInto and P−1 Ranks per splitter, a few milliseconds).
 func Merge(o *Owned, err error) (*Handle, error) {
 	if err != nil {
 		return nil, err
@@ -153,6 +154,10 @@ func Merge(o *Owned, err error) (*Handle, error) {
 	h := newHandle(o.Query, o.Part, totals, o.kind.Comparator(o.Query, o.completed))
 	h.parts = o.parts
 	h.Completed = o.completed
+	// In-process pricing neither blocks nor reads its context.
+	if err := h.fillSplitters(context.Background()); err != nil {
+		return nil, err
+	}
 	return h, nil
 }
 

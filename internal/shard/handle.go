@@ -40,6 +40,9 @@ type Handle struct {
 	totals []int64
 	total  int64
 	cmp    func(a, b order.Answer) int
+	// split starts every rank search two rounds in (see splitters);
+	// filled once by Merge / NewRemote, immutable afterwards.
+	split splitters
 
 	probes sync.Pool
 }
@@ -53,9 +56,8 @@ type probe struct {
 	cur   []order.Answer
 	idx   []int64
 	// One rank round's pivots: xs[i] is the answer at local index
-	// pivPos[i] of shard pivShard[i]. In process a round has one pivot
-	// priced into ranks; a remote round prices its i-th pivot into
-	// pivRanks[i*P : (i+1)*P].
+	// pivPos[i] of shard pivShard[i], priced into
+	// pivRanks[i*P : (i+1)*P] (see price).
 	pivShard []int
 	pivPos   []int64
 	xs       []order.Answer
@@ -113,17 +115,22 @@ func (h *Handle) putProbe(p *probe) { h.probes.Put(p) }
 // window that could still hold the k-th answer. Each round prices
 // pivots — local answers taken from the open windows — on every shard
 // (Rank = answers strictly below, O(log n) each) and applies one
-// narrowing rule per pivot: a pivot of global rank k is the result,
-// otherwise every shard discards what the pivot priced on the wrong
-// side of k. In process a round is one pivot, the median of the widest
+// narrowing rule per pivot (see narrow): a pivot of global rank k is the
+// result, otherwise every shard discards what the pivot priced on the
+// wrong side of k. The handle's splitter table holds S such pivots
+// priced ahead of time, so the search starts from the two that bracket
+// k — windows about 1/(S+1) as wide as the shards, ⌈log_{m·P+1}(n/(S+1))⌉
+// rounds to go instead of ⌈log_{m·P+1} n⌉ — and only then pays for
+// rounds. In process a round is one pivot, the median of the widest
 // window; over remote parts a round is a batch (see pickPivots), because
 // there a round costs two network round trips however many pivots ride
 // in it. Once a single window is left open the result's local index is
-// determined and is fetched directly. On return pr.ranks holds each
-// shard's count of answers strictly below the result — the owner's
-// entry is the result's local index — which AppendRange uses as its
-// per-shard merge cursors. The returned answer may alias the owner's
-// probe buffer in pr.
+// determined and is fetched directly: the table keeps no answers, so
+// every access reaches the owner of its result at least once. On return
+// pr.ranks holds each shard's count of answers strictly below the result
+// — the owner's entry is the result's local index — which AppendRange
+// uses as its per-shard merge cursors. The returned answer may alias the
+// owner's probe buffer in pr.
 func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, error) {
 	if k < 0 || k >= h.total {
 		return nil, access.ErrOutOfBound
@@ -133,6 +140,7 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, 
 	for j := range lo {
 		lo[j], hi[j] = 0, h.totals[j]
 	}
+	h.split.seed(pr, k)
 	// A round at least halves every window it takes pivots from (in
 	// process the widest, remote all that fit the round); 64 bits per
 	// part bounds the total number of halvings.
@@ -168,64 +176,61 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, 
 			pr.ranks[s] = m
 			return h.accessOne(ctx, pr, s, m)
 		}
-		xs, ranks := pr.xs, pr.ranks
 		if h.ranker != nil {
-			var err error
-			if xs, ranks, err = h.priceRemote(ctx, pr, open); err != nil {
-				return nil, err
-			}
+			h.pickPivots(pr, open)
 		} else {
-			m := lo[s] + width/2
-			x, err := h.accessOne(ctx, pr, s, m)
-			if err != nil {
-				return nil, err
-			}
-			pr.pivShard[0], pr.pivPos[0], xs[0] = s, m, x
-			for j, part := range h.parts {
-				if j != s {
-					ranks[j], _ = part.Rank(x)
-				}
-			}
+			pr.pivShard, pr.pivPos = append(pr.pivShard[:0], s), append(pr.pivPos[:0], lo[s]+width/2)
+		}
+		xs, ranks, err := h.price(ctx, pr)
+		if err != nil {
+			return nil, err
 		}
 		for i, x := range xs {
-			s, m, rk := pr.pivShard[i], pr.pivPos[i], ranks[i*p:(i+1)*p]
-			// The owner's rank of its own m-th answer is m by
-			// definition; pinning it also shields the batched path
-			// from owner drift.
-			rk[s] = m
-			var r int64
-			for _, rj := range rk {
-				r += rj
-			}
-			switch {
-			case r == k:
-				copy(pr.ranks, rk)
+			if pr.narrow(k, pr.pivShard[i], ranks[i*p:(i+1)*p]) {
 				return x, nil
-			case r > k:
-				// The k-th answer precedes x: its local index in any
-				// shard is below that shard's count of answers
-				// preceding x.
-				for j, rj := range rk {
-					if rj < hi[j] {
-						hi[j] = rj
-					}
-				}
-			default:
-				// The k-th answer follows x: at least rk[j] local
-				// answers precede it everywhere, and x itself is
-				// excluded in its own shard.
-				for j, rj := range rk {
-					if rj > lo[j] {
-						lo[j] = rj
-					}
-				}
-				if m+1 > lo[s] {
-					lo[s] = m + 1
-				}
 			}
 		}
 	}
 	return nil, fmt.Errorf("shard: internal: rank search did not converge for k=%d", k)
+}
+
+// narrow is the search's one narrowing rule: it applies a priced pivot
+// — the answer at local index rk[s] of shard s, with rk[j] answers
+// strictly below it in shard j — to the windows of the search for k. It
+// reports whether the pivot is the k-th answer itself; pr.ranks then
+// holds rk.
+func (pr *probe) narrow(k int64, s int, rk []int64) bool {
+	var r int64
+	for _, rj := range rk {
+		r += rj
+	}
+	switch {
+	case r == k:
+		copy(pr.ranks, rk)
+		return true
+	case r > k:
+		// The k-th answer precedes the pivot: its local index in any
+		// shard is below that shard's count of answers preceding the
+		// pivot.
+		for j, rj := range rk {
+			if rj < pr.hi[j] {
+				pr.hi[j] = rj
+			}
+		}
+	default:
+		// The k-th answer follows the pivot: at least rk[j] local
+		// answers precede it everywhere, and the pivot itself is
+		// excluded in its own shard.
+		for j, rj := range rk {
+			if rj > pr.lo[j] {
+				pr.lo[j] = rj
+			}
+		}
+		if rk[s]+1 > pr.lo[s] {
+			pr.lo[s] = rk[s] + 1
+		}
+	}
+	return false
 }
 
 // accessOne fetches the answer at local index m of shard s.
@@ -236,6 +241,11 @@ func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (orde
 			return nil, fmt.Errorf("shard: internal: part %d access(%d): %w", s, m, err)
 		}
 		return x, nil
+	}
+	// A caller that gave up costs the nodes nothing further, not even
+	// the one fetch a search the table settled would still send.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	xs, err := h.ranker.AccessAll(ctx, append(pr.pivShard[:0], s), append(pr.pivPos[:0], m))
 	if err != nil {
@@ -254,7 +264,11 @@ func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (orde
 // by measurement, not a setting: on the cluster_read benchmark workload
 // (P = 4, n ≈ 10⁹) m = 4, 6, 8, 12 gave point medians of 2.9–3.1, 2.7–
 // 3.1, 2.7 and 2.8 ms and m ≥ 16 was slower still — past 8 the extra
-// pivots cost the nodes more CPU than the rounds they save.
+// pivots cost the nodes more CPU than the rounds they save. Swept again
+// behind the splitter table, whose remaining ≈ 2 rounds price pivots
+// that sit close together: m = 4, 8, 12, 16 gave medians of 1 145,
+// 1 096, 1 078 and 1 152 µs over three alternating runs each, every one
+// inside the others' 1.04–1.21 ms spread, so 8 stays.
 const PivotsPerWindow = 8
 
 // MaxPivots caps the pivots of one rank round, and with it what a
@@ -268,12 +282,9 @@ const _ = uint(MaxPivots - MaxShards) // does not compile if a round cannot hold
 // pickPivots chooses one remote round's pivots into pr.pivShard and
 // pr.pivPos: a window no wider than its share is taken whole (so the
 // search ends by pricing the result itself), a wider one contributes
-// evenly spaced positions, at most 1/per of the window apart. The o-th
-// open window is offset by o/open of a step: shards of one partitioning
-// hold statistically alike slices of the order, so unstaggered quantiles
-// would price P near-equal pivots per step and waste all but one. The
-// choice depends on the windows alone, so a probe's rounds repeat
-// exactly.
+// evenly spaced positions, at most 1/per of the window apart (see
+// spread). The choice depends on the windows alone, so a probe's rounds
+// repeat exactly.
 func (h *Handle) pickPivots(pr *probe, open int) {
 	per, stagger := PivotsPerWindow, open
 	if per*open > MaxPivots {
@@ -283,7 +294,6 @@ func (h *Handle) pickPivots(pr *probe, open int) {
 		// pivots toward its edge.
 		per, stagger = MaxPivots/open, 1
 	}
-	den := int64(per*stagger + 1)
 	pr.pivShard, pr.pivPos = pr.pivShard[:0], pr.pivPos[:0]
 	o := 0
 	for j, l := range pr.lo {
@@ -296,41 +306,78 @@ func (h *Handle) pickPivots(pr *probe, open int) {
 				pr.pivShard, pr.pivPos = append(pr.pivShard, j), append(pr.pivPos, m)
 			}
 		} else {
-			// l + w·num/den without overflowing on 2^62-answer shards.
-			q, r := w/den, w%den
-			for i := 0; i < per; i++ {
-				num := int64(i*stagger + o%stagger + 1)
-				pr.pivShard, pr.pivPos = append(pr.pivShard, j), append(pr.pivPos, l+q*num+r*num/den)
-			}
+			pr.pivShard, pr.pivPos = spread(pr.pivShard, pr.pivPos, j, l, w, per, stagger, o)
 		}
 		o++
 	}
 }
 
-// priceRemote runs one remote rank round: pick the pivots, fetch them
-// with one batched access per owning node, price all of them on all
-// shards with one batched rank per node.
-func (h *Handle) priceRemote(ctx context.Context, pr *probe, open int) ([]order.Answer, []int64, error) {
-	// A caller that gave up stops the search between rounds: no
-	// further call leaves for any node.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+// spread appends per evenly spaced positions of shard j's window
+// [l, l+w), w > per, to shards and pos. The o-th of stagger windows is
+// offset by o/stagger of a step: shards of one partitioning hold
+// statistically alike slices of the order, so unstaggered quantiles
+// would price P near-equal pivots per step and waste all but one.
+func spread(shards []int, pos []int64, j int, l, w int64, per, stagger, o int) ([]int, []int64) {
+	// l + w·num/den without overflowing on 2^62-answer shards.
+	den := int64(per*stagger + 1)
+	q, r := w/den, w%den
+	for i := 0; i < per; i++ {
+		num := int64(i*stagger + o%stagger + 1)
+		shards, pos = append(shards, j), append(pos, l+q*num+r*num/den)
 	}
-	h.pickPivots(pr, open)
-	xs, err := h.ranker.AccessAll(ctx, pr.pivShard, pr.pivPos)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(xs) != len(pr.pivPos) {
-		return nil, nil, fmt.Errorf("shard: batched access of %d positions returned %d answers", len(pr.pivPos), len(xs))
-	}
-	n := len(xs) * len(h.totals)
+	return shards, pos
+}
+
+// price runs one rank round over the pivots in pr.pivShard and
+// pr.pivPos: it fetches them and prices each on every shard, so that
+// ranks[i*P+j] is shard j's count of answers strictly below xs[i]. Over
+// remote parts that is one batched access per owning node and one
+// batched rank per node; in process one AccessInto and P−1 Ranks per
+// pivot, and xs[i] aliases its shard's probe buffer — a later pivot of
+// the same shard overwrites it (a search prices one pivot a round, the
+// splitter fill keeps only the ranks).
+func (h *Handle) price(ctx context.Context, pr *probe) ([]order.Answer, []int64, error) {
+	p := len(h.totals)
+	n := len(pr.pivPos) * p
 	if cap(pr.pivRanks) < n {
 		pr.pivRanks = make([]int64, n)
 	}
-	ranks := pr.pivRanks[:n]
-	if _, err := h.ranker.RankAll(ctx, xs, ranks); err != nil {
-		return nil, nil, err
+	xs, ranks := pr.xs[:0], pr.pivRanks[:n]
+	if h.ranker == nil {
+		for i, s := range pr.pivShard {
+			x, err := h.accessOne(ctx, pr, s, pr.pivPos[i])
+			if err != nil {
+				return nil, nil, err
+			}
+			for j, part := range h.parts {
+				if j != s {
+					ranks[i*p+j], _ = part.Rank(x)
+				}
+			}
+			xs = append(xs, x)
+		}
+		pr.xs = xs
+	} else {
+		// A caller that gave up stops the search between rounds: no
+		// further call leaves for any node.
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		var err error
+		if xs, err = h.ranker.AccessAll(ctx, pr.pivShard, pr.pivPos); err != nil {
+			return nil, nil, err
+		}
+		if len(xs) != len(pr.pivPos) {
+			return nil, nil, fmt.Errorf("shard: batched access of %d positions returned %d answers", len(pr.pivPos), len(xs))
+		}
+		if _, err := h.ranker.RankAll(ctx, xs, ranks); err != nil {
+			return nil, nil, err
+		}
+	}
+	// The owner's rank of its own m-th answer is m by definition;
+	// pinning it also shields the batched path from owner drift.
+	for i, s := range pr.pivShard {
+		ranks[i*p+s] = pr.pivPos[i]
 	}
 	return xs, ranks, nil
 }

@@ -23,8 +23,10 @@ type RemotePart interface {
 // issues one RPC per owning node — each node serves all its owned
 // shards locally — and runs the nodes in parallel. A locate round is
 // one AccessAll plus one RankAll, two round trips, regardless of P and
-// of how many pivots it prices. Implementations must be safe for
-// concurrent use.
+// of how many pivots it prices (at most PivotsPerWindow·P; a batch of
+// the splitter fill, which runs the same two calls over fixed positions
+// when the handle is assembled, up to MaxPivots). Implementations must
+// be safe for concurrent use.
 type BatchRanker interface {
 	// AccessAll returns, for every i, the answer at local index pos[i]
 	// of shard shards[i], in request order. The answers must not alias
@@ -43,8 +45,10 @@ type BatchRanker interface {
 // rank pricing going through the batch ranker and range windows through
 // parts[i]. cmp must realize the same total order every node's
 // structures sort by; completed is the realized lex order of layered
-// builds (zero for SUM orders).
-func NewRemote(q *cq.Query, pt Partitioning, parts []RemotePart, cmp func(a, b order.Answer) int, ranker BatchRanker, completed order.Lex) *Handle {
+// builds (zero for SUM orders). Assembling prices the handle's splitter
+// table through the ranker — ⌈S/MaxPivots⌉ rounds under ctx — and fails
+// if that fails: there is no table-less handle.
+func NewRemote(ctx context.Context, q *cq.Query, pt Partitioning, parts []RemotePart, cmp func(a, b order.Answer) int, ranker BatchRanker, completed order.Lex) (*Handle, error) {
 	totals := make([]int64, len(parts))
 	for i, rp := range parts {
 		totals[i] = rp.Total()
@@ -52,5 +56,8 @@ func NewRemote(q *cq.Query, pt Partitioning, parts []RemotePart, cmp func(a, b o
 	h := newHandle(q, pt, totals, cmp)
 	h.remote, h.ranker = parts, ranker
 	h.Completed = completed
-	return h
+	if err := h.fillSplitters(ctx); err != nil {
+		return nil, err
+	}
+	return h, nil
 }

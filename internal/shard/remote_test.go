@@ -31,10 +31,29 @@ type layout struct {
 	in   *database.Instance
 }
 
+// randomInstance draws nR rows of R over dom × dom and nS rows of S over
+// dom × domZ.
+func randomInstance(seed int64, nR, nS, dom, domZ int) *database.Instance {
+	rng := rand.New(rand.NewSource(seed))
+	in := database.NewInstance()
+	for i := 0; i < nR; i++ {
+		in.AddRow("R", values.Value(rng.Intn(dom)), values.Value(rng.Intn(dom)))
+	}
+	for i := 0; i < nS; i++ {
+		in.AddRow("S", values.Value(rng.Intn(dom)), values.Value(rng.Intn(domZ)))
+	}
+	in.SetRelation("R", in.Relation("R").Dedup())
+	in.SetRelation("S", in.Relation("S").Dedup())
+	return in
+}
+
 func layouts() []layout {
+	// Enough rows of R on one partition value that its shard gets
+	// splitters under either query.
+	const wide = shard.SplittersPerShard + 176
 	// One shard holds > 99 % of the answers of either query.
 	skew := database.NewInstance()
-	for i := 0; i < 300; i++ {
+	for i := 0; i < wide; i++ {
 		skew.AddRow("R", values.Value(i), skewedAt)
 	}
 	for j := 0; j < 6; j++ {
@@ -45,35 +64,33 @@ func layouts() []layout {
 		skew.AddRow("S", y, 0)
 	}
 	// Two partition values: at P = 8 most shards are empty, and P
-	// exceeds the number of distinct partition values.
+	// exceeds the number of distinct partition values. Both non-empty
+	// shards are wide enough for splitters under either query.
 	sparse := database.NewInstance()
-	for i := 0; i < 40; i++ {
-		sparse.AddRow("R", values.Value(i%13), values.Value(i%2))
-		sparse.AddRow("S", values.Value(i%2), values.Value(i%11))
-	}
-	sparse.SetRelation("R", sparse.Relation("R").Dedup())
-	sparse.SetRelation("S", sparse.Relation("S").Dedup())
-	random := func(seed int64, n, dom int) *database.Instance {
-		rng := rand.New(rand.NewSource(seed))
-		in := database.NewInstance()
-		for i := 0; i < n; i++ {
-			in.AddRow("R", values.Value(rng.Intn(dom)), values.Value(rng.Intn(dom)))
-			in.AddRow("S", values.Value(rng.Intn(dom)), values.Value(rng.Intn(dom)))
+	for y := values.Value(0); y < 2; y++ {
+		for x := values.Value(0); x < wide; x++ {
+			sparse.AddRow("R", x, y)
 		}
-		in.SetRelation("R", in.Relation("R").Dedup())
-		in.SetRelation("S", in.Relation("S").Dedup())
-		return in
+		for z := values.Value(0); z < 3; z++ {
+			sparse.AddRow("S", y, z)
+		}
 	}
 	return []layout{
 		{"one shard holds 99%", 4, skew},
 		{"empty shards, P > partition values", 8, sparse},
-		{"P = 1", 1, random(5, 120, 12)},
+		{"P = 1", 1, randomInstance(5, 400, 400, 20, 20)},
 		// Every shard window is narrower than PivotsPerWindow from the
 		// first round on.
-		{"windows narrower than m", 3, random(6, 7, 4)},
-		{"balanced", 4, random(7, 300, 25)},
+		{"windows narrower than m", 3, randomInstance(6, 7, 7, 4, 4)},
+		// Every shard is wide enough for splitters under either query.
+		{"balanced", 4, randomInstance(7, 12000, 100, 100, 3)},
 	}
 }
+
+// tabled reports whether the layout's handles must carry a splitter
+// table: all but the single shard and the one whose shards are narrower
+// than a round.
+func (l layout) tabled() bool { return l.p != 1 && l.p != 3 }
 
 // remoteCase is one structure kind over one query.
 type remoteCase struct {
@@ -130,14 +147,20 @@ func remoteHandle(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind
 	if err != nil {
 		t.Fatal(err)
 	}
-	return loop.Handle(k), loop
+	h, err := loop.Handle(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, loop
 }
 
 // TestRemoteOracle checks the batched k-ary rank search against the
 // brute-force baseline with no socket in the way: for every structure
 // kind on every adversarial layout, EVERY rank k, the inverse of every
 // answer, and AppendRange over random windows must reproduce the sorted
-// answer list exactly, with no request over a round's m·P pivots.
+// answer list exactly, with no request over a round's m·P pivots. Every
+// layout wide enough runs with a splitter table, whose fill is counted
+// apart and may fill a batch to MaxPivots.
 func TestRemoteOracle(t *testing.T) {
 	for _, lay := range layouts() {
 		for _, rc := range remoteCases(t) {
@@ -165,10 +188,13 @@ func TestRemoteOracle(t *testing.T) {
 				if h.Total() != total || total == 0 {
 					t.Fatalf("total %d, baseline %d (must be non-empty)", h.Total(), total)
 				}
-				if lay.p == 4 && lay.in.Relation("R").Len() > 300 {
+				if lay.name == "one shard holds 99%" {
 					if big := slices.Max(h.PartTotals()); float64(big) < 0.99*float64(total) {
 						t.Fatalf("skewed layout: largest shard holds %d of %d", big, total)
 					}
+				}
+				if s := len(h.Splitters()); (s > 0) != lay.tabled() || (s > 0) != (loop.FillCalls > 0) || loop.FillMaxBatch > shard.MaxPivots {
+					t.Fatalf("%d splitters over shards of %v, filled by %d calls of up to %d pivots", s, h.PartTotals(), loop.FillCalls, loop.FillMaxBatch)
 				}
 				var dst []values.Value
 				for i := int64(0); i < total; i++ {
@@ -196,7 +222,7 @@ func TestRemoteOracle(t *testing.T) {
 					}
 				}
 				if got := loop.MaxBatch.Load(); got > int64(shard.PivotsPerWindow*lay.p) || got > shard.MaxPivots {
-					t.Fatalf("a request carried %d pivots; a round is at most m·P = %d", got, shard.PivotsPerWindow*lay.p)
+					t.Fatalf("a probe's request carried %d pivots; a round is at most m·P = %d", got, shard.PivotsPerWindow*lay.p)
 				}
 			})
 		}
@@ -206,11 +232,13 @@ func TestRemoteOracle(t *testing.T) {
 // TestRemoteMoreWindowsThanARoundCarries covers the far side of the
 // pivot cap: at MaxShards there are more open windows than a round of
 // m pivots each may carry, so every window contributes fewer. Answers
-// stay exact and the round fills the cap without exceeding it.
+// stay exact and the round fills the cap without exceeding it. The
+// shards are too narrow for splitters, so every search starts from the
+// full windows.
 func TestRemoteMoreWindowsThanARoundCarries(t *testing.T) {
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
-	const p, n = shard.MaxShards, 1500
+	const p, n = shard.MaxShards, 1100
 	rng := rand.New(rand.NewSource(p))
 	in := database.NewInstance()
 	for i := 0; i < n; i++ {
@@ -224,6 +252,9 @@ func TestRemoteMoreWindowsThanARoundCarries(t *testing.T) {
 			t.Fatalf("shard %d holds %d answers: its window would be taken whole", s, total)
 		}
 	}
+	if s := len(h.Splitters()); s != 0 {
+		t.Fatalf("%d splitters over shards of %v: the first round would not see %d open windows", s, h.PartTotals(), p)
+	}
 	for i := 0; i < len(sorted); i += 97 {
 		got, err := h.Access(int64(i))
 		if err != nil || !slices.Equal(got, sorted[i]) {
@@ -236,13 +267,16 @@ func TestRemoteMoreWindowsThanARoundCarries(t *testing.T) {
 }
 
 // TestRemoteSingleShardIsOneAccess: with one shard there is nothing to
-// search — each probe is one batched access of one position and no rank
-// round at all.
+// search — no splitter is priced, and each probe is one batched access
+// of one position and no rank round at all.
 func TestRemoteSingleShardIsOneAccess(t *testing.T) {
 	lay := layouts()[2]
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
 	h, loop := remoteHandle(t, q, lay.in, k, 1)
+	if s := len(h.Splitters()); s != 0 || loop.FillCalls != 0 || h.Total() <= shard.SplittersPerShard {
+		t.Fatalf("%d splitters, %d fill calls over one shard of %d answers; want none, on a shard wide enough to have them", s, loop.FillCalls, h.Total())
+	}
 	for i := int64(0); i < h.Total(); i += 7 {
 		if _, err := h.Access(i); err != nil {
 			t.Fatal(err)
@@ -308,30 +342,40 @@ func TestRemoteRangePrimesInParallel(t *testing.T) {
 
 // TestRemoteLocateStopsBetweenRounds: a caller that gives up while a
 // round is in flight gets its error before the next round starts — not
-// one more call leaves.
+// one more call leaves. The instance is deep enough that the splitters
+// leave a search two rounds to run.
 func TestRemoteLocateStopsBetweenRounds(t *testing.T) {
-	lay := layouts()[4]
 	q := cq.MustParse(twoPath)
-	h, loop := remoteHandle(t, q, lay.in, remoteCases(t)[0].kind(q), lay.p)
+	h, loop := remoteHandle(t, q, deepInstance(), remoteCases(t)[0].kind(q), 4)
+	sent := func() int64 { return loop.AccessCalls.Load() + loop.RankCalls.Load() }
+	// A probe that needs more than the one round.
+	k := int64(-1)
+	for c := h.Total() / 2; c < h.Total() && k < 0; c++ {
+		before := sent()
+		if _, err := h.Access(c); err != nil {
+			t.Fatal(err)
+		}
+		if sent()-before >= 4 {
+			k = c
+		}
+	}
+	if k < 0 {
+		t.Fatalf("no probe of the upper half of %d answers needs two rounds behind %d splitters", h.Total(), len(h.Splitters()))
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sent := func() int64 { return loop.AccessCalls.Load() + loop.RankCalls.Load() }
+	before := sent()
 	loop.OnCall = func() {
-		if sent() == 2 { // round 1's rank scatter is in flight
+		if sent() == before+2 { // round 1's rank scatter is in flight
 			cancel()
 		}
 	}
-	_, err := h.AccessCtx(ctx, h.Total()/2)
+	_, err := h.AccessCtx(ctx, k)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Access cancelled mid-search = %v, want context.Canceled", err)
 	}
-	if n := sent(); n != 2 {
+	if n := sent() - before; n != 2 {
 		t.Fatalf("%d calls left for a search cancelled during its first round, want 2", n)
-	}
-	// The same probe, uncancelled, needs more than the one round.
-	loop.OnCall = nil
-	if _, err := h.Access(h.Total() / 2); err != nil || sent() <= 4 {
-		t.Fatalf("uncancelled probe: %d calls, %v; the layout must need more than one round", sent()-2, err)
 	}
 }
 

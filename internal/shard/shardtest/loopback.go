@@ -24,8 +24,12 @@ type Loopback struct {
 	// AccessCalls, RankCalls and RangeCalls count scatters (one per
 	// AccessAll / RankAll) and range fetches; Pivots sums the positions
 	// and answers they carried, MaxBatch is the largest single call.
+	// They count probes: Handle moves what assembling the handle cost
+	// — its splitter fill — into FillCalls and FillMaxBatch and hands
+	// the handle out with the counters at zero.
 	AccessCalls, RankCalls, RangeCalls atomic.Int64
 	Pivots, MaxBatch                   atomic.Int64
+	FillCalls, FillMaxBatch            int64
 
 	// Delay is slept at the start of every call, standing in for the
 	// round trip.
@@ -56,13 +60,17 @@ func New(owned ...*shard.Owned) (*Loopback, error) {
 
 // Handle assembles the remote handle over the loopback; k must be the
 // kind the owned builds were built with.
-func (l *Loopback) Handle(k shard.Kind) *shard.Handle {
+func (l *Loopback) Handle(ctx context.Context, k shard.Kind) (*shard.Handle, error) {
 	o := l.owned[0]
 	parts := make([]shard.RemotePart, len(l.owner))
 	for s := range parts {
 		parts[s] = loopPart{l: l, s: s}
 	}
-	return shard.NewRemote(o.Query, o.Part, parts, k.Comparator(o.Query, o.Completed()), l, o.Completed())
+	h, err := shard.NewRemote(ctx, o.Query, o.Part, parts, k.Comparator(o.Query, o.Completed()), l, o.Completed())
+	l.FillCalls = l.AccessCalls.Swap(0) + l.RankCalls.Swap(0)
+	l.FillMaxBatch = l.MaxBatch.Swap(0)
+	l.Pivots.Store(0)
+	return h, err
 }
 
 func (l *Loopback) call(ctx context.Context, calls *atomic.Int64, n int) error {
