@@ -13,13 +13,7 @@
 //	rabench -exp thm33 -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof cpu.out
 //
-// Tracing overhead benchmark (per-request serving cost with and without
-// an active tracer, for CI's traced/untraced ratio gate — see
-// tracing.go):
-//
-//	rabench -tracing > tracing.txt
-//	go run ./cmd/benchgate -new tracing.txt \
-//	  -ratio 'BenchmarkTracedAccess/BenchmarkUntracedAccess<=1.05'
+// `rabench -h` lists the experiments (the table `all` below).
 package main
 
 import (
@@ -28,21 +22,54 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"rankedaccess/internal/experiments"
 )
 
+// experiment is one reproduction table: its -exp name, the smallest n
+// of its sweep, and the sweep itself.
+type experiment struct {
+	name string
+	base int
+	run  func(ns []int, seed int64) experiments.Table
+}
+
+// all is every experiment, in the order `-exp all` prints them. Sweeps
+// start at 4096, at 512 where the baseline is super-linear, and at 128
+// where it materializes n² answers.
+var all = []experiment{
+	{"thm33", 4096, func(ns []int, seed int64) experiments.Table { return experiments.Theorem33(ns, 1000, seed) }},
+	{"thm41", 4096, func(ns []int, seed int64) experiments.Table { return experiments.Theorem41(ns, 1000, seed) }},
+	{"thm51", 4096, func(ns []int, seed int64) experiments.Table { return experiments.Theorem51(ns, 1000, seed) }},
+	{"thm61", 4096, experiments.Theorem61},
+	{"thm73", 512, experiments.Theorem73},
+	{"fig8", 128, experiments.Fig8Hardness},
+	{"enum", 512, func(ns []int, seed int64) experiments.Table { return experiments.RankedEnumContrast(ns, 100, seed) }},
+	{"fd", 4096, func(ns []int, seed int64) experiments.Table { return experiments.FDRescue(ns, 1000, seed) }},
+	{"epidemic", 4096, experiments.Epidemic},
+	{"decompose", 512, experiments.TriangleDecomposition},
+	{"union", 512, experiments.UnionAccess},
+}
+
 func main() {
+	names := make([]string, len(all))
+	for i, x := range all {
+		names[i] = x.name
+	}
 	var (
-		exp        = flag.String("exp", "all", "thm33 | thm41 | thm51 | thm61 | thm73 | fig8 | enum | fd | epidemic | all")
+		exp        = flag.String("exp", "all", strings.Join(names, " | ")+" | all")
 		scale      = flag.Int("scale", 2, "sweep scale 1..4 (each step quadruples the largest n)")
 		seed       = flag.Int64("seed", 42, "random seed")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the experiments) to this file")
-		mixed      = flag.Bool("mixed", false, "benchmark read latency under concurrent writes (MVCC write path) instead of the experiments")
-		tracing    = flag.Bool("tracing", false, "benchmark per-request tracing overhead (traced vs untraced) instead of the experiments")
 	)
 	flag.Parse()
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "rabench: unknown experiment %q (want %s | all)\n", *exp, strings.Join(names, " | "))
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -72,56 +99,14 @@ func main() {
 		}()
 	}
 
-	if *mixed {
-		if err := runMixedBench(os.Stdout, *scale, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
+	for _, x := range all {
+		if *exp != "all" && *exp != x.name {
+			continue
 		}
-		return
-	}
-	if *tracing {
-		if err := runTracingBench(os.Stdout, *scale, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	sweep := func(base int) []int {
-		out := []int{base}
+		ns := []int{x.base}
 		for i := 1; i < 3+*scale; i++ {
-			base *= 2
-			out = append(out, base)
+			ns = append(ns, ns[i-1]*2)
 		}
-		return out
-	}
-	big := sweep(4096)
-	small := sweep(512) // experiments whose baseline is super-linear
-	quad := sweep(128)  // experiments whose baseline materializes n² answers
-
-	run := func(name string, tb func() experiments.Table) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Println(tb().Render())
-	}
-	run("thm33", func() experiments.Table { return experiments.Theorem33(big, 1000, *seed) })
-	run("thm41", func() experiments.Table { return experiments.Theorem41(big, 1000, *seed) })
-	run("thm51", func() experiments.Table { return experiments.Theorem51(big, 1000, *seed) })
-	run("thm61", func() experiments.Table { return experiments.Theorem61(big, *seed) })
-	run("thm73", func() experiments.Table { return experiments.Theorem73(small, *seed) })
-	run("fig8", func() experiments.Table { return experiments.Fig8Hardness(quad, *seed) })
-	run("enum", func() experiments.Table { return experiments.RankedEnumContrast(small, 100, *seed) })
-	run("fd", func() experiments.Table { return experiments.FDRescue(big, 1000, *seed) })
-	run("epidemic", func() experiments.Table { return experiments.Epidemic(big, *seed) })
-	run("decompose", func() experiments.Table { return experiments.TriangleDecomposition(small, *seed) })
-	run("union", func() experiments.Table { return experiments.UnionAccess(small, *seed) })
-
-	switch *exp {
-	case "all", "thm33", "thm41", "thm51", "thm61", "thm73", "fig8", "enum", "fd", "epidemic",
-		"decompose", "union":
-	default:
-		fmt.Fprintf(os.Stderr, "rabench: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Println(x.run(ns, *seed).Render())
 	}
 }

@@ -378,8 +378,13 @@ func main() {
 		log.Printf("serve: signal received, draining in-flight requests (up to %s)", drainTimeout)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Fatalf("serve: shutdown: %v", err)
+		// A request that outlives the drain window (one stalled NDJSON
+		// reader suffices) is cut off, not waited for — and costs the exit
+		// code, never the flush below.
+		drainErr := srv.Shutdown(shutdownCtx)
+		if drainErr != nil {
+			log.Printf("serve: shutdown: %v; closing the remaining connections", drainErr)
+			_ = srv.Close()
 		}
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatalf("serve: %v", err)
@@ -404,6 +409,9 @@ func main() {
 		}
 		if tracer != nil {
 			tracer.Close()
+		}
+		if drainErr != nil {
+			os.Exit(1)
 		}
 		log.Printf("serve: drained, bye")
 	}

@@ -92,7 +92,7 @@ func TestCursorNextZeroAllocs(t *testing.T) {
 
 // BenchmarkCursorNext measures the prepared-cursor single-step path:
 // registry-resident handle, reused destination buffer, one O(log n)
-// probe per op. The benchgate requires 0 allocs/op.
+// probe per op. TestCursorNextZeroAllocs requires 0 allocs/op.
 func BenchmarkCursorNext(b *testing.B) {
 	_, pq := buildStreamEngine(b, 1<<14)
 	cur, err := pq.Cursor()

@@ -191,16 +191,6 @@ func (n *Node) Count(ctx context.Context, spec rpc.CountSpec) (int64, error) {
 	return n.e.CountOwned(dp, spec.Owned)
 }
 
-// Rank prices a on every owned shard in one call: the single-answer
-// form of RankBatch, kept for coordinators that predate the batch kind.
-func (n *Node) Rank(ctx context.Context, spec rpc.Spec, version uint64, a order.Answer) ([]int64, bool, error) {
-	ranks, exact, err := n.RankBatch(ctx, spec, version, []order.Answer{a})
-	if err != nil {
-		return nil, false, err
-	}
-	return ranks, exact[0], nil
-}
-
 // RankBatch prices every answer on every owned shard — the node-local
 // half of one coordinator rank round.
 func (n *Node) RankBatch(ctx context.Context, spec rpc.Spec, version uint64, answers []order.Answer) ([]int64, []bool, error) {
@@ -216,17 +206,6 @@ func (n *Node) RankBatch(ctx context.Context, spec rpc.Spec, version uint64, ans
 		sp.SetError(err)
 	}
 	return ranks, exact, err
-}
-
-// Access returns one owned shard's k-th local answer: the single-answer
-// form of AccessBatch, kept for coordinators that predate the batch
-// kind.
-func (n *Node) Access(ctx context.Context, spec rpc.Spec, version uint64, s int, k int64) (order.Answer, error) {
-	out, err := n.AccessBatch(ctx, spec, version, []int{s}, []int64{k})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
 }
 
 // AccessBatch returns the local answers at (shards[i], pos[i]) — the

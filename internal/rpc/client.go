@@ -396,39 +396,15 @@ func (c *Client) Count(ctx context.Context, spec CountSpec) (n int64, err error)
 	return n, err
 }
 
-// Rank prices the answer on every owned shard: ranks is aligned with
-// the spec's Owned slice, exact reports whether some owned shard holds
-// the answer. Coordinators of this build price whole rounds with
-// RankBatch; Rank and Access remain the client half of the
-// single-answer kinds nodes keep serving for older coordinators.
+// Rank prices one answer on every owned shard, as a RankBatch of one:
+// ranks is aligned with the spec's Owned slice, exact reports whether
+// some owned shard holds the answer.
 func (c *Client) Rank(ctx context.Context, spec Spec, version uint64, a order.Answer) (ranks []int64, exact bool, err error) {
-	err = c.call(ctx, KindRank, func(e *enc) {
-		spec.encode(e)
-		e.u64(version)
-		e.answer(a)
-	}, func(d *dec) {
-		ranks = d.i64s()
-		exact = d.u8() != 0
-	})
+	ranks, exacts, err := c.RankBatch(ctx, spec, version, []order.Answer{a})
 	if err != nil {
 		return nil, false, err
 	}
-	if len(ranks) != len(spec.Owned) {
-		return nil, false, fmt.Errorf("%w: %d ranks for %d owned shards", ErrBadFrame, len(ranks), len(spec.Owned))
-	}
-	return ranks, exact, nil
-}
-
-// Access returns one shard's k-th local answer (full answer width,
-// all query variables).
-func (c *Client) Access(ctx context.Context, spec Spec, version uint64, shard int, k int64) (a order.Answer, err error) {
-	err = c.call(ctx, KindAccess, func(e *enc) {
-		spec.encode(e)
-		e.u64(version)
-		e.u32(uint32(shard))
-		e.i64(k)
-	}, func(d *dec) { a = d.answer() })
-	return a, err
+	return ranks, exacts[0], nil
 }
 
 // Range returns one shard's local answers k0 ≤ k < k1 in order.

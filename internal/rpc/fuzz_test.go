@@ -107,8 +107,8 @@ func roundTripFrames() [][]byte {
 	response(KindPrepare, statusOK, info.encode)
 	request(KindCount, (&CountSpec{Query: "Q(x) :- R(x)", P: 4, ShardVar: "x", Owned: []int{0, 2}}).encode)
 	response(KindCount, statusOK, func(e *enc) { e.i64(20) })
-	request(KindRank, func(e *enc) { spec.encode(e); e.u64(7); e.answer(order.Answer{6, 0}) })
-	response(KindRank, statusOK, func(e *enc) { e.i64s([]int64{6, 6}); e.bool(true) })
+	request(KindAccessBatch, (&AccessBatchReq{Spec: spec, Version: 7, Shards: []int{3, 1}, Pos: []int64{4, 0}}).encode)
+	response(KindAccessBatch, statusOK, func(e *enc) { e.answers([]order.Answer{{304, -4}, {100, 0}}) })
 	request(KindRange, func(e *enc) { spec.encode(e); e.u64(7); e.u32(1); e.i64(2); e.i64(5) })
 	response(KindRange, statusOK, func(e *enc) { e.answers([]order.Answer{{102, -2}, {103, -3}, {104, -4}}) })
 	request(KindRankBatch, (&RankBatchReq{Spec: spec, Version: 7, Answers: []order.Answer{{6, 0}, {3, 1}}}).encode)

@@ -58,7 +58,7 @@ func (f *fakeBackend) Count(ctx context.Context, spec CountSpec) (int64, error) 
 	return f.total * int64(len(spec.Owned)), nil
 }
 
-func (f *fakeBackend) Rank(ctx context.Context, spec Spec, version uint64, a order.Answer) ([]int64, bool, error) {
+func (f *fakeBackend) rank(ctx context.Context, spec Spec, version uint64, a order.Answer) ([]int64, bool, error) {
 	if err := f.wait(ctx); err != nil {
 		return nil, false, err
 	}
@@ -72,7 +72,7 @@ func (f *fakeBackend) Rank(ctx context.Context, spec Spec, version uint64, a ord
 	return ranks, a[0]%2 == 0, nil
 }
 
-func (f *fakeBackend) Access(ctx context.Context, spec Spec, version uint64, shard int, k int64) (order.Answer, error) {
+func (f *fakeBackend) access(ctx context.Context, shard int, k int64) (order.Answer, error) {
 	if err := f.wait(ctx); err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func (f *fakeBackend) Range(ctx context.Context, spec Spec, version uint64, shar
 func (f *fakeBackend) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error) {
 	out := make([]order.Answer, len(pos))
 	for i, k := range pos {
-		a, err := f.Access(ctx, spec, version, shards[i], k)
+		a, err := f.access(ctx, shards[i], k)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +112,7 @@ func (f *fakeBackend) RankBatch(ctx context.Context, spec Spec, version uint64, 
 	var ranks []int64
 	exact := make([]bool, len(answers))
 	for i, a := range answers {
-		r, ex, err := f.Rank(ctx, spec, version, a)
+		r, ex, err := f.rank(ctx, spec, version, a)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -184,11 +184,6 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Rank = %v, %v, %v", ranks, exact, err)
 	}
 
-	a, err := c.Access(ctx, testSpec(), 7, 3, 4)
-	if err != nil || a[0] != 304 || a[1] != -4 {
-		t.Fatalf("Access = %v, %v", a, err)
-	}
-
 	rows, err := c.Range(ctx, testSpec(), 7, 1, 2, 5)
 	if err != nil || len(rows) != 3 || rows[0][0] != 102 || rows[2][1] != -4 {
 		t.Fatalf("Range = %v, %v", rows, err)
@@ -228,13 +223,6 @@ func TestSentinelStatuses(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	if _, err := c.Access(ctx, testSpec(), 7, 1, 99); !errors.Is(err, access.ErrOutOfBound) {
-		t.Fatalf("out-of-range Access = %v, want ErrOutOfBound", err)
-	}
-	if _, _, err := c.Rank(ctx, testSpec(), 8, order.Answer{0, 0}); !errors.Is(err, ErrStaleVersion) {
-		t.Fatalf("stale Rank = %v, want ErrStaleVersion", err)
-	}
-	// The batch kinds carry the same sentinels as their single forms.
 	if _, err := c.AccessBatch(ctx, testSpec(), 7, []int{1, 1}, []int64{2, 99}); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("out-of-range AccessBatch = %v, want ErrOutOfBound", err)
 	}
@@ -485,9 +473,11 @@ func TestHostileLengths(t *testing.T) {
 
 // TestKindTables pins the per-kind tables against the kind list: every
 // named kind has a slot in the client's and the server's counters (a
-// kind numbered past a table used to panic on its first call), kinds
-// sharing a method label share ONE series, and a kind this build does
-// not know is answered with the bad-request status, not a crash.
+// kind numbered past a table used to panic on its first call), every
+// method label belongs to one kind (the batch kinds own "rank" and
+// "access"), and a kind this build does not know — the retired
+// single-answer kinds 3 and 4 included — is answered with the
+// bad-request status, not a crash.
 func TestKindTables(t *testing.T) {
 	b := &fakeBackend{total: 10}
 	srv, lis := startServer(t, b, nil)
@@ -497,6 +487,7 @@ func TestKindTables(t *testing.T) {
 	defer c.Close()
 	cm := NewClientMetrics(creg, "peer-a")
 	c.SetMetrics(cm)
+	owner := map[string]Kind{}
 	for kind, name := range kindNames {
 		if kind == 0 || int(kind) >= numKinds {
 			t.Fatalf("kind %d (%s) has no slot in tables of %d", kind, name, numKinds)
@@ -504,10 +495,16 @@ func TestKindTables(t *testing.T) {
 		if cm.requests[kind] == nil || cm.errors[kind] == nil || srv.m.Load().requests[kind] == nil {
 			t.Fatalf("kind %d (%s) has no counter", kind, name)
 		}
+		if other, dup := owner[name]; dup {
+			t.Fatalf("kinds %d and %d share the method label %q", other, kind, name)
+		}
+		owner[name] = kind
 	}
-	if cm.requests[KindRank] != cm.requests[KindRankBatch] || cm.requests[KindAccess] != cm.requests[KindAccessBatch] {
-		t.Fatal("a batch kind does not share its single form's counter")
+	if owner["rank"] != KindRankBatch || owner["access"] != KindAccessBatch {
+		t.Fatalf("rank and access labels belong to kinds %d and %d, want the batch kinds", owner["rank"], owner["access"])
 	}
+	// The single-answer call is a batch of one: both spellings land on
+	// the batch kind and on the one "rank" series.
 	ctx := context.Background()
 	if _, _, err := c.Rank(ctx, testSpec(), 7, order.Answer{1, 1}); err != nil {
 		t.Fatal(err)
@@ -515,18 +512,23 @@ func TestKindTables(t *testing.T) {
 	if _, _, err := c.RankBatch(ctx, testSpec(), 7, []order.Answer{{1, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.Calls[KindRank] != 1 || st.Calls[KindRankBatch] != 1 || cm.requests[KindRank].Value() != 2 || srv.m.Load().requests[KindRankBatch].Value() != 2 {
-		t.Fatalf("calls %v, client rank series %d, server rank series %d; want one call per kind and 2 on the shared series",
-			st.Calls, cm.requests[KindRank].Value(), srv.m.Load().requests[KindRankBatch].Value())
+	if st := c.Stats(); st.Calls[KindRankBatch] != 2 || cm.requests[KindRankBatch].Value() != 2 || srv.m.Load().requests[KindRankBatch].Value() != 2 {
+		t.Fatalf("calls %v, client rank series %d, server rank series %d; want 2 each",
+			st.Calls, cm.requests[KindRankBatch].Value(), srv.m.Load().requests[KindRankBatch].Value())
 	}
 
-	// An unknown kind: what a node that predates a kind sees.
-	const future = Kind(200)
-	err := c.callInner(ctx, future, func(*enc) {}, func(*dec) {})
-	var bad *BadRequestError
-	if !errors.As(err, &bad) {
-		t.Fatalf("unknown kind answered %v, want a BadRequestError (status 3)", err)
+	// Kinds this build does not know: the retired kinds 3 and 4 as a v2
+	// coordinator would send them (could it connect), and what a node
+	// that predates a future kind sees.
+	for _, unknown := range []Kind{3, 4, 200} {
+		err := c.callInner(ctx, unknown, func(*enc) {}, func(*dec) {})
+		var bad *BadRequestError
+		if !errors.As(err, &bad) {
+			t.Fatalf("kind %d answered %v, want a BadRequestError (status 3)", unknown, err)
+		}
+		if KindName(unknown) != "?" {
+			t.Fatalf("kind %d is named %q", unknown, KindName(unknown))
+		}
 	}
 	if _, err := c.Health(ctx); err != nil {
 		t.Fatalf("server unusable after an unknown kind: %v", err)

@@ -22,12 +22,11 @@ import (
 type Backend interface {
 	Prepare(ctx context.Context, spec Spec) (*PrepareInfo, error)
 	Count(ctx context.Context, spec CountSpec) (int64, error)
-	Rank(ctx context.Context, spec Spec, version uint64, a order.Answer) (ranks []int64, exact bool, err error)
-	Access(ctx context.Context, spec Spec, version uint64, shard int, k int64) (order.Answer, error)
 	Range(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64) ([]order.Answer, error)
-	// AccessBatch and RankBatch are Access and Rank for a whole rank
-	// round: many (shard, position) pairs, many answers (see
-	// AccessBatchReq, RankBatchResp for the layouts).
+	// AccessBatch and RankBatch serve a whole rank round: the local
+	// answers at many (shard, position) pairs, and many answers priced
+	// on every owned shard (see AccessBatchReq, RankBatchResp for the
+	// layouts).
 	AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error)
 	RankBatch(ctx context.Context, spec Spec, version uint64, answers []order.Answer) (ranks []int64, exact []bool, err error)
 	Stats(ctx context.Context) (*PeerStats, error)
@@ -276,32 +275,6 @@ func (s *Server) run(ctx context.Context, kind Kind, d *dec, e *enc) error {
 			return err
 		}
 		e.i64(n)
-	case KindRank:
-		spec := decodeSpec(d)
-		version := d.u64()
-		a := d.answer()
-		if err := d.err(); err != nil {
-			return &BadRequestError{Msg: err.Error()}
-		}
-		ranks, exact, err := s.b.Rank(ctx, spec, version, a)
-		if err != nil {
-			return err
-		}
-		e.i64s(ranks)
-		e.bool(exact)
-	case KindAccess:
-		spec := decodeSpec(d)
-		version := d.u64()
-		shard := int(d.u32())
-		k := d.i64()
-		if err := d.err(); err != nil {
-			return &BadRequestError{Msg: err.Error()}
-		}
-		a, err := s.b.Access(ctx, spec, version, shard, k)
-		if err != nil {
-			return err
-		}
-		e.answer(a)
 	case KindRange:
 		spec := decodeSpec(d)
 		version := d.u64()

@@ -13,12 +13,14 @@ import (
 )
 
 // TestBelowFloorClientRefused pins that every version below the floor
-// — the never-shipped v1 included — gets no handshake reply: the peer
-// fails at connect, not mid-call.
+// gets no handshake reply, so the peer fails at connect, not mid-call:
+// the never-shipped v1, and v2, whose coordinators may still send the
+// single-answer kinds this build no longer serves. The versions are
+// literals: lowering the floor must fail here.
 func TestBelowFloorClientRefused(t *testing.T) {
 	b := &fakeBackend{total: 10}
 	_, lis := startServer(t, b, nil)
-	for ver := uint16(0); ver < minProtoVersion; ver++ {
+	for _, ver := range []uint16{0, 1, 2} {
 		conn, err := net.Dial("tcp", lis.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -53,8 +55,8 @@ func TestFutureClientNegotiatedDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != ProtoVersion {
-		t.Fatalf("negotiated %d, want %d", ver, ProtoVersion)
+	if ver != 3 || ProtoVersion != 3 {
+		t.Fatalf("negotiated %d against ProtoVersion %d, want 3", ver, ProtoVersion)
 	}
 }
 

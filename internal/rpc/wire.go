@@ -1,8 +1,8 @@
 // Package rpc is the cluster's wire protocol: a stdlib-only framed
 // binary protocol over TCP carrying the typed calls a coordinator
-// issues against shard nodes (Prepare/Count/Rank/Access/Range/Stats/
-// Health, plus the batched AccessBatch/RankBatch a coordinator's rank
-// rounds are made of — see Client and Backend).
+// issues against shard nodes (Prepare/Count/Range/Stats/Health, and
+// the batched AccessBatch/RankBatch a coordinator's rank rounds are made
+// of — see Client and Backend).
 //
 // Connection layout. A connection opens with an 8-byte handshake in
 // each direction (magic, protocol version); every subsequent exchange
@@ -37,9 +37,9 @@
 // next frame; every dec reader copies what it returns, so a decoded
 // value never does — which is why the client decodes a response BEFORE
 // it returns the connection to the pool. None of this is visible to the
-// peer: the bytes on the wire are the ones version 2 always carried, in
-// the same order, so the version stands and a peer that splits its
-// frames or reads them unbuffered interoperates in both directions.
+// peer: the bytes of a frame are the ones version 2 introduced, in the
+// same order, so a peer that splits its frames or reads them unbuffered
+// interoperates in both directions.
 //
 // Versioning. ProtoVersion is bumped on any incompatible change to the
 // framing or message bodies. The handshake negotiates: the client
@@ -58,14 +58,19 @@
 //	2 — request payloads gain a fixed 25-byte trace-context field
 //	    (flags, trace id, span id; all-zero = untraced) between
 //	    deadlineMillis and the body, so distributed traces stitch
-//	    across the coordinator/shard boundary.
+//	    across the coordinator/shard boundary. Below the floor since
+//	    PR 20.
+//	3 — the single-answer kinds 3 (rank) and 4 (access) are gone: a
+//	    node answers them like any kind it does not know. No frame or
+//	    body of the remaining kinds changed; the bump exists so that a
+//	    v2 coordinator, which may still send them, is refused at
+//	    connect instead of failing mid-query.
 //
 // Adding a call kind is NOT a version bump: no existing frame or body
 // changes, and a node that predates the kind answers it with the
 // bad-request status (3) every client already decodes into a
 // BadRequestError. KindAccessBatch and KindRankBatch (PR 15) joined
-// version 2 this way; nodes keep serving the single-answer KindAccess
-// and KindRank for coordinators that predate them.
+// version 2 this way. Removing a kind IS one (see version 3).
 package rpc
 
 import (
@@ -79,17 +84,16 @@ import (
 	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/trace"
-	"rankedaccess/internal/values"
 )
 
 // ProtoVersion is the newest wire-protocol version this build speaks.
 // Bump it on ANY incompatible framing or message change.
-const ProtoVersion = 2
+const ProtoVersion = 3
 
 // minProtoVersion is the oldest version this build still serves; the
 // negotiated connection version always lands in [minProtoVersion,
 // ProtoVersion].
-const minProtoVersion = 2
+const minProtoVersion = 3
 
 // magic opens every handshake; "RARC" = RankedAccess RPC.
 var magic = [4]byte{'R', 'A', 'R', 'C'}
@@ -110,11 +114,8 @@ const (
 	KindPrepare Kind = 1
 	// KindCount counts the owned shards' answers for a query.
 	KindCount Kind = 2
-	// KindRank prices an answer on every owned shard (answers
-	// strictly below it, the paper's Rank query).
-	KindRank Kind = 3
-	// KindAccess returns one shard's k-th local answer.
-	KindAccess Kind = 4
+	// Kinds 3 and 4 were the single-answer rank and access of versions
+	// 1–2; the numbers stay retired.
 	// KindRange returns one shard's local answers k0 ≤ k < k1.
 	KindRange Kind = 5
 	// KindStats returns node-level counters.
@@ -126,7 +127,8 @@ const (
 	// rank round, at most MaxPivots of them.
 	KindAccessBatch Kind = 8
 	// KindRankBatch prices a list of answers, at most MaxPivots, on
-	// every owned shard: KindRank for a whole rank round.
+	// every owned shard (answers strictly below each, the paper's Rank
+	// query): one call for a whole rank round.
 	KindRankBatch Kind = 9
 
 	// numKinds sizes every per-kind table; kinds are 1 … numKinds-1.
@@ -139,14 +141,12 @@ const (
 const MaxPivots = 256
 
 // kindNames maps kinds to the method label used in metrics and span
-// names. The label names the operation, the kind names the encoding: a
-// batch kind shares its single-answer form's label, so "rank" keeps
-// counting rank calls whichever encoding carries them.
+// names. The label names the operation, not the encoding: the batch
+// kinds count under "access" and "rank", the labels their single-answer
+// forms had.
 var kindNames = map[Kind]string{
 	KindPrepare:     "prepare",
 	KindCount:       "count",
-	KindRank:        "rank",
-	KindAccess:      "access",
 	KindRange:       "range",
 	KindStats:       "stats",
 	KindHealth:      "health",
@@ -162,16 +162,12 @@ func KindName(k Kind) string {
 	return "?"
 }
 
-// methodCounters registers one counter per distinct method label and
-// points every kind at the counter of its label.
+// methodCounters registers one counter per kind, labeled with its
+// method.
 func methodCounters(reg *metrics.Registry, name, help string, labels ...string) [numKinds]*metrics.Counter {
 	var out [numKinds]*metrics.Counter
-	byLabel := make(map[string]*metrics.Counter, len(kindNames))
 	for kind, method := range kindNames {
-		if byLabel[method] == nil {
-			byLabel[method] = reg.Counter(name, help, append(labels[:len(labels):len(labels)], "method", method)...)
-		}
-		out[kind] = byLabel[method]
+		out[kind] = reg.Counter(name, help, append(labels[:len(labels):len(labels)], "method", method)...)
 	}
 	return out
 }
@@ -384,13 +380,6 @@ func (e *enc) i64s(vs []int64) {
 	}
 }
 
-func (e *enc) answer(a order.Answer) {
-	e.u32(uint32(len(a)))
-	for _, v := range a {
-		e.i64(int64(v))
-	}
-}
-
 // answers writes a block of equal-width answers: width, count, then
 // the values row by row. The width is the first row's; callers hand in
 // rows of one width.
@@ -524,18 +513,6 @@ func (d *dec) i64s() []int64 {
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = d.i64()
-	}
-	return out
-}
-
-func (d *dec) answer() order.Answer {
-	n := d.count(8)
-	if d.bad || n == 0 {
-		return nil
-	}
-	out := make(order.Answer, n)
-	for i := range out {
-		out[i] = values.Value(d.i64())
 	}
 	return out
 }
