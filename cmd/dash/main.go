@@ -71,39 +71,18 @@ func main() {
 	hc := &http.Client{Timeout: 10 * time.Second}
 	hist := &history{slo: *slo, threshold: *burnMax}
 
+	if *once {
+		if err := runOnce(os.Stdout, hc, base, *tracesAt, *htmlOut, *interval, hist); err != nil {
+			fmt.Fprintf(os.Stderr, "dash: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 	prev, err := scrape(hc, base)
 	if err != nil {
 		log.Fatalf("dash: %v", err)
 	}
 	hist.push(prev)
-	if *once {
-		// A second scrape one interval later gives -once a real window:
-		// lifetime totals cannot say whether the budget is burning NOW.
-		time.Sleep(*interval)
-		cur, err := scrape(hc, base)
-		if err != nil {
-			log.Fatalf("dash: %v", err)
-		}
-		hist.push(cur)
-		render(os.Stdout, base, prev, cur, hist)
-		tr := scrapeTraces(hc, *tracesAt)
-		renderTraces(os.Stdout, *tracesAt, tr)
-		if *htmlOut != "" {
-			writeHTML(*htmlOut, base, prev, cur, hist)
-		}
-		if fast, _, ok := hist.burn(cur, fastWindow); ok && fast >= *burnMax {
-			fmt.Fprintf(os.Stderr, "dash: fast-window burn %.2f >= %.2f: error budget burning\n", fast, *burnMax)
-			os.Exit(1)
-		}
-		if *tracesAt != "" {
-			served := cur.sum("ra_http_requests_total") - prev.sum("ra_http_requests_total")
-			if err := traceGate(tr, served); err != nil {
-				fmt.Fprintf(os.Stderr, "dash: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
 	for {
 		time.Sleep(*interval)
 		cur, err := scrape(hc, base)
@@ -122,6 +101,35 @@ func main() {
 		}
 		prev = cur
 	}
+}
+
+// runOnce is the -once mode: two scrapes one interval apart — lifetime
+// totals cannot say whether the budget is burning NOW — rendered to w.
+// The error is the CI gate's verdict: a failed scrape, a fast-window burn
+// at or past the threshold, or (with -traces) a store that kept nothing
+// of a window that saw traffic.
+func runOnce(w io.Writer, hc *http.Client, base, tracesAt, htmlOut string, interval time.Duration, hist *history) error {
+	prev, err := scrape(hc, base)
+	if err != nil {
+		return err
+	}
+	hist.push(prev)
+	time.Sleep(interval)
+	cur, err := scrape(hc, base)
+	if err != nil {
+		return err
+	}
+	hist.push(cur)
+	render(w, base, prev, cur, hist)
+	tr := scrapeTraces(hc, tracesAt)
+	renderTraces(w, tracesAt, tr)
+	if htmlOut != "" {
+		writeHTML(htmlOut, base, prev, cur, hist)
+	}
+	if fast, _, ok := hist.burn(cur, fastWindow); ok && fast >= hist.threshold {
+		return fmt.Errorf("fast-window burn %.2f >= %.2f: error budget burning", fast, hist.threshold)
+	}
+	return traceGate(tr, cur.sum("ra_http_requests_total")-prev.sum("ra_http_requests_total"))
 }
 
 // SLO burn-rate windows: the fast one catches fresh breakage, the slow

@@ -1,12 +1,53 @@
 package main
 
 import (
+	"context"
+	"flag"
+	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"rankedaccess/internal/metrics"
+	"rankedaccess/internal/serve"
 )
+
+// TestOnceRendersLiveProcess runs the -once mode against an in-process
+// serve.Start with tracing on: the digest reads ready, the SLO line and
+// the slowest-traces panel render, the HTML snapshot is written, and
+// neither gate (burn, tracing) fires on a healthy process.
+func TestOnceRendersLiveProcess(t *testing.T) {
+	cfg := serve.Flags(flag.NewFlagSet("serve", flag.ContinueOnError))
+	cfg.Addr, cfg.OpsAddr, cfg.TraceRate = "127.0.0.1:0", "127.0.0.1:0", 1
+	p, err := serve.Start(*cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Shutdown(context.Background())
+	base, ops := "http://"+p.Addr(), "http://"+p.OpsAddr()
+	resp, err := http.Post(base+"/v1/instance/count", "application/json", strings.NewReader(`{"query": "Q(x) :- R(x)"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	var out strings.Builder
+	htmlOut := filepath.Join(t.TempDir(), "dash.html")
+	hist := &history{slo: 0.999, threshold: 1}
+	if err := runOnce(&out, http.DefaultClient, base, ops, htmlOut, 10*time.Millisecond, hist); err != nil {
+		t.Fatalf("runOnce: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"ready: ok", "requests", "slo", "slowest traces:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("digest lacks %q:\n%s", want, out.String())
+		}
+	}
+	if page, err := os.ReadFile(htmlOut); err != nil || !strings.Contains(string(page), "ra dash") {
+		t.Errorf("HTML snapshot: %v\n%s", err, page)
+	}
+}
 
 // snapAt fabricates a scrape with the given request totals per status
 // class at the given offset from t0.

@@ -1,17 +1,3 @@
-// Command snapshot inspects and verifies snapshot files written by the
-// engine's durability layer (engine.Checkpoint / cmd/serve
-// -snapshot-dir).
-//
-// Usage:
-//
-//	snapshot -file /var/lib/ra/snapshot-...-v7.rka   inspect one file
-//	snapshot -file ... -json                          machine-readable dump
-//	snapshot -dir /var/lib/ra                         list a directory
-//
-// Opening a file verifies it end to end: magic, format version, every
-// section checksum, and the meta document's internal consistency — the
-// same validation a warm start performs — so a zero exit status means
-// the file restores cleanly on this host.
 package main
 
 import (
@@ -24,35 +10,34 @@ import (
 	"rankedaccess/internal/snapshot"
 )
 
-func main() {
+func snapshotCmd(args []string) {
+	fs := flag.NewFlagSet("ra snapshot", flag.ExitOnError)
 	var (
-		file     = flag.String("file", "", "snapshot file to inspect and verify")
-		dir      = flag.String("dir", "", "snapshot directory to list")
-		asJSON   = flag.Bool("json", false, "emit machine-readable JSON")
-		sections = flag.Bool("sections", false, "also dump the per-section layout")
+		file     = fs.String("file", "", "snapshot file to inspect and verify")
+		dir      = fs.String("dir", "", "snapshot directory to list")
+		asJSON   = fs.Bool("json", false, "emit machine-readable JSON")
+		sections = fs.Bool("sections", false, "also dump the per-section layout")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	switch {
 	case *file != "":
-		inspect(*file, *asJSON, *sections)
+		inspectSnapshot(*file, *asJSON, *sections)
 	case *dir != "":
-		list(*dir, *asJSON)
+		listSnapshots(*dir, *asJSON)
 	default:
-		fmt.Fprintln(os.Stderr, "snapshot: one of -file or -dir is required")
-		os.Exit(2)
+		badUsage("one of -file or -dir is required")
 	}
 }
 
-func list(dir string, asJSON bool) {
+func listSnapshots(dir string, asJSON bool) {
 	infos, err := snapshot.List(dir)
 	check(err)
 	if asJSON {
-		emit(infos)
+		emitJSON(infos)
 		return
 	}
 	if len(infos) == 0 {
 		fmt.Println("no snapshots")
-		return
 	}
 	for _, info := range infos {
 		fmt.Printf("%s  %10d bytes  version %-6d  %s\n",
@@ -61,24 +46,24 @@ func list(dir string, asJSON bool) {
 	}
 }
 
-// report is the JSON shape of one inspected file.
-type report struct {
+// snapshotReport is the JSON shape of one inspected file.
+type snapshotReport struct {
 	File     string                 `json:"file"`
 	Meta     snapshot.Meta          `json:"meta"`
 	Sections []snapshot.SectionInfo `json:"sections,omitempty"`
 }
 
-func inspect(path string, asJSON, withSections bool) {
+func inspectSnapshot(path string, asJSON, withSections bool) {
 	m, err := snapshot.Open(path)
 	check(err)
 	defer m.Close()
 	f := m.File()
 	if asJSON {
-		r := report{File: path, Meta: f.Meta}
+		r := snapshotReport{File: path, Meta: f.Meta}
 		if withSections {
 			r.Sections = f.SectionInfos()
 		}
-		emit(r)
+		emitJSON(r)
 		return
 	}
 	meta := f.Meta
@@ -96,12 +81,9 @@ func inspect(path string, asJSON, withSections bool) {
 	}
 	fmt.Printf("  structures: %d\n", len(meta.Structures))
 	for _, sm := range meta.Structures {
-		extra := ""
-		switch sm.Kind {
-		case snapshot.KindLayeredLex:
+		extra := fmt.Sprintf("%d rows", sm.Rows)
+		if sm.Kind == snapshot.KindLayeredLex {
 			extra = fmt.Sprintf("%d layers", len(sm.Layers))
-		default:
-			extra = fmt.Sprintf("%d rows", sm.Rows)
 		}
 		fmt.Printf("    %-13s total %-9d %-12s %s\n", sm.Kind, sm.Total, extra, sm.Spec.Query)
 	}
@@ -116,15 +98,8 @@ func inspect(path string, asJSON, withSections bool) {
 	}
 }
 
-func emit(v any) {
+func emitJSON(v any) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	check(enc.Encode(v))
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapshot:", err)
-		os.Exit(1)
-	}
 }

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"bytes"
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"rankedaccess/internal/access"
+	"rankedaccess/internal/cluster"
 	"rankedaccess/internal/database"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/order"
@@ -49,10 +50,10 @@ func bigInstance() *database.Instance {
 // testCluster is one in-process cluster: real TCP listeners, real RPC
 // servers, a real prober — only the machines are missing.
 type testCluster struct {
-	coord   *Coordinator
+	coord   *cluster.Coordinator
 	ce      *engine.Engine // coordinator-mode engine
 	engines []*engine.Engine
-	nodes   []*Node
+	nodes   []*cluster.Node
 	servers []*rpc.Server
 	addrs   []string
 	// maxBatch is the largest pivot list any node was sent in one
@@ -180,7 +181,7 @@ func startCluster(t *testing.T, nNodes, p int, wrap func(net.Listener) net.Liste
 func startClusterOn(t *testing.T, inst func() *database.Instance, nNodes, p int, wrap func(net.Listener) net.Listener) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
-	nodes := make([]NodeConfig, nNodes)
+	nodes := make([]cluster.NodeConfig, nNodes)
 	for i := 0; i < nNodes; i++ {
 		e := engine.New(inst(), engine.Options{})
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -190,7 +191,7 @@ func startClusterOn(t *testing.T, inst func() *database.Instance, nNodes, p int,
 		if wrap != nil {
 			lis = wrap(lis)
 		}
-		node := NewNode(e)
+		node := cluster.NewNode(e)
 		srv := rpc.NewServer(batchMeter{Backend: node, max: &tc.maxBatch, onRank: &tc.onRank})
 		go func() { _ = srv.Serve(lis) }()
 		t.Cleanup(func() { _ = srv.Close() })
@@ -198,20 +199,20 @@ func startClusterOn(t *testing.T, inst func() *database.Instance, nNodes, p int,
 		tc.nodes = append(tc.nodes, node)
 		tc.servers = append(tc.servers, srv)
 		tc.addrs = append(tc.addrs, lis.Addr().String())
-		nodes[i] = NodeConfig{Addr: tc.addrs[i]}
+		nodes[i] = cluster.NodeConfig{Addr: tc.addrs[i]}
 	}
 	for s := 0; s < p; s++ {
 		nodes[s%nNodes].Shards = append(nodes[s%nNodes].Shards, s)
 	}
-	raw, err := json.Marshal(Config{Shards: p, Nodes: nodes})
+	raw, err := json.Marshal(cluster.Config{Shards: p, Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := Parse(raw)
+	cfg, err := cluster.Parse(raw)
 	if err != nil {
 		t.Fatalf("Parse(%s): %v", raw, err)
 	}
-	tc.coord = NewCoordinator(cfg, rpc.Options{})
+	tc.coord = cluster.NewCoordinator(cfg, rpc.Options{})
 	t.Cleanup(tc.coord.Close)
 	tc.ce = engine.New(nil, engine.Options{Remote: tc.coord})
 	return tc
@@ -762,11 +763,11 @@ func TestStaleVersionAfterNodeMutation(t *testing.T) {
 // layouts are rejected with reasons.
 func TestConfigPlacement(t *testing.T) {
 	// Rendezvous default: deterministic, covers every shard.
-	c1, err := Parse([]byte(`{"shards": 8, "nodes": [{"addr": "a:1"}, {"addr": "b:1"}, {"addr": "c:1"}]}`))
+	c1, err := cluster.Parse([]byte(`{"shards": 8, "nodes": [{"addr": "a:1"}, {"addr": "b:1"}, {"addr": "c:1"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Parse([]byte(`{"shards": 8, "nodes": [{"addr": "a:1"}, {"addr": "b:1"}, {"addr": "c:1"}]}`))
+	c2, err := cluster.Parse([]byte(`{"shards": 8, "nodes": [{"addr": "a:1"}, {"addr": "b:1"}, {"addr": "c:1"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -800,45 +801,9 @@ func TestConfigPlacement(t *testing.T) {
 		`{"shards": 3, "nodes": [{"addr": "a:1", "shards": [0, 1]}, {"addr": "b:1", "shards": [1]}]}`,
 		`{"shards": 2, "nodes": [{"addr": "a:1", "shards": [0, 7]}, {"addr": "b:1", "shards": [1]}]}`,
 	} {
-		if _, err := Parse([]byte(bad)); err == nil {
+		if _, err := cluster.Parse([]byte(bad)); err == nil {
 			t.Fatalf("Parse accepted %s", bad)
 		}
-	}
-}
-
-// TestAccessSplitAllocs pins the coordinator-side cost of dividing one
-// round's batched access among the nodes: five allocations whatever the
-// round carries, sized by one counting pass.
-func TestAccessSplitAllocs(t *testing.T) {
-	r := &clusterRanker{peers: make([]rankPeer, 2), owner: []int{0, 1, 0, 1}}
-	shards, pos := make([]int, shard.PivotsPerWindow*len(r.owner)), make([]int64, shard.PivotsPerWindow*len(r.owner))
-	for i := range shards {
-		shards[i], pos[i] = i/shard.PivotsPerWindow, int64(i)
-	}
-	batches, err := r.split(shards, pos)
-	if err != nil || len(batches) != 2 {
-		t.Fatalf("split = %d batches, %v", len(batches), err)
-	}
-	for i, b := range batches {
-		if b.peer != &r.peers[i] || len(b.at) != len(shards)/2 || len(b.shards) != len(b.at) || len(b.pos) != len(b.at) {
-			t.Fatalf("batch %d: %+v", i, b)
-		}
-		for j, at := range b.at {
-			if r.owner[shards[at]] != i || b.shards[j] != shards[at] || b.pos[j] != pos[at] || (j > 0 && at <= b.at[j-1]) {
-				t.Fatalf("batch %d entry %d: request index %d, shard %d, position %d", i, j, at, b.shards[j], b.pos[j])
-			}
-		}
-	}
-	if _, err := r.split([]int{len(r.owner)}, []int64{0}); err == nil {
-		t.Fatal("split accepted a shard outside the partitioning")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := r.split(shards, pos); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 5 {
-		t.Fatalf("splitting %d positions over 2 nodes allocates %.0f times, ceiling 5", len(shards), allocs)
 	}
 }
 
@@ -862,7 +827,7 @@ func TestNodeProbeAllocs(t *testing.T) {
 	if shardtest.RaceEnabled() {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	node := NewNode(engine.New(testInstance(), engine.Options{}))
+	node := cluster.NewNode(engine.New(testInstance(), engine.Options{}))
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

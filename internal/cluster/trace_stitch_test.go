@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"encoding/json"

@@ -1,6 +1,8 @@
 package database
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -192,6 +194,52 @@ func TestReadRelationErrors(t *testing.T) {
 	}
 	if err := in.WriteRelation("missing", &strings.Builder{}); err == nil {
 		t.Fatal("missing relation must error")
+	}
+}
+
+// TestReadDir: WriteDir's layout round-trips; entries that are not
+// <Name>.tsv files are skipped; a directory with no .tsv at all and a
+// bad row are errors.
+func TestReadDir(t *testing.T) {
+	src := NewInstance()
+	src.AddRow("R", 1, 2)
+	src.AddRow("R", 3, 4)
+	src.AddRow("S", 2, 9)
+	dir := t.TempDir()
+	if err := src.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("not a relation"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "T.tsv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	in := NewInstance()
+	if n, err := in.ReadDir(dir); err != nil || n != 2 {
+		t.Fatalf("ReadDir = %d, %v; want 2 relations", n, err)
+	}
+	for _, name := range []string{"R", "S"} {
+		if !reflect.DeepEqual(in.Relation(name).Rows(), src.Relation(name).Rows()) {
+			t.Fatalf("relation %s did not round-trip", name)
+		}
+	}
+
+	empty := t.TempDir()
+	if err := os.WriteFile(filepath.Join(empty, "notes.txt"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewInstance().ReadDir(empty); err == nil || err.Error() != "no .tsv files in "+empty {
+		t.Fatalf("ReadDir(no .tsv) = %v", err)
+	}
+	if _, err := NewInstance().ReadDir(filepath.Join(empty, "missing")); err == nil {
+		t.Fatal("ReadDir of a missing directory must error")
+	}
+	if err := os.WriteFile(filepath.Join(empty, "R.tsv"), []byte("1 2\n3 x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewInstance().ReadDir(empty); err == nil || !strings.Contains(err.Error(), "relation R") {
+		t.Fatalf("ReadDir(bad row) = %v", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -156,4 +158,58 @@ func (in *Instance) WriteRelation(name string, w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadDir loads every <Name>.tsv file in dir as relation <Name> (the
+// layout WriteDir produces) and returns how many relations it loaded;
+// other entries are skipped. A directory without any .tsv file is an
+// error: a mistyped path must not boot an empty instance.
+func (in *Instance) ReadDir(dir string) (int, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	loaded := 0
+	for _, ent := range entries {
+		name, isTSV := strings.CutSuffix(ent.Name(), ".tsv")
+		if ent.IsDir() || !isTSV {
+			continue
+		}
+		f, err := os.Open(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			return loaded, err
+		}
+		err = in.ReadRelation(name, f)
+		f.Close()
+		if err != nil {
+			return loaded, err
+		}
+		loaded++
+	}
+	if loaded == 0 {
+		return 0, fmt.Errorf("no .tsv files in %s", dir)
+	}
+	return loaded, nil
+}
+
+// WriteDir writes every relation as dir/<Name>.tsv, creating dir as
+// needed.
+func (in *Instance) WriteDir(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, name := range in.Names() {
+		f, err := os.Create(filepath.Join(dir, name+".tsv"))
+		if err != nil {
+			return err
+		}
+		if err := in.WriteRelation(name, f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

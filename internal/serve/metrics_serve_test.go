@@ -35,7 +35,13 @@ func metricsServer(t *testing.T, cfg Config) *httptest.Server {
 // malformed line, and returns samples keyed by Sample.Key().
 func scrapeMetrics(t *testing.T, srv *httptest.Server) map[string]float64 {
 	t.Helper()
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	return scrapeURL(t, srv.Client(), srv.URL)
+}
+
+// scrapeURL is scrapeMetrics for any base URL (a serve.Start process).
+func scrapeURL(t *testing.T, hc *http.Client, base string) map[string]float64 {
+	t.Helper()
+	resp, err := hc.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package tables regenerates the paper's figures and tables as text, for
-// the cmd/tables tool and the reproduction tests:
+// the `ra tables` tool and the reproduction tests:
 //
 //   - Figure 1: the classification overview of self-join-free CQs for
 //     direct access and selection under LEX and SUM orders;
