@@ -71,6 +71,36 @@ func BenchmarkThm33_Access(b *testing.B) {
 	}
 }
 
+// BenchmarkLexAppendRange scans windows of consecutive ranks through
+// one probe buffer: a descent to the first rank, a successor step
+// (Remark 3) for every later one, so ns/row falls as the window grows.
+// The bounded number is the ladder's access.lex_range_ns_per_row.
+func BenchmarkLexAppendRange(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	q, in := workload.TwoPath(rng, 1<<14, 1<<11, 0.3)
+	l, _ := order.ParseLex(q, "x, y, z")
+	la, err := access.BuildLex(q, in, l)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rows := range []int64{16, 512, 65536} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			if la.Total() < rows {
+				b.Skipf("%d answers", la.Total())
+			}
+			var dst []Value
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k0 := rng.Int63n(la.Total() - rows + 1)
+				if dst, err = la.AppendRange(dst[:0], k0, k0+rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*rows), "ns/row")
+		})
+	}
+}
+
 func BenchmarkThm33_InvertedAccess(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q, in := workload.TwoPath(rng, 1<<14, 1<<11, 0.3)
@@ -320,22 +350,45 @@ func BenchmarkRankedEnum_Top100(b *testing.B) {
 	}
 }
 
+// BenchmarkRankedEnum_Delay is the time between two consecutive answers
+// of a ranked enumeration: by SUM (any-k, a heap operation per answer)
+// and by a lexicographic order (enum.RankedLex: a successor step and a
+// copy per answer).
 func BenchmarkRankedEnum_Delay(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	q, in := workload.TwoPath(rng, 1<<14, 1<<11, 0.3)
-	w := order.IdentitySum(q.Head...)
-	e, err := enum.NewSumEnumerator(q, in, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := e.Next(); !ok {
-			b.StopTimer()
-			e, _ = enum.NewSumEnumerator(q, in, w)
-			b.StartTimer()
+	b.Run("sum", func(b *testing.B) {
+		w := order.IdentitySum(q.Head...)
+		e, err := enum.NewSumEnumerator(q, in, w)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, ok := e.Next(); !ok {
+				b.StopTimer()
+				e, _ = enum.NewSumEnumerator(q, in, w)
+				b.StartTimer()
+			}
+		}
+	})
+	b.Run("lex", func(b *testing.B) {
+		l, _ := order.ParseLex(q, "x, y, z")
+		la, err := access.BuildLex(q, in, l)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; {
+			if err := enum.RankedLex(la, func(int64, order.Answer) bool {
+				n++
+				return n < b.N
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- Baseline: materialize + sort (what DA replaces) ---

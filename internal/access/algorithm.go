@@ -9,21 +9,34 @@ import (
 	"rankedaccess/internal/values"
 )
 
-// LexBuf holds the scratch state of one access probe, so steady-state
-// probes allocate nothing. A LexBuf may be reused across any number of
-// calls against the structure that created it, but not concurrently:
-// use one LexBuf per goroutine (or the pooling convenience APIs).
+// LexBuf holds the state of one access probe, so steady-state probes
+// allocate nothing. A LexBuf may be reused across any number of calls
+// against the structure that created it, but not concurrently: use one
+// LexBuf per goroutine (or the pooling convenience APIs).
+//
+// It is also a scan position. After a successful AccessInto(buf, k) the
+// buffer remembers the descent — per layer the bucket entered and the
+// tuple chosen — and that it holds answer k; AccessInto(buf, k+1) then
+// moves to the successor (Remark 3) without descending. Any other rank
+// descends as before, and whatever fails or borrows the scratch for
+// something else (an error return, Rank) leaves next at 0, "holds
+// nothing", so a step never starts from a state no descent produced.
 type LexBuf struct {
 	ans    []values.Value
-	bucket []int
+	bucket []int // per layer: the bucket the probe entered
+	tuple  []int // per layer: the tuple it chose there
+	next   int64 // the rank after the answer held; 0 when none is
 	key    []values.Value
 }
 
 // NewBuf returns a probe buffer sized for this structure.
 func (la *Lex) NewBuf() *LexBuf {
+	f := len(la.layers)
+	idx := make([]int, 2*f)
 	return &LexBuf{
 		ans:    make([]values.Value, la.numVars),
-		bucket: make([]int, len(la.layers)),
+		bucket: idx[:f:f],
+		tuple:  idx[f:],
 		key:    make([]values.Value, la.maxKey),
 	}
 }
@@ -61,7 +74,9 @@ func (la *Lex) Access(k int64) (order.Answer, error) {
 // AccessInto is Access writing into buf: the returned answer aliases
 // buf's storage and is valid until buf's next use. Steady-state calls
 // perform zero allocations (FD-extended structures excepted: their
-// answer projection still copies).
+// answer projection still copies). When k follows the answer buf holds
+// the call is a successor step, O(1) amortized over a scan, instead of
+// the O(log n) descent (see LexBuf).
 func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 	if la.boolean {
 		if la.boolTrue && k == 0 {
@@ -72,10 +87,16 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 		return nil, ErrOutOfBound
 	}
 	if k < 0 || k >= la.total {
+		buf.next = 0
 		return nil, ErrOutOfBound
 	}
+	if k == buf.next && k != 0 {
+		return la.step(buf)
+	}
+	buf.next = 0 // until the descent succeeds
+	held := k
 	f := len(la.layers)
-	bucket := buf.bucket[:f]
+	bucket, tuple := buf.bucket[:f], buf.tuple[:f]
 	bucket[0] = 0
 	factor := la.total
 	ans := buf.ans[:la.numVars]
@@ -93,6 +114,7 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 			return nil, fmt.Errorf("access: internal: binary search fell off bucket")
 		}
 		k -= ly.starts[t] * factor
+		tuple[i] = t
 		ans[ly.v] = ly.vals[t]
 		for _, c := range ly.children {
 			child := &la.layers[c]
@@ -107,6 +129,49 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 	if k != 0 {
 		return nil, fmt.Errorf("access: internal: residual index %d after descent", k)
 	}
+	buf.next = held + 1
+	return la.output(ans), nil
+}
+
+// step moves buf from the answer it holds to the next one in the
+// completed order: the deepest layer with a tuple left in its bucket
+// advances, and every later layer restarts at the first tuple of the
+// bucket its parent's tuple selects. A later layer whose restart tuple
+// is the one it already held has not moved, so its answer slot and its
+// children's buckets stand. The usual case is the last layer advancing:
+// one compare and one load.
+func (la *Lex) step(buf *LexBuf) (order.Answer, error) {
+	f := len(la.layers)
+	bucket, tuple := buf.bucket[:f], buf.tuple[:f]
+	ans := buf.ans[:la.numVars]
+	i := f - 1
+	for i >= 0 && tuple[i]+1 == la.layers[i].bucketEnd[bucket[i]] {
+		i--
+	}
+	if i < 0 {
+		buf.next = 0
+		return nil, fmt.Errorf("access: internal: no successor below the answer count")
+	}
+	t := tuple[i] + 1
+	for j := i; j < f; j++ {
+		ly := &la.layers[j]
+		if j > i {
+			if t = ly.bucketStart[bucket[j]]; t == tuple[j] {
+				continue
+			}
+		}
+		tuple[j] = t
+		ans[ly.v] = ly.vals[t]
+		for _, c := range ly.children {
+			cb, ok := la.childBucket(&la.layers[c], ly.bucketOf.Key(bucket[j]), ly.vals[t], buf.key)
+			if !ok {
+				buf.next = 0
+				return nil, fmt.Errorf("access: internal: missing child bucket during access")
+			}
+			bucket[c] = cb
+		}
+	}
+	buf.next++
 	return la.output(ans), nil
 }
 
@@ -125,9 +190,12 @@ func (la *Lex) AppendTuple(dst []values.Value, k int64) ([]values.Value, error) 
 }
 
 // AppendRange appends the head projections of answers k0 ≤ k < k1 to
-// dst, reusing one probe buffer for the whole range so the per-answer
-// overhead is a single descent (no allocation beyond dst growth).
+// dst through one probe buffer: one descent to k0, then a successor
+// step per answer (no allocation beyond dst growth).
 func (la *Lex) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value, error) {
+	if k0 < 0 || k1 < k0 || k1 > la.total {
+		return dst, ErrOutOfBound
+	}
 	buf := la.GetBuf()
 	defer la.PutBuf(buf)
 	for k := k0; k < k1; k++ {
@@ -186,6 +254,7 @@ func (la *Lex) Rank(a order.Answer) (int64, bool) {
 	f := len(la.layers)
 	buf := la.GetBuf()
 	defer la.PutBuf(buf)
+	buf.next = 0 // the descent below overwrites bucket: buf holds no answer
 	bucket := buf.bucket[:f]
 	bucket[0] = 0
 	factor := la.total

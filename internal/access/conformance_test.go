@@ -12,6 +12,7 @@ import (
 	"rankedaccess/internal/baseline"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
+	"rankedaccess/internal/fd"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/shard"
 	"rankedaccess/internal/shard/shardtest"
@@ -216,8 +217,228 @@ func conform(t *testing.T, rng *rand.Rand, q *cq.Query, s access.Structure, want
 			t.Fatalf("AppendTuple(%d) = %v, want ErrOutOfBound", k, err)
 		}
 	}
-	if _, err := s.AppendRange(nil, 0, total+1); !errors.Is(err, access.ErrOutOfBound) {
-		t.Fatalf("AppendRange past the end = %v, want ErrOutOfBound", err)
+	// One bounds rule: a window that leaves [0, Total()] or runs
+	// backwards is refused before the first row.
+	for _, w := range [][2]int64{{0, total + 1}, {-1, 0}, {total, total + 1}, {total + 1, total + 1}, {1, 0}} {
+		if got, err := s.AppendRange(nil, w[0], w[1]); !errors.Is(err, access.ErrOutOfBound) || len(got) != 0 {
+			t.Fatalf("AppendRange(%d, %d) = %v (%v), want nothing appended and ErrOutOfBound", w[0], w[1], got, err)
+		}
+	}
+	scan(t, rng, s)
+}
+
+// scan holds a structure to the scan contract: a probe buffer may step
+// to the successor of the answer it holds instead of descending, and no
+// sequence of probes may be able to tell. It is a seeded random walk
+// through one buffer — steps, repeats, jumps, a Rank or an Access that
+// borrows the same buffer from the pool in between, out-of-bound probes
+// followed by the rank a stale buffer would step to, walks off the last
+// answer — with every answer compared, all variables of it, to a
+// descent's.
+func scan(t *testing.T, rng *rand.Rand, s access.Structure) {
+	t.Helper()
+	total := s.Total()
+	// The reference is descents only: probed in descending order, no
+	// rank ever follows the answer a buffer holds.
+	ref := make([]order.Answer, total)
+	for k := total - 1; k >= 0; k-- {
+		a, err := s.Access(k)
+		if err != nil {
+			t.Fatalf("Access(%d): %v", k, err)
+		}
+		ref[k] = a
+	}
+	head := s.Head()
+	var want []values.Value
+	for _, a := range ref {
+		for _, v := range head {
+			want = append(want, a[v])
+		}
+	}
+	// Every window of up to four rows: whichever layers' buckets end
+	// between two consecutive answers, some window starts before, at
+	// and after that boundary.
+	for k0 := int64(0); k0 < total; k0++ {
+		k1 := min(k0+1+k0%4, total)
+		got, err := s.AppendRange(nil, k0, k1)
+		if err != nil || !slices.Equal(got, want[int(k0)*len(head):int(k1)*len(head)]) {
+			t.Fatalf("AppendRange(%d, %d) = %v (%v), descents give %v", k0, k1, got, err, ref[k0:k1])
+		}
+	}
+
+	buf := s.GetBuf()
+	probe := func(k int64) {
+		t.Helper()
+		a, err := s.AccessInto(buf, k)
+		if k < 0 || k >= total {
+			if !errors.Is(err, access.ErrOutOfBound) {
+				t.Fatalf("AccessInto(%d) of %d = %v, want ErrOutOfBound", k, total, err)
+			}
+			return
+		}
+		if err != nil || !slices.Equal(a, ref[k]) {
+			t.Fatalf("AccessInto(%d) = %v (%v), a descent gives %v", k, a, err, ref[k])
+		}
+	}
+	// lend hands the walk's buffer to the pool for the length of one
+	// pooled operation and borrows it back: outside the race detector
+	// sync.Pool returns the buffer just put, so the operation ran
+	// through it.
+	lend := func(op func()) {
+		s.PutBuf(buf)
+		op()
+		buf = s.GetBuf()
+	}
+	k := int64(-1)
+	for move := 0; move < 4000 && total > 0; move++ {
+		switch r := rng.Intn(20); {
+		case r < 10:
+			k++
+		case r == 10:
+			// the same rank again
+		case r == 11:
+			k--
+		case r < 14:
+			k = rng.Int63n(total)
+		case r == 14:
+			k = total - 1 - rng.Int63n(min(total, 3))
+		case r == 15:
+			lend(func() { s.Rank(ref[rng.Int63n(total)]) })
+			k++
+		case r == 16:
+			// Lex.Rank off the FD-consistent path and on a miss.
+			p := slices.Clone(ref[rng.Int63n(total)])
+			if len(head) > 0 {
+				p[head[rng.Intn(len(head))]] += values.Value(rng.Intn(3) - 1)
+			}
+			lend(func() { s.Rank(p) })
+			k++
+		case r == 17:
+			lend(func() {
+				j := rng.Int63n(total)
+				if a, err := s.Access(j); err != nil || !slices.Equal(a, ref[j]) {
+					t.Fatalf("Access(%d) = %v (%v), a descent gives %v", j, a, err, ref[j])
+				}
+			})
+			k++
+		default:
+			probe([]int64{-1, total, total + 7}[rng.Intn(3)])
+			k++
+		}
+		if k < 0 {
+			k = 0
+		}
+		if k >= total {
+			// Off the last answer, and then around to the first.
+			probe(k)
+			probe(k + 1)
+			k = 0
+		}
+		probe(k)
+	}
+	s.PutBuf(buf)
+}
+
+// scanCases are layered structures the conformance table does not
+// reach, each a shape the successor step treats differently.
+var scanCases = map[string]func(*testing.T, *rand.Rand) *access.Lex{
+	"mixed-directions": func(t *testing.T, rng *rand.Rand) *access.Lex {
+		q, in := workload.TwoPath(rng, 80, 10, 0.4)
+		return buildLex(t, q, in, "x desc, y, z desc")
+	},
+	"star": func(t *testing.T, rng *rand.Rand) *access.Lex {
+		// Two children under one layer: a pop re-resolves both buckets.
+		q := cq.MustParse("Q(x, y, z) :- R(x, y), S(x, z)")
+		_, in := workload.TwoPath(rng, 60, 8, 0.4)
+		return buildLex(t, q, in, "x, y desc, z")
+	},
+	// Every bucket below the root has one tuple, so every step pops to
+	// the root.
+	"one-tuple-buckets": func(t *testing.T, _ *rand.Rand) *access.Lex {
+		q := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
+		in := database.NewInstance()
+		for i := int64(0); i < 50; i++ {
+			in.AddRow("R", i, 100+i)
+			in.AddRow("S", 100+i, 200+i)
+		}
+		la := buildLex(t, q, in, "x, y, z")
+		for i := 1; i < la.LayerCount(); i++ {
+			if n := len(la.DumpLayer(i)); n != 50 {
+				t.Fatalf("layer %d has %d tuples in 50 buckets", i, n)
+			}
+		}
+		return la
+	},
+	// One bucket in the last layer holds every answer: no step pops.
+	"one-huge-bucket": func(t *testing.T, _ *rand.Rand) *access.Lex {
+		q := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
+		in := database.NewInstance()
+		in.AddRow("R", 1, 2)
+		for i := int64(0); i < 700; i++ {
+			in.AddRow("S", 2, i)
+		}
+		la := buildLex(t, q, in, "x, y, z desc")
+		if la.Total() != 700 || len(la.DumpLayer(0)) != 1 || len(la.DumpLayer(1)) != 1 {
+			t.Fatalf("%d answers, want 700 under one x and one y", la.Total())
+		}
+		return la
+	},
+	"restored": func(t *testing.T, rng *rand.Rand) *access.Lex {
+		q, in := workload.TwoPath(rng, 80, 10, 0.4)
+		parts, ok := buildLex(t, q, in, "z desc, y, x").Parts()
+		if !ok {
+			t.Fatal("an FD-free Lex exports no parts")
+		}
+		la, err := access.LexFromParts(q, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return la
+	},
+	// Steps in the extended space, projected on the way out; x, z, y is
+	// intractable without the FD.
+	"fd-extended": func(t *testing.T, rng *rand.Rand) *access.Lex {
+		q := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
+		in := database.NewInstance()
+		for x := int64(0); x < 30; x++ {
+			in.AddRow("R", x, x%6)
+		}
+		for i := 0; i < 40; i++ {
+			in.AddRow("S", rng.Int63n(6), rng.Int63n(12))
+		}
+		la, err := access.BuildLexFD(q, in, mustLex(q, "x, z desc, y"), fd.MustParse(q, "R: x -> y"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return la
+	},
+	"boolean": func(t *testing.T, rng *rand.Rand) *access.Lex {
+		_, in := workload.TwoPath(rng, 20, 4, 0.4)
+		return buildLex(t, cq.MustParse("Q() :- R(x, y), S(y, z)"), in, "")
+	},
+}
+
+func buildLex(t *testing.T, q *cq.Query, in *database.Instance, l string) *access.Lex {
+	t.Helper()
+	la, err := access.BuildLex(q, in, mustLex(q, l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return la
+}
+
+func TestScanContract(t *testing.T) {
+	for name, build := range scanCases {
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				la := build(t, rng)
+				if la.Total() == 0 {
+					t.Fatal("no answers to scan")
+				}
+				scan(t, rng, la)
+			}
+		})
 	}
 }
 

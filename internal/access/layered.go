@@ -30,6 +30,23 @@
 // slice and are the batched entry points — one dynamic call per
 // operation, the per-row loop stays inside this package.
 //
+// Scans. A probe buffer carries scan state: after AccessInto(buf, k) it
+// remembers the descent that found answer k, and AccessInto(buf, k+1)
+// is a successor step (Remark 3) — the deepest layer with a tuple left
+// in its bucket advances, later layers restart in the buckets their
+// parents now select — not a second O(log n) descent. There is no scan
+// API: every loop that probes consecutive ranks through one buffer gets
+// the step for free — AppendRange here and the base segments of an
+// Overlay's, engine.Cursor.Next, a shard node's Owned.Range, the
+// in-process shard merge, enum.RankedLexBuffered — and a probe of any
+// other rank descends. The step starts only from what a descent or an
+// earlier step left in that buffer (an error, or Rank's use of a pooled
+// buffer, leaves it holding nothing), and the aliasing rule above is
+// unchanged: the answer is valid until the buffer's next use, step or
+// descent. The convenience wrappers (Access, AppendTuple) borrow a
+// pooled buffer per call, so consecutive calls to them rarely meet the
+// same buffer twice and should not be counted on to step.
+//
 // Compare is the total order Access enumerates and Rank searches. A Lex
 // realizes its Completed order, which names every free variable. A row
 // array realizes what it was sorted by, recorded at build or restore

@@ -97,6 +97,9 @@ func (r *rowArray) AppendTuple(dst []values.Value, k int64) ([]values.Value, err
 // AppendRange appends the head projections of answers k0 ≤ k < k1 to
 // dst.
 func (r *rowArray) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value, error) {
+	if k0 < 0 || k1 < k0 || k1 > r.Total() {
+		return dst, ErrOutOfBound
+	}
 	for k := k0; k < k1; k++ {
 		var err error
 		if dst, err = r.AppendTuple(dst, k); err != nil {

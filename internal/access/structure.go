@@ -28,12 +28,16 @@ type Structure interface {
 	PutBuf(*LexBuf)
 	// AccessInto is Access without the copy: the answer may alias buf
 	// or the structure's storage, and is valid until buf's next use.
+	// Probing consecutive ranks through one buf is a scan (see LexBuf).
 	AccessInto(buf *LexBuf, k int64) (order.Answer, error)
 	// AppendTuple appends the head projection of the k-th answer to dst,
 	// allocating only when dst lacks capacity.
 	AppendTuple(dst []values.Value, k int64) ([]values.Value, error)
 	// AppendRange is AppendTuple for every k0 ≤ k < k1, with the per-row
-	// loop inside the structure: one dynamic call per operation.
+	// loop inside the structure: one dynamic call per operation. The
+	// window is validated before the first row: k0 < 0, k1 < k0 or
+	// k1 > Total() is an error wrapping ErrOutOfBound and appends
+	// nothing; k0 == k1 inside the bounds appends nothing and succeeds.
 	AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value, error)
 	// Rank returns the number of answers strictly preceding the tuple in
 	// the realized order, and whether the tuple is itself an answer. The

@@ -6,18 +6,19 @@ import (
 	"iter"
 
 	"rankedaccess/internal/access"
-	"rankedaccess/internal/order"
 	"rankedaccess/internal/values"
 )
 
-// cursorChunk is the batch width All uses for its internal AccessRange
-// calls: big enough to amortize per-range setup (shard rank search,
-// probe pool round-trips), small enough to keep one reusable buffer.
+// cursorChunk is the batch width All, and Next on a sharded handle, use
+// for their internal AccessRange calls: big enough to amortize
+// per-range setup (shard rank search, probe pool round-trips), small
+// enough to keep one reusable buffer.
 const cursorChunk = 256
 
 // Cursor is a stateful scan position over one prepared Handle. It
-// answers Next/NextN probes in O(log n) each via the handle's
-// allocation-free access paths, reusing the caller's destination
+// answers Next/NextN probes via the handle's allocation-free access
+// paths — a successor step per answer once the scan is under way, an
+// O(log n) descent after a Seek — reusing the caller's destination
 // buffers, so a steady-state Next performs zero allocations.
 //
 // A Cursor is NOT safe for concurrent use — it is one scan's state;
@@ -37,8 +38,16 @@ type Cursor struct {
 	// dedicated buffer instead of the handle's pooled path keeps Next
 	// deterministically allocation-free: sync.Pool may shed entries
 	// (GC, and randomly under the race detector), a buffer owned by
-	// this single-consumer cursor cannot.
+	// this single-consumer cursor cannot. Consecutive Nexts through it
+	// are successor steps (see access.LexBuf).
 	buf *access.LexBuf
+
+	// win is what Next serves a sharded handle from: the head tuples of
+	// ranks winPos, winPos+1, … fetched by one AccessRange, so the
+	// handle's rank search is paid once per cursorChunk rows, not per
+	// row. It is looked up by position, so a Seek needs no reset.
+	win    []values.Value
+	winPos int64
 }
 
 // Cursor opens a cursor over the handle's immutable epoch, starting at
@@ -99,26 +108,35 @@ func (c *Cursor) Seek(offset int64, whence int) (int64, error) {
 // Next appends the head tuple at the current position to dst, advances,
 // and returns the extended slice and true. At the end of the answer
 // list it returns (dst, false, nil). Steady-state calls with a reused
-// dst perform zero allocations on an unsharded structure, overlaid or
-// not.
+// dst perform zero allocations, on an unsharded structure (overlaid or
+// not) and on a sharded handle.
 func (c *Cursor) Next(dst []values.Value) ([]values.Value, bool, error) {
-	if c.pos >= c.h.Total() {
+	total := c.h.Total()
+	if c.pos >= total {
 		return dst, false, nil
 	}
-	var err error
 	if st := c.h.st; st != nil {
 		if c.buf == nil {
 			c.buf = st.GetBuf()
 		}
-		var a order.Answer
-		if a, err = st.AccessInto(c.buf, c.pos); err == nil {
-			dst = c.h.AppendHeadTuple(dst, a)
+		a, err := st.AccessInto(c.buf, c.pos)
+		if err != nil {
+			return dst, false, err
 		}
+		dst = c.h.AppendHeadTuple(dst, a)
 	} else {
-		dst, err = c.h.AppendTuple(dst, c.pos)
-	}
-	if err != nil {
-		return dst, false, err
+		w := int64(c.h.Width())
+		if off := c.pos - c.winPos; off < 0 || off*w >= int64(len(c.win)) {
+			var err error
+			c.win, err = c.h.AccessRange(c.win[:0], c.pos, min(c.pos+cursorChunk, total))
+			if err != nil {
+				c.win = c.win[:0]
+				return dst, false, err
+			}
+			c.winPos = c.pos
+		}
+		off := (c.pos - c.winPos) * w
+		dst = append(dst, c.win[off:off+w]...)
 	}
 	c.pos++
 	return dst, true, nil

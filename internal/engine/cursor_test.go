@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -313,6 +314,35 @@ func TestShardedCursorEquivalence(t *testing.T) {
 		}
 		if got := collectAll(t, cur, 37); !eqValues(got, want) {
 			t.Fatalf("P=%d cursor stream diverges from unsharded", p)
+		}
+		// Next, one row at a time from wherever a Seek lands — inside
+		// the window a sharded cursor holds, behind it, past it, up to
+		// the end — reads the bytes AccessRange reads.
+		rng := rand.New(rand.NewSource(int64(p)))
+		total := h.Total()
+		for i := 0; i < 60; i++ {
+			k0 := rng.Int63n(total)
+			if i%3 == 0 {
+				k0 = max(cur.Pos()-rng.Int63n(2*cursorChunk), 0)
+			}
+			k1 := min(k0+rng.Int63n(3*cursorChunk), total)
+			if _, err := cur.Seek(k0, io.SeekStart); err != nil {
+				t.Fatal(err)
+			}
+			var got []values.Value
+			for k := k0; k < k1; k++ {
+				var ok bool
+				if got, ok, err = cur.Next(got); err != nil || !ok {
+					t.Fatalf("P=%d Next at %d of %d = (%v, %v)", p, k, total, ok, err)
+				}
+			}
+			ranged, err := h.AccessRange(nil, k0, k1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !eqValues(got, ranged) || !eqValues(got, want[k0*int64(h.Width()):k1*int64(h.Width())]) {
+				t.Fatalf("P=%d Next over [%d, %d) after a Seek diverges from AccessRange", p, k0, k1)
+			}
 		}
 	}
 }

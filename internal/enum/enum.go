@@ -15,6 +15,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"rankedaccess/internal/access"
@@ -32,22 +33,17 @@ import (
 // emit returns false. Each emitted answer is freshly allocated and may
 // be retained; use RankedLexBuffered when emit only inspects answers.
 func RankedLex(la *access.Lex, emit func(k int64, a order.Answer) bool) error {
-	for k := int64(0); k < la.Total(); k++ {
-		a, err := la.Access(k)
-		if err != nil {
-			return err
-		}
-		if !emit(k, a) {
-			return nil
-		}
-	}
-	return nil
+	return RankedLexBuffered(la, func(k int64, a order.Answer) bool {
+		return emit(k, slices.Clone(a))
+	})
 }
 
 // RankedLexBuffered is RankedLex with one probe buffer reused across the
-// whole enumeration: the loop performs zero allocations per answer, and
-// the answer passed to emit aliases the buffer, so emit must copy
-// anything it wants to keep past its return.
+// whole enumeration: after the first answer every probe is a successor
+// step (Remark 3's constant amortized delay, not a descent), the loop
+// performs zero allocations per answer, and the answer passed to emit
+// aliases the buffer, so emit must copy anything it wants to keep past
+// its return.
 func RankedLexBuffered(la *access.Lex, emit func(k int64, a order.Answer) bool) error {
 	buf := la.NewBuf()
 	for k := int64(0); k < la.Total(); k++ {

@@ -471,8 +471,11 @@ func (h *Handle) Inverted(a order.Answer) (int64, error) {
 
 // AppendRange appends the head projections of the global answers
 // k0 ≤ k < k1 to dst: one rank search finds each shard's starting
-// cursor, then a P-way merge emits the window in order, costing one
-// local O(log n) access per emitted answer plus a P-wide comparison.
+// cursor, then a P-way merge emits the window in order. In process each
+// shard's cursor probes consecutive local ranks through the probe's own
+// buffer for that shard, so an emitted answer costs one O(log n)
+// descent per shard at the start of the window and a successor step
+// (see access.LexBuf) plus a P-wide comparison from then on.
 func (h *Handle) AppendRange(dst []values.Value, head []cq.VarID, k0, k1 int64) ([]values.Value, error) {
 	return h.AppendRangeCtx(context.Background(), dst, head, k0, k1)
 }
