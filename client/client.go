@@ -54,8 +54,9 @@ import (
 // Value is a dictionary-encoded domain value, as served by the engine.
 type Value = api.Value
 
-// Sentinel errors mirroring the facade's serving errors; *APIError
-// values returned by every method satisfy errors.Is against them.
+// Sentinel errors. *APIError values returned by every method satisfy
+// errors.Is against the first three, which mirror the facade's serving
+// errors.
 var (
 	// ErrNotPrepared: no prepared query or cursor with that name/id
 	// (HTTP 404).
@@ -65,6 +66,10 @@ var (
 	// ErrIntractable: the spec is on the intractable side of the
 	// dichotomy and was registered strict (HTTP 422).
 	ErrIntractable = errors.New("client: intractable")
+	// ErrCursorGap: the server's cursor has moved past rows this Cursor
+	// never received — the response that carried them was lost in
+	// transport. The cursor stays failed; Pos is where to open a new one.
+	ErrCursorGap = errors.New("client: cursor skipped rows")
 )
 
 // APIError is a non-2xx response's decoded {"error": ...} envelope.
@@ -108,8 +113,8 @@ type Options struct {
 	RequestTimeout time.Duration
 
 	// MaxRetries is how many times a request the server shed with
-	// 429/503 (or a GET that failed in transport) is retried with
-	// capped exponential backoff and jitter, honoring the server's
+	// 429/503 (or an idempotent GET that failed in transport) is retried
+	// with capped exponential backoff and jitter, honoring the server's
 	// Retry-After. 0 means DefaultMaxRetries; negative disables
 	// retries.
 	MaxRetries int
@@ -163,15 +168,22 @@ func Dial(ctx context.Context, base string, opts *Options) (*Client, error) {
 }
 
 // do sends one JSON request and decodes a 2xx body into out (skipped
-// when out is nil); non-2xx responses come back as *APIError.
+// when out is nil); non-2xx responses come back as *APIError. A GET is
+// replayed after a transport error; see send.
+func (c *Client) do(ctx context.Context, method, path string, in, out any, accept string) (*http.Response, error) {
+	return c.send(ctx, method, path, in, out, accept, method == http.MethodGet)
+}
+
+// send is do with the replay decision spelled out.
 //
 // Requests the server sheds with 429/503 are retried with backoff (the
 // server rejects those before processing, so writes are safe to
-// resend); transport errors are retried for GETs only, where a
-// duplicate cannot change state. Non-streaming requests run under the
-// client's RequestTimeout; streaming requests (accept != "") are bound
-// only by the caller's ctx.
-func (c *Client) do(ctx context.Context, method, path string, in, out any, accept string) (*http.Response, error) {
+// resend). A transport error says nothing about whether the handler
+// ran, so only a request that is idempotent — replay — is sent again
+// after one: every GET but the one that advances a cursor.
+// Non-streaming requests run under the client's RequestTimeout;
+// streaming requests (accept != "") are bound only by the caller's ctx.
+func (c *Client) send(ctx context.Context, method, path string, in, out any, accept string, replay bool) (*http.Response, error) {
 	var raw []byte
 	if in != nil {
 		var err error
@@ -205,9 +217,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, accep
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			// The request may have reached the server; only a GET is
-			// safe to replay blind.
-			if method == http.MethodGet && attempt < c.retry.max && ctx.Err() == nil {
+			if replay && attempt < c.retry.max && ctx.Err() == nil {
 				if sleepCtx(ctx, c.retry.delay(attempt, nil)) == nil {
 					continue
 				}
@@ -233,12 +243,35 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, accep
 		}
 		defer resp.Body.Close()
 		if out != nil {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			if err := decodeBody(resp, out); err != nil {
 				return nil, fmt.Errorf("client: decode response: %w", err)
 			}
 		}
 		return resp, nil
 	}
+}
+
+// maxPresize bounds (in bytes) what a Content-Length header alone makes
+// decodeBody allocate.
+const maxPresize = 1 << 20
+
+// decodeBody reads the whole body — to EOF, so the connection goes back
+// to the transport's pool — and decodes it into out. A body of
+// internal/api that decodes itself (a range window, a cursor page) is
+// handed the bytes directly: its UnmarshalJSON checks them, so
+// json.Unmarshal's scan ahead of it would only read them twice.
+func decodeBody(resp *http.Response, out any) error {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxPresize {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	if u, ok := out.(json.Unmarshaler); ok {
+		return u.UnmarshalJSON(buf.Bytes())
+	}
+	return json.Unmarshal(buf.Bytes(), out)
 }
 
 // decodeAPIError turns a non-2xx response into an *APIError, falling

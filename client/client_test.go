@@ -18,7 +18,7 @@ const twoPath = "Q(x, y, z) :- R(x, y), S(y, z)"
 
 // testServer boots a real serve handler over a generated instance and
 // dials it.
-func testServer(t *testing.T, n int, seed int64) (*Client, *engine.Engine) {
+func testServer(t testing.TB, n int, seed int64) (*Client, *engine.Engine) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	_, in := workload.TwoPath(rng, n, n/8, 0.3)
@@ -234,31 +234,5 @@ func TestLoadThenRegister(t *testing.T) {
 	rows, err := p.Range(ctx, 0, 2)
 	if err != nil || fmt.Sprint(rows) != "[[1 2] [3 4]]" {
 		t.Fatalf("rows = (%v, %v)", rows, err)
-	}
-}
-
-func TestParseRow(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want string
-		ok   bool
-	}{
-		{"[1,2,3]", "[1 2 3]", true},
-		{"[-7]", "[-7]", true},
-		{"[ 1 , 2 ]", "[1 2]", true},
-		{"[]", "[]", true},
-		{"1,2", "", false},
-		{"[1,2", "", false},
-		{"[1,,2]", "", false},
-		{`["x"]`, "", false},
-	} {
-		got, err := parseRow(nil, []byte(tc.in))
-		if tc.ok != (err == nil) {
-			t.Errorf("parseRow(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if tc.ok && fmt.Sprint(got) != tc.want {
-			t.Errorf("parseRow(%q) = %v, want %v", tc.in, got, tc.want)
-		}
 	}
 }

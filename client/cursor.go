@@ -54,11 +54,20 @@ func (c *Cursor) nextPath(n int) string {
 }
 
 // Next fetches up to n rows as one JSON batch and advances the cursor.
-// It returns an empty slice when the scan is exhausted.
+// It returns an empty slice when the scan is exhausted. The rows share
+// one backing array, each clipped to its own capacity.
+//
+// The request moves the server's position, so it is not replayed after
+// a transport error (see Client.send): the error comes back, and if the
+// server did handle the lost request, every later call fails with
+// ErrCursorGap rather than skip the lost page silently.
 func (c *Cursor) Next(ctx context.Context, n int) ([][]Value, error) {
 	var out api.CursorPage
-	if _, err := c.p.c.do(ctx, http.MethodGet, c.nextPath(n), nil, &out, ""); err != nil {
+	if _, err := c.p.c.send(ctx, http.MethodGet, c.nextPath(n), nil, &out, "", false); err != nil {
 		return nil, err
+	}
+	if from := out.Pos - int64(len(out.Tuples)); from != c.pos {
+		return nil, fmt.Errorf("%w: page starts at rank %d, cursor %s stands at %d", ErrCursorGap, from, c.ID, c.pos)
 	}
 	c.pos, c.done = out.Pos, out.Done
 	return out.Tuples, nil
@@ -74,9 +83,11 @@ func (c *Cursor) Next(ctx context.Context, n int) ([][]Value, error) {
 // first byte (X-Cursor-Pos); Stream mirrors that position as soon as
 // the headers arrive, so Pos/Done stay in sync with the server even
 // when fn aborts or the connection drops mid-stream — a retry simply
-// streams the next window.
+// streams the next window. Like Next, the request is never replayed,
+// and a response lost before its headers arrived turns every later call
+// into ErrCursorGap.
 func (c *Cursor) Stream(ctx context.Context, n int, fn func(row []Value) error) (int, error) {
-	resp, err := c.p.c.do(ctx, http.MethodGet, c.nextPath(n), nil, nil, "application/x-ndjson")
+	resp, err := c.p.c.send(ctx, http.MethodGet, c.nextPath(n), nil, nil, "application/x-ndjson", false)
 	if err != nil {
 		return 0, err
 	}
@@ -86,6 +97,9 @@ func (c *Cursor) Stream(ctx context.Context, n int, fn func(row []Value) error) 
 		return 0, fmt.Errorf("client: stream response missing X-Cursor-Pos: %w", err)
 	}
 	want := int(endPos - c.pos)
+	if want < 0 || want > n {
+		return 0, fmt.Errorf("%w: window of %d rows ends at rank %d, cursor %s stands at %d", ErrCursorGap, n, endPos, c.ID, c.pos)
+	}
 	c.pos = endPos
 	c.done = resp.Header.Get("X-Cursor-Done") == "true"
 	row := make([]Value, 0, c.width)
@@ -97,9 +111,9 @@ func (c *Cursor) Stream(ctx context.Context, n int, fn func(row []Value) error) 
 		if len(line) == 0 {
 			continue
 		}
-		row, err = parseRow(row[:0], line)
+		row, err = api.ParseRow(row[:0], line)
 		if err != nil {
-			return rows, err
+			return rows, fmt.Errorf("client: bad stream row %q: %w", line, err)
 		}
 		if err := fn(row); err != nil {
 			return rows, err
@@ -116,53 +130,6 @@ func (c *Cursor) Stream(ctx context.Context, n int, fn func(row []Value) error) 
 		return rows, fmt.Errorf("client: stream truncated: got %d of %d rows", rows, want)
 	}
 	return rows, nil
-}
-
-// parseRow decodes one NDJSON line "[v1,v2,...]" of integer values
-// into dst without an encoding/json round-trip per row.
-func parseRow(dst []Value, line []byte) ([]Value, error) {
-	i, n := 0, len(line)
-	skipSpace := func() {
-		for i < n && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r') {
-			i++
-		}
-	}
-	skipSpace()
-	if i >= n || line[i] != '[' {
-		return dst, fmt.Errorf("client: bad stream row %q", line)
-	}
-	i++
-	skipSpace()
-	if i < n && line[i] == ']' {
-		return dst, nil // zero-width row
-	}
-	for {
-		start := i
-		if i < n && (line[i] == '-' || line[i] == '+') {
-			i++
-		}
-		for i < n && line[i] >= '0' && line[i] <= '9' {
-			i++
-		}
-		v, err := strconv.ParseInt(string(line[start:i]), 10, 64)
-		if err != nil {
-			return dst, fmt.Errorf("client: bad stream row %q: %w", line, err)
-		}
-		dst = append(dst, v)
-		skipSpace()
-		if i >= n {
-			return dst, fmt.Errorf("client: unterminated stream row %q", line)
-		}
-		switch line[i] {
-		case ',':
-			i++
-			skipSpace()
-		case ']':
-			return dst, nil
-		default:
-			return dst, fmt.Errorf("client: bad stream row %q", line)
-		}
-	}
 }
 
 // Close releases the server-side cursor.

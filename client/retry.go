@@ -3,8 +3,9 @@
 // the server shed (429/503) or that failed in transport before any
 // state could change. The server signals "not processed" with those
 // two statuses — its admission control rejects before the handler
-// runs — so retrying them is safe even for writes; transport errors
-// are retried only for GETs, where a duplicate is harmless.
+// runs — so retrying them is safe even for writes; after a transport
+// error only an idempotent request is replayed — a GET, except the one
+// that advances a cursor (see Client.send).
 package client
 
 import (

@@ -10,14 +10,22 @@
 // GET /v1/stats is the one body declared elsewhere, in internal/stats,
 // under the same rule.
 //
-// The leaf rule: this package holds plain JSON-tagged data and imports
-// nothing, so importing the SDK does not pull in the engine. Field
-// order is the JSON key order. Under the /v1 compatibility policy a new
-// field is one line here — additive, appended last in its struct — and
-// a reviewed diff of internal/serve/testdata/wire.golden; a key is
-// never renamed, retyped or reordered. TestWireTypesDeclaredOnce keeps
+// The leaf rule: this package imports no package of this module, so
+// importing the SDK does not pull in the engine. Field order is the JSON
+// key order. Under the /v1 compatibility policy a new field is one line
+// here — additive, appended last in its struct — and a reviewed diff of
+// internal/serve/testdata/wire.golden; a key is never renamed, retyped
+// or reordered. TestWireTypesDeclaredOnce keeps
 // JSON tags out of internal/serve and client, FuzzRequestBodies feeds
 // every request type below through the server's decoder.
+//
+// Rows have one codec. Every [][]Value that crosses the wire — the
+// tuples of a range window and a cursor page, the rows of a load and a
+// write, an NDJSON line — is written and read by rows.go, in the bytes
+// and the language of encoding/json, without reflection. The two
+// bodies that are mostly rows (RangeResponse, CursorPage) also encode
+// and decode themselves around it (body.go); FuzzRows holds all of it
+// to encoding/json.
 //
 // A body of the by-name generation (/v1/queries/{name}/…) carries only
 // the probe's arguments; the one-shot generation (/v1/instance/…)
@@ -72,8 +80,8 @@ type Error struct {
 
 // LoadRequest is the body of POST /v1/instance/load.
 type LoadRequest struct {
-	Relation string    `json:"relation"`
-	Rows     [][]Value `json:"rows"`
+	Relation string `json:"relation"`
+	Rows     Rows   `json:"rows"`
 }
 
 // LoadResponse reports the rows appended and the version they published.
@@ -124,14 +132,22 @@ type InstanceRangeRequest struct {
 	RangeRequest
 }
 
-// RangeResponse carries the window's head tuples, first rank K0.
-type RangeResponse struct {
+// RangeHeader is everything of a range response but its rows: the
+// plan's outcome and the window's first rank K0.
+type RangeHeader struct {
 	Total     int64  `json:"total"`
 	Mode      string `json:"mode"`
 	Tractable bool   `json:"tractable"`
 	K0        int64  `json:"k0"`
 	ShardEcho
-	Tuples [][]Value `json:"tuples"`
+}
+
+// RangeResponse carries the window's head tuples, first rank K0. It is
+// the decoded form; the server encodes the same body from a FlatRange
+// (see body.go).
+type RangeResponse struct {
+	RangeHeader
+	Tuples Rows `json:"tuples"`
 }
 
 // SelectRequest asks the one-shot selection problem for rank K.
@@ -234,13 +250,20 @@ type CursorResponse struct {
 	Width  int    `json:"width"`
 }
 
-// CursorPage is one JSON batch of GET /v1/cursors/{id}/next.
+// PageHeader is everything of a cursor page but its rows; Pos is the
+// rank after the page's last row.
+type PageHeader struct {
+	Cursor string `json:"cursor"`
+	Query  string `json:"query"`
+	Pos    int64  `json:"pos"`
+	Done   bool   `json:"done"`
+}
+
+// CursorPage is one JSON batch of GET /v1/cursors/{id}/next, decoded;
+// the server encodes the same body from a FlatPage (see body.go).
 type CursorPage struct {
-	Cursor string    `json:"cursor"`
-	Query  string    `json:"query"`
-	Pos    int64     `json:"pos"`
-	Done   bool      `json:"done"`
-	Tuples [][]Value `json:"tuples"`
+	PageHeader
+	Tuples Rows `json:"tuples"`
 }
 
 // Write is one relation's rows in a write batch. Deletes apply after
@@ -248,9 +271,9 @@ type CursorPage struct {
 // batch; deleting a row the same batch inserted removes it); deletes of
 // absent rows are idempotent no-ops.
 type Write struct {
-	Relation string    `json:"relation"`
-	Insert   [][]Value `json:"insert,omitempty"`
-	Delete   [][]Value `json:"delete,omitempty"`
+	Relation string `json:"relation"`
+	Insert   Rows   `json:"insert,omitempty"`
+	Delete   Rows   `json:"delete,omitempty"`
 }
 
 // WriteRequest is the body of POST /v1/write: one atomic batch.

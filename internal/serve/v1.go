@@ -247,16 +247,13 @@ func (s *server) handleCursorNext(w http.ResponseWriter, r *http.Request) {
 		failErr(w, err)
 		return
 	}
-	width := sc.cur.Width()
-	resp := api.CursorPage{
-		Cursor: sc.id, Query: sc.query,
-		Pos: sc.cur.Pos(), Done: sc.cur.Pos() >= sc.cur.Total(),
-		Tuples: make([][]values.Value, emitted),
-	}
-	for i := 0; i < emitted; i++ {
-		resp.Tuples[i] = flat[i*width : (i+1)*width : (i+1)*width]
-	}
-	reply(w, resp)
+	reply(w, api.FlatPage{
+		PageHeader: api.PageHeader{
+			Cursor: sc.id, Query: sc.query,
+			Pos: sc.cur.Pos(), Done: sc.cur.Pos() >= sc.cur.Total(),
+		},
+		Tuples: api.FlatRows{Flat: flat, Width: sc.cur.Width(), N: emitted},
+	})
 	putTupleBuf(flatP, flat)
 }
 
@@ -318,7 +315,7 @@ func (s *server) streamNDJSON(sc *serverCursor, w http.ResponseWriter, n int) {
 		}
 		b = b[:0]
 		for i := 0; i < int(k1-pos); i++ {
-			b = appendRowNDJSON(b, flat[i*width:(i+1)*width])
+			b = append(api.AppendRow(b, flat[i*width:(i+1)*width]), '\n')
 		}
 		if s.streamWrite > 0 {
 			_ = rc.SetWriteDeadline(time.Now().Add(s.streamWrite))
@@ -334,20 +331,6 @@ func (s *server) streamNDJSON(sc *serverCursor, w http.ResponseWriter, n int) {
 		*bp = b
 		ndjsonPool.Put(bp)
 	}
-}
-
-// appendRowNDJSON appends one row as a JSON array of numbers plus a
-// newline: exactly what encoding/json produces for []values.Value, so
-// byte-decoding a stream reproduces the batched endpoints' tuples.
-func appendRowNDJSON(b []byte, row []values.Value) []byte {
-	b = append(b, '[')
-	for j, v := range row {
-		if j > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, v, 10)
-	}
-	return append(b, ']', '\n')
 }
 
 func (s *server) handleCursorClose(w http.ResponseWriter, r *http.Request) {
