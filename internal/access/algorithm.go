@@ -26,7 +26,6 @@ type LexBuf struct {
 	bucket []int // per layer: the bucket the probe entered
 	tuple  []int // per layer: the tuple it chose there
 	next   int64 // the rank after the answer held; 0 when none is
-	key    []values.Value
 }
 
 // NewBuf returns a probe buffer sized for this structure.
@@ -37,7 +36,6 @@ func (la *Lex) NewBuf() *LexBuf {
 		ans:    make([]values.Value, la.numVars),
 		bucket: idx[:f:f],
 		tuple:  idx[f:],
-		key:    make([]values.Value, la.maxKey),
 	}
 }
 
@@ -116,14 +114,11 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 		k -= ly.starts[t] * factor
 		tuple[i] = t
 		ans[ly.v] = ly.vals[t]
-		for _, c := range ly.children {
-			child := &la.layers[c]
-			cb, ok := la.childBucket(child, ly.bucketOf.Key(b), ly.vals[t], buf.key)
-			if !ok {
-				return nil, fmt.Errorf("access: internal: missing child bucket during access")
-			}
+		nc := len(ly.children)
+		for j, c := range ly.children {
+			cb := int(ly.childOf[t*nc+j])
 			bucket[c] = cb
-			factor *= child.bucketWeight[cb]
+			factor *= la.layers[c].bucketWeight[cb]
 		}
 	}
 	if k != 0 {
@@ -162,13 +157,9 @@ func (la *Lex) step(buf *LexBuf) (order.Answer, error) {
 		}
 		tuple[j] = t
 		ans[ly.v] = ly.vals[t]
-		for _, c := range ly.children {
-			cb, ok := la.childBucket(&la.layers[c], ly.bucketOf.Key(bucket[j]), ly.vals[t], buf.key)
-			if !ok {
-				buf.next = 0
-				return nil, fmt.Errorf("access: internal: missing child bucket during access")
-			}
-			bucket[c] = cb
+		nc := len(ly.children)
+		for x, c := range ly.children {
+			bucket[c] = int(ly.childOf[t*nc+x])
 		}
 	}
 	buf.next++
@@ -284,14 +275,11 @@ func (la *Lex) Rank(a order.Answer) (int64, bool) {
 			return k, false
 		}
 		k += ly.starts[t] * factor
-		for _, c := range ly.children {
-			child := &la.layers[c]
-			cb, okc := la.childBucket(child, ly.bucketOf.Key(b), ly.vals[t], buf.key)
-			if !okc {
-				return k, false
-			}
+		nc := len(ly.children)
+		for j, c := range ly.children {
+			cb := int(ly.childOf[t*nc+j])
 			bucket[c] = cb
-			factor *= child.bucketWeight[cb]
+			factor *= la.layers[c].bucketWeight[cb]
 		}
 	}
 	return k, exact
@@ -335,7 +323,7 @@ func (la *Lex) DumpLayer(i int) []BucketDump {
 			out = append(out, BucketDump{
 				Key:    ly.bucketOf.Key(b),
 				Value:  ly.vals[t],
-				Weight: ly.weights[t],
+				Weight: ly.weight(b, t),
 				Start:  ly.starts[t],
 			})
 		}

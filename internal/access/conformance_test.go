@@ -395,6 +395,21 @@ var scanCases = map[string]func(*testing.T, *rand.Rand) *access.Lex{
 		}
 		return la
 	},
+	// Two children under one layer, their buckets resolved by restore
+	// rather than by the build.
+	"restored-star": func(t *testing.T, rng *rand.Rand) *access.Lex {
+		q := cq.MustParse("Q(x, y, z) :- R(x, y), S(x, z)")
+		_, in := workload.TwoPath(rng, 60, 8, 0.4)
+		parts, ok := buildLex(t, q, in, "x, z desc, y").Parts()
+		if !ok {
+			t.Fatal("an FD-free Lex exports no parts")
+		}
+		la, err := access.LexFromParts(q, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return la
+	},
 	// Steps in the extended space, projected on the way out; x, z, y is
 	// intractable without the FD.
 	"fd-extended": func(t *testing.T, rng *rand.Rand) *access.Lex {

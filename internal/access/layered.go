@@ -111,8 +111,9 @@ func (e *IntractableError) Unwrap() error { return ErrIntractable }
 // keyVars ∪ {v}, with v the layer's lexicographic variable. Its relation
 // is partitioned into buckets by keyVars values; inside a bucket, tuples
 // are distinct v-values sorted by the layer's direction, each carrying
-// the number of answers it contributes in its subtree (weight) and the
-// running sum of preceding weights (start).
+// the running sum of the answers its predecessors contribute in their
+// subtrees (start). A tuple's own count, its weight, is the gap to the
+// next start (see weight).
 type layer struct {
 	v        cq.VarID
 	dir      order.Direction
@@ -122,14 +123,19 @@ type layer struct {
 
 	srcNode int // index of the reduce.Full node this layer projects
 
-	vals    []values.Value
-	weights []int64
-	starts  []int64
+	vals   []values.Value
+	starts []int64
+
+	// childOf[t*len(children)+j] is the bucket of layer children[j] that
+	// tuple t selects — resolved once, at build or restore, so the
+	// probes descend by array index and never hash. nil for a leaf.
+	childOf []int32
 
 	// bucketOf maps a key-variable tuple to its bucket id; bucket ids are
 	// dense and aligned with bucketStart/bucketEnd/bucketWeight, and the
-	// index's flat key storage holds the per-bucket key values (the old
-	// bucketKeys array).
+	// index's flat key storage holds the per-bucket key values. Only
+	// build, restore (which resolve childOf through it) and DumpLayer
+	// read it; no probe does.
 	bucketOf     *tupleidx.Index
 	bucketStart  []int
 	bucketEnd    []int
@@ -140,6 +146,16 @@ type layer struct {
 	// the j-th key value, or -1 when it is the parent's layer variable.
 	// nil for the root.
 	keyFrom []int
+}
+
+// weight is the number of answers tuple t of bucket b contributes in its
+// subtree: the gap to the next tuple's start, or to the bucket's weight
+// for its last tuple.
+func (ly *layer) weight(b, t int) int64 {
+	if t+1 < ly.bucketEnd[b] {
+		return ly.starts[t+1] - ly.starts[t]
+	}
+	return ly.bucketWeight[b] - ly.starts[t]
 }
 
 // Lex is the direct-access structure for a lexicographic order.
@@ -156,7 +172,7 @@ type Lex struct {
 	rels    []*database.Relation // per-layer relations (columns: keyVars..., v)
 	total   int64
 	numVars int
-	maxKey  int // widest key arity across layers (sizes probe scratch)
+	maxKey  int // widest key arity across layers (sizes the childOf resolution's scratch)
 
 	bufs sync.Pool // *LexBuf, feeds the allocating convenience APIs
 
@@ -385,36 +401,38 @@ func (la *Lex) buildTree(full *reduce.Full, completed order.Lex) error {
 		}
 	}
 
-	// Precompute the key gather plan of every non-root layer: each child
-	// key variable is either the parent's layer variable (-1) or sits at
-	// a fixed parent key column. Resolving this once keeps the per-access
-	// child-bucket probes search-free.
-	for i := 1; i < f; i++ {
+	if err := la.planKeyGather(); err != nil {
+		return fmt.Errorf("access: internal: %w", err)
+	}
+	return nil
+}
+
+// planKeyGather precomputes the key gather plan of every non-root layer
+// (each child key variable is either the parent's layer variable, -1, or
+// sits at a fixed parent key column) and the widest key. Resolving this
+// once keeps the child-bucket lookups that fill childOf search-free.
+func (la *Lex) planKeyGather() error {
+	for i := range la.layers {
 		ly := &la.layers[i]
+		la.maxKey = max(la.maxKey, len(ly.keyVars))
+		if i == 0 {
+			continue
+		}
 		parent := &la.layers[ly.parent]
 		ly.keyFrom = make([]int, len(ly.keyVars))
+	key:
 		for j, u := range ly.keyVars {
 			ly.keyFrom[j] = -1
 			if u == parent.v {
 				continue
 			}
-			found := false
 			for c, pu := range parent.keyVars {
 				if pu == u {
 					ly.keyFrom[j] = c
-					found = true
-					break
+					continue key
 				}
 			}
-			if !found {
-				return fmt.Errorf("access: internal: child key variable %s not available from parent layer",
-					la.Query.VarName(u))
-			}
-		}
-	}
-	for i := range la.layers {
-		if nk := len(la.layers[i].keyVars); nk > la.maxKey {
-			la.maxKey = nk
+			return fmt.Errorf("layer %d key variable %d not available from parent layer", i, u)
 		}
 	}
 	return nil

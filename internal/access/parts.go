@@ -12,20 +12,25 @@ import (
 // This file exports the built structures' flat arrays for snapshot
 // persistence and reconstructs structures from persisted (possibly
 // memory-mapped) arrays without re-running preprocessing: a warm start
-// points every layer's vals/weights/starts/bucket columns — and the
-// bucket index's key and table buffers — at the mapped file and is
-// immediately probe-ready.
+// points every layer's vals/starts/bucket columns — and the bucket
+// index's key and table buffers — at the mapped file, resolves the
+// child buckets every tuple selects (one index lookup per tuple per
+// child) and is then probe-ready.
 //
-// The FromParts constructors validate the structural invariants the
-// probe algorithms rely on for memory safety and termination (shapes,
-// index bounds, zero start offsets, strictly positive weights) and,
-// for row arrays, the rank order itself (see rowsFromParts); the rest
-// of value-level correctness is the snapshot checksums' job.
+// The FromParts constructors validate what the probe algorithms rely on
+// for memory safety, termination and agreement between Access and Rank:
+// shapes, index bounds, zero start offsets, strictly positive weights,
+// sorted buckets, a child bucket for every tuple whose weights multiply
+// to the tuple's weight and, for row arrays, the rank order itself (see
+// rowsFromParts). That the values are the ones preprocessing computed
+// is the snapshot checksums' job.
 
-// LexLayerParts is the flat state of one layer of a built Lex. Children
-// and the child key-gather plans are not part of it: they are
-// recomputed from Parent and KeyVars, exactly as the builder derived
-// them.
+// LexLayerParts is the flat state of one layer of a built Lex. Children,
+// the child key-gather plans and the child buckets each tuple selects
+// are not part of it: they are recomputed from Parent, KeyVars and the
+// bucket index, exactly as the builder derived them. Weights is derived
+// from Starts on export and checked against them on restore; the layer
+// does not keep it.
 type LexLayerParts struct {
 	Var     cq.VarID
 	Desc    bool
@@ -54,10 +59,11 @@ type LexParts struct {
 	Layers    []LexLayerParts
 }
 
-// Parts exports the structure's flat arrays (views, not copies; the
-// caller must not mutate them). ok is false when the structure carries
-// FD-extension closures, which cannot be persisted — callers should
-// rebuild such structures from their spec instead.
+// Parts exports the structure's flat arrays (views, not copies, except
+// the derived Weights; the caller must not mutate them). ok is false
+// when the structure carries FD-extension closures, which cannot be
+// persisted — callers should rebuild such structures from their spec
+// instead.
 func (la *Lex) Parts() (*LexParts, bool) {
 	if la.project != nil || la.extend != nil {
 		return nil, false
@@ -72,9 +78,15 @@ func (la *Lex) Parts() (*LexParts, bool) {
 	}
 	for i := range la.layers {
 		ly := &la.layers[i]
+		weights := make([]int64, len(ly.vals))
+		for b := range ly.bucketStart {
+			for t := ly.bucketStart[b]; t < ly.bucketEnd[b]; t++ {
+				weights[t] = ly.weight(b, t)
+			}
+		}
 		p.Layers[i] = LexLayerParts{
 			Var: ly.v, Desc: ly.dir == order.Desc, Parent: ly.parent, KeyVars: ly.keyVars,
-			Vals: ly.vals, Weights: ly.weights, Starts: ly.starts,
+			Vals: ly.vals, Weights: weights, Starts: ly.starts,
 			Buckets: ly.bucketOf.Len(), BucketStart: ly.bucketStart, BucketEnd: ly.bucketEnd,
 			BucketWeight: ly.bucketWeight, BucketKeys: ly.bucketOf.FlatKeys(), BucketTable: ly.bucketOf.Table(),
 		}
@@ -93,6 +105,9 @@ func LexFromParts(q *cq.Query, p *LexParts) (*Lex, error) {
 		Query: q, Completed: p.Completed, total: p.Total, numVars: p.NumVars,
 		boolean: p.Boolean, boolTrue: p.BoolTrue,
 	}
+	if p.Boolean != q.IsBoolean() {
+		return nil, fmt.Errorf("access: parts are boolean: %v, the query is: %v", p.Boolean, q.IsBoolean())
+	}
 	if p.Boolean {
 		if len(p.Layers) != 0 {
 			return nil, fmt.Errorf("access: boolean structure with %d layers", len(p.Layers))
@@ -107,40 +122,64 @@ func LexFromParts(q *cq.Query, p *LexParts) (*Lex, error) {
 		return la, nil
 	}
 	f := len(p.Layers)
-	if len(p.Completed.Entries) != f {
+	if f == 0 || len(p.Completed.Entries) != f {
 		return nil, fmt.Errorf("access: %d layers vs %d completed-order entries", f, len(p.Completed.Entries))
 	}
 	la.layers = make([]layer, f)
+	seen := make([]bool, p.NumVars)
 	for i := range p.Layers {
 		if err := layerFromParts(&la.layers[i], i, &p.Layers[i], p.NumVars); err != nil {
 			return nil, err
 		}
-		if nk := len(la.layers[i].keyVars); nk > la.maxKey {
-			la.maxKey = nk
+		// One layer per completed-order position, as buildTree lays them
+		// out: Compare and the descent realize the same order.
+		ly, e := &la.layers[i], p.Completed.Entries[i]
+		if ly.v != e.Var || ly.dir != e.Dir || seen[ly.v] {
+			return nil, fmt.Errorf("access: layer %d does not realize completed-order entry %d", i, i)
 		}
+		seen[ly.v] = true
 	}
 	// Recompute children and the child key-gather plans from the parent
 	// pointers, as the builder does.
 	for i := 1; i < f; i++ {
-		ly := &la.layers[i]
-		parent := &la.layers[ly.parent]
+		parent := &la.layers[la.layers[i].parent]
 		parent.children = append(parent.children, i)
-		ly.keyFrom = make([]int, len(ly.keyVars))
-		for j, u := range ly.keyVars {
-			ly.keyFrom[j] = -1
-			if u == parent.v {
-				continue
-			}
-			found := false
-			for c, pu := range parent.keyVars {
-				if pu == u {
-					ly.keyFrom[j] = c
-					found = true
-					break
+	}
+	if err := la.planKeyGather(); err != nil {
+		return nil, fmt.Errorf("access: %w", err)
+	}
+	// Resolve the child buckets every tuple selects, as bucketize does,
+	// and hold each tuple's weight to their product: a descent then ends
+	// on residual 0 for every rank below the total, and Rank finds the
+	// tuples Access chose.
+	scratch := make([]values.Value, la.maxKey)
+	for i := range la.layers {
+		ly := &la.layers[i]
+		nc := len(ly.children)
+		if nc == 0 {
+			// A leaf tuple weighs 1, so a leaf bucket weighs its size.
+			for b, w := range ly.bucketWeight {
+				if n := ly.bucketEnd[b] - ly.bucketStart[b]; w != int64(n) {
+					return nil, fmt.Errorf("access: layer %d: leaf bucket %d weighs %d, holds %d tuples", i, b, w, n)
 				}
 			}
-			if !found {
-				return nil, fmt.Errorf("access: layer %d key variable not available from parent layer", i)
+			continue
+		}
+		ly.childOf = make([]int32, len(ly.vals)*nc)
+		for b := range ly.bucketStart {
+			key := ly.bucketOf.Key(b)
+			for t := ly.bucketStart[b]; t < ly.bucketEnd[b]; t++ {
+				sel := ly.childOf[t*nc : t*nc+nc]
+				if c := la.selectChildren(i, key, ly.vals[t], scratch, sel); c >= 0 {
+					return nil, fmt.Errorf("access: layer %d: tuple %d selects no bucket of child layer %d", i, t, c)
+				}
+				w, err := la.tupleWeight(i, sel)
+				if err != nil {
+					return nil, fmt.Errorf("access: layer %d: tuple %d: counting answers: %w", i, t, err)
+				}
+				if w != ly.weight(b, t) {
+					return nil, fmt.Errorf("access: layer %d: tuple %d weighs %d, its child buckets %d", i, t, ly.weight(b, t), w)
+				}
 			}
 		}
 	}
@@ -163,10 +202,12 @@ func LexFromParts(q *cq.Query, p *LexParts) (*Lex, error) {
 }
 
 // layerFromParts validates and installs one layer. The checks mirror
-// what bucketize guarantees: per-bucket ranges tile [0, n), starts
-// begin at 0 and advance by strictly positive weights, and the bucket
-// weight closes the sum — which is exactly what keeps the access
-// descent's binary searches and divisions safe.
+// what bucketize guarantees: per-bucket ranges tile [0, n), values
+// strictly follow the layer direction inside a bucket, starts begin at 0
+// and advance by the persisted, strictly positive weights, and the
+// bucket weight closes the sum — which is exactly what keeps the access
+// descent's binary searches and divisions safe, and lets the layer drop
+// the weights column: starts and bucket weights imply it.
 func layerFromParts(ly *layer, i int, lp *LexLayerParts, numVars int) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("access: layer %d: %s", i, fmt.Sprintf(format, args...))
@@ -206,6 +247,11 @@ func layerFromParts(ly *layer, i int, lp *LexLayerParts, numVars int) error {
 		}
 		sum := int64(0)
 		for t := lo; t < hi; t++ {
+			if t > lo {
+				if prev, v := lp.Vals[t-1], lp.Vals[t]; prev == v || (prev < v) == lp.Desc {
+					return fail("value %d of tuple %d out of order in bucket %d", v, t, j)
+				}
+			}
 			if lp.Starts[t] != sum {
 				return fail("start offset %d of tuple %d breaks the prefix sum", lp.Starts[t], t)
 			}
@@ -230,7 +276,7 @@ func layerFromParts(ly *layer, i int, lp *LexLayerParts, numVars int) error {
 	}
 	*ly = layer{
 		v: lp.Var, dir: dir, keyVars: lp.KeyVars, parent: lp.Parent,
-		vals: lp.Vals, weights: lp.Weights, starts: lp.Starts,
+		vals: lp.Vals, starts: lp.Starts,
 		bucketOf: idx, bucketStart: lp.BucketStart, bucketEnd: lp.BucketEnd,
 		bucketWeight: lp.BucketWeight,
 	}

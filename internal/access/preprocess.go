@@ -105,8 +105,9 @@ func (la *Lex) computeWeights(ctx context.Context) error {
 }
 
 // bucketize groups layer i's tuples into buckets by key value, sorts each
-// bucket by the layer variable under the layer direction, and computes
-// weights and starts (children of i are already bucketized).
+// bucket by the layer variable under the layer direction, resolves the
+// child buckets every tuple selects into childOf and computes starts from
+// the tuples' weights (children of i are already bucketized).
 //
 // Grouping is columnar: the layer relation's flat storage is sorted in
 // place by (key columns ascending, layer value under the direction), and
@@ -146,8 +147,11 @@ func (la *Lex) bucketize(i int) error {
 
 	ly.bucketOf = tupleidx.New(nk, n)
 	ly.vals = make([]values.Value, 0, n)
-	ly.weights = make([]int64, 0, n)
 	ly.starts = make([]int64, 0, n)
+	nc := len(ly.children)
+	if nc > 0 {
+		ly.childOf = make([]int32, n*nc)
+	}
 	scratch := make([]values.Value, la.maxKey)
 
 	for t := 0; t < n; {
@@ -170,13 +174,16 @@ func (la *Lex) bucketize(i int) error {
 		bucketSum := checked.NewCounter(0)
 		for ; t < end; t++ {
 			tu := rel.Tuple(t)
-			w, err := la.tupleWeight(i, tu[:nk], tu[nk], scratch)
+			sel := ly.childOf[t*nc : t*nc+nc]
+			if c := la.selectChildren(i, tu[:nk], tu[nk], scratch, sel); c >= 0 {
+				return fmt.Errorf("access: internal: missing child bucket after reduction (layer %d -> %d)", i, c)
+			}
+			w, err := la.tupleWeight(i, sel)
 			if err != nil {
-				return err
+				return fmt.Errorf("access: counting answers: %w", err)
 			}
 			ly.starts = append(ly.starts, bucketSum.Value())
 			ly.vals = append(ly.vals, tu[nk])
-			ly.weights = append(ly.weights, w)
 			bucketSum.Add(w)
 		}
 		if err := bucketSum.Err(); err != nil {
@@ -188,38 +195,40 @@ func (la *Lex) bucketize(i int) error {
 	return nil
 }
 
-// tupleWeight multiplies the weights of the child buckets selected by a
-// tuple of layer i (key values plus the layer-variable value). scratch
-// must have capacity for the widest key of any child layer.
-func (la *Lex) tupleWeight(i int, key []values.Value, val values.Value, scratch []values.Value) (int64, error) {
-	ly := &la.layers[i]
-	w := checked.NewCounter(1)
-	for _, c := range ly.children {
+// selectChildren writes into sel, one entry per child of layer i in
+// children order, the bucket that a tuple of layer i (key values plus
+// the layer-variable value) selects in that child layer — the tuple's
+// stretch of childOf. Each child key is gathered into scratch by the
+// child's keyFrom plan and looked up in its bucket index, allocating
+// nothing. It returns the first child layer holding no bucket for the
+// tuple, or -1. scratch must have capacity for the widest key of any
+// child layer.
+func (la *Lex) selectChildren(i int, key []values.Value, val values.Value, scratch []values.Value, sel []int32) int {
+	for j, c := range la.layers[i].children {
 		child := &la.layers[c]
-		b, ok := la.childBucket(child, key, val, scratch)
-		if !ok {
-			return 0, fmt.Errorf("access: internal: missing child bucket after reduction (layer %d -> %d)", i, c)
+		probe := scratch[:len(child.keyFrom)]
+		for x, src := range child.keyFrom {
+			if src < 0 {
+				probe[x] = val
+			} else {
+				probe[x] = key[src]
+			}
 		}
-		w.Mul(child.bucketWeight[b])
+		b, ok := child.bucketOf.Lookup(probe)
+		if !ok {
+			return c
+		}
+		sel[j] = int32(b)
 	}
-	if err := w.Err(); err != nil {
-		return 0, fmt.Errorf("access: counting answers: %w", err)
-	}
-	return w.Value(), nil
+	return -1
 }
 
-// childBucket resolves the bucket of a child layer selected by its
-// parent's tuple (key values plus the layer-variable value), gathering
-// the child key into scratch via the precomputed keyFrom plan. Performs
-// no allocation.
-func (la *Lex) childBucket(child *layer, key []values.Value, val values.Value, scratch []values.Value) (int, bool) {
-	probe := scratch[:len(child.keyFrom)]
-	for j, src := range child.keyFrom {
-		if src < 0 {
-			probe[j] = val
-		} else {
-			probe[j] = key[src]
-		}
+// tupleWeight multiplies the weights of the child buckets sel selects
+// (selectChildren's output for a tuple of layer i): the tuple's weight.
+func (la *Lex) tupleWeight(i int, sel []int32) (int64, error) {
+	w := checked.NewCounter(1)
+	for j, c := range la.layers[i].children {
+		w.Mul(la.layers[c].bucketWeight[sel[j]])
 	}
-	return child.bucketOf.Lookup(probe)
+	return w.Value(), w.Err()
 }

@@ -428,10 +428,14 @@ type Engine struct {
 	// Options.Remote).
 	remote RemoteBuilder
 
-	// rmu guards the named-query registry.
-	rmu      sync.Mutex
-	registry map[string]*PreparedQuery
-	regGen   uint64
+	// rmu guards the named-query registry. regGen is the last
+	// registration's generation; regChanges counts every change to the
+	// registry — registrations, evictions, a restore's replacement — so a
+	// checkpoint can tell that the registry moved (see Unsaved).
+	rmu        sync.Mutex
+	registry   map[string]*PreparedQuery
+	regGen     uint64
+	regChanges uint64
 
 	hits, misses        atomic.Uint64
 	regHits, reprepares atomic.Uint64
@@ -440,11 +444,13 @@ type Engine struct {
 	deltaRebuilds, bgRebuilds           atomic.Uint64
 	walErrors                           atomic.Uint64
 
-	// Snapshot state: counters plus the open file mappings warm
-	// structures alias (released by Close, never before).
+	// Snapshot state: counters, the open file mappings warm structures
+	// alias (released by Close, never before), and what the newest
+	// checkpoint in snapDir holds (nil: none known).
 	checkpoints, restores, warmStructures atomic.Uint64
 	smu                                   sync.Mutex
 	mappings                              []io.Closer
+	saved                                 *savedMark
 }
 
 // New returns an Engine over the given instance. The Engine owns the

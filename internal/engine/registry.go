@@ -200,6 +200,7 @@ func (e *Engine) Register(name string, s Spec) (*PreparedQuery, error) {
 		return nil, fmt.Errorf("engine: registry full (%d prepared queries); evict one before registering %q", MaxRegistered, name)
 	}
 	e.regGen++
+	e.regChanges++
 	pq.id = PreparedID{Name: name, Gen: e.regGen}
 	if old != nil {
 		old.evicted.Store(true)
@@ -227,7 +228,10 @@ func (e *Engine) Prepared(name string) (*PreparedQuery, error) {
 func (e *Engine) Evict(name string) bool {
 	e.rmu.Lock()
 	pq := e.registry[name]
-	delete(e.registry, name)
+	if pq != nil {
+		delete(e.registry, name)
+		e.regChanges++
+	}
 	e.rmu.Unlock()
 	if pq == nil {
 		return false
@@ -247,6 +251,7 @@ func (e *Engine) EvictID(id PreparedID) bool {
 		return false
 	}
 	delete(e.registry, id.Name)
+	e.regChanges++
 	e.rmu.Unlock()
 	pq.evicted.Store(true)
 	return true

@@ -78,6 +78,7 @@ func (e *Engine) checkpointLocked(dir string) (CheckpointInfo, error) {
 	for _, pq := range e.registry {
 		regs = append(regs, pq)
 	}
+	mark := savedMark{version: e.version, regChanges: e.regChanges}
 	e.rmu.Unlock()
 	sort.Slice(regs, func(i, j int) bool { return regs[i].id.Name < regs[j].id.Name })
 	for _, pq := range regs {
@@ -133,7 +134,36 @@ func (e *Engine) checkpointLocked(dir string) (CheckpointInfo, error) {
 	}
 	info.Name, info.Bytes = name, size
 	e.checkpoints.Add(1)
+	if dir == e.snapDir {
+		e.markSaved(mark)
+	}
 	return info, nil
+}
+
+// savedMark is what a checkpoint holds, as far as Unsaved can tell: the
+// instance version and the registry's change count.
+type savedMark struct{ version, regChanges uint64 }
+
+func (e *Engine) markSaved(m savedMark) {
+	e.smu.Lock()
+	e.saved = &m
+	e.smu.Unlock()
+}
+
+// Unsaved reports whether a checkpoint into the directory the engine was
+// opened from would persist anything new: the instance version moved, or
+// the registry did (a registration or an eviction, neither of which
+// moves the version), since the newest checkpoint written there — by
+// Checkpoint or by a live Restore — or since the warm start that read
+// one. Writes the WAL replayed at Open count as saved: they are durable
+// already. An engine holding nothing known to be on disk is unsaved.
+func (e *Engine) Unsaved() bool {
+	e.rmu.Lock()
+	now := savedMark{version: e.vnow.Load(), regChanges: e.regChanges}
+	e.rmu.Unlock()
+	e.smu.Lock()
+	defer e.smu.Unlock()
+	return e.saved == nil || *e.saved != now
 }
 
 // Open warm-starts an engine from the newest snapshot in dir: the
@@ -190,6 +220,9 @@ func Open(dir string, opts Options) (*Engine, bool, error) {
 	e.vnow.Store(e.version)
 	e.wal = w
 	e.snapDir = dir
+	if ok {
+		e.markSaved(savedMark{version: e.version, regChanges: e.regChanges})
+	}
 	e.mu.Unlock()
 	return e, ok, nil
 }
@@ -344,6 +377,7 @@ func (e *Engine) loadSnapshot(path string, fresh bool) (RestoreInfo, error) {
 		r.pq.id = PreparedID{Name: r.name, Gen: e.regGen}
 		e.registry[r.name] = r.pq
 	}
+	e.regChanges++
 	e.rmu.Unlock()
 	e.smu.Lock()
 	e.mappings = append(e.mappings, m)

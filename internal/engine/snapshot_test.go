@@ -283,6 +283,78 @@ func TestOpenEmptyDir(t *testing.T) {
 	}
 }
 
+// TestUnsaved: what a checkpoint into the engine's directory would add —
+// a version, a registration or an eviction — whoever checkpointed last.
+func TestUnsaved(t *testing.T) {
+	dir := t.TempDir()
+	e, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(what string, unsaved bool) {
+		t.Helper()
+		if e.Unsaved() != unsaved {
+			t.Fatalf("%s: Unsaved = %v", what, !unsaved)
+		}
+	}
+	checkpoint := func(into string) {
+		t.Helper()
+		if _, err := e.Checkpoint(into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step("a fresh directory", true)
+	checkpoint(dir)
+	step("checkpointed", false)
+	if err := e.AddRows("R", [][]values.Value{{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	step("a write", true)
+	checkpoint(dir)
+	pq, err := e.Register("q", Spec{Query: "Q(x, y) :- R(x, y)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("a registration", true)
+	checkpoint(t.TempDir())
+	step("checkpointed elsewhere", true)
+	checkpoint(dir)
+	if e.Evict("absent") || e.EvictID(PreparedID{Name: "q", Gen: pq.ID().Gen + 1}) {
+		t.Fatal("evicted what is not registered")
+	}
+	step("evictions of nothing", false)
+	if !e.EvictID(pq.ID()) {
+		t.Fatal("EvictID of the registration failed")
+	}
+	step("an eviction by id", true)
+	checkpoint(dir)
+	if _, err := e.Register("q", Spec{Query: "Q(x, y) :- R(x, y)"}); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint(dir)
+	if !e.Evict("q") {
+		t.Fatal("Evict of the registration failed")
+	}
+	step("an eviction by name", true)
+	if _, err := e.Register("p", Spec{Query: "Q(x, y) :- R(x, y)"}); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint(dir)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e, _, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	step("a warm start", false)
+	if ps := e.ListPrepared(); len(ps) != 1 || ps[0].ID.Name != "p" {
+		t.Fatalf("warm start registry %+v, want p alone", ps)
+	}
+}
+
 // TestMutationAfterWarmStart: a warm-started engine is a normal engine;
 // mutations invalidate mapped structures and rebuilds see the new data.
 func TestMutationAfterWarmStart(t *testing.T) {

@@ -212,17 +212,20 @@ func TestProcessSingle(t *testing.T) {
 		t.Fatal("the served NDJSON stream differs from the local cursor")
 	}
 
-	// The ticker checkpoints the loaded version once, then skips, and so
-	// does Shutdown; what a restart finds prepared is what POST
-	// /v1/snapshots saw.
-	waitUntil(t, "the background checkpoint", func() bool { return snapshots(t, snaps) == 1 })
-	cl, _ := registerQ(t, addr)
+	// The ticker checkpoints until the newest snapshot holds the loaded
+	// version and the registration, then skips. A POST /v1/snapshots
+	// counts as much as a tick: neither the ticks after it nor Shutdown
+	// write another.
+	waitUntil(t, "the background checkpoint", func() bool { return !p.e.Unsaved() })
+	ticked := snapshots(t, snaps)
+	cl, err := client.Dial(bg, "http://"+addr, nil)
+	check(t, err)
 	_, err = cl.Snapshot(bg)
 	check(t, err)
 	time.Sleep(5 * p.cfg.CheckpointEvery)
 	shutdown(t, p)
-	if n := snapshots(t, snaps); n != 2 {
-		t.Fatalf("%d snapshots after an unchanged version's ticks and shutdown, want 2", n)
+	if n := snapshots(t, snaps); n != ticked+1 {
+		t.Fatalf("%d snapshots after %d ticked, one posted, unchanged ticks and shutdown; want %d", n, ticked, ticked+1)
 	}
 
 	// Warm restart on the same addresses, from -snapshot-dir alone:
@@ -241,8 +244,44 @@ func TestProcessSingle(t *testing.T) {
 	_, err = cl.Write(bg, client.Write{Relation: "R", Insert: [][]client.Value{{900001, 777777}}})
 	check(t, err)
 	shutdown(t, p)
-	if n := snapshots(t, snaps); n != 3 {
-		t.Fatalf("%d snapshots after a write and shutdown, want 3", n)
+	if n := snapshots(t, snaps); n != ticked+2 {
+		t.Fatalf("%d snapshots after a write and shutdown, want %d", n, ticked+2)
+	}
+}
+
+// TestProcessKeepsLateRegistrations: registering moves no version, yet a
+// query registered after the last checkpoint is in the shutdown one — a
+// warm restart lists it and answers it, with no explicit snapshot on the
+// way.
+func TestProcessKeepsLateRegistrations(t *testing.T) {
+	_, data := procData(t)
+	snaps := t.TempDir()
+	p := boot(t, func(c *RunConfig) { c.DataDir, c.SnapshotDir = data, snaps })
+	shutdown(t, p) // the loaded version's checkpoint
+	p = boot(t, func(c *RunConfig) { c.SnapshotDir = snaps })
+	_, pq := registerQ(t, p.Addr())
+	want, err := pq.Access(bg, 0, pq.Info.Total-1)
+	check(t, err)
+	shutdown(t, p)
+	if n := snapshots(t, snaps); n != 2 {
+		t.Fatalf("%d snapshots after a registration and shutdown, want 2", n)
+	}
+
+	p = boot(t, func(c *RunConfig) { c.SnapshotDir = snaps })
+	defer shutdown(t, p)
+	cl, err := client.Dial(bg, "http://"+p.Addr(), nil)
+	check(t, err)
+	qs, err := cl.Queries(bg)
+	check(t, err)
+	if len(qs) != 1 || qs[0].Name != "q" {
+		t.Fatalf("registrations after the restart: %+v", qs)
+	}
+	pq, err = cl.Prepared(bg, "q")
+	check(t, err)
+	got, err := pq.Access(bg, 0, pq.Info.Total-1)
+	check(t, err)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("q after the restart answers %v, before it %v", got, want)
 	}
 }
 

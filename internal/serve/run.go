@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rankedaccess/internal/cluster"
@@ -148,10 +147,6 @@ type Process struct {
 	served   chan struct{} // closed once the API server stopped serving
 	serveErr error         // why; read after served is closed
 
-	// lastCk is the last version durably on disk (the warm-start version
-	// counts), so ticks and the shutdown checkpoint skip when nothing
-	// changed.
-	lastCk atomic.Uint64
 	ckStop context.CancelFunc
 	ckWG   sync.WaitGroup
 }
@@ -238,10 +233,6 @@ func Start(cfg RunConfig) (_ *Process, err error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		log.Printf("serve: loaded %d relations from %s", loaded, cfg.DataDir)
-	}
-	p.lastCk.Store(^uint64(0))
-	if warm {
-		p.lastCk.Store(p.e.Version())
 	}
 
 	// Role plumbing into the shared HTTP surface: a shard node's RPC
@@ -364,9 +355,10 @@ func boundAddr(lis net.Listener) string {
 }
 
 // checkpoint writes the engine to the snapshot directory unless the
-// version on disk is already the engine's.
+// newest checkpoint there — whoever wrote it: a tick, POST /v1/snapshots,
+// a restore — already holds the engine's version and registry.
 func (p *Process) checkpoint(why string) {
-	if p.e.Version() == p.lastCk.Load() {
+	if !p.e.Unsaved() {
 		return
 	}
 	info, err := p.e.Checkpoint(p.cfg.SnapshotDir)
@@ -374,7 +366,6 @@ func (p *Process) checkpoint(why string) {
 		log.Printf("serve: %s checkpoint: %v", why, err)
 		return
 	}
-	p.lastCk.Store(info.Version)
 	log.Printf("serve: %s checkpoint %s: %d bytes, %d structures (version %d)",
 		why, info.Name, info.Bytes, info.Structures, info.Version)
 }
