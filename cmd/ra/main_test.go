@@ -88,7 +88,7 @@ func TestQueryStreamLocalEqualsRemote(t *testing.T) {
 		t.Fatalf("ra snapshot -dir: exit %d\n%s%s", code, out, stderr)
 	}
 	out, stderr, code := ra(t, "snapshot", "-file", filepath.Join(snaps, infos[0].Name))
-	if code != 0 || !strings.Contains(out, "all checksums verified") || !strings.Contains(out, "registrations: 1") {
+	if code != 0 || !strings.Contains(out, "(format v2, ") || !strings.Contains(out, "registrations: 1") {
 		t.Fatalf("ra snapshot -file: exit %d\n%s%s", code, out, stderr)
 	}
 }
@@ -107,6 +107,7 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"classify", "-q", "Q(x :- R(x)"}, 1, "ra classify:"},
 		{[]string{"query", "-q", twoPath, "-data", t.TempDir()}, 1, "ra query: no .tsv files in"},
 		{[]string{"snapshot", "-file", filepath.Join(t.TempDir(), "none.rka")}, 1, "ra snapshot:"},
+		{[]string{"snapshot", "-file", "../../internal/snapshot/testdata/v1.rka"}, 0, "format v1: layered-lex structures are not read"},
 		{[]string{"classify"}, 2, "ra classify: -q is required"},
 		{[]string{"query", "-q", twoPath, "-k", "seven"}, 2, `ra query: bad index "seven"`},
 		{[]string{"gen", "-workload", "mesh"}, 2, `ra gen: unknown workload "mesh"`},

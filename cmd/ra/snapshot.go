@@ -49,6 +49,7 @@ func listSnapshots(dir string, asJSON bool) {
 // snapshotReport is the JSON shape of one inspected file.
 type snapshotReport struct {
 	File     string                 `json:"file"`
+	Version  uint32                 `json:"version"`
 	Meta     snapshot.Meta          `json:"meta"`
 	Sections []snapshot.SectionInfo `json:"sections,omitempty"`
 }
@@ -59,7 +60,7 @@ func inspectSnapshot(path string, asJSON, withSections bool) {
 	defer m.Close()
 	f := m.File()
 	if asJSON {
-		r := snapshotReport{File: path, Meta: f.Meta}
+		r := snapshotReport{File: path, Version: f.Version, Meta: f.Meta}
 		if withSections {
 			r.Sections = f.SectionInfos()
 		}
@@ -68,7 +69,10 @@ func inspectSnapshot(path string, asJSON, withSections bool) {
 	}
 	meta := f.Meta
 	fmt.Printf("%s: ok (format v%d, %d sections, all checksums verified)\n",
-		path, snapshot.FormatVersion, f.Sections())
+		path, f.Version, f.Sections())
+	if f.Version < snapshot.FormatVersion {
+		fmt.Printf("  format v%d: layered-lex structures are not read; they rebuild from their specs on first use\n", f.Version)
+	}
 	fmt.Printf("  engine version %d, created %s\n", meta.EngineVersion,
 		time.Unix(0, meta.CreatedUnixNano).UTC().Format(time.RFC3339))
 	fmt.Printf("  instance: %d tuples in %d relations", meta.Tuples, len(meta.Relations))

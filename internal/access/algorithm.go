@@ -2,6 +2,7 @@ package access
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rankedaccess/internal/cq"
@@ -15,8 +16,9 @@ import (
 // LexBuf per goroutine (or the pooling convenience APIs).
 //
 // It is also a scan position. After a successful AccessInto(buf, k) the
-// buffer remembers the descent — per layer the bucket entered and the
-// tuple chosen — and that it holds answer k; AccessInto(buf, k+1) then
+// buffer remembers the descent — per layer the bucket entered, where it
+// ends and the tuple chosen — and that it holds answer k; the step's
+// per-row test reads only the buffer. AccessInto(buf, k+1) then
 // moves to the successor (Remark 3) without descending. Any other rank
 // descends as before, and whatever fails or borrows the scratch for
 // something else (an error return, Rank) leaves next at 0, "holds
@@ -25,17 +27,19 @@ type LexBuf struct {
 	ans    []values.Value
 	bucket []int // per layer: the bucket the probe entered
 	tuple  []int // per layer: the tuple it chose there
+	end    []int // per layer: the end of that bucket, where the step stops
 	next   int64 // the rank after the answer held; 0 when none is
 }
 
 // NewBuf returns a probe buffer sized for this structure.
 func (la *Lex) NewBuf() *LexBuf {
 	f := len(la.layers)
-	idx := make([]int, 2*f)
+	idx := make([]int, 3*f)
 	return &LexBuf{
 		ans:    make([]values.Value, la.numVars),
 		bucket: idx[:f:f],
-		tuple:  idx[f:],
+		tuple:  idx[f : 2*f : 2*f],
+		end:    idx[2*f:],
 	}
 }
 
@@ -94,7 +98,7 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 	buf.next = 0 // until the descent succeeds
 	held := k
 	f := len(la.layers)
-	bucket, tuple := buf.bucket[:f], buf.tuple[:f]
+	bucket, tuple, end := buf.bucket[:f], buf.tuple[:f], buf.end[:f]
 	bucket[0] = 0
 	factor := la.total
 	ans := buf.ans[:la.numVars]
@@ -103,7 +107,7 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 		ly := &la.layers[i]
 		b := bucket[i]
 		factor /= ly.bucketWeight[b]
-		lo, hi := ly.bucketStart[b], ly.bucketEnd[b]
+		lo, hi := ly.bucketStart[b], ly.bucketStart[b+1]
 		// Largest tuple index t in [lo, hi) with starts[t]*factor ≤ k.
 		t := lo + sort.Search(hi-lo, func(j int) bool {
 			return ly.starts[lo+j]*factor > k
@@ -112,7 +116,7 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 			return nil, fmt.Errorf("access: internal: binary search fell off bucket")
 		}
 		k -= ly.starts[t] * factor
-		tuple[i] = t
+		tuple[i], end[i] = t, hi
 		ans[ly.v] = ly.vals[t]
 		nc := len(ly.children)
 		for j, c := range ly.children {
@@ -137,10 +141,10 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 // one compare and one load.
 func (la *Lex) step(buf *LexBuf) (order.Answer, error) {
 	f := len(la.layers)
-	bucket, tuple := buf.bucket[:f], buf.tuple[:f]
+	bucket, tuple, end := buf.bucket[:f], buf.tuple[:f], buf.end[:f]
 	ans := buf.ans[:la.numVars]
 	i := f - 1
-	for i >= 0 && tuple[i]+1 == la.layers[i].bucketEnd[bucket[i]] {
+	for i >= 0 && tuple[i]+1 == end[i] {
 		i--
 	}
 	if i < 0 {
@@ -151,9 +155,11 @@ func (la *Lex) step(buf *LexBuf) (order.Answer, error) {
 	for j := i; j < f; j++ {
 		ly := &la.layers[j]
 		if j > i {
-			if t = ly.bucketStart[bucket[j]]; t == tuple[j] {
+			b := bucket[j]
+			if t = ly.bucketStart[b]; t == tuple[j] {
 				continue
 			}
+			end[j] = ly.bucketStart[b+1]
 		}
 		tuple[j] = t
 		ans[ly.v] = ly.vals[t]
@@ -255,7 +261,7 @@ func (la *Lex) Rank(a order.Answer) (int64, bool) {
 		ly := &la.layers[i]
 		b := bucket[i]
 		factor /= ly.bucketWeight[b]
-		lo, hi := ly.bucketStart[b], ly.bucketEnd[b]
+		lo, hi := ly.bucketStart[b], ly.bucketStart[b+1]
 		target := ext[ly.v]
 		// Binary search for target under the layer direction.
 		t := lo + sort.Search(hi-lo, func(j int) bool {
@@ -317,11 +323,12 @@ type BucketDump struct {
 // storage order, reproducing the annotations of Figure 4.
 func (la *Lex) DumpLayer(i int) []BucketDump {
 	ly := &la.layers[i]
+	keys := la.bucketKeys(i)
 	out := make([]BucketDump, 0, len(ly.vals))
-	for b := range ly.bucketStart {
-		for t := ly.bucketStart[b]; t < ly.bucketEnd[b]; t++ {
+	for b, key := range keys {
+		for t := ly.bucketStart[b]; t < ly.bucketStart[b+1]; t++ {
 			out = append(out, BucketDump{
-				Key:    ly.bucketOf.Key(b),
+				Key:    key,
 				Value:  ly.vals[t],
 				Weight: ly.weight(b, t),
 				Start:  ly.starts[t],
@@ -329,6 +336,40 @@ func (la *Lex) DumpLayer(i int) []BucketDump {
 		}
 	}
 	return out
+}
+
+// bucketKeys derives the key of every bucket of layer i top-down: the
+// root's one bucket has the empty key, and a child bucket's key is
+// gathered from the key of a parent bucket and the value of a parent
+// tuple selecting it. DumpLayer is the only reader of keys, so no layer
+// stores them.
+func (la *Lex) bucketKeys(i int) [][]values.Value {
+	ly := &la.layers[i]
+	keys := make([][]values.Value, len(ly.bucketWeight))
+	if ly.parent < 0 {
+		return keys
+	}
+	p := &la.layers[ly.parent]
+	pkeys := la.bucketKeys(ly.parent)
+	from, _ := keyFrom(p, ly) // build and restore both checked the plan
+	nc, j := len(p.children), slices.Index(p.children, i)
+	for pb, pkey := range pkeys {
+		for t := p.bucketStart[pb]; t < p.bucketStart[pb+1]; t++ {
+			b := p.childOf[t*nc+j]
+			if keys[b] != nil {
+				continue
+			}
+			keys[b] = make([]values.Value, len(from))
+			for x, src := range from {
+				if src < 0 {
+					keys[b][x] = p.vals[t]
+				} else {
+					keys[b][x] = pkey[src]
+				}
+			}
+		}
+	}
+	return keys
 }
 
 // LayerVar returns the lexicographic variable of layer i.

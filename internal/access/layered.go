@@ -114,6 +114,11 @@ func (e *IntractableError) Unwrap() error { return ErrIntractable }
 // the running sum of the answers its predecessors contribute in their
 // subtrees (start). A tuple's own count, its weight, is the gap to the
 // next start (see weight).
+//
+// A layer holds what the probes read and nothing else, whether it was
+// built or restored: the relation and the key-to-bucket index that
+// resolve childOf are build scaffolding (lexBuild), and DumpLayer
+// derives bucket keys when asked.
 type layer struct {
 	v        cq.VarID
 	dir      order.Direction
@@ -121,38 +126,25 @@ type layer struct {
 	parent   int
 	children []int
 
-	srcNode int // index of the reduce.Full node this layer projects
-
 	vals   []values.Value
 	starts []int64
 
 	// childOf[t*len(children)+j] is the bucket of layer children[j] that
-	// tuple t selects — resolved once, at build or restore, so the
-	// probes descend by array index and never hash. nil for a leaf.
+	// tuple t selects, so the probes descend by array index and never
+	// hash. nil for a leaf.
 	childOf []int32
 
-	// bucketOf maps a key-variable tuple to its bucket id; bucket ids are
-	// dense and aligned with bucketStart/bucketEnd/bucketWeight, and the
-	// index's flat key storage holds the per-bucket key values. Only
-	// build, restore (which resolve childOf through it) and DumpLayer
-	// read it; no probe does.
-	bucketOf     *tupleidx.Index
+	// Bucket b holds tuples [bucketStart[b], bucketStart[b+1]) and weighs
+	// bucketWeight[b]; bucketStart ends with the sentinel len(vals).
 	bucketStart  []int
-	bucketEnd    []int
 	bucketWeight []int64
-
-	// keyFrom gathers this layer's key tuple from the parent's (key, v)
-	// pair without searching: keyFrom[j] is the parent key column holding
-	// the j-th key value, or -1 when it is the parent's layer variable.
-	// nil for the root.
-	keyFrom []int
 }
 
 // weight is the number of answers tuple t of bucket b contributes in its
 // subtree: the gap to the next tuple's start, or to the bucket's weight
 // for its last tuple.
 func (ly *layer) weight(b, t int) int64 {
-	if t+1 < ly.bucketEnd[b] {
+	if t+1 < ly.bucketStart[b+1] {
 		return ly.starts[t+1] - ly.starts[t]
 	}
 	return ly.bucketWeight[b] - ly.starts[t]
@@ -169,10 +161,8 @@ type Lex struct {
 	Completed order.Lex
 
 	layers  []layer
-	rels    []*database.Relation // per-layer relations (columns: keyVars..., v)
 	total   int64
 	numVars int
-	maxKey  int // widest key arity across layers (sizes the childOf resolution's scratch)
 
 	bufs sync.Pool // *LexBuf, feeds the allocating convenience APIs
 
@@ -233,14 +223,27 @@ func buildLayered(ctx context.Context, q *cq.Query, in *database.Instance, l ord
 	}
 	la.Completed = completed
 
-	if err := la.buildTree(full, completed); err != nil {
+	lb := &lexBuild{Lex: la}
+	if err := lb.buildTree(full, completed); err != nil {
 		return nil, err
 	}
-	la.semijoinReduce()
-	if err := la.computeWeights(ctx); err != nil {
+	lb.semijoinReduce()
+	if err := lb.computeWeights(ctx); err != nil {
 		return nil, err
 	}
 	return la, nil
+}
+
+// lexBuild is one build's scaffolding, released when the build returns.
+// Per layer it holds the layer relation (columns keyVars..., v), the
+// index from a key tuple to its bucket id and the plan gathering that
+// key from a parent tuple (see keyFrom): what bucketize needs to fill
+// childOf, and no probe reads.
+type lexBuild struct {
+	*Lex
+	rels     []*database.Relation
+	bucketOf []*tupleidx.Index
+	keyFrom  [][]int
 }
 
 // booleanTrue evaluates a Boolean full query: true iff the join of the
@@ -287,7 +290,8 @@ func completeOrder(full *reduce.Full, l order.Lex) (order.Lex, error) {
 // each layer's node being the maximal prefix-restricted hyperedge
 // containing the layer variable, attached to an earlier layer containing
 // its key variables.
-func (la *Lex) buildTree(full *reduce.Full, completed order.Lex) error {
+func (lb *lexBuild) buildTree(full *reduce.Full, completed order.Lex) error {
+	la := lb.Lex
 	f := len(completed.Entries)
 	nodeSets := make([]hypergraph.VSet, len(full.Nodes))
 	for i, n := range full.Nodes {
@@ -300,6 +304,7 @@ func (la *Lex) buildTree(full *reduce.Full, completed order.Lex) error {
 
 	var prefix hypergraph.VSet
 	layerSets := make([]hypergraph.VSet, 0, f)
+	srcNode := make([]int, 0, f) // per layer, the reduce.Full node it projects
 	for i := 0; i < f; i++ {
 		entry := completed.Entries[i]
 		vi := int(entry.Var)
@@ -352,9 +357,9 @@ func (la *Lex) buildTree(full *reduce.Full, completed order.Lex) error {
 		sort.Slice(keyVars, func(a, b int) bool { return lexPos[keyVars[a]] < lexPos[keyVars[b]] })
 
 		la.layers = append(la.layers, layer{
-			v: entry.Var, dir: entry.Dir, keyVars: keyVars,
-			parent: parent, srcNode: bestNode,
+			v: entry.Var, dir: entry.Dir, keyVars: keyVars, parent: parent,
 		})
+		srcNode = append(srcNode, bestNode)
 		layerSets = append(layerSets, best)
 		if parent >= 0 {
 			la.layers[parent].children = append(la.layers[parent].children, i)
@@ -377,65 +382,62 @@ func (la *Lex) buildTree(full *reduce.Full, completed order.Lex) error {
 
 	// Materialize layer relations: project the source node, then enforce
 	// every full node's constraint on some covering layer.
-	la.rels = make([]*database.Relation, f)
+	lb.rels = make([]*database.Relation, f)
 	// Each layer projects its own source node into a fresh relation —
 	// independent units, fanned out over bounded workers.
 	par.Do(f, func(i int) {
 		ly := &la.layers[i]
-		src := full.Nodes[ly.srcNode]
+		src := full.Nodes[srcNode[i]]
 		cols := make([]int, 0, len(ly.keyVars)+1)
 		for _, u := range ly.keyVars {
 			cols = append(cols, src.Col(u))
 		}
 		cols = append(cols, src.Col(ly.v))
-		la.rels[i] = src.Rel.Project(cols).Dedup()
+		lb.rels[i] = src.Rel.Project(cols).Dedup()
 	})
 	for idx, n := range full.Nodes {
 		// Pick the first covering layer and semijoin it with the node.
 		for i := range la.layers {
 			if hypergraph.Subset(nodeSets[idx], layerSets[i]) {
 				lCols, nCols := la.layerCols(i, n)
-				la.rels[i] = la.rels[i].Semijoin(lCols, n.Rel, nCols)
+				lb.rels[i] = lb.rels[i].Semijoin(lCols, n.Rel, nCols)
 				break
 			}
 		}
 	}
 
-	if err := la.planKeyGather(); err != nil {
-		return fmt.Errorf("access: internal: %w", err)
+	lb.keyFrom = make([][]int, f)
+	for i := 1; i < f; i++ {
+		from, err := keyFrom(&la.layers[la.layers[i].parent], &la.layers[i])
+		if err != nil {
+			return fmt.Errorf("access: internal: layer %d: %w", i, err)
+		}
+		lb.keyFrom[i] = from
 	}
 	return nil
 }
 
-// planKeyGather precomputes the key gather plan of every non-root layer
-// (each child key variable is either the parent's layer variable, -1, or
-// sits at a fixed parent key column) and the widest key. Resolving this
-// once keeps the child-bucket lookups that fill childOf search-free.
-func (la *Lex) planKeyGather() error {
-	for i := range la.layers {
-		ly := &la.layers[i]
-		la.maxKey = max(la.maxKey, len(ly.keyVars))
-		if i == 0 {
+// keyFrom is the plan gathering a child layer's key from a tuple of its
+// parent without searching: entry j is the parent key column holding the
+// child's j-th key value, or -1 when that value is the parent tuple's
+// own (the child key variable is the parent's layer variable).
+func keyFrom(parent, child *layer) ([]int, error) {
+	from := make([]int, len(child.keyVars))
+key:
+	for j, u := range child.keyVars {
+		from[j] = -1
+		if u == parent.v {
 			continue
 		}
-		parent := &la.layers[ly.parent]
-		ly.keyFrom = make([]int, len(ly.keyVars))
-	key:
-		for j, u := range ly.keyVars {
-			ly.keyFrom[j] = -1
-			if u == parent.v {
-				continue
+		for c, pu := range parent.keyVars {
+			if pu == u {
+				from[j] = c
+				continue key
 			}
-			for c, pu := range parent.keyVars {
-				if pu == u {
-					ly.keyFrom[j] = c
-					continue key
-				}
-			}
-			return fmt.Errorf("layer %d key variable %d not available from parent layer", i, u)
 		}
+		return nil, fmt.Errorf("key variable %d not available from the parent layer", u)
 	}
-	return nil
+	return from, nil
 }
 
 // layerVars returns the column variables of layer i's relation:

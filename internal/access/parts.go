@@ -5,48 +5,37 @@ import (
 
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/order"
-	"rankedaccess/internal/tupleidx"
 	"rankedaccess/internal/values"
 )
 
 // This file exports the built structures' flat arrays for snapshot
 // persistence and reconstructs structures from persisted (possibly
 // memory-mapped) arrays without re-running preprocessing: a warm start
-// points every layer's vals/starts/bucket columns — and the bucket
-// index's key and table buffers — at the mapped file, resolves the
-// child buckets every tuple selects (one index lookup per tuple per
-// child) and is then probe-ready.
+// points every layer's columns at the mapped file and is then
+// probe-ready. Restore resolves nothing and hashes nothing — a layer's
+// parts are exactly what the probes read.
 //
 // The FromParts constructors validate what the probe algorithms rely on
 // for memory safety, termination and agreement between Access and Rank:
 // shapes, index bounds, zero start offsets, strictly positive weights,
-// sorted buckets, a child bucket for every tuple whose weights multiply
-// to the tuple's weight and, for row arrays, the rank order itself (see
+// sorted buckets, child buckets in range whose weights multiply to the
+// tuple's weight and, for row arrays, the rank order itself (see
 // rowsFromParts). That the values are the ones preprocessing computed
 // is the snapshot checksums' job.
 
-// LexLayerParts is the flat state of one layer of a built Lex. Children,
-// the child key-gather plans and the child buckets each tuple selects
-// are not part of it: they are recomputed from Parent, KeyVars and the
-// bucket index, exactly as the builder derived them. Weights is derived
-// from Starts on export and checked against them on restore; the layer
-// does not keep it.
+// LexLayerParts is the flat state of one layer of a built Lex: the
+// columns of layer, less children, which the parent pointers imply.
 type LexLayerParts struct {
 	Var     cq.VarID
 	Desc    bool
 	Parent  int
 	KeyVars []cq.VarID
 
-	Vals    []values.Value
-	Weights []int64
-	Starts  []int64
-
-	Buckets      int
-	BucketStart  []int
-	BucketEnd    []int
+	Vals         []values.Value
+	Starts       []int64
+	ChildOf      []int32
+	BucketStart  []int // one entry per bucket, then the sentinel len(Vals)
 	BucketWeight []int64
-	BucketKeys   []values.Value
-	BucketTable  []int32
 }
 
 // LexParts is the flat state of a built Lex structure.
@@ -59,11 +48,10 @@ type LexParts struct {
 	Layers    []LexLayerParts
 }
 
-// Parts exports the structure's flat arrays (views, not copies, except
-// the derived Weights; the caller must not mutate them). ok is false
-// when the structure carries FD-extension closures, which cannot be
-// persisted — callers should rebuild such structures from their spec
-// instead.
+// Parts exports the structure's flat arrays (views, not copies; the
+// caller must not mutate them). ok is false when the structure carries
+// FD-extension closures, which cannot be persisted — callers should
+// rebuild such structures from their spec instead.
 func (la *Lex) Parts() (*LexParts, bool) {
 	if la.project != nil || la.extend != nil {
 		return nil, false
@@ -78,17 +66,10 @@ func (la *Lex) Parts() (*LexParts, bool) {
 	}
 	for i := range la.layers {
 		ly := &la.layers[i]
-		weights := make([]int64, len(ly.vals))
-		for b := range ly.bucketStart {
-			for t := ly.bucketStart[b]; t < ly.bucketEnd[b]; t++ {
-				weights[t] = ly.weight(b, t)
-			}
-		}
 		p.Layers[i] = LexLayerParts{
 			Var: ly.v, Desc: ly.dir == order.Desc, Parent: ly.parent, KeyVars: ly.keyVars,
-			Vals: ly.vals, Weights: weights, Starts: ly.starts,
-			Buckets: ly.bucketOf.Len(), BucketStart: ly.bucketStart, BucketEnd: ly.bucketEnd,
-			BucketWeight: ly.bucketWeight, BucketKeys: ly.bucketOf.FlatKeys(), BucketTable: ly.bucketOf.Table(),
+			Vals: ly.vals, Starts: ly.starts, ChildOf: ly.childOf,
+			BucketStart: ly.bucketStart, BucketWeight: ly.bucketWeight,
 		}
 	}
 	return p, true
@@ -139,48 +120,17 @@ func LexFromParts(q *cq.Query, p *LexParts) (*Lex, error) {
 		}
 		seen[ly.v] = true
 	}
-	// Recompute children and the child key-gather plans from the parent
-	// pointers, as the builder does.
+	// Recompute children from the parent pointers, as the builder does.
 	for i := 1; i < f; i++ {
 		parent := &la.layers[la.layers[i].parent]
 		parent.children = append(parent.children, i)
-	}
-	if err := la.planKeyGather(); err != nil {
-		return nil, fmt.Errorf("access: %w", err)
-	}
-	// Resolve the child buckets every tuple selects, as bucketize does,
-	// and hold each tuple's weight to their product: a descent then ends
-	// on residual 0 for every rank below the total, and Rank finds the
-	// tuples Access chose.
-	scratch := make([]values.Value, la.maxKey)
-	for i := range la.layers {
-		ly := &la.layers[i]
-		nc := len(ly.children)
-		if nc == 0 {
-			// A leaf tuple weighs 1, so a leaf bucket weighs its size.
-			for b, w := range ly.bucketWeight {
-				if n := ly.bucketEnd[b] - ly.bucketStart[b]; w != int64(n) {
-					return nil, fmt.Errorf("access: layer %d: leaf bucket %d weighs %d, holds %d tuples", i, b, w, n)
-				}
-			}
-			continue
+		if _, err := keyFrom(parent, &la.layers[i]); err != nil {
+			return nil, fmt.Errorf("access: layer %d: %w", i, err)
 		}
-		ly.childOf = make([]int32, len(ly.vals)*nc)
-		for b := range ly.bucketStart {
-			key := ly.bucketOf.Key(b)
-			for t := ly.bucketStart[b]; t < ly.bucketEnd[b]; t++ {
-				sel := ly.childOf[t*nc : t*nc+nc]
-				if c := la.selectChildren(i, key, ly.vals[t], scratch, sel); c >= 0 {
-					return nil, fmt.Errorf("access: layer %d: tuple %d selects no bucket of child layer %d", i, t, c)
-				}
-				w, err := la.tupleWeight(i, sel)
-				if err != nil {
-					return nil, fmt.Errorf("access: layer %d: tuple %d: counting answers: %w", i, t, err)
-				}
-				if w != ly.weight(b, t) {
-					return nil, fmt.Errorf("access: layer %d: tuple %d weighs %d, its child buckets %d", i, t, ly.weight(b, t), w)
-				}
-			}
+	}
+	for i := range la.layers {
+		if err := la.checkChildOf(i); err != nil {
+			return nil, err
 		}
 	}
 	// The root must hold the whole count in a single bucket (or be empty
@@ -201,13 +151,42 @@ func LexFromParts(q *cq.Query, p *LexParts) (*Lex, error) {
 	return la, nil
 }
 
+// checkChildOf holds layer i's childOf to what bucketize writes: one
+// entry per tuple per child, each a bucket of that child, whose weights
+// multiply to the tuple's weight (a leaf tuple weighs 1). A descent then
+// ends on residual 0 for every rank below the total, and Rank finds the
+// tuples Access chose.
+func (la *Lex) checkChildOf(i int) error {
+	ly := &la.layers[i]
+	nc := len(ly.children)
+	if len(ly.childOf) != len(ly.vals)*nc {
+		return fmt.Errorf("access: layer %d: childOf holds %d entries for %d tuples × %d children", i, len(ly.childOf), len(ly.vals), nc)
+	}
+	for b := range ly.bucketWeight {
+		for t := ly.bucketStart[b]; t < ly.bucketStart[b+1]; t++ {
+			sel := ly.childOf[t*nc : t*nc+nc]
+			for j, c := range ly.children {
+				if n := len(la.layers[c].bucketWeight); sel[j] < 0 || int(sel[j]) >= n {
+					return fmt.Errorf("access: layer %d: tuple %d selects bucket %d of child layer %d, which has %d", i, t, sel[j], c, n)
+				}
+			}
+			w, err := la.tupleWeight(i, sel)
+			if err != nil {
+				return fmt.Errorf("access: layer %d: tuple %d: counting answers: %w", i, t, err)
+			}
+			if w != ly.weight(b, t) {
+				return fmt.Errorf("access: layer %d: tuple %d weighs %d, its child buckets %d", i, t, ly.weight(b, t), w)
+			}
+		}
+	}
+	return nil
+}
+
 // layerFromParts validates and installs one layer. The checks mirror
-// what bucketize guarantees: per-bucket ranges tile [0, n), values
-// strictly follow the layer direction inside a bucket, starts begin at 0
-// and advance by the persisted, strictly positive weights, and the
-// bucket weight closes the sum — which is exactly what keeps the access
-// descent's binary searches and divisions safe, and lets the layer drop
-// the weights column: starts and bucket weights imply it.
+// what bucketize guarantees: buckets tile [0, n) and end on the sentinel
+// n, values strictly follow the layer direction inside a bucket, and
+// starts rise strictly from 0 below the bucket weight — which is exactly
+// what keeps the access descent's binary searches and divisions safe.
 func layerFromParts(ly *layer, i int, lp *LexLayerParts, numVars int) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("access: layer %d: %s", i, fmt.Sprintf(format, args...))
@@ -223,52 +202,35 @@ func layerFromParts(ly *layer, i int, lp *LexLayerParts, numVars int) error {
 	if (i == 0) != (lp.Parent == -1) || lp.Parent >= i || lp.Parent < -1 {
 		return fail("bad parent %d", lp.Parent)
 	}
-	n := len(lp.Vals)
-	if len(lp.Weights) != n || len(lp.Starts) != n {
-		return fail("column lengths %d/%d/%d disagree", n, len(lp.Weights), len(lp.Starts))
+	n, nb := len(lp.Vals), len(lp.BucketWeight)
+	if len(lp.Starts) != n {
+		return fail("%d start offsets for %d tuples", len(lp.Starts), n)
 	}
-	b := lp.Buckets
-	if len(lp.BucketStart) != b || len(lp.BucketEnd) != b || len(lp.BucketWeight) != b {
-		return fail("bucket column lengths disagree")
+	if len(lp.BucketStart) != nb+1 {
+		return fail("%d bucket starts for %d buckets", len(lp.BucketStart), nb)
 	}
-	idx, err := tupleidx.FromParts(len(lp.KeyVars), b, lp.BucketKeys, lp.BucketTable)
-	if err != nil {
-		return fail("%v", err)
+	if lp.BucketStart[0] != 0 || lp.BucketStart[nb] != n {
+		return fail("bucket starts run from %d to %d, not over the %d tuples", lp.BucketStart[0], lp.BucketStart[nb], n)
 	}
-	prevEnd := 0
-	for j := 0; j < b; j++ {
-		lo, hi := lp.BucketStart[j], lp.BucketEnd[j]
-		if lo != prevEnd || hi < lo || hi > n {
-			return fail("bucket %d spans [%d, %d) outside the expected run", j, lo, hi)
+	for j := 0; j < nb; j++ {
+		lo, hi := lp.BucketStart[j], lp.BucketStart[j+1]
+		if hi <= lo || hi > n {
+			return fail("bucket %d spans [%d, %d)", j, lo, hi)
 		}
-		prevEnd = hi
-		if hi == lo {
-			return fail("bucket %d is empty", j)
+		if lp.Starts[lo] != 0 {
+			return fail("start offset %d of tuple %d breaks the prefix sum", lp.Starts[lo], lo)
 		}
-		sum := int64(0)
-		for t := lo; t < hi; t++ {
-			if t > lo {
-				if prev, v := lp.Vals[t-1], lp.Vals[t]; prev == v || (prev < v) == lp.Desc {
-					return fail("value %d of tuple %d out of order in bucket %d", v, t, j)
-				}
-			}
-			if lp.Starts[t] != sum {
+		for t := lo + 1; t < hi; t++ {
+			if lp.Starts[t] <= lp.Starts[t-1] {
 				return fail("start offset %d of tuple %d breaks the prefix sum", lp.Starts[t], t)
 			}
-			if lp.Weights[t] <= 0 {
-				return fail("non-positive weight %d of tuple %d", lp.Weights[t], t)
-			}
-			sum += lp.Weights[t]
-			if sum < 0 {
-				return fail("weight overflow in bucket %d", j)
+			if prev, v := lp.Vals[t-1], lp.Vals[t]; prev == v || (prev < v) == lp.Desc {
+				return fail("value %d of tuple %d out of order in bucket %d", v, t, j)
 			}
 		}
-		if lp.BucketWeight[j] != sum {
-			return fail("bucket %d weight %d, tuples sum to %d", j, lp.BucketWeight[j], sum)
+		if lp.BucketWeight[j] <= lp.Starts[hi-1] {
+			return fail("bucket %d weighs %d, its last tuple starts at %d", j, lp.BucketWeight[j], lp.Starts[hi-1])
 		}
-	}
-	if prevEnd != n {
-		return fail("buckets cover %d of %d tuples", prevEnd, n)
 	}
 	dir := order.Asc
 	if lp.Desc {
@@ -276,9 +238,8 @@ func layerFromParts(ly *layer, i int, lp *LexLayerParts, numVars int) error {
 	}
 	*ly = layer{
 		v: lp.Var, dir: dir, keyVars: lp.KeyVars, parent: lp.Parent,
-		vals: lp.Vals, starts: lp.Starts,
-		bucketOf: idx, bucketStart: lp.BucketStart, bucketEnd: lp.BucketEnd,
-		bucketWeight: lp.BucketWeight,
+		vals: lp.Vals, starts: lp.Starts, childOf: lp.ChildOf,
+		bucketStart: lp.BucketStart, bucketWeight: lp.BucketWeight,
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"rankedaccess/internal/database"
 	"rankedaccess/internal/fd"
 	"rankedaccess/internal/order"
-	"rankedaccess/internal/tupleidx"
 	"rankedaccess/internal/values"
 	"rankedaccess/internal/workload"
 )
@@ -33,7 +32,7 @@ func restored(t testing.TB, la *Lex) *Lex {
 // probeShapes are the layered shapes whose probes read childOf: a chain
 // (one child per layer), a star (two children under the root, so the
 // stride t*len(children)+j matters), the star restored from its parts
-// (childOf resolved by LexFromParts, not bucketize) and an FD-extended
+// (childOf read back, not filled by bucketize) and an FD-extended
 // structure (probes in the extended space).
 func probeShapes(t *testing.T) map[string]func() *Lex {
 	rng := rand.New(rand.NewSource(3))
@@ -67,9 +66,11 @@ func probeShapes(t *testing.T) map[string]func() *Lex {
 	}
 }
 
-// The probes descend by childOf alone: with every layer's bucket index
-// gone, Access, a consecutive-rank scan, Rank and Inverted answer on
-// every rank as an untouched twin does.
+// The probes never hash, on either side of a snapshot. A restored Lex
+// is the built one, field for field: the build keeps no relation or
+// bucket index, and restore re-derives nothing. And every structure
+// answers Access, a consecutive-rank scan, Rank, Inverted and misses on
+// every rank as an independent build does.
 func TestProbesNeverHash(t *testing.T) {
 	for name, build := range probeShapes(t) {
 		t.Run(name, func(t *testing.T) {
@@ -77,8 +78,13 @@ func TestProbesNeverHash(t *testing.T) {
 			if la.Total() == 0 || la.Total() != twin.Total() {
 				t.Fatalf("totals %d and %d", la.Total(), twin.Total())
 			}
-			for i := range la.layers {
-				la.layers[i].bucketOf = nil
+			if name == "chain" || name == "star" {
+				state := func(la *Lex) []any {
+					return []any{la.Query, la.Completed, la.total, la.numVars, la.boolean, la.boolTrue, la.layers}
+				}
+				if back := restored(t, la); !reflect.DeepEqual(state(back), state(la)) {
+					t.Fatalf("restored %+v\nbuilt %+v", state(back), state(la))
+				}
 			}
 			head := la.Query.Head
 			scan := la.NewBuf()
@@ -114,21 +120,11 @@ func TestProbesNeverHash(t *testing.T) {
 	}
 }
 
-// bucketIndex is a layer's bucket index over the given keys, as
-// bucketize inserts them (capacity hint: one tuple per key).
-func bucketIndex(arity int, keys ...[]values.Value) ([]values.Value, []int32) {
-	x := tupleidx.New(arity, len(keys))
-	for _, k := range keys {
-		x.Insert(k)
-	}
-	return x.FlatKeys(), x.Table()
-}
-
 // A file whose checksums hold can still describe a structure that no
 // build produces. LexFromParts refuses one whose probes would trip — a
-// tuple selecting no child bucket, or weighing other than its child
-// buckets — at restore rather than at the first access reaching it, and
-// names the layer and the tuple.
+// tuple selecting a child bucket that does not exist, or weighing other
+// than its child buckets — at restore rather than at the first access
+// reaching it, and names the layer and the tuple.
 func TestLexFromPartsRefusesInconsistentParts(t *testing.T) {
 	q := cq.MustParse("Q(x, y) :- R(x, y)")
 	x, _ := q.VarByName("x")
@@ -136,20 +132,16 @@ func TestLexFromPartsRefusesInconsistentParts(t *testing.T) {
 	// R = {(1, 10), (2, 20)} under ⟨x, y⟩: the root holds x = 1, 2 in one
 	// bucket, layer 1 one bucket per x.
 	whole := func() *LexParts {
-		rootKeys, rootTable := bucketIndex(0, []values.Value{})
-		keys, table := bucketIndex(1, []values.Value{1}, []values.Value{2})
 		return &LexParts{
 			Completed: lex(t, q, "x, y"), Total: 2, NumVars: 2,
 			Layers: []LexLayerParts{{
 				Var: x, Parent: -1,
-				Vals: []values.Value{1, 2}, Weights: []int64{1, 1}, Starts: []int64{0, 1},
-				Buckets: 1, BucketStart: []int{0}, BucketEnd: []int{2}, BucketWeight: []int64{2},
-				BucketKeys: rootKeys, BucketTable: rootTable,
+				Vals: []values.Value{1, 2}, Starts: []int64{0, 1}, ChildOf: []int32{0, 1},
+				BucketStart: []int{0, 2}, BucketWeight: []int64{2},
 			}, {
 				Var: y, Parent: 0, KeyVars: []cq.VarID{x},
-				Vals: []values.Value{10, 20}, Weights: []int64{1, 1}, Starts: []int64{0, 0},
-				Buckets: 2, BucketStart: []int{0, 1}, BucketEnd: []int{1, 2}, BucketWeight: []int64{1, 1},
-				BucketKeys: keys, BucketTable: table,
+				Vals: []values.Value{10, 20}, Starts: []int64{0, 0},
+				BucketStart: []int{0, 1, 2}, BucketWeight: []int64{1, 1},
 			}},
 		}
 	}
@@ -168,18 +160,32 @@ func TestLexFromPartsRefusesInconsistentParts(t *testing.T) {
 	}
 
 	for want, edit := range map[string]func(p *LexParts){
-		// Drop x = 2's bucket from layer 1.
-		"access: layer 0: tuple 1 selects no bucket of child layer 1": func(p *LexParts) {
+		// Drop x = 2's bucket from layer 1: tuple 1 still selects it.
+		"access: layer 0: tuple 1 selects bucket 1 of child layer 1, which has 1": func(p *LexParts) {
 			l := &p.Layers[1]
-			l.Vals, l.Weights, l.Starts = l.Vals[:1], l.Weights[:1], l.Starts[:1]
-			l.Buckets, l.BucketStart, l.BucketEnd, l.BucketWeight = 1, l.BucketStart[:1], l.BucketEnd[:1], l.BucketWeight[:1]
-			l.BucketKeys, l.BucketTable = bucketIndex(1, []values.Value{1})
+			l.Vals, l.Starts = l.Vals[:1], l.Starts[:1]
+			l.BucketStart, l.BucketWeight = l.BucketStart[:2], l.BucketWeight[:1]
+		},
+		"access: layer 0: tuple 1 selects bucket 2 of child layer 1, which has 2": func(p *LexParts) {
+			p.Layers[0].ChildOf[1] = 2
+		},
+		"access: layer 0: tuple 0 selects bucket -1 of child layer 1, which has 2": func(p *LexParts) {
+			p.Layers[0].ChildOf[0] = -1
+		},
+		"access: layer 0: childOf holds 1 entries for 2 tuples × 1 children": func(p *LexParts) {
+			p.Layers[0].ChildOf = p.Layers[0].ChildOf[:1]
+		},
+		"access: layer 1: childOf holds 2 entries for 2 tuples × 0 children": func(p *LexParts) {
+			p.Layers[1].ChildOf = []int32{0, 0}
+		},
+		"access: layer 1: bucket starts run from 0 to 1, not over the 2 tuples": func(p *LexParts) {
+			p.Layers[1].BucketStart[2] = 1
 		},
 		// Give x = 2 a second y without telling the root.
 		"access: layer 0: tuple 1 weighs 1, its child buckets 2": func(p *LexParts) {
 			l := &p.Layers[1]
-			l.Vals, l.Weights, l.Starts = append(l.Vals, 21), append(l.Weights, 1), append(l.Starts, 1)
-			l.BucketEnd[1], l.BucketWeight[1] = 3, 2
+			l.Vals, l.Starts = append(l.Vals, 21), append(l.Starts, 1)
+			l.BucketStart[2], l.BucketWeight[1] = 3, 2
 		},
 		"access: layer 0: value 1 of tuple 1 out of order in bucket 0": func(p *LexParts) {
 			l := &p.Layers[0]
@@ -206,10 +212,8 @@ func cloneParts(p *LexParts) *LexParts {
 	for i := range c.Layers {
 		l := &c.Layers[i]
 		l.KeyVars = slices.Clone(l.KeyVars)
-		l.Vals, l.Weights, l.Starts = slices.Clone(l.Vals), slices.Clone(l.Weights), slices.Clone(l.Starts)
-		l.BucketStart, l.BucketEnd = slices.Clone(l.BucketStart), slices.Clone(l.BucketEnd)
-		l.BucketWeight, l.BucketKeys = slices.Clone(l.BucketWeight), slices.Clone(l.BucketKeys)
-		l.BucketTable = slices.Clone(l.BucketTable)
+		l.Vals, l.Starts, l.ChildOf = slices.Clone(l.Vals), slices.Clone(l.Starts), slices.Clone(l.ChildOf)
+		l.BucketStart, l.BucketWeight = slices.Clone(l.BucketStart), slices.Clone(l.BucketWeight)
 	}
 	return &c
 }
@@ -221,61 +225,47 @@ func perturb(p *LexParts, data []byte) {
 	at := func(n int, pos byte) int { return int(pos) % n }
 	for ; len(data) >= 4; data = data[4:] {
 		op, l, pos, d := data[0], &p.Layers[int(data[1])%len(p.Layers)], data[2], int8(data[3])
-		switch op % 16 {
+		switch op % 12 {
 		case 0:
 			if n := len(l.Vals); n > 0 {
 				l.Vals[at(n, pos)] += values.Value(d)
 			}
 		case 1:
-			if n := len(l.Weights); n > 0 {
-				l.Weights[at(n, pos)] += int64(d)
-			}
-		case 2:
 			if n := len(l.Starts); n > 0 {
 				l.Starts[at(n, pos)] += int64(d)
+			}
+		case 2:
+			if n := len(l.ChildOf); n > 0 {
+				l.ChildOf[at(n, pos)] += int32(d)
 			}
 		case 3:
 			if n := len(l.BucketStart); n > 0 {
 				l.BucketStart[at(n, pos)] += int(d)
 			}
 		case 4:
-			if n := len(l.BucketEnd); n > 0 {
-				l.BucketEnd[at(n, pos)] += int(d)
-			}
-		case 5:
 			if n := len(l.BucketWeight); n > 0 {
 				l.BucketWeight[at(n, pos)] += int64(d)
 			}
-		case 6:
-			if n := len(l.BucketKeys); n > 0 {
-				l.BucketKeys[at(n, pos)] += values.Value(d)
-			}
-		case 7:
-			if n := len(l.BucketTable); n > 0 {
-				l.BucketTable[at(n, pos)] += int32(d)
-			}
-		case 8:
+		case 5:
 			l.Var += cq.VarID(d)
-		case 9:
+		case 6:
 			l.Parent += int(d)
-		case 10:
+		case 7:
 			l.Desc = !l.Desc
-		case 11:
+		case 8:
 			if n := len(l.KeyVars); n > 0 {
 				l.KeyVars[at(n, pos)] += cq.VarID(d)
 			}
-		case 12:
-			l.Buckets += int(d)
-		case 13:
+		case 9:
 			p.Total += int64(d)
-		case 14:
+		case 10:
 			p.Boolean = !p.Boolean
-		case 15:
+		case 11:
 			// Shift a whole bucket's values: order kept, so a leaf layer
 			// stays consistent and the accepting path gets exercised.
-			if n := min(len(l.BucketStart), len(l.BucketEnd)); n > 0 {
+			if n := len(l.BucketStart) - 1; n > 0 {
 				b := at(n, pos)
-				for t := max(l.BucketStart[b], 0); t < min(l.BucketEnd[b], len(l.Vals)); t++ {
+				for t := max(l.BucketStart[b], 0); t < min(l.BucketStart[b+1], len(l.Vals)); t++ {
 					l.Vals[t] += values.Value(d)
 				}
 			}
@@ -284,11 +274,12 @@ func perturb(p *LexParts, data []byte) {
 }
 
 // FuzzLexFromParts perturbs the parts of valid structures — the chain
-// and the star of TestProbesNeverHash, and one root-only structure. The
-// decoder faces a file (a warm start maps the snapshot), so it must
-// never panic, and a structure it accepts must answer: every rank below
-// its total accesses without error, through a scanning buffer too, and
-// ranks back to itself.
+// and the star of TestProbesNeverHash, and one root-only structure —
+// their childOf and bucket starts among them. The decoder faces a file
+// (a warm start maps the snapshot), so it must never panic, and a
+// structure it accepts must answer: every rank below its total accesses
+// without error, through a scanning buffer too, and ranks back to
+// itself.
 func FuzzLexFromParts(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	chainQ, in := workload.TwoPath(rng, 12, 4, 0.4)

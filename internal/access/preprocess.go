@@ -16,7 +16,8 @@ import (
 // bottom-up pass filtering parents by children, then a top-down pass
 // filtering children by parents (Yannakakis). Shared variables of a
 // child and its parent are exactly the child's key variables.
-func (la *Lex) semijoinReduce() {
+func (lb *lexBuild) semijoinReduce() {
+	la := lb.Lex
 	f := len(la.layers)
 	// Bottom-up: layers in decreasing index order have children after
 	// parents, so iterating i from f-1 down to 0 and filtering parent by
@@ -24,13 +25,13 @@ func (la *Lex) semijoinReduce() {
 	for i := f - 1; i >= 1; i-- {
 		p := la.layers[i].parent
 		pCols, cCols := la.sharedCols(p, i)
-		la.rels[p] = la.rels[p].Semijoin(pCols, la.rels[i], cCols)
+		lb.rels[p] = lb.rels[p].Semijoin(pCols, lb.rels[i], cCols)
 	}
 	// Top-down.
 	for i := 1; i < f; i++ {
 		p := la.layers[i].parent
 		pCols, cCols := la.sharedCols(p, i)
-		la.rels[i] = la.rels[i].Semijoin(cCols, la.rels[p], pCols)
+		lb.rels[i] = lb.rels[i].Semijoin(cCols, lb.rels[p], pCols)
 	}
 }
 
@@ -54,7 +55,8 @@ func (la *Lex) sharedCols(parent, child int) (pCols, cCols []int) {
 // layer's children of the weight of the child bucket selected by the
 // tuple; starts are prefix sums inside each bucket. The total count is
 // the weight of the root bucket.
-func (la *Lex) computeWeights(ctx context.Context) error {
+func (lb *lexBuild) computeWeights(ctx context.Context) error {
+	la := lb.Lex
 	f := len(la.layers)
 	if f == 0 {
 		return nil
@@ -82,12 +84,13 @@ func (la *Lex) computeWeights(ctx context.Context) error {
 	for i, h := range height {
 		waves[h] = append(waves[h], i)
 	}
+	lb.bucketOf = make([]*tupleidx.Index, f)
 	for _, wave := range waves {
 		wave := wave
 		// The wave boundary is the cancellation point: a deadline-hit
 		// build stops between layer waves, never mid-bucketize.
 		if err := par.DoErrCtx(ctx, len(wave), func(j int) error {
-			return la.bucketize(wave[j])
+			return lb.bucketize(wave[j])
 		}); err != nil {
 			return err
 		}
@@ -113,9 +116,9 @@ func (la *Lex) computeWeights(ctx context.Context) error {
 // place by (key columns ascending, layer value under the direction), and
 // buckets are the equal-key runs. No per-row key is materialized; the
 // only per-layer allocations are the output arrays themselves.
-func (la *Lex) bucketize(i int) error {
-	ly := &la.layers[i]
-	rel := la.rels[i]
+func (lb *lexBuild) bucketize(i int) error {
+	ly := &lb.layers[i]
+	rel := lb.rels[i]
 	nk := len(ly.keyVars)
 	n := rel.Len()
 	arity := nk + 1
@@ -145,14 +148,18 @@ func (la *Lex) bucketize(i int) error {
 		})
 	}
 
-	ly.bucketOf = tupleidx.New(nk, n)
+	index := tupleidx.New(nk, n)
 	ly.vals = make([]values.Value, 0, n)
 	ly.starts = make([]int64, 0, n)
 	nc := len(ly.children)
+	widest := 0
 	if nc > 0 {
 		ly.childOf = make([]int32, n*nc)
+		for _, c := range ly.children {
+			widest = max(widest, len(lb.keyFrom[c]))
+		}
 	}
-	scratch := make([]values.Value, la.maxKey)
+	scratch := make([]values.Value, widest)
 
 	for t := 0; t < n; {
 		key := rel.Tuple(t)[:nk]
@@ -166,7 +173,7 @@ func (la *Lex) bucketize(i int) error {
 				}
 			}
 		}
-		b, added := ly.bucketOf.Insert(key)
+		b, added := index.Insert(key)
 		if !added || b != len(ly.bucketStart) {
 			return fmt.Errorf("access: internal: duplicate bucket key in sorted layer %d", i)
 		}
@@ -175,10 +182,10 @@ func (la *Lex) bucketize(i int) error {
 		for ; t < end; t++ {
 			tu := rel.Tuple(t)
 			sel := ly.childOf[t*nc : t*nc+nc]
-			if c := la.selectChildren(i, tu[:nk], tu[nk], scratch, sel); c >= 0 {
+			if c := lb.selectChildren(i, tu[:nk], tu[nk], scratch, sel); c >= 0 {
 				return fmt.Errorf("access: internal: missing child bucket after reduction (layer %d -> %d)", i, c)
 			}
-			w, err := la.tupleWeight(i, sel)
+			w, err := lb.tupleWeight(i, sel)
 			if err != nil {
 				return fmt.Errorf("access: counting answers: %w", err)
 			}
@@ -189,9 +196,10 @@ func (la *Lex) bucketize(i int) error {
 		if err := bucketSum.Err(); err != nil {
 			return fmt.Errorf("access: counting answers: %w", err)
 		}
-		ly.bucketEnd = append(ly.bucketEnd, len(ly.vals))
 		ly.bucketWeight = append(ly.bucketWeight, bucketSum.Value())
 	}
+	ly.bucketStart = append(ly.bucketStart, n)
+	lb.bucketOf[i] = index
 	return nil
 }
 
@@ -203,18 +211,17 @@ func (la *Lex) bucketize(i int) error {
 // nothing. It returns the first child layer holding no bucket for the
 // tuple, or -1. scratch must have capacity for the widest key of any
 // child layer.
-func (la *Lex) selectChildren(i int, key []values.Value, val values.Value, scratch []values.Value, sel []int32) int {
-	for j, c := range la.layers[i].children {
-		child := &la.layers[c]
-		probe := scratch[:len(child.keyFrom)]
-		for x, src := range child.keyFrom {
+func (lb *lexBuild) selectChildren(i int, key []values.Value, val values.Value, scratch []values.Value, sel []int32) int {
+	for j, c := range lb.layers[i].children {
+		probe := scratch[:len(lb.keyFrom[c])]
+		for x, src := range lb.keyFrom[c] {
 			if src < 0 {
 				probe[x] = val
 			} else {
 				probe[x] = key[src]
 			}
 		}
-		b, ok := child.bucketOf.Lookup(probe)
+		b, ok := lb.bucketOf[c].Lookup(probe)
 		if !ok {
 			return c
 		}
@@ -224,7 +231,7 @@ func (la *Lex) selectChildren(i int, key []values.Value, val values.Value, scrat
 }
 
 // tupleWeight multiplies the weights of the child buckets sel selects
-// (selectChildren's output for a tuple of layer i): the tuple's weight.
+// (a tuple of layer i's stretch of childOf): the tuple's weight.
 func (la *Lex) tupleWeight(i int, sel []int32) (int64, error) {
 	w := checked.NewCounter(1)
 	for j, c := range la.layers[i].children {

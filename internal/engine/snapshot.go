@@ -503,11 +503,9 @@ func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool
 		for i := range lp.Layers {
 			l := &lp.Layers[i]
 			lm := snapshot.LayerMeta{
-				Var: int(l.Var), Desc: l.Desc, Parent: l.Parent, Buckets: l.Buckets,
-				ValsCol: b.I64Col(l.Vals), WeightsCol: b.I64Col(l.Weights), StartsCol: b.I64Col(l.Starts),
-				BucketStartCol: b.IntCol(l.BucketStart), BucketEndCol: b.IntCol(l.BucketEnd),
-				BucketWeightCol: b.I64Col(l.BucketWeight),
-				BucketKeysCol:   b.I64Col(l.BucketKeys), BucketTableCol: b.I32Col(l.BucketTable),
+				Var: int(l.Var), Desc: l.Desc, Parent: l.Parent,
+				ValsCol: b.I64Col(l.Vals), StartsCol: b.I64Col(l.Starts), ChildOfCol: b.I32Col(l.ChildOf),
+				BucketStartCol: b.IntCol(l.BucketStart), BucketWeightCol: b.I64Col(l.BucketWeight),
 			}
 			for _, u := range l.KeyVars {
 				lm.KeyVars = append(lm.KeyVars, int(u))
@@ -552,9 +550,7 @@ func layeredPartsFromMeta(f *snapshot.File, sm *snapshot.StructureMeta) (*access
 	}
 	for i := range sm.Layers {
 		lm := &sm.Layers[i]
-		l := access.LexLayerParts{
-			Var: cq.VarID(lm.Var), Desc: lm.Desc, Parent: lm.Parent, Buckets: lm.Buckets,
-		}
+		l := access.LexLayerParts{Var: cq.VarID(lm.Var), Desc: lm.Desc, Parent: lm.Parent}
 		for _, u := range lm.KeyVars {
 			l.KeyVars = append(l.KeyVars, cq.VarID(u))
 		}
@@ -562,25 +558,16 @@ func layeredPartsFromMeta(f *snapshot.File, sm *snapshot.StructureMeta) (*access
 		if l.Vals, err = f.ColI64(lm.ValsCol); err != nil {
 			return nil, err
 		}
-		if l.Weights, err = f.ColI64(lm.WeightsCol); err != nil {
+		if l.Starts, err = f.ColI64(lm.StartsCol); err != nil {
 			return nil, err
 		}
-		if l.Starts, err = f.ColI64(lm.StartsCol); err != nil {
+		if l.ChildOf, err = f.ColI32(lm.ChildOfCol); err != nil {
 			return nil, err
 		}
 		if l.BucketStart, err = f.ColInt(lm.BucketStartCol); err != nil {
 			return nil, err
 		}
-		if l.BucketEnd, err = f.ColInt(lm.BucketEndCol); err != nil {
-			return nil, err
-		}
 		if l.BucketWeight, err = f.ColI64(lm.BucketWeightCol); err != nil {
-			return nil, err
-		}
-		if l.BucketKeys, err = f.ColI64(lm.BucketKeysCol); err != nil {
-			return nil, err
-		}
-		if l.BucketTable, err = f.ColI32(lm.BucketTableCol); err != nil {
 			return nil, err
 		}
 		lp.Layers = append(lp.Layers, l)

@@ -12,7 +12,6 @@ import (
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/database"
-	"rankedaccess/internal/order"
 	"rankedaccess/internal/snapshot"
 	"rankedaccess/internal/values"
 	"rankedaccess/internal/workload"
@@ -455,7 +454,7 @@ func TestRestoreCorruptFileFailsCleanly(t *testing.T) {
 	// Valid checksums over rows in the wrong order: written, as any
 	// writer could, from Parts() with two rows swapped.
 	for i, name := range map[int]string{2: "permuted sum rows", 3: "permuted materialized rows", 4: "permuted materialized-sum rows"} {
-		paths[name] = writeParentFormat(t, t.TempDir(), in, snapSpecs[i:i+1], func(rp *access.RowParts) {
+		paths[name] = writeRowStructures(t, t.TempDir(), in, snapSpecs[i:i+1], func(rp *access.RowParts) {
 			last := len(rp.Flat) - rp.NumVars
 			for c := 0; c < rp.NumVars; c++ {
 				rp.Flat[c], rp.Flat[last+c] = rp.Flat[last+c], rp.Flat[c]
@@ -479,13 +478,13 @@ func TestRestoreCorruptFileFailsCleanly(t *testing.T) {
 	}
 }
 
-// writeParentFormat writes a snapshot of in holding one structure per
-// spec, encoded exactly as structureMeta encoded the three kinds at the
-// commit before access.Structure existed — sm.Kind, sm.MatIsLex and the
-// column layout are file format, not implementation. The structures are
-// built here, straight from internal/access, and their row parts pass
-// through mutate (nil = untouched) on the way to the file.
-func writeParentFormat(t *testing.T, dir string, in *database.Instance, specs []Spec, mutate func(*access.RowParts)) string {
+// writeRowStructures writes a snapshot of in holding one SUM or
+// materialized structure per spec, laid out by hand — sm.Kind,
+// sm.MatIsLex and the column layout are file format, not
+// implementation. The structures are built here, straight from
+// internal/access, and their row parts pass through mutate on the way
+// to the file.
+func writeRowStructures(t *testing.T, dir string, in *database.Instance, specs []Spec, mutate func(*access.RowParts)) string {
 	t.Helper()
 	b := snapshot.NewBuilder(1, 1)
 	for _, name := range in.Names() {
@@ -497,64 +496,29 @@ func writeParentFormat(t *testing.T, dir string, in *database.Instance, specs []
 		if err != nil {
 			t.Fatal(err)
 		}
-		sm := snapshot.StructureMeta{
-			Spec: s, NumVars: p.q.NumVars(),
-			AnswersCol: snapshot.NoCol, WeightsCol: snapshot.NoCol,
-		}
-		rows := func(rp *access.RowParts, ok bool) {
-			if !ok {
-				t.Fatal("structure has no parts")
-			}
-			if mutate != nil {
-				mutate(rp)
-			}
-			sm.Rows = len(rp.Flat) / rp.NumVars
-			sm.Total = int64(sm.Rows)
-			sm.AnswersCol = b.I64Col(rp.Flat)
-			if rp.Weights != nil {
-				sm.WeightsCol = b.F64Col(rp.Weights)
-			}
-		}
-		v, _ := p.directAccess()
-		switch {
-		case !v.Tractable:
+		sm := snapshot.StructureMeta{Spec: s, NumVars: p.q.NumVars(), WeightsCol: snapshot.NoCol}
+		var rp *access.RowParts
+		if v, _ := p.directAccess(); !v.Tractable {
 			sm.Kind, sm.MatIsLex = snapshot.KindMaterialized, !p.sum
 			if p.sum {
-				rows(access.BuildMaterializedSum(p.q, in, p.w).Parts())
+				rp, _ = access.BuildMaterializedSum(p.q, in, p.w).Parts()
 			} else {
-				rows(access.BuildMaterializedLex(p.q, in, p.l).Parts())
+				rp, _ = access.BuildMaterializedLex(p.q, in, p.l).Parts()
 			}
-		case p.sum:
+		} else {
 			sa, err := access.BuildSum(p.q, in, p.w)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sm.Kind, sm.Tractable = snapshot.KindSum, true
-			rows(sa.Parts())
-		default:
-			la, err := access.BuildLex(p.q, in, p.l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lp, _ := la.Parts()
-			sm.Kind, sm.Tractable, sm.Total = snapshot.KindLayeredLex, true, lp.Total
-			for _, entry := range lp.Completed.Entries {
-				sm.Completed = append(sm.Completed, snapshot.OrderEntryMeta{Var: int(entry.Var), Desc: entry.Dir == order.Desc})
-			}
-			for i := range lp.Layers {
-				l := &lp.Layers[i]
-				lm := snapshot.LayerMeta{
-					Var: int(l.Var), Desc: l.Desc, Parent: l.Parent, Buckets: l.Buckets,
-					ValsCol: b.I64Col(l.Vals), WeightsCol: b.I64Col(l.Weights), StartsCol: b.I64Col(l.Starts),
-					BucketStartCol: b.IntCol(l.BucketStart), BucketEndCol: b.IntCol(l.BucketEnd),
-					BucketWeightCol: b.I64Col(l.BucketWeight),
-					BucketKeysCol:   b.I64Col(l.BucketKeys), BucketTableCol: b.I32Col(l.BucketTable),
-				}
-				for _, u := range l.KeyVars {
-					lm.KeyVars = append(lm.KeyVars, int(u))
-				}
-				sm.Layers = append(sm.Layers, lm)
-			}
+			rp, _ = sa.Parts()
+		}
+		mutate(rp)
+		sm.Rows = len(rp.Flat) / rp.NumVars
+		sm.Total = int64(sm.Rows)
+		sm.AnswersCol = b.I64Col(rp.Flat)
+		if rp.Weights != nil {
+			sm.WeightsCol = b.F64Col(rp.Weights)
 		}
 		b.AddStructure(sm)
 	}
@@ -565,15 +529,26 @@ func writeParentFormat(t *testing.T, dir string, in *database.Instance, specs []
 	return filepath.Join(dir, name)
 }
 
-// TestRestoreParentFormatCheckpoint is the cross-version check: a
-// checkpoint laid out by the previous commit's structureMeta restores
-// every kind warm and scans byte-identically to a cold build, and
-// today's structureMeta lays the same structures out the same way.
+// TestRestoreParentFormatCheckpoint is the version 1 migration check.
+// The snapshot package's testdata/v1.rka is a checkpoint the version 1
+// engine wrote of snapInstance(128) with snapSpecs[:5] registered under
+// v1Names. It opens warm: relations and registrations intact, the SUM
+// and materialized structures cache hits, the layered-lex ones rebuilt
+// from their specs (one miss each), and every spec's full scan
+// byte-identical to a cold build. A version 2 checkpoint of the result
+// re-encodes byte-identically.
 func TestRestoreParentFormatCheckpoint(t *testing.T) {
-	in := snapInstance(t, 512)
-	specs := snapSpecs[:5]
+	v1, err := os.ReadFile("../snapshot/testdata/v1.rka")
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	path := writeParentFormat(t, dir, in, specs, nil)
+	if err := os.WriteFile(filepath.Join(dir, snapshot.FileName(0, 1)), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := snapInstance(t, 128)
+	specs := snapSpecs[:5]
+	v1Names := []string{"lex", "lex-desc", "sum", "mat", "mat-sum"}
 
 	cold := New(in, Options{})
 	e, warm, err := Open(dir, Options{})
@@ -581,20 +556,21 @@ func TestRestoreParentFormatCheckpoint(t *testing.T) {
 		t.Fatalf("open: warm=%v err=%v", warm, err)
 	}
 	defer e.Close()
-	if st := e.Stats(); st.WarmStructures != uint64(len(specs)) {
-		t.Fatalf("warm structures = %d, want %d", st.WarmStructures, len(specs))
+	st := e.Stats()
+	if st.Tuples != in.Size() || st.WarmStructures != 3 {
+		t.Fatalf("%d tuples (want %d), %d warm structures (want 3)", st.Tuples, in.Size(), st.WarmStructures)
 	}
-	today := snapshot.NewBuilder(1, 1)
-	for _, name := range in.Names() {
-		r := in.Relation(name)
-		today.AddRelation(name, r.Arity(), r.Data())
-	}
+	layered := uint64(0)
 	for i, s := range specs {
+		pq, err := e.Prepared(v1Names[i])
+		if err != nil || !reflect.DeepEqual(pq.Spec(), s) {
+			t.Fatalf("registration %q: %v, spec %+v", v1Names[i], err, pq)
+		}
 		hc, err := cold.Prepare(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hw, err := e.Prepare(s)
+		hw, err := pq.Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -604,36 +580,40 @@ func TestRestoreParentFormatCheckpoint(t *testing.T) {
 		}
 		got, err := hw.AccessRange(nil, 0, hw.Total())
 		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("spec %d: warm scan of the parent-format structure differs from the cold build (%v)", i, err)
+			t.Fatalf("spec %d: warm scan of the v1 checkpoint differs from the cold build (%v)", i, err)
 		}
 		if hw.Plan.Mode != hc.Plan.Mode || hw.Plan.Tractable != hc.Plan.Tractable {
 			t.Fatalf("spec %d: warm plan %+v, cold %+v", i, hw.Plan, hc.Plan)
 		}
-		sm, ok := structureMeta(today, hc)
-		if !ok {
-			t.Fatalf("spec %d: not persistable", i)
+		if hc.Plan.Mode == ModeLayeredLex {
+			layered++
 		}
-		today.AddStructure(sm)
 	}
-	if st := e.Stats(); st.Misses != 0 {
-		t.Fatalf("warm prepares built %d structures; want pure cache hits", st.Misses)
+	if st2 := e.Stats(); layered != 2 || st2.Misses-st.Misses != layered {
+		t.Fatalf("warm prepares built %d structures; want one per layered spec (%d)", st2.Misses-st.Misses, layered)
 	}
-	// The meta section spells a spec as the parent's snapshot.SpecMeta
+	// The meta section spells a spec as version 1's snapshot.SpecMeta
 	// did, key for key (the type is the /v1 wire's api.Spec now).
 	spec, err := json.Marshal(snapshot.SpecMeta{Query: "Q(x) :- R(x)", Order: "x", SumBy: []string{"x"}, FDs: []string{"R: x"}, Shards: 2, ShardBy: "x"})
 	if want := `{"query":"Q(x) :- R(x)","order":"x","sum_by":["x"],"fds":["R: x"],"shards":2,"shard_by":"x"}`; err != nil || string(spec) != want {
 		t.Fatalf("spec meta %s (%v), want %s", spec, err, want)
 	}
-	wantBytes, err := os.ReadFile(path)
+
+	v2dir := t.TempDir()
+	ck, err := e.Checkpoint(v2dir)
+	if err != nil || ck.Structures != len(specs) {
+		t.Fatalf("checkpoint: %+v, %v", ck, err)
+	}
+	v2, err := os.ReadFile(filepath.Join(v2dir, ck.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBytes, err := today.Bytes()
-	if err != nil {
-		t.Fatal(err)
+	f, err := snapshot.Decode(v2)
+	if err != nil || f.Version != snapshot.FormatVersion {
+		t.Fatalf("decode of the v2 checkpoint: %v", err)
 	}
-	if !bytes.Equal(gotBytes, wantBytes) {
-		t.Fatal("structureMeta no longer writes the parent commit's snapshot bytes")
+	if again, err := f.Encode(); err != nil || !bytes.Equal(again, v2) {
+		t.Fatalf("the v2 checkpoint does not re-encode byte-identically (%v)", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Sentinel decode errors; every decode failure wraps one of them.
@@ -30,6 +31,8 @@ func corrupt(format string, args ...any) error {
 // decoded byte slice (the mapped file), so a File must not outlive the
 // mapping that backs it.
 type File struct {
+	// Version is the file's format version: FormatVersion, or 1.
+	Version uint32
 	// Meta is the parsed table of contents; Decode has already verified
 	// every column reference in it (existence, kind, and length).
 	Meta Meta
@@ -50,10 +53,10 @@ func Decode(data []byte) (*File, error) {
 	if !bytes.Equal(data[:8], magic[:]) {
 		return nil, ErrBadMagic
 	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: %d (this build reads %d)", ErrBadVersion, v, FormatVersion)
+	f := &File{Version: binary.LittleEndian.Uint32(data[8:12]), flags: binary.LittleEndian.Uint32(data[12:16])}
+	if f.Version != 1 && f.Version != FormatVersion {
+		return nil, fmt.Errorf("%w: %d (this build reads 1 and %d)", ErrBadVersion, f.Version, FormatVersion)
 	}
-	f := &File{flags: binary.LittleEndian.Uint32(data[12:16])}
 	if (f.flags&flagLittleEndian != 0) != hostLittle() {
 		return nil, ErrForeignByteOrder
 	}
@@ -120,6 +123,12 @@ func Decode(data []byte) (*File, error) {
 	if err := json.Unmarshal(last.payload, &f.Meta); err != nil {
 		return nil, corrupt("meta: %v", err)
 	}
+	if f.Version == 1 {
+		// The one version branch: see "Versioning" in the package doc.
+		f.Meta.Structures = slices.DeleteFunc(f.Meta.Structures, func(sm StructureMeta) bool {
+			return sm.Kind == KindLayeredLex
+		})
+	}
 	if err := f.validate(); err != nil {
 		return nil, err
 	}
@@ -131,7 +140,7 @@ func Decode(data []byte) (*File, error) {
 // the encoding canonical).
 func (f *File) Encode() ([]byte, error) {
 	var buf bytes.Buffer
-	if _, err := writeSections(&buf, f.flags, f.sections); err != nil {
+	if _, err := writeSections(&buf, f.Version, f.flags, f.sections); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -332,6 +341,7 @@ func (f *File) validateLex(sm *StructureMeta) error {
 			return corrupt("completed-order entry %d: variable %d out of range", i, e.Var)
 		}
 	}
+	children := make([]int, len(sm.Layers))
 	for i := range sm.Layers {
 		lm := &sm.Layers[i]
 		what := fmt.Sprintf("layer %d", i)
@@ -346,33 +356,29 @@ func (f *File) validateLex(sm *StructureMeta) error {
 				return corrupt("%s: key variable %d out of range", what, u)
 			}
 		}
-		if lm.Buckets < 0 {
-			return corrupt("%s: negative bucket count", what)
+		if i > 0 {
+			children[lm.Parent]++
 		}
+	}
+	for i := range sm.Layers {
+		lm := &sm.Layers[i]
+		what := fmt.Sprintf("layer %d", i)
 		vals, err := f.col(lm.ValsCol, kindI64, -1, what+" vals")
 		if err != nil {
 			return err
 		}
 		n := len(vals) / 8
-		if _, err := f.col(lm.WeightsCol, kindI64, n, what+" weights"); err != nil {
-			return err
-		}
 		if _, err := f.col(lm.StartsCol, kindI64, n, what+" starts"); err != nil {
 			return err
 		}
-		if _, err := f.col(lm.BucketStartCol, kindI64, lm.Buckets, what+" bucket starts"); err != nil {
+		if _, err := f.col(lm.ChildOfCol, kindI32, n*children[i], what+" child buckets"); err != nil {
 			return err
 		}
-		if _, err := f.col(lm.BucketEndCol, kindI64, lm.Buckets, what+" bucket ends"); err != nil {
+		weights, err := f.col(lm.BucketWeightCol, kindI64, -1, what+" bucket weights")
+		if err != nil {
 			return err
 		}
-		if _, err := f.col(lm.BucketWeightCol, kindI64, lm.Buckets, what+" bucket weights"); err != nil {
-			return err
-		}
-		if _, err := f.col(lm.BucketKeysCol, kindI64, lm.Buckets*len(lm.KeyVars), what+" bucket keys"); err != nil {
-			return err
-		}
-		if _, err := f.col(lm.BucketTableCol, kindI32, -1, what+" bucket table"); err != nil {
+		if _, err := f.col(lm.BucketStartCol, kindI64, len(weights)/8+1, what+" bucket starts"); err != nil {
 			return err
 		}
 	}

@@ -98,7 +98,7 @@ func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 	secs := make([]section, 0, len(b.sections)+1)
 	secs = append(secs, b.sections...)
 	secs = append(secs, section{kind: kindMeta, payload: metaJSON})
-	return writeSections(w, hostFlags(), secs)
+	return writeSections(w, FormatVersion, hostFlags(), secs)
 }
 
 // Bytes is WriteTo into memory, for tests and fuzzing.
@@ -121,11 +121,11 @@ var pad8 [8]byte
 
 // writeSections writes the canonical encoding: the one Decode accepts
 // and reproduces byte-for-byte.
-func writeSections(w io.Writer, flags uint32, secs []section) (int64, error) {
+func writeSections(w io.Writer, version, flags uint32, secs []section) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var hdr [fileHeaderLen]byte
 	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], FormatVersion)
+	binary.LittleEndian.PutUint32(hdr[8:12], version)
 	binary.LittleEndian.PutUint32(hdr[12:16], flags)
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(secs)))
 	total := int64(0)

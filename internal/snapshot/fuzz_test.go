@@ -12,7 +12,10 @@ import (
 //     versions, and hostile metas all fail with an error.
 //  2. Any input Decode accepts re-encodes byte-identically (the
 //     encoding is canonical and decoding strict, so accept ⇒ exact
-//     round trip), and decoding the re-encoding accepts again.
+//     round trip), and decoding the re-encoding accepts again. A
+//     version 1 file (seeded from testdata/v1.rka, which covers its
+//     read path) re-encodes as version 1: the sections are kept
+//     verbatim, the dropped layered structures' columns included.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	seed, err := buildSample().Bytes()
 	if err != nil {
@@ -31,6 +34,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		mut[off] ^= 0x40
 		f.Add(mut)
 	}
+	f.Add(v1File(f))
 	f.Add(seed[:fileHeaderLen])
 	f.Add([]byte("RKASNAP1"))
 

@@ -9,7 +9,7 @@
 // A snapshot is one file:
 //
 //	[0:8)   magic "RKASNAP1"
-//	[8:12)  u32 format version (currently 1)
+//	[8:12)  u32 format version (currently 2)
 //	[12:16) u32 flags (bit 0: column payloads are little-endian)
 //	[16:24) u64 section count
 //	then section count sections, each:
@@ -39,18 +39,25 @@
 // # Versioning
 //
 // FormatVersion is bumped on any incompatible layout change; readers
-// reject other versions outright rather than guessing (see
+// reject versions they do not know outright rather than guessing (see
 // CONTRIBUTING.md for the bump policy). The Meta JSON may gain fields
 // without a bump: decoders ignore unknown keys and the raw meta bytes
 // are preserved verbatim on re-encode.
+//
+// Version 1 is still read, because a checkpoint truncates the WAL and
+// refusing the file would strand its data. Its layered-lex layers
+// persist a bucket index that version 2 replaced with childOf, so
+// Decode drops those structures from Meta: the instance, registrations
+// and row-array structures warm-start, and the engine rebuilds a
+// layered structure from its spec on first prepare.
 package snapshot
 
 import "rankedaccess/internal/api"
 
-// FormatVersion is the on-disk format version this package reads and
-// writes. See the package comment and CONTRIBUTING.md for the bump
-// policy.
-const FormatVersion = 1
+// FormatVersion is the on-disk format version this package writes; it
+// reads this one and version 1. See the package comment and
+// CONTRIBUTING.md for the bump policy.
+const FormatVersion = 2
 
 // Section kinds. Columns are raw element arrays; kindMeta is the JSON
 // table of contents and must be the last section, exactly once.
@@ -127,24 +134,21 @@ type OrderEntryMeta struct {
 	Desc bool `json:"desc,omitempty"`
 }
 
-// LayerMeta describes one layer of a layered-lex structure. The
-// children and child key-gather plans are not stored: they are
-// recomputed from Parent and KeyVars at load.
+// LayerMeta describes one layer of a layered-lex structure: the columns
+// its probes read. Children are not stored: they are recomputed from
+// Parent at load. BucketStartCol holds one entry per bucket and then
+// the tuple count; ChildOfCol one bucket per tuple per child.
 type LayerMeta struct {
 	Var     int   `json:"var"`
 	Desc    bool  `json:"desc,omitempty"`
 	Parent  int   `json:"parent"`
 	KeyVars []int `json:"key_vars,omitempty"`
-	Buckets int   `json:"buckets"`
 
 	ValsCol         int `json:"vals_col"`
-	WeightsCol      int `json:"weights_col"`
 	StartsCol       int `json:"starts_col"`
+	ChildOfCol      int `json:"child_of_col"`
 	BucketStartCol  int `json:"bucket_start_col"`
-	BucketEndCol    int `json:"bucket_end_col"`
 	BucketWeightCol int `json:"bucket_weight_col"`
-	BucketKeysCol   int `json:"bucket_keys_col"`
-	BucketTableCol  int `json:"bucket_table_col"`
 }
 
 // StructureMeta describes one built access structure keyed by its spec.

@@ -24,18 +24,16 @@ func buildSample() *Builder {
 		AnswersCol: NoCol, WeightsCol: NoCol,
 		Layers: []LayerMeta{
 			{
-				Var: 0, Parent: -1, Buckets: 1,
-				ValsCol: b.I64Col([]int64{1, 2, 3}), WeightsCol: b.I64Col([]int64{1, 1, 1}),
-				StartsCol: b.I64Col([]int64{0, 1, 2}), BucketStartCol: b.IntCol([]int{0}),
-				BucketEndCol: b.IntCol([]int{3}), BucketWeightCol: b.I64Col([]int64{3}),
-				BucketKeysCol: b.I64Col(nil), BucketTableCol: b.I32Col([]int32{1, 0, 0, 0, 0, 0, 0, 0}),
+				Var: 0, Parent: -1,
+				ValsCol: b.I64Col([]int64{1, 2, 3}), StartsCol: b.I64Col([]int64{0, 1, 2}),
+				ChildOfCol: b.I32Col([]int32{0, 1, 2}), BucketStartCol: b.IntCol([]int{0, 3}),
+				BucketWeightCol: b.I64Col([]int64{3}),
 			},
 			{
-				Var: 1, Parent: 0, KeyVars: []int{0}, Buckets: 3,
-				ValsCol: b.I64Col([]int64{10, 20, 30}), WeightsCol: b.I64Col([]int64{1, 1, 1}),
-				StartsCol: b.I64Col([]int64{0, 0, 0}), BucketStartCol: b.IntCol([]int{0, 1, 2}),
-				BucketEndCol: b.IntCol([]int{1, 2, 3}), BucketWeightCol: b.I64Col([]int64{1, 1, 1}),
-				BucketKeysCol: b.I64Col([]int64{1, 2, 3}), BucketTableCol: b.I32Col(sampleTable()),
+				Var: 1, Parent: 0, KeyVars: []int{0},
+				ValsCol: b.I64Col([]int64{10, 20, 30}), StartsCol: b.I64Col([]int64{0, 0, 0}),
+				ChildOfCol: b.I32Col(nil), BucketStartCol: b.IntCol([]int{0, 1, 2, 3}),
+				BucketWeightCol: b.I64Col([]int64{1, 1, 1}),
 			},
 		},
 	}
@@ -50,11 +48,41 @@ func buildSample() *Builder {
 	return b
 }
 
-// sampleTable is a plausible 8-slot open-addressing table for ids
-// 0..2; this package validates shapes only, not slot placement (that is
-// tupleidx.FromParts's job at reconstruction).
-func sampleTable() []int32 {
-	return []int32{0, 1, 0, 2, 0, 3, 0, 0}
+// v1File reads testdata/v1.rka, a checkpoint written by the version 1
+// engine: 128-row relations R and S, five registrations, and their
+// structures — two layered-lex, one SUM, two materialized.
+func v1File(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/v1.rka")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// A version 1 file decodes: its instance, registrations and row-array
+// structures intact, its layered-lex structures dropped (their columns
+// are a bucket index this version does not read), and its bytes
+// re-encoded as they are.
+func TestDecodeAcceptsV1(t *testing.T) {
+	data := v1File(t)
+	f, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Version != 1 || len(f.Meta.Relations) != 2 || len(f.Meta.Registrations) != 5 {
+		t.Fatalf("version %d, %d relations, %d registrations", f.Version, len(f.Meta.Relations), len(f.Meta.Registrations))
+	}
+	var kinds []string
+	for _, sm := range f.Meta.Structures {
+		kinds = append(kinds, sm.Kind)
+	}
+	if want := []string{KindSum, KindMaterialized, KindMaterialized}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("structures %v, want %v", kinds, want)
+	}
+	if out, err := f.Encode(); err != nil || !bytes.Equal(out, data) {
+		t.Fatalf("re-encode of the v1 file differs (%v)", err)
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -66,7 +94,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Meta.EngineVersion != 7 || f.Meta.CreatedUnixNano != 123456789 {
+	if f.Version != FormatVersion || f.Meta.EngineVersion != 7 || f.Meta.CreatedUnixNano != 123456789 {
 		t.Fatalf("meta header %+v", f.Meta)
 	}
 	if f.Meta.Tuples != 5 || len(f.Meta.Relations) != 2 {
@@ -167,6 +195,12 @@ func TestDecodeRejectsMetaInconsistencies(t *testing.T) {
 		{"unknown structure kind", func(b *Builder) { b.meta.Structures[0].Kind = "btree" }},
 		{"layer var out of range", func(b *Builder) { b.meta.Structures[0].Layers[0].Var = 63 }},
 		{"layer parent cycle", func(b *Builder) { b.meta.Structures[0].Layers[1].Parent = 1 }},
+		{"child buckets length lie", func(b *Builder) {
+			b.meta.Structures[0].Layers[1].ChildOfCol = b.meta.Structures[0].Layers[0].ChildOfCol
+		}},
+		{"bucket starts without sentinel", func(b *Builder) {
+			b.meta.Structures[0].Layers[0].BucketStartCol = b.meta.Structures[0].Layers[0].BucketWeightCol
+		}},
 		{"empty registration name", func(b *Builder) { b.meta.Registrations[0].Name = "" }},
 	}
 	for _, tc := range cases {

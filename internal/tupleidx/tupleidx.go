@@ -87,9 +87,6 @@ func New(arity, capHint int) *Index {
 // Len returns the number of distinct keys inserted.
 func (x *Index) Len() int { return x.n }
 
-// Arity returns the key arity.
-func (x *Index) Arity() int { return x.arity }
-
 // Key returns a read-only view of the key with the given id (do not
 // mutate; valid until the index is garbage).
 func (x *Index) Key(id int) []values.Value {
@@ -97,7 +94,7 @@ func (x *Index) Key(id int) []values.Value {
 }
 
 // FlatKeys returns the flat backing array of all inserted keys in id
-// order (stride Arity). The caller may keep the slice; it must not
+// order (stride the key arity). The caller may keep the slice; it must not
 // mutate it while the index is still probed.
 func (x *Index) FlatKeys() []values.Value { return x.keys }
 
