@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"rankedaccess/internal/cluster"
 	"rankedaccess/internal/database"
 	"rankedaccess/internal/engine"
+	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/rpc"
 	"rankedaccess/internal/serve"
@@ -124,7 +126,7 @@ func (b batchMeter) note(n int) {
 	}
 }
 
-func (b batchMeter) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error) {
+func (b batchMeter) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, shards []int, pos []int64) ([]order.Answer, []int64, error) {
 	b.note(len(pos))
 	return b.Backend.AccessBatch(ctx, spec, version, shards, pos)
 }
@@ -488,16 +490,19 @@ func TestDistributedHTTPByteIdentity(t *testing.T) {
 
 // TestDistributedRPCBudget pins the paper's complexity promise at the
 // network layer. Preparing a handle prices its S splitters in
-// ⌈S/MaxPivots⌉ batches: one batched rank per peer per batch and one
-// batched access per peer owning a position in it, and never again.
-// One Access(k) then starts between the two splitters bracketing k and
-// is a handful of k-ary rank rounds: each round is two RPCs per peer
-// (one batched access, one batched rank) pricing up to m·P pivots and
-// cutting the candidates to about 1/(m·P+1), so a peer sees at most
-// 2·(⌈log_{m·P+1}(n/(S+1))⌉+2) RPCs of ANY kind per access, no request
-// carries more than m·P pivots (let alone the wire cap), the bytes on
-// the wire stay O(m·P·log(n/S)), and the access of a splitter's own rank
-// is ONE RPC to one node. If someone replaces the rank search with a
+// ⌈S/MaxPivots⌉ batches: one batched access to each peer owning a
+// position in the batch, one batched rank to each peer not owning all of
+// them, and never again. One Access(k) then starts between the two
+// splitters bracketing k and is a handful of k-ary rank rounds: each
+// round takes up to m·P pivots from one peer's windows, cutting the
+// candidates to about 1/(m·P+1), and costs one batched access to that
+// peer — which prices them on its own shards — and at most one batched
+// rank to each other peer. So an access sends at most
+// 2·(⌈log_{m·P+1}(n/(S+1))⌉+2)+1 RPCs of ANY kind summed over the peers,
+// no request carries more than m·P pivots (let alone the wire cap), the
+// bytes on the wire stay O(m·P·log(n/S)), the access of a splitter's own
+// rank is ONE RPC to one node, and ra_cluster_rank_rounds_total counts
+// the rounds. If someone replaces the rank search with a
 // gather-everything approach — by ranges, by oversized batches, or by
 // one RPC per answer — or builds the table without using it, one of the
 // checks fails loudly.
@@ -507,10 +512,37 @@ func TestDistributedRPCBudget(t *testing.T) {
 	tc := startClusterOn(t, bigInstance, 2, p, func(l net.Listener) net.Listener {
 		return meteredListener{Listener: l, bytes: &wire}
 	})
+	reg := metrics.NewRegistry()
+	tc.coord.RegisterMetrics(reg)
+	rankRounds := func() uint64 {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := metrics.ParseText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sm := range samples {
+			if sm.Name == "ra_cluster_rank_rounds_total" {
+				return uint64(sm.Value)
+			}
+		}
+		t.Fatal("no ra_cluster_rank_rounds_total series")
+		return 0
+	}
 	spec := engine.Spec{Query: twoPath, Order: "x, y, z"}
+	sent := func(kind rpc.Kind) (per []uint64, sum uint64) {
+		for _, peer := range tc.coord.Table().Peers {
+			n := peer.Client.Stats().Calls[kind]
+			per, sum = append(per, n), sum+n
+		}
+		return per, sum
+	}
 
 	// A fill cancelled while its first batch is being ranked stops
-	// there: no second batch leaves, and Prepare fails.
+	// there: no second batch leaves, and Prepare fails. The batch lies in
+	// shard 0, so it is one access to node 0 and one rank to node 1.
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := func() { cancel() }
 	tc.onRank.Store(&stop)
@@ -518,10 +550,11 @@ func TestDistributedRPCBudget(t *testing.T) {
 		t.Fatalf("BuildRemote cancelled mid-fill = %v, want context.Canceled", err)
 	}
 	tc.onRank.Store(nil)
-	for i, peer := range tc.coord.Table().Peers {
-		if st := peer.Client.Stats(); st.Calls[rpc.KindRankBatch] != 1 || st.Calls[rpc.KindAccessBatch] > 1 {
-			t.Fatalf("peer %d was sent %d rank and %d access batches by a fill cancelled in its first", i, st.Calls[rpc.KindRankBatch], st.Calls[rpc.KindAccessBatch])
-		}
+	if acc, a := sent(rpc.KindAccessBatch); a != 1 || acc[0] != 1 {
+		t.Fatalf("a fill cancelled in its first batch sent access batches %v; want one, to node 0", acc)
+	}
+	if rk, r := sent(rpc.KindRankBatch); r != 1 || rk[1] != 1 {
+		t.Fatalf("a fill cancelled in its first batch sent rank batches %v; want one, to node 1", rk)
 	}
 
 	// The fill: exactly its batches' RPCs on top of the Prepare.
@@ -537,17 +570,21 @@ func TestDistributedRPCBudget(t *testing.T) {
 	}
 	batches := (splitters + shard.MaxPivots - 1) / shard.MaxPivots
 	// Positions go shard by shard; a batch reaches the owners of the
-	// shards it spans (startClusterOn places shard s on node s mod 2).
+	// shards it spans with an access, the rest with a rank
+	// (startClusterOn places shard s on node s mod 2).
 	fill := make([]uint64, len(tc.addrs))
 	for b := 0; b < batches; b++ {
 		first, last := b*shard.MaxPivots/shard.SplittersPerShard, (min((b+1)*shard.MaxPivots, splitters)-1)/shard.SplittersPerShard
 		for i := range fill {
-			fill[i]++ // the batch's rank
+			some, all := false, true
 			for s := first; s <= last; s++ {
-				if s%len(fill) == i {
-					fill[i]++ // its access
-					break
-				}
+				some, all = some || s%len(fill) == i, all && s%len(fill) == i
+			}
+			if some {
+				fill[i]++ // its access
+			}
+			if !all {
+				fill[i]++ // its rank
 			}
 		}
 	}
@@ -559,10 +596,13 @@ func TestDistributedRPCBudget(t *testing.T) {
 	if got := tc.maxBatch.Swap(0); got != shard.MaxPivots || shard.MaxPivots > rpc.MaxPivots {
 		t.Fatalf("largest fill batch carried %d pivots; want full batches of %d, wire cap %d", got, shard.MaxPivots, rpc.MaxPivots)
 	}
+	if n := rankRounds(); n != 0 {
+		t.Fatalf("two fills counted %d rank rounds, want none", n)
+	}
 
 	const pivots = shard.PivotsPerWindow * p
 	rounds := math.Ceil(math.Log(float64(total)/float64(splitters+1))/math.Log(pivots+1)) + 2
-	rpcBound := uint64(2 * rounds)
+	rpcBound := uint64(2*rounds + 1)
 	// Per RPC: framing, trace field and the spec (~300 bytes), plus per
 	// pivot an answer one way and its ranks or position the other.
 	byteBound := int64(2*rounds) * int64(len(tc.addrs)) * (512 + 64*pivots)
@@ -571,24 +611,35 @@ func TestDistributedRPCBudget(t *testing.T) {
 	}
 	ks := []int64{0, 1, total / 3, total / 2, total - 2, total - 1}
 	hit := h.Splitters()[splitters/2]
+	searched := uint64(0)
 	for _, k := range append(ks, hit) {
-		before, wire0 := tc.calls(), wire.Load()
+		before, wire0, r0 := tc.calls(), wire.Load(), rankRounds()
+		_, a0 := sent(rpc.KindAccessBatch)
+		_, k0 := sent(rpc.KindRankBatch)
 		if _, err := h.Access(k); err != nil {
 			t.Fatalf("Access(%d): %v", k, err)
 		}
-		after, used := tc.calls(), wire.Load()-wire0
-		t.Logf("Access(%d) of %d: RPCs per peer %d/%d (bound %d), %d bytes (bound %d)", k, total, after[0]-before[0], after[1]-before[1], rpcBound, used, byteBound)
-		for i := range before {
-			if d := after[i] - before[i]; d > rpcBound {
-				t.Fatalf("Access(%d) sent peer %d %d RPCs over n=%d behind %d splitters, bound %d", k, i, d, total, splitters, rpcBound)
-			}
+		after, used, r := tc.calls(), wire.Load()-wire0, rankRounds()-r0
+		_, a := sent(rpc.KindAccessBatch)
+		_, rk := sent(rpc.KindRankBatch)
+		a, rk = a-a0, rk-k0
+		searched += r
+		all := after[0] - before[0] + after[1] - before[1]
+		t.Logf("Access(%d) of %d: %d rounds, %d access and %d rank RPCs (bound %d), %d bytes (bound %d)", k, total, r, a, rk, rpcBound, used, byteBound)
+		// A round is one access to its source node and at most one rank
+		// to each other node; the fetch of the result may follow.
+		if all > rpcBound || all != a+rk || a < r || a > r+1 || rk > r*uint64(len(tc.addrs)-1) {
+			t.Fatalf("Access(%d) over n=%d behind %d splitters: %d rounds sent %d RPCs (%d access, %d rank), bound %d", k, total, splitters, r, all, a, rk, rpcBound)
 		}
 		if used > byteBound {
 			t.Fatalf("Access(%d) moved %d bytes over n=%d, bound %d", k, used, total, byteBound)
 		}
-		if d := after[0] - before[0] + after[1] - before[1]; k == hit && d != 1 {
-			t.Fatalf("Access(%d), a splitter's rank, cost %d RPCs; the table settles it but for one fetch", k, d)
+		if k == hit && (all != 1 || r != 0) {
+			t.Fatalf("Access(%d), a splitter's rank, cost %d RPCs in %d rounds; the table settles it but for one fetch", k, all, r)
 		}
+	}
+	if searched == 0 {
+		t.Fatalf("none of the probes %v needed a rank round", ks)
 	}
 	if got := tc.maxBatch.Load(); got == 0 || got > pivots {
 		t.Fatalf("largest batched request of a probe carried %d pivots; want 1..%d (a round's m·P)", got, pivots)
@@ -853,7 +904,7 @@ func TestNodeProbeAllocs(t *testing.T) {
 		}
 		shards[i], pos[i] = spec.Owned[j], int64(i%16)*info.Totals[j]/16
 	}
-	answers, err := node.AccessBatch(ctx, spec, info.Version, shards, pos)
+	answers, _, err := node.AccessBatch(ctx, spec, info.Version, shards, pos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -865,5 +916,47 @@ func TestNodeProbeAllocs(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Fatalf("RankBatch of 32 answers on 2 owned shards allocates %.0f times, ceiling 4", allocs)
+	}
+}
+
+// TestConcurrentFirstProbes: Prepares and probes of one spec the node
+// has never seen, all at once, build it once and agree on it. Under
+// -race this is the check that the build cache reads a build only once
+// it is published: the first prober writes it outside the cache lock.
+func TestConcurrentFirstProbes(t *testing.T) {
+	e := engine.New(testInstance(), engine.Options{})
+	node := cluster.NewNode(e)
+	spec := rpc.Spec{Query: twoPath, Order: "x, y, z", P: 4, ShardVar: "y", Owned: []int{0, 2}}
+	ctx := context.Background()
+	errs := make(chan error, 16)
+	var wg sync.WaitGroup
+	for g := 0; g < cap(errs); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				info, err := node.Prepare(ctx, spec)
+				if err == nil && info.Version != e.Version() {
+					err = fmt.Errorf("prepared version %d, engine at %d", info.Version, e.Version())
+				}
+				errs <- err
+				return
+			}
+			ranks, _, err := node.RankBatch(ctx, spec, e.Version(), []order.Answer{{0, 0, 0}})
+			if err == nil && len(ranks) != len(spec.Owned) {
+				err = fmt.Errorf("%d ranks on %d owned shards", len(ranks), len(spec.Owned))
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err := node.Stats(ctx); err != nil || st.Builds != 1 {
+		t.Fatalf("node caches %+v (%v), want the one build", st, err)
 	}
 }

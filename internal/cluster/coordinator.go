@@ -28,23 +28,27 @@ import (
 // below over fixed positions, once per (spec, version); a fill that
 // fails fails the Prepare.
 //
-// A global Access(k) then costs about log_{m·P+1}(n/(S+1)) scatter
-// ROUNDS (m = shard's PivotsPerWindow) — the table starts the search
-// between the two splitters that bracket k: each round of the handle's
-// rank search takes m pivots from every open shard window, fetches them
-// with one AccessBatch RPC per owning node and prices all of them on
-// all shards with one RankBatch RPC per node, nodes in parallel (the
-// clusterRanker) — two sequential round trips per round however wide
-// it is — plus at most one single-position AccessBatch for the result,
-// which a search the table settles outright still sends: the table
-// holds ranks, never answers, so a node that died or moved past the
-// prepared version still fails every access that needs it. A range adds
-// one parallel Range scatter to prime the merge, then one Range RPC per
-// refill. TestDistributedRPCBudget pins the arithmetic.
+// A global Access(k) then costs about log_{m·P+1}(n/(S+1)) ROUNDS (m =
+// shard's PivotsPerWindow) — the table starts the search between the two
+// splitters that bracket k. Each round of the handle's rank search
+// spends m pivots per open shard window on the windows of ONE node, the
+// one with the most open positions, and makes one call per node per hop
+// (the clusterRanker): one AccessBatch to that node, which fetches the
+// pivots and prices them on its own shards, then one RankBatch to every
+// other node, nodes in parallel — with two nodes, two RPCs per round.
+// At most one single-position AccessBatch for the result follows, which
+// a search the table settles outright still sends: the table holds
+// ranks, never answers, so a node that died or moved past the prepared
+// version still fails every access that needs it. A range adds one
+// parallel Range scatter to prime the merge, then one Range RPC per
+// refill. TestDistributedRPCBudget pins the arithmetic;
+// ra_cluster_rank_rounds_total counts the rounds.
 type Coordinator struct {
 	table  *Table
 	prober *Prober
 	tracer *trace.Tracer
+	// rankRounds counts the rank rounds of every handle's searches.
+	rankRounds atomic.Uint64
 }
 
 // NewCoordinator builds a coordinator over the cluster layout and
@@ -79,9 +83,11 @@ func (c *Coordinator) Close() {
 	c.table.Close()
 }
 
-// RegisterMetrics attaches per-peer RPC client metrics and peer-up
-// gauges to the registry.
+// RegisterMetrics attaches per-peer RPC client metrics, peer-up gauges
+// and the rank-round counter to the registry.
 func (c *Coordinator) RegisterMetrics(reg *metrics.Registry) {
+	reg.CounterFunc("ra_cluster_rank_rounds_total", "Rank rounds of the coordinator's searches (splitter fills excluded).",
+		func() float64 { return float64(c.rankRounds.Load()) })
 	for _, p := range c.table.Peers {
 		p.Client.SetMetrics(rpc.NewClientMetrics(reg, p.Addr))
 		peer := p
@@ -189,6 +195,7 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	if err != nil {
 		return nil, err
 	}
+	ranker.searches = &c.rankRounds // from here on a Price that prices is a search round
 	return &engine.RemoteHandle{
 		Query: dp.Query,
 		Plan: engine.Plan{
@@ -292,22 +299,27 @@ func (p *clusterPart) FetchRange(ctx context.Context, k0, k1 int64) ([]order.Ans
 	return p.c.Range(ctx, p.spec, p.version, p.shard, k0, k1)
 }
 
-// clusterRanker is the batched probe surface of the cluster: every
-// call is ONE scatter — one RPC per node involved, nodes in parallel,
-// each serving all its owned shards locally — so a rank round costs two
-// sequential round trips whatever P and the pivot count are.
+// clusterRanker is the batched probe surface of the cluster: every hop
+// is ONE scatter — one RPC per node involved, nodes in parallel, each
+// serving all its owned shards locally — so a rank round costs two
+// sequential hops whatever P and the pivot count are.
 type clusterRanker struct {
 	peers  []rankPeer
 	owner  []int // global shard → index of its owner in peers
 	tracer *trace.Tracer
-	rounds atomic.Uint64
+	rounds atomic.Uint64 // numbers the rounds for trace spans
+	// searches counts the search rounds of the coordinator's
+	// ra_cluster_rank_rounds_total; nil while the splitter fill runs.
+	searches *atomic.Uint64
 }
 
 var _ shard.BatchRanker = (*clusterRanker)(nil)
 
+func (r *clusterRanker) Owners() []int { return r.owner }
+
 // ownerBatch is one node's share of a batched access.
 type ownerBatch struct {
-	peer   *rankPeer
+	node   int   // index into peers
 	at     []int // indices into the request
 	shards []int
 	pos    []int64
@@ -338,7 +350,7 @@ func (r *clusterRanker) split(shards []int, pos []int64) ([]ownerBatch, error) {
 		}
 		counts[i] = len(batches) // from here on: the node's batch
 		end := off + n
-		batches = append(batches, ownerBatch{peer: &r.peers[i], at: at[off:off:end], shards: sh[off:off:end], pos: ps[off:off:end]})
+		batches = append(batches, ownerBatch{node: i, at: at[off:off:end], shards: sh[off:off:end], pos: ps[off:off:end]})
 		off = end
 	}
 	for i, s := range shards {
@@ -348,70 +360,147 @@ func (r *clusterRanker) split(shards []int, pos []int64) ([]ownerBatch, error) {
 	return batches, nil
 }
 
-func (r *clusterRanker) AccessAll(ctx context.Context, shards []int, pos []int64) ([]order.Answer, error) {
+// round is the per-peer contexts one Price or RankAll calls under.
+type round struct {
+	ctxs  []context.Context
+	spans []*trace.Span
+}
+
+// newRound opens a round's cluster.rank_round spans — the unit of
+// scatter-gather attribution (which peer, which round ate the budget):
+// one per peer, because a round that prices reaches every peer, by
+// fetch or by rank. A span lasts the round; the peer's calls in it are
+// its rarc.client children. A plain fetch (priced false) opens none.
+func (r *clusterRanker) newRound(ctx context.Context, pivots int, priced bool) round {
+	rd := round{ctxs: make([]context.Context, len(r.peers)), spans: make([]*trace.Span, len(r.peers))}
+	t, seq := r.tracer, int64(0)
+	if priced {
+		seq = int64(r.rounds.Add(1))
+	} else {
+		t = nil
+	}
+	for i := range r.peers {
+		pr := &r.peers[i]
+		rd.ctxs[i], rd.spans[i] = t.Start(ctx, "cluster.rank_round", trace.KindInternal)
+		rd.spans[i].SetAttr(trace.Str("peer", pr.c.Addr()), trace.Int("round_seq", seq),
+			trace.Int("owned_shards", int64(len(pr.spec.Owned))), trace.Int("pivots", int64(pivots)))
+	}
+	return rd
+}
+
+// fail records a peer's failed call of the round and names the peer.
+func (rd round) fail(r *clusterRanker, i int, method string, err error) error {
+	rd.spans[i].SetError(err)
+	return fmt.Errorf("cluster: %s on %s: %w", method, r.peers[i].c.Addr(), err)
+}
+
+func (rd round) end() {
+	for _, s := range rd.spans {
+		s.End()
+	}
+}
+
+// place writes request answer a's ranks on a peer's owned shards, row[j]
+// being owned[j]'s, into its row of ranks (nil: nothing to price).
+func (r *clusterRanker) place(ranks []int64, a int, owned []int, row []int64) {
+	for j := 0; ranks != nil && j < len(owned); j++ {
+		ranks[a*len(r.owner)+owned[j]] = row[j]
+	}
+}
+
+// Price fetches the positions with one AccessBatch per owning node —
+// which prices its answers on its own shards in the same call — and,
+// when ranks is set, prices them on the other shards (see rankOthers).
+// A search round's pivots come from one node, so a round is one access
+// plus one rank RPC per other node; the final fetch (ranks nil) is the
+// access alone.
+func (r *clusterRanker) Price(ctx context.Context, shards []int, pos []int64, ranks []int64) ([]order.Answer, error) {
 	batches, err := r.split(shards, pos)
 	if err != nil {
 		return nil, err
 	}
+	rd := r.newRound(ctx, len(pos), ranks != nil)
+	defer rd.end()
+	if ranks != nil && r.searches != nil {
+		r.searches.Add(1)
+	}
 	out := make([]order.Answer, len(pos))
 	err = scatter(len(batches), func(i int) error {
 		b := &batches[i]
-		got, err := b.peer.c.AccessBatch(ctx, b.peer.spec, b.peer.version, b.shards, b.pos)
+		pr := &r.peers[b.node]
+		got, rk, err := pr.c.AccessBatch(rd.ctxs[b.node], pr.spec, pr.version, b.shards, b.pos)
 		if err != nil {
-			return fmt.Errorf("cluster: access on %s: %w", b.peer.c.Addr(), err)
+			return rd.fail(r, b.node, "access", err)
 		}
-		for j, at := range b.at {
-			out[at] = got[j]
+		for j, a := range b.at {
+			out[a] = got[j]
+			r.place(ranks, a, pr.spec.Owned, rk[j*len(pr.spec.Owned):])
 		}
 		return nil
 	})
+	if err != nil || ranks == nil {
+		return out, err
+	}
+	_, err = r.rankOthers(rd, out, shards, ranks)
 	return out, err
 }
 
-func (r *clusterRanker) RankAll(ctx context.Context, answers []order.Answer, ranks []int64) ([]bool, error) {
-	p := len(r.owner)
-	if len(ranks) != len(answers)*p {
-		return nil, fmt.Errorf("cluster: %d rank slots for %d answers on %d shards", len(ranks), len(answers), p)
-	}
-	// One RankAll = one round of the handle's rank search; number them
-	// so a trace waterfall shows the search converging.
-	round := int64(r.rounds.Add(1))
-	exacts := make([][]bool, len(r.peers))
-	err := scatter(len(r.peers), func(i int) error {
-		pr := &r.peers[i]
-		owned := pr.spec.Owned
-		// The per-peer rank-round span: the unit of scatter-gather
-		// attribution (which peer, which round ate the budget).
-		sctx, span := r.tracer.Start(ctx, "cluster.rank_round", trace.KindInternal)
-		span.SetAttr(
-			trace.Str("peer", pr.c.Addr()),
-			trace.Int("round_seq", round),
-			trace.Int("owned_shards", int64(len(owned))),
-			trace.Int("pivots", int64(len(answers))),
-		)
-		got, ex, err := pr.c.RankBatch(sctx, pr.spec, pr.version, answers)
-		if err != nil {
-			span.SetError(err)
-			span.End()
-			return fmt.Errorf("cluster: rank on %s: %w", pr.c.Addr(), err)
-		}
-		span.End()
-		for a := range answers {
-			for j, s := range owned {
-				ranks[a*p+s] = got[a*len(owned)+j]
+// rankJob is one node's RankBatch: answers xs, which are the request's
+// answers at[x], and the exact flags it returned.
+type rankJob struct {
+	node int
+	xs   []order.Answer
+	at   []int
+	ex   []bool
+}
+
+// rankOthers prices xs on the shards of every node but the one owning
+// each — xs[x] is from shard shards[x], or from no node when shards is
+// nil — with one RankBatch per node that does not own all of them,
+// carrying only those it does not own, nodes in parallel. exact[x]
+// reports whether a node priced on holds xs[x].
+func (r *clusterRanker) rankOthers(rd round, xs []order.Answer, shards []int, ranks []int64) ([]bool, error) {
+	jobs := make([]rankJob, 0, len(r.peers))
+	for i := range r.peers {
+		jb := rankJob{node: i, xs: make([]order.Answer, 0, len(xs)), at: make([]int, 0, len(xs))}
+		for x := range xs {
+			if shards == nil || r.owner[shards[x]] != i {
+				jb.at, jb.xs = append(jb.at, x), append(jb.xs, xs[x])
 			}
 		}
-		exacts[i] = ex
+		if len(jb.at) > 0 {
+			jobs = append(jobs, jb)
+		}
+	}
+	err := scatter(len(jobs), func(k int) (err error) {
+		jb := &jobs[k]
+		pr := &r.peers[jb.node]
+		var got []int64
+		if got, jb.ex, err = pr.c.RankBatch(rd.ctxs[jb.node], pr.spec, pr.version, jb.xs); err != nil {
+			return rd.fail(r, jb.node, "rank", err)
+		}
+		for x, a := range jb.at {
+			r.place(ranks, a, pr.spec.Owned, got[x*len(pr.spec.Owned):])
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	exact := make([]bool, len(answers))
-	for _, ex := range exacts {
-		for a, held := range ex {
-			exact[a] = exact[a] || held
+	exact := make([]bool, len(xs))
+	for _, jb := range jobs {
+		for x, held := range jb.ex {
+			exact[jb.at[x]] = exact[jb.at[x]] || held
 		}
 	}
 	return exact, nil
+}
+
+func (r *clusterRanker) RankAll(ctx context.Context, answers []order.Answer, ranks []int64) ([]bool, error) {
+	if len(ranks) != len(answers)*len(r.owner) {
+		return nil, fmt.Errorf("cluster: %d rank slots for %d answers on %d shards", len(ranks), len(answers), len(r.owner))
+	}
+	rd := r.newRound(ctx, len(answers), true)
+	defer rd.end()
+	return r.rankOthers(rd, answers, nil, ranks)
 }

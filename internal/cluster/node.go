@@ -33,7 +33,9 @@ type Node struct {
 }
 
 // buildEntry is one cached owned-shard build, single-flighted so
-// concurrent probes for a missing spec build once.
+// concurrent probes for a missing spec build once. nb is written under
+// n.mu, because the cache reads it under n.mu to spot stale builds
+// while the first prober may still be building in once.Do.
 type buildEntry struct {
 	once sync.Once
 	nb   *engine.NodeBuild
@@ -107,7 +109,10 @@ func (n *Node) getBuild(ctx context.Context, spec rpc.Spec) (*engine.NodeBuild, 
 			ent.err = err
 			return
 		}
-		ent.nb, ent.err = n.e.BuildOwned(ctx, dp, spec.Owned)
+		nb, err := n.e.BuildOwned(ctx, dp, spec.Owned)
+		n.mu.Lock()
+		ent.nb, ent.err = nb, err
+		n.mu.Unlock()
 	})
 	if ent.err != nil {
 		// Failed entries are not cached: the next probe retries.
@@ -208,21 +213,22 @@ func (n *Node) RankBatch(ctx context.Context, spec rpc.Spec, version uint64, ans
 	return ranks, exact, err
 }
 
-// AccessBatch returns the local answers at (shards[i], pos[i]) — the
-// pivots one coordinator rank round takes from this node.
-func (n *Node) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error) {
+// AccessBatch returns the local answers at (shards[i], pos[i]), each
+// priced on every owned shard — the pivots one coordinator rank round
+// takes from this node, with this node's half of their ranks.
+func (n *Node) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, shards []int, pos []int64) ([]order.Answer, []int64, error) {
 	ctx, sp := n.span(ctx, "node.access", trace.Int("pivots", int64(len(pos))))
 	defer sp.End()
 	nb, err := n.getVersioned(ctx, spec, version)
 	if err != nil {
 		sp.SetError(err)
-		return nil, err
+		return nil, nil, err
 	}
-	out, err := nb.Owned.AccessBatch(shards, pos)
+	out, ranks, err := nb.Owned.AccessBatch(shards, pos, spec.Owned)
 	if err != nil {
 		sp.SetError(err)
 	}
-	return out, err
+	return out, ranks, err
 }
 
 // Range returns one owned shard's local answers k0 ≤ k < k1.

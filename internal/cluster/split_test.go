@@ -20,7 +20,7 @@ func TestAccessSplitAllocs(t *testing.T) {
 		t.Fatalf("split = %d batches, %v", len(batches), err)
 	}
 	for i, b := range batches {
-		if b.peer != &r.peers[i] || len(b.at) != len(shards)/2 || len(b.shards) != len(b.at) || len(b.pos) != len(b.at) {
+		if b.node != i || len(b.at) != len(shards)/2 || len(b.shards) != len(b.at) || len(b.pos) != len(b.at) {
 			t.Fatalf("batch %d: %+v", i, b)
 		}
 		for j, at := range b.at {

@@ -17,8 +17,9 @@ import (
 // one client request through an HTTP coordinator over two shard nodes
 // produces ONE trace — rooted at the coordinator's HTTP server span,
 // with at least one rank-round span per peer (the request prepares its
-// spec, so the splitter fill's rounds are its own; the probes behind the
-// table may need none), continued on every shard node (server +
+// spec, so the splitter fill's rounds are its own and reach both nodes;
+// the probes behind the table may need none) and exactly one per peer a
+// round reaches, continued on every shard node (server +
 // per-shard engine spans under the same trace id), visible in each
 // process's /debug/traces, and linked from a /metrics latency exemplar
 // on the coordinator.
@@ -72,8 +73,9 @@ func TestTraceStitchesAcrossCluster(t *testing.T) {
 	}
 	// ≥1 rank-round span per peer, parented inside this trace: the
 	// fill's at least, whatever the three probes needed on top.
-	// Exactly one span per peer per round: every round_seq shows up
-	// once under each peer, and says how many pivots the round priced.
+	// Exactly one span per peer a round reaches — a round's access and
+	// rank calls to one node share it — and it says how many pivots the
+	// round priced.
 	roundsByPeer := map[string]map[int64]int{}
 	for _, sp := range co.Spans {
 		if sp.Name != "cluster.rank_round" {
@@ -100,11 +102,11 @@ func TestTraceStitchesAcrossCluster(t *testing.T) {
 		roundsByPeer[peer][round]++
 	}
 	for _, addr := range tc.addrs {
-		if len(roundsByPeer[addr]) == 0 || len(roundsByPeer[addr]) != len(roundsByPeer[tc.addrs[0]]) {
-			t.Fatalf("rank rounds differ across peers, or a peer has none: %v", roundsByPeer)
+		if len(roundsByPeer[addr]) == 0 {
+			t.Fatalf("peer %s has no rank round: %v", addr, roundsByPeer)
 		}
 		for round, n := range roundsByPeer[addr] {
-			if n != 1 || roundsByPeer[tc.addrs[0]][round] != 1 {
+			if n != 1 {
 				t.Fatalf("round %d: %d spans for peer %s (all: %v)", round, n, addr, roundsByPeer)
 			}
 		}

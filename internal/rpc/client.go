@@ -424,21 +424,17 @@ func (c *Client) Range(ctx context.Context, spec Spec, version uint64, shard int
 }
 
 // AccessBatch returns the local answers at (shards[i], pos[i]) over
-// the peer's owned shards, in request order: one round trip for all of
-// a rank round's pivots this peer owns.
-func (c *Client) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error) {
+// the peer's owned shards, in request order, each priced on every owned
+// shard: ranks[i*len(spec.Owned)+j] is the spec's j-th owned shard's
+// count of answers strictly below answers[i]. One round trip fetches
+// and prices all of a rank round's pivots this peer owns.
+func (c *Client) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) (answers []order.Answer, ranks []int64, err error) {
 	if len(shards) != len(pos) || len(pos) > MaxPivots {
-		return nil, fmt.Errorf("rpc: access batch of %d shards and %d positions (cap %d)", len(shards), len(pos), MaxPivots)
+		return nil, nil, fmt.Errorf("rpc: access batch of %d shards and %d positions (cap %d)", len(shards), len(pos), MaxPivots)
 	}
 	req := AccessBatchReq{Spec: spec, Version: version, Shards: shards, Pos: pos}
-	var out []order.Answer
-	if err := c.call(ctx, KindAccessBatch, req.encode, func(d *dec) { out = d.answers(MaxPivots) }); err != nil {
-		return nil, err
-	}
-	if len(out) != len(pos) {
-		return nil, fmt.Errorf("%w: %d answers for %d positions", ErrBadFrame, len(out), len(pos))
-	}
-	return out, nil
+	err = c.call(ctx, KindAccessBatch, req.encode, func(d *dec) { answers, ranks = decodeAccessBatchResp(d, len(pos), len(spec.Owned)) })
+	return answers, ranks, err
 }
 
 // RankBatch prices every answer on every owned shard in one round

@@ -195,10 +195,10 @@ func healthRequest(id uint64) []byte {
 // not bytes: frames written the parent's way (two Writes, 5 ms apart) or
 // trickled a byte at a time are read by the new reader, a frame from the
 // new writer is read by the parent's reader, and a whole old-shaped peer
-// interoperates with the new client and the new server. Version 3 changed
-// no frame either, so the old-shaped peers below speak it (the literal
-// 3 in their handshakes): the frame code of a v2 peer is still good, its
-// version offer is not (TestBelowFloorClientRefused).
+// interoperates with the new client and the new server. Versions 3 and 4
+// changed no frame either, so the old-shaped peers below speak 4 (the
+// literal in their handshakes): the frame code of a v2 or v3 peer is
+// still good, its version offer is not (TestBelowFloorClientRefused).
 func TestWireCompatibility(t *testing.T) {
 	payload := bytes.Repeat([]byte("ranked access "), 500) // 7 KB: wider than the reader's 4 KB buffer
 
@@ -250,10 +250,10 @@ func TestWireCompatibility(t *testing.T) {
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if err := writeHandshake(conn, 3); err != nil {
+		if err := writeHandshake(conn, 4); err != nil {
 			t.Fatal(err)
 		}
-		if ver, err := readHandshake(conn); err != nil || ver != 3 {
+		if ver, err := readHandshake(conn); err != nil || ver != 4 {
 			t.Fatalf("handshake = %d, %v", ver, err)
 		}
 		for id := uint64(1); id <= 3; id++ {
@@ -293,7 +293,7 @@ func TestWireCompatibility(t *testing.T) {
 			if _, err := readHandshake(conn); err != nil {
 				return
 			}
-			if err := writeHandshake(conn, 3); err != nil {
+			if err := writeHandshake(conn, 4); err != nil {
 				return
 			}
 			for {
@@ -415,14 +415,14 @@ func TestResponseNeverAliasesPooledBuffer(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				k := int64((g*50 + i) % 90)
 				shards, pos := []int{1, 3, 1}, []int64{k, k + 1, k + 2}
-				rows, err := c.AccessBatch(ctx, testSpec(), 7, shards, pos)
+				rows, ranks, err := c.AccessBatch(ctx, testSpec(), 7, shards, pos)
 				if err != nil {
 					t.Errorf("caller %d: AccessBatch: %v", g, err)
 					return
 				}
 				for j, row := range rows {
-					if want := (order.Answer{int64(shards[j])*100 + pos[j], -pos[j]}); fmt.Sprint(row) != fmt.Sprint(want) {
-						t.Errorf("caller %d: AccessBatch row %d = %v, want %v", g, j, row, want)
+					if want := (order.Answer{int64(shards[j])*100 + pos[j], -pos[j]}); fmt.Sprint(row) != fmt.Sprint(want) || ranks[2*j] != pos[j] || ranks[2*j+1] != pos[j] {
+						t.Errorf("caller %d: AccessBatch row %d = %v ranked %v, want %v ranked %d", g, j, row, ranks[2*j:2*j+2], want, pos[j])
 						return
 					}
 				}

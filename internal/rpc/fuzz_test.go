@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -9,12 +10,13 @@ import (
 	"rankedaccess/internal/order"
 )
 
-// FuzzBatchCodec feeds arbitrary bytes to the four decoders of the
-// batch kinds (AccessBatch request, its answers-block response,
-// RankBatch request and response). Each must either fail cleanly or
-// decode to a message that re-encodes and decodes back to itself; none
-// may panic, and none may hold more than the pivot cap allows however
-// large a count the bytes claim.
+// FuzzBatchCodec feeds arbitrary bytes to the decoders of the batch
+// kinds (AccessBatch request and its v4 response, RankBatch request and
+// response) and of the answers block alone. Each must either fail
+// cleanly or decode to a message that re-encodes and decodes back to
+// itself; none may panic, none may hold more than the pivot cap allows
+// however large a count the bytes claim, and an AccessBatch response
+// whose rank count is not answers × owned shards is refused.
 func FuzzBatchCodec(f *testing.F) {
 	spec := testSpec()
 	seed := func(encode func(*enc)) {
@@ -25,7 +27,22 @@ func FuzzBatchCodec(f *testing.F) {
 	seed((&AccessBatchReq{Spec: spec, Version: 7, Shards: []int{1, 3}, Pos: []int64{0, 41}}).encode)
 	seed((&RankBatchReq{Spec: spec, Version: 7, Answers: []order.Answer{{1, 2}, {3, 4}}}).encode)
 	seed((&RankBatchResp{Ranks: []int64{5, 6, 7, 8}, Exact: []bool{true, false}}).encode)
+	accessResp := func(answers []order.Answer, ranks []int64) func(*enc) {
+		return func(e *enc) { e.answers(answers); e.i64s(ranks) }
+	}
+	seed(accessResp([]order.Answer{{1, 2, 3}, {4, 5, 6}}, []int64{0, 9, 4, 3}))
 	seed(func(e *enc) { e.answers([]order.Answer{{1, 2, 3}, {4, 5, 6}}) })
+	// Two answers over two owned shards want four ranks: three, five or
+	// a missing block is refused.
+	seed(accessResp([]order.Answer{{1, 2}, {3, 4}}, []int64{1, 2, 3}))
+	for _, ranks := range [][]int64{{1, 2, 3}, {1, 2, 3, 4, 5}, nil} {
+		e := &enc{}
+		accessResp([]order.Answer{{1, 2}, {3, 4}}, ranks)(e)
+		d := &dec{b: e.b}
+		if decodeAccessBatchResp(d, 2, 2); d.err() == nil {
+			f.Fatalf("2 answers with %d ranks on 2 owned shards decoded", len(ranks))
+		}
+	}
 	seed(func(e *enc) { e.u32(1 << 30); e.u32(1 << 30) })
 	f.Add([]byte{})
 
@@ -50,11 +67,31 @@ func FuzzBatchCodec(f *testing.F) {
 			func(d *dec) any { return decodeRankBatchResp(d) },
 			func(m any, e *enc) { r := m.(RankBatchResp); r.encode(e) },
 			capped(func(m any) int { return len(m.(RankBatchResp).Exact) }))
+		// The v4 AccessBatch response, read as the answer to as many
+		// positions as its answers block claims, on two owned shards.
+		n := 0
+		if len(data) >= 8 {
+			n = int(binary.LittleEndian.Uint32(data[4:8]))
+		}
+		roundTrip(t, data,
+			func(d *dec) any { a, r := decodeAccessBatchResp(d, n, 2); return accessBatchResp{a, r} },
+			func(m any, e *enc) { r := m.(accessBatchResp); accessResp(r.answers, r.ranks)(e) },
+			func(t *testing.T, m any) {
+				if r := m.(accessBatchResp); len(r.answers) > MaxPivots || len(r.ranks) != 2*len(r.answers) {
+					t.Fatalf("decoded %d answers with %d ranks on 2 owned shards", len(r.answers), len(r.ranks))
+				}
+			})
 		roundTrip(t, data,
 			func(d *dec) any { return d.answers(MaxPivots) },
 			func(m any, e *enc) { e.answers(m.([]order.Answer)) },
 			capped(func(m any) int { return len(m.([]order.Answer)) }))
 	})
+}
+
+// accessBatchResp is a decoded AccessBatch response, for roundTrip.
+type accessBatchResp struct {
+	answers []order.Answer
+	ranks   []int64
 }
 
 // roundTrip decodes data as one whole message and, if that succeeds,
@@ -108,7 +145,7 @@ func roundTripFrames() [][]byte {
 	request(KindCount, (&CountSpec{Query: "Q(x) :- R(x)", P: 4, ShardVar: "x", Owned: []int{0, 2}}).encode)
 	response(KindCount, statusOK, func(e *enc) { e.i64(20) })
 	request(KindAccessBatch, (&AccessBatchReq{Spec: spec, Version: 7, Shards: []int{3, 1}, Pos: []int64{4, 0}}).encode)
-	response(KindAccessBatch, statusOK, func(e *enc) { e.answers([]order.Answer{{304, -4}, {100, 0}}) })
+	response(KindAccessBatch, statusOK, func(e *enc) { e.answers([]order.Answer{{304, -4}, {100, 0}}); e.i64s([]int64{4, 4, 0, 0}) })
 	request(KindRange, func(e *enc) { spec.encode(e); e.u64(7); e.u32(1); e.i64(2); e.i64(5) })
 	response(KindRange, statusOK, func(e *enc) { e.answers([]order.Answer{{102, -2}, {103, -3}, {104, -4}}) })
 	request(KindRankBatch, (&RankBatchReq{Spec: spec, Version: 7, Answers: []order.Answer{{6, 0}, {3, 1}}}).encode)

@@ -154,8 +154,8 @@ type HealthInfo struct {
 }
 
 // AccessBatchReq asks a node for the local answers at (Shards[i],
-// Pos[i]) — the pivots one rank round takes from its owned shards. The
-// response is one answers block in request order.
+// Pos[i]) — the pivots one rank round takes from its owned shards —
+// priced on every owned shard (see decodeAccessBatchResp).
 type AccessBatchReq struct {
 	Spec    Spec
 	Version uint64
@@ -187,6 +187,19 @@ func decodeAccessBatchReq(d *dec) AccessBatchReq {
 		r.Shards[i], r.Pos[i] = int(d.u32()), d.i64()
 	}
 	return r
+}
+
+// decodeAccessBatchResp reads a node's answer to an AccessBatchReq of n
+// positions on a spec owning owned shards: the answers block in request
+// order, then an i64s block whose ranks[i*owned+j] is the count of
+// answers strictly below answers[i] on the spec's j-th owned shard. A
+// count that disagrees with n, or with n·owned, is malformed.
+func decodeAccessBatchResp(d *dec, n, owned int) (answers []order.Answer, ranks []int64) {
+	answers, ranks = d.answers(MaxPivots), d.i64s()
+	if len(answers) != n || len(ranks) != n*owned {
+		d.fail()
+	}
+	return answers, ranks
 }
 
 // RankBatchReq asks a node to price every answer on every owned shard.

@@ -96,16 +96,26 @@ func (f *fakeBackend) Range(ctx context.Context, spec Spec, version uint64, shar
 	return out, nil
 }
 
-func (f *fakeBackend) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error) {
+func (f *fakeBackend) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) ([]order.Answer, []int64, error) {
 	out := make([]order.Answer, len(pos))
+	var ranks []int64
 	for i, k := range pos {
 		a, err := f.access(ctx, shards[i], k)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out[i] = a
+		r, _, err := f.rank(ctx, spec, version, a)
+		if err != nil {
+			return nil, nil, err
+		}
+		for j, s := range spec.Owned {
+			if s == shards[i] {
+				r[j] = k
+			}
+		}
+		out[i], ranks = a, append(ranks, r...)
 	}
-	return out, nil
+	return out, ranks, nil
 }
 
 func (f *fakeBackend) RankBatch(ctx context.Context, spec Spec, version uint64, answers []order.Answer) ([]int64, []bool, error) {
@@ -189,17 +199,17 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Range = %v, %v", rows, err)
 	}
 
-	batch, err := c.AccessBatch(ctx, testSpec(), 7, []int{3, 1, 3}, []int64{4, 0, 9})
-	if err != nil || len(batch) != 3 || batch[0][0] != 304 || batch[1][0] != 100 || batch[2][1] != -9 {
-		t.Fatalf("AccessBatch = %v, %v", batch, err)
+	batch, aranks, err := c.AccessBatch(ctx, testSpec(), 7, []int{3, 1, 3}, []int64{4, 0, 9})
+	if err != nil || len(batch) != 3 || batch[0][0] != 304 || batch[1][0] != 100 || batch[2][1] != -9 || fmt.Sprint(aranks) != "[4 4 0 0 9 9]" {
+		t.Fatalf("AccessBatch = %v, %v, %v", batch, aranks, err)
 	}
 	branks, bexact, err := c.RankBatch(ctx, testSpec(), 7, []order.Answer{{6, 0}, {3, 1}, {14, 2}})
 	if err != nil || fmt.Sprint(branks) != "[6 6 3 3 4 4]" || fmt.Sprint(bexact) != "[true false true]" {
 		t.Fatalf("RankBatch = %v, %v, %v", branks, bexact, err)
 	}
 	// An empty round is legal on the wire and costs no allocation.
-	if got, err := c.AccessBatch(ctx, testSpec(), 7, nil, nil); err != nil || len(got) != 0 {
-		t.Fatalf("empty AccessBatch = %v, %v", got, err)
+	if got, ranks, err := c.AccessBatch(ctx, testSpec(), 7, nil, nil); err != nil || len(got) != 0 || len(ranks) != 0 {
+		t.Fatalf("empty AccessBatch = %v, %v, %v", got, ranks, err)
 	}
 
 	st, err := c.StatsCall(ctx)
@@ -223,7 +233,7 @@ func TestSentinelStatuses(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	if _, err := c.AccessBatch(ctx, testSpec(), 7, []int{1, 1}, []int64{2, 99}); !errors.Is(err, access.ErrOutOfBound) {
+	if _, _, err := c.AccessBatch(ctx, testSpec(), 7, []int{1, 1}, []int64{2, 99}); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("out-of-range AccessBatch = %v, want ErrOutOfBound", err)
 	}
 	if _, _, err := c.RankBatch(ctx, testSpec(), 8, []order.Answer{{0, 0}}); !errors.Is(err, ErrStaleVersion) {

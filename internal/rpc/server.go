@@ -24,10 +24,10 @@ type Backend interface {
 	Count(ctx context.Context, spec CountSpec) (int64, error)
 	Range(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64) ([]order.Answer, error)
 	// AccessBatch and RankBatch serve a whole rank round: the local
-	// answers at many (shard, position) pairs, and many answers priced
-	// on every owned shard (see AccessBatchReq, RankBatchResp for the
-	// layouts).
-	AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) ([]order.Answer, error)
+	// answers at many (shard, position) pairs, priced on every owned
+	// shard, and many answers priced on every owned shard (see
+	// decodeAccessBatchResp, RankBatchResp for the layouts).
+	AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) (answers []order.Answer, ranks []int64, err error)
 	RankBatch(ctx context.Context, spec Spec, version uint64, answers []order.Answer) (ranks []int64, exact []bool, err error)
 	Stats(ctx context.Context) (*PeerStats, error)
 	Health(ctx context.Context) (*HealthInfo, error)
@@ -293,11 +293,12 @@ func (s *Server) run(ctx context.Context, kind Kind, d *dec, e *enc) error {
 		if err := d.err(); err != nil {
 			return &BadRequestError{Msg: err.Error()}
 		}
-		rows, err := s.b.AccessBatch(ctx, req.Spec, req.Version, req.Shards, req.Pos)
+		rows, ranks, err := s.b.AccessBatch(ctx, req.Spec, req.Version, req.Shards, req.Pos)
 		if err != nil {
 			return err
 		}
 		e.answers(rows)
+		e.i64s(ranks)
 	case KindRankBatch:
 		req := decodeRankBatchReq(d)
 		if err := d.err(); err != nil {

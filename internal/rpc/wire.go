@@ -64,13 +64,22 @@
 //	    node answers them like any kind it does not know. No frame or
 //	    body of the remaining kinds changed; the bump exists so that a
 //	    v2 coordinator, which may still send them, is refused at
-//	    connect instead of failing mid-query.
+//	    connect instead of failing mid-query. Below the floor since
+//	    version 4.
+//	4 — the KindAccessBatch response is the answers block followed by
+//	    an i64s block of ranks: ranks[i*len(Owned)+j] is owned shard
+//	    j's count of answers strictly below answer i (an answer's own
+//	    shard reports its position), so the node a rank round takes
+//	    its pivots from prices them in the same call. The floor rose
+//	    with it: like 3, the bump is not rolling — restart a cluster's
+//	    coordinator and nodes together.
 //
 // Adding a call kind is NOT a version bump: no existing frame or body
 // changes, and a node that predates the kind answers it with the
 // bad-request status (3) every client already decodes into a
 // BadRequestError. KindAccessBatch and KindRankBatch (PR 15) joined
-// version 2 this way. Removing a kind IS one (see version 3).
+// version 2 this way. Removing a kind or changing a body IS one (see
+// versions 3 and 4).
 package rpc
 
 import (
@@ -88,12 +97,12 @@ import (
 
 // ProtoVersion is the newest wire-protocol version this build speaks.
 // Bump it on ANY incompatible framing or message change.
-const ProtoVersion = 3
+const ProtoVersion = 4
 
 // minProtoVersion is the oldest version this build still serves; the
 // negotiated connection version always lands in [minProtoVersion,
 // ProtoVersion].
-const minProtoVersion = 3
+const minProtoVersion = 4
 
 // magic opens every handshake; "RARC" = RankedAccess RPC.
 var magic = [4]byte{'R', 'A', 'R', 'C'}
@@ -123,8 +132,9 @@ const (
 	// KindHealth reports node readiness (the prober's call).
 	KindHealth Kind = 7
 	// KindAccessBatch returns the local answers at a list of (shard,
-	// position) pairs over the node's owned shards: the pivots of one
-	// rank round, at most MaxPivots of them.
+	// position) pairs over the node's owned shards — the pivots of one
+	// rank round, at most MaxPivots of them — each priced on every
+	// owned shard (see decodeAccessBatchResp).
 	KindAccessBatch Kind = 8
 	// KindRankBatch prices a list of answers, at most MaxPivots, on
 	// every owned shard (answers strictly below each, the paper's Rank

@@ -291,13 +291,13 @@ func TestOwnedBuild(t *testing.T) {
 			t.Fatalf("shard %d total %d, want %d", s, n, totals[s])
 		}
 		for k := int64(0); k < n; k += 7 {
-			a, err := o.Access(s, k)
+			a, _, err := o.AccessBatch([]int{s}, []int64{k}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, exact, err := o.Rank(s, a)
-			if err != nil || !exact || r != k {
-				t.Fatalf("shard %d Rank(Access(%d)) = (%d, %v, %v)", s, k, r, exact, err)
+			r, exact, err := o.RankBatch(a, []int{s})
+			if err != nil || !exact[0] || r[0] != k {
+				t.Fatalf("shard %d Rank(Access(%d)) = (%v, %v, %v)", s, k, r, exact, err)
 			}
 		}
 		rows, err := o.Range(s, 0, min64(n, 10))
@@ -311,7 +311,7 @@ func TestOwnedBuild(t *testing.T) {
 	if _, err := o.Total(0); err == nil {
 		t.Fatal("probing a non-owned shard must error")
 	}
-	if _, err := o.Access(2, 0); err == nil {
+	if _, _, err := o.AccessBatch([]int{2}, []int64{0}, nil); err == nil {
 		t.Fatal("accessing a non-owned shard must error")
 	}
 	if _, err := Build(context.Background(), q, in, Kind{Lex: l}, pt, []int{9}); err == nil {
@@ -382,15 +382,15 @@ func TestOwnedBuildKinds(t *testing.T) {
 					t.Fatalf("%+v shard %d: total %d (%v), want %d", k, s, n, err, totals[s])
 				}
 				for i := int64(0); i < totals[s]; i += 5 {
-					a, err := o.Access(s, i)
+					a, _, err := o.AccessBatch([]int{s}, []int64{i}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if r, exact, err := full.Rank(a); err != nil || !exact {
-						t.Fatalf("%+v shard %d: full build does not hold %v (rank %d, %v)", k, s, a, r, err)
+					if r, exact, err := full.Rank(a[0]); err != nil || !exact {
+						t.Fatalf("%+v shard %d: full build does not hold %v (rank %d, %v)", k, s, a[0], r, err)
 					}
-					if r, exact, err := o.Rank(s, a); err != nil || !exact || r != i {
-						t.Fatalf("%+v shard %d: Rank(Access(%d)) = (%d, %v, %v)", k, s, i, r, exact, err)
+					if r, exact, err := o.RankBatch(a, []int{s}); err != nil || !exact[0] || r[0] != i {
+						t.Fatalf("%+v shard %d: Rank(Access(%d)) = (%v, %v, %v)", k, s, i, r, exact, err)
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rankedaccess/internal/access"
@@ -62,6 +63,8 @@ type probe struct {
 	pivPos   []int64
 	xs       []order.Answer
 	pivRanks []int64
+	// nodeOpen sums each node's open window widths (see pickPivots).
+	nodeOpen []int64
 	// pend/pi buffer prefetched windows of remote parts during
 	// AppendRange merges.
 	pend [][]order.Answer
@@ -85,6 +88,7 @@ func newHandle(q *cq.Query, pt Partitioning, totals []int64, cmp func(a, b order
 			pivShard: make([]int, 1),
 			pivPos:   make([]int64, 1),
 			xs:       make([]order.Answer, 1),
+			nodeOpen: make([]int64, p),
 			pend:     make([][]order.Answer, p),
 			pi:       make([]int, p),
 		}
@@ -122,15 +126,15 @@ func (h *Handle) putProbe(p *probe) { h.probes.Put(p) }
 // k — windows about 1/(S+1) as wide as the shards, ⌈log_{m·P+1}(n/(S+1))⌉
 // rounds to go instead of ⌈log_{m·P+1} n⌉ — and only then pays for
 // rounds. In process a round is one pivot, the median of the widest
-// window; over remote parts a round is a batch (see pickPivots), because
-// there a round costs two network round trips however many pivots ride
-// in it. Once a single window is left open the result's local index is
-// determined and is fetched directly: the table keeps no answers, so
-// every access reaches the owner of its result at least once. On return
-// pr.ranks holds each shard's count of answers strictly below the result
-// — the owner's entry is the result's local index — which AppendRange
-// uses as its per-shard merge cursors. The returned answer may alias the
-// owner's probe buffer in pr.
+// window; over remote parts a round is a batch taken from one node's
+// windows (see pickPivots), because there a round costs two network
+// hops however many pivots ride in it. Once a single window is left
+// open the result's local index is determined and is fetched directly:
+// the table keeps no answers, so every access reaches the owner of its
+// result at least once. On return pr.ranks holds each shard's count of
+// answers strictly below the result — the owner's entry is the result's
+// local index — which AppendRange uses as its per-shard merge cursors.
+// The returned answer may alias the owner's probe buffer in pr.
 func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, error) {
 	if k < 0 || k >= h.total {
 		return nil, access.ErrOutOfBound
@@ -141,9 +145,10 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, 
 		lo[j], hi[j] = 0, h.totals[j]
 	}
 	h.split.seed(pr, k)
-	// A round at least halves every window it takes pivots from (in
-	// process the widest, remote all that fit the round); 64 bits per
-	// part bounds the total number of halvings.
+	// A round at least halves every window it takes pivots from: in
+	// process the widest, remote every window of the node holding the
+	// most open positions — at least 1/P of them — each cut below a
+	// quarter. 64 bits per part bounds the number of such rounds.
 	maxIter := 64*p + 2
 	for iter := 0; iter < maxIter; iter++ {
 		s, width, open := -1, int64(0), 0
@@ -247,21 +252,18 @@ func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (orde
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	xs, err := h.ranker.AccessAll(ctx, append(pr.pivShard[:0], s), append(pr.pivPos[:0], m))
+	xs, err := h.ranker.Price(ctx, append(pr.pivShard[:0], s), append(pr.pivPos[:0], m), nil)
 	if err != nil {
 		return nil, err
-	}
-	if len(xs) != 1 {
-		return nil, fmt.Errorf("shard: part %d access(%d) returned %d answers", s, m, len(xs))
 	}
 	return xs[0], nil
 }
 
-// PivotsPerWindow is how many pivots one remote rank round takes from
-// each open window. A round costs two network round trips whatever it
-// carries, and P windows of m staggered pivots cut the candidates to
-// about 1/(m·P+1), so rounds fall from log₂ n to log_{m·P+1} n. Chosen
-// by measurement, not a setting: on the cluster_read benchmark workload
+// PivotsPerWindow is how many pivots one remote rank round spends per
+// open window. A round costs two network hops whatever it carries, and
+// m·P staggered pivots cut the candidates to about 1/(m·P+1), so rounds
+// fall from log₂ n to log_{m·P+1} n. Chosen by measurement, not a
+// setting: on the cluster_read benchmark workload
 // (P = 4, n ≈ 10⁹) m = 4, 6, 8, 12 gave point medians of 2.9–3.1, 2.7–
 // 3.1, 2.7 and 2.8 ms and m ≥ 16 was slower still — past 8 the extra
 // pivots cost the nodes more CPU than the rounds they save. Swept again
@@ -280,25 +282,40 @@ const MaxPivots = 256
 const _ = uint(MaxPivots - MaxShards) // does not compile if a round cannot hold a pivot per shard
 
 // pickPivots chooses one remote round's pivots into pr.pivShard and
-// pr.pivPos: a window no wider than its share is taken whole (so the
-// search ends by pricing the result itself), a wider one contributes
-// evenly spaced positions, at most 1/per of the window apart (see
-// spread). The choice depends on the windows alone, so a probe's rounds
-// repeat exactly.
+// pr.pivPos, all from one source node: the one with the most open
+// positions, ties to the lowest index. Shards of one partitioning hold
+// statistically alike slices of the order, so the round's whole budget
+// — m per open window, at most MaxPivots — spread over the source's
+// windows alone narrows as well as spread over all, and the source
+// prices its own pivots in the fetch. A source window no wider than its
+// share is taken whole (so the search ends by pricing the result
+// itself), a wider one contributes evenly spaced positions, at most
+// 1/per of the window apart (see spread). The choice depends on the
+// windows alone, so a probe's rounds repeat exactly.
 func (h *Handle) pickPivots(pr *probe, open int) {
-	per, stagger := PivotsPerWindow, open
-	if per*open > MaxPivots {
+	owners := h.ranker.Owners()
+	clear(pr.nodeOpen)
+	for j, l := range pr.lo {
+		pr.nodeOpen[owners[j]] += pr.hi[j] - l
+	}
+	src, srcOpen := slices.Index(pr.nodeOpen, slices.Max(pr.nodeOpen)), 0
+	for j, l := range pr.lo {
+		if owners[j] == src && pr.hi[j] > l {
+			srcOpen++
+		}
+	}
+	per, stagger := min(PivotsPerWindow*open, MaxPivots)/srcOpen, srcOpen
+	if per < PivotsPerWindow {
 		// More open windows than a full round carries (MaxShards keeps
-		// MaxPivots/open ≥ 4): fewer pivots each, at plain quantiles —
-		// a stagger over that many windows would push a window's few
-		// pivots toward its edge.
-		per, stagger = MaxPivots/open, 1
+		// per ≥ 4): plain quantiles — a stagger over that many windows
+		// would push a window's few pivots toward its edge.
+		stagger = 1
 	}
 	pr.pivShard, pr.pivPos = pr.pivShard[:0], pr.pivPos[:0]
 	o := 0
 	for j, l := range pr.lo {
 		w := pr.hi[j] - l
-		if w <= 0 {
+		if w <= 0 || owners[j] != src {
 			continue
 		}
 		if w <= int64(per) {
@@ -331,9 +348,9 @@ func spread(shards []int, pos []int64, j int, l, w int64, per, stagger, o int) (
 // price runs one rank round over the pivots in pr.pivShard and
 // pr.pivPos: it fetches them and prices each on every shard, so that
 // ranks[i*P+j] is shard j's count of answers strictly below xs[i]. Over
-// remote parts that is one batched access per owning node and one
-// batched rank per node; in process one AccessInto and P−1 Ranks per
-// pivot, and xs[i] aliases its shard's probe buffer — a later pivot of
+// remote parts that is one BatchRanker.Price — one fetch-and-price per
+// owning node, one rank call per node owning not all pivots; in process
+// one AccessInto and P−1 Ranks per pivot, and xs[i] aliases its shard's probe buffer — a later pivot of
 // the same shard overwrites it (a search prices one pivot a round, the
 // splitter fill keeps only the ranks).
 func (h *Handle) price(ctx context.Context, pr *probe) ([]order.Answer, []int64, error) {
@@ -364,13 +381,7 @@ func (h *Handle) price(ctx context.Context, pr *probe) ([]order.Answer, []int64,
 			return nil, nil, err
 		}
 		var err error
-		if xs, err = h.ranker.AccessAll(ctx, pr.pivShard, pr.pivPos); err != nil {
-			return nil, nil, err
-		}
-		if len(xs) != len(pr.pivPos) {
-			return nil, nil, fmt.Errorf("shard: batched access of %d positions returned %d answers", len(pr.pivPos), len(xs))
-		}
-		if _, err := h.ranker.RankAll(ctx, xs, ranks); err != nil {
+		if xs, err = h.ranker.Price(ctx, pr.pivShard, pr.pivPos, ranks); err != nil {
 			return nil, nil, err
 		}
 	}

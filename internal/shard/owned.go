@@ -57,15 +57,6 @@ func (o *Owned) Total(shard int) (int64, error) {
 	return p.Total(), nil
 }
 
-// Rank returns one owned shard's count of answers strictly below a.
-func (o *Owned) Rank(shard int, a order.Answer) (int64, bool, error) {
-	ranks, exact, err := o.RankBatch([]order.Answer{a}, []int{shard})
-	if err != nil {
-		return 0, false, err
-	}
-	return ranks[0], exact[0], nil
-}
-
 // RankBatch prices every answer on every given owned shard — the
 // node-side half of a coordinator's rank round. ranks[i*len(shards)+j]
 // is shard shards[j]'s count of answers strictly below answers[i];
@@ -104,8 +95,11 @@ type answerBlock struct {
 	out  []order.Answer
 }
 
-func (o *Owned) newAnswerBlock(n int) answerBlock {
-	return answerBlock{flat: make([]int64, 0, n*o.Query.NumVars()), out: make([]order.Answer, 0, n)}
+// newAnswerBlock sizes a block for n answers, plus extra words of the
+// backing array behind them that the answers never reach: once all n
+// are added, flat[len(flat):cap(flat)] is the caller's.
+func (o *Owned) newAnswerBlock(n, extra int) answerBlock {
+	return answerBlock{flat: make([]int64, 0, n*o.Query.NumVars()+extra), out: make([]order.Answer, 0, n)}
 }
 
 func (b *answerBlock) add(a order.Answer) {
@@ -114,29 +108,23 @@ func (b *answerBlock) add(a order.Answer) {
 	b.out = append(b.out, b.flat[start:len(b.flat):len(b.flat)])
 }
 
-// Access returns one owned shard's k-th local answer, freshly
-// allocated.
-func (o *Owned) Access(shard int, k int64) (order.Answer, error) {
-	out, err := o.AccessBatch([]int{shard}, []int64{k})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // AccessBatch returns, in request order, the answer at local index
-// pos[i] of owned shard shards[i] — the node-side half of the batched
-// pivot fetch. A run of positions on one shard shares one probe buffer,
-// borrowed from the shard's structure (an error path keeps it: garbage,
-// not a leak).
-func (o *Owned) AccessBatch(shards []int, pos []int64) ([]order.Answer, error) {
+// pos[i] of owned shard shards[i], each priced on the given owned
+// shards — the node-side half of a rank round's fetch from its source
+// node. ranks[i*len(owned)+j] is shard owned[j]'s count of answers
+// strictly below answers[i]; on shards[i] itself that is pos[i], which
+// is pinned rather than computed. A run of positions on one shard
+// shares one probe buffer, borrowed from the shard's structure (an
+// error path keeps it: garbage, not a leak); the ranks share the
+// answers' backing array.
+func (o *Owned) AccessBatch(shards []int, pos []int64, owned []int) (answers []order.Answer, ranks []int64, err error) {
 	if len(shards) != len(pos) {
-		return nil, fmt.Errorf("shard: %d positions for %d shards", len(pos), len(shards))
+		return nil, nil, fmt.Errorf("shard: %d positions for %d shards", len(pos), len(shards))
 	}
 	if len(pos) > MaxPivots {
-		return nil, fmt.Errorf("shard: access batch of %d positions exceeds the per-call cap %d", len(pos), MaxPivots)
+		return nil, nil, fmt.Errorf("shard: access batch of %d positions exceeds the per-call cap %d", len(pos), MaxPivots)
 	}
-	out := o.newAnswerBlock(len(pos))
+	out := o.newAnswerBlock(len(pos), len(pos)*len(owned))
 	var (
 		p   access.Structure
 		buf *access.LexBuf
@@ -146,22 +134,33 @@ func (o *Owned) AccessBatch(shards []int, pos []int64) ([]order.Answer, error) {
 			if p != nil {
 				p.PutBuf(buf)
 			}
-			var err error
 			if p, err = o.part(s); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			buf = p.GetBuf()
 		}
 		a, err := p.AccessInto(buf, pos[i])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out.add(a)
 	}
 	if p != nil {
 		p.PutBuf(buf)
 	}
-	return out.out, nil
+	ranks = out.flat[len(out.flat):cap(out.flat)]
+	for j, s := range owned {
+		part, err := o.part(s)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, a := range out.out {
+			if ranks[i*len(owned)+j] = pos[i]; s != shards[i] {
+				ranks[i*len(owned)+j], _ = part.Rank(a)
+			}
+		}
+	}
+	return out.out, ranks, nil
 }
 
 // maxOwnedRange caps one Range call, bounding the response frame a
@@ -183,7 +182,7 @@ func (o *Owned) Range(shard int, k0, k1 int64) ([]order.Answer, error) {
 		return nil, fmt.Errorf("shard: range of %d answers exceeds the per-call cap %d", n, maxOwnedRange)
 	}
 	buf := p.GetBuf()
-	out := o.newAnswerBlock(int(n))
+	out := o.newAnswerBlock(int(n), 0)
 	for k := k0; k < k1; k++ {
 		a, err := p.AccessInto(buf, k)
 		if err != nil {

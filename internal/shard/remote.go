@@ -19,24 +19,35 @@ type RemotePart interface {
 }
 
 // BatchRanker is the batched probe surface of a remote partitioning:
-// both calls address many shards at once, so the network implementation
-// issues one RPC per owning node — each node serves all its owned
-// shards locally — and runs the nodes in parallel. A locate round is
-// one AccessAll plus one RankAll, two round trips, regardless of P and
-// of how many pivots it prices (at most PivotsPerWindow·P; a batch of
-// the splitter fill, which runs the same two calls over fixed positions
-// when the handle is assembled, up to MaxPivots). Implementations must
-// be safe for concurrent use.
+// every call addresses many shards at once, and the network
+// implementation sends each node at most one RPC per hop — each node
+// serves all its owned shards locally — nodes in parallel. A locate
+// round takes its pivots from one node's windows (see pickPivots), so
+// it is one Price: one fetch from that node, which prices the pivots on
+// its own shards in the same call, then one rank call to each other
+// node — two hops however many pivots it prices (at most
+// PivotsPerWindow·P; a batch of the splitter fill, which prices fixed
+// positions when the handle is assembled, up to MaxPivots, and reaches
+// every node holding one of them). Implementations must be safe for
+// concurrent use.
 type BatchRanker interface {
-	// AccessAll returns, for every i, the answer at local index pos[i]
-	// of shard shards[i], in request order. The answers must not alias
-	// shared mutable state.
-	AccessAll(ctx context.Context, shards []int, pos []int64) ([]order.Answer, error)
+	// Price returns, for every i, the answer at local index pos[i] of
+	// shard shards[i], in request order, and unless ranks is nil prices
+	// each on every shard of the partitioning: ranks[i*P+j] becomes shard
+	// j's count of answers strictly below answers[i]. A node holding
+	// some of the positions fetches and prices them in one call; a node
+	// holding not all of them prices the others in a second. With ranks
+	// nil only the fetch is sent. There is one answer per position, and
+	// the answers must not alias shared mutable state.
+	Price(ctx context.Context, shards []int, pos []int64, ranks []int64) ([]order.Answer, error)
 	// RankAll prices every answer on every shard of the partitioning:
 	// ranks[i*P+j] becomes shard j's count of answers strictly below
 	// answers[i], and exact[i] reports whether some shard holds
 	// answers[i].
 	RankAll(ctx context.Context, answers []order.Answer, ranks []int64) (exact []bool, err error)
+	// Owners maps every shard to the node serving it, nodes numbered
+	// from 0. The caller must not modify it.
+	Owners() []int
 }
 
 // NewRemote assembles a Handle over network-served parts: the same

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -127,14 +128,20 @@ func remoteCases(t *testing.T) []remoteCase {
 // loopback.
 func remoteHandle(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind, p int) (*shard.Handle, *shardtest.Loopback) {
 	t.Helper()
+	return ownersHandle(t, q, in, k, p, min(p, 2))
+}
+
+// ownersHandle is remoteHandle over n ≤ p owners, shard s on owner s mod n.
+func ownersHandle(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind, p, n int) (*shard.Handle, *shardtest.Loopback) {
+	t.Helper()
 	pt, err := shard.Choose(q, "y", p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var owned []*shard.Owned
-	for first := 0; first < min(p, 2); first++ {
+	for first := 0; first < n; first++ {
 		var shards []int
-		for s := first; s < p; s += 2 {
+		for s := first; s < p; s += n {
 			shards = append(shards, s)
 		}
 		o, err := shard.Build(context.Background(), q, in, k, pt, shards)
@@ -207,9 +214,8 @@ func TestRemoteOracle(t *testing.T) {
 					}
 				}
 				// The search is k-ary: far fewer rank rounds than the
-				// log₂ n + P of a one-pivot search (each Rank above
-				// was one RankAll of its own).
-				if rounds := float64(loop.RankCalls.Load()-total) / float64(total); rounds > 5 {
+				// log₂ n + P of a one-pivot search.
+				if rounds := float64(loop.Rounds.Load()) / float64(total); rounds > 5 {
 					t.Fatalf("%.1f rank rounds per probe over %d answers", rounds, total)
 				}
 				rng := rand.New(rand.NewSource(total))
@@ -223,6 +229,58 @@ func TestRemoteOracle(t *testing.T) {
 				}
 				if got := loop.MaxBatch.Load(); got > int64(shard.PivotsPerWindow*lay.p) || got > shard.MaxPivots {
 					t.Fatalf("a probe's request carried %d pivots; a round is at most m·P = %d", got, shard.PivotsPerWindow*lay.p)
+				}
+			})
+		}
+	}
+}
+
+// TestRoundsFetchFromOneOwner: over one, two or three owners, every
+// probe round takes its pivots from one owner, which prices them in its
+// fetch, then sends at most one rank call to each other owner — with
+// one owner a round is a single call — and Access, AppendRange and Rank
+// equal the in-process handle's at every k.
+func TestRoundsFetchFromOneOwner(t *testing.T) {
+	q := cq.MustParse(twoPath)
+	k := remoteCases(t)[0].kind(q)
+	in := randomInstance(9, 240, 240, 30, 30)
+	for _, p := range []int{2, 3, 4, 8} {
+		merged := mergedHandle(t, q, in, k, p)
+		for owners := 1; owners <= min(p, 3); owners++ {
+			t.Run(fmt.Sprintf("P=%d/%d owners", p, owners), func(t *testing.T) {
+				h, loop := ownersHandle(t, q, in, k, p, owners)
+				if h.Total() != merged.Total() {
+					t.Fatalf("total %d, in process %d", h.Total(), merged.Total())
+				}
+				var got, want []values.Value
+				var err error
+				for i := int64(0); i < h.Total(); i++ {
+					r0, a0, k0 := loop.Rounds.Load(), loop.AccessCalls.Load(), loop.RankCalls.Load()
+					got, err = h.AppendTuple(got[:0], q.Head, i)
+					want, _ = merged.AppendTuple(want[:0], q.Head, i)
+					if err != nil || !slices.Equal(got, want) {
+						t.Fatalf("k=%d: %v (%v), in process %v", i, got, err, want)
+					}
+					r, a, rk := loop.Rounds.Load()-r0, loop.AccessCalls.Load()-a0, loop.RankCalls.Load()-k0
+					if a < r || a > r+1 || rk > r*int64(owners-1) {
+						t.Fatalf("k=%d: %d rounds sent %d fetches and %d rank calls", i, r, a, rk)
+					}
+					end := min(i+5, h.Total())
+					got, err = h.AppendRange(got[:0], q.Head, i, end)
+					want, _ = merged.AppendRange(want[:0], q.Head, i, end)
+					if err != nil || !slices.Equal(got, want) {
+						t.Fatalf("range [%d, %d): %v (%v), in process %v", i, end, got, err, want)
+					}
+					x, _ := merged.Access(i)
+					if r, ex, err := h.Rank(x); err != nil || !ex || r != i {
+						t.Fatalf("Rank(answer %d) = %d, %v, %v", i, r, ex, err)
+					}
+				}
+				if n := loop.MaxSources.Load(); n != 1 {
+					t.Fatalf("a probe fetched from %d owners at once, want one", n)
+				}
+				if loop.Rounds.Load() == 0 {
+					t.Fatalf("no probe over shards of %v ran a round", h.PartTotals())
 				}
 			})
 		}
@@ -355,7 +413,7 @@ func TestRemoteLocateStopsBetweenRounds(t *testing.T) {
 		if _, err := h.Access(c); err != nil {
 			t.Fatal(err)
 		}
-		if sent()-before >= 4 {
+		if sent()-before >= 4 { // two rounds of two calls, then the fetch
 			k = c
 		}
 	}
@@ -366,7 +424,7 @@ func TestRemoteLocateStopsBetweenRounds(t *testing.T) {
 	defer cancel()
 	before := sent()
 	loop.OnCall = func() {
-		if sent() == before+2 { // round 1's rank scatter is in flight
+		if sent() == before+2 { // round 1's rank call is in flight
 			cancel()
 		}
 	}
@@ -380,9 +438,10 @@ func TestRemoteLocateStopsBetweenRounds(t *testing.T) {
 }
 
 // TestOwnedProbeAllocs pins the node-side cost of one batched pivot fetch
-// and one range window: the answer block's two slices and nothing per
-// shard run — the probe buffers are borrowed from the structures' pools
-// (a fresh LexBuf per run was four allocations each).
+// and one range window: the answer block's two slices — the fetch's
+// ranks ride in the answers' backing array — and nothing per shard run:
+// the probe buffers are borrowed from the structures' pools (a fresh
+// LexBuf per run was four allocations each).
 func TestOwnedProbeAllocs(t *testing.T) {
 	if shardtest.RaceEnabled() {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -409,9 +468,22 @@ func TestOwnedProbeAllocs(t *testing.T) {
 		}
 		pos[i] = int64(i%16) * n / 16
 	}
+	// The fetch prices each answer on the given owned shards, in their
+	// order; on its own shard the rank is its position.
+	out, ranks, err := o.AccessBatch(shards, pos, []int{3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range out {
+		for j, s := range []int{3, 1} {
+			if r, _, err := o.RankBatch([]order.Answer{a}, []int{s}); err != nil || ranks[2*i+j] != r[0] || (s == shards[i] && r[0] != pos[i]) {
+				t.Fatalf("answer %d (shard %d, position %d) priced %d on shard %d, Rank says %v (%v)", i, shards[i], pos[i], ranks[2*i+j], s, r, err)
+			}
+		}
+	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if out, err := o.AccessBatch(shards, pos); err != nil || len(out) != len(pos) {
-			t.Fatalf("AccessBatch = %d answers, %v", len(out), err)
+		if out, ranks, err := o.AccessBatch(shards, pos, []int{3, 1}); err != nil || len(out) != len(pos) || len(ranks) != 2*len(pos) {
+			t.Fatalf("AccessBatch = %d answers, %d ranks, %v", len(out), len(ranks), err)
 		}
 	})
 	if allocs > 3 {
