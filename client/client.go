@@ -174,7 +174,8 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, accep
 	return c.send(ctx, method, path, in, out, accept, method == http.MethodGet)
 }
 
-// send is do with the replay decision spelled out.
+// send is do with the replay decision spelled out. A json.RawMessage
+// in is sent as it is: a body that encoded itself.
 //
 // Requests the server sheds with 429/503 are retried with backoff (the
 // server rejects those before processing, so writes are safe to
@@ -184,8 +185,8 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, accep
 // Non-streaming requests run under the client's RequestTimeout;
 // streaming requests (accept != "") are bound only by the caller's ctx.
 func (c *Client) send(ctx context.Context, method, path string, in, out any, accept string, replay bool) (*http.Response, error) {
-	var raw []byte
-	if in != nil {
+	raw, ok := in.(json.RawMessage)
+	if in != nil && !ok {
 		var err error
 		raw, err = json.Marshal(in)
 		if err != nil {
@@ -257,9 +258,9 @@ const maxPresize = 1 << 20
 
 // decodeBody reads the whole body — to EOF, so the connection goes back
 // to the transport's pool — and decodes it into out. A body of
-// internal/api that decodes itself (a range window, a cursor page) is
-// handed the bytes directly: its UnmarshalJSON checks them, so
-// json.Unmarshal's scan ahead of it would only read them twice.
+// internal/api that decodes itself (an access batch, a range window, a
+// cursor page) is handed the bytes directly: its UnmarshalJSON checks
+// them, so json.Unmarshal's scan ahead of it would only read them twice.
 func decodeBody(resp *http.Response, out any) error {
 	var buf bytes.Buffer
 	if n := resp.ContentLength; n > 0 && n <= maxPresize {
@@ -400,10 +401,11 @@ func (p *Prepared) path(suffix string) string {
 type Answer = api.Answer
 
 // Access probes a batch of global ranks by name. Per-index failures
-// land in the returned answers without failing the batch.
+// land in the returned answers without failing the batch; the answers'
+// tuples share one backing array, each clipped to its own capacity.
 func (p *Prepared) Access(ctx context.Context, ks ...int64) ([]Answer, error) {
 	var out api.AccessResponse
-	_, err := p.c.do(ctx, http.MethodPost, p.path("/access"), api.AccessRequest{Ks: ks}, &out, "")
+	_, err := p.c.do(ctx, http.MethodPost, p.path("/access"), json.RawMessage(api.AppendAccessRequest(nil, ks)), &out, "")
 	return out.Answers, err
 }
 

@@ -22,10 +22,12 @@
 // Rows have one codec. Every [][]Value that crosses the wire — the
 // tuples of a range window and a cursor page, the rows of a load and a
 // write, an NDJSON line — is written and read by rows.go, in the bytes
-// and the language of encoding/json, without reflection. The two
-// bodies that are mostly rows (RangeResponse, CursorPage) also encode
-// and decode themselves around it (body.go); FuzzRows holds all of it
-// to encoding/json.
+// and the language of encoding/json, without reflection. The three
+// bodies a probe answers with (RangeResponse, CursorPage — mostly rows
+// — and AccessResponse, whose answers carry one row each) also encode
+// and decode themselves around it, and the SDK append-encodes the
+// AccessRequest it sends (body.go); FuzzRows holds all of it to
+// encoding/json.
 //
 // A body of the by-name generation (/v1/queries/{name}/…) carries only
 // the probe's arguments; the one-shot generation (/v1/instance/…)
@@ -110,13 +112,21 @@ type Answer struct {
 	Err   string  `json:"error,omitempty"`
 }
 
-// AccessResponse carries the plan's outcome and one Answer per index.
-type AccessResponse struct {
+// AccessHeader is everything of an access response but its answers:
+// the plan's outcome.
+type AccessHeader struct {
 	Total     int64  `json:"total"`
 	Mode      string `json:"mode"`
 	Tractable bool   `json:"tractable"`
 	Verdict   string `json:"verdict"`
 	ShardEcho
+}
+
+// AccessResponse carries the plan's outcome and one Answer per index.
+// It is the decoded form; the server encodes the same body from a
+// FlatAccess (see body.go).
+type AccessResponse struct {
+	AccessHeader
 	Answers []Answer `json:"answers"`
 }
 

@@ -62,7 +62,7 @@ func (v Verdict) String() string {
 	if !v.Tractable {
 		side = "INTRACTABLE"
 	}
-	s := fmt.Sprintf("%s %s: %s", side, v.Bound, v.Reason)
+	s := side + " " + v.Bound + ": " + v.Reason
 	if len(v.Hypotheses) > 0 {
 		s += " [assuming " + strings.Join(v.Hypotheses, ", ") + "]"
 	}

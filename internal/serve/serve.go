@@ -39,7 +39,11 @@
 // query pays none. range answers a contiguous index window through the
 // engine's AccessRange, which reuses one probe buffer for the whole
 // window. Response encoding goes through pooled buffers, so the handlers
-// allocate per response burst, not per answer.
+// allocate per response burst, not per answer: the three probe bodies
+// (access, range, cursor page) append themselves straight from a pooled
+// flat answer buffer (api.FlatAccess, FlatRange, FlatPage), with no
+// reflection over the answers, and the coalescer in front of them costs
+// a point read O(1) whether it hits or misses (see coalesce.go).
 //
 // Sharded serving: access, range, and count accept "shards" (and
 // optionally "shard_by"); the engine partitions the instance, builds
@@ -374,7 +378,8 @@ func (s *server) answer(w http.ResponseWriter, r *http.Request, op string, pq *e
 	var body []byte
 	var err error
 	if pq != nil {
-		body, err = s.coal.do(r.Context(), coalesceKey(op, pq.ID(), h.Version(), args...), encode)
+		var kb [64]byte
+		body, err = s.coal.do(r.Context(), appendCoalesceKey(kb[:0], op, pq.ID(), h.Version(), args), encode)
 	} else {
 		body, err = encode()
 	}
@@ -386,36 +391,39 @@ func (s *server) answer(w http.ResponseWriter, r *http.Request, op string, pq *e
 }
 
 // buildAccessResponse probes a batch of indices against a prepared
-// handle. One flat backing array serves the whole batch; per-index
-// failures land in the answer entries without failing the batch —
-// EXCEPT infrastructure failures (an unreachable or stale shard node),
-// which abort the whole batch: a half-answered batch whose gaps mean
-// "the cluster is down", not "out of range", would read as data.
-func buildAccessResponse(ctx context.Context, h *engine.Handle, ks []int64) (api.AccessResponse, error) {
-	resp := api.AccessResponse{
-		Total:     h.Total(),
-		Mode:      string(h.Plan.Mode),
-		Tractable: h.Plan.Tractable,
-		Verdict:   h.Plan.Verdict.String(),
-		ShardEcho: shardInfo(h.Plan),
-		Answers:   make([]api.Answer, len(ks)),
+// handle, appending the answers' tuples to flat back to back; per-index
+// failures land in Errs without failing the batch — EXCEPT
+// infrastructure failures (an unreachable or stale shard node), which
+// abort the whole batch: a half-answered batch whose gaps mean "the
+// cluster is down", not "out of range", would read as data.
+func buildAccessResponse(ctx context.Context, h *engine.Handle, ks []int64, flat []values.Value) (api.FlatAccess, error) {
+	resp := api.FlatAccess{
+		AccessHeader: api.AccessHeader{
+			Total:     h.Total(),
+			Mode:      string(h.Plan.Mode),
+			Tractable: h.Plan.Tractable,
+			Verdict:   h.Plan.Verdict.String(),
+			ShardEcho: shardInfo(h.Plan),
+		},
+		Ks:    ks,
+		Width: h.Width(),
 	}
-	flat := make([]values.Value, 0, len(ks)*h.Width())
 	for i, k := range ks {
-		resp.Answers[i].K = k
 		start := len(flat)
 		var err error
-		flat, err = h.AppendTupleCtx(ctx, flat, k)
-		if err != nil {
+		if flat, err = h.AppendTupleCtx(ctx, flat, k); err != nil {
 			if errors.Is(err, rpc.ErrUnavailable) || errors.Is(err, rpc.ErrStaleVersion) {
-				return api.AccessResponse{}, err
+				resp.Flat = flat
+				return resp, err
 			}
-			resp.Answers[i].Err = publicErr(err)
+			if resp.Errs == nil {
+				resp.Errs = make([]string, len(ks))
+			}
+			resp.Errs[i] = publicErr(err)
 			flat = flat[:start]
-			continue
 		}
-		resp.Answers[i].Tuple = flat[start:len(flat):len(flat)]
 	}
+	resp.Flat = flat
 	return resp, nil
 }
 
@@ -433,11 +441,14 @@ func (s *server) handleAccess(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.answer(w, r, "access", pq, h, req.Ks, func() ([]byte, error) {
-		resp, err := buildAccessResponse(r.Context(), h, req.Ks)
-		if err != nil {
-			return nil, err
+		flatP := tuplePool.Get().(*[]values.Value)
+		resp, err := buildAccessResponse(r.Context(), h, req.Ks, (*flatP)[:0])
+		var b []byte
+		if err == nil {
+			b, err = encodeJSON(resp)
 		}
-		return encodeJSON(resp)
+		putTupleBuf(flatP, resp.Flat)
+		return b, err
 	})
 }
 
@@ -610,9 +621,10 @@ func reply(w http.ResponseWriter, body any) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// encodeInto renders body and a newline into buf. The bodies made of
-// rows (api.FlatRange, api.FlatPage) append themselves, straight from
-// the engine's flat answer buffer; every other body is encoding/json's.
+// encodeInto renders body and a newline into buf. The probe bodies
+// (api.FlatAccess, api.FlatRange, api.FlatPage) append themselves,
+// straight from the engine's flat answer buffer; every other body is
+// encoding/json's.
 func encodeInto(buf *bytes.Buffer, body any) error {
 	a, ok := body.(interface {
 		AppendJSON([]byte) ([]byte, error)
