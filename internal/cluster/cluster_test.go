@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,6 +28,7 @@ import (
 	"rankedaccess/internal/serve"
 	"rankedaccess/internal/shard"
 	"rankedaccess/internal/shard/shardtest"
+	"rankedaccess/internal/trace"
 	"rankedaccess/internal/workload"
 )
 
@@ -41,11 +43,19 @@ func testInstance() *database.Instance {
 	return in
 }
 
-// bigInstance is a second such instance, ≈ 150 000 two-path answers:
-// every shard is wide enough for a full share of splitters, and
-// gathering the answers costs tens of times a search's budget.
+// bigInstance is a second such instance, ≈ 150 000 two-path answers,
+// whose splitter tables hold tens of thousands of splitters.
 func bigInstance() *database.Instance {
 	_, in := workload.TwoPath(rand.New(rand.NewSource(34)), 3000, 256, 0.4)
+	return in
+}
+
+// deepInstance is a third, ≈ 630 000 two-path answers: every shard is
+// wide enough for a full share of splitters, a search behind the table
+// may still run a round, and gathering the answers costs hundreds of
+// times a search's budget.
+func deepInstance() *database.Instance {
+	_, in := workload.TwoPath(rand.New(rand.NewSource(34)), 12000, 256, 0.4)
 	return in
 }
 
@@ -489,10 +499,10 @@ func TestDistributedHTTPByteIdentity(t *testing.T) {
 }
 
 // TestDistributedRPCBudget pins the paper's complexity promise at the
-// network layer. Preparing a handle prices its S splitters in
-// ⌈S/MaxPivots⌉ batches: one batched access to each peer owning a
-// position in the batch, one batched rank to each peer not owning all of
-// them, and never again. One Access(k) then starts between the two
+// network layer. Preparing a handle prices its S splitters in one lane
+// per peer, each in batches of at most MaxPivots positions of that
+// peer's shards: one batched access to the peer, one batched rank to
+// every other, and never again. One Access(k) then starts between the two
 // splitters bracketing k and is a handful of k-ary rank rounds: each
 // round takes up to m·P pivots from one peer's windows, cutting the
 // candidates to about 1/(m·P+1), and costs one batched access to that
@@ -509,7 +519,7 @@ func TestDistributedHTTPByteIdentity(t *testing.T) {
 func TestDistributedRPCBudget(t *testing.T) {
 	const p = 4
 	var wire atomic.Int64
-	tc := startClusterOn(t, bigInstance, 2, p, func(l net.Listener) net.Listener {
+	tc := startClusterOn(t, deepInstance, 2, p, func(l net.Listener) net.Listener {
 		return meteredListener{Listener: l, bytes: &wire}
 	})
 	reg := metrics.NewRegistry()
@@ -540,9 +550,10 @@ func TestDistributedRPCBudget(t *testing.T) {
 		return per, sum
 	}
 
-	// A fill cancelled while its first batch is being ranked stops
-	// there: no second batch leaves, and Prepare fails. The batch lies in
-	// shard 0, so it is one access to node 0 and one rank to node 1.
+	// A fill cancelled while a batch is being ranked stops every lane
+	// before its next batch, and Prepare fails: each peer's lane sent at
+	// most its first batch — one access to its peer, one rank to the
+	// other.
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := func() { cancel() }
 	tc.onRank.Store(&stop)
@@ -550,47 +561,44 @@ func TestDistributedRPCBudget(t *testing.T) {
 		t.Fatalf("BuildRemote cancelled mid-fill = %v, want context.Canceled", err)
 	}
 	tc.onRank.Store(nil)
-	if acc, a := sent(rpc.KindAccessBatch); a != 1 || acc[0] != 1 {
-		t.Fatalf("a fill cancelled in its first batch sent access batches %v; want one, to node 0", acc)
-	}
-	if rk, r := sent(rpc.KindRankBatch); r != 1 || rk[1] != 1 {
-		t.Fatalf("a fill cancelled in its first batch sent rank batches %v; want one, to node 1", rk)
+	acc, a := sent(rpc.KindAccessBatch)
+	rk, r := sent(rpc.KindRankBatch)
+	if slices.Max(acc) > 1 || slices.Max(rk) > 1 || a == 0 || r == 0 {
+		t.Fatalf("a fill cancelled during a rank batch sent access batches %v and rank batches %v; want at most one of each per peer", acc, rk)
 	}
 
 	// The fill: exactly its batches' RPCs on top of the Prepare.
+	// startClusterOn places shard s on peer s mod 2; a shard contributes
+	// a full share, or every answer when it is narrower.
 	before := tc.calls()
+	acc0, _ := sent(rpc.KindAccessBatch)
+	rk0, _ := sent(rpc.KindRankBatch)
 	rh, err := tc.coord.BuildRemote(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := rh.Sh
-	total, splitters := h.Total(), len(h.Splitters())
-	if splitters != p*shard.SplittersPerShard {
-		t.Fatalf("%d splitters over shards of %v, want %d each", splitters, h.PartTotals(), shard.SplittersPerShard)
+	total := h.Total()
+	splitters, batches, lanes := h.SplitterFill()
+	lane, want := make([]uint64, len(tc.addrs)), 0 // each lane's positions, then batches
+	for s, n := range h.PartTotals() {
+		lane[s%len(lane)] += uint64(min(n, shard.SplittersPerShard))
+		want += int(min(n, shard.SplittersPerShard))
 	}
-	batches := (splitters + shard.MaxPivots - 1) / shard.MaxPivots
-	// Positions go shard by shard; a batch reaches the owners of the
-	// shards it spans with an access, the rest with a rank
-	// (startClusterOn places shard s on node s mod 2).
-	fill := make([]uint64, len(tc.addrs))
-	for b := 0; b < batches; b++ {
-		first, last := b*shard.MaxPivots/shard.SplittersPerShard, (min((b+1)*shard.MaxPivots, splitters)-1)/shard.SplittersPerShard
-		for i := range fill {
-			some, all := false, true
-			for s := first; s <= last; s++ {
-				some, all = some || s%len(fill) == i, all && s%len(fill) == i
-			}
-			if some {
-				fill[i]++ // its access
-			}
-			if !all {
-				fill[i]++ // its rank
-			}
-		}
+	if splitters != want || len(h.Splitters()) != splitters || lanes != len(tc.addrs) || want <= p*shard.MaxPivots {
+		t.Fatalf("%d splitters over shards of %v in %d lanes, want %d in %d", splitters, h.PartTotals(), lanes, want, len(tc.addrs))
 	}
+	var all uint64
+	for i := range lane {
+		lane[i] = (lane[i] + shard.MaxPivots - 1) / shard.MaxPivots
+		all += lane[i]
+	}
+	acc1, _ := sent(rpc.KindAccessBatch)
+	rk1, _ := sent(rpc.KindRankBatch)
 	for i, n := range tc.calls() {
-		if d := n - before[i]; d != 1+fill[i] || fill[i] > uint64(2*batches) {
-			t.Fatalf("preparing sent peer %d %d RPCs; want the Prepare and %d for a fill of %d splitters in %d batches", i, d, fill[i], splitters, batches)
+		if d := n - before[i]; d != 1+all || uint64(batches) != all || acc1[i]-acc0[i] != lane[i] || rk1[i]-rk0[i] != all-lane[i] {
+			t.Fatalf("preparing sent peer %d %d RPCs, %d accesses and %d ranks; want the Prepare, its lane's %d batches' accesses and the other lanes' %d ranks (%d batches reported)",
+				i, d, acc1[i]-acc0[i], rk1[i]-rk0[i], lane[i], all-lane[i], batches)
 		}
 	}
 	if got := tc.maxBatch.Swap(0); got != shard.MaxPivots || shard.MaxPivots > rpc.MaxPivots {
@@ -609,7 +617,13 @@ func TestDistributedRPCBudget(t *testing.T) {
 	if gather := total * 8 * 3; gather < 10*byteBound {
 		t.Fatalf("instance too small to tell the budget (%d bytes) from gathering all %d answers (%d bytes)", byteBound, total, gather)
 	}
+	// The ends, and enough ranks drawn between that some search behind
+	// the dense table still runs a round.
 	ks := []int64{0, 1, total / 3, total / 2, total - 2, total - 1}
+	rng := rand.New(rand.NewSource(total))
+	for len(ks) < 64 {
+		ks = append(ks, rng.Int63n(total))
+	}
 	hit := h.Splitters()[splitters/2]
 	searched := uint64(0)
 	for _, k := range append(ks, hit) {
@@ -643,6 +657,77 @@ func TestDistributedRPCBudget(t *testing.T) {
 	}
 	if got := tc.maxBatch.Load(); got == 0 || got > pivots {
 		t.Fatalf("largest batched request of a probe carried %d pivots; want 1..%d (a round's m·P)", got, pivots)
+	}
+}
+
+// TestSplitterFillObservable: the coordinator reports every splitter
+// fill — the newest table's size on ra_cluster_splitters, the fill's
+// wall time on ra_cluster_splitter_fill_seconds, and one
+// cluster.splitter_fill span saying how many splitters, batches and
+// lanes it took — from the first Register on.
+func TestSplitterFillObservable(t *testing.T) {
+	tc := startCluster(t, 2, 4, nil)
+	reg := metrics.NewRegistry()
+	tc.coord.RegisterMetrics(reg)
+	tracer := trace.New(trace.Options{Rate: 1, Buffer: 16})
+	tc.coord.SetTracer(tracer)
+	scrape := func() (splitters, fills float64) {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := metrics.ParseText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		splitters, fills = -1, -1
+		for _, sm := range samples {
+			switch sm.Name {
+			case "ra_cluster_splitters":
+				splitters = sm.Value
+			case "ra_cluster_splitter_fill_seconds_count":
+				fills = sm.Value
+			}
+		}
+		return splitters, fills
+	}
+	if s, n := scrape(); s != 0 || n != 0 {
+		t.Fatalf("before any Register: ra_cluster_splitters %v, %v fills; want both series at 0", s, n)
+	}
+	spec := engine.Spec{Query: twoPath, Order: "x, y, z"}
+	if _, err := tc.ce.Register("q", spec); err != nil {
+		t.Fatal(err)
+	}
+	if s, n := scrape(); s <= 0 || n != 1 {
+		t.Fatalf("after a Register: ra_cluster_splitters %v, %v fills; want a table and one fill", s, n)
+	}
+	rh, err := tc.coord.BuildRemote(context.Background(), engine.Spec{Query: twoPath, Order: "y desc, x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, batches, lanes := rh.Sh.SplitterFill()
+	if s, n := scrape(); s != float64(want) || n != 2 || lanes != 2 || batches < lanes {
+		t.Fatalf("after a second fill of %d splitters in %d batches over %d lanes: ra_cluster_splitters %v, %v fills", want, batches, lanes, s, n)
+	}
+	var spans []map[string]int64
+	for _, tr := range tracer.Store().Snapshot() {
+		for _, sp := range tr.Spans {
+			if sp.Name == "cluster.splitter_fill" {
+				attrs := map[string]int64{}
+				for _, a := range sp.Attrs {
+					attrs[a.Key] = a.Num
+				}
+				spans = append(spans, attrs)
+			}
+		}
+	}
+	if len(spans) != 2 || !slices.ContainsFunc(spans, func(a map[string]int64) bool { return a["splitters"] == int64(want) }) {
+		t.Fatalf("cluster.splitter_fill spans %v; want one per fill, the last of %d splitters", spans, want)
+	}
+	for _, attrs := range spans {
+		if attrs["splitters"] <= 0 || attrs["batches"] < 2 || attrs["lanes"] != 2 {
+			t.Fatalf("cluster.splitter_fill span %v; want its splitters, batches and two lanes", attrs)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/metrics"
@@ -24,9 +25,12 @@ import (
 //
 // Preparing a spec also prices the handle's splitter table (shard's
 // SplittersPerShard positions of every shard, S in all, S·(P+2) words
-// on the coordinator, at most 1 MiB): ⌈S/MaxPivots⌉ rounds like the ones
-// below over fixed positions, once per (spec, version); a fill that
-// fails fails the Prepare.
+// on the coordinator, at most 4 MiB): rounds like the ones below over
+// fixed positions, at most MaxPivots each, once per (spec, version), in
+// one lane per node — each node's positions in its own sequence of
+// rounds, the lanes in parallel; a fill that fails fails the Prepare.
+// The cluster.splitter_fill span covers it, and
+// ra_cluster_splitter_fill_seconds and ra_cluster_splitters report it.
 //
 // A global Access(k) then costs about log_{m·P+1}(n/(S+1)) ROUNDS (m =
 // shard's PivotsPerWindow) — the table starts the search between the two
@@ -49,6 +53,10 @@ type Coordinator struct {
 	tracer *trace.Tracer
 	// rankRounds counts the rank rounds of every handle's searches.
 	rankRounds atomic.Uint64
+	// splitters is the newest handle's table size; fillSeconds, once
+	// RegisterMetrics ran, times every fill that succeeds.
+	splitters   atomic.Int64
+	fillSeconds atomic.Pointer[metrics.Histogram]
 }
 
 // NewCoordinator builds a coordinator over the cluster layout and
@@ -83,11 +91,15 @@ func (c *Coordinator) Close() {
 	c.table.Close()
 }
 
-// RegisterMetrics attaches per-peer RPC client metrics, peer-up gauges
-// and the rank-round counter to the registry.
+// RegisterMetrics attaches per-peer RPC client metrics, peer-up gauges,
+// the rank-round counter and the splitter fill's series to the
+// registry.
 func (c *Coordinator) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("ra_cluster_rank_rounds_total", "Rank rounds of the coordinator's searches (splitter fills excluded).",
 		func() float64 { return float64(c.rankRounds.Load()) })
+	reg.GaugeFunc("ra_cluster_splitters", "Splitters in the table of the newest remote handle.",
+		func() float64 { return float64(c.splitters.Load()) })
+	c.fillSeconds.Store(reg.Histogram("ra_cluster_splitter_fill_seconds", "Wall time of a remote handle's splitter fill.", nil))
 	for _, p := range c.table.Peers {
 		p.Client.SetMetrics(rpc.NewClientMetrics(reg, p.Addr))
 		peer := p
@@ -191,9 +203,19 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	// Assembling the handle prices its splitter table on the nodes; a
 	// node that fails that fails the Prepare (the ranker's errors
 	// already say which).
-	sh, err := shard.NewRemote(ctx, dp.Query, dp.Part, parts, kind.Comparator(dp.Query, completed), ranker, completed)
+	fctx, span := c.tracer.Start(ctx, "cluster.splitter_fill", trace.KindInternal)
+	start := time.Now()
+	sh, err := shard.NewRemote(fctx, dp.Query, dp.Part, parts, kind.Comparator(dp.Query, completed), ranker, completed)
+	span.SetError(err)
+	defer span.End()
 	if err != nil {
 		return nil, err
+	}
+	n, batches, lanes := sh.SplitterFill()
+	span.SetAttr(trace.Int("splitters", int64(n)), trace.Int("batches", int64(batches)), trace.Int("lanes", int64(lanes)))
+	c.splitters.Store(int64(n))
+	if h := c.fillSeconds.Load(); h != nil {
+		h.ObserveDuration(time.Since(start))
 	}
 	ranker.searches = &c.rankRounds // from here on a Price that prices is a search round
 	return &engine.RemoteHandle{

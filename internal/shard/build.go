@@ -155,7 +155,7 @@ func Merge(o *Owned, err error) (*Handle, error) {
 	h.parts = o.parts
 	h.Completed = o.completed
 	// In-process pricing neither blocks nor reads its context.
-	if err := h.fillSplitters(context.Background()); err != nil {
+	if err := h.fillSplitters(context.Background(), make([]int, len(totals))); err != nil {
 		return nil, err
 	}
 	return h, nil

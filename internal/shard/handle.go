@@ -41,7 +41,7 @@ type Handle struct {
 	totals []int64
 	total  int64
 	cmp    func(a, b order.Answer) int
-	// split starts every rank search two rounds in (see splitters);
+	// split starts every rank search several rounds in (see splitters);
 	// filled once by Merge / NewRemote, immutable afterwards.
 	split splitters
 
@@ -330,10 +330,11 @@ func (h *Handle) pickPivots(pr *probe, open int) {
 }
 
 // spread appends per evenly spaced positions of shard j's window
-// [l, l+w), w > per, to shards and pos. The o-th of stagger windows is
-// offset by o/stagger of a step: shards of one partitioning hold
-// statistically alike slices of the order, so unstaggered quantiles
-// would price P near-equal pivots per step and waste all but one.
+// [l, l+w), w ≥ per — every position when w = per — to shards and pos.
+// The o-th of stagger windows is offset by o/stagger of a step: shards
+// of one partitioning hold statistically alike slices of the order, so
+// unstaggered quantiles would price P near-equal pivots per step and
+// waste all but one.
 func spread(shards []int, pos []int64, j int, l, w int64, per, stagger, o int) ([]int, []int64) {
 	// l + w·num/den without overflowing on 2^62-answer shards.
 	den := int64(per*stagger + 1)

@@ -27,9 +27,9 @@ type RemotePart interface {
 // its own shards in the same call, then one rank call to each other
 // node — two hops however many pivots it prices (at most
 // PivotsPerWindow·P; a batch of the splitter fill, which prices fixed
-// positions when the handle is assembled, up to MaxPivots, and reaches
-// every node holding one of them). Implementations must be safe for
-// concurrent use.
+// positions of one node's shards when the handle is assembled, up to
+// MaxPivots). The fill prices each node's batches in a lane of its own,
+// lanes in parallel. Implementations must be safe for concurrent use.
 type BatchRanker interface {
 	// Price returns, for every i, the answer at local index pos[i] of
 	// shard shards[i], in request order, and unless ranks is nil prices
@@ -57,8 +57,8 @@ type BatchRanker interface {
 // parts[i]. cmp must realize the same total order every node's
 // structures sort by; completed is the realized lex order of layered
 // builds (zero for SUM orders). Assembling prices the handle's splitter
-// table through the ranker — ⌈S/MaxPivots⌉ rounds under ctx — and fails
-// if that fails: there is no table-less handle.
+// table through the ranker — one lane of rounds per node, under ctx —
+// and fails if that fails: there is no table-less handle.
 func NewRemote(ctx context.Context, q *cq.Query, pt Partitioning, parts []RemotePart, cmp func(a, b order.Answer) int, ranker BatchRanker, completed order.Lex) (*Handle, error) {
 	totals := make([]int64, len(parts))
 	for i, rp := range parts {
@@ -67,7 +67,7 @@ func NewRemote(ctx context.Context, q *cq.Query, pt Partitioning, parts []Remote
 	h := newHandle(q, pt, totals, cmp)
 	h.remote, h.ranker = parts, ranker
 	h.Completed = completed
-	if err := h.fillSplitters(ctx); err != nil {
+	if err := h.fillSplitters(ctx, ranker.Owners()); err != nil {
 		return nil, err
 	}
 	return h, nil

@@ -4,17 +4,36 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"rankedaccess/internal/baseline"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
+	"rankedaccess/internal/order"
 	"rankedaccess/internal/shard"
+	"rankedaccess/internal/shard/shardtest"
 	"rankedaccess/internal/values"
 )
 
-// deepInstance holds enough two-path answers (≈ 490 000) that a search
-// still runs rounds behind a full splitter table.
-func deepInstance() *database.Instance { return randomInstance(8, 12000, 12000, 100, 100) }
+// deepInstance holds 10⁷ two-path answers — each of 200 partition
+// values joins 200 xs to 250 zs — so that a search whose bracketing
+// splitters lie in two shards still runs two rounds behind a full
+// splitter table.
+func deepInstance() *database.Instance {
+	in := database.NewInstance()
+	for y := values.Value(0); y < 200; y++ {
+		for x := values.Value(0); x < 200; x++ {
+			in.AddRow("R", x, y)
+		}
+		for z := values.Value(0); z < 250; z++ {
+			in.AddRow("S", y, z)
+		}
+	}
+	return in
+}
 
 // mergedHandle builds all p shards in process and merges them; at p = 1
 // it is the unsharded reference the merged handles must agree with,
@@ -59,8 +78,9 @@ func TestSplitterHits(t *testing.T) {
 					if len(sums) == 0 || !slices.IsSorted(sums) || len(slices.Compact(slices.Clone(sums))) != len(sums) {
 						t.Fatalf("%d splitters, want a strictly ascending table", len(sums))
 					}
-					// Every seventh splitter, to keep -race runs short.
-					for i := 0; i < len(sums); i += 7 {
+					// Every seventh splitter, or ≈ 600 spread over a
+					// larger table, to keep -race runs short.
+					for i := 0; i < len(sums); i += max(7, len(sums)/600) {
 						for c := max(sums[i]-1, 0); c <= min(sums[i]+1, h.Total()-1); c++ {
 							a0, r0, p0 := loop.AccessCalls.Load(), loop.RankCalls.Load(), loop.Pivots.Load()
 							got, err := h.Access(c)
@@ -84,44 +104,210 @@ func TestSplitterHits(t *testing.T) {
 	}
 }
 
-// TestSplitterFillStopsBetweenBatches: the fill is a handful of ordinary
-// rounds at assembly — ⌈S/MaxPivots⌉ access and rank scatters, none
-// later — and a caller that gives up during one gets its error before
-// the next leaves, and no handle.
+// laneMeter is the loopback as a handle's BatchRanker, watching the
+// fill's lanes: a fill batch's positions lie on one owner, its lane.
+// Per lane it counts the Price calls sent and the most in flight at
+// once, and across lanes the most in flight at once.
+type laneMeter struct {
+	*shardtest.Loopback
+	mu                   sync.Mutex
+	sent, inFlight       []int
+	mostOne, mostAll     int
+	crossed, largestCall int // Price calls over two lanes; the most positions in one
+}
+
+func newLaneMeter(t *testing.T, owned []*shard.Owned) *laneMeter {
+	t.Helper()
+	loop, err := shardtest.New(owned...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &laneMeter{Loopback: loop, sent: make([]int, len(owned)), inFlight: make([]int, len(owned))}
+}
+
+func (m *laneMeter) Price(ctx context.Context, shards []int, pos []int64, ranks []int64) ([]order.Answer, error) {
+	lane := m.Owners()[shards[0]]
+	m.mu.Lock()
+	for _, s := range shards {
+		if m.Owners()[s] != lane {
+			m.crossed++
+			break
+		}
+	}
+	m.sent[lane]++
+	m.inFlight[lane]++
+	all := 0
+	for _, n := range m.inFlight {
+		all += n
+	}
+	m.mostOne, m.mostAll = max(m.mostOne, m.inFlight[lane]), max(m.mostAll, all)
+	m.largestCall = max(m.largestCall, len(pos))
+	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		m.inFlight[lane]--
+		m.mu.Unlock()
+	}()
+	return m.Loopback.Price(ctx, shards, pos, ranks)
+}
+
+// handle assembles the remote handle over the owned builds with the
+// meter as its ranker.
+func (m *laneMeter) handle(ctx context.Context, owned []*shard.Owned, k shard.Kind) (*shard.Handle, error) {
+	o := owned[0]
+	parts := make([]shard.RemotePart, len(m.Owners()))
+	for s := range parts {
+		parts[s] = ownedPart{owned[m.Owners()[s]], s}
+	}
+	return shard.NewRemote(ctx, o.Query, o.Part, parts, k.Comparator(o.Query, o.Completed()), m, o.Completed())
+}
+
+// ownedPart is shard s of an owned build as a remote part.
+type ownedPart struct {
+	o *shard.Owned
+	s int
+}
+
+func (p ownedPart) Total() int64 {
+	n, _ := p.o.Total(p.s)
+	return n
+}
+
+func (p ownedPart) FetchRange(_ context.Context, k0, k1 int64) ([]order.Answer, error) {
+	return p.o.Range(p.s, k0, k1)
+}
+
+// TestSplitterFillLanes: on every layout and structure kind the fill
+// runs one lane per node, whose batches hold at most MaxPivots
+// positions, all on the lane's node, one batch in flight; lanes overlap
+// in time; and the table is exactly the one a fill in a single lane
+// prices.
+func TestSplitterFillLanes(t *testing.T) {
+	overlapped := false
+	for _, lay := range layouts() {
+		for _, rc := range remoteCases(t) {
+			q := cq.MustParse(rc.query)
+			k := rc.kind(q)
+			owned := ownedBuilds(t, q, lay.in, k, lay.p, min(lay.p, 2))
+			m := newLaneMeter(t, owned)
+			m.Delay = time.Millisecond
+			h, err := m.handle(context.Background(), owned, k)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", lay.name, rc.name, err)
+			}
+			if m.mostOne > 1 || m.crossed > 0 || m.largestCall > shard.MaxPivots || m.MaxBatch.Load() > shard.MaxPivots {
+				t.Fatalf("%s/%s: a lane had %d batches in flight, %d batches spanned two lanes, the largest held %d positions and the largest call %d (cap %d)",
+					lay.name, rc.name, m.mostOne, m.crossed, m.largestCall, m.MaxBatch.Load(), shard.MaxPivots)
+			}
+			n, batches, lanes := h.SplitterFill()
+			sent, busy := 0, 0
+			for _, c := range m.sent {
+				sent, busy = sent+c, busy+min(c, 1)
+			}
+			if sent != batches || lanes != busy || (n > 0) != lay.tabled() {
+				t.Fatalf("%s/%s: %d splitters in %d batches over %d lanes; the lanes sent %v", lay.name, rc.name, n, batches, lanes, m.sent)
+			}
+			sums, owner, ranks := shard.SplitterTable(h)
+			seqSums, seqOwner, seqRanks, err := shard.SequentialSplitters(h)
+			if err != nil || !slices.Equal(sums, seqSums) || !slices.Equal(owner, seqOwner) || !slices.Equal(ranks, seqRanks) {
+				t.Fatalf("%s/%s: the lanes' table of %d splitters differs from a single lane's of %d (%v)", lay.name, rc.name, len(sums), len(seqSums), err)
+			}
+			overlapped = overlapped || m.mostAll > 1
+		}
+	}
+	if !overlapped {
+		t.Fatal("no two lanes ever had a batch in flight at once")
+	}
+}
+
+// TestSplitterFillStopsBetweenBatches: a caller that gives up while
+// every lane has a batch in flight stops each lane before its next
+// batch, and gets context.Canceled and no handle.
 func TestSplitterFillStopsBetweenBatches(t *testing.T) {
 	lay := layouts()[4]
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
-	h, loop := remoteHandle(t, q, lay.in, k, lay.p)
-	s := len(h.Splitters())
-	batches := int64((s + shard.MaxPivots - 1) / shard.MaxPivots)
-	if s != lay.p*shard.SplittersPerShard || batches < 2 || loop.FillCalls != 2*batches || loop.FillMaxBatch != shard.MaxPivots {
-		t.Fatalf("%d splitters filled by %d calls of up to %d pivots; want %d·%d in %d batches of two calls", s, loop.FillCalls, loop.FillMaxBatch, lay.p, shard.SplittersPerShard, batches)
+	owned := ownedBuilds(t, q, lay.in, k, lay.p, 2)
+	h, err := newLaneMeter(t, owned).handle(context.Background(), owned, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, batches, lanes := h.SplitterFill(); lanes != 2 || batches < 2*lanes {
+		t.Fatalf("%d splitters in %d batches over %d lanes; want two lanes of two batches or more", n, batches, lanes)
 	}
 
+	m := newLaneMeter(t, owned)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	loop.OnCall = func() {
-		if loop.AccessCalls.Load()+loop.RankCalls.Load() == 2 { // batch 1's rank scatter is in flight
+	both := make(chan struct{})
+	var calls atomic.Int64
+	m.OnCall = func() {
+		// A lane's first call is its first batch's fetch, and the lane
+		// sends nothing else while it waits here: the second call is
+		// the other lane's.
+		switch calls.Add(1) {
+		case 1:
+			select {
+			case <-both:
+			case <-time.After(10 * time.Second):
+			}
+		case 2:
 			cancel()
+			close(both)
 		}
 	}
-	if h, err := loop.Handle(ctx, k); !errors.Is(err, context.Canceled) || h != nil {
+	if h, err := m.handle(ctx, owned, k); !errors.Is(err, context.Canceled) || h != nil {
 		t.Fatalf("handle assembled under a context cancelled mid-fill = %v, %v; want none, context.Canceled", h, err)
 	}
-	if loop.FillCalls != 2 {
-		t.Fatalf("%d calls left for a fill cancelled during its first batch, want 2", loop.FillCalls)
+	if !slices.Equal(m.sent, []int{1, 1}) || calls.Load() != 2 {
+		t.Fatalf("lanes sent %v batches and %d calls after a cancel during both first batches; want one batch each, two calls", m.sent, calls.Load())
+	}
+}
+
+// TestSplitterNarrowShards: shards narrower than their share — here
+// than the in-process one too — contribute every answer they hold, so
+// the table is every answer's rank, strictly ascending, and seeds
+// exact searches that the table settles by itself: over remote parts
+// each is one fetch from the answer's owner and no round.
+func TestSplitterNarrowShards(t *testing.T) {
+	q := cq.MustParse(twoPath)
+	k := remoteCases(t)[0].kind(q)
+	in := randomInstance(10, 160, 160, 40, 12)
+	sorted := baseline.SortedByLex(q, in, k.Lex)
+	remote, loop := remoteHandle(t, q, in, k, 4)
+	merged := mergedHandle(t, q, in, k, 4)
+	for _, h := range []*shard.Handle{remote, merged} {
+		sums := h.Splitters()
+		if slices.Max(h.PartTotals()) >= 256 || int64(len(sums)) != h.Total() || int(h.Total()) != len(sorted) {
+			t.Fatalf("%d splitters over shards of %v (%d answers); want every answer of shards narrower than 256", len(sums), h.PartTotals(), len(sorted))
+		}
+		for i, r := range sums {
+			if r != int64(i) {
+				t.Fatalf("splitter %d has rank %d; want the table strictly ascending over every rank", i, r)
+			}
+		}
+		for i, x := range sorted {
+			a0, r0 := loop.AccessCalls.Load(), loop.RankCalls.Load()
+			got, err := h.Access(int64(i))
+			if err != nil || !slices.Equal(got, x) {
+				t.Fatalf("k=%d: %v (%v), baseline %v", i, got, err, x)
+			}
+			if a, r := loop.AccessCalls.Load()-a0, loop.RankCalls.Load()-r0; h == remote && (a != 1 || r != 0 || loop.Rounds.Load() != 0) {
+				t.Fatalf("k=%d: %d accesses and %d rank calls; the table settles it but for one fetch", i, a, r)
+			}
+		}
 	}
 }
 
 // TestSplitterTableBounded pins the table's size: SplittersPerShard per
 // shard while that fits maxSplitterBytes, fewer per shard past it, and
-// never more than 1 MiB of S·(P+2) words; a quarter of that over
-// in-process parts. The capped table still seeds exact searches.
+// never more than 4 MiB of S·(P+2) words; a sixty-fourth of that over
+// in-process parts, 256 per shard at P = 4. The capped table still seeds
+// exact searches.
 func TestSplitterTableBounded(t *testing.T) {
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
-	const maxBytes = 1 << 20
+	const maxBytes = 4 << 20
 	for _, p := range []int{4, shard.MaxShards} {
 		per := min(shard.SplittersPerShard, maxBytes/(8*(p+2))/p)
 		// One answer per partition value, 176 per shard more than its
@@ -143,8 +329,8 @@ func TestSplitterTableBounded(t *testing.T) {
 			t.Fatalf("P=%d: %d splitters (%d bytes), want %d per shard within %d bytes", p, s, bytes, per, maxBytes)
 		}
 		merged := mergedHandle(t, q, in, k, p)
-		if s := len(merged.Splitters()); s != per/4*p {
-			t.Fatalf("P=%d in process: %d splitters, want %d per shard", p, s, per/4)
+		if s := len(merged.Splitters()); s != per/64*p || (p == 4 && per/64 != 256) {
+			t.Fatalf("P=%d in process: %d splitters, want %d per shard", p, s, per/64)
 		}
 		ref := mergedHandle(t, q, in, k, 1)
 		for i := int64(0); i < ref.Total(); i += 41 {
