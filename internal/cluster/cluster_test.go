@@ -44,18 +44,25 @@ func testInstance() *database.Instance {
 }
 
 // bigInstance is a second such instance, ≈ 150 000 two-path answers,
-// whose splitter tables hold tens of thousands of splitters.
+// whose splitter tables hold thousands of splitters.
 func bigInstance() *database.Instance {
 	_, in := workload.TwoPath(rand.New(rand.NewSource(34)), 3000, 256, 0.4)
 	return in
 }
 
-// deepInstance is a third, ≈ 630 000 two-path answers: every shard is
-// wide enough for a full share of splitters, a search behind the table
-// may still run a round, and gathering the answers costs hundreds of
-// times a search's budget.
+// deepInstance is a third, ≈ 630 000 two-path answers: its splitter
+// tables hold ≈ 20 000 splitters, a search behind the table may still
+// run a round, and gathering the answers costs hundreds of times a
+// search's budget.
 func deepInstance() *database.Instance {
 	_, in := workload.TwoPath(rand.New(rand.NewSource(34)), 12000, 256, 0.4)
+	return in
+}
+
+// fillInstance is a fourth, ≈ 1.3·10⁶ two-path answers: its splitter
+// fill takes more spans than one trace buffer holds.
+func fillInstance() *database.Instance {
+	_, in := workload.TwoPath(rand.New(rand.NewSource(34)), 24000, 256, 0.4)
 	return in
 }
 
@@ -569,7 +576,8 @@ func TestDistributedRPCBudget(t *testing.T) {
 
 	// The fill: exactly its batches' RPCs on top of the Prepare.
 	// startClusterOn places shard s on peer s mod 2; a shard contributes
-	// a full share, or every answer when it is narrower.
+	// a full share, or one splitter in every m·P answers when that is
+	// fewer.
 	before := tc.calls()
 	acc0, _ := sent(rpc.KindAccessBatch)
 	rk0, _ := sent(rpc.KindRankBatch)
@@ -582,8 +590,9 @@ func TestDistributedRPCBudget(t *testing.T) {
 	splitters, batches, lanes := h.SplitterFill()
 	lane, want := make([]uint64, len(tc.addrs)), 0 // each lane's positions, then batches
 	for s, n := range h.PartTotals() {
-		lane[s%len(lane)] += uint64(min(n, shard.SplittersPerShard))
-		want += int(min(n, shard.SplittersPerShard))
+		c := min(n/(shard.PivotsPerWindow*p), shard.SplittersPerShard)
+		lane[s%len(lane)] += uint64(c)
+		want += int(c)
 	}
 	if splitters != want || len(h.Splitters()) != splitters || lanes != len(tc.addrs) || want <= p*shard.MaxPivots {
 		t.Fatalf("%d splitters over shards of %v in %d lanes, want %d in %d", splitters, h.PartTotals(), lanes, want, len(tc.addrs))
@@ -728,6 +737,44 @@ func TestSplitterFillObservable(t *testing.T) {
 		if attrs["splitters"] <= 0 || attrs["batches"] < 2 || attrs["lanes"] != 2 {
 			t.Fatalf("cluster.splitter_fill span %v; want its splitters, batches and two lanes", attrs)
 		}
+	}
+}
+
+// TestSplitterFillSpanUnderARequest: a fill that a request prepares
+// takes more spans than the request's trace buffer holds, yet its
+// cluster.splitter_fill span and the request's later spans are kept:
+// the fill roots a local trace of its own under the request's span.
+func TestSplitterFillSpanUnderARequest(t *testing.T) {
+	tc := startClusterOn(t, fillInstance, 2, 4, nil)
+	tracer := trace.New(trace.Options{Rate: 1, Buffer: 16})
+	tc.coord.SetTracer(tracer)
+	ctx, req := tracer.Start(context.Background(), "request", trace.KindServer)
+	rh, err := tc.coord.BuildRemote(ctx, engine.Spec{Query: twoPath, Order: "x, y, z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after := tracer.Start(ctx, "after", trace.KindInternal)
+	after.End()
+	req.End()
+	n, _, _ := rh.Sh.SplitterFill()
+	var fill map[string]int64
+	dropped, kept := 0, false
+	for _, tr := range tracer.Store().Snapshot() {
+		for _, sp := range tr.Spans {
+			switch {
+			case sp.Name == "cluster.splitter_fill" && sp.Parent == req.Context().SpanID:
+				fill, dropped = map[string]int64{}, tr.Dropped
+				for _, a := range sp.Attrs {
+					fill[a.Key] = a.Num
+				}
+			case sp.Name == "after":
+				kept = true
+			}
+		}
+	}
+	if fill == nil || fill["splitters"] != int64(n) || dropped == 0 || !kept {
+		t.Fatalf("fill of %d splitters: span %v in a trace that dropped %d spans, request's later span kept %v; want the span, over a full buffer, and the later span",
+			n, fill, dropped, kept)
 	}
 }
 

@@ -202,8 +202,10 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	}
 	// Assembling the handle prices its splitter table on the nodes; a
 	// node that fails that fails the Prepare (the ranker's errors
-	// already say which).
-	fctx, span := c.tracer.Start(ctx, "cluster.splitter_fill", trace.KindInternal)
+	// already say which). The fill's hundreds of rounds root a local
+	// trace of their own under the request's, whose span buffer they
+	// would overrun.
+	fctx, span := c.tracer.Start(trace.Detach(ctx), "cluster.splitter_fill", trace.KindInternal)
 	start := time.Now()
 	sh, err := shard.NewRemote(fctx, dp.Query, dp.Part, parts, kind.Comparator(dp.Query, completed), ranker, completed)
 	span.SetError(err)

@@ -18,7 +18,3 @@ func SequentialSplitters(h *Handle) (sums []int64, owner []int, ranks []int64, e
 	sums, owner, ranks = SplitterTable(h)
 	return sums, owner, ranks, err
 }
-
-// DropSplitters empties the handle's splitter table, so that every
-// search starts from the full shard windows.
-func DropSplitters(h *Handle) { h.split = splitters{} }

@@ -49,9 +49,8 @@ func randomInstance(seed int64, nR, nS, dom, domZ int) *database.Instance {
 }
 
 func layouts() []layout {
-	// Rows of R on one partition value: its shard is wider than an
-	// in-process share under either query, so a merged handle spreads
-	// its splitters over it where a remote one takes every answer.
+	// Enough rows of R on one partition value that its shard gets
+	// splitters under either query, one in every m·P answers.
 	const wide = 1200
 	// One shard holds > 99 % of the answers of either query.
 	skew := database.NewInstance()
@@ -66,7 +65,8 @@ func layouts() []layout {
 		skew.AddRow("S", y, 0)
 	}
 	// Two partition values: at P = 8 most shards are empty, and P
-	// exceeds the number of distinct partition values.
+	// exceeds the number of distinct partition values. Both non-empty
+	// shards are wide enough for splitters under either query.
 	sparse := database.NewInstance()
 	for y := values.Value(0); y < 2; y++ {
 		for x := values.Value(0); x < wide; x++ {
@@ -83,13 +83,15 @@ func layouts() []layout {
 		// Every shard window is narrower than PivotsPerWindow from the
 		// first round on.
 		{"windows narrower than m", 3, randomInstance(6, 7, 7, 4, 4)},
+		// Every shard is wide enough for splitters under either query.
 		{"balanced", 4, randomInstance(7, 12000, 100, 100, 3)},
 	}
 }
 
 // tabled reports whether the layout's handles must carry a splitter
-// table: all but the single shard, which leaves nothing to search.
-func (l layout) tabled() bool { return l.p != 1 }
+// table: all but the single shard and the one whose shards are narrower
+// than a round.
+func (l layout) tabled() bool { return l.p != 1 && l.p != 3 }
 
 // remoteCase is one structure kind over one query.
 type remoteCase struct {
@@ -169,9 +171,8 @@ func ownersHandle(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind
 // brute-force baseline with no socket in the way: for every structure
 // kind on every adversarial layout, EVERY rank k, the inverse of every
 // answer, and AppendRange over random windows must reproduce the sorted
-// answer list exactly, with no request over a round's m·P pivots —
-// behind the splitter table, then from the full windows. Every layout
-// with two non-empty shards runs with a table, whose fill is counted
+// answer list exactly, with no request over a round's m·P pivots. Every
+// layout wide enough runs with a splitter table, whose fill is counted
 // apart and may fill a batch to MaxPivots.
 func TestRemoteOracle(t *testing.T) {
 	for _, lay := range layouts() {
@@ -209,40 +210,27 @@ func TestRemoteOracle(t *testing.T) {
 					t.Fatalf("%d splitters over shards of %v, filled by %d calls of up to %d pivots", s, h.PartTotals(), loop.FillCalls, loop.FillMaxBatch)
 				}
 				var dst []values.Value
-				for pass := 0; pass < 2; pass++ {
-					if pass == 1 {
-						// Again without the table: it settles most
-						// searches over these small layouts by itself,
-						// so only from the full windows does every
-						// search run its rounds.
-						shard.DropSplitters(h)
-						loop.Rounds.Store(0)
+				for i := int64(0); i < total; i++ {
+					dst, err = h.AppendTuple(dst[:0], q.Head, i)
+					if err != nil || !slices.Equal(dst, want[i*w:(i+1)*w]) {
+						t.Fatalf("k=%d: %v (%v), baseline %v", i, dst, err, want[i*w:(i+1)*w])
 					}
-					for i := int64(0); i < total; i++ {
-						dst, err = h.AppendTuple(dst[:0], q.Head, i)
-						if err != nil || !slices.Equal(dst, want[i*w:(i+1)*w]) {
-							t.Fatalf("k=%d: %v (%v), baseline %v", i, dst, err, want[i*w:(i+1)*w])
-						}
-						if pass > 0 {
-							continue // Rank reads no table
-						}
-						if r, exact, err := h.Rank(sorted[i]); err != nil || !exact || r != i {
-							t.Fatalf("Rank(answer %d) = %d, %v, %v", i, r, exact, err)
-						}
+					if r, exact, err := h.Rank(sorted[i]); err != nil || !exact || r != i {
+						t.Fatalf("Rank(answer %d) = %d, %v, %v", i, r, exact, err)
 					}
-					// The search is k-ary: far fewer rank rounds than the
-					// log₂ n + P of a one-pivot search.
-					if rounds := float64(loop.Rounds.Load()) / float64(total); rounds > 5 {
-						t.Fatalf("%.1f rank rounds per probe over %d answers", rounds, total)
-					}
-					rng := rand.New(rand.NewSource(total))
-					for i := 0; i < 40; i++ {
-						k0 := rng.Int63n(total)
-						k1 := k0 + 1 + rng.Int63n(min(total-k0, 700))
-						dst, err = h.AppendRange(dst[:0], q.Head, k0, k1)
-						if err != nil || !slices.Equal(dst, want[k0*w:k1*w]) {
-							t.Fatalf("range [%d, %d): %d values (%v), baseline %d", k0, k1, len(dst), err, (k1-k0)*w)
-						}
+				}
+				// The search is k-ary: far fewer rank rounds than the
+				// log₂ n + P of a one-pivot search.
+				if rounds := float64(loop.Rounds.Load()) / float64(total); rounds > 5 {
+					t.Fatalf("%.1f rank rounds per probe over %d answers", rounds, total)
+				}
+				rng := rand.New(rand.NewSource(total))
+				for i := 0; i < 40; i++ {
+					k0 := rng.Int63n(total)
+					k1 := k0 + 1 + rng.Int63n(min(total-k0, 700))
+					dst, err = h.AppendRange(dst[:0], q.Head, k0, k1)
+					if err != nil || !slices.Equal(dst, want[k0*w:k1*w]) {
+						t.Fatalf("range [%d, %d): %d values (%v), baseline %d", k0, k1, len(dst), err, (k1-k0)*w)
 					}
 				}
 				if got := loop.MaxBatch.Load(); got > int64(shard.PivotsPerWindow*lay.p) || got > shard.MaxPivots {
@@ -257,10 +245,7 @@ func TestRemoteOracle(t *testing.T) {
 // probe round takes its pivots from one owner, which prices them in its
 // fetch, then sends at most one rank call to each other owner — with
 // one owner a round is a single call — and Access, AppendRange and Rank
-// equal the in-process handle's at every k. The shards are narrower
-// than their share, so the splitter table holds every answer and would
-// settle every search; it is dropped, and each search runs its rounds
-// from the full windows.
+// equal the in-process handle's at every k.
 func TestRoundsFetchFromOneOwner(t *testing.T) {
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
@@ -270,7 +255,6 @@ func TestRoundsFetchFromOneOwner(t *testing.T) {
 		for owners := 1; owners <= min(p, 3); owners++ {
 			t.Run(fmt.Sprintf("P=%d/%d owners", p, owners), func(t *testing.T) {
 				h, loop := ownersHandle(t, q, in, k, p, owners)
-				shard.DropSplitters(h)
 				if h.Total() != merged.Total() {
 					t.Fatalf("total %d, in process %d", h.Total(), merged.Total())
 				}
@@ -313,9 +297,8 @@ func TestRoundsFetchFromOneOwner(t *testing.T) {
 // pivot cap: at MaxShards there are more open windows than a round of
 // m pivots each may carry, so every window contributes fewer. Answers
 // stay exact and the round fills the cap without exceeding it. The
-// shards are narrower than their share, so the splitter table holds
-// every answer; it is dropped, and every search starts from the full
-// windows.
+// shards are too narrow for splitters, so every search starts from the
+// full windows.
 func TestRemoteMoreWindowsThanARoundCarries(t *testing.T) {
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
@@ -333,10 +316,9 @@ func TestRemoteMoreWindowsThanARoundCarries(t *testing.T) {
 			t.Fatalf("shard %d holds %d answers: its window would be taken whole", s, total)
 		}
 	}
-	if s := len(h.Splitters()); int64(s) != h.Total() {
-		t.Fatalf("%d splitters over shards of %v, want every one of the %d answers", s, h.PartTotals(), h.Total())
+	if s := len(h.Splitters()); s != 0 {
+		t.Fatalf("%d splitters over shards of %v: the first round would not see %d open windows", s, h.PartTotals(), p)
 	}
-	shard.DropSplitters(h)
 	for i := 0; i < len(sorted); i += 97 {
 		got, err := h.Access(int64(i))
 		if err != nil || !slices.Equal(got, sorted[i]) {
@@ -349,16 +331,15 @@ func TestRemoteMoreWindowsThanARoundCarries(t *testing.T) {
 }
 
 // TestRemoteSingleShardIsOneAccess: with one shard there is nothing to
-// search — no splitter is priced, although beside a second non-empty
-// shard this one would contribute every answer, and each probe is one
-// batched access of one position and no rank round at all.
+// search — no splitter is priced, and each probe is one batched access
+// of one position and no rank round at all.
 func TestRemoteSingleShardIsOneAccess(t *testing.T) {
 	lay := layouts()[2]
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
 	h, loop := remoteHandle(t, q, lay.in, k, 1)
-	if s := len(h.Splitters()); s != 0 || loop.FillCalls != 0 || h.Total() < 2 {
-		t.Fatalf("%d splitters, %d fill calls over one shard of %d answers; want none, on a shard of several answers", s, loop.FillCalls, h.Total())
+	if s := len(h.Splitters()); s != 0 || loop.FillCalls != 0 || h.Total() < 2*shard.PivotsPerWindow {
+		t.Fatalf("%d splitters, %d fill calls over one shard of %d answers; want none, on a shard wide enough to have them", s, loop.FillCalls, h.Total())
 	}
 	for i := int64(0); i < h.Total(); i += 7 {
 		if _, err := h.Access(i); err != nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -23,7 +24,7 @@ import (
 // 2 876–3 180 point reads/s where 1 024 read 1 868–2 331, and setup_s
 // 0.80–0.94, 0.89–1.32 and 0.99–1.28 s, all inside 1 024's 0.77–1.49 s,
 // so the densest stays: 1.25 rank rounds and 3.5 RPCs per access, where
-// 1 024 left 2.0 and 5.0, for a fill of ≈ 60 ms over two nodes in one
+// 1 024 left 2.0 and 5.0, for a fill of ≈ 65 ms over two nodes in one
 // lane each (≈ 120 ms in a single lane, ≈ 20 ms for 1 024).
 const SplittersPerShard = 16384
 
@@ -33,19 +34,18 @@ const SplittersPerShard = 16384
 // (to 124 at MaxShards).
 const maxSplitterBytes = 4 << 20
 
-// inProcessSplitterShare divides the share of a handle over in-process
-// parts — 256 per shard up to P = 4: there a splitter saves a search
-// one pivot's P descents, not two round trips, and costs the build as
-// much to price. On the benchmark's four in-process shards
-// (n ≈ 6·10⁸, build 150–210 ms), 31 µs per access without a table,
-// 1 024 per shard cost the build 9–15 ms for 13.3 µs, 256 per shard
-// 2 ms (1 %) for 15.1 µs, 64 per shard 0.5 ms for 17.6 µs.
-const inProcessSplitterShare = 64
-
-// splittersPerShard is SplittersPerShard under the byte cap.
-func splittersPerShard(p int) int {
-	return min(SplittersPerShard, maxSplitterBytes/(8*(p+2))/p)
-}
+// inProcessSplitters and inProcessSplitterBytes are the share and the
+// cap of a handle over in-process parts — 256 per shard up to P = 10, 7
+// at MaxShards: there a splitter saves a search one pivot's P descents,
+// not two round trips, and costs the build as much to price. On the
+// benchmark's four in-process shards (n ≈ 6·10⁸, build 150–210 ms),
+// 31 µs per access without a table, 1 024 per shard cost the build
+// 9–15 ms for 13.3 µs, 256 per shard 2 ms (1 %) for 15.1 µs, 64 per
+// shard 0.5 ms for 17.6 µs.
+const (
+	inProcessSplitters     = 256
+	inProcessSplitterBytes = 256 << 10
+)
 
 // splitters is a handle's table of pivots priced ahead of any search,
 // in ascending global rank: splitter i is the answer at local index
@@ -78,45 +78,40 @@ func (t *splitters) seed(pr *probe, k int64) {
 	}
 }
 
-// fillSplitters prices the handle's splitter table: splittersPerShard
-// positions of every shard wider than that, spread and staggered as
-// pickPivots spreads a round's, and every position of a narrower one.
-// The fill runs one lane per node — shard j's positions are lane
-// node[j]'s, all lane 0 in process: a goroutine with a probe of its own
-// that prices its positions in batches of at most MaxPivots, one batch
-// in flight, and stops before its next batch once ctx is cancelled or
-// another lane failed. Lanes write disjoint rows and the table is
-// sorted by global rank, so it is the one a single lane would price. A
-// handle with fewer than two non-empty shards has nothing to search and
-// gets no table.
+// fillSplitters prices the handle's splitter table: its share of
+// positions of every shard under its byte cap, spread and staggered as
+// pickPivots spreads a round's, but no denser than one in every m·P (m
+// = PivotsPerWindow): the two splitters that bracket a k then leave
+// about the m·P open positions one round prices, and a denser table
+// would only trade that round for a price per answer at Prepare and
+// P+2 words per answer on the handle. The fill runs one lane per node —
+// shard j's positions are lane node[j]'s, all lane 0 in process: a
+// goroutine with a probe of its own that prices its positions in
+// batches of at most MaxPivots, one batch in flight, and stops before
+// its next batch once ctx is cancelled or another lane failed. Lanes
+// write disjoint rows and the table is sorted by global rank, so it is
+// the one a single lane would price. A handle with fewer than two
+// non-empty shards has nothing to search and gets no table.
 func (h *Handle) fillSplitters(ctx context.Context, node []int) error {
-	p := len(h.totals)
-	per := int64(splittersPerShard(p))
+	if slices.Max(h.totals) == h.total {
+		return nil // at most one non-empty shard
+	}
+	p, per, bytes := len(h.totals), int64(SplittersPerShard), maxSplitterBytes
 	if h.ranker == nil {
-		per /= inProcessSplitterShare
+		per, bytes = inProcessSplitters, inProcessSplitterBytes
 	}
-	nonEmpty := 0
-	for _, t := range h.totals {
-		if t > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty < 2 {
-		return nil
-	}
+	per = min(per, int64(bytes/(8*(p+2))/p))
 	var (
 		shards []int
 		pos    []int64
 		lanes  = make([][]int, slices.Max(node)+1) // indices into pos
-		runs   = make([][2]int, p)                 // shard j's positions are pos[runs[j][0]:runs[j][1]]
 	)
 	for j, t := range h.totals {
 		from := len(pos)
-		shards, pos = spread(shards, pos, j, 0, t, int(min(t, per)), p, j)
+		shards, pos = spread(shards, pos, j, 0, t, int(min(per, t/int64(PivotsPerWindow*p))), p, j)
 		for i := from; i < len(pos); i++ {
 			lanes[node[j]] = append(lanes[node[j]], i)
 		}
-		runs[j] = [2]int{from, len(pos)}
 	}
 	ranks := make([]int64, len(pos)*p)
 	ctx, cancel := context.WithCancelCause(ctx)
@@ -140,26 +135,18 @@ func (h *Handle) fillSplitters(ctx context.Context, node []int) error {
 	if err := context.Cause(ctx); err != nil {
 		return err
 	}
-	// Into ascending global rank. A shard's positions ascend, and with
-	// them their global ranks (distinct answers, distinct ranks), so
-	// the table is a P-way merge of the shards' runs.
-	sums := make([]int64, len(pos))
-	for i := range sums {
+	// Into ascending global rank (distinct answers, distinct ranks).
+	sums, by := make([]int64, len(pos)), make([]int, len(pos))
+	for i := range by {
+		by[i] = i
 		for _, r := range ranks[i*p : (i+1)*p] {
 			sums[i] += r
 		}
 	}
-	t := splitters{sums: make([]int64, 0, len(pos)), owner: make([]int, 0, len(pos)), ranks: make([]int64, 0, len(ranks)), batches: batches, lanes: busy}
-	for range pos {
-		j := -1
-		for c, r := range runs {
-			if r[0] < r[1] && (j < 0 || sums[r[0]] < sums[runs[j][0]]) {
-				j = c
-			}
-		}
-		i := runs[j][0]
-		runs[j][0]++
-		t.sums, t.owner = append(t.sums, sums[i]), append(t.owner, j)
+	slices.SortFunc(by, func(a, b int) int { return cmp.Compare(sums[a], sums[b]) })
+	t := splitters{sums: make([]int64, 0, len(by)), owner: make([]int, 0, len(by)), ranks: make([]int64, 0, len(ranks)), batches: batches, lanes: busy}
+	for _, i := range by {
+		t.sums, t.owner = append(t.sums, sums[i]), append(t.owner, shards[i])
 		t.ranks = append(t.ranks, ranks[i*p:(i+1)*p]...)
 	}
 	h.split = t

@@ -18,22 +18,25 @@ import (
 	"rankedaccess/internal/values"
 )
 
-// deepInstance holds 10⁷ two-path answers — each of 200 partition
-// values joins 200 xs to 250 zs — so that a search whose bracketing
-// splitters lie in two shards still runs two rounds behind a full
-// splitter table.
-func deepInstance() *database.Instance {
+// fanOut joins each of ys partition values to xs xs and zs zs: ys·xs·zs
+// two-path answers from ys·(xs+zs) rows.
+func fanOut(ys, xs, zs int) *database.Instance {
 	in := database.NewInstance()
-	for y := values.Value(0); y < 200; y++ {
-		for x := values.Value(0); x < 200; x++ {
+	for y := range values.Value(ys) {
+		for x := range values.Value(xs) {
 			in.AddRow("R", x, y)
 		}
-		for z := values.Value(0); z < 250; z++ {
+		for z := range values.Value(zs) {
 			in.AddRow("S", y, z)
 		}
 	}
 	return in
 }
+
+// deepInstance holds 10⁷ two-path answers, so that a search whose
+// bracketing splitters lie in two shards still runs two rounds behind a
+// full splitter table.
+func deepInstance() *database.Instance { return fanOut(200, 200, 250) }
 
 // mergedHandle builds all p shards in process and merges them; at p = 1
 // it is the unsharded reference the merged handles must agree with,
@@ -224,10 +227,9 @@ func TestSplitterFillLanes(t *testing.T) {
 // every lane has a batch in flight stops each lane before its next
 // batch, and gets context.Canceled and no handle.
 func TestSplitterFillStopsBetweenBatches(t *testing.T) {
-	lay := layouts()[4]
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
-	owned := ownedBuilds(t, q, lay.in, k, lay.p, 2)
+	owned := ownedBuilds(t, q, randomInstance(7, 12000, 1000, 100, 20), k, 4, 2)
 	h, err := newLaneMeter(t, owned).handle(context.Background(), owned, k)
 	if err != nil {
 		t.Fatal(err)
@@ -265,26 +267,25 @@ func TestSplitterFillStopsBetweenBatches(t *testing.T) {
 }
 
 // TestSplitterNarrowShards: shards narrower than their share — here
-// than the in-process one too — contribute every answer they hold, so
-// the table is every answer's rank, strictly ascending, and seeds
-// exact searches that the table settles by itself: over remote parts
-// each is one fetch from the answer's owner and no round.
+// than the in-process one too — still contribute one splitter in every
+// m·P answers, so the table is strictly ascending and seeds exact
+// searches: the rank of a splitter is one fetch from its owner and no
+// round over remote parts, and every rank matches the baseline.
 func TestSplitterNarrowShards(t *testing.T) {
+	const p = 4
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
 	in := randomInstance(10, 160, 160, 40, 12)
 	sorted := baseline.SortedByLex(q, in, k.Lex)
-	remote, loop := remoteHandle(t, q, in, k, 4)
-	merged := mergedHandle(t, q, in, k, 4)
+	remote, loop := remoteHandle(t, q, in, k, p)
+	merged := mergedHandle(t, q, in, k, p)
 	for _, h := range []*shard.Handle{remote, merged} {
-		sums := h.Splitters()
-		if slices.Max(h.PartTotals()) >= 256 || int64(len(sums)) != h.Total() || int(h.Total()) != len(sorted) {
-			t.Fatalf("%d splitters over shards of %v (%d answers); want every answer of shards narrower than 256", len(sums), h.PartTotals(), len(sorted))
+		sums, want := h.Splitters(), int64(0)
+		for _, n := range h.PartTotals() {
+			want += n / (shard.PivotsPerWindow * p)
 		}
-		for i, r := range sums {
-			if r != int64(i) {
-				t.Fatalf("splitter %d has rank %d; want the table strictly ascending over every rank", i, r)
-			}
+		if slices.Max(h.PartTotals()) >= 256 || want == 0 || int64(len(sums)) != want || !slices.IsSorted(sums) || len(slices.Compact(slices.Clone(sums))) != len(sums) {
+			t.Fatalf("%d splitters %v over shards of %v; want %d, strictly ascending, over shards narrower than 256", len(sums), sums, h.PartTotals(), want)
 		}
 		for i, x := range sorted {
 			a0, r0 := loop.AccessCalls.Load(), loop.RankCalls.Load()
@@ -292,8 +293,8 @@ func TestSplitterNarrowShards(t *testing.T) {
 			if err != nil || !slices.Equal(got, x) {
 				t.Fatalf("k=%d: %v (%v), baseline %v", i, got, err, x)
 			}
-			if a, r := loop.AccessCalls.Load()-a0, loop.RankCalls.Load()-r0; h == remote && (a != 1 || r != 0 || loop.Rounds.Load() != 0) {
-				t.Fatalf("k=%d: %d accesses and %d rank calls; the table settles it but for one fetch", i, a, r)
+			if a, r := loop.AccessCalls.Load()-a0, loop.RankCalls.Load()-r0; h == remote && slices.Contains(sums, int64(i)) && (a != 1 || r != 0) {
+				t.Fatalf("k=%d is a splitter: %d accesses and %d rank calls, want one fetch", i, a, r)
 			}
 		}
 	}
@@ -301,39 +302,40 @@ func TestSplitterNarrowShards(t *testing.T) {
 
 // TestSplitterTableBounded pins the table's size: SplittersPerShard per
 // shard while that fits maxSplitterBytes, fewer per shard past it, and
-// never more than 4 MiB of S·(P+2) words; a sixty-fourth of that over
-// in-process parts, 256 per shard at P = 4. The capped table still seeds
-// exact searches.
+// never more than 4 MiB of S·(P+2) words; over in-process parts 256 per
+// shard within 256 KiB — 256 at P = 4, 7 at MaxShards. No shard
+// contributes more than one splitter in every m·P answers. The capped
+// table still seeds exact searches.
 func TestSplitterTableBounded(t *testing.T) {
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
 	const maxBytes = 4 << 20
+	// 3.2·10⁶ answers: at P = 4 every shard holds a full share's m·P
+	// answers per splitter.
+	in := fanOut(1000, 40, 80)
+	ref := mergedHandle(t, q, in, k, 1)
 	for _, p := range []int{4, shard.MaxShards} {
 		per := min(shard.SplittersPerShard, maxBytes/(8*(p+2))/p)
-		// One answer per partition value, 176 per shard more than its
-		// share on average: every shard is wide enough.
-		n := p * (per + 176)
-		in := database.NewInstance()
-		for i := 0; i < n; i++ {
-			in.AddRow("R", values.Value(i%97), values.Value(i))
-			in.AddRow("S", values.Value(i), values.Value(i%89))
-		}
+		inProcess := min(256, (256<<10)/(8*(p+2))/p)
 		remote, _ := remoteHandle(t, q, in, k, p)
-		for s, total := range remote.PartTotals() {
-			if total <= int64(per) {
-				t.Fatalf("P=%d: shard %d holds %d answers, too narrow for %d splitters", p, s, total, per)
+		merged := mergedHandle(t, q, in, k, p)
+		want, wantIn, full := 0, 0, false
+		for _, n := range remote.PartTotals() {
+			stride := int64(shard.PivotsPerWindow * p)
+			want, wantIn = want+int(min(int64(per), n/stride)), wantIn+int(min(int64(inProcess), n/stride))
+			full = full || n/stride >= int64(per)
+			if n/stride < int64(inProcess) || (p == 4 && n/stride < int64(per)) {
+				t.Fatalf("P=%d: a shard of %d answers is too narrow for a full share", p, n)
 			}
 		}
 		s := len(remote.Splitters())
-		if bytes := s * (p + 2) * 8; s != per*p || bytes > maxBytes || (p == shard.MaxShards && per >= shard.SplittersPerShard) {
-			t.Fatalf("P=%d: %d splitters (%d bytes), want %d per shard within %d bytes", p, s, bytes, per, maxBytes)
+		if bytes := s * (p + 2) * 8; s != want || !full || bytes > maxBytes || (p == 4 && s != 4*shard.SplittersPerShard) || (p == shard.MaxShards && per >= shard.SplittersPerShard) {
+			t.Fatalf("P=%d: %d splitters (%d bytes), want %d, up to %d per shard within %d bytes", p, s, bytes, want, per, maxBytes)
 		}
-		merged := mergedHandle(t, q, in, k, p)
-		if s := len(merged.Splitters()); s != per/64*p || (p == 4 && per/64 != 256) {
-			t.Fatalf("P=%d in process: %d splitters, want %d per shard", p, s, per/64)
+		if s := len(merged.Splitters()); s != wantIn || s != inProcess*p || (p == 4 && inProcess != 256) || (p == shard.MaxShards && inProcess != 7) {
+			t.Fatalf("P=%d in process: %d splitters, want %d per shard", p, s, inProcess)
 		}
-		ref := mergedHandle(t, q, in, k, 1)
-		for i := int64(0); i < ref.Total(); i += 41 {
+		for i := int64(0); i < ref.Total(); i += ref.Total()/500 + 1 {
 			x, _ := ref.Access(i)
 			for _, h := range []*shard.Handle{remote, merged} {
 				if got, err := h.Access(i); err != nil || !slices.Equal(got, x) {

@@ -377,6 +377,25 @@ func ContextWithRemote(ctx context.Context, sc SpanContext) context.Context {
 	return context.WithValue(ctx, remoteKey{}, sc)
 }
 
+// Detach returns ctx without its local span but still in its trace: the
+// next Start roots a new local buffer under that span, as under a
+// remote parent, so a subtree of many spans neither crowds the span's
+// buffer nor is dropped from it.
+func Detach(ctx context.Context) context.Context {
+	sc, _ := SpanContextOf(ctx)
+	return ContextWithRemote(detached{ctx}, sc)
+}
+
+// detached hides its parent's local span.
+type detached struct{ context.Context }
+
+func (c detached) Value(k any) any {
+	if _, ok := k.(spanKey); ok {
+		return nil
+	}
+	return c.Context.Value(k)
+}
+
 // FromContext returns the active local span, or nil.
 func FromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey{}).(*Span)

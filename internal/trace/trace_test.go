@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -323,5 +324,43 @@ func TestSpanBufferCap(t *testing.T) {
 	}
 	if traces[0].Dropped != 11 { // 10 extra children + the root itself
 		t.Fatalf("dropped %d, want 11", traces[0].Dropped)
+	}
+}
+
+// TestDetach: a subtree started under Detach(ctx) is a local trace of
+// its own under ctx's span — same trace id, its root parented on that
+// span — so it overruns its own buffer, not the span's, and the span's
+// later children are kept.
+func TestDetach(t *testing.T) {
+	if _, ok := SpanContextOf(Detach(context.Background())); ok {
+		t.Fatal("Detach gave an untraced context a trace")
+	}
+	tr := New(Options{Rate: 1, Buffer: 4})
+	ctx, root := tr.Start(context.Background(), "request", KindServer)
+	sub, fill := tr.Start(Detach(ctx), "fill", KindInternal)
+	for i := 0; i < maxSpansPerTrace+10; i++ {
+		_, s := tr.Start(sub, "round", KindInternal)
+		s.End()
+	}
+	fill.End()
+	_, after := tr.Start(ctx, "after", KindInternal)
+	after.End()
+	root.End()
+	traces := tr.Store().Snapshot()
+	if len(traces) != 2 {
+		t.Fatalf("stored %d traces, want the request's and the fill's", len(traces))
+	}
+	for _, got := range traces {
+		if got.ID != root.Context().TraceID {
+			t.Fatalf("trace %v, want every span in %v", got.ID, root.Context().TraceID)
+		}
+		switch names := len(got.Spans); {
+		case names == 2 && got.Dropped == 0 && got.Spans[0].Name == "request" && got.Spans[1].Name == "after":
+		case names == maxSpansPerTrace && got.Dropped == 11 && slices.ContainsFunc(got.Spans, func(s SpanData) bool {
+			return s.Name == "fill" && s.Parent == root.Context().SpanID
+		}):
+		default:
+			t.Fatalf("trace of %d spans (%d dropped) starting %q: want the request with its later child, or the fill under it", names, got.Dropped, got.Spans[0].Name)
+		}
 	}
 }
