@@ -522,7 +522,9 @@ func TestDistributedHTTPByteIdentity(t *testing.T) {
 // the rounds. If someone replaces the rank search with a
 // gather-everything approach — by ranges, by oversized batches, or by
 // one RPC per answer — or builds the table without using it, one of the
-// checks fails loudly.
+// checks fails loudly. A 512-row range sends its first row's search —
+// Access(k0)'s calls without the final fetch — and then at most one
+// Range per shard the table leaves open.
 func TestDistributedRPCBudget(t *testing.T) {
 	const p = 4
 	var wire atomic.Int64
@@ -666,6 +668,51 @@ func TestDistributedRPCBudget(t *testing.T) {
 	}
 	if got := tc.maxBatch.Load(); got == 0 || got > pivots {
 		t.Fatalf("largest batched request of a probe carried %d pivots; want 1..%d (a round's m·P)", got, pivots)
+	}
+
+	// A 512-row range runs Access(k0)'s search without its final fetch,
+	// then at most one Range to each shard the table leaves open: one
+	// holding answers between k0 and the first splitter ranked k0+512 or
+	// later.
+	const width = 512
+	by := slices.Index(h.Query.Head, h.Part.Var)
+	shardsOf := func(k0, k1 int64) map[int]bool {
+		rows, err := h.AppendRange(nil, h.Query.Head, k0, k1)
+		if err != nil || len(rows) != int(k1-k0)*len(h.Query.Head) {
+			t.Fatalf("AppendRange(%d, %d): %d values, %v", k0, k1, len(rows), err)
+		}
+		in := map[int]bool{}
+		for i := by; i < len(rows); i += len(h.Query.Head) {
+			in[shard.ShardOf(rows[i], p)] = true
+		}
+		return in
+	}
+	for _, k0 := range ks {
+		k0 = min(k0, total-width)
+		_, a0 := sent(rpc.KindAccessBatch)
+		_, k0r := sent(rpc.KindRankBatch)
+		r0 := rankRounds()
+		if _, err := h.Access(k0); err != nil {
+			t.Fatalf("Access(%d): %v", k0, err)
+		}
+		_, a1 := sent(rpc.KindAccessBatch)
+		_, k1r := sent(rpc.KindRankBatch)
+		_, g1 := sent(rpc.KindRange)
+		rounds := rankRounds() - r0
+		contributing := shardsOf(k0, k0+width)
+		_, a2 := sent(rpc.KindAccessBatch)
+		_, k2r := sent(rpc.KindRankBatch)
+		_, g2 := sent(rpc.KindRange)
+		r2 := rankRounds()
+		end := total
+		if c, _ := slices.BinarySearch(h.Splitters(), k0+width); c < splitters {
+			end = h.Splitters()[c]
+		}
+		open := shardsOf(k0, end)
+		if a2-a1 != rounds || a1-a0 > rounds+1 || k2r-k1r != k1r-k0r || r2-r0 != 2*rounds || g2-g1 > uint64(len(open)) {
+			t.Fatalf("range [%d, %d): %d access, %d rank and %d Range RPCs over %d contributing and %d open shards; Access(%d) ran %d rounds in %d access and %d rank RPCs",
+				k0, k0+width, a2-a1, k2r-k1r, g2-g1, len(contributing), len(open), k0, rounds, a1-a0, k1r-k0r)
+		}
 	}
 }
 

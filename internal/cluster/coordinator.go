@@ -43,9 +43,12 @@ import (
 // At most one single-position AccessBatch for the result follows, which
 // a search the table settles outright still sends: the table holds
 // ranks, never answers, so a node that died or moved past the prepared
-// version still fails every access that needs it. A range adds one
-// parallel Range scatter to prime the merge, then one Range RPC per
-// refill. TestDistributedRPCBudget pins the arithmetic;
+// version still fails every access that needs it. A range runs the
+// search for its first row without that fetch, then sends one parallel
+// Range scatter to the shards the splitter table leaves open below the
+// window's end, each sized by the shard's share of the answers up to
+// that bound, and at most one refill per shard for all that is left of
+// it. TestDistributedRPCBudget pins the arithmetic;
 // ra_cluster_rank_rounds_total counts the rounds.
 type Coordinator struct {
 	table  *Table

@@ -18,3 +18,22 @@ func SequentialSplitters(h *Handle) (sums []int64, owner []int, ranks []int64, e
 	sums, owner, ranks = SplitterTable(h)
 	return sums, owner, ranks, err
 }
+
+// RangeSlack and MaxOwnedRange size a range merge's remote windows.
+const (
+	RangeSlack    = rangeSlack
+	MaxOwnedRange = maxOwnedRange
+)
+
+// ThinSplitters keeps every n-th splitter of the handle's table: as
+// sparse next to a test's windows as a full table is next to a
+// benchmark's on a billion answers.
+func ThinSplitters(h *Handle, n int) {
+	p := len(h.totals)
+	var t splitters
+	for i := n - 1; i < len(h.split.sums); i += n {
+		t.sums, t.owner = append(t.sums, h.split.sums[i]), append(t.owner, h.split.owner[i])
+		t.ranks = append(t.ranks, h.split.ranks[i*p:(i+1)*p]...)
+	}
+	h.split = t
+}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -56,6 +57,9 @@ type probe struct {
 	ranks []int64
 	cur   []order.Answer
 	idx   []int64
+	// lim bounds a range merge's cursors: no answer of shard j ranked
+	// inside the window sits at or past local index lim[j].
+	lim []int64
 	// One rank round's pivots: xs[i] is the answer at local index
 	// pivPos[i] of shard pivShard[i], priced into
 	// pivRanks[i*P : (i+1)*P] (see price).
@@ -85,6 +89,7 @@ func newHandle(q *cq.Query, pt Partitioning, totals []int64, cmp func(a, b order
 			ranks:    make([]int64, p),
 			cur:      make([]order.Answer, p),
 			idx:      make([]int64, p),
+			lim:      make([]int64, p),
 			pivShard: make([]int, 1),
 			pivPos:   make([]int64, 1),
 			xs:       make([]order.Answer, 1),
@@ -129,13 +134,16 @@ func (h *Handle) putProbe(p *probe) { h.probes.Put(p) }
 // window; over remote parts a round is a batch taken from one node's
 // windows (see pickPivots), because there a round costs two network
 // hops however many pivots ride in it. Once a single window is left
-// open the result's local index is determined and is fetched directly:
-// the table keeps no answers, so every access reaches the owner of its
-// result at least once. On return pr.ranks holds each shard's count of
-// answers strictly below the result — the owner's entry is the result's
-// local index — which AppendRange uses as its per-shard merge cursors.
-// The returned answer may alias the owner's probe buffer in pr.
-func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, error) {
+// open the result's local index is determined and, with fetch set, is
+// fetched directly: the table keeps no answers, so every access reaches
+// the owner of its result at least once. On return pr.ranks holds each
+// shard's count of answers strictly below the result — the owner's
+// entry is the result's local index — which AppendRange uses as its
+// per-shard merge cursors. AppendRange searches without fetch, since
+// the result is its owner's first row of the window anyway, and may get
+// a nil answer. The returned answer may alias the owner's probe buffer
+// in pr.
+func (h *Handle) locate(ctx context.Context, pr *probe, k int64, fetch bool) (order.Answer, error) {
 	if k < 0 || k >= h.total {
 		return nil, access.ErrOutOfBound
 	}
@@ -179,6 +187,9 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64) (order.Answer, 
 				break
 			}
 			pr.ranks[s] = m
+			if !fetch {
+				return nil, nil
+			}
 			return h.accessOne(ctx, pr, s, m)
 		}
 		if h.ranker != nil {
@@ -404,7 +415,7 @@ func (h *Handle) Access(k int64) (order.Answer, error) {
 // parts (deadline and trace propagation); in-process parts ignore it.
 func (h *Handle) AccessCtx(ctx context.Context, k int64) (order.Answer, error) {
 	pr := h.getProbe()
-	x, err := h.locate(ctx, pr, k)
+	x, err := h.locate(ctx, pr, k, true)
 	if err != nil {
 		h.putProbe(pr)
 		return nil, err
@@ -425,7 +436,7 @@ func (h *Handle) AppendTuple(dst []values.Value, head []cq.VarID, k int64) ([]va
 // remote parts.
 func (h *Handle) AppendTupleCtx(ctx context.Context, dst []values.Value, head []cq.VarID, k int64) ([]values.Value, error) {
 	pr := h.getProbe()
-	x, err := h.locate(ctx, pr, k)
+	x, err := h.locate(ctx, pr, k, true)
 	if err != nil {
 		h.putProbe(pr)
 		return dst, err
@@ -483,11 +494,13 @@ func (h *Handle) Inverted(a order.Answer) (int64, error) {
 
 // AppendRange appends the head projections of the global answers
 // k0 ≤ k < k1 to dst: one rank search finds each shard's starting
-// cursor, then a P-way merge emits the window in order. In process each
-// shard's cursor probes consecutive local ranks through the probe's own
-// buffer for that shard, so an emitted answer costs one O(log n)
-// descent per shard at the start of the window and a successor step
-// (see access.LexBuf) plus a P-wide comparison from then on.
+// cursor, the splitter table bounds how far each cursor may move, then
+// a P-way merge emits the window in order. In process each shard's
+// cursor probes consecutive local ranks through the probe's own buffer
+// for that shard, so an emitted answer costs one O(log n) descent per
+// shard at the start of the window and a successor step (see
+// access.LexBuf) plus a P-wide comparison from then on. Over remote
+// parts each shard's rows arrive in windows (see prime).
 func (h *Handle) AppendRange(dst []values.Value, head []cq.VarID, k0, k1 int64) ([]values.Value, error) {
 	return h.AppendRangeCtx(context.Background(), dst, head, k0, k1)
 }
@@ -503,20 +516,23 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 	}
 	pr := h.getProbe()
 	defer h.putProbe(pr)
-	if k0 == 0 {
-		for j := range pr.idx {
-			pr.idx[j] = 0
-		}
-	} else {
-		if _, err := h.locate(ctx, pr, k0); err != nil {
+	clear(pr.idx)
+	if k0 > 0 {
+		if _, err := h.locate(ctx, pr, k0, false); err != nil {
 			return dst, err
 		}
 		copy(pr.idx, pr.ranks)
 	}
-	for j := range pr.cur {
-		pr.cur[j] = nil
-		pr.pend[j] = pr.pend[j][:0]
-		pr.pi[j] = 0
+	// Every answer of shard j from local index ranks[c·P+j] on follows
+	// splitter c, the first ranked k1 or later, so none of them is in the
+	// window: a bound the table proves, the shard's total without one.
+	c, _ := slices.BinarySearch(h.split.sums, k1)
+	for j := range pr.lim {
+		pr.lim[j] = h.totals[j]
+		if c < len(h.split.sums) {
+			pr.lim[j] = h.split.ranks[c*len(pr.lim)+j]
+		}
+		pr.cur[j], pr.pend[j], pr.pi[j] = nil, pr.pend[j][:0], 0
 	}
 	if h.remote != nil {
 		if err := h.prime(ctx, pr, k1-k0); err != nil {
@@ -557,26 +573,39 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 	return dst, nil
 }
 
-// rangeChunk caps one prefetched window of a remote part, matching the
-// engine's cursor batch so an NDJSON stream chunk costs O(P) range RPCs
-// instead of one RPC per emitted row.
-const rangeChunk = 256
+// rangeSlack, plus a quarter of an even share — n/(4·P) of an n-row
+// range, about 3σ of one shard's count among 512 answers spread evenly
+// over four — pads a primed window past its part's expected share, so
+// that a share somewhat above its estimate still arrives in one fetch.
+const rangeSlack = 16
 
-// prime fetches every remote part's first window in one parallel
-// scatter, so a range pays one round trip before its first row instead
-// of P sequential ones (mid-merge refills stay sequential: the merge
-// cannot know which part runs dry next).
-func (h *Handle) prime(ctx context.Context, pr *probe, remaining int64) error {
+// prime fetches the first window of every remote part its bound leaves
+// answers, in one parallel scatter, so a range pays one round trip
+// before its first row instead of P sequential ones. Part j holds
+// g = lim[j]−idx[j] of the G answers from k0 up to the bounds, so of the
+// window's n rows it is expected to supply ⌈n·g/G⌉: its window is that
+// share plus the slack (see fetchWindow for the caps). Together the
+// primed windows hold at most about 1.25·n + P·rangeSlack rows, where
+// fetching every bound whole could take P·n: on a table sparse next to
+// the window, over shards that interleave.
+func (h *Handle) prime(ctx context.Context, pr *probe, n int64) error {
+	var gap int64
+	for j, l := range pr.lim {
+		gap += l - pr.idx[j]
+	}
 	errs := make([]error, len(h.remote))
 	var wg sync.WaitGroup
 	for j := range h.remote {
-		if pr.idx[j] >= h.totals[j] {
+		g := pr.lim[j] - pr.idx[j]
+		if g == 0 {
 			continue
 		}
+		// In floating point: n·g overflows int64 on 2^62-answer shards.
+		share := int64(math.Ceil(float64(n)*float64(g)/float64(gap))) + n/int64(4*len(h.totals)) + rangeSlack
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[j] = h.fetchWindow(ctx, pr, j, remaining)
+			errs[j] = h.fetchWindow(ctx, pr, j, min(share, n))
 		}()
 	}
 	wg.Wait()
@@ -588,14 +617,12 @@ func (h *Handle) prime(ctx context.Context, pr *probe, remaining int64) error {
 	return nil
 }
 
-// fetchWindow prefetches remote part j's next window into pr.pend[j],
-// sized to the remaining merge demand — each shard contributes roughly
-// remaining/P of the window, so that estimate (plus slack) usually
-// makes one fetch per shard suffice.
-func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, remaining int64) error {
-	want := min(remaining/int64(len(h.totals))+16, remaining, rangeChunk)
+// fetchWindow fetches remote part j's next window into pr.pend[j]: want
+// answers from its cursor on, but none at or past its bound and no more
+// than one Range call may carry.
+func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, want int64) error {
 	k0 := pr.idx[j]
-	k1 := min(k0+max(want, 1), h.totals[j])
+	k1 := k0 + min(want, pr.lim[j]-k0, maxOwnedRange)
 	rows, err := h.remote[j].FetchRange(ctx, k0, k1)
 	if err != nil {
 		return fmt.Errorf("shard: part %d range [%d, %d): %w", j, k0, k1, err)
@@ -607,11 +634,13 @@ func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, remaining in
 	return nil
 }
 
-// fillCursor makes pr.cur[j] hold part j's next answer (nil when the
-// part is exhausted). Remote parts are served from their prefetched
-// window, refilled when it runs out.
+// fillCursor makes pr.cur[j] hold part j's next answer, nil once the
+// part reached its bound. Remote parts are served from their fetched
+// window; one that runs dry is refilled with all the merge may still
+// take from it — the remaining rows, up to its bound — so a part whose
+// bound fits one Range call is refilled at most once.
 func (h *Handle) fillCursor(ctx context.Context, pr *probe, j int, remaining int64) error {
-	if pr.idx[j] >= h.totals[j] {
+	if pr.idx[j] >= pr.lim[j] {
 		pr.cur[j] = nil
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -401,6 +402,162 @@ func TestRemoteRangePrimesInParallel(t *testing.T) {
 	}
 	if elapsed >= 2*latency {
 		t.Fatalf("512-row range over %d parts took %v at %v per round trip; want about one round trip, not %d", p, elapsed, latency, p)
+	}
+}
+
+// TestRemoteRangeFetchBudget: a range is one rank search for its first
+// row — rounds only, no fetch of that row — then each shard's part of
+// the window, fetched in windows the splitter table bounds: the first
+// splitter ranked k1 or later caps every shard's cursor (lim), so no
+// fetch reaches past it and a shard the bound closes gets no fetch at
+// all, and a refill takes all that is left, so a shard whose bound fits
+// one Range call is fetched at most twice. Inside a long run of one
+// partition value the bound closes every other shard, and the range is
+// ONE fetch. Where a uniform layout interleaves the shards, the primed
+// windows, sized by each shard's share of the answers up to the bounds,
+// fetch at most half as many rows again as the range emits, plus the
+// slack, though the bounds allow P times as many. Every layout and
+// kind of TestRemoteOracle runs, plus the long run and the uniform
+// layout, at widths 1, 40, 512 and 5 000; the rows are the baseline's.
+func TestRemoteRangeFetchBudget(t *testing.T) {
+	// One partition value feeding a run of 1 800 consecutive answers
+	// under "y desc, x, z", the others 30 each.
+	run := database.NewInstance()
+	for y := values.Value(0); y < 40; y++ {
+		xs := values.Value(10)
+		if y == skewedAt {
+			xs = 600
+		}
+		for x := range xs {
+			run.AddRow("R", x, y)
+		}
+		for z := range values.Value(3) {
+			run.AddRow("S", y, z)
+		}
+	}
+	uniform := layout{"uniform", 4, fanOut(64, 30, 4)}
+	lays := append(layouts(), layout{"long run", 4, run}, uniform)
+	for _, lay := range lays {
+		for ci, rc := range remoteCases(t) {
+			t.Run(lay.name+"/"+rc.name, func(t *testing.T) {
+				q := cq.MustParse(rc.query)
+				k := rc.kind(q)
+				var sorted []order.Answer
+				if k.IsSum {
+					sorted = baseline.SortedBySum(q, lay.in, k.Sum)
+				} else {
+					sorted = baseline.SortedByLex(q, lay.in, k.Lex)
+				}
+				h, loop := remoteHandle(t, q, lay.in, k, lay.p)
+				if lay.name == uniform.name {
+					// Gaps of ≈ 500 answers between splitters, wide
+					// next to most windows, as on the benchmark.
+					shard.ThinSplitters(h, 64)
+				}
+				// Every order but the layered lex, which leads with the
+				// partition variable, interleaves the uniform layout's
+				// shards answer by answer.
+				interleaved := lay.name == uniform.name && ci != 0
+				p, total := lay.p, int64(len(sorted))
+				// below[i*P+j] counts shard j's answers of global rank < i.
+				below := make([]int64, (total+1)*int64(p))
+				for i, a := range sorted {
+					copy(below[(i+1)*p:(i+2)*p], below[i*p:(i+1)*p])
+					below[(i+1)*p+shard.ShardOf(a[h.Part.Var], p)]++
+				}
+				sums, _, ranks := shard.SplitterTable(h)
+				// The hot run's ranks [runLo, runHi), under the layered lex
+				// order on the long run. Its shard has a splitter every
+				// m·P answers, so a window ending 2·m·P before runHi has
+				// one inside the run after it.
+				runLo, runHi, margin := int64(0), int64(-1), int64(shard.PivotsPerWindow*2*p)
+				if lay.name == "long run" && ci == 0 {
+					runLo = int64(slices.IndexFunc(sorted, func(a order.Answer) bool { return a[h.Part.Var] == skewedAt }))
+					for runHi = runLo; runHi < total && sorted[runHi][h.Part.Var] == skewedAt; runHi++ {
+					}
+				}
+				rng := rand.New(rand.NewSource(total))
+				var (
+					mu    sync.Mutex
+					calls = make([]int, p)
+					lim   = make([]int64, p)
+					idx   = make([]int64, p)
+					fault string
+					sent0 = int64(-1) // probe calls sent when the first fetch left
+				)
+				loop.OnRange = func(s int, a, b int64) {
+					mu.Lock()
+					defer mu.Unlock()
+					calls[s]++
+					if sent0 < 0 {
+						sent0 = loop.AccessCalls.Load() + loop.RankCalls.Load()
+					}
+					if a < idx[s] || b > lim[s] {
+						fault = fmt.Sprintf("shard %d fetched [%d, %d) outside [%d, %d)", s, a, b, idx[s], lim[s])
+					}
+				}
+				var dst []values.Value
+				var err error
+				for _, n := range []int64{1, 40, 512, 5000} {
+					n = min(n, total)
+					k0s := []int64{0, total - n}
+					for len(k0s) < 8 {
+						k0s = append(k0s, rng.Int63n(total-n+1))
+					}
+					if runHi-runLo >= n+margin {
+						k0s = append(k0s, runLo+rng.Int63n(runHi-runLo-n-margin+1))
+					}
+					for _, k0 := range k0s {
+						k1 := k0 + n
+						c, _ := slices.BinarySearch(sums, k1)
+						for j := range lim {
+							calls[j], idx[j], lim[j] = 0, below[k0*int64(p)+int64(j)], h.PartTotals()[j]
+							if c < len(sums) {
+								lim[j] = ranks[c*p+j]
+							}
+							lim[j] = min(lim[j], idx[j]+n)
+						}
+						fault, sent0 = "", -1
+						a0, r0, rows0 := loop.AccessCalls.Load(), loop.Rounds.Load(), loop.RangeRows.Load()
+						dst, err = h.AppendRange(dst[:0], q.Head, k0, k1)
+						if err != nil || len(dst) != int(n)*len(q.Head) {
+							t.Fatalf("range [%d, %d): %d values, %v", k0, k1, len(dst), err)
+						}
+						for i, a := range sorted[k0:k1] {
+							for x, v := range q.Head {
+								if dst[i*len(q.Head)+x] != a[v] {
+									t.Fatalf("range [%d, %d) row %d: %v, baseline %v", k0, k1, i, dst[i*len(q.Head):(i+1)*len(q.Head)], a)
+								}
+							}
+						}
+						if fault != "" {
+							t.Fatalf("range [%d, %d): %s", k0, k1, fault)
+						}
+						if a, r := loop.AccessCalls.Load()-a0, loop.Rounds.Load()-r0; a != r {
+							t.Fatalf("range [%d, %d): the search sent %d fetches in %d rounds; want its rounds alone", k0, k1, a, r)
+						}
+						if sent0 >= 0 && loop.AccessCalls.Load()+loop.RankCalls.Load() != sent0 {
+							t.Fatalf("range [%d, %d): a probe call left after the first range fetch", k0, k1)
+						}
+						for j, cl := range calls {
+							if (lim[j] == idx[j] && cl > 0) || (lim[j]-idx[j] <= shard.MaxOwnedRange && cl > 2) {
+								t.Fatalf("range [%d, %d): shard %d, bound [%d, %d), fetched %d times", k0, k1, j, idx[j], lim[j], cl)
+							}
+						}
+						fetched, sent := loop.RangeRows.Load()-rows0, 0
+						for _, cl := range calls {
+							sent += cl
+						}
+						if k0 >= runLo && k1+margin <= runHi && (sent != 1 || fetched != n) {
+							t.Fatalf("range [%d, %d) inside the run [%d, %d): %d fetches of %d rows, want one of %d", k0, k1, runLo, runHi, sent, fetched, n)
+						}
+						if interleaved && float64(fetched) > 1.5*float64(n)+float64(p*shard.RangeSlack) {
+							t.Fatalf("range [%d, %d) on the uniform layout fetched %d rows to emit %d", k0, k1, fetched, n)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -23,7 +23,8 @@ type Loopback struct {
 
 	// AccessCalls, RankCalls and RangeCalls count the calls the owners
 	// receive — one fetch-and-price per owner holding a requested
-	// position, one rank call per owner priced on — and range fetches;
+	// position, one rank call per owner priced on — and range fetches,
+	// RangeRows the answers those returned;
 	// Pivots sums the positions and answers they carried, MaxBatch is
 	// the largest single call. Rounds counts the Price calls that price
 	// (a search's rounds, not its final fetch), MaxSources the most
@@ -32,14 +33,17 @@ type Loopback struct {
 	// and FillMaxBatch and hands the handle out with the counters at
 	// zero.
 	AccessCalls, RankCalls, RangeCalls, Rounds atomic.Int64
+	RangeRows                                  atomic.Int64
 	Pivots, MaxBatch, MaxSources               atomic.Int64
 	FillCalls, FillMaxBatch                    int64
 
 	// Delay is slept at the start of every call, standing in for the
 	// round trip.
 	Delay time.Duration
-	// OnCall, when set, runs at the start of every call that is sent.
-	OnCall func()
+	// OnCall, when set, runs at the start of every call that is sent;
+	// OnRange, when set, then sees each range fetch's shard and window.
+	OnCall  func()
+	OnRange func(shard int, k0, k1 int64)
 }
 
 // New wraps the owned builds of one partitioning; between them they
@@ -210,5 +214,10 @@ func (p loopPart) FetchRange(ctx context.Context, k0, k1 int64) ([]order.Answer,
 	if err := p.l.call(ctx, &p.l.RangeCalls, 0); err != nil {
 		return nil, err
 	}
-	return p.l.owned[p.l.owner[p.s]].Range(p.s, k0, k1)
+	if p.l.OnRange != nil {
+		p.l.OnRange(p.s, k0, k1)
+	}
+	rows, err := p.l.owned[p.l.owner[p.s]].Range(p.s, k0, k1)
+	p.l.RangeRows.Add(int64(len(rows)))
+	return rows, err
 }
