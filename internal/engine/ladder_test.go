@@ -173,12 +173,9 @@ func TestPlanParityAcrossOwners(t *testing.T) {
 				t.Fatalf("Kind(%s) = %+v, %v", tc.mode, kind, err)
 			}
 			// Two nodes' owned halves merge through the coordinator's
-			// machinery without a network.
-			loop, err := shardtest.New(owned...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			merged, err := loop.Handle(context.Background(), kind)
+			// machinery — its router's split, scatter and placement —
+			// without a network.
+			merged, err := shardtest.New(owned...).Handle(context.Background(), kind)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,16 +28,15 @@ type Handle struct {
 	// for SUM and materialized-SUM groups).
 	Completed order.Lex
 
-	// Exactly one of parts and remote is set: in-process structures
-	// (Merge), or parts served by other processes and probed in batches
-	// through ranker (NewRemote). Which one it is decides how wide a
+	// Exactly one of parts and router is set: in-process structures
+	// (Merge), or shards served by other processes, which the router
+	// probes in batches (NewRemote). Which one it is decides how wide a
 	// rank round is — a network round trip is worth many pivots, an
 	// in-process call is worth one. A probe keeps the buffers it
 	// borrowed from its parts for good (see newHandle); a located
 	// answer may alias one, valid until the probe's next access.
 	parts  []access.Structure
-	remote []RemotePart
-	ranker BatchRanker
+	router *router
 
 	totals []int64
 	total  int64
@@ -192,8 +191,9 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64, fetch bool) (or
 			}
 			return h.accessOne(ctx, pr, s, m)
 		}
-		if h.ranker != nil {
+		if h.router != nil {
 			h.pickPivots(pr, open)
+			h.router.searches.Add(1)
 		} else {
 			pr.pivShard, pr.pivPos = append(pr.pivShard[:0], s), append(pr.pivPos[:0], lo[s]+width/2)
 		}
@@ -251,7 +251,7 @@ func (pr *probe) narrow(k int64, s int, rk []int64) bool {
 
 // accessOne fetches the answer at local index m of shard s.
 func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (order.Answer, error) {
-	if h.ranker == nil {
+	if h.router == nil {
 		x, err := h.parts[s].AccessInto(pr.bufs[s], m)
 		if err != nil {
 			return nil, fmt.Errorf("shard: internal: part %d access(%d): %w", s, m, err)
@@ -263,7 +263,7 @@ func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (orde
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	xs, err := h.ranker.Price(ctx, append(pr.pivShard[:0], s), append(pr.pivPos[:0], m), nil)
+	xs, err := h.router.price(ctx, append(pr.pivShard[:0], s), append(pr.pivPos[:0], m), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +304,7 @@ const _ = uint(MaxPivots - MaxShards) // does not compile if a round cannot hold
 // 1/per of the window apart (see spread). The choice depends on the
 // windows alone, so a probe's rounds repeat exactly.
 func (h *Handle) pickPivots(pr *probe, open int) {
-	owners := h.ranker.Owners()
+	owners := h.router.owner
 	clear(pr.nodeOpen)
 	for j, l := range pr.lo {
 		pr.nodeOpen[owners[j]] += pr.hi[j] - l
@@ -360,11 +360,12 @@ func spread(shards []int, pos []int64, j int, l, w int64, per, stagger, o int) (
 // price runs one rank round over the pivots in pr.pivShard and
 // pr.pivPos: it fetches them and prices each on every shard, so that
 // ranks[i*P+j] is shard j's count of answers strictly below xs[i]. Over
-// remote parts that is one BatchRanker.Price — one fetch-and-price per
+// remote shards that is one router.price — one fetch-and-price per
 // owning node, one rank call per node owning not all pivots; in process
-// one AccessInto and P−1 Ranks per pivot, and xs[i] aliases its shard's probe buffer — a later pivot of
-// the same shard overwrites it (a search prices one pivot a round, the
-// splitter fill keeps only the ranks).
+// one AccessInto and P−1 Ranks per pivot, and xs[i] aliases its shard's
+// probe buffer — a later pivot of the same shard overwrites it (a
+// search prices one pivot a round, the splitter fill keeps only the
+// ranks).
 func (h *Handle) price(ctx context.Context, pr *probe) ([]order.Answer, []int64, error) {
 	p := len(h.totals)
 	n := len(pr.pivPos) * p
@@ -372,7 +373,7 @@ func (h *Handle) price(ctx context.Context, pr *probe) ([]order.Answer, []int64,
 		pr.pivRanks = make([]int64, n)
 	}
 	xs, ranks := pr.xs[:0], pr.pivRanks[:n]
-	if h.ranker == nil {
+	if h.router == nil {
 		for i, s := range pr.pivShard {
 			x, err := h.accessOne(ctx, pr, s, pr.pivPos[i])
 			if err != nil {
@@ -393,7 +394,7 @@ func (h *Handle) price(ctx context.Context, pr *probe) ([]order.Answer, []int64,
 			return nil, nil, err
 		}
 		var err error
-		if xs, err = h.ranker.Price(ctx, pr.pivShard, pr.pivPos, ranks); err != nil {
+		if xs, err = h.router.price(ctx, pr.pivShard, pr.pivPos, ranks); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -459,10 +460,11 @@ func (h *Handle) Rank(a order.Answer) (int64, bool, error) {
 // RankCtx is Rank with a caller context threaded through remote parts.
 func (h *Handle) RankCtx(ctx context.Context, a order.Answer) (int64, bool, error) {
 	var k int64
-	if h.ranker != nil {
+	if h.router != nil {
 		pr := h.getProbe()
 		defer h.putProbe(pr)
-		exact, err := h.ranker.RankAll(ctx, []order.Answer{a}, pr.ranks)
+		// One priced round: the answer on every shard of every node.
+		exact, err := h.router.rankOthers(h.router.round(ctx, 1), []order.Answer{a}, nil, pr.ranks)
 		if err != nil {
 			return 0, false, err
 		}
@@ -534,7 +536,7 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 		}
 		pr.cur[j], pr.pend[j], pr.pi[j] = nil, pr.pend[j][:0], 0
 	}
-	if h.remote != nil {
+	if h.router != nil {
 		if err := h.prime(ctx, pr, k1-k0); err != nil {
 			return dst, err
 		}
@@ -593,37 +595,24 @@ func (h *Handle) prime(ctx context.Context, pr *probe, n int64) error {
 	for j, l := range pr.lim {
 		gap += l - pr.idx[j]
 	}
-	errs := make([]error, len(h.remote))
-	var wg sync.WaitGroup
-	for j := range h.remote {
+	return Scatter(len(h.totals), func(j int) error {
 		g := pr.lim[j] - pr.idx[j]
 		if g == 0 {
-			continue
+			return nil
 		}
 		// In floating point: n·g overflows int64 on 2^62-answer shards.
 		share := int64(math.Ceil(float64(n)*float64(g)/float64(gap))) + n/int64(4*len(h.totals)) + rangeSlack
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[j] = h.fetchWindow(ctx, pr, j, min(share, n))
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		return h.fetchWindow(ctx, pr, j, min(share, n))
+	})
 }
 
-// fetchWindow fetches remote part j's next window into pr.pend[j]: want
+// fetchWindow fetches remote shard j's next window into pr.pend[j]: want
 // answers from its cursor on, but none at or past its bound and no more
 // than one Range call may carry.
 func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, want int64) error {
 	k0 := pr.idx[j]
 	k1 := k0 + min(want, pr.lim[j]-k0, maxOwnedRange)
-	rows, err := h.remote[j].FetchRange(ctx, k0, k1)
+	rows, err := h.router.nodes[h.router.owner[j]].Range(ctx, j, k0, k1)
 	if err != nil {
 		return fmt.Errorf("shard: part %d range [%d, %d): %w", j, k0, k1, err)
 	}
@@ -644,7 +633,7 @@ func (h *Handle) fillCursor(ctx context.Context, pr *probe, j int, remaining int
 		pr.cur[j] = nil
 		return nil
 	}
-	if h.remote == nil {
+	if h.router == nil {
 		x, err := h.accessOne(ctx, pr, j, pr.idx[j])
 		pr.cur[j] = x
 		return err

@@ -157,10 +157,7 @@ func ownedBuilds(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind,
 // ownersHandle is remoteHandle over n ≤ p owners, shard s on owner s mod n.
 func ownersHandle(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind, p, n int) (*shard.Handle, *shardtest.Loopback) {
 	t.Helper()
-	loop, err := shardtest.New(ownedBuilds(t, q, in, k, p, n)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loop := shardtest.New(ownedBuilds(t, q, in, k, p, n)...)
 	h, err := loop.Handle(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)

@@ -1,19 +1,15 @@
-package cluster
+package shard
 
-import (
-	"testing"
+import "testing"
 
-	"rankedaccess/internal/shard"
-)
-
-// TestAccessSplitAllocs pins the coordinator-side cost of dividing one
-// round's batched access among the nodes: five allocations whatever the
-// round carries, sized by one counting pass.
+// TestAccessSplitAllocs pins the router's cost of dividing one round's
+// batched access among the nodes: five allocations whatever the round
+// carries, sized by one counting pass.
 func TestAccessSplitAllocs(t *testing.T) {
-	r := &clusterRanker{peers: make([]rankPeer, 2), owner: []int{0, 1, 0, 1}}
-	shards, pos := make([]int, shard.PivotsPerWindow*len(r.owner)), make([]int64, shard.PivotsPerWindow*len(r.owner))
+	r := &router{nodes: make([]Node, 2), owner: []int{0, 1, 0, 1}}
+	shards, pos := make([]int, PivotsPerWindow*len(r.owner)), make([]int64, PivotsPerWindow*len(r.owner))
 	for i := range shards {
-		shards[i], pos[i] = i/shard.PivotsPerWindow, int64(i)
+		shards[i], pos[i] = i/PivotsPerWindow, int64(i)
 	}
 	batches, err := r.split(shards, pos)
 	if err != nil || len(batches) != 2 {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // SplittersPerShard is how many positions of each shard a handle prices
@@ -97,7 +96,7 @@ func (h *Handle) fillSplitters(ctx context.Context, node []int) error {
 		return nil // at most one non-empty shard
 	}
 	p, per, bytes := len(h.totals), int64(SplittersPerShard), maxSplitterBytes
-	if h.ranker == nil {
+	if h.router == nil {
 		per, bytes = inProcessSplitters, inProcessSplitterBytes
 	}
 	per = min(per, int64(bytes/(8*(p+2))/p))
@@ -113,27 +112,23 @@ func (h *Handle) fillSplitters(ctx context.Context, node []int) error {
 			lanes[node[j]] = append(lanes[node[j]], i)
 		}
 	}
+	lanes = slices.DeleteFunc(lanes, func(at []int) bool { return len(at) == 0 })
+	batches := 0
+	for _, at := range lanes {
+		batches += (len(at) + MaxPivots - 1) / MaxPivots
+	}
 	ranks := make([]int64, len(pos)*p)
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	var wg sync.WaitGroup
-	batches, busy := 0, 0
-	for _, at := range lanes {
-		if len(at) == 0 {
-			continue
+	err := Scatter(len(lanes), func(i int) error {
+		err := h.fillLane(ctx, lanes[i], shards, pos, ranks)
+		if err != nil {
+			cancel(err) // the other lanes stop before their next batch
 		}
-		batches, busy = batches+(len(at)+MaxPivots-1)/MaxPivots, busy+1
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := h.fillLane(ctx, at, shards, pos, ranks); err != nil {
-				cancel(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := context.Cause(ctx); err != nil {
 		return err
+	})
+	if err != nil {
+		return context.Cause(ctx)
 	}
 	// Into ascending global rank (distinct answers, distinct ranks).
 	sums, by := make([]int64, len(pos)), make([]int, len(pos))
@@ -144,7 +139,7 @@ func (h *Handle) fillSplitters(ctx context.Context, node []int) error {
 		}
 	}
 	slices.SortFunc(by, func(a, b int) int { return cmp.Compare(sums[a], sums[b]) })
-	t := splitters{sums: make([]int64, 0, len(by)), owner: make([]int, 0, len(by)), ranks: make([]int64, 0, len(ranks)), batches: batches, lanes: busy}
+	t := splitters{sums: make([]int64, 0, len(by)), owner: make([]int, 0, len(by)), ranks: make([]int64, 0, len(ranks)), batches: batches, lanes: len(lanes)}
 	for _, i := range by {
 		t.sums, t.owner = append(t.sums, sums[i]), append(t.owner, shards[i])
 		t.ranks = append(t.ranks, ranks[i*p:(i+1)*p]...)

@@ -107,77 +107,74 @@ func TestSplitterHits(t *testing.T) {
 	}
 }
 
-// laneMeter is the loopback as a handle's BatchRanker, watching the
-// fill's lanes: a fill batch's positions lie on one owner, its lane.
-// Per lane it counts the Price calls sent and the most in flight at
-// once, and across lanes the most in flight at once.
+// laneMeter watches the splitter fill's lanes over a loopback: a fill
+// batch is one priced round, whose lane is the node it fetches from.
+// It wraps every node and sorts their calls by round: per lane, the
+// batches sent and the most in flight at once, across lanes the most in
+// flight at once, and the rounds that fetched from two nodes.
 type laneMeter struct {
 	*shardtest.Loopback
-	mu                   sync.Mutex
-	sent, inFlight       []int
-	mostOne, mostAll     int
-	crossed, largestCall int // Price calls over two lanes; the most positions in one
+	mu               sync.Mutex
+	sent             []int
+	lane             map[int64]int // round → its lane
+	live             map[int64]int // round → its calls in flight
+	mostOne, mostAll int
+	crossed          int
 }
 
-func newLaneMeter(t *testing.T, owned []*shard.Owned) *laneMeter {
-	t.Helper()
-	loop, err := shardtest.New(owned...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &laneMeter{Loopback: loop, sent: make([]int, len(owned)), inFlight: make([]int, len(owned))}
+func newLaneMeter(owned []*shard.Owned) *laneMeter {
+	m := &laneMeter{Loopback: shardtest.New(owned...), sent: make([]int, len(owned)), lane: map[int64]int{}, live: map[int64]int{}}
+	m.Wrap = func(i int, n shard.Node) shard.Node { return meteredNode{n, m, i} }
+	return m
 }
 
-func (m *laneMeter) Price(ctx context.Context, shards []int, pos []int64, ranks []int64) ([]order.Answer, error) {
-	lane := m.Owners()[shards[0]]
+// enter records a call of round rd to node i, a fetch when fetch is
+// set, and returns the call's end.
+func (m *laneMeter) enter(rd shard.Round, i int, fetch bool) func() {
 	m.mu.Lock()
-	for _, s := range shards {
-		if m.Owners()[s] != lane {
+	defer m.mu.Unlock()
+	if fetch {
+		if _, ok := m.lane[rd.Seq]; ok {
 			m.crossed++
-			break
+		}
+		m.lane[rd.Seq] = i
+		m.sent[i]++
+	}
+	m.live[rd.Seq]++
+	perLane := map[int]int{}
+	for seq := range m.live {
+		perLane[m.lane[seq]]++
+	}
+	for _, n := range perLane {
+		m.mostOne = max(m.mostOne, n)
+	}
+	m.mostAll = max(m.mostAll, len(m.live))
+	return func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.live[rd.Seq]--; m.live[rd.Seq] == 0 {
+			delete(m.live, rd.Seq)
 		}
 	}
-	m.sent[lane]++
-	m.inFlight[lane]++
-	all := 0
-	for _, n := range m.inFlight {
-		all += n
-	}
-	m.mostOne, m.mostAll = max(m.mostOne, m.inFlight[lane]), max(m.mostAll, all)
-	m.largestCall = max(m.largestCall, len(pos))
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		m.inFlight[lane]--
-		m.mu.Unlock()
-	}()
-	return m.Loopback.Price(ctx, shards, pos, ranks)
 }
 
-// handle assembles the remote handle over the owned builds with the
-// meter as its ranker.
-func (m *laneMeter) handle(ctx context.Context, owned []*shard.Owned, k shard.Kind) (*shard.Handle, error) {
-	o := owned[0]
-	parts := make([]shard.RemotePart, len(m.Owners()))
-	for s := range parts {
-		parts[s] = ownedPart{owned[m.Owners()[s]], s}
-	}
-	return shard.NewRemote(ctx, o.Query, o.Part, parts, k.Comparator(o.Query, o.Completed()), m, o.Completed())
+// meteredNode reports node i's calls to the meter.
+type meteredNode struct {
+	shard.Node
+	m *laneMeter
+	i int
 }
 
-// ownedPart is shard s of an owned build as a remote part.
-type ownedPart struct {
-	o *shard.Owned
-	s int
+func (n meteredNode) AccessBatch(ctx context.Context, shards []int, pos []int64) ([]order.Answer, []int64, error) {
+	rd, _ := shard.RoundOf(ctx)
+	defer n.m.enter(rd, n.i, true)()
+	return n.Node.AccessBatch(ctx, shards, pos)
 }
 
-func (p ownedPart) Total() int64 {
-	n, _ := p.o.Total(p.s)
-	return n
-}
-
-func (p ownedPart) FetchRange(_ context.Context, k0, k1 int64) ([]order.Answer, error) {
-	return p.o.Range(p.s, k0, k1)
+func (n meteredNode) RankBatch(ctx context.Context, answers []order.Answer) ([]int64, []bool, error) {
+	rd, _ := shard.RoundOf(ctx)
+	defer n.m.enter(rd, n.i, false)()
+	return n.Node.RankBatch(ctx, answers)
 }
 
 // TestSplitterFillLanes: on every layout and structure kind the fill
@@ -192,15 +189,15 @@ func TestSplitterFillLanes(t *testing.T) {
 			q := cq.MustParse(rc.query)
 			k := rc.kind(q)
 			owned := ownedBuilds(t, q, lay.in, k, lay.p, min(lay.p, 2))
-			m := newLaneMeter(t, owned)
+			m := newLaneMeter(owned)
 			m.Delay = time.Millisecond
-			h, err := m.handle(context.Background(), owned, k)
+			h, err := m.Handle(context.Background(), k)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", lay.name, rc.name, err)
 			}
-			if m.mostOne > 1 || m.crossed > 0 || m.largestCall > shard.MaxPivots || m.MaxBatch.Load() > shard.MaxPivots {
-				t.Fatalf("%s/%s: a lane had %d batches in flight, %d batches spanned two lanes, the largest held %d positions and the largest call %d (cap %d)",
-					lay.name, rc.name, m.mostOne, m.crossed, m.largestCall, m.MaxBatch.Load(), shard.MaxPivots)
+			if m.mostOne > 1 || m.crossed > 0 || m.FillMaxBatch > shard.MaxPivots {
+				t.Fatalf("%s/%s: a lane had %d batches in flight, %d batches spanned two lanes and the largest call held %d (cap %d)",
+					lay.name, rc.name, m.mostOne, m.crossed, m.FillMaxBatch, shard.MaxPivots)
 			}
 			n, batches, lanes := h.SplitterFill()
 			sent, busy := 0, 0
@@ -230,7 +227,7 @@ func TestSplitterFillStopsBetweenBatches(t *testing.T) {
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
 	owned := ownedBuilds(t, q, randomInstance(7, 12000, 1000, 100, 20), k, 4, 2)
-	h, err := newLaneMeter(t, owned).handle(context.Background(), owned, k)
+	h, err := newLaneMeter(owned).Handle(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +235,7 @@ func TestSplitterFillStopsBetweenBatches(t *testing.T) {
 		t.Fatalf("%d splitters in %d batches over %d lanes; want two lanes of two batches or more", n, batches, lanes)
 	}
 
-	m := newLaneMeter(t, owned)
+	m := newLaneMeter(owned)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	both := make(chan struct{})
@@ -258,7 +255,7 @@ func TestSplitterFillStopsBetweenBatches(t *testing.T) {
 			close(both)
 		}
 	}
-	if h, err := m.handle(ctx, owned, k); !errors.Is(err, context.Canceled) || h != nil {
+	if h, err := m.Handle(ctx, k); !errors.Is(err, context.Canceled) || h != nil {
 		t.Fatalf("handle assembled under a context cancelled mid-fill = %v, %v; want none, context.Canceled", h, err)
 	}
 	if !slices.Equal(m.sent, []int{1, 1}) || calls.Load() != 2 {
