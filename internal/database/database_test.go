@@ -257,3 +257,25 @@ func TestEncodeKeyDistinguishes(t *testing.T) {
 		t.Fatal("negative key collision")
 	}
 }
+
+func TestSwapRemoveReportsMovedTuple(t *testing.T) {
+	r := FromRows([][]values.Value{row(1, 1), row(2, 2), row(3, 3)})
+	if moved := r.SwapRemove(0); moved != 2 {
+		t.Fatalf("removing tuple 0 of 3 moved %d, want 2", moved)
+	}
+	if got := r.Rows(); len(got) != 2 || got[0][0] != 3 || got[1][0] != 2 {
+		t.Fatalf("after removing tuple 0: %v", got)
+	}
+	if moved := r.SwapRemove(1); moved != -1 {
+		t.Fatalf("removing the last tuple moved %d, want -1", moved)
+	}
+	if got := r.Rows(); len(got) != 1 || got[0][0] != 3 {
+		t.Fatalf("after removing the last tuple: %v", got)
+	}
+	b := NewRelation(0)
+	b.Append()
+	b.Append()
+	if moved := b.SwapRemove(0); moved != 1 || b.Len() != 1 {
+		t.Fatalf("nullary: moved %d, %d tuples left", moved, b.Len())
+	}
+}

@@ -113,6 +113,29 @@ func (r *Relation) RemoveAll(tuple []values.Value) int {
 	return removed
 }
 
+// SwapRemove deletes tuple i by moving the last tuple into its slot and
+// returns the moved tuple's old position, or -1 when i was the last
+// tuple and nothing moved. Callers that index tuple positions use the
+// report to re-point the moved tuple.
+func (r *Relation) SwapRemove(i int) (moved int) {
+	n := r.Len()
+	if i < 0 || i >= n {
+		panic(fmt.Sprintf("database: swap-remove tuple %d of %d", i, n))
+	}
+	last := n - 1
+	moved = -1
+	if i != last {
+		copy(r.data[i*r.arity:(i+1)*r.arity], r.data[last*r.arity:(last+1)*r.arity])
+		moved = last
+	}
+	if r.arity == 0 {
+		r.data = r.data[:last]
+	} else {
+		r.data = r.data[:last*r.arity]
+	}
+	return moved
+}
+
 // Tuple returns a read-only view of tuple i (do not mutate or retain
 // across appends).
 func (r *Relation) Tuple(i int) []values.Value {

@@ -169,37 +169,81 @@ func TestDiffMatchesNaiveRecompute(t *testing.T) {
 			t.Fatal("CollectSpan refused a reset-free span")
 		}
 		member := func(a order.Answer) bool { return oldSet[answerKey(q, a)] }
-		adds, dels := Diff(q, cur, sp, member)
-
-		// Applying the diff to the old answer set must give the new one.
-		got := make(map[[4]values.Value]bool, len(oldSet))
-		for k := range oldSet {
-			got[k] = true
-		}
-		for _, d := range dels {
-			k := answerKey(q, d)
-			if !got[k] {
-				t.Fatalf("trial %d: del %v not in old answers", trial, d)
-			}
-			delete(got, k)
-		}
-		for _, a := range adds {
-			k := answerKey(q, a)
-			if got[k] {
-				t.Fatalf("trial %d: add %v already present", trial, a)
-			}
-			got[k] = true
-		}
-		if len(got) != len(curSet) {
-			t.Fatalf("trial %d: merged %d answers, want %d", trial, len(got), len(curSet))
-		}
-		for k := range curSet {
-			if !got[k] {
-				t.Fatalf("trial %d: merged set missing %v", trial, k)
-			}
+		for _, ix := range []Index{nil, chainIndex{cur}} {
+			adds, dels := Diff(q, cur, sp, member, ix)
+			checkDiff(t, trial, q, oldSet, curSet, adds, dels)
 		}
 	}
 }
+
+// checkDiff checks that applying adds and dels to the old answer set
+// gives the new one.
+func checkDiff(t *testing.T, trial int, q *cq.Query, oldSet, curSet map[[4]values.Value]bool, adds, dels []order.Answer) {
+	t.Helper()
+	got := make(map[[4]values.Value]bool, len(oldSet))
+	for k := range oldSet {
+		got[k] = true
+	}
+	for _, d := range dels {
+		k := answerKey(q, d)
+		if !got[k] {
+			t.Fatalf("trial %d: del %v not in old answers", trial, d)
+		}
+		delete(got, k)
+	}
+	for _, a := range adds {
+		k := answerKey(q, a)
+		if got[k] {
+			t.Fatalf("trial %d: add %v already present", trial, a)
+		}
+		got[k] = true
+	}
+	if len(got) != len(curSet) {
+		t.Fatalf("trial %d: merged %d answers, want %d", trial, len(got), len(curSet))
+	}
+	for k := range curSet {
+		if !got[k] {
+			t.Fatalf("trial %d: merged set missing %v", trial, k)
+		}
+	}
+}
+
+// chainIndex is a reference Index over an instance, built afresh per
+// column: each value's rows chained in ascending position order.
+type chainIndex struct{ in *database.Instance }
+
+type chainColumn struct {
+	first map[values.Value]int32
+	n     map[values.Value]int
+	next  []int32
+}
+
+func (x chainIndex) Column(rel string, col int) Column {
+	r := x.in.Relation(rel)
+	if r == nil || col >= r.Arity() {
+		return nil
+	}
+	c := &chainColumn{first: map[values.Value]int32{}, n: map[values.Value]int{}, next: make([]int32, r.Len())}
+	for p := r.Len() - 1; p >= 0; p-- {
+		v := r.Tuple(p)[col]
+		c.next[p] = -1
+		if f, ok := c.first[v]; ok {
+			c.next[p] = f
+		}
+		c.first[v] = int32(p)
+		c.n[v]++
+	}
+	return c
+}
+
+func (c *chainColumn) Lookup(v values.Value) (int32, int) {
+	if f, ok := c.first[v]; ok {
+		return f, c.n[v]
+	}
+	return -1, 0
+}
+
+func (c *chainColumn) Next(p int32) int32 { return c.next[p] }
 
 func TestCollectSpanReset(t *testing.T) {
 	batches := []Batch{{Seq: 2, Muts: []Mutation{{Op: OpReset, Rel: "R"}}}}

@@ -8,7 +8,7 @@ import (
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/delta"
 	"rankedaccess/internal/order"
-	"rankedaccess/internal/values"
+	"rankedaccess/internal/tupleidx"
 )
 
 // This file is the engine's catch-up path: advancing a structure built
@@ -21,6 +21,7 @@ import (
 // a referenced relation, an overlay-ineligible structure, or a delta
 // past the hard limit).
 func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Handle {
+	start := time.Now()
 	batches, ok := e.wlog.Since(stale.version)
 	if !ok || stale.rels == nil {
 		e.deltaRebuilds.Add(1)
@@ -59,7 +60,7 @@ func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Han
 		_, m := stale.st.Rank(a)
 		return m
 	}
-	adds, dels := delta.Diff(stale.Query, e.in, sp, member)
+	adds, dels := delta.Diff(stale.Query, e.in, sp, member, e.idx)
 	newAdds, newDels := mergeEdits(stale, adds, dels)
 	if len(newAdds)+len(newDels) > e.deltaHard {
 		e.deltaRebuilds.Add(1)
@@ -77,6 +78,9 @@ func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Han
 	nh.st, nh.ov = ov, ov
 	nh.ovAdds, nh.ovDels = newAdds, newDels
 	e.deltaEpochs.Add(1)
+	if h := e.catchupSeconds.Load(); h != nil {
+		h.ObserveDuration(time.Since(start))
+	}
 	if ov.Edits() > e.deltaSoft {
 		e.spawnRebuild(s, key)
 	}
@@ -121,53 +125,50 @@ func sumByInHead(h *Handle) bool {
 // edit sets, flattening cancellations: an answer that reappears erases
 // its pending delete, one that disappears erases its pending add. The
 // returned sets are always relative to the handle's BASE structure, so
-// the overlay never chains.
+// the overlay never chains. Every edit is keyed on its head columns in
+// one tupleidx, and the sets come back in first-seen order.
 func mergeEdits(h *Handle, adds, dels []order.Answer) (newAdds, newDels []order.Answer) {
-	addm := make(map[string]order.Answer, len(h.ovAdds)+len(adds))
-	delm := make(map[string]order.Answer, len(h.ovDels)+len(dels))
+	head := make([]int, len(h.Query.Head))
+	for i, v := range h.Query.Head {
+		head[i] = int(v)
+	}
+	n := len(h.ovAdds) + len(h.ovDels) + len(adds) + len(dels)
+	keys := tupleidx.New(len(head), n)
+	edit := make([]order.Answer, 0, n) // per key id: the pending edit's answer
+	added := make([]int8, 0, n)        // per key id: +1 add, -1 delete, 0 none
+	fold := func(a order.Answer, sign int8) {
+		id, fresh := keys.InsertCols(a, head)
+		if fresh {
+			edit, added = append(edit, a), append(added, sign)
+			return
+		}
+		if added[id] == -sign {
+			added[id] = 0 // the edit undoes the pending one
+			return
+		}
+		edit[id], added[id] = a, sign
+	}
 	for _, a := range h.ovAdds {
-		addm[headKey(h, a)] = a
+		fold(a, 1)
 	}
 	for _, d := range h.ovDels {
-		delm[headKey(h, d)] = d
+		fold(d, -1)
 	}
 	for _, a := range adds {
-		k := headKey(h, a)
-		if _, ok := delm[k]; ok {
-			delete(delm, k) // deleted base answer came back
-		} else {
-			addm[k] = a
-		}
+		fold(a, 1)
 	}
 	for _, d := range dels {
-		k := headKey(h, d)
-		if _, ok := addm[k]; ok {
-			delete(addm, k) // previously added answer is gone again
-		} else {
-			delm[k] = d
+		fold(d, -1)
+	}
+	for id, sign := range added {
+		switch sign {
+		case 1:
+			newAdds = append(newAdds, edit[id])
+		case -1:
+			newDels = append(newDels, edit[id])
 		}
 	}
-	newAdds = make([]order.Answer, 0, len(addm))
-	for _, a := range addm {
-		newAdds = append(newAdds, a)
-	}
-	newDels = make([]order.Answer, 0, len(delm))
-	for _, d := range delm {
-		newDels = append(newDels, d)
-	}
 	return newAdds, newDels
-}
-
-// headKey encodes an answer's head projection as a map key.
-func headKey(h *Handle, a order.Answer) string {
-	buf := make([]byte, 0, len(h.Query.Head)*8)
-	for _, v := range h.Query.Head {
-		u := uint64(values.Value(a[v]))
-		buf = append(buf,
-			byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
-			byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
-	}
-	return string(buf)
 }
 
 // spawnRebuild schedules a background re-preprocess for the spec,

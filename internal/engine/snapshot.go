@@ -213,7 +213,7 @@ func Open(dir string, opts Options) (*Engine, bool, error) {
 			}
 			break
 		}
-		applyMuts(e.in, b.Muts)
+		e.idx.applyMuts(b.Muts)
 		e.wlog.Append(b)
 		e.version = b.Seq
 	}
@@ -353,6 +353,7 @@ func (e *Engine) loadSnapshot(path string, fresh bool) (RestoreInfo, error) {
 	}
 
 	e.in = in
+	e.idx = newRelIndexes(in)
 	e.version = version
 	e.vnow.Store(version)
 	// The log tail cannot express the wholesale replacement that just

@@ -146,6 +146,7 @@ func newServerMetrics(s *server) *serverMetrics {
 			m.reg.GaugeFunc(name, help, read)
 		}
 	}
+	s.e.RegisterMetrics(m.reg)
 	m.logsSampledOut = m.reg.Counter("ra_http_request_logs_sampled_out_total",
 		"request-log records dropped by under-load sampling")
 	if s.cfg.ExtraMetrics != nil {

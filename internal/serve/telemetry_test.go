@@ -224,3 +224,30 @@ func TestRetiredUnversionedPathsAnswer404(t *testing.T) {
 		t.Errorf("retired paths touched the engine: stats %+v -> %+v", before, after)
 	}
 }
+
+// TestCatchupHistogram scrapes ra_engine_catchup_seconds around a write
+// and the probe that catches up after it: the probe publishes one
+// overlay epoch, which the histogram observes once.
+func TestCatchupHistogram(t *testing.T) {
+	srv, _ := resilServer(t, engine.Options{}, Config{})
+	register(t, srv, "q", twoPath, "x, y, z")
+	post(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}}, nil)
+	const count, inf = `ra_engine_catchup_seconds_count`, `ra_engine_catchup_seconds_bucket|le=+Inf`
+	if got := scrapeMetrics(t, srv); got[count] != 0 || got[inf] != 0 {
+		t.Fatalf("before any write: count %v, +Inf bucket %v", got[count], got[inf])
+	}
+	post(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
+		{Relation: "R", Insert: [][]values.Value{{7, 5}}},
+	}}, nil)
+	post(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}}, nil)
+	got := scrapeMetrics(t, srv)
+	if got[count] != 1 || got[inf] != 1 {
+		t.Fatalf("after a write and a probe: count %v, +Inf bucket %v; want 1", got[count], got[inf])
+	}
+	if sum := got[`ra_engine_catchup_seconds_sum`]; sum <= 0 || sum > 10 {
+		t.Fatalf("catch-up seconds sum %v", sum)
+	}
+	if v := got[`ra_engine_delta_epochs_total`]; v != 1 {
+		t.Fatalf("delta epochs %v, want 1 (the histogram observes exactly these)", v)
+	}
+}

@@ -87,6 +87,10 @@ func New(arity, capHint int) *Index {
 // Len returns the number of distinct keys inserted.
 func (x *Index) Len() int { return x.n }
 
+// Bytes returns the heap bytes the index holds: its key storage and its
+// slot table.
+func (x *Index) Bytes() int { return cap(x.keys)*8 + len(x.table)*4 }
+
 // Key returns a read-only view of the key with the given id (do not
 // mutate; valid until the index is garbage).
 func (x *Index) Key(id int) []values.Value {
