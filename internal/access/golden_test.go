@@ -1,15 +1,18 @@
 package access
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
 	"rankedaccess/internal/fd"
+	"rankedaccess/internal/reduce"
 	"rankedaccess/internal/values"
 	"rankedaccess/internal/workload"
 )
@@ -120,5 +123,30 @@ func TestLayeredBuildGolden(t *testing.T) {
 				t.Errorf("parts hash %s, want %s", got, c.want)
 			}
 		})
+	}
+}
+
+// TestBucketizeRefusesDuplicateRows: a layer relation is a set, and
+// bucketize checks it rather than counting a repeated tuple twice.
+func TestBucketizeRefusesDuplicateRows(t *testing.T) {
+	q, in := workload.TwoPath(rand.New(rand.NewSource(1)), 64, 8, 0.4)
+	full, err := reduce.FreeReduce(q, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed, err := completeOrder(full, lex(t, q, "x, y, z"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := &lexBuild{Lex: &Lex{Query: q, numVars: q.NumVars()}}
+	if err := lb.buildTree(full, completed); err != nil {
+		t.Fatal(err)
+	}
+	lb.semijoinReduce()
+	leaf := lb.rels[len(lb.rels)-1]
+	leaf.Append(leaf.Tuple(leaf.Len() / 2)...)
+	err = lb.computeWeights(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "duplicate tuple") {
+		t.Fatalf("computeWeights over a repeated tuple: %v, want a duplicate-tuple error", err)
 	}
 }

@@ -289,7 +289,9 @@ func completeOrder(full *reduce.Full, l order.Lex) (order.Lex, error) {
 // buildTree realizes Lemma 3.9: one layer per completed-order position,
 // each layer's node being the maximal prefix-restricted hyperedge
 // containing the layer variable, attached to an earlier layer containing
-// its key variables.
+// its key variables. It then materializes every layer's relation as a
+// set (columns keyVars..., v) filtered by every full node, which
+// semijoinReduce makes globally consistent and bucketize sorts.
 func (lb *lexBuild) buildTree(full *reduce.Full, completed order.Lex) error {
 	la := lb.Lex
 	f := len(completed.Entries)
@@ -381,7 +383,11 @@ func (lb *lexBuild) buildTree(full *reduce.Full, completed order.Lex) error {
 	}
 
 	// Materialize layer relations: project the source node, then enforce
-	// every full node's constraint on some covering layer.
+	// every full node's constraint on some covering layer. FreeReduce's
+	// nodes are sets, so a layer holding every variable of its source
+	// node is a column permutation of it: already a set and already
+	// filtered by that node. Only a proper projection can repeat tuples.
+	whole := func(i int) bool { return layerSets[i] == nodeSets[srcNode[i]] }
 	lb.rels = make([]*database.Relation, f)
 	// Each layer projects its own source node into a fresh relation —
 	// independent units, fanned out over bounded workers.
@@ -393,9 +399,18 @@ func (lb *lexBuild) buildTree(full *reduce.Full, completed order.Lex) error {
 			cols = append(cols, src.Col(u))
 		}
 		cols = append(cols, src.Col(ly.v))
-		lb.rels[i] = src.Rel.Project(cols).Dedup()
+		lb.rels[i] = src.Rel.Project(cols)
+		if !whole(i) {
+			lb.rels[i] = lb.rels[i].Dedup()
+		}
 	})
+nodes:
 	for idx, n := range full.Nodes {
+		for i := range la.layers {
+			if srcNode[i] == idx && whole(i) {
+				continue nodes
+			}
+		}
 		// Pick the first covering layer and semijoin it with the node.
 		for i := range la.layers {
 			if hypergraph.Subset(nodeSets[idx], layerSets[i]) {

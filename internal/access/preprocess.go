@@ -112,41 +112,19 @@ func (lb *lexBuild) computeWeights(ctx context.Context) error {
 // child buckets every tuple selects into childOf and computes starts from
 // the tuples' weights (children of i are already bucketized).
 //
-// Grouping is columnar: the layer relation's flat storage is sorted in
-// place by (key columns ascending, layer value under the direction), and
-// buckets are the equal-key runs. No per-row key is materialized; the
-// only per-layer allocations are the output arrays themselves.
+// Grouping is columnar: one radix sort (tupleidx.SortRows) orders the
+// layer relation's flat storage in place by (key columns ascending,
+// layer value under the direction), and buckets are the equal-key runs.
+// No per-row key is materialized; the only per-layer allocations are the
+// sort's scratch and the output arrays themselves. A layer relation is a
+// set — buildTree deduplicates what a projection can repeat — and two
+// equal adjacent rows are refused as an internal error.
 func (lb *lexBuild) bucketize(i int) error {
 	ly := &lb.layers[i]
 	rel := lb.rels[i]
 	nk := len(ly.keyVars)
 	n := rel.Len()
-	arity := nk + 1
-
-	if nk == 0 {
-		// Root-shaped layer: one bucket, plain value sort (radix for
-		// large inputs), reversed for descending order.
-		data := rel.Data()
-		tupleidx.SortValues(data)
-		if ly.dir == order.Desc {
-			for a, b := 0, len(data)-1; a < b; a, b = a+1, b-1 {
-				data[a], data[b] = data[b], data[a]
-			}
-		}
-	} else {
-		desc := ly.dir == order.Desc
-		tupleidx.SortFlat(rel.Data(), arity, func(a, b []values.Value) bool {
-			for c := 0; c < nk; c++ {
-				if a[c] != b[c] {
-					return a[c] < b[c]
-				}
-			}
-			if desc {
-				return a[nk] > b[nk]
-			}
-			return a[nk] < b[nk]
-		})
-	}
+	tupleidx.SortRows(rel.Data(), nk+1, ly.dir == order.Desc)
 
 	index := tupleidx.New(nk, n)
 	ly.vals = make([]values.Value, 0, n)
@@ -177,10 +155,14 @@ func (lb *lexBuild) bucketize(i int) error {
 		if !added || b != len(ly.bucketStart) {
 			return fmt.Errorf("access: internal: duplicate bucket key in sorted layer %d", i)
 		}
-		ly.bucketStart = append(ly.bucketStart, len(ly.vals))
+		first := len(ly.vals)
+		ly.bucketStart = append(ly.bucketStart, first)
 		bucketSum := checked.NewCounter(0)
 		for ; t < end; t++ {
 			tu := rel.Tuple(t)
+			if t > first && tu[nk] == ly.vals[t-1] {
+				return fmt.Errorf("access: internal: duplicate tuple in layer %d", i)
+			}
 			sel := ly.childOf[t*nc : t*nc+nc]
 			if c := lb.selectChildren(i, tu[:nk], tu[nk], scratch, sel); c >= 0 {
 				return fmt.Errorf("access: internal: missing child bucket after reduction (layer %d -> %d)", i, c)

@@ -7,7 +7,6 @@ package database
 
 import (
 	"fmt"
-	"sort"
 
 	"rankedaccess/internal/tupleidx"
 	"rankedaccess/internal/values"
@@ -206,26 +205,6 @@ func (r *Relation) Filter(pred func(t []values.Value) bool) *Relation {
 	return out
 }
 
-// SortBy sorts tuples in place with the given comparator over tuples.
-func (r *Relation) SortBy(less func(a, b []values.Value) bool) {
-	if r.arity == 0 {
-		return
-	}
-	n := r.Len()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		return less(r.Tuple(idx[i]), r.Tuple(idx[j]))
-	})
-	sorted := make([]values.Value, 0, len(r.data))
-	for _, i := range idx {
-		sorted = append(sorted, r.Tuple(i)...)
-	}
-	r.data = sorted
-}
-
 // SortLex sorts tuples in place by columnwise ascending value order,
 // operating directly on the flat storage (no per-tuple allocation;
 // equal tuples are interchangeable, so stability is moot).
@@ -273,23 +252,4 @@ func (r *Relation) Rows() [][]values.Value {
 		out[i] = append([]values.Value(nil), r.Tuple(i)...)
 	}
 	return out
-}
-
-// encodeValue appends a fixed-width big-endian encoding of v to key.
-func encodeValue(key []byte, v values.Value) []byte {
-	u := uint64(v)
-	return append(key,
-		byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
-		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
-}
-
-// EncodeKey returns a hashable key for the given columns of tuple t.
-// Retained for callers that need a string-embeddable key; hot paths use
-// tupleidx instead.
-func EncodeKey(buf []byte, t []values.Value, cols []int) []byte {
-	buf = buf[:0]
-	for _, c := range cols {
-		buf = encodeValue(buf, t[c])
-	}
-	return buf
 }

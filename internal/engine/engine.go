@@ -453,8 +453,9 @@ type Engine struct {
 	walErrors                           atomic.Uint64
 
 	// catchupSeconds, once RegisterMetrics attached it, observes every
-	// catch-up that publishes an overlay epoch.
-	catchupSeconds atomic.Pointer[metrics.Histogram]
+	// catch-up that publishes an overlay epoch; buildSeconds every
+	// structure build that succeeds, synchronous or in the background.
+	catchupSeconds, buildSeconds atomic.Pointer[metrics.Histogram]
 
 	// Snapshot state: counters, the open file mappings warm structures
 	// alias (released by Close, never before), and what the newest
@@ -509,11 +510,15 @@ func New(in *database.Instance, opts Options) *Engine {
 
 // RegisterMetrics attaches the engine's own series to reg: the
 // latency histogram of catch-ups that publish an overlay epoch, whose
-// buckets start at 10 µs (an indexed one-row catch-up takes tens).
+// buckets start at 10 µs (an indexed one-row catch-up takes tens), and
+// that of structure builds.
 func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 	e.catchupSeconds.Store(reg.Histogram("ra_engine_catchup_seconds",
 		"catch-ups that published an overlay epoch: the delta join, the edit merge and the overlay build",
 		append([]float64{0.00001, 0.000025, 0.00005}, metrics.DefBuckets...)))
+	e.buildSeconds.Store(reg.Histogram("ra_engine_build_seconds",
+		"structure builds that succeeded: cache misses, stale handles no overlay could catch up, and background rebuilds",
+		nil))
 }
 
 // versionNow reads the instance version without locking; registered
@@ -1117,8 +1122,15 @@ func ladder(ctx context.Context, p *parsed, plan *Plan, build func(shard.Kind, c
 // the instance is stable throughout. Layered-lex builds, sharded or
 // not, check ctx at every preprocessing wave boundary; the other
 // structure kinds check it once before their (uninterruptible)
-// construction.
-func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
+// construction. A build that succeeds is observed by buildSeconds.
+func (e *Engine) build(ctx context.Context, s Spec) (h *Handle, err error) {
+	if hist := e.buildSeconds.Load(); hist != nil {
+		defer func(start time.Time) {
+			if err == nil {
+				hist.ObserveDuration(time.Since(start))
+			}
+		}(time.Now())
+	}
 	if e.remote != nil {
 		return e.buildRemote(ctx, s)
 	}
@@ -1138,7 +1150,7 @@ func (e *Engine) build(ctx context.Context, s Spec) (*Handle, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 	}
-	h := &Handle{Query: p.q, spec: s, rels: queryRels(p.q)}
+	h = &Handle{Query: p.q, spec: s, rels: queryRels(p.q)}
 	err = ladder(ctx, p, &h.Plan, func(k shard.Kind, wfd classify.WithFDs) (err error) {
 		if shards > 1 {
 			err := e.buildSharded(ctx, h, p, k, wfd, s.ShardBy, shards)

@@ -10,6 +10,7 @@ import (
 	"rankedaccess/internal/fd"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/reduce"
+	"rankedaccess/internal/tupleidx"
 	"rankedaccess/internal/values"
 )
 
@@ -229,20 +230,26 @@ func subtreeCounts(tree *reduce.Tree) ([][]int64, error) {
 		for _, c := range tree.Children[u] {
 			child := nodes[c]
 			uCols, cCols := reduce.SharedCols(n, child)
-			// Group child counts by join key.
-			sums := make(map[string]int64, child.Rel.Len())
-			var key []byte
+			// Group child counts by join key: sums[id] for key id.
+			keys := tupleidx.New(len(cCols), child.Rel.Len())
+			var sums []int64
 			for i := 0; i < child.Rel.Len(); i++ {
-				key = database.EncodeKey(key, child.Rel.Tuple(i), cCols)
-				s, err := checked.Add(sums[string(key)], counts[c][i])
+				id, added := keys.InsertCols(child.Rel.Tuple(i), cCols)
+				if added {
+					sums = append(sums, 0)
+				}
+				s, err := checked.Add(sums[id], counts[c][i])
 				if err != nil {
 					return nil, fmt.Errorf("selection: %w", err)
 				}
-				sums[string(key)] = s
+				sums[id] = s
 			}
 			for i := 0; i < n.Rel.Len(); i++ {
-				key = database.EncodeKey(key, n.Rel.Tuple(i), uCols)
-				m, err := checked.Mul(cnt[i], sums[string(key)])
+				var sum int64
+				if id, ok := keys.LookupCols(n.Rel.Tuple(i), uCols); ok {
+					sum = sums[id]
+				}
+				m, err := checked.Mul(cnt[i], sum)
 				if err != nil {
 					return nil, fmt.Errorf("selection: %w", err)
 				}

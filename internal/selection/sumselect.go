@@ -12,6 +12,7 @@ import (
 	"rankedaccess/internal/fd"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/reduce"
+	"rankedaccess/internal/tupleidx"
 )
 
 // SelectSum returns the k-th answer (0-based) of q over in by increasing
@@ -186,38 +187,32 @@ func selectMatrix(c *reduce.Contraction, k int64) (order.Answer, error) {
 	wA := tupleWeights(A, c.Weights, nil)
 	wB := tupleWeights(B, c.Weights, shared) // shared variables counted on the A side
 
-	// Bucket by shared-variable values.
-	bucketsA := map[string]*side{}
-	bucketsB := map[string]*side{}
-	var keys []string
-	var buf []byte
+	// Bucket by shared-variable values: bucket id is the key's id in
+	// keys, in order of first appearance on the A side.
+	keys := tupleidx.New(len(shared), A.Rel.Len())
+	var sidesA, sidesB []side
 	for i := 0; i < A.Rel.Len(); i++ {
-		buf = database.EncodeKey(buf, A.Rel.Tuple(i), aCols)
-		s := bucketsA[string(buf)]
-		if s == nil {
-			s = &side{}
-			bucketsA[string(buf)] = s
-			keys = append(keys, string(buf))
+		id, added := keys.InsertCols(A.Rel.Tuple(i), aCols)
+		if added {
+			sidesA, sidesB = append(sidesA, side{}), append(sidesB, side{})
 		}
+		s := &sidesA[id]
 		s.w = append(s.w, wA[i])
 		s.idx = append(s.idx, i)
 	}
 	for i := 0; i < B.Rel.Len(); i++ {
-		buf = database.EncodeKey(buf, B.Rel.Tuple(i), bCols)
-		s := bucketsB[string(buf)]
-		if s == nil {
-			s = &side{}
-			bucketsB[string(buf)] = s
+		if id, ok := keys.LookupCols(B.Rel.Tuple(i), bCols); ok {
+			s := &sidesB[id]
+			s.w = append(s.w, wB[i])
+			s.idx = append(s.idx, i)
 		}
-		s.w = append(s.w, wB[i])
-		s.idx = append(s.idx, i)
 	}
 	type bucket struct{ a, b *side }
 	var bs []bucket
 	total := checked.NewCounter(0)
-	for _, key := range keys {
-		a, b := bucketsA[key], bucketsB[key]
-		if a == nil || b == nil || len(a.w) == 0 || len(b.w) == 0 {
+	for id := range sidesA {
+		a, b := &sidesA[id], &sidesB[id]
+		if len(a.w) == 0 || len(b.w) == 0 {
 			continue
 		}
 		sortSide(a)

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"rankedaccess/internal/api"
 	"rankedaccess/internal/engine"
@@ -249,5 +250,42 @@ func TestCatchupHistogram(t *testing.T) {
 	}
 	if v := got[`ra_engine_delta_epochs_total`]; v != 1 {
 		t.Fatalf("delta epochs %v, want 1 (the histogram observes exactly these)", v)
+	}
+}
+
+// TestBuildHistogram scrapes ra_engine_build_seconds through a
+// registration, whose synchronous build it observes, and a write large
+// enough to push the overlay past DeltaSoft, whose background rebuild
+// it observes once it has swapped in.
+func TestBuildHistogram(t *testing.T) {
+	srv, _ := resilServer(t, engine.Options{DeltaSoft: 1}, Config{})
+	const count = `ra_engine_build_seconds_count`
+	if got := scrapeMetrics(t, srv)[count]; got != 0 {
+		t.Fatalf("before any build: count %v", got)
+	}
+	register(t, srv, "q", twoPath, "x, y, z")
+	post(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}}, nil)
+	got := scrapeMetrics(t, srv)
+	if got[count] != 1 || got[`ra_engine_build_seconds_bucket|le=+Inf`] != 1 {
+		t.Fatalf("after a registration: count %v, +Inf bucket %v; want 1", got[count], got[`ra_engine_build_seconds_bucket|le=+Inf`])
+	}
+	if sum := got[`ra_engine_build_seconds_sum`]; sum <= 0 || sum > 10 {
+		t.Fatalf("build seconds sum %v", sum)
+	}
+	post(t, srv, "/v1/write", api.WriteRequest{Writes: []api.Write{
+		{Relation: "R", Insert: [][]values.Value{{7, 5}, {8, 5}}},
+	}}, nil)
+	post(t, srv, "/v1/queries/q/access", api.AccessRequest{Ks: []int64{0}}, nil)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		got = scrapeMetrics(t, srv)
+		if got[`ra_engine_bg_rebuilds_total`] == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no background rebuild swapped in: %v", got[`ra_engine_bg_rebuilds_total`])
+		}
+	}
+	if got[count] != 2 {
+		t.Fatalf("after a background rebuild: count %v, want 2", got[count])
 	}
 }

@@ -92,6 +92,6 @@ func BenchmarkSortValues_Radix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, src)
-		SortValues(work)
+		SortRows(work, 1, false)
 	}
 }

@@ -2,6 +2,7 @@ package tupleidx
 
 import (
 	"encoding/binary"
+	"sort"
 	"testing"
 
 	"rankedaccess/internal/values"
@@ -104,6 +105,59 @@ func FuzzIndexVsStringMap(f *testing.F) {
 			for j := range tu {
 				if k[j] != tu[j] {
 					t.Fatalf("Key(%d) = %v, want %v", id, k, tu)
+				}
+			}
+		}
+	})
+}
+
+// FuzzSortRows holds SortRows to sort.Slice over row views: arities 1–4,
+// any int64 (the seeds reach math.MinInt64 and math.MaxInt64, whose
+// top digits differ only by the sign correction), the last column
+// ascending or descending.
+func FuzzSortRows(f *testing.F) {
+	word := func(vs ...uint64) []byte {
+		var out []byte
+		for _, v := range vs {
+			out = binary.BigEndian.AppendUint64(out, v)
+		}
+		return out
+	}
+	const minInt, maxInt, minusOne = 1 << 63, 1<<63 - 1, 1<<64 - 1
+	f.Add(uint8(0), false, word(3, 1, 2, 1))
+	f.Add(uint8(0), true, word(minInt, maxInt, 0, minusOne, 1, minInt))
+	f.Add(uint8(1), false, word(1, minInt, 1, maxInt, 0, 5, minusOne, 5, 1, minInt))
+	f.Add(uint8(1), true, word(1, minInt, 1, maxInt, 0, 5, minusOne, 5, 1, 0))
+	f.Add(uint8(2), true, word(7, 7, 7, 7, 7, 7, 7, 7, 6, minusOne, 256, 1<<40))
+	f.Add(uint8(3), false, word(minInt, maxInt, 0, 1, minInt, maxInt, 0, 0, maxInt, minInt, 2, 2))
+	f.Fuzz(func(t *testing.T, arity8 uint8, desc bool, data []byte) {
+		arity := int(arity8%4) + 1
+		n := len(data) / (8 * arity)
+		flat := make([]values.Value, n*arity)
+		for i := range flat {
+			flat[i] = values.Value(binary.BigEndian.Uint64(data[8*i:]))
+		}
+		rows := make([][]values.Value, n)
+		for i := range rows {
+			rows[i] = append([]values.Value(nil), flat[i*arity:(i+1)*arity]...)
+		}
+		sort.Slice(rows, func(i, j int) bool {
+			a, b := rows[i], rows[j]
+			for c := 0; c < arity-1; c++ {
+				if a[c] != b[c] {
+					return a[c] < b[c]
+				}
+			}
+			if desc {
+				return a[arity-1] > b[arity-1]
+			}
+			return a[arity-1] < b[arity-1]
+		})
+		SortRows(flat, arity, desc)
+		for i, row := range rows {
+			for c, v := range row {
+				if got := flat[i*arity+c]; got != v {
+					t.Fatalf("arity %d desc %v: row %d column %d is %d, want %d", arity, desc, i, c, got, v)
 				}
 			}
 		}

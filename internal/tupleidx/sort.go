@@ -1,111 +1,75 @@
 package tupleidx
 
 import (
-	"sort"
-
 	"rankedaccess/internal/values"
 )
 
-// flatSorter sorts fixed-stride rows of a flat array in place: Less
-// compares row views, Swap exchanges the rows column by column. No
-// per-row allocation happens during sorting (only the one interface
-// header for sort.Sort, which runs the stdlib pattern-defeating
-// quicksort).
-type flatSorter struct {
-	data  []values.Value
-	arity int
-	less  func(a, b []values.Value) bool
-}
-
-func (s *flatSorter) Len() int { return len(s.data) / s.arity }
-
-func (s *flatSorter) Less(i, j int) bool {
-	return s.less(s.data[i*s.arity:(i+1)*s.arity], s.data[j*s.arity:(j+1)*s.arity])
-}
-
-func (s *flatSorter) Swap(i, j int) {
-	a := s.data[i*s.arity : (i+1)*s.arity]
-	b := s.data[j*s.arity : (j+1)*s.arity]
-	for k := range a {
-		a[k], b[k] = b[k], a[k]
-	}
-}
-
-// SortFlat sorts the rows of a flat fixed-stride array in place under a
-// comparator over row views. The sort is not stable; callers that need
-// stability must make the comparator total.
-func SortFlat(data []values.Value, arity int, less func(a, b []values.Value) bool) {
+// SortRows sorts the rows of a flat fixed-stride array in place by
+// column 0 ascending, then column 1, and so on, the last column
+// descending when desc is set. It is an LSD radix sort: one stable
+// counting pass per 8-bit digit, columns from the last to the first and
+// digits from the lowest to the highest within a column, each pass
+// moving whole rows between data and one scratch array of the same
+// length. Keys are sign-corrected (int64 order) and, for a descending
+// last column, complemented. A digit that every row of the column
+// shares orders nothing and is skipped, so dictionary-encoded values
+// below 2^16 cost two passes per column. No comparator is called.
+func SortRows(data []values.Value, arity int, desc bool) {
 	if arity <= 0 || len(data) <= arity {
 		return
 	}
-	sort.Sort(&flatSorter{data: data, arity: arity, less: less})
+	src, dst := data, make([]values.Value, len(data))
+	var counts [8][256]int
+	for c := arity - 1; c >= 0; c-- {
+		flip := uint64(1) << 63 // int64 order as unsigned order
+		if desc && c == arity-1 {
+			flip = ^flip
+		}
+		// The digits some two rows disagree on, then their histograms.
+		var diff uint64
+		first := uint64(src[c])
+		for r := c; r < len(src); r += arity {
+			diff |= uint64(src[r]) ^ first
+		}
+		var shifts [8]uint
+		digits := 0
+		for shift := uint(0); shift < 64; shift += 8 {
+			if byte(diff>>shift) != 0 {
+				shifts[digits] = shift
+				counts[digits] = [256]int{}
+				digits++
+			}
+		}
+		for r := c; r < len(src); r += arity {
+			k := uint64(src[r]) ^ flip
+			for d, shift := range shifts[:digits] {
+				counts[d][byte(k>>shift)]++
+			}
+		}
+		for d, shift := range shifts[:digits] {
+			cnt := &counts[d]
+			sum := 0
+			for i, k := range cnt {
+				cnt[i] = sum
+				sum += k
+			}
+			for r := 0; r < len(src); r += arity {
+				row := src[r : r+arity : r+arity]
+				b := byte((uint64(row[c]) ^ flip) >> shift)
+				to := dst[cnt[b]*arity:][:arity:arity]
+				cnt[b]++
+				for j, v := range row {
+					to[j] = v
+				}
+			}
+			src, dst = dst, src
+		}
+	}
+	if &src[0] != &data[0] {
+		copy(data, src)
+	}
 }
 
 // SortLexFlat sorts the rows of a flat fixed-stride array in place by
 // columnwise ascending value order.
-func SortLexFlat(data []values.Value, arity int) {
-	if arity == 1 {
-		SortValues(data)
-		return
-	}
-	SortFlat(data, arity, func(a, b []values.Value) bool {
-		for i := range a {
-			if a[i] != b[i] {
-				return a[i] < b[i]
-			}
-		}
-		return false
-	})
-}
-
-// radixThreshold is the input size below which comparison sorting beats
-// the 8-pass LSD radix with its scratch allocation.
-const radixThreshold = 512
-
-// SortValues sorts a value slice ascending: LSD radix sort (8-bit
-// digits, sign-corrected) for large inputs, stdlib pdqsort otherwise.
-func SortValues(vals []values.Value) {
-	if len(vals) < radixThreshold {
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		return
-	}
-	radixSortValues(vals, make([]values.Value, len(vals)))
-}
-
-// radixSortValues sorts vals ascending using scratch (same length) as
-// the ping-pong buffer. int64 order is obtained by flipping the sign bit
-// of the top digit's counting key.
-func radixSortValues(vals, scratch []values.Value) {
-	src, dst := vals, scratch
-	var counts [256]int
-	for shift := uint(0); shift < 64; shift += 8 {
-		for i := range counts {
-			counts[i] = 0
-		}
-		signFlip := uint64(0)
-		if shift == 56 {
-			signFlip = 0x80 // order the top digit as signed
-		}
-		for _, v := range src {
-			counts[(uint64(v)>>shift)&0xff^signFlip]++
-		}
-		// Skip passes where every key shares the digit.
-		if counts[(uint64(src[0])>>shift)&0xff^signFlip] == len(src) {
-			continue
-		}
-		sum := 0
-		for i, c := range counts {
-			counts[i] = sum
-			sum += c
-		}
-		for _, v := range src {
-			d := (uint64(v)>>shift)&0xff ^ signFlip
-			dst[counts[d]] = v
-			counts[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &vals[0] {
-		copy(vals, src)
-	}
-}
+func SortLexFlat(data []values.Value, arity int) { SortRows(data, arity, false) }

@@ -1,5 +1,5 @@
-// Package tupleidx provides allocation-free indexing and sorting of
-// fixed-arity tuples of dictionary-encoded values stored flat in one
+// Package tupleidx provides allocation-free indexing, and radix sorting,
+// of fixed-arity tuples of dictionary-encoded values stored flat in one
 // []values.Value backing array.
 //
 // The Index replaces the map[string]-of-encoded-tuples idiom used by the

@@ -107,7 +107,7 @@ func TestFlatKeysOrder(t *testing.T) {
 }
 
 func TestSortValues(t *testing.T) {
-	for _, n := range []int{0, 1, 7, radixThreshold - 1, radixThreshold, 5000} {
+	for _, n := range []int{0, 1, 7, 511, 512, 5000} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		vals := make([]values.Value, n)
 		for i := range vals {
@@ -115,10 +115,10 @@ func TestSortValues(t *testing.T) {
 		}
 		want := append([]values.Value(nil), vals...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		SortValues(vals)
+		SortRows(vals, 1, false)
 		for i := range want {
 			if vals[i] != want[i] {
-				t.Fatalf("n=%d: SortValues[%d] = %d, want %d", n, i, vals[i], want[i])
+				t.Fatalf("n=%d: sorted[%d] = %d, want %d", n, i, vals[i], want[i])
 			}
 		}
 	}
