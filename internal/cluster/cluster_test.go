@@ -21,6 +21,7 @@ import (
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/cluster"
 	"rankedaccess/internal/database"
+	"rankedaccess/internal/delta"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/order"
@@ -29,6 +30,7 @@ import (
 	"rankedaccess/internal/shard"
 	"rankedaccess/internal/shard/shardtest"
 	"rankedaccess/internal/trace"
+	"rankedaccess/internal/values"
 	"rankedaccess/internal/workload"
 )
 
@@ -906,6 +908,42 @@ func TestDeadNodeDegradation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz with a dead node = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestNodeHealthSpeaksTheEnginesReasons holds a shard node's health
+// report to the engine's own wording of its degradation, the words a
+// single server's /readyz gives, at the hard overlay limit.
+func TestNodeHealthSpeaksTheEnginesReasons(t *testing.T) {
+	e := engine.New(nil, engine.Options{DeltaHard: 1, DeltaSoft: 1})
+	if err := e.AddRows("R", [][]values.Value{{1, 5}, {6, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddRows("S", [][]values.Value{{5, 3}, {2, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	spec := engine.Spec{Query: twoPath, Order: "x, y, z"}
+	if _, err := e.Prepare(spec); err != nil {
+		t.Fatal(err)
+	}
+	// R(7, 5) joins S(5, 3): the next prepare absorbs it as a 1-edit
+	// overlay, which is the hard limit.
+	if _, err := e.ApplyBatch([]delta.Mutation{{Op: delta.OpInsert, Rel: "R", Arity: 2, Rows: []values.Value{7, 5}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Prepare(spec); err != nil {
+		t.Fatal(err)
+	}
+	want := e.Health().Reasons()
+	if len(want) == 0 {
+		t.Fatalf("engine not degraded at the hard limit: %+v", e.Health())
+	}
+	info, err := cluster.NewNode(e).Health(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Ready || !slices.Equal(info.Reasons, want) {
+		t.Fatalf("node health: ready %v, reasons %q; want ready with %q", info.Ready, info.Reasons, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -257,16 +256,9 @@ func (n *Node) Stats(ctx context.Context) (*rpc.PeerStats, error) {
 }
 
 // Health reports the node's readiness. A node that can answer the RPC
-// is serving; engine-level degradation (WAL errors) is reported as a
-// reason without flipping readiness — degraded reads beat no reads.
+// is serving; engine-level degradation (a broken WAL, a rebuild
+// backlog) is reported in engine.Health.Reasons' words without
+// flipping readiness — degraded reads beat no reads.
 func (n *Node) Health(ctx context.Context) (*rpc.HealthInfo, error) {
-	h := n.e.Health()
-	info := &rpc.HealthInfo{Ready: true}
-	if h.WALBroken {
-		info.Reasons = append(info.Reasons, "WAL broken; writes shedding")
-	}
-	if h.MaxOverlayEdits >= h.DeltaHard {
-		info.Reasons = append(info.Reasons, fmt.Sprintf("rebuild backlog: overlay at %d edits (hard limit %d)", h.MaxOverlayEdits, h.DeltaHard))
-	}
-	return info, nil
+	return &rpc.HealthInfo{Ready: true, Reasons: n.e.Health().Reasons()}, nil
 }

@@ -810,6 +810,19 @@ func (h Health) Degraded() bool {
 	return h.WALBroken || h.MaxOverlayEdits >= h.DeltaHard
 }
 
+// Reasons words each degradation Degraded counts, for serve's /readyz
+// and a cluster node's health report; nil when there is none.
+func (h Health) Reasons() []string {
+	var r []string
+	if h.WALBroken {
+		r = append(r, "wal broken: mutations cannot be made durable")
+	}
+	if h.MaxOverlayEdits >= h.DeltaHard {
+		r = append(r, fmt.Sprintf("rebuild backlog: overlay at %d edits (hard limit %d)", h.MaxOverlayEdits, h.DeltaHard))
+	}
+	return r
+}
+
 // Health samples the engine's degradation state. It takes the read
 // lock briefly (WAL state is written under the write lock) but never
 // blocks on builds.

@@ -36,15 +36,7 @@ type readyzResponse struct {
 func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	// Fresh sample, not the request-path cache: probes are low-QPS and
 	// an orchestrator deserves the current answer.
-	h := s.e.Health()
-	var reasons []string
-	if h.WALBroken {
-		reasons = append(reasons, "wal broken: mutations cannot be made durable")
-	}
-	if h.MaxOverlayEdits >= h.DeltaHard {
-		reasons = append(reasons, fmt.Sprintf(
-			"rebuild backlog: overlay at %d edits (hard limit %d)", h.MaxOverlayEdits, h.DeltaHard))
-	}
+	reasons := s.e.Health().Reasons()
 	if dir := s.cfg.SnapshotDir; dir != "" {
 		if err := probeWritable(dir); err != nil {
 			reasons = append(reasons, fmt.Sprintf("snapshot dir not writable: %v", err))
