@@ -81,6 +81,24 @@ func TestLayeredBuildGolden(t *testing.T) {
 	threePath := func() (*cq.Query, *database.Instance) {
 		return workload.KPath(rand.New(rand.NewSource(1)), 3, n, n/4, 0.4)
 	}
+	// Over 32 values, 32 rows per relation leave buckets no parent
+	// tuple selects in each of layers 2, 3 and 4.
+	fourPathSmall := func() (*cq.Query, *database.Instance) {
+		return workload.KPath(rand.New(rand.NewSource(1)), 4, 32, 32, 0.4)
+	}
+	// R and S share no y value: no answer, and the root holds no bucket.
+	noAnswers := func() (*cq.Query, *database.Instance) {
+		in := database.NewInstance()
+		for i := 0; i < 64; i++ {
+			in.AddRow("R", values.Value(i%5), values.Value(2*i))
+			in.AddRow("S", values.Value(2*i+1), values.Value(i%7))
+		}
+		return cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)"), in
+	}
+	// 512 rows per relation over 4096 values: most S rows dangle.
+	sparseTwoPath := func() (*cq.Query, *database.Instance) {
+		return workload.TwoPath(rand.New(rand.NewSource(3)), 512, 4096, 0.4)
+	}
 	cases := []struct {
 		name  string
 		inst  instance
@@ -97,6 +115,9 @@ func TestLayeredBuildGolden(t *testing.T) {
 		{"threepath/asc", threePath, "x0, x1, x2, x3", nil, "8b6fe40fabafd9ef2fbb780879ac25db4eecc09d14e16b4df2915272a376ede8"},
 		{"threepath/desc", threePath, "x0 desc, x1, x2, x3 desc", nil, "2bdf90758bee02326c03fd4fe41636fd6821fcff9b3f675ac2984ba52088759f"},
 		{"threepath/x1x0", threePath, "x1, x0, x2, x3", nil, "067904f4b7e1d53b6c175ee0426e0de5f6ce30e29804839da146eafa46a68095"},
+		{"fourpath/small", fourPathSmall, "x0, x1, x2, x3, x4", nil, "55ceadf7daa756712ffcb18d416d8f59c061e178fb858db6ff17f70c35abf465"},
+		{"twopath/no-answers", noAnswers, "x, y, z", nil, "b2a60f81ef90f8e601c068555a7b7952cb43a348e482098fe845d9d0108d2180"},
+		{"twopath/sparse/desc", sparseTwoPath, "x desc, y, z desc", nil, "8b442d540a49bb922ee582c757afbd45225d5a02422206ef60b25d4b161edb1c"},
 		{"fd/twopath", func() (*cq.Query, *database.Instance) {
 			return cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)"), fdTwoPath(rand.New(rand.NewSource(1)), n, n/4)
 		}, "x, z, y", []string{"S: y -> z"}, "c65d31c7a4e9ec4ef1c2ca612412eb2f17617aa4c41f28069f38b0ed7bda860d"},
