@@ -163,7 +163,6 @@ func TestBucketizeRefusesDuplicateRows(t *testing.T) {
 	if err := lb.buildTree(full, completed); err != nil {
 		t.Fatal(err)
 	}
-	lb.semijoinReduce()
 	leaf := lb.rels[len(lb.rels)-1]
 	leaf.Append(leaf.Tuple(leaf.Len() / 2)...)
 	err = lb.computeWeights(context.Background())

@@ -190,7 +190,8 @@ func BuildLex(q *cq.Query, in *database.Instance, l order.Lex) (*Lex, error) {
 // preprocessing checks ctx at every bucketize wave boundary and returns
 // ctx.Err() instead of finishing a build whose requester already gave
 // up. Cancellation granularity is one wave unit (a layer's bucketize),
-// never mid-layer.
+// never mid-layer; the reduction runs inside those waves, and only the
+// linear top-down prune after the last wave runs past the last check.
 func BuildLexCtx(ctx context.Context, q *cq.Query, in *database.Instance, l order.Lex) (*Lex, error) {
 	if v, _ := classify.DirectAccessLex(q, l, nil); !v.Tractable {
 		return nil, &IntractableError{Verdict: v}
@@ -227,7 +228,6 @@ func buildLayered(ctx context.Context, q *cq.Query, in *database.Instance, l ord
 	if err := lb.buildTree(full, completed); err != nil {
 		return nil, err
 	}
-	lb.semijoinReduce()
 	if err := lb.computeWeights(ctx); err != nil {
 		return nil, err
 	}
@@ -291,7 +291,7 @@ func completeOrder(full *reduce.Full, l order.Lex) (order.Lex, error) {
 // containing the layer variable, attached to an earlier layer containing
 // its key variables. It then materializes every layer's relation as a
 // set (columns keyVars..., v) filtered by every full node, which
-// semijoinReduce makes globally consistent and bucketize sorts.
+// computeWeights sorts and makes globally consistent.
 func (lb *lexBuild) buildTree(full *reduce.Full, completed order.Lex) error {
 	la := lb.Lex
 	f := len(completed.Entries)
@@ -399,9 +399,10 @@ func (lb *lexBuild) buildTree(full *reduce.Full, completed order.Lex) error {
 			cols = append(cols, src.Col(u))
 		}
 		cols = append(cols, src.Col(ly.v))
-		lb.rels[i] = src.Rel.Project(cols)
-		if !whole(i) {
-			lb.rels[i] = lb.rels[i].Dedup()
+		if whole(i) {
+			lb.rels[i] = src.Rel.Project(cols)
+		} else {
+			lb.rels[i] = src.Rel.ProjectDistinct(cols)
 		}
 	})
 nodes:
@@ -455,22 +456,13 @@ key:
 	return from, nil
 }
 
-// layerVars returns the column variables of layer i's relation:
-// keyVars..., v.
-func (la *Lex) layerVars(i int) []cq.VarID {
-	ly := &la.layers[i]
-	out := make([]cq.VarID, 0, len(ly.keyVars)+1)
-	out = append(out, ly.keyVars...)
-	out = append(out, ly.v)
-	return out
-}
-
-// layerCols aligns the columns of layer i with the columns of node n for
-// n's variables (n's vars must all be inside the layer).
+// layerCols aligns the columns of layer i's relation (keyVars..., v)
+// with the columns of node n for n's variables (n's vars must all be
+// inside the layer).
 func (la *Lex) layerCols(i int, n *reduce.Node) (layerCols, nodeCols []int) {
-	vars := la.layerVars(i)
-	pos := make(map[cq.VarID]int, len(vars))
-	for c, u := range vars {
+	ly := &la.layers[i]
+	pos := map[cq.VarID]int{ly.v: len(ly.keyVars)}
+	for c, u := range ly.keyVars {
 		pos[u] = c
 	}
 	for c, u := range n.Vars {

@@ -3,58 +3,25 @@ package access
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"rankedaccess/internal/checked"
-	"rankedaccess/internal/cq"
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/par"
 	"rankedaccess/internal/tupleidx"
 	"rankedaccess/internal/values"
 )
 
-// semijoinReduce removes dangling tuples across the layered tree: a
-// bottom-up pass filtering parents by children, then a top-down pass
-// filtering children by parents (Yannakakis). Shared variables of a
-// child and its parent are exactly the child's key variables.
-func (lb *lexBuild) semijoinReduce() {
-	la := lb.Lex
-	f := len(la.layers)
-	// Bottom-up: layers in decreasing index order have children after
-	// parents, so iterating i from f-1 down to 0 and filtering parent by
-	// child visits children first.
-	for i := f - 1; i >= 1; i-- {
-		p := la.layers[i].parent
-		pCols, cCols := la.sharedCols(p, i)
-		lb.rels[p] = lb.rels[p].Semijoin(pCols, lb.rels[i], cCols)
-	}
-	// Top-down.
-	for i := 1; i < f; i++ {
-		p := la.layers[i].parent
-		pCols, cCols := la.sharedCols(p, i)
-		lb.rels[i] = lb.rels[i].Semijoin(cCols, lb.rels[p], pCols)
-	}
-}
-
-// sharedCols returns aligned column indices of the child's key variables
-// in the parent layer relation and in the child layer relation.
-func (la *Lex) sharedCols(parent, child int) (pCols, cCols []int) {
-	pVars := la.layerVars(parent)
-	pos := make(map[cq.VarID]int, len(pVars))
-	for c, u := range pVars {
-		pos[u] = c
-	}
-	for c, u := range la.layers[child].keyVars {
-		pCols = append(pCols, pos[u])
-		cCols = append(cCols, c)
-	}
-	return
-}
-
 // computeWeights bucketizes every layer and runs the subtree-count
 // dynamic program of §3.1: the weight of a tuple is the product over the
 // layer's children of the weight of the child bucket selected by the
 // tuple; starts are prefix sums inside each bucket. The total count is
 // the weight of the root bucket.
+//
+// The pass also makes the layers globally consistent (Yannakakis), with
+// no semijoin of its own: bucketize drops a tuple that selects a missing
+// child bucket, which is the bottom-up half, and prune drops the buckets
+// no parent tuple selects, which is the top-down half.
 func (lb *lexBuild) computeWeights(ctx context.Context) error {
 	la := lb.Lex
 	f := len(la.layers)
@@ -95,6 +62,7 @@ func (lb *lexBuild) computeWeights(ctx context.Context) error {
 			return err
 		}
 	}
+	la.prune()
 	root := &la.layers[0]
 	switch len(root.bucketWeight) {
 	case 0:
@@ -112,6 +80,12 @@ func (lb *lexBuild) computeWeights(ctx context.Context) error {
 // child buckets every tuple selects into childOf and computes starts from
 // the tuples' weights (children of i are already bucketized).
 //
+// A tuple some child holds no bucket for joins with no answer: it is
+// dropped, as the bottom-up semijoin would drop it, and a bucket left
+// without tuples gets no id, so the parents' lookups of its key miss in
+// turn. vals, starts and childOf are written at the kept tuple's
+// position.
+//
 // Grouping is columnar: one radix sort (tupleidx.SortRows) orders the
 // layer relation's flat storage in place by (key columns ascending,
 // layer value under the direction), and buckets are the equal-key runs.
@@ -126,7 +100,9 @@ func (lb *lexBuild) bucketize(i int) error {
 	n := rel.Len()
 	tupleidx.SortRows(rel.Data(), nk+1, ly.dir == order.Desc)
 
-	index := tupleidx.New(nk, n)
+	// The index grows with the buckets, which are far fewer than the
+	// tuples on a keyed layer.
+	index := tupleidx.New(nk, 0)
 	ly.vals = make([]values.Value, 0, n)
 	ly.starts = make([]int64, 0, n)
 	nc := len(ly.children)
@@ -151,21 +127,17 @@ func (lb *lexBuild) bucketize(i int) error {
 				}
 			}
 		}
-		b, added := index.Insert(key)
-		if !added || b != len(ly.bucketStart) {
-			return fmt.Errorf("access: internal: duplicate bucket key in sorted layer %d", i)
-		}
 		first := len(ly.vals)
-		ly.bucketStart = append(ly.bucketStart, first)
 		bucketSum := checked.NewCounter(0)
-		for ; t < end; t++ {
-			tu := rel.Tuple(t)
-			if t > first && tu[nk] == ly.vals[t-1] {
+		for r := t; r < end; r++ {
+			tu := rel.Tuple(r)
+			if r > t && tu[nk] == rel.Tuple(r - 1)[nk] {
 				return fmt.Errorf("access: internal: duplicate tuple in layer %d", i)
 			}
-			sel := ly.childOf[t*nc : t*nc+nc]
-			if c := lb.selectChildren(i, tu[:nk], tu[nk], scratch, sel); c >= 0 {
-				return fmt.Errorf("access: internal: missing child bucket after reduction (layer %d -> %d)", i, c)
+			out := len(ly.vals)
+			sel := ly.childOf[out*nc : out*nc+nc]
+			if !lb.selectChildren(i, tu[:nk], tu[nk], scratch, sel) {
+				continue
 			}
 			w, err := lb.tupleWeight(i, sel)
 			if err != nil {
@@ -175,14 +147,73 @@ func (lb *lexBuild) bucketize(i int) error {
 			ly.vals = append(ly.vals, tu[nk])
 			bucketSum.Add(w)
 		}
+		t = end
+		if len(ly.vals) == first {
+			continue
+		}
+		if b, added := index.Insert(key); !added || b != len(ly.bucketStart) {
+			return fmt.Errorf("access: internal: duplicate bucket key in sorted layer %d", i)
+		}
 		if err := bucketSum.Err(); err != nil {
 			return fmt.Errorf("access: counting answers: %w", err)
 		}
+		ly.bucketStart = append(ly.bucketStart, first)
 		ly.bucketWeight = append(ly.bucketWeight, bucketSum.Value())
 	}
-	ly.bucketStart = append(ly.bucketStart, n)
+	ly.bucketStart = append(ly.bucketStart, len(ly.vals))
+	ly.childOf = ly.childOf[:len(ly.vals)*nc]
 	lb.bucketOf[i] = index
 	return nil
+}
+
+// prune drops, layer by layer in index order (parents first), the
+// buckets that no parent tuple selects: the top-down half of the
+// reduction, after which every tuple of every layer takes part in some
+// answer. A layer with such buckets is compacted in place, kept buckets
+// in their order, so the ids, starts and weights are those a build over
+// fully reduced relations assigns; the parent's childOf column is
+// renumbered through the old→new bucket ids. Removing a bucket removes
+// its tuples' selections too, so the drop cascades down the tree.
+// Copying the kept buckets into arrays of the new size instead would
+// free the dropped tail, but it measured slower range reads over the
+// built structure.
+func (la *Lex) prune() {
+	for i := 1; i < len(la.layers); i++ {
+		ly, p := &la.layers[i], &la.layers[la.layers[i].parent]
+		j, pc := slices.Index(p.children, i), len(p.children)
+		// newID[b] is bucket b's id after the pass plus one; 0 marks a
+		// bucket no parent tuple selects.
+		newID := make([]int32, len(ly.bucketWeight))
+		for t := j; t < len(p.childOf); t += pc {
+			newID[p.childOf[t]] = 1
+		}
+		if !slices.Contains(newID, 0) {
+			continue
+		}
+		nc := len(ly.children)
+		nb, nt := 0, 0
+		for b := range newID {
+			if newID[b] == 0 {
+				continue
+			}
+			lo, hi := ly.bucketStart[b], ly.bucketStart[b+1]
+			copy(ly.vals[nt:], ly.vals[lo:hi])
+			copy(ly.starts[nt:], ly.starts[lo:hi])
+			copy(ly.childOf[nt*nc:], ly.childOf[lo*nc:hi*nc])
+			ly.bucketStart[nb] = nt
+			ly.bucketWeight[nb] = ly.bucketWeight[b]
+			nb++
+			newID[b] = int32(nb)
+			nt += hi - lo
+		}
+		ly.bucketStart[nb] = nt
+		ly.bucketStart = ly.bucketStart[:nb+1]
+		ly.bucketWeight = ly.bucketWeight[:nb]
+		ly.vals, ly.starts, ly.childOf = ly.vals[:nt], ly.starts[:nt], ly.childOf[:nt*nc]
+		for t := j; t < len(p.childOf); t += pc {
+			p.childOf[t] = newID[p.childOf[t]] - 1
+		}
+	}
 }
 
 // selectChildren writes into sel, one entry per child of layer i in
@@ -190,10 +221,10 @@ func (lb *lexBuild) bucketize(i int) error {
 // the layer-variable value) selects in that child layer — the tuple's
 // stretch of childOf. Each child key is gathered into scratch by the
 // child's keyFrom plan and looked up in its bucket index, allocating
-// nothing. It returns the first child layer holding no bucket for the
-// tuple, or -1. scratch must have capacity for the widest key of any
-// child layer.
-func (lb *lexBuild) selectChildren(i int, key []values.Value, val values.Value, scratch []values.Value, sel []int32) int {
+// nothing. It reports false when some child layer holds no bucket for
+// the tuple. scratch must have capacity for the widest key of any child
+// layer.
+func (lb *lexBuild) selectChildren(i int, key []values.Value, val values.Value, scratch []values.Value, sel []int32) bool {
 	for j, c := range lb.layers[i].children {
 		probe := scratch[:len(lb.keyFrom[c])]
 		for x, src := range lb.keyFrom[c] {
@@ -205,11 +236,11 @@ func (lb *lexBuild) selectChildren(i int, key []values.Value, val values.Value, 
 		}
 		b, ok := lb.bucketOf[c].Lookup(probe)
 		if !ok {
-			return c
+			return false
 		}
 		sel[j] = int32(b)
 	}
-	return -1
+	return true
 }
 
 // tupleWeight multiplies the weights of the child buckets sel selects

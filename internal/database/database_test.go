@@ -62,6 +62,22 @@ func TestProjectDedup(t *testing.T) {
 	}
 }
 
+// Dedup and ProjectDistinct return the distinct rows in ascending
+// order and leave their receiver as it was.
+func TestDistinctSorted(t *testing.T) {
+	r := rel(row(6, 2), row(1, 5), row(1, 2), row(6, 2), row(1, 5))
+	before := r.Rows()
+	if got, want := r.Dedup().Rows(), [][]values.Value{row(1, 2), row(1, 5), row(6, 2)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dedup = %v, want %v", got, want)
+	}
+	if got, want := r.ProjectDistinct([]int{1, 0}).Rows(), [][]values.Value{row(2, 1), row(2, 6), row(5, 1)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("project-distinct = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(r.Rows(), before) {
+		t.Fatalf("receiver changed: %v, was %v", r.Rows(), before)
+	}
+}
+
 func TestProjectReorder(t *testing.T) {
 	r := rel(row(1, 2, 3))
 	p := r.Project([]int{2, 0})

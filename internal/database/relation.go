@@ -7,6 +7,7 @@ package database
 
 import (
 	"fmt"
+	"slices"
 
 	"rankedaccess/internal/tupleidx"
 	"rankedaccess/internal/values"
@@ -150,7 +151,7 @@ func (r *Relation) Clone() *Relation {
 }
 
 // Project returns a new relation with the given columns, in order.
-// Duplicates are kept; use Dedup afterwards for set semantics.
+// Duplicates are kept; ProjectDistinct drops them.
 func (r *Relation) Project(cols []int) *Relation {
 	out := NewRelation(len(cols))
 	n := r.Len()
@@ -168,24 +169,40 @@ func (r *Relation) Project(cols []int) *Relation {
 	return out
 }
 
-// Dedup removes duplicate tuples; the distinct tuples appear in
-// first-occurrence order.
-func (r *Relation) Dedup() *Relation {
-	out := NewRelation(r.arity)
-	if r.arity == 0 {
-		if r.Len() > 0 {
-			out.data = []values.Value{0}
-		}
-		return out
-	}
-	n := r.Len()
-	idx := tupleidx.New(r.arity, n)
-	for i := 0; i < n; i++ {
-		idx.Insert(r.Tuple(i))
-	}
-	// The index's flat key storage is exactly the deduplicated relation.
-	out.data = idx.FlatKeys()
+// ProjectDistinct is Project followed by Dedup without the copy between
+// them: the projection is deduplicated in its own storage.
+func (r *Relation) ProjectDistinct(cols []int) *Relation {
+	out := r.Project(cols)
+	out.distinct()
 	return out
+}
+
+// Dedup returns the distinct tuples of r in ascending lexicographic
+// order.
+func (r *Relation) Dedup() *Relation {
+	out := r.Clone()
+	out.distinct()
+	return out
+}
+
+// distinct sorts r's rows in place (tupleidx.SortRows) and keeps the
+// first of every run of equal rows.
+func (r *Relation) distinct() {
+	if r.arity == 0 {
+		r.data = r.data[:min(len(r.data), 1)]
+		return
+	}
+	tupleidx.SortRows(r.data, r.arity, false)
+	w := 0
+	for i := 0; i < len(r.data); i += r.arity {
+		row := r.data[i : i+r.arity]
+		if w > 0 && slices.Equal(row, r.data[w-r.arity:w]) {
+			continue
+		}
+		copy(r.data[w:], row)
+		w += r.arity
+	}
+	r.data = r.data[:w]
 }
 
 // Filter returns the tuples satisfying pred.

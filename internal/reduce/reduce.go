@@ -112,7 +112,7 @@ func atomNode(q *cq.Query, atomIdx int, in *database.Instance) (*Node, error) {
 			return true
 		})
 	}
-	return &Node{Vars: vars, Rel: work.Project(cols).Dedup()}, nil
+	return &Node{Vars: vars, Rel: work.ProjectDistinct(cols)}, nil
 }
 
 // FreeReduce reduces (q, in) to an equivalent full acyclic CQ over
@@ -191,7 +191,7 @@ func FreeReduce(q *cq.Query, in *database.Instance) (*Full, error) {
 					keepVars = append(keepVars, u)
 				}
 			}
-			n.Rel = n.Rel.Project(keepCols).Dedup()
+			n.Rel = n.Rel.ProjectDistinct(keepCols)
 			n.Vars = keepVars
 			changed = true
 		}

@@ -114,7 +114,7 @@ func FuzzIndexVsStringMap(f *testing.F) {
 // FuzzSortRows holds SortRows to sort.Slice over row views: arities 1–4,
 // any int64 (the seeds reach math.MinInt64 and math.MaxInt64, whose
 // top digits differ only by the sign correction), the last column
-// ascending or descending.
+// ascending or descending, input in any order or already sorted.
 func FuzzSortRows(f *testing.F) {
 	word := func(vs ...uint64) []byte {
 		var out []byte
@@ -130,6 +130,7 @@ func FuzzSortRows(f *testing.F) {
 	f.Add(uint8(1), true, word(1, minInt, 1, maxInt, 0, 5, minusOne, 5, 1, 0))
 	f.Add(uint8(2), true, word(7, 7, 7, 7, 7, 7, 7, 7, 6, minusOne, 256, 1<<40))
 	f.Add(uint8(3), false, word(minInt, maxInt, 0, 1, minInt, maxInt, 0, 0, maxInt, minInt, 2, 2))
+	f.Add(uint8(1), true, word(minInt, 9, 1, 9, 1, 4, 1, 4, 2, maxInt, 2, minInt)) // already in order
 	f.Fuzz(func(t *testing.T, arity8 uint8, desc bool, data []byte) {
 		arity := int(arity8%4) + 1
 		n := len(data) / (8 * arity)

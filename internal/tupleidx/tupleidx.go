@@ -97,11 +97,6 @@ func (x *Index) Key(id int) []values.Value {
 	return x.keys[id*x.arity : (id+1)*x.arity : (id+1)*x.arity]
 }
 
-// FlatKeys returns the flat backing array of all inserted keys in id
-// order (stride the key arity). The caller may keep the slice; it must not
-// mutate it while the index is still probed.
-func (x *Index) FlatKeys() []values.Value { return x.keys }
-
 func (x *Index) eq(id int, key []values.Value) bool {
 	off := id * x.arity
 	for j, v := range key {

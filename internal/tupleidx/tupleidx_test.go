@@ -90,22 +90,6 @@ func TestZeroArity(t *testing.T) {
 	}
 }
 
-func TestFlatKeysOrder(t *testing.T) {
-	x := New(2, 0)
-	x.Insert([]values.Value{5, 6})
-	x.Insert([]values.Value{-7, 8})
-	want := []values.Value{5, 6, -7, 8}
-	got := x.FlatKeys()
-	if len(got) != len(want) {
-		t.Fatalf("FlatKeys len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FlatKeys[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestSortValues(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 511, 512, 5000} {
 		rng := rand.New(rand.NewSource(int64(n)))
