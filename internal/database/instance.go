@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"rankedaccess/internal/par"
 	"rankedaccess/internal/values"
 )
 
@@ -102,35 +103,46 @@ func (in *Instance) AddNamedRow(name string, row ...string) {
 	in.AddRow(name, vals...)
 }
 
-// ReadRelation parses whitespace-separated rows of integers from rd into
-// the named relation. Lines starting with '#' and blank lines are
-// skipped. All rows must have the same arity.
+// ReadRelation parses rows of whitespace-separated signed 64-bit
+// decimal integers from rd and appends them to the named relation,
+// creating it on the first row. Blank lines and lines whose first
+// non-blank character is '#' are skipped; a line longer than 1 MiB is
+// refused with bufio.ErrTooLong. All rows must have the same arity,
+// and so must the relation they extend. Nothing is installed until the
+// whole input parses: on error the instance is unchanged.
 func (in *Instance) ReadRelation(name string, rd io.Reader) error {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	arity := -1
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if arity == -1 {
-			arity = len(fields)
-		} else if len(fields) != arity {
-			return fmt.Errorf("database: relation %s: row arity %d, expected %d", name, len(fields), arity)
-		}
-		row := make([]values.Value, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return fmt.Errorf("database: relation %s: %w", name, err)
-			}
-			row[i] = v
-		}
-		in.AddRow(name, row...)
+	p, err := parseTSV(name, rd, in.arityOf(name))
+	if err != nil {
+		return err
 	}
-	return sc.Err()
+	in.install(p)
+	return nil
+}
+
+// arityOf returns the arity of the named relation, or -1 when there is
+// none.
+func (in *Instance) arityOf(name string) int {
+	if r := in.rels[name]; r != nil {
+		return r.Arity()
+	}
+	return -1
+}
+
+// install appends parsed rows to their relation, creating it through
+// FromFlat; parsed input without rows installs nothing.
+func (in *Instance) install(p *tsvParser) {
+	if p.arity == -1 {
+		return
+	}
+	if r := in.rels[p.name]; r != nil {
+		r.data = append(r.data, p.data...)
+		return
+	}
+	r, err := FromFlat(p.arity, p.data)
+	if err != nil {
+		panic(err) // the parser checked every row's arity
+	}
+	in.rels[p.name] = r
 }
 
 // WriteRelation writes the named relation as whitespace-separated rows.
@@ -161,35 +173,44 @@ func (in *Instance) WriteRelation(name string, w io.Writer) error {
 }
 
 // ReadDir loads every <Name>.tsv file in dir as relation <Name> (the
-// layout WriteDir produces) and returns how many relations it loaded;
-// other entries are skipped. A directory without any .tsv file is an
-// error: a mistyped path must not boot an empty instance.
+// layout WriteDir produces, each file read as ReadRelation reads it)
+// and returns how many relations it loaded; other entries are skipped.
+// The files are parsed in parallel (internal/par), each into an array
+// sized from its length, and installed in directory order only once
+// all of them parse: on error, the first in directory order is
+// returned and the instance is unchanged. A directory without any .tsv
+// file is an error: a mistyped path must not boot an empty instance.
 func (in *Instance) ReadDir(dir string) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, err
 	}
-	loaded := 0
+	var names []string
 	for _, ent := range entries {
-		name, isTSV := strings.CutSuffix(ent.Name(), ".tsv")
-		if ent.IsDir() || !isTSV {
-			continue
+		if name, isTSV := strings.CutSuffix(ent.Name(), ".tsv"); isTSV && !ent.IsDir() {
+			names = append(names, name)
 		}
-		f, err := os.Open(filepath.Join(dir, ent.Name()))
-		if err != nil {
-			return loaded, err
-		}
-		err = in.ReadRelation(name, f)
-		f.Close()
-		if err != nil {
-			return loaded, err
-		}
-		loaded++
 	}
-	if loaded == 0 {
+	if len(names) == 0 {
 		return 0, fmt.Errorf("no .tsv files in %s", dir)
 	}
-	return loaded, nil
+	parsed := make([]*tsvParser, len(names))
+	err = par.DoErr(len(names), func(i int) error {
+		f, err := os.Open(filepath.Join(dir, names[i]+".tsv"))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		parsed[i], err = parseTSV(names[i], f, in.arityOf(names[i]))
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	for _, p := range parsed {
+		in.install(p)
+	}
+	return len(names), nil
 }
 
 // WriteDir writes every relation as dir/<Name>.tsv, creating dir as
