@@ -257,6 +257,7 @@ func BenchmarkThm61_SelectionLex(b *testing.B) {
 			if err != nil || count == 0 {
 				b.Fatal("bad workload")
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := selection.SelectLex(q, in, l, nil, count/2); err != nil {

@@ -11,6 +11,7 @@ package checked
 
 import (
 	"errors"
+	"math"
 	"math/bits"
 )
 
@@ -81,3 +82,27 @@ func (c *Counter) Value() int64 { return c.val }
 
 // Err reports the first overflow (or misuse) encountered, if any.
 func (c *Counter) Err() error { return c.err }
+
+// SatAdd returns a+b, or math.MaxUint64 when the sum does not fit.
+//
+// Saturating counts suit a counting DP whose intermediate counts may
+// overflow where they are later multiplied by 0: zero stays exactly
+// zero, and a count that saturated stays above math.MaxInt64 through
+// every sum and non-zero product, so comparing the final count with
+// math.MaxInt64 still detects that it overflows int64.
+func SatAdd(a, b uint64) uint64 {
+	s, carry := bits.Add64(a, b, 0)
+	if carry != 0 {
+		return math.MaxUint64
+	}
+	return s
+}
+
+// SatMul returns a*b, or math.MaxUint64 when the product does not fit.
+func SatMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
+}

@@ -102,3 +102,24 @@ func TestCounterNegativeInit(t *testing.T) {
 		t.Fatal("expected error for negative initial value")
 	}
 }
+
+func TestSaturating(t *testing.T) {
+	const max = math.MaxUint64
+	cases := []struct{ a, b, sum, prod uint64 }{
+		{0, 0, 0, 0},
+		{2, 3, 5, 6},
+		{0, max, max, 0},
+		{max, 1, max, max},
+		{1 << 32, 1 << 32, 1 << 33, max},
+		{math.MaxInt64, math.MaxInt64, max - 1, max},
+		{max - 1, 1, max, max - 1},
+	}
+	for _, c := range cases {
+		if got := SatAdd(c.a, c.b); got != c.sum {
+			t.Errorf("SatAdd(%d, %d) = %d, want %d", c.a, c.b, got, c.sum)
+		}
+		if got := SatMul(c.a, c.b); got != c.prod {
+			t.Errorf("SatMul(%d, %d) = %d, want %d", c.a, c.b, got, c.prod)
+		}
+	}
+}

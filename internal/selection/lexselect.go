@@ -2,6 +2,8 @@ package selection
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"rankedaccess/internal/checked"
 	"rankedaccess/internal/classify"
@@ -13,6 +15,9 @@ import (
 	"rankedaccess/internal/tupleidx"
 	"rankedaccess/internal/values"
 )
+
+// errOverflow refuses a query whose answer count exceeds int64.
+var errOverflow = fmt.Errorf("selection: %w", checked.ErrOverflow)
 
 // IntractableError mirrors access.IntractableError for the selection
 // problems.
@@ -67,34 +72,62 @@ func extendInstance(q *cq.Query, in *database.Instance, fds fd.Set, ext *fd.Exte
 	return ext.ExtendInstance(q, in)
 }
 
-// selectLexFull runs the iterative selection over a reduced full CQ.
+// selectLexFull runs the iterative selection of Lemma 6.6 over a reduced
+// full CQ: per order variable, one histogram, one weighted selection
+// and one value fixed. Fixing compacts full's node relations in place,
+// so full must be FreeReduce's own result, never an instance's
+// relations.
 func selectLexFull(q *cq.Query, full *reduce.Full, l order.Lex, k int64) (order.Answer, error) {
 	if k < 0 {
 		return nil, ErrOutOfBound
 	}
-	// Work on copies: the iteration filters relations destructively.
-	nodes := make([]*reduce.Node, len(full.Nodes))
-	for i, n := range full.Nodes {
-		nodes[i] = &reduce.Node{Vars: append([]cq.VarID(nil), n.Vars...), Rel: n.Rel}
-	}
-
 	if q.IsBoolean() {
-		if err := reduceNodes(nodes, full.Origin); err != nil {
-			return nil, err
-		}
-		for _, n := range nodes {
-			if n.Rel.Len() == 0 {
-				return nil, ErrOutOfBound
-			}
-		}
-		if k != 0 {
+		if k != 0 || !nonEmpty(full.Nodes) {
 			return nil, ErrOutOfBound
 		}
 		return make(order.Answer, q.NumVars()), nil
 	}
+	dp, err := newCounter(full)
+	if err != nil {
+		return nil, err
+	}
+	ans := make(order.Answer, q.NumVars())
+	for step, entry := range complete(q, l) {
+		items, err := dp.histogram(entry.Var)
+		if err != nil {
+			return nil, err
+		}
+		// A descending component is selected on ^val, which reverses
+		// the order of every int64 (-val overflows for math.MinInt64).
+		if entry.Dir == order.Desc {
+			for i := range items {
+				items[i].Key = ^items[i].Key
+			}
+		}
+		key, before, ok := WeightedSelect(items, k)
+		if !ok {
+			if step == 0 {
+				return nil, ErrOutOfBound
+			}
+			return nil, fmt.Errorf("selection: internal: index escaped its group at %s",
+				q.VarName(entry.Var))
+		}
+		if entry.Dir == order.Desc {
+			key = ^key
+		}
+		ans[entry.Var] = key
+		k -= before
+		dp.fix(entry.Var, key)
+	}
+	if k != 0 {
+		return nil, fmt.Errorf("selection: internal: residual index %d", k)
+	}
+	return ans, nil
+}
 
-	// Complete the order arbitrarily: remaining free variables ascending.
-	// (Any completion is valid for selection; no trio condition needed.)
+// complete extends l by the free variables it lacks, ascending. Any
+// completion is valid for selection; no trio condition applies.
+func complete(q *cq.Query, l order.Lex) []order.LexEntry {
 	completed := append([]order.LexEntry(nil), l.Entries...)
 	inOrder := uint64(0)
 	for _, e := range completed {
@@ -106,190 +139,252 @@ func selectLexFull(q *cq.Query, full *reduce.Full, l order.Lex, k int64) (order.
 			completed = append(completed, order.LexEntry{Var: cq.VarID(v)})
 		}
 	}
-
-	ans := make(order.Answer, q.NumVars())
-	for step, entry := range completed {
-		hist, err := histogram(nodes, full.Origin, entry.Var)
-		if err != nil {
-			return nil, err
-		}
-		if len(hist) == 0 {
-			return nil, ErrOutOfBound
-		}
-		// Direction: for descending components select on negated keys.
-		items := make([]WItem[values.Value], 0, len(hist))
-		for val, cnt := range hist {
-			key := val
-			if entry.Dir == order.Desc {
-				key = -val
-			}
-			items = append(items, WItem[values.Value]{Key: key, Weight: cnt})
-		}
-		key, before, ok := WeightedSelect(items, k)
-		if !ok {
-			if step == 0 {
-				return nil, ErrOutOfBound
-			}
-			return nil, fmt.Errorf("selection: internal: index escaped its group at %s",
-				q.VarName(entry.Var))
-		}
-		val := key
-		if entry.Dir == order.Desc {
-			val = -key
-		}
-		ans[entry.Var] = val
-		k -= before
-		// Fix the chosen value in every node containing the variable.
-		for _, n := range nodes {
-			if c := n.Col(entry.Var); c >= 0 {
-				cc := c
-				n.Rel = n.Rel.Filter(func(t []values.Value) bool { return t[cc] == val })
-			}
-		}
-	}
-	if k != 0 {
-		return nil, fmt.Errorf("selection: internal: residual index %d", k)
-	}
-	return ans, nil
+	return completed
 }
 
-// reduceNodes runs a Yannakakis full reduction over the nodes' join tree.
-func reduceNodes(nodes []*reduce.Node, origin *cq.Query) error {
-	f := &reduce.Full{Origin: origin, Nodes: nodes}
-	tree, err := reduce.BuildTree(f)
-	if err != nil {
-		return err
+// nonEmpty reports whether every node holds a row. FreeReduce leaves a
+// Boolean query only nullary nodes, so this is whether it holds.
+func nonEmpty(nodes []*reduce.Node) bool {
+	for _, n := range nodes {
+		if n.Rel.Len() == 0 {
+			return false
+		}
 	}
-	tree.Yannakakis()
-	return nil
+	return true
 }
 
-// histogram computes, for each value c in the active domain of v, the
-// number of answers assigning c to v (Lemma 6.5): reduce the nodes, root
-// the join tree at a node containing v, compute subtree counts bottom-up,
-// and aggregate the root counts by the value of v.
-func histogram(nodes []*reduce.Node, origin *cq.Query, v cq.VarID) (map[values.Value]int64, error) {
-	f := &reduce.Full{Origin: origin, Nodes: nodes}
-	tree, err := reduce.BuildTree(f)
+// counter runs Lemma 6.5's counting DP over the nodes of a reduced full
+// CQ, rooted anew for each variable. Fixing a value only ever shrinks
+// the relations, so its buffers are allocated once and resliced on
+// later steps.
+type counter struct {
+	nodes []*reduce.Node
+	tree  *reduce.Tree
+	// counts[u][i] is the number of answers of u's subtree that row i
+	// of node u extends, saturated at math.MaxUint64.
+	counts [][]uint64
+	sums   []uint64 // per key of the child being joined
+	items  []WItem[values.Value]
+	post   []int
+}
+
+func newCounter(full *reduce.Full) (*counter, error) {
+	tree, err := reduce.BuildTree(full)
 	if err != nil {
 		return nil, err
 	}
-	rootIdx := -1
-	for i, n := range nodes {
-		if n.Col(v) >= 0 {
-			rootIdx = i
-			break
-		}
+	rows := 0
+	for _, n := range full.Nodes {
+		rows += n.Rel.Len()
 	}
-	if rootIdx < 0 {
-		return nil, fmt.Errorf("selection: internal: variable %s in no node", origin.VarName(v))
+	buf := make([]uint64, rows)
+	c := &counter{nodes: full.Nodes, tree: tree, counts: make([][]uint64, len(full.Nodes))}
+	for u, n := range full.Nodes {
+		c.counts[u], buf = buf[:n.Rel.Len():n.Rel.Len()], buf[n.Rel.Len():]
 	}
-	tree.Reroot(rootIdx)
-	tree.Yannakakis()
-
-	counts, err := subtreeCounts(tree)
-	if err != nil {
-		return nil, err
-	}
-	root := nodes[rootIdx]
-	col := root.Col(v)
-	hist := make(map[values.Value]int64, root.Rel.Len())
-	for i := 0; i < root.Rel.Len(); i++ {
-		val := root.Rel.Tuple(i)[col]
-		s, err := checked.Add(hist[val], counts[rootIdx][i])
-		if err != nil {
-			return nil, fmt.Errorf("selection: %w", err)
-		}
-		hist[val] = s
-	}
-	return hist, nil
+	return c, nil
 }
 
-// subtreeCounts computes, for every tuple of every node, the number of
-// answers it participates in within its subtree (post-order product of
-// child group sums).
-func subtreeCounts(tree *reduce.Tree) ([][]int64, error) {
-	nodes := tree.Full.Nodes
-	counts := make([][]int64, len(nodes))
-	var post []int
-	var walk func(int)
-	walk = func(u int) {
-		for _, c := range tree.Children[u] {
-			walk(c)
-		}
-		post = append(post, u)
+// histogram returns, for each value c of v that some answer assigns to
+// v, the number of such answers (Lemma 6.5), as items whose storage the
+// next call reuses.
+//
+// It roots the join tree at a node holding v and runs only the
+// bottom-up counting DP; no semijoin reduction comes first. The counts
+// are exact without one: a row that joins nothing in a child's subtree
+// counts 0, so a root row's count is the number of answers extending
+// it, and grouping the root's counts by v's value is the histogram.
+// Counts saturate instead of failing, because a count that overflows in
+// a subtree reaching no answer is multiplied by 0 on its way up; one
+// that reaches the root makes the total exceed math.MaxInt64, and that
+// is refused with checked.ErrOverflow.
+//
+// Beyond the counter's buffers, a call allocates the child key indexes,
+// which hold only the keys of rows counting more than 0, and a hash of
+// the root's values when v leads no node.
+func (c *counter) histogram(v cq.VarID) ([]WItem[values.Value], error) {
+	root, col := c.rootAt(v)
+	if root < 0 {
+		return nil, fmt.Errorf("selection: internal: variable %s in no node", c.tree.Full.Origin.VarName(v))
 	}
-	walk(tree.Root)
+	c.run(root)
+	rel, cnt := c.nodes[root].Rel, c.counts[root]
+	data, ar := rel.Data(), rel.Arity()
+	// FreeReduce's nodes are sorted and distinct (ProjectDistinct sorts
+	// them, Semijoin and fix keep their order), so when v leads the root
+	// the rows holding one value form a run and group with no hash.
+	// Were they not sorted, a value would only come out as several
+	// items, which WeightedSelect takes as one key.
+	var keys *tupleidx.Index
+	items := c.items[:0]
+	if col == 0 {
+		items = slices.Grow(items, runs(data, ar, cnt))
+	} else {
+		keys = tupleidx.New(1, 0)
+	}
+	cols := []int{col}
+	for i, w := range cnt {
+		if w == 0 {
+			continue
+		}
+		// A new value gets id len(items): the index numbers keys densely
+		// in insertion order, and a run that ends starts the next.
+		val, id := data[i*ar+col], len(items)
+		if keys != nil {
+			id, _ = keys.InsertCols(rel.Tuple(i), cols)
+		} else if id > 0 && items[id-1].Key == val {
+			id--
+		}
+		if id == len(items) {
+			items = append(items, WItem[values.Value]{Key: val})
+		}
+		sum := checked.SatAdd(uint64(items[id].Weight), w)
+		if sum > math.MaxInt64 {
+			return nil, errOverflow
+		}
+		items[id].Weight = int64(sum)
+	}
+	c.items = items
+	var total uint64
+	for _, it := range items {
+		total += uint64(it.Weight) // two weights ≤ MaxInt64 never wrap a uint64
+		if total > math.MaxInt64 {
+			return nil, errOverflow
+		}
+	}
+	return items, nil
+}
 
-	for _, u := range post {
-		n := nodes[u]
-		cnt := make([]int64, n.Rel.Len())
+// runs counts the runs of equal first columns among the rows that
+// count more than 0.
+func runs(data []values.Value, ar int, cnt []uint64) int {
+	n, prev := 0, values.Value(0)
+	for i, w := range cnt {
+		if w > 0 && (n == 0 || data[i*ar] != prev) {
+			n, prev = n+1, data[i*ar]
+		}
+	}
+	return n
+}
+
+// rootAt picks the node v's histogram is rooted at: one whose first
+// column is v if any, so its counts group by runs, else the first node
+// holding v. col is v's column there; root is -1 if no node holds v.
+func (c *counter) rootAt(v cq.VarID) (root, col int) {
+	root = -1
+	for u, n := range c.nodes {
+		switch j := n.Col(v); {
+		case j == 0:
+			return u, 0
+		case j > 0 && root < 0:
+			root, col = u, j
+		}
+	}
+	return root, col
+}
+
+// run fills counts bottom-up over the join tree rooted at root.
+func (c *counter) run(root int) {
+	c.tree.Reroot(root)
+	c.post = c.post[:0]
+	c.postorder(root)
+	for _, u := range c.post {
+		n := c.nodes[u]
+		cnt := c.counts[u][:n.Rel.Len()]
 		for i := range cnt {
 			cnt[i] = 1
 		}
-		for _, c := range tree.Children[u] {
-			child := nodes[c]
-			uCols, cCols := reduce.SharedCols(n, child)
-			// Group child counts by join key: sums[id] for key id.
-			keys := tupleidx.New(len(cCols), child.Rel.Len())
-			var sums []int64
-			for i := 0; i < child.Rel.Len(); i++ {
-				id, added := keys.InsertCols(child.Rel.Tuple(i), cCols)
-				if added {
-					sums = append(sums, 0)
-				}
-				s, err := checked.Add(sums[id], counts[c][i])
-				if err != nil {
-					return nil, fmt.Errorf("selection: %w", err)
-				}
-				sums[id] = s
-			}
-			for i := 0; i < n.Rel.Len(); i++ {
-				var sum int64
-				if id, ok := keys.LookupCols(n.Rel.Tuple(i), uCols); ok {
-					sum = sums[id]
-				}
-				m, err := checked.Mul(cnt[i], sum)
-				if err != nil {
-					return nil, fmt.Errorf("selection: %w", err)
-				}
-				cnt[i] = m
-			}
+		for _, ch := range c.tree.Children[u] {
+			c.join(n, cnt, c.nodes[ch], c.counts[ch])
 		}
-		counts[u] = cnt
+		c.counts[u] = cnt
 	}
-	return counts, nil
 }
 
-// CountAnswers returns |Q(I)| for a free-connex CQ in linear time (the
-// root sums of the counting DP); used by tests and the CLI.
+func (c *counter) postorder(u int) {
+	for _, ch := range c.tree.Children[u] {
+		c.postorder(ch)
+	}
+	c.post = append(c.post, u)
+}
+
+// join multiplies each count of node n by the summed counts of the
+// child's rows it joins, 0 when it joins none. The child's rows are
+// grouped by join key through an index that starts empty and takes only
+// rows counting more than 0.
+func (c *counter) join(n *reduce.Node, cnt []uint64, child *reduce.Node, childCnt []uint64) {
+	nCols, cCols := reduce.SharedCols(n, child)
+	keys := tupleidx.New(len(cCols), 0)
+	sums := c.sums[:0]
+	for i, w := range childCnt {
+		if w == 0 {
+			continue
+		}
+		id, added := keys.InsertCols(child.Rel.Tuple(i), cCols)
+		if added {
+			sums = append(sums, 0)
+		}
+		sums[id] = checked.SatAdd(sums[id], w)
+	}
+	c.sums = sums
+	for i, w := range cnt {
+		if w == 0 {
+			continue
+		}
+		if id, ok := keys.LookupCols(n.Rel.Tuple(i), nCols); ok {
+			cnt[i] = checked.SatMul(w, sums[id])
+		} else {
+			cnt[i] = 0
+		}
+	}
+}
+
+// fix keeps, in every node holding v, the rows that assign val to v.
+// It compacts each relation in place and in order, so the nodes stay
+// sorted.
+func (c *counter) fix(v cq.VarID, val values.Value) {
+	for _, n := range c.nodes {
+		col := n.Col(v)
+		if col < 0 {
+			continue
+		}
+		data, ar := n.Rel.Data(), n.Rel.Arity()
+		w := 0
+		for i := 0; i < len(data); i += ar {
+			if data[i+col] == val {
+				copy(data[w:w+ar], data[i:i+ar])
+				w += ar
+			}
+		}
+		// Cannot fail: ar ≥ 1 since the node holds v, and w tiles it.
+		n.Rel, _ = database.FromFlat(ar, data[:w])
+	}
+}
+
+// CountAnswers returns |Q(I)| for a free-connex CQ in linear time: the
+// total of one histogram, from the counting DP alone.
 func CountAnswers(q *cq.Query, in *database.Instance) (int64, error) {
 	full, err := reduce.FreeReduce(q, in)
 	if err != nil {
 		return 0, err
 	}
 	if q.IsBoolean() {
-		if err := reduceNodes(full.Nodes, full.Origin); err != nil {
-			return 0, err
+		if nonEmpty(full.Nodes) {
+			return 1, nil
 		}
-		for _, n := range full.Nodes {
-			if n.Rel.Len() == 0 {
-				return 0, nil
-			}
-		}
-		return 1, nil
+		return 0, nil
 	}
-	v := q.Head[0]
-	hist, err := histogram(full.Nodes, full.Origin, v)
+	dp, err := newCounter(full)
 	if err != nil {
 		return 0, err
 	}
-	total := checked.NewCounter(0)
-	for _, c := range hist {
-		total.Add(c)
-	}
-	if err := total.Err(); err != nil {
+	items, err := dp.histogram(q.Head[0])
+	if err != nil {
 		return 0, err
 	}
-	return total.Value(), nil
+	var total int64
+	for _, it := range items {
+		total += it.Weight
+	}
+	return total, nil
 }

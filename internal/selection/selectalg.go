@@ -11,11 +11,24 @@
 //     Frederickson–Johnson setting of Theorem 7.9, realized here with an
 //     exact bisection over the finite float64 sum space (same overall
 //     O(n log n) bound; see DESIGN.md for the substitution note).
+//
+// Lex selection runs no semijoin reduction. Lemma 6.5's histogram of a
+// variable v is the bottom-up counting DP over the join tree rooted at
+// a node holding v: a dangling row counts 0 there, so each root row's
+// count is exactly the number of answers extending it (see histogram).
+// Lemma 6.6's loop then fixes v's chosen value by compacting the nodes
+// in place. A call allocates FreeReduce's copy of its input (the
+// projection and its radix sort scratch, about twice the input's flat
+// bytes), one 8-byte count per row of that copy, and per step the
+// histogram's items and the key indexes of the rows that count;
+// WeightedSelect partitions in place and allocates nothing. At
+// n = 65 536 rows per relation that is 3.1× the input's flat bytes
+// (TestSelectLexAllocationBound holds it ≤ 4×).
 package selection
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 
 	"rankedaccess/internal/access"
 )
@@ -34,8 +47,9 @@ type WItem[K cmp.Ordered] struct {
 // WeightedSelect returns the key κ such that the total weight of items
 // with key < κ is ≤ k and the total weight of items with key ≤ κ is > k
 // (i.e. position k, 0-based, falls inside κ's weight range), together
-// with the total weight strictly before κ. It runs in deterministic
-// linear time via median-of-medians pivoting.
+// with the total weight strictly before κ. Items sharing a key count as
+// one key. It runs in deterministic linear time via median-of-medians
+// pivoting and allocates nothing.
 //
 // The items slice is reordered. k must satisfy 0 ≤ k < total weight.
 func WeightedSelect[K cmp.Ordered](items []WItem[K], k int64) (key K, before int64, ok bool) {
@@ -47,66 +61,90 @@ func WeightedSelect[K cmp.Ordered](items []WItem[K], k int64) (key K, before int
 		var zero K
 		return zero, 0, false
 	}
-	var acc int64 // weight known to be strictly before the current slice
-	for {
-		if len(items) == 1 {
-			return items[0].Key, acc, true
-		}
+	key, before = kth(items, k, false)
+	return key, before, true
+}
+
+// kth is WeightedSelect without the bounds check, partitioning items in
+// place. With unit set every item weighs 1, whatever its Weight.
+func kth[K cmp.Ordered](items []WItem[K], k int64, unit bool) (key K, before int64) {
+	for len(items) > 1 {
 		pivot := medianOfMedians(items)
-		var less, equal []WItem[K]
-		var wLess, wEqual int64
-		greater := items[:0:0]
-		for _, it := range items {
-			switch {
-			case it.Key < pivot:
-				less = append(less, it)
-				wLess += it.Weight
-			case it.Key == pivot:
-				equal = append(equal, it)
-				wEqual += it.Weight
-			default:
-				greater = append(greater, it)
-			}
-		}
+		lt, gt, wLess, wEqual := partition3(items, pivot, unit)
 		switch {
 		case k < wLess:
-			items = less
+			items = items[:lt]
 		case k < wLess+wEqual:
-			return pivot, acc + wLess, true
+			return pivot, before + wLess
 		default:
-			items = greater
-			acc += wLess + wEqual
+			items = items[gt:]
+			before += wLess + wEqual
 			k -= wLess + wEqual
 		}
 	}
+	return items[0].Key, before
+}
+
+// partition3 reorders items into keys < pivot, == pivot and the rest
+// (items[:lt], items[lt:gt], items[gt:]) and returns the weights of the
+// first two parts.
+func partition3[K cmp.Ordered](items []WItem[K], pivot K, unit bool) (lt, gt int, wLess, wEqual int64) {
+	i, gt := 0, len(items)
+	for i < gt {
+		w := items[i].Weight
+		if unit {
+			w = 1
+		}
+		switch key := items[i].Key; {
+		case key < pivot:
+			wLess += w
+			items[lt], items[i] = items[i], items[lt]
+			lt++
+			i++
+		case key == pivot:
+			wEqual += w
+			i++
+		default:
+			gt--
+			items[i], items[gt] = items[gt], items[i]
+		}
+	}
+	return lt, gt, wLess, wEqual
 }
 
 // medianOfMedians returns a pivot key guaranteed to split the items
 // 30/70 (the classic groups-of-five construction, by key only; weights
 // do not matter for the pivot quality because the recursion re-weighs).
+// It moves each group's median to the front of items and selects their
+// median there.
 func medianOfMedians[K cmp.Ordered](items []WItem[K]) K {
 	n := len(items)
 	if n <= 10 {
-		keys := make([]K, n)
+		var keys [10]K
 		for i, it := range items {
 			keys[i] = it.Key
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys[:n])
 		return keys[n/2]
 	}
-	medians := make([]WItem[K], 0, (n+4)/5)
-	var five [5]K
+	m := 0
 	for i := 0; i < n; i += 5 {
-		m := 0
-		for j := i; j < i+5 && j < n; j++ {
-			five[m] = items[j].Key
-			m++
+		group := items[i:min(i+5, n)]
+		var five [5]K
+		for j, it := range group {
+			five[j] = it.Key
 		}
-		part := five[:m]
-		sort.Slice(part, func(a, b int) bool { return part[a] < part[b] })
-		medians = append(medians, WItem[K]{Key: part[m/2], Weight: 1})
+		slices.Sort(five[:len(group)])
+		med := five[len(group)/2]
+		for j := range group {
+			if group[j].Key == med {
+				items[m], group[j] = group[j], items[m]
+				break
+			}
+		}
+		m++
 	}
-	key, _, _ := WeightedSelect(medians, int64(len(medians)/2))
+	key, _ := kth(items[:m], int64(m/2), true)
 	return key
 }
 

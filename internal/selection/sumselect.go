@@ -80,6 +80,17 @@ func selectSumChecked(q *cq.Query, in *database.Instance, w order.Sum, k int64) 
 	return c.Unpack(ans), nil
 }
 
+// reduceNodes runs a Yannakakis full reduction over the nodes' join tree.
+func reduceNodes(nodes []*reduce.Node, origin *cq.Query) error {
+	f := &reduce.Full{Origin: origin, Nodes: nodes}
+	tree, err := reduce.BuildTree(f)
+	if err != nil {
+		return err
+	}
+	tree.Yannakakis()
+	return nil
+}
+
 // selectSingle handles mh = 1 (Lemma 7.8): weighted selection over the
 // tuples of the single relation in O(n).
 func selectSingle(c *reduce.Contraction, k int64) (order.Answer, error) {

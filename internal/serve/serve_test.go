@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -86,6 +87,26 @@ func TestAccessEndToEnd(t *testing.T) {
 		t.Fatalf("out-of-range probe: %+v", resp.Answers[3])
 	}
 	_ = q
+}
+
+// /v1/instance/select runs selection.SelectLex, so a descending order
+// puts math.MinInt64 last there too.
+func TestSelectDescMinInt64(t *testing.T) {
+	e := engine.New(database.NewInstance(), engine.Options{})
+	srv := httptest.NewServer(NewHandler(e))
+	defer srv.Close()
+	var lr api.LoadResponse
+	post(t, srv, "/v1/instance/load", api.LoadRequest{Relation: "R", Rows: [][]values.Value{{math.MinInt64}, {0}, {5}}}, &lr)
+	for k, want := range []values.Value{5, 0, math.MinInt64} {
+		var sr api.SelectResponse
+		post(t, srv, "/v1/instance/select", api.InstanceSelectRequest{
+			Spec:          api.Spec{Query: "Q(x) :- R(x)", Order: "x desc"},
+			SelectRequest: api.SelectRequest{K: int64(k)},
+		}, &sr)
+		if len(sr.Tuple) != 1 || sr.Tuple[0] != want {
+			t.Fatalf("k=%d: %v, want [%d]", k, sr.Tuple, want)
+		}
+	}
 }
 
 func TestLoadThenQueryLifecycle(t *testing.T) {
