@@ -21,6 +21,8 @@ import (
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/baseline"
 	"rankedaccess/internal/classify"
+	"rankedaccess/internal/cq"
+	"rankedaccess/internal/database"
 	"rankedaccess/internal/engine"
 	"rankedaccess/internal/enum"
 	"rankedaccess/internal/fd"
@@ -101,32 +103,61 @@ func BenchmarkThm33_Access(b *testing.B) {
 }
 
 // BenchmarkLexAppendRange scans windows of consecutive ranks through
-// one probe buffer: a descent to the first rank, a successor step
-// (Remark 3) for every later one, so ns/row falls as the window grows.
-// The bounded number is the ladder's access.lex_range_ns_per_row.
+// one probe buffer: a descent to the first rank, then run by run — the
+// rest of the last layer's bucket copied row by row, a successor step
+// (Remark 3) where a bucket ends — so ns/row falls as the window grows.
+// The instances: the figure benchmarks' two-path; the benchmark
+// harness's own (n = 262 144, dom n/4, skew 0.4), whose bounded number
+// is the ladder's access.lex_range_ns_per_row; and a chain with one
+// tuple in every last-layer bucket, where no run is longer than one row
+// and every row pops to the root.
 func BenchmarkLexAppendRange(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	q, in := workload.TwoPath(rng, 1<<14, 1<<11, 0.3)
-	l, _ := order.ParseLex(q, "x, y, z")
-	la, err := access.BuildLex(q, in, l)
-	if err != nil {
-		b.Fatal(err)
+	chain := func(n int) (*cq.Query, *database.Instance) {
+		in := database.NewInstance()
+		for i := 0; i < n; i++ {
+			in.AddRow("R", Value(i), Value(n+i))
+			in.AddRow("S", Value(n+i), Value(2*n+i))
+		}
+		return cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)"), in
 	}
-	for _, rows := range []int64{16, 512, 65536} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			if la.Total() < rows {
-				b.Skipf("%d answers", la.Total())
-			}
-			var dst []Value
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k0 := rng.Int63n(la.Total() - rows + 1)
-				if dst, err = la.AppendRange(dst[:0], k0, k0+rows); err != nil {
-					b.Fatal(err)
+	instances := []struct {
+		name  string
+		build func(*rand.Rand) (*cq.Query, *database.Instance)
+	}{
+		{"twopath/n=16384", func(rng *rand.Rand) (*cq.Query, *database.Instance) {
+			return workload.TwoPath(rng, 1<<14, 1<<11, 0.3)
+		}},
+		{"twopath/n=262144", func(rng *rand.Rand) (*cq.Query, *database.Instance) {
+			return workload.TwoPath(rng, 1<<18, 1<<16, 0.4)
+		}},
+		{"one-tuple-buckets/n=65536", func(*rand.Rand) (*cq.Query, *database.Instance) {
+			return chain(1 << 16)
+		}},
+	}
+	for _, inst := range instances {
+		rng := rand.New(rand.NewSource(1))
+		q, in := inst.build(rng)
+		l, _ := order.ParseLex(q, "x, y, z")
+		la, err := access.BuildLex(q, in, l)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rows := range []int64{16, 512, 65536} {
+			b.Run(fmt.Sprintf("%s/rows=%d", inst.name, rows), func(b *testing.B) {
+				if la.Total() < rows {
+					b.Skipf("%d answers", la.Total())
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*rows), "ns/row")
-		})
+				var dst []Value
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k0 := rng.Int63n(la.Total() - rows + 1)
+					if dst, err = la.AppendRange(dst[:0], k0, k0+rows); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*rows), "ns/row")
+			})
+		}
 	}
 }
 

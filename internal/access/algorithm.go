@@ -187,22 +187,84 @@ func (la *Lex) AppendTuple(dst []values.Value, k int64) ([]values.Value, error) 
 }
 
 // AppendRange appends the head projections of answers k0 ≤ k < k1 to
-// dst through one probe buffer: one descent to k0, then a successor
-// step per answer (no allocation beyond dst growth).
+// dst through one probe buffer, with no allocation beyond dst growth:
+// one descent to k0, then the rest run by run. A run is the tuples left
+// in the last layer's current bucket; consecutive answers inside it
+// differ only in the last layer's variable, so each of its rows is the
+// row before with that one value rewritten (an FD-extended structure
+// projects each row instead), and the successor step runs only where a
+// bucket ends. The buffer is left as a scan by rank would leave it —
+// holding answer k1−1 with that answer's tuple, bucket and bucket end
+// per layer, next = k1 — so its next borrower may step from it.
 func (la *Lex) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value, error) {
 	if k0 < 0 || k1 < k0 || k1 > la.total {
 		return dst, ErrOutOfBound
 	}
+	if k0 == k1 {
+		return dst, nil
+	}
 	buf := la.GetBuf()
 	defer la.PutBuf(buf)
-	for k := k0; k < k1; k++ {
-		a, err := la.AccessInto(buf, k)
-		if err != nil {
-			return dst, err
+	head := la.Query.Head
+	a, err := la.AccessInto(buf, k0)
+	if err != nil {
+		return dst, err
+	}
+	dst = appendHead(dst, head, a)
+	if la.boolean { // one answer at most
+		return dst, nil
+	}
+	f := len(la.layers)
+	last := &la.layers[f-1]
+	ans := buf.ans[:la.numVars]
+	slot := -1 // the last layer's variable's position in a head row
+	if la.project == nil {
+		slot = slices.Index(head, last.v)
+	}
+	for k := k0 + 1; k < k1; {
+		t := buf.tuple[f-1] + 1
+		if t == buf.end[f-1] {
+			if a, err = la.step(buf); err != nil {
+				return dst, err
+			}
+			dst = appendHead(dst, head, a)
+			k++
+			continue
 		}
-		dst = appendHead(dst, la.Query.Head, a)
+		run := last.vals[t : t+int(min(int64(buf.end[f-1]-t), k1-k))]
+		if slot >= 0 {
+			dst = appendRun(dst, len(head), slot, run)
+		} else { // FD-extended: each row projected on the way out
+			for _, v := range run {
+				ans[last.v] = v
+				dst = appendHead(dst, head, la.output(ans))
+			}
+		}
+		ans[last.v] = run[len(run)-1]
+		buf.tuple[f-1] += len(run)
+		buf.next += int64(len(run))
+		k += int64(len(run))
 	}
 	return dst, nil
+}
+
+// appendRun appends one row per value of run, each a copy of dst's last
+// row (h values) with position slot rewritten to that value. The copies
+// double, so a run costs O(log len(run)) block moves and one store per
+// row.
+func appendRun(dst []values.Value, h, slot int, run []values.Value) []values.Value {
+	base := len(dst)
+	n := len(run) * h
+	dst = slices.Grow(dst, n)[:base+n]
+	copy(dst[base:], dst[base-h:base])
+	for w := h; w < n; w *= 2 {
+		copy(dst[base+w:], dst[base:base+w])
+	}
+	rows := dst[base+slot:]
+	for i, v := range run {
+		rows[i*h] = v
+	}
+	return dst
 }
 
 // output applies the FD projection (identity when no FDs are in play).

@@ -230,11 +230,11 @@ func conform(t *testing.T, rng *rand.Rand, q *cq.Query, s access.Structure, want
 // scan holds a structure to the scan contract: a probe buffer may step
 // to the successor of the answer it holds instead of descending, and no
 // sequence of probes may be able to tell. It is a seeded random walk
-// through one buffer — steps, repeats, jumps, a Rank or an Access that
-// borrows the same buffer from the pool in between, out-of-bound probes
-// followed by the rank a stale buffer would step to, walks off the last
-// answer — with every answer compared, all variables of it, to a
-// descent's.
+// through one buffer — steps, repeats, jumps, a Rank, an Access or an
+// AppendRange that borrows the same buffer from the pool in between,
+// out-of-bound probes followed by the rank a stale buffer would step
+// to, walks off the last answer — with every answer compared, all
+// variables of it, to a descent's.
 func scan(t *testing.T, rng *rand.Rand, s access.Structure) {
 	t.Helper()
 	total := s.Total()
@@ -255,16 +255,43 @@ func scan(t *testing.T, rng *rand.Rand, s access.Structure) {
 			want = append(want, a[v])
 		}
 	}
-	// Every window of up to four rows: whichever layers' buckets end
-	// between two consecutive answers, some window starts before, at
-	// and after that boundary.
-	for k0 := int64(0); k0 < total; k0++ {
-		k1 := min(k0+1+k0%4, total)
+	window := func(k0, k1 int64) {
+		t.Helper()
 		got, err := s.AppendRange(nil, k0, k1)
 		if err != nil || !slices.Equal(got, want[int(k0)*len(head):int(k1)*len(head)]) {
 			t.Fatalf("AppendRange(%d, %d) = %v (%v), descents give %v", k0, k1, got, err, ref[k0:k1])
 		}
 	}
+	// Every window of up to four rows: whichever layers' buckets end
+	// between two consecutive answers, some window starts before, at
+	// and after that boundary.
+	for k0 := int64(0); k0 < total; k0++ {
+		window(k0, min(k0+1+k0%4, total))
+	}
+	// Runs, and windows ending one row past each run's end, from its
+	// start and from inside it. In a layered structure (an overlay's
+	// base too) a run is the rest of a last-layer bucket: consecutive
+	// answers in it differ only in the last layer's variable, so a run
+	// ends before an answer that differs in another one.
+	base := s
+	if o, ok := s.(*access.Overlay); ok {
+		base = o.Base()
+	}
+	if la, ok := base.(*access.Lex); ok && la.LayerCount() > 0 {
+		last := la.Completed.Entries[la.LayerCount()-1].Var
+		start := int64(0)
+		for e := int64(1); e < total; e++ {
+			for v := range ref[e] {
+				if cq.VarID(v) != last && ref[e][v] != ref[e-1][v] {
+					window(start, e+1)
+					window(start+rng.Int63n(e-start), e+1)
+					start = e
+					break
+				}
+			}
+		}
+	}
+	window(0, total)
 
 	buf := s.GetBuf()
 	probe := func(k int64) {
@@ -291,7 +318,7 @@ func scan(t *testing.T, rng *rand.Rand, s access.Structure) {
 	}
 	k := int64(-1)
 	for move := 0; move < 4000 && total > 0; move++ {
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(21); {
 		case r < 10:
 			k++
 		case r == 10:
@@ -321,6 +348,13 @@ func scan(t *testing.T, rng *rand.Rand, s access.Structure) {
 				}
 			})
 			k++
+		case r == 18 && k >= 0:
+			// A window through the walk's buffer, which must leave it
+			// holding the window's last answer: the walk steps on from
+			// there.
+			j := 1 + rng.Int63n(total-k)
+			lend(func() { window(k, k+j) })
+			k += j
 		default:
 			probe([]int64{-1, total, total + 7}[rng.Intn(3)])
 			k++
@@ -426,6 +460,12 @@ var scanCases = map[string]func(*testing.T, *rand.Rand) *access.Lex{
 			t.Fatal(err)
 		}
 		return la
+	},
+	// The last layer's variable heads the head, so a run rewrites the
+	// first value of each row.
+	"permuted-head": func(t *testing.T, rng *rand.Rand) *access.Lex {
+		_, in := workload.TwoPath(rng, 80, 10, 0.4)
+		return buildLex(t, cq.MustParse("Q(z, x, y) :- R(x, y), S(y, z)"), in, "x, y, z")
 	},
 	"boolean": func(t *testing.T, rng *rand.Rand) *access.Lex {
 		_, in := workload.TwoPath(rng, 20, 4, 0.4)

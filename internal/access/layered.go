@@ -36,16 +36,24 @@
 // in its bucket advances, later layers restart in the buckets their
 // parents now select — not a second O(log n) descent. There is no scan
 // API: every loop that probes consecutive ranks through one buffer gets
-// the step for free — AppendRange here and the base segments of an
-// Overlay's, engine.Cursor.Next, a shard node's Owned.Range, the
-// in-process shard merge, enum.RankedLexBuffered — and a probe of any
-// other rank descends. The step starts only from what a descent or an
-// earlier step left in that buffer (an error, or Rank's use of a pooled
-// buffer, leaves it holding nothing), and the aliasing rule above is
-// unchanged: the answer is valid until the buffer's next use, step or
-// descent. The convenience wrappers (Access, AppendTuple) borrow a
-// pooled buffer per call, so consecutive calls to them rarely meet the
-// same buffer twice and should not be counted on to step.
+// the step for free — engine.Cursor.Next, the in-process shard merge,
+// enum.RankedLexBuffered — and a probe of any other rank descends.
+// AppendRange goes further, by runs. A run is the tuples left in the
+// last layer's current bucket: consecutive answers inside it differ
+// only in the last layer's variable, so AppendRange writes each of its
+// rows as the row before with that one value rewritten, and steps only
+// where a bucket ends. Whatever scans a window takes runs through it:
+// an Overlay's base segments, engine ranges, cursor pages and streams,
+// a shard node's Owned.Range. AppendRange leaves its buffer as a scan
+// by rank would — holding answer k1−1 with that answer's bucket, tuple
+// and bucket end per layer, next = k1 — so the buffer's next borrower
+// may step from it. The step starts only from what a descent, an
+// earlier step or a range left in that buffer (an error, or Rank's use
+// of a pooled buffer, leaves it holding nothing), and the aliasing rule
+// above is unchanged: the answer is valid until the buffer's next use,
+// step or descent. The convenience wrappers (Access, AppendTuple)
+// borrow a pooled buffer per call, so consecutive calls to them rarely
+// meet the same buffer twice and should not be counted on to step.
 //
 // Compare is the total order Access enumerates and Rank searches. A Lex
 // realizes its Completed order, which names every free variable. A row
@@ -389,8 +397,12 @@ func (lb *lexBuild) buildTree(full *reduce.Full, completed order.Lex) error {
 	// filtered by that node. Only a proper projection can repeat tuples.
 	whole := func(i int) bool { return layerSets[i] == nodeSets[srcNode[i]] }
 	lb.rels = make([]*database.Relation, f)
-	// Each layer projects its own source node into a fresh relation —
-	// independent units, fanned out over bounded workers.
+	// Each layer projects its own source node — independent units, fanned
+	// out over bounded workers. A whole layer whose columns are already
+	// the node's, in order, is the node's relation itself: FreeReduce
+	// made it for this build alone, at most one layer holds every
+	// variable of a node, and nothing reads the node after buildTree, so
+	// bucketize may sort it in place. Any other layer is a fresh copy.
 	par.Do(f, func(i int) {
 		ly := &la.layers[i]
 		src := full.Nodes[srcNode[i]]
@@ -399,10 +411,17 @@ func (lb *lexBuild) buildTree(full *reduce.Full, completed order.Lex) error {
 			cols = append(cols, src.Col(u))
 		}
 		cols = append(cols, src.Col(ly.v))
-		if whole(i) {
-			lb.rels[i] = src.Rel.Project(cols)
-		} else {
+		inOrder := true
+		for c, x := range cols {
+			inOrder = inOrder && c == x
+		}
+		switch {
+		case !whole(i):
 			lb.rels[i] = src.Rel.ProjectDistinct(cols)
+		case inOrder:
+			lb.rels[i] = src.Rel
+		default:
+			lb.rels[i] = src.Rel.Project(cols)
 		}
 	})
 nodes:

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"rankedaccess/internal/baseline"
@@ -116,17 +118,21 @@ func randomLex(q *cq.Query, perm []int, dirs uint8) order.Lex {
 
 // FuzzBuildLexVsBaseline builds a two- or three-path over at most 8
 // values, so most rows dangle, under a fuzzed (possibly partial) lex
-// order with fuzzed directions: Total and every Access must equal the
+// order with fuzzed directions: Total, every Access, the whole answer
+// list through AppendRange and one fuzzed window of it must equal the
 // materialize-and-sort baseline.
 func FuzzBuildLexVsBaseline(f *testing.F) {
 	queries := []*cq.Query{
 		cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)"),
 		cq.MustParse("Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d)"),
 	}
-	f.Add([]byte{0, 0, 0, 3, 1, 2, 2, 5, 1, 0, 7, 2, 3})
-	f.Add([]byte{1, 5, 9, 4, 0, 1, 1, 2, 2, 3, 3, 4, 1, 1, 2, 2})
-	f.Add([]byte{0, 3, 255, 2, 6, 6, 6, 0, 6, 1, 6, 7})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0, 0, 0, 3, 1, 2, 2, 5, 1, 0, 7, 2, 3}, uint16(0), uint16(2))
+	f.Add([]byte{1, 5, 9, 4, 0, 1, 1, 2, 2, 3, 3, 4, 1, 1, 2, 2}, uint16(1), uint16(7))
+	f.Add([]byte{0, 3, 255, 2, 6, 6, 6, 0, 6, 1, 6, 7}, uint16(3), uint16(65535))
+	// Under x, y, z the answers are (1,2,3), (1,2,5), (4,2,3), (4,2,5):
+	// the window [1, 2) ends exactly where the last layer's bucket does.
+	f.Add([]byte{0, 1, 0, 2, 1, 2, 2, 3, 4, 2, 2, 5}, uint16(1), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, w0, w1 uint16) {
 		if len(data) < 4 {
 			return
 		}
@@ -155,6 +161,7 @@ func FuzzBuildLexVsBaseline(f *testing.F) {
 		if la.Total() != int64(len(want)) {
 			t.Fatalf("%s ⟨%v⟩: total %d, baseline %d", q, l, la.Total(), len(want))
 		}
+		var heads []values.Value
 		for k := range want {
 			a, err := la.Access(int64(k))
 			if err != nil {
@@ -163,6 +170,55 @@ func FuzzBuildLexVsBaseline(f *testing.F) {
 			if !reflect.DeepEqual(proj(q, a), proj(q, want[k])) {
 				t.Fatalf("%s ⟨%v⟩: answer #%d = %v, baseline %v", q, l, k, proj(q, a), proj(q, want[k]))
 			}
+			heads = append(heads, proj(q, want[k])...)
+		}
+		total := la.Total()
+		k0 := int64(w0) % (total + 1)
+		k1 := k0 + int64(w1)%(total-k0+1)
+		for _, w := range [][2]int64{{0, total}, {k0, k1}} {
+			got, err := la.AppendRange(nil, w[0], w[1])
+			if err != nil || !slices.Equal(got, heads[w[0]*int64(nv):w[1]*int64(nv)]) {
+				t.Fatalf("%s ⟨%v⟩: AppendRange(%d, %d) = %v (%v), baseline %v", q, l, w[0], w[1], got, err, heads[w[0]*int64(nv):w[1]*int64(nv)])
+			}
 		}
 	})
+}
+
+// TestBuildLexAllocationBound bounds what one BuildLex allocates, by the
+// workload of selection's TestSelectLexAllocationBound: a layer holding
+// every variable of its node in the node's column order is that node's
+// relation, not a copy of it.
+func TestBuildLexAllocationBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 65 536-row two-path")
+	}
+	const n = 1 << 16
+	q, in := workload.TwoPath(rand.New(rand.NewSource(1)), n, n/4, 0.4)
+	var input uint64
+	for _, name := range in.Names() {
+		input += uint64(len(in.Relation(name).Data())) * 8
+	}
+	l, err := order.ParseLex(q, "x, y, z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() {
+		if _, err := BuildLex(q, in, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	const calls = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	ratio := float64(perCall) / float64(input)
+	t.Logf("%d B per call, %.2f× the input's %d B", perCall, ratio, input)
+	if ratio > 5.5 {
+		t.Fatalf("BuildLex allocates %.2f× its input, want ≤ 5.5×", ratio)
+	}
 }

@@ -168,7 +168,9 @@ func (o *Owned) AccessBatch(shards []int, pos []int64, owned []int) (answers []o
 const maxOwnedRange = 4096
 
 // Range returns one owned shard's local answers k0 ≤ k < k1, each
-// freshly allocated off one backing array.
+// freshly allocated off one backing array: the part's AppendRange
+// writes the head rows into the array's tail, and each head value is
+// copied from there into its variable's slot of an answer.
 func (o *Owned) Range(shard int, k0, k1 int64) ([]order.Answer, error) {
 	p, err := o.part(shard)
 	if err != nil {
@@ -181,15 +183,19 @@ func (o *Owned) Range(shard int, k0, k1 int64) ([]order.Answer, error) {
 	if n > maxOwnedRange {
 		return nil, fmt.Errorf("shard: range of %d answers exceeds the per-call cap %d", n, maxOwnedRange)
 	}
-	buf := p.GetBuf()
-	out := o.newAnswerBlock(int(n), 0)
-	for k := k0; k < k1; k++ {
-		a, err := p.AccessInto(buf, k)
-		if err != nil {
-			return nil, err
-		}
-		out.add(a)
+	nv, head := o.Query.NumVars(), p.Head()
+	flat := make([]int64, int(n)*(nv+len(head)))
+	rows, err := p.AppendRange(flat[int(n)*nv:int(n)*nv], k0, k1)
+	if err != nil {
+		return nil, err
 	}
-	p.PutBuf(buf)
-	return out.out, nil
+	answers := make([]order.Answer, n)
+	for i := range answers {
+		a := flat[i*nv : (i+1)*nv : (i+1)*nv]
+		for j, v := range head {
+			a[v] = rows[i*len(head)+j]
+		}
+		answers[i] = a
+	}
+	return answers, nil
 }
