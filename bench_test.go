@@ -100,6 +100,41 @@ func BenchmarkThm33_Access(b *testing.B) {
 			benchAccess(b, rng, la)
 		})
 	}
+	for _, inst := range thm33Instances {
+		b.Run(inst.name, func(b *testing.B) {
+			la := buildThm33(b, inst.build)
+			b.ReportAllocs()
+			benchAccess(b, rand.New(rand.NewSource(1)), la)
+		})
+	}
+}
+
+// thm33Instances are the access benchmarks' instances beside the
+// sweep, each under the order x, y, z: the benchmark harness's own
+// (n = 262 144, dom n/4, skew 0.4), whose access is the ladder's
+// access.lex_access_ns, and workload.Geometric's, where every search
+// that starts from the guess its bucket's endpoints predict starts far
+// from its target.
+var thm33Instances = []struct {
+	name  string
+	build func() (*cq.Query, *database.Instance)
+}{
+	{"harness/n=262144", func() (*cq.Query, *database.Instance) {
+		return workload.TwoPath(rand.New(rand.NewSource(1)), 1<<18, 1<<16, 0.4)
+	}},
+	{"geometric/levels=17", func() (*cq.Query, *database.Instance) {
+		return workload.Geometric(17)
+	}},
+}
+
+func buildThm33(b *testing.B, build func() (*cq.Query, *database.Instance)) *access.Lex {
+	q, in := build()
+	l, _ := order.ParseLex(q, "x, y, z")
+	la, err := access.BuildLex(q, in, l)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return la
 }
 
 // BenchmarkLexAppendRange scans windows of consecutive ranks through
@@ -162,22 +197,30 @@ func BenchmarkLexAppendRange(b *testing.B) {
 }
 
 func BenchmarkThm33_InvertedAccess(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	q, in := workload.TwoPath(rng, 1<<14, 1<<11, 0.3)
-	l, _ := order.ParseLex(q, "x, y, z")
-	la, err := access.BuildLex(q, in, l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	answers := make([]order.Answer, 256)
-	for i := range answers {
-		answers[i], _ = la.Access(rng.Int63n(la.Total()))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := la.Inverted(answers[i%len(answers)]); err != nil {
-			b.Fatal(err)
+	inverted := func(b *testing.B, la *access.Lex) {
+		rng := rand.New(rand.NewSource(1))
+		answers := make([]order.Answer, 256)
+		for i := range answers {
+			answers[i], _ = la.Access(rng.Int63n(la.Total()))
 		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := la.Inverted(answers[i%len(answers)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("n=16384", func(b *testing.B) {
+		inverted(b, buildThm33(b, func() (*cq.Query, *database.Instance) {
+			return workload.TwoPath(rand.New(rand.NewSource(1)), 1<<14, 1<<11, 0.3)
+		}))
+	})
+	for _, inst := range thm33Instances {
+		b.Run(inst.name, func(b *testing.B) {
+			la := buildThm33(b, inst.build)
+			b.ReportAllocs()
+			inverted(b, la)
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package access
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/order"
@@ -78,7 +77,8 @@ func (la *Lex) Access(k int64) (order.Answer, error) {
 // perform zero allocations (FD-extended structures excepted: their
 // answer projection still copies). When k follows the answer buf holds
 // the call is a successor step, O(1) amortized over a scan, instead of
-// the O(log n) descent (see LexBuf).
+// the O(log n) descent (see LexBuf). The descent picks each layer's
+// tuple by index in a leaf and by a guided search elsewhere (pick).
 func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 	if la.boolean {
 		if la.boolTrue && k == 0 {
@@ -108,14 +108,10 @@ func (la *Lex) AccessInto(buf *LexBuf, k int64) (order.Answer, error) {
 		b := bucket[i]
 		factor /= ly.bucketWeight[b]
 		lo, hi := ly.bucketStart[b], ly.bucketStart[b+1]
-		// Largest tuple index t in [lo, hi) with starts[t]*factor ≤ k.
-		t := lo + sort.Search(hi-lo, func(j int) bool {
-			return ly.starts[lo+j]*factor > k
-		}) - 1
-		if t < lo {
-			return nil, fmt.Errorf("access: internal: binary search fell off bucket")
+		var t int
+		if t, k = ly.pick(b, factor, k); t < lo || t >= hi {
+			return nil, fmt.Errorf("access: internal: descent fell off bucket")
 		}
-		k -= ly.starts[t] * factor
 		tuple[i], end[i] = t, hi
 		ans[ly.v] = ly.vals[t]
 		nc := len(ly.children)
@@ -295,7 +291,8 @@ func (la *Lex) Compare(a, b order.Answer) int { return la.Completed.Compare(a, b
 // Rank returns the number of answers strictly preceding the given tuple
 // in the completed order, and whether the tuple is itself an answer. The
 // tuple is VarID-indexed and must assign every free variable of Query.
-// Runs in O(log n).
+// Runs in O(log n): per layer, one guided search for the tuple's value
+// (seek), and in a leaf the tuple's start is its index in the bucket.
 func (la *Lex) Rank(a order.Answer) (int64, bool) {
 	if la.boolean {
 		return 0, la.boolTrue
@@ -324,25 +321,18 @@ func (la *Lex) Rank(a order.Answer) (int64, bool) {
 		b := bucket[i]
 		factor /= ly.bucketWeight[b]
 		lo, hi := ly.bucketStart[b], ly.bucketStart[b+1]
-		target := ext[ly.v]
-		// Binary search for target under the layer direction.
-		t := lo + sort.Search(hi-lo, func(j int) bool {
-			if ly.dir == order.Desc {
-				return ly.vals[lo+j] <= target
-			}
-			return ly.vals[lo+j] >= target
-		})
-		if t == hi || ly.vals[t] != target {
+		t := ly.seek(lo, hi, ext[ly.v])
+		if t == hi {
+			// Every tuple of the bucket precedes the target; nothing
+			// deeper matches.
+			return k + ly.bucketWeight[b]*factor, false
+		}
+		k += ly.start(t, lo) * factor
+		if ly.vals[t] != ext[ly.v] {
 			// No tuple with this value: everything before position t
 			// precedes the target; nothing deeper matches.
-			if t == hi {
-				k += ly.bucketWeight[b] * factor
-			} else {
-				k += ly.starts[t] * factor
-			}
 			return k, false
 		}
-		k += ly.starts[t] * factor
 		nc := len(ly.children)
 		for j, c := range ly.children {
 			cb := int(ly.childOf[t*nc+j])
@@ -351,6 +341,119 @@ func (la *Lex) Rank(a order.Answer) (int64, bool) {
 		}
 	}
 	return k, exact
+}
+
+// pick returns the tuple of bucket b that holds position k of the
+// bucket's answers, each of its tuples' answers counted factor times —
+// the largest t with starts[t]·factor ≤ k — and k's remainder inside
+// that tuple's share. A leaf tuple weighs 1, so a leaf's starts are
+// 0, 1, 2, … from the bucket's first tuple and the tuple is found by
+// index; any other bucket is searched from where the share of its
+// weight below k puts it.
+func (ly *layer) pick(b int, factor, k int64) (t int, rest int64) {
+	lo, hi := ly.bucketStart[b], ly.bucketStart[b+1]
+	q := k / factor // starts[t]·factor ≤ k exactly when starts[t] ≤ q
+	if len(ly.children) == 0 {
+		return lo + int(q), k - q*factor
+	}
+	t = guide(ly.starts, lo, hi, float64(q)/float64(ly.bucketWeight[b]), q+1, 0) - 1
+	return t, k - ly.starts[t]*factor
+}
+
+// seek returns the first tuple of the bucket [lo, hi) whose value does
+// not precede target in the layer's direction: target's own tuple, or
+// hi when every value precedes it. The search starts where target sits
+// between the bucket's first and last values.
+func (ly *layer) seek(lo, hi int, target values.Value) int {
+	first, last := float64(ly.vals[lo]), float64(ly.vals[hi-1])
+	frac := (float64(target) - first) / (last - first)
+	var flip int64
+	if ly.dir == order.Desc {
+		flip = -1
+	}
+	return guide(ly.vals, lo, hi, frac, target, flip)
+}
+
+// start is tuple t's start in its bucket [lo, …): t − lo in a leaf,
+// whose tuples weigh 1, so Rank reads no start there.
+func (ly *layer) start(t, lo int) int64 {
+	if len(ly.children) == 0 {
+		return int64(t - lo)
+	}
+	return ly.starts[t]
+}
+
+// scanMax is the size up to which guide scans a range from its front:
+// that many probes are no more than a guess and its gallop would make.
+const scanMax = 8
+
+// guide returns the first index i in [lo, hi) with a[i]^flip ≥ x^flip,
+// or hi when there is none. With flip 0 that is the first a[i] ≥ x in
+// a rising range; with flip −1 (every bit set, which reverses the order
+// of int64 without overflow) the first a[i] ≤ x in a falling one. It
+// answers what sort.Search would. A range of scanMax entries or fewer
+// is scanned from lo. A longer one is probed first frac of the way in —
+// the caller's prediction from the range's endpoints, clamped into the
+// range, NaN and infinities included — and from there the search
+// gallops outward by steps of 1, 2, 4, … until it brackets the answer,
+// then halves the bracket without a branch. A guess d entries off costs
+// about 2⌈log₂ d⌉ + 2 probes, so a range of m entries never costs more
+// than about 2⌈log₂ m⌉ + 3, and a good guess costs two or three, all
+// near one another in memory.
+func guide(a []int64, lo, hi int, frac float64, x, flip int64) int {
+	x ^= flip
+	if hi-lo <= scanMax {
+		for lo < hi && a[lo]^flip < x {
+			lo++
+		}
+		return lo
+	}
+	g := lo
+	if frac > 0 { // false for NaN
+		g = lo + int(min(frac, 1)*float64(hi-lo-1))
+	}
+	if a[g]^flip >= x { // the answer is at or below g
+		for step := 1; ; step *= 2 {
+			p := g - step
+			if p < lo {
+				hi = g
+				break
+			}
+			if a[p]^flip < x {
+				lo, hi = p+1, g
+				break
+			}
+			g = p
+		}
+	} else { // the answer is above g
+		for step := 1; ; step *= 2 {
+			p := g + step
+			if p >= hi {
+				lo = g + 1
+				break
+			}
+			if a[p]^flip >= x {
+				lo, hi = g+1, p
+				break
+			}
+			g = p
+		}
+	}
+	// The answer is in [lo, hi]: a[hi] is past x, or hi ends the range.
+	if lo == hi {
+		return lo
+	}
+	for n := hi - lo; n > 1; {
+		half := n >> 1
+		if a[lo+half]^flip < x {
+			lo += half
+		}
+		n -= half
+	}
+	if a[lo]^flip < x {
+		lo++
+	}
+	return lo
 }
 
 // Inverted implements Algorithm 2: given an answer, return its index in

@@ -417,6 +417,37 @@ var scanCases = map[string]func(*testing.T, *rand.Rand) *access.Lex{
 		}
 		return la
 	},
+	// Every descent's guess starts far from its target: inner buckets
+	// weigh 1, 2, 4, … (rising under one x, falling under another), and
+	// every bucket's values run small and then jump to near MaxInt64.
+	// The walk borrows Rank's buffer without checking its answer, so
+	// the case checks Rank itself: every answer ranks back to itself,
+	// and a tuple one value off an answer ranks where the answers sort.
+	"interpolation-hostile": func(t *testing.T, _ *rand.Rand) *access.Lex {
+		q, in := workload.Geometric(10)
+		la := buildLex(t, q, in, "x, y, z")
+		answers := make([]order.Answer, la.Total())
+		for k := range answers {
+			answers[k], _ = la.Access(int64(k))
+		}
+		for k, a := range answers {
+			if r, exact := la.Rank(a); r != int64(k) || !exact {
+				t.Fatalf("Rank(Access(%d)) = (%d, %v)", k, r, exact)
+			}
+			for _, v := range q.Head {
+				for _, d := range []values.Value{-1, 1} {
+					p := slices.Clone(a)
+					p[v] += d // wraps at the int64 bounds: still a tuple to rank
+					want := sort.Search(len(answers), func(i int) bool { return la.Compare(answers[i], p) >= 0 })
+					exact := want < len(answers) && la.Compare(answers[want], p) == 0
+					if r, ex := la.Rank(p); r != int64(want) || ex != exact {
+						t.Fatalf("Rank(%v) = (%d, %v), the answers give (%d, %v)", p, r, ex, want, exact)
+					}
+				}
+			}
+		}
+		return la
+	},
 	"restored": func(t *testing.T, rng *rand.Rand) *access.Lex {
 		q, in := workload.TwoPath(rng, 80, 10, 0.4)
 		parts, ok := buildLex(t, q, in, "z desc, y, x").Parts()

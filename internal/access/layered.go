@@ -55,6 +55,23 @@
 // borrow a pooled buffer per call, so consecutive calls to them rarely
 // meet the same buffer twice and should not be counted on to step.
 //
+// Descents. Access and Rank descend one layer at a time and search, in
+// each, the bucket the layer above chose: one search per layer, so
+// Theorem 3.3's O(log n). A leaf tuple weighs 1, so a leaf bucket's
+// starts are 0, 1, 2, … and Access finds its tuple by index, k/factor
+// entries in; checkChildOf holds restored parts to exactly those
+// weights, which is what makes the index safe on a structure read
+// from a file. Every other search starts where the range's endpoints
+// predict its target: starts at the share of the bucket's weight below
+// k, values at where the target falls between the bucket's first and
+// last value, an Overlay's edits at k's share of the merged total.
+// From that guess it gallops outward to a bracket and halves the
+// bracket (guide); a bucket of 8 entries or fewer is scanned. A search
+// over m entries makes at most about 2⌈log₂ m⌉ + 3 probes, a good
+// guess two or three close together in memory, and every search
+// returns the index a binary search would, so answers, probe buffers
+// and scan states are what they were.
+//
 // Compare is the total order Access enumerates and Rank searches. A Lex
 // realizes its Completed order, which names every free variable. A row
 // array realizes what it was sorted by, recorded at build or restore

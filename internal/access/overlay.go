@@ -13,7 +13,7 @@ import (
 // one immutable base structure with a small sorted list of answer-level
 // edits (answers that appeared since the base was built, answers that
 // disappeared) and answers Access/Rank over the merged set in
-// O(log d + log n) — one binary search over the d edits, one probe of
+// O(log d + log n) — one search over the d edits, one probe of
 // the base — instead of forcing the O(n log n) re-preprocess the write
 // path used to pay on every mutation.
 //
@@ -37,13 +37,12 @@ func BaseOfLex(la *Lex) (*Lex, bool) {
 	return la, !la.boolean && la.extend == nil && la.project == nil
 }
 
-// ovEvent is one edit in the base's realized order: mr is the answer's
-// merged rank, cum the adds-minus-dels offset over events up to and
-// including this one.
+// ovEvent is one edit in the base's realized order: cum is the
+// adds-minus-dels offset over events up to and including this one. Its
+// merged rank is kept apart, in Overlay.ranks, for the edit search.
 type ovEvent struct {
 	a   order.Answer
 	add bool
-	mr  int64
 	cum int64
 }
 
@@ -53,6 +52,7 @@ type Overlay struct {
 	b      Structure
 	head   []cq.VarID // head variable ids, for projecting added answers
 	events []ovEvent
+	ranks  []int64 // ranks[i] is events[i]'s merged rank; they never fall
 	total  int64
 	adds   int
 }
@@ -69,25 +69,27 @@ func NewOverlay(b Structure, adds, dels []order.Answer) (*Overlay, error) {
 		if exact {
 			return nil, fmt.Errorf("access: overlay add already in base")
 		}
-		events = append(events, ovEvent{a: a, add: true, mr: r})
+		events = append(events, ovEvent{a: a, add: true, cum: r})
 	}
 	for _, d := range dels {
 		r, exact := b.Rank(d)
 		if !exact {
 			return nil, fmt.Errorf("access: overlay delete not in base")
 		}
-		events = append(events, ovEvent{a: d, mr: r})
+		events = append(events, ovEvent{a: d, cum: r})
 	}
 	sort.SliceStable(events, func(i, j int) bool {
 		return b.Compare(events[i].a, events[j].a) < 0
 	})
-	// mr currently holds the base rank; fold in the running offset.
+	// cum holds the base rank so far; the merged rank adds the offset of
+	// the events before, and cum becomes the offset through this one.
+	ranks := make([]int64, len(events))
 	var off int64
 	for i := range events {
 		if i > 0 && b.Compare(events[i-1].a, events[i].a) == 0 {
 			return nil, fmt.Errorf("access: duplicate overlay edit")
 		}
-		events[i].mr += off
+		ranks[i] = events[i].cum + off
 		if events[i].add {
 			off++
 		} else {
@@ -99,7 +101,7 @@ func NewOverlay(b Structure, adds, dels []order.Answer) (*Overlay, error) {
 	if total < 0 {
 		return nil, fmt.Errorf("access: overlay deletes more answers than the base holds")
 	}
-	return &Overlay{b: b, head: b.Head(), events: events, total: total, adds: len(adds)}, nil
+	return &Overlay{b: b, head: b.Head(), events: events, ranks: ranks, total: total, adds: len(adds)}, nil
 }
 
 // Base returns the structure the overlay merges over.
@@ -127,14 +129,18 @@ func (o *Overlay) Edits() int { return len(o.events) }
 // Adds returns how many of the edits are additions.
 func (o *Overlay) Adds() int { return o.adds }
 
-// locate returns the index of the first event with merged rank > k.
+// locate returns the index of the first event with merged rank > k,
+// searched from k's share of the merged total: edits spread evenly over
+// the answers sit close to that guess.
 func (o *Overlay) locate(k int64) int {
-	return sort.Search(len(o.events), func(i int) bool { return o.events[i].mr > k })
+	return guide(o.ranks, 0, len(o.ranks), float64(k)/float64(o.total), k+1, 0)
 }
 
-// slot resolves merged position k — two binary searches per probe: this
-// one over the edits, then the base's own — to the added answer
-// occupying it, or else to the base position that serves it.
+// slot resolves merged position k — one guided search over the d
+// edits, started at k's share of the merged total (at most about
+// 2⌈log₂ d⌉ + 3 probes, see guide), then the base's own descent — to
+// the added answer occupying it, or else to the base position that
+// serves it.
 func (o *Overlay) slot(k int64) (added order.Answer, baseK int64, err error) {
 	if k < 0 || k >= o.total {
 		return nil, 0, fmt.Errorf("access: overlay index %d of %d: %w", k, o.total, ErrOutOfBound)
@@ -143,7 +149,7 @@ func (o *Overlay) slot(k int64) (added order.Answer, baseK int64, err error) {
 	if j == 0 {
 		return nil, k, nil
 	}
-	if e := &o.events[j-1]; e.mr == k && e.add {
+	if e := &o.events[j-1]; o.ranks[j-1] == k && e.add {
 		return e.a, 0, nil
 	}
 	return nil, k - o.events[j-1].cum, nil
@@ -191,10 +197,10 @@ func (o *Overlay) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value,
 	j := o.locate(k)
 	var err error
 	for k < k1 {
-		if j > 0 && o.events[j-1].mr == k && o.events[j-1].add {
+		if j > 0 && o.ranks[j-1] == k && o.events[j-1].add {
 			dst = appendHead(dst, o.head, o.events[j-1].a)
 			k++
-			for j < len(o.events) && o.events[j].mr <= k {
+			for j < len(o.ranks) && o.ranks[j] <= k {
 				j++
 			}
 			continue
@@ -204,14 +210,14 @@ func (o *Overlay) AppendRange(dst []values.Value, k0, k1 int64) ([]values.Value,
 			off = o.events[j-1].cum
 		}
 		end := k1
-		if j < len(o.events) && o.events[j].mr < end {
-			end = o.events[j].mr
+		if j < len(o.ranks) && o.ranks[j] < end {
+			end = o.ranks[j]
 		}
 		if dst, err = o.b.AppendRange(dst, k-off, end-off); err != nil {
 			return dst, err
 		}
 		k = end
-		for j < len(o.events) && o.events[j].mr <= k {
+		for j < len(o.ranks) && o.ranks[j] <= k {
 			j++
 		}
 	}

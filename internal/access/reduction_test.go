@@ -132,6 +132,14 @@ func FuzzBuildLexVsBaseline(f *testing.F) {
 	// Under x, y, z the answers are (1,2,3), (1,2,5), (4,2,3), (4,2,5):
 	// the window [1, 2) ends exactly where the last layer's bucket does.
 	f.Add([]byte{0, 1, 0, 2, 1, 2, 2, 3, 4, 2, 2, 5}, uint16(1), uint16(1))
+	// A three-path whose relations hold about 450 copies each of the
+	// row (5, 5): the baseline must join distinct rows, or it walks
+	// 450³ combinations for one answer.
+	dup := []byte{1, 0, 0, 3, 5, 1, 1, 5, 5, 2}
+	for range 1340 {
+		dup = append(dup, 5, 5)
+	}
+	f.Add(dup, uint16(0), uint16(3))
 	f.Fuzz(func(t *testing.T, data []byte, w0, w1 uint16) {
 		if len(data) < 4 {
 			return

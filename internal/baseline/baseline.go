@@ -36,6 +36,25 @@ func AllAnswers(q *cq.Query, in *database.Instance) []order.Answer {
 	headBuf := make([]values.Value, len(q.Head))
 	var answers []order.Answer
 
+	// Q(I) is a set, so the join walks each relation's distinct rows: a
+	// repeated row would repeat the whole walk below it and find only
+	// answers already seen.
+	distinct := make(map[string][]int)
+	for _, atom := range q.Atoms {
+		rel := in.Relation(atom.Rel)
+		if _, ok := distinct[atom.Rel]; ok || rel == nil {
+			continue
+		}
+		idx := tupleidx.New(rel.Arity(), rel.Len())
+		var rows []int
+		for i := 0; i < rel.Len(); i++ {
+			if _, added := idx.Insert(rel.Tuple(i)); added {
+				rows = append(rows, i)
+			}
+		}
+		distinct[atom.Rel] = rows
+	}
+
 	var rec func(step int)
 	rec = func(step int) {
 		if step == len(atomOrder) {
@@ -57,9 +76,8 @@ func AllAnswers(q *cq.Query, in *database.Instance) []order.Answer {
 		if rel == nil {
 			return
 		}
-		n := rel.Len()
 	tuples:
-		for i := 0; i < n; i++ {
+		for _, i := range distinct[atom.Rel] {
 			t := rel.Tuple(i)
 			var newly []cq.VarID
 			for pos, v := range atom.Vars {

@@ -176,3 +176,40 @@ func TestCartesianProduct(t *testing.T) {
 		t.Fatalf("product count = %d, want 6", got)
 	}
 }
+
+// A relation holding every row many times has the answers of its
+// distinct rows, in the same order. The three-path with 300 copies of
+// the one row (5, 5) per relation walked 300³ combinations for its one
+// answer while the join read repeated rows.
+func TestAllAnswersDuplicateRows(t *testing.T) {
+	threePath := database.NewInstance()
+	for _, rel := range []string{"R", "S", "T"} {
+		threePath.AddRow(rel, 5, 5)
+		threePath.AddRow(rel, 5, 1)
+	}
+	cases := []struct {
+		q      string
+		in     *database.Instance
+		copies int
+	}{
+		{"Q(x, y, z) :- R(x, y), S(y, z)", fig2(), 7},
+		{"Q(x, z) :- R(x, y), S(y, z)", fig2(), 3},
+		{"Q(x, y, z) :- R(x, y), R(y, z)", fig2(), 4},
+		{"Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d)", threePath, 300},
+	}
+	for _, c := range cases {
+		q := cq.MustParse(c.q)
+		dup := database.NewInstance()
+		for _, name := range c.in.Names() {
+			for r := 0; r < c.copies; r++ {
+				for _, row := range c.in.Relation(name).Rows() {
+					dup.AddRow(name, row...)
+				}
+			}
+		}
+		want := AllAnswers(q, c.in)
+		if got := AllAnswers(q, dup); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s with every row %d times: %v, distinct rows give %v", c.q, c.copies, got, want)
+		}
+	}
+}

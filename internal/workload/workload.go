@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 
 	"rankedaccess/internal/cq"
@@ -53,6 +54,46 @@ func TwoPath(rng *rand.Rand, n, dom int, skew float64) (*cq.Query, *database.Ins
 		in.AddRow("R", values.Value(rng.Int63n(int64(dom))), zy.Draw())
 		in.AddRow("S", zy.Draw(), values.Value(rng.Int63n(int64(dom))))
 	}
+	return q, in
+}
+
+// Geometric generates the 2-path query Q(x, y, z) :- R(x, y), S(y, z)
+// on an instance built so that, under the order x, y, z, a search
+// starting where a bucket's endpoints predict its target starts far
+// from it. Two x values each hold levels y values whose z fan-outs are
+// 1, 2, 4, …, 2^(levels−1): rising under x = 0, falling under x = 1.
+// Ten more x values hold one answer each. In every bucket the values
+// run small and then jump to near math.MaxInt64: the last x, the last y
+// under each geometric x, and the last z under every y. There are
+// 2^(levels+1) + 8 answers.
+func Geometric(levels int) (*cq.Query, *database.Instance) {
+	q := cq.MustParse("Q(x, y, z) :- R(x, y), S(y, z)")
+	in := database.NewInstance()
+	const top = values.Value(math.MaxInt64)
+	fanOut := func(y values.Value, f int) {
+		for z := 0; z < f-1; z++ {
+			in.AddRow("S", y, values.Value(z))
+		}
+		in.AddRow("S", y, top)
+	}
+	for x := values.Value(0); x < 2; x++ {
+		for j := 0; j < levels; j++ {
+			y := x*values.Value(levels) + values.Value(j)
+			if j == levels-1 {
+				y = top - 1 - x
+			}
+			in.AddRow("R", x, y)
+			if x == 0 {
+				fanOut(y, 1<<j)
+			} else {
+				fanOut(y, 1<<(levels-1-j))
+			}
+		}
+	}
+	for _, x := range []values.Value{2, 3, 4, 5, 6, 7, 8, 9, 10, top - 1} {
+		in.AddRow("R", x, top-3)
+	}
+	fanOut(top-3, 1)
 	return q, in
 }
 

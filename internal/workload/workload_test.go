@@ -179,3 +179,31 @@ func TestZipfSkew(t *testing.T) {
 		t.Fatalf("uniform sampler covered only %d values", len(seen))
 	}
 }
+
+func TestGeometric(t *testing.T) {
+	q, in := Geometric(6)
+	l, _ := order.ParseLex(q, "x, y, z")
+	la, err := access.BuildLex(q, in, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(1<<7 + 8); la.Total() != want {
+		t.Fatalf("%d answers, want %d", la.Total(), want)
+	}
+	// Under x = 0 the y buckets' weights rise 1, 2, 4, …; under x = 1
+	// they fall.
+	var w0, w1 []int64
+	for _, d := range la.DumpLayer(1) {
+		switch d.Key[0] {
+		case 0:
+			w0 = append(w0, d.Weight)
+		case 1:
+			w1 = append(w1, d.Weight)
+		}
+	}
+	for j := range 6 {
+		if w0[j] != 1<<j || w1[j] != 1<<(5-j) {
+			t.Fatalf("y weights %v under x = 0 and %v under x = 1", w0, w1)
+		}
+	}
+}
