@@ -60,7 +60,9 @@ func TestFacadeSentinelsAcrossLayers(t *testing.T) {
 
 	// ...and mutation does NOT invalidate prepared cursors: they are
 	// pinned to their epoch and keep streaming across writes.
-	e.Mutate(func(in *Instance) { in.AddRow("R", 1, 1) })
+	if err := e.AddRows("R", [][]Value{{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok, err := cur.Next(nil); !ok || err != nil {
 		t.Fatalf("post-mutation Next = (%v, %v), want a live cursor", ok, err)
 	}

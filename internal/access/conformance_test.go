@@ -234,7 +234,8 @@ func conform(t *testing.T, rng *rand.Rand, q *cq.Query, s access.Structure, want
 // AppendRange that borrows the same buffer from the pool in between,
 // out-of-bound probes followed by the rank a stale buffer would step
 // to, walks off the last answer — with every answer compared, all
-// variables of it, to a descent's.
+// variables of it, to a descent's, and every rank to where the
+// descents' answers put its tuple.
 func scan(t *testing.T, rng *rand.Rand, s access.Structure) {
 	t.Helper()
 	total := s.Total()
@@ -330,7 +331,12 @@ func scan(t *testing.T, rng *rand.Rand, s access.Structure) {
 		case r == 14:
 			k = total - 1 - rng.Int63n(min(total, 3))
 		case r == 15:
-			lend(func() { s.Rank(ref[rng.Int63n(total)]) })
+			j := rng.Int63n(total)
+			lend(func() {
+				if r, exact := s.Rank(ref[j]); r != j || !exact {
+					t.Fatalf("Rank(%v) = (%d, %v), want (%d, true)", ref[j], r, exact, j)
+				}
+			})
 			k++
 		case r == 16:
 			// Lex.Rank off the FD-consistent path and on a miss.
@@ -338,7 +344,13 @@ func scan(t *testing.T, rng *rand.Rand, s access.Structure) {
 			if len(head) > 0 {
 				p[head[rng.Intn(len(head))]] += values.Value(rng.Intn(3) - 1)
 			}
-			lend(func() { s.Rank(p) })
+			want := sort.Search(len(ref), func(i int) bool { return s.Compare(ref[i], p) >= 0 })
+			exact := want < len(ref) && s.Compare(ref[want], p) == 0
+			lend(func() {
+				if r, ex := s.Rank(p); r != int64(want) || ex != exact {
+					t.Fatalf("Rank(%v) = (%d, %v), the answers give (%d, %v)", p, r, ex, want, exact)
+				}
+			})
 			k++
 		case r == 17:
 			lend(func() {
@@ -420,9 +432,10 @@ var scanCases = map[string]func(*testing.T, *rand.Rand) *access.Lex{
 	// Every descent's guess starts far from its target: inner buckets
 	// weigh 1, 2, 4, … (rising under one x, falling under another), and
 	// every bucket's values run small and then jump to near MaxInt64.
-	// The walk borrows Rank's buffer without checking its answer, so
-	// the case checks Rank itself: every answer ranks back to itself,
-	// and a tuple one value off an answer ranks where the answers sort.
+	// The walk checks Rank at random answers; the case checks it at all
+	// of them: every answer ranks back to itself, and a tuple one value
+	// off an answer, in every head variable, ranks where the answers
+	// sort.
 	"interpolation-hostile": func(t *testing.T, _ *rand.Rand) *access.Lex {
 		q, in := workload.Geometric(10)
 		la := buildLex(t, q, in, "x, y, z")

@@ -10,8 +10,8 @@
 //     number) it produced.
 //   - Log: the bounded in-memory WAL tail. Readers holding a structure
 //     built at version v ask Since(v) for everything that happened
-//     after it; a truncated tail (or an opaque reset) answers ok=false,
-//     which the engine treats as "rebuild from scratch".
+//     after it; a truncated tail answers ok=false, which the engine
+//     treats as "rebuild from scratch".
 //   - WAL: the durable on-disk log (wal.go) with CRC-framed records and
 //     a torn-tail-tolerant replay, composing with snapshots: checkpoint
 //     = snapshot + WAL truncation, open = warm start + replay.
@@ -35,11 +35,11 @@ const (
 	OpInsert Op = 1
 	// OpDelete removes every occurrence of each row from a relation.
 	OpDelete Op = 2
-	// OpReset marks a relation as opaquely changed (Engine.Mutate): the
-	// row-level delta is unknown, so structures over the relation must
-	// rebuild. Rows is empty. On replay OpReset applies nothing — opaque
-	// mutations are durable only through the next checkpoint, exactly
-	// like every write was before the WAL existed.
+	// OpReset is the marker an earlier engine logged for an opaque
+	// change to a relation; Rows is empty. It stays decodable so an old
+	// WAL still replays, as nothing: the change it marked was durable
+	// only through a checkpoint. Nothing writes it any more, and the
+	// engine's write path refuses it.
 	OpReset Op = 3
 )
 
@@ -56,8 +56,9 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Mutation is one relational write: rows of one relation inserted,
-// deleted, or opaquely reset. Rows is flat with stride Arity.
+// Mutation is one relational write: rows of one relation inserted or
+// deleted (or an old WAL's reset marker). Rows is flat with stride
+// Arity.
 type Mutation struct {
 	Op    Op
 	Rel   string

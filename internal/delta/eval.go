@@ -44,10 +44,9 @@ type Span struct {
 }
 
 // CollectSpan folds the batches' mutations of the given relations into
-// a Span. ok is false when the span contains an opaque reset of one of
-// the relations: the row-level delta is then unknown and the caller
-// must rebuild.
-func CollectSpan(batches []Batch, rels map[string]bool) (Span, bool) {
+// a Span. An OpReset, which only an old WAL holds and replay applies as
+// nothing, adds nothing.
+func CollectSpan(batches []Batch, rels map[string]bool) Span {
 	sp := Span{
 		Changed: make(map[string]*database.Relation),
 		Deleted: make(map[string]*database.Relation),
@@ -72,8 +71,6 @@ func CollectSpan(batches []Batch, rels map[string]bool) (Span, bool) {
 				continue
 			}
 			switch m.Op {
-			case OpReset:
-				return Span{}, false
 			case OpInsert:
 				add(sp.Changed, m.Rel, m.Arity, m.Rows)
 			case OpDelete:
@@ -82,7 +79,7 @@ func CollectSpan(batches []Batch, rels map[string]bool) (Span, bool) {
 			}
 		}
 	}
-	return sp, true
+	return sp
 }
 
 // Size returns the number of changed rows in the span — the engine's

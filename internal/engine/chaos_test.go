@@ -21,7 +21,7 @@ import (
 func openChaosEngine(t *testing.T, dir string) (*faultfs.Injector, *Engine) {
 	t.Helper()
 	inj := faultfs.NewInjector(faultfs.OS())
-	e, _, err := Open(dir, Options{FS: inj})
+	e, _, err := Open(dir, nil, Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestChaosFailedWriteLeavesNoTraceAndRetries(t *testing.T) {
 	}
 
 	// Restart on a clean filesystem: exactly the acknowledged state.
-	e2, _, err := Open(dir, Options{})
+	e2, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestChaosBrokenWALDegradesWritesNotReads(t *testing.T) {
 	}
 
 	// Restart salvages the torn tail: same answers, writes work again.
-	e2, _, err := Open(dir, Options{})
+	e2, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestChaosCheckpointAtomicUnderFaults(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e2, warm, err := Open(dir, Options{})
+	e2, warm, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,9 @@ import (
 //
 // Lifecycle. A column is built the first time a catch-up probes it;
 // catch-ups hold mu.RLock, so relIndexes.mu serializes first builds.
-// The write path maintains every built column under mu exclusive (see
-// applyMuts). Mutate drops the columns of every relation it resets, which
-// covers any in-place reorder an opaque mutation makes; a restore or
-// load installs a fresh relIndexes with its new instance.
+// The write path, the only thing that edits a relation, maintains every
+// built column under mu exclusive (see applyMuts); a restore installs a
+// fresh relIndexes with its new instance.
 
 // relIndexes holds the built columns of one instance's relations.
 type relIndexes struct {
@@ -32,9 +31,9 @@ type relIndexes struct {
 }
 
 // relIndex is one relation's columns (nil until first probed; one at
-// least is built, since the first probe creates the relIndex).
-// rel pins the relation object the positions refer to: a relation
-// replaced under the same name is indexed afresh.
+// least is built, since the first probe creates the relIndex) and the
+// relation they index. The write path edits a relation in place and
+// never replaces it, so rel stays the instance's relation of that name.
 type relIndex struct {
 	rel  *database.Relation
 	cols []*colIndex
@@ -67,7 +66,7 @@ func (x *relIndexes) Column(rel string, col int) delta.Column {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	ri := x.rels[rel]
-	if ri == nil || ri.rel != r {
+	if ri == nil {
 		ri = &relIndex{rel: r, cols: make([]*colIndex, r.Arity())}
 		x.rels[rel] = ri
 	}
@@ -77,32 +76,17 @@ func (x *relIndexes) Column(rel string, col int) delta.Column {
 	return ri.cols[col]
 }
 
-// drop forgets the relation's columns; the next probe rebuilds them.
-func (x *relIndexes) drop(rel string) { delete(x.rels, rel) }
-
-// built returns the relation's index when it has one for the relation
-// object currently installed under rel, dropping a stale one.
-func (x *relIndexes) built(rel string) *relIndex {
-	ri := x.rels[rel]
-	if ri != nil && ri.rel != x.in.Relation(rel) {
-		delete(x.rels, rel)
-		return nil
-	}
-	return ri
-}
-
 // applyMuts applies validated mutations to the instance under mu
 // exclusive, keeping every built column in step: an insert appends its row's
 // position, a delete finds its rows through the index and swap-removes
-// them. A relation with no built column is edited directly. OpReset
-// applies nothing: it is a marker for an opaque change that already
-// happened (live) or that only the next checkpoint carries (replay).
+// them. A relation with no built column is edited directly. OpReset,
+// which only an old WAL holds, applies nothing.
 func (x *relIndexes) applyMuts(muts []delta.Mutation) {
 	for i := range muts {
 		m := &muts[i]
 		switch m.Op {
 		case delta.OpInsert:
-			ri := x.built(m.Rel)
+			ri := x.rels[m.Rel]
 			for r := 0; r < m.NumRows(); r++ {
 				x.in.AddRow(m.Rel, m.Row(r)...)
 				if ri != nil {
@@ -110,7 +94,7 @@ func (x *relIndexes) applyMuts(muts []delta.Mutation) {
 				}
 			}
 		case delta.OpDelete:
-			ri := x.built(m.Rel)
+			ri := x.rels[m.Rel]
 			for r := 0; r < m.NumRows(); r++ {
 				if ri == nil {
 					x.in.DeleteRow(m.Rel, m.Row(r)...)

@@ -17,9 +17,8 @@ import (
 // are stable throughout.
 
 // advance tries to bring a stale handle to the given version, returning
-// nil when only a full rebuild can (truncated log tail, opaque reset of
-// a referenced relation, an overlay-ineligible structure, or a delta
-// past the hard limit).
+// nil when only a full rebuild can (truncated log tail, an
+// overlay-ineligible structure, or a delta past the hard limit).
 func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Handle {
 	start := time.Now()
 	batches, ok := e.wlog.Since(stale.version)
@@ -51,11 +50,7 @@ func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Han
 		e.deltaRebuilds.Add(1)
 		return nil
 	}
-	sp, ok := delta.CollectSpan(batches, stale.rels)
-	if !ok {
-		e.deltaRebuilds.Add(1)
-		return nil
-	}
+	sp := delta.CollectSpan(batches, stale.rels)
 	member := func(a order.Answer) bool {
 		_, m := stale.st.Rank(a)
 		return m

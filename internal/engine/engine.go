@@ -18,15 +18,16 @@
 //     (single-flight), and all structures are immutable after
 //     construction, so any number of goroutines may probe one cached
 //     Handle;
-//   - mutations are MVCC: every write appends a batch to a write-ahead
-//     log (internal/delta) and bumps the version, but never purges the
-//     cache. A later Prepare of a stale structure catches up by
-//     replaying the logged batches — republishing the structure
-//     unchanged when no batch touches its relations, merging the
-//     answer-level delta in as a small sorted overlay
+//   - mutations are MVCC: ApplyBatch (and its AddRows/DeleteRows
+//     wrappers) is the one write path. Every write appends a row-level
+//     batch to a write-ahead log (internal/delta) and bumps the version,
+//     but never purges the cache. A later Prepare of a stale structure
+//     catches up by replaying the logged batches — republishing the
+//     structure unchanged when no batch touches its relations, merging
+//     the answer-level delta in as a small sorted overlay
 //     (internal/access.Overlay) when one does, and falling back to a
-//     full rebuild only when the delta is opaque (Engine.Mutate), the
-//     log tail no longer reaches back, or the overlay grew past the
+//     full rebuild only when the log tail no longer reaches back, the
+//     structure cannot carry an overlay, or the overlay grew past the
 //     hard limit. The delta's join probes per-column position indexes
 //     the engine keeps over the live relations (colindex.go), so it
 //     visits the rows that join with the written ones, not the whole
@@ -358,16 +359,12 @@ type Stats struct {
 	// rebuilding.
 	DeltaEpochs uint64
 	// DeltaRebuilds counts stale structures that had to rebuild
-	// synchronously (opaque reset, truncated log tail, ineligible
-	// structure, or an overlay past the hard limit).
+	// synchronously (truncated log tail, ineligible structure, or an
+	// overlay past the hard limit).
 	DeltaRebuilds uint64
 	// BGRebuilds counts background re-preprocesses that completed and
 	// swapped a fresh structure into the cache.
 	BGRebuilds uint64
-	// WALErrors counts durable-WAL append failures that were absorbed
-	// rather than returned (Mutate's reset marker, whose replay is a
-	// no-op anyway). Nonzero means the disk under the WAL is unhealthy.
-	WALErrors uint64
 }
 
 // flight is one in-progress build, shared by concurrent requesters.
@@ -450,7 +447,6 @@ type Engine struct {
 
 	walBatches, deltaSkips, deltaEpochs atomic.Uint64
 	deltaRebuilds, bgRebuilds           atomic.Uint64
-	walErrors                           atomic.Uint64
 
 	// catchupSeconds, once RegisterMetrics attached it, observes every
 	// catch-up that publishes an overlay epoch; buildSeconds every
@@ -466,9 +462,9 @@ type Engine struct {
 	saved                                 *savedMark
 }
 
-// New returns an Engine over the given instance. The Engine owns the
-// instance from here on: mutate it only through the write path
-// (ApplyBatch/AddRows/DeleteRows/Mutate).
+// New returns an Engine over the given instance (nil: an empty one) at
+// version 0. The Engine owns the instance from here on: mutate it only
+// through the write path (ApplyBatch/AddRows/DeleteRows).
 func New(in *database.Instance, opts Options) *Engine {
 	if in == nil {
 		in = database.NewInstance()
@@ -530,7 +526,8 @@ func (e *Engine) versionNow() uint64 { return e.vnow.Load() }
 // attached) and the in-memory log, applied to the instance, and
 // published as the new instance version, which it returns. Cached
 // structures are NOT purged: the next request for one catches up from
-// the log — see the package comment.
+// the log — see the package comment. A batch carrying delta.OpReset is
+// refused: only an old WAL holds one, and Open replays it as nothing.
 func (e *Engine) ApplyBatch(muts []delta.Mutation) (uint64, error) {
 	return e.ApplyBatchCtx(context.Background(), muts)
 }
@@ -545,6 +542,9 @@ func (e *Engine) ApplyBatchCtx(ctx context.Context, muts []delta.Mutation) (uint
 	for i := range muts {
 		if err := muts[i].Validate(); err != nil {
 			return 0, fmt.Errorf("engine: %w", err)
+		}
+		if muts[i].Op == delta.OpReset {
+			return 0, fmt.Errorf("engine: reset %s: an old WAL's marker, never applied", muts[i].Rel)
 		}
 	}
 	e.mu.Lock()
@@ -586,7 +586,7 @@ func validateArity(in *database.Instance, muts []delta.Mutation) error {
 	for i := range muts {
 		m := &muts[i]
 		if m.Op == delta.OpReset {
-			continue
+			continue // an old WAL's marker: replay applies nothing
 		}
 		if r := in.Relation(m.Rel); r != nil {
 			if r.Arity() != m.Arity {
@@ -650,92 +650,6 @@ func rowsMutation(op delta.Op, rel string, rows [][]values.Value) (*delta.Mutati
 	return &delta.Mutation{Op: op, Rel: rel, Arity: arity, Rows: flat}, nil
 }
 
-// Mutate applies an opaque mutation f to the instance under the
-// exclusive lock. The engine fingerprints every relation before and
-// after f and logs one OpReset batch naming exactly the relations that
-// changed, so structures over untouched relations republish cheaply
-// while structures over reset relations rebuild (a row-level delta is
-// unknowable for an opaque f). The version moves only when something
-// actually changed. The reset is logged even when f panics: a partial
-// mutation must not be served from stale structures.
-func (e *Engine) Mutate(f func(*database.Instance)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	before := fingerprints(e.in)
-	defer func() {
-		after := fingerprints(e.in)
-		var muts []delta.Mutation
-		for name, fp := range after {
-			if b, ok := before[name]; !ok || b != fp {
-				muts = append(muts, delta.Mutation{Op: delta.OpReset, Rel: name})
-			}
-		}
-		for name := range before {
-			if _, ok := after[name]; !ok {
-				muts = append(muts, delta.Mutation{Op: delta.OpReset, Rel: name})
-			}
-		}
-		for _, m := range muts {
-			e.idx.drop(m.Rel)
-		}
-		if len(muts) == 0 {
-			return
-		}
-		sort.Slice(muts, func(i, j int) bool { return muts[i].Rel < muts[j].Rel })
-		b := delta.Batch{Seq: e.version + 1, Muts: muts}
-		if e.wal != nil {
-			// A reset replays as a no-op either way (opaque changes are
-			// durable only through the next checkpoint), so a failed
-			// append loses nothing but the seq advance marker — but it
-			// is still an I/O error on the durability path, so count it
-			// (Stats.WALErrors) instead of dropping it on the floor.
-			if err := e.wal.Append(b); err != nil {
-				e.walErrors.Add(1)
-				if e.log != nil {
-					e.log.LogAttrs(context.Background(), slog.LevelWarn, "engine: wal append failed (absorbed)",
-						slog.Uint64("seq", b.Seq), slog.String("error", err.Error()))
-				}
-			}
-		}
-		e.wlog.Append(b)
-		e.version = b.Seq
-		e.vnow.Store(b.Seq)
-		e.walBatches.Add(1)
-	}()
-	f(e.in)
-}
-
-// relFP fingerprints one relation for Mutate's touched-set detection:
-// arity and length compared exactly, contents compared by a 64-bit
-// FNV-1a hash. Equal fingerprints are treated as "unchanged", which is
-// a deliberate tradeoff: a same-length hash collision would skip the
-// OpReset and leave stale structures published. With random data that
-// is a ~2^-64 event per relation per Mutate; callers that cannot
-// accept it (adversarial tuple values chosen to collide) should use the
-// explicit write path (ApplyBatch/AddRows/DeleteRows), which needs no
-// fingerprinting at all.
-type relFP struct {
-	arity, n int
-	hash     uint64
-}
-
-// fingerprints hashes every relation's contents, keyed by name, so
-// Mutate can detect which relations an opaque mutation touched.
-func fingerprints(in *database.Instance) map[string]relFP {
-	out := make(map[string]relFP)
-	for _, name := range in.Names() {
-		r := in.Relation(name)
-		h := uint64(14695981039346656037)
-		data := r.Data()
-		for _, v := range data {
-			h ^= uint64(v)
-			h *= 1099511628211
-		}
-		out[name] = relFP{arity: r.Arity(), n: len(data), hash: h}
-	}
-	return out
-}
-
 // Quiesce blocks until every in-flight background re-preprocess has
 // finished (tests and shutdown paths use it; serving code never needs
 // to).
@@ -776,7 +690,6 @@ func (e *Engine) Stats() Stats {
 		DeltaEpochs:    e.deltaEpochs.Load(),
 		DeltaRebuilds:  e.deltaRebuilds.Load(),
 		BGRebuilds:     e.bgRebuilds.Load(),
-		WALErrors:      e.walErrors.Load(),
 	}
 }
 
@@ -786,10 +699,6 @@ type Health struct {
 	// WALBroken reports an unrecoverable WAL append failure; writes fail
 	// fast with ErrWALBroken until a restart replays the good prefix.
 	WALBroken bool
-	// WALErrors is the count of absorbed durable-append failures
-	// (Stats.WALErrors); nonzero means the disk under the WAL is
-	// unhealthy even if the log itself is still usable.
-	WALErrors uint64
 	// MaxOverlayEdits is the largest delta overlay any cached structure
 	// carries. At or past DeltaHard the next probe of that structure
 	// pays a synchronous O(n log n) rebuild — the rebuild backlog is
@@ -827,7 +736,7 @@ func (h Health) Reasons() []string {
 // lock briefly (WAL state is written under the write lock) but never
 // blocks on builds.
 func (e *Engine) Health() Health {
-	h := Health{WALErrors: e.walErrors.Load(), DeltaHard: e.deltaHard}
+	h := Health{DeltaHard: e.deltaHard}
 	e.mu.RLock()
 	if e.wal != nil {
 		h.WALBroken = e.wal.Broken()

@@ -264,10 +264,9 @@ func TestCursorDrainsAcrossBackgroundSwap(t *testing.T) {
 	}
 }
 
-// TestUntouchedRelationsSkipInvalidation pins the satellite fix: a
-// write to relation T must not invalidate (or rebuild, or even overlay)
-// prepared queries that never mention T — and an opaque Mutate that
-// only changes T must not either.
+// TestUntouchedRelationsSkipInvalidation: a write to relation T must
+// not invalidate (or rebuild, or even overlay) prepared queries that
+// never mention T.
 func TestUntouchedRelationsSkipInvalidation(t *testing.T) {
 	in := smallInstance()
 	in.AddRow("T", 1, 2)
@@ -303,26 +302,5 @@ func TestUntouchedRelationsSkipInvalidation(t *testing.T) {
 	if h1.Version() != e.Version() || h1.Total() != h0.Total() {
 		t.Fatalf("republished handle = version %d total %d, want version %d total %d",
 			h1.Version(), h1.Total(), e.Version(), h0.Total())
-	}
-
-	// Opaque mutation that only touches T: the reset names T alone, so
-	// the R,S query still republishes without rebuilding.
-	e.Mutate(func(in *database.Instance) { in.AddRow("T", 7, 8) })
-	if _, err := pq.Acquire(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := e.Stats()
-	if st2.Misses != base.Misses || st2.DeltaRebuilds != base.DeltaRebuilds {
-		t.Fatalf("opaque mutation of T rebuilt the R,S query: %+v", st2)
-	}
-
-	// Contrast: an opaque mutation of R forces the rebuild path.
-	e.Mutate(func(in *database.Instance) { in.AddRow("R", 100, 100) })
-	if _, err := pq.Acquire(); err != nil {
-		t.Fatal(err)
-	}
-	st3 := e.Stats()
-	if st3.DeltaRebuilds != st2.DeltaRebuilds+1 && st3.Misses == st2.Misses {
-		t.Fatalf("opaque mutation of R did not rebuild: %+v", st3)
 	}
 }

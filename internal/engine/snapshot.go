@@ -174,15 +174,17 @@ func (e *Engine) Unsaved() bool {
 // replayed — batches newer than the snapshot are re-applied to the
 // instance and re-enter the in-memory log, so acknowledged writes
 // survive a crash between checkpoints. The opened engine keeps the WAL
-// attached: every later write appends to it. warm is false when dir
-// holds no snapshot (the WAL may still have replayed writes into the
-// otherwise-fresh engine).
-func Open(dir string, opts Options) (*Engine, bool, error) {
+// attached: every later write appends to it. When dir holds no snapshot,
+// warm is false and the engine starts from in at version 0, as New does
+// (nil: empty); the WAL then replays on top of it, so a caller that seeds
+// a fresh directory must seed it with the same instance on every boot
+// until the first checkpoint. With a snapshot, in is not read.
+func Open(dir string, in *database.Instance, opts Options) (*Engine, bool, error) {
 	name, ok, err := snapshot.Latest(dir)
 	if err != nil {
 		return nil, false, fmt.Errorf("engine: open %s: %w", dir, err)
 	}
-	e := New(nil, opts)
+	e := New(in, opts)
 	if ok {
 		if _, err := e.loadSnapshot(filepath.Join(dir, name), true); err != nil {
 			return nil, false, err

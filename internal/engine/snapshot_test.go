@@ -84,7 +84,7 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 		t.Fatalf("persisted %d registrations, want 1", info.Registrations)
 	}
 
-	e2, warm, err := Open(dir, Options{})
+	e2, warm, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestWarmStartFullScanByteIdentical(t *testing.T) {
 	if _, err := e.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	e2, warm, err := Open(dir, Options{})
+	e2, warm, err := Open(dir, nil, Options{})
 	if err != nil || !warm {
 		t.Fatalf("open: warm=%v err=%v", warm, err)
 	}
@@ -219,7 +219,7 @@ func TestCheckpointSkipsShardFallback(t *testing.T) {
 	if err != nil || info.Skipped != 1 || info.Structures != 0 {
 		t.Fatalf("checkpoint %+v, err %v; want the fallback structure skipped", info, err)
 	}
-	e2, warm, err := Open(dir, Options{})
+	e2, warm, err := Open(dir, nil, Options{})
 	if err != nil || !warm {
 		t.Fatalf("open: warm=%v err=%v", warm, err)
 	}
@@ -252,7 +252,7 @@ func TestCheckpointSkipsFDStructures(t *testing.T) {
 	if info.Skipped != 1 {
 		t.Fatalf("skipped %d structures, want 1 (the FD-extended one)", info.Skipped)
 	}
-	e2, _, err := Open(dir, Options{})
+	e2, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestCheckpointSkipsFDStructures(t *testing.T) {
 }
 
 func TestOpenEmptyDir(t *testing.T) {
-	e, warm, err := Open(t.TempDir(), Options{})
+	e, warm, err := Open(t.TempDir(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestOpenEmptyDir(t *testing.T) {
 // a version, a registration or an eviction — whoever checkpointed last.
 func TestUnsaved(t *testing.T) {
 	dir := t.TempDir()
-	e, _, err := Open(dir, Options{})
+	e, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestUnsaved(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, _, err = Open(dir, Options{})
+	e, _, err = Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestMutationAfterWarmStart(t *testing.T) {
 	if _, err := e.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	e2, _, err := Open(dir, Options{})
+	e2, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +551,7 @@ func TestRestoreParentFormatCheckpoint(t *testing.T) {
 	v1Names := []string{"lex", "lex-desc", "sum", "mat", "mat-sum"}
 
 	cold := New(in, Options{})
-	e, warm, err := Open(dir, Options{})
+	e, warm, err := Open(dir, nil, Options{})
 	if err != nil || !warm {
 		t.Fatalf("open: warm=%v err=%v", warm, err)
 	}
@@ -692,7 +692,7 @@ func BenchmarkWarmStart(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		we, warm, err := Open(dir, Options{})
+		we, warm, err := Open(dir, nil, Options{})
 		if err != nil || !warm {
 			b.Fatalf("warm=%v err=%v", warm, err)
 		}
@@ -723,7 +723,7 @@ func TestCheckpointTinyEngine(t *testing.T) {
 	if info.Structures != 1 {
 		t.Fatalf("persisted %d structures, want 1", info.Structures)
 	}
-	warm, _, err := Open(dir, Options{})
+	warm, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

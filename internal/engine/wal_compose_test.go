@@ -3,17 +3,148 @@ package engine
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"rankedaccess/internal/database"
+	"rankedaccess/internal/delta"
 	"rankedaccess/internal/values"
 )
+
+// TestRebootSeededKeepsWrites: a fresh snapshot directory seeded with
+// the same instance on every boot (serve's -data) keeps the writes
+// acknowledged before the first checkpoint, because the WAL replays
+// them over the seed.
+func TestRebootSeededKeepsWrites(t *testing.T) {
+	data, dir := t.TempDir(), t.TempDir()
+	if err := os.WriteFile(filepath.Join(data, "R.tsv"), []byte("1\t2\n3\t4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boot := func() *Engine {
+		in := database.NewInstance()
+		if _, err := in.ReadDir(data); err != nil {
+			t.Fatal(err)
+		}
+		e, warm, err := Open(dir, in, Options{})
+		if err != nil || warm {
+			t.Fatalf("Open = warm %v, %v; want a cold seeded boot", warm, err)
+		}
+		return e
+	}
+	e := boot()
+	if err := e.DeleteRows("R", [][]values.Value{{3, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil { // no checkpoint
+		t.Fatal(err)
+	}
+	e = boot()
+	defer e.Close()
+	if got := e.in.Relation("R").Data(); !slices.Equal(got, []values.Value{1, 2}) || e.Version() != 1 {
+		t.Fatalf("after the reboot R = %v at version %d, want [1 2] at version 1", got, e.Version())
+	}
+}
+
+// TestOpenReplaysOldResetFrames: an OpReset frame, as an earlier engine
+// logged one between row-level frames, replays as nothing. The WAL
+// opens to the instance and answers the same WAL without that frame
+// gives, no frame is discarded, and a structure checkpointed before the
+// frame catches up across it by overlay.
+func TestOpenReplaysOldResetFrames(t *testing.T) {
+	spec := Spec{Query: twoPath, Order: "x, y, z"}
+	insert := delta.Batch{Seq: 1, Muts: []delta.Mutation{{Op: delta.OpInsert, Rel: "R", Arity: 2, Rows: []values.Value{7, 2}}}}
+	reset := delta.Batch{Seq: 2, Muts: []delta.Mutation{{Op: delta.OpReset, Rel: "R"}}}
+	del := delta.Batch{Seq: 3, Muts: []delta.Mutation{{Op: delta.OpDelete, Rel: "R", Arity: 2, Rows: []values.Value{1, 2}}}}
+	open := func(frames ...delta.Batch) (*Engine, string) {
+		dir := t.TempDir()
+		e := New(smallInstance(), Options{})
+		if _, err := e.Prepare(spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		path := filepath.Join(dir, WALFileName)
+		w, _, err := delta.OpenWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range frames {
+			if err := w.Append(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e, warm, err := Open(dir, nil, Options{})
+		if err != nil || !warm {
+			t.Fatalf("Open = warm %v, %v", warm, err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e, path
+	}
+	withReset, path := open(insert, reset, del)
+	without, _ := open(insert, del)
+	for _, name := range []string{"R", "S"} {
+		if got, want := withReset.in.Relation(name).Data(), without.in.Relation(name).Data(); !slices.Equal(got, want) {
+			t.Fatalf("%s replayed with the reset frame = %v, without it %v", name, got, want)
+		}
+	}
+	if withReset.Version() != 3 || without.Version() != 3 {
+		t.Fatalf("versions %d and %d, want 3", withReset.Version(), without.Version())
+	}
+	h, err := withReset.Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := withReset.Stats(); st.Misses != 0 || st.DeltaEpochs != 1 || st.DeltaRebuilds != 0 {
+		t.Fatalf("catch-up across the reset frame: %+v, want one overlay epoch and no build", st)
+	}
+	fresh, err := New(withReset.in.Clone(), Options{}).Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := drainAll(t, h), drainAll(t, fresh); !eqValues(got, want) {
+		t.Fatalf("answers after the reset frame = %v, a fresh build gives %v", got, want)
+	}
+	if err := withReset.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, frames, err := delta.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if len(frames) != 3 {
+		t.Fatalf("the WAL holds %d frames after the replay, want all 3", len(frames))
+	}
+}
+
+// TestApplyBatchRefusesReset: nothing new writes OpReset, so a live
+// batch carrying one is refused whole, before the WAL sees it.
+func TestApplyBatchRefusesReset(t *testing.T) {
+	e, _, err := Open(t.TempDir(), smallInstance(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	_, err = e.ApplyBatch([]delta.Mutation{
+		{Op: delta.OpInsert, Rel: "R", Arity: 2, Rows: []values.Value{9, 9}},
+		{Op: delta.OpReset, Rel: "S"},
+	})
+	if err == nil || e.Version() != 0 || e.in.Relation("R").Len() != 3 {
+		t.Fatalf("ApplyBatch with a reset = %v; version %d, R has %d rows", err, e.Version(), e.in.Relation("R").Len())
+	}
+}
 
 // TestOpenReplaysWALWithoutSnapshot: acknowledged writes are durable
 // from the moment ApplyBatch returns — a reopen with no checkpoint at
 // all reconstructs the instance purely from WAL replay.
 func TestOpenReplaysWALWithoutSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	e, warm, err := Open(dir, Options{})
+	e, warm, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +170,7 @@ func TestOpenReplaysWALWithoutSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, warm2, err := Open(dir, Options{})
+	e2, warm2, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +195,7 @@ func TestOpenReplaysWALWithoutSnapshot(t *testing.T) {
 // the batches written after it.
 func TestCheckpointTruncatesWALThenReplays(t *testing.T) {
 	dir := t.TempDir()
-	e, _, err := Open(dir, Options{})
+	e, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +235,7 @@ func TestCheckpointTruncatesWALThenReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, warm, err := Open(dir, Options{})
+	e2, warm, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +265,7 @@ func TestCheckpointTruncatesWALThenReplays(t *testing.T) {
 // nothing — every acknowledged batch was fsynced on append.
 func TestCrashRecoveryWithoutClose(t *testing.T) {
 	dir := t.TempDir()
-	e, _, err := Open(dir, Options{})
+	e, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +278,7 @@ func TestCrashRecoveryWithoutClose(t *testing.T) {
 	version := e.Version()
 	// No Close: the "crash".
 
-	e2, _, err := Open(dir, Options{})
+	e2, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // apply and poison every later replay.
 func TestApplyBatchIntraBatchArityConflict(t *testing.T) {
 	dir := t.TempDir()
-	e, _, err := Open(dir, Options{})
+	e, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestApplyBatchIntraBatchArityConflict(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e2, _, err := Open(dir, Options{})
+	e2, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatalf("reopen after rejected batches: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestApplyBatchIntraBatchArityConflict(t *testing.T) {
 // poisoned tail is truncated, and the write path works after recovery.
 func TestOpenSalvagesPoisonedWALFrame(t *testing.T) {
 	dir := t.TempDir()
-	e, _, err := Open(dir, Options{})
+	e, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestOpenSalvagesPoisonedWALFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, _, err := Open(dir, Options{})
+	e2, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatalf("open over a poisoned WAL: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestOpenSalvagesPoisonedWALFrame(t *testing.T) {
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e3, _, err := Open(dir, Options{})
+	e3, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestOpenSalvagesPoisonedWALFrame(t *testing.T) {
 // lands on restored state + post-restore writes exactly.
 func TestRestoreResetsWALLineage(t *testing.T) {
 	dir := t.TempDir()
-	e, _, err := Open(dir, Options{})
+	e, _, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRestoreResetsWALLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, warm, err := Open(dir, Options{})
+	e2, warm, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,6 @@ func (s *server) snapshot() *stats.Snapshot {
 		DeltaEpochs:     st.DeltaEpochs,
 		DeltaRebuilds:   st.DeltaRebuilds,
 		BGRebuilds:      st.BGRebuilds,
-		WALErrors:       st.WALErrors,
 		Shed429:         s.shed429.Load(),
 		Shed503:         s.shed503.Load(),
 		CoalesceHits:    s.coal.hits.Load(),

@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -282,6 +283,44 @@ func TestProcessKeepsLateRegistrations(t *testing.T) {
 	check(t, err)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("q after the restart answers %v, before it %v", got, want)
+	}
+}
+
+// TestProcessSeededRebootKeepsWrites: a delete acknowledged before the
+// first checkpoint survives a crash when -data seeds the same fresh
+// -snapshot-dir again, because the WAL replays over the seed.
+func TestProcessSeededRebootKeepsWrites(t *testing.T) {
+	in, data := procData(t)
+	snaps := t.TempDir()
+	seeded := func(c *RunConfig) { c.DataDir, c.SnapshotDir = data, snaps }
+	p := boot(t, seeded)
+	r := in.Relation("R")
+	row, copies := r.Tuple(0), 0
+	for i := 0; i < r.Len(); i++ {
+		if slices.Equal(r.Tuple(i), row) {
+			copies++
+		}
+	}
+	cl, err := client.Dial(bg, "http://"+p.Addr(), nil)
+	check(t, err)
+	_, err = cl.Write(bg, client.Write{Relation: "R", Delete: [][]client.Value{row}})
+	check(t, err)
+	// A crash: the listener and the engine go, no checkpoint is written.
+	check(t, p.api.Close())
+	<-p.served
+	check(t, p.release(true))
+	if n := snapshots(t, snaps); n != 0 {
+		t.Fatalf("%d snapshots before the reboot, want none", n)
+	}
+
+	p = boot(t, seeded)
+	defer shutdown(t, p)
+	cl, err = client.Dial(bg, "http://"+p.Addr(), nil)
+	check(t, err)
+	st, err := cl.Stats(bg)
+	check(t, err)
+	if st.Tuples != in.Size()-copies || st.Version != 1 {
+		t.Fatalf("after the reboot: %d tuples at version %d, want %d at version 1", st.Tuples, st.Version, in.Size()-copies)
 	}
 }
 

@@ -324,7 +324,7 @@ func TestHealthzAndReadyzHealthy(t *testing.T) {
 func TestReadyzFlipsOnBrokenWAL(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(faultfs.OS())
-	e, _, err := engine.Open(dir, engine.Options{FS: inj})
+	e, _, err := engine.Open(dir, nil, engine.Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

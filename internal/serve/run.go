@@ -66,7 +66,7 @@ type RunConfig struct {
 func Flags(fs *flag.FlagSet) *RunConfig {
 	c := new(RunConfig)
 	fs.StringVar(&c.Addr, "addr", ":8080", "listen address")
-	fs.StringVar(&c.DataDir, "data", "", "directory of <Relation>.tsv files to preload")
+	fs.StringVar(&c.DataDir, "data", "", "directory of <Relation>.tsv files the instance starts from (ignored once -snapshot-dir holds a snapshot)")
 	fs.IntVar(&c.Cache, "cache", engine.DefaultCacheSize, "max cached access structures")
 	fs.IntVar(&c.Workers, "workers", 0, "preprocessing worker bound (0 = all cores)")
 	fs.StringVar(&c.SnapshotDir, "snapshot-dir", "", "snapshot directory: warm-start from the newest snapshot and enable /v1/snapshots")
@@ -151,10 +151,11 @@ type Process struct {
 	ckWG   sync.WaitGroup
 }
 
-// Start validates cfg, opens (or warm-starts) the engine, loads -data,
-// wires the role into the shared HTTP surface, binds every listener and
-// only then starts serving. Any failure is returned with everything
-// opened so far closed again.
+// Start validates cfg, reads -data, opens the engine over it (or
+// warm-starts it from -snapshot-dir instead), wires the role into the
+// shared HTTP surface, binds every listener and only then starts
+// serving. Any failure is returned with everything opened so far closed
+// again.
 func Start(cfg RunConfig) (_ *Process, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -192,7 +193,7 @@ func Start(cfg RunConfig) (_ *Process, err error) {
 	}
 
 	eopts := engine.Options{CacheSize: cfg.Cache, Logger: appLog}
-	warm := false
+	seed := cfg.DataDir != ""
 	if cfg.SnapshotDir != "" {
 		// First boot against a fresh directory: the WAL is created inside
 		// it immediately, so the directory itself must exist up front.
@@ -200,7 +201,27 @@ func Start(cfg RunConfig) (_ *Process, err error) {
 			return nil, fmt.Errorf("serve: snapshot dir: %w", err)
 		}
 		snapshot.CleanTmp(cfg.SnapshotDir) // sweep temp files a crashed checkpoint stranded
-		if p.e, warm, err = engine.Open(cfg.SnapshotDir, eopts); err != nil {
+		// A snapshot there is the instance; a listing error fails
+		// engine.Open below.
+		if _, warm, _ := snapshot.Latest(cfg.SnapshotDir); warm && seed {
+			log.Printf("serve: warm start restores the instance; ignoring -data %s", cfg.DataDir)
+			seed = false
+		}
+	}
+	// -data is the instance the engine starts from; a fresh snapshot
+	// directory's WAL replays on top of it.
+	var in *database.Instance
+	if seed {
+		in = database.NewInstance()
+		n, err := in.ReadDir(cfg.DataDir)
+		if err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+		log.Printf("serve: loaded %d relations from %s", n, cfg.DataDir)
+	}
+	if cfg.SnapshotDir != "" {
+		var warm bool
+		if p.e, warm, err = engine.Open(cfg.SnapshotDir, in, eopts); err != nil {
 			return nil, fmt.Errorf("serve: warm start: %w", err)
 		}
 		if warm {
@@ -219,20 +240,7 @@ func Start(cfg RunConfig) (_ *Process, err error) {
 			eopts.Remote = p.coord
 			log.Printf("serve: coordinator over %d shards across %d nodes", ccfg.Shards, len(ccfg.Nodes))
 		}
-		p.e = engine.New(database.NewInstance(), eopts)
-	}
-	switch {
-	case cfg.DataDir != "" && warm:
-		log.Printf("serve: warm start restored the instance; ignoring -data %s", cfg.DataDir)
-	case cfg.DataDir != "":
-		loaded := 0
-		p.e.Mutate(func(in *database.Instance) {
-			loaded, err = in.ReadDir(cfg.DataDir)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		log.Printf("serve: loaded %d relations from %s", loaded, cfg.DataDir)
+		p.e = engine.New(in, eopts)
 	}
 
 	// Role plumbing into the shared HTTP surface: a shard node's RPC

@@ -37,7 +37,7 @@ func TestStatusParity(t *testing.T) {
 	}
 
 	inj := faultfs.NewInjector(faultfs.OS())
-	walled, _, err := engine.Open(t.TempDir(), engine.Options{FS: inj})
+	walled, _, err := engine.Open(t.TempDir(), nil, engine.Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -372,7 +372,7 @@ func wireTranscript(t *testing.T) string {
 	// refreshes, shed at the gate.
 	wr.section("broken WAL")
 	inj := faultfs.NewInjector(faultfs.OS())
-	we, _, err := engine.Open(t.TempDir(), engine.Options{FS: inj})
+	we, _, err := engine.Open(t.TempDir(), nil, engine.Options{FS: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,10 @@
 // A series is a counter when its metric name ends in _total and a gauge
 // otherwise (the suffix rule in CONTRIBUTING.md); bool fields export as
 // 0/1. Field order is the JSON key order, and new fields go at the end
-// (additive under the /v1 policy). The package is a dependency-free
-// leaf so importing the SDK does not pull in the engine.
+// (additive under the /v1 policy). WALErrors (wal_errors) stays under
+// that policy though it reads 0: the engine returns every WAL append
+// failure to its writer and absorbs none. The package is a
+// dependency-free leaf so importing the SDK does not pull in the engine.
 package stats
 
 // Snapshot is one sample of every counter the server exports.

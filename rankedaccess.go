@@ -334,9 +334,9 @@ type Cursor = engine.Cursor
 
 // NewEngine returns an Engine over the given instance. The Engine owns
 // the instance from here on: mutate it only through the write path
-// (Engine.ApplyBatch, Engine.AddRows, Engine.DeleteRows, or
-// Engine.Mutate) so writes are logged and cached structures advance to
-// the new version.
+// (Engine.ApplyBatch or its Engine.AddRows and Engine.DeleteRows
+// wrappers) so writes are logged and cached structures advance to the
+// new version.
 func NewEngine(in *Instance, opts EngineOptions) *Engine { return engine.New(in, opts) }
 
 // Mutation is one relational write — rows of one relation inserted or
@@ -351,7 +351,6 @@ type MutationOp = delta.Op
 const (
 	OpInsert = delta.OpInsert
 	OpDelete = delta.OpDelete
-	OpReset  = delta.OpReset
 )
 
 // CheckpointInfo reports what Engine.Checkpoint persisted.
@@ -368,7 +367,7 @@ type RestoreInfo = engine.RestoreInfo
 // engine is simply fresh. Call Engine.Close when the engine and all
 // handles obtained from it are done, to release the file mappings.
 func OpenEngine(dir string, opts EngineOptions) (e *Engine, warm bool, err error) {
-	return engine.Open(dir, opts)
+	return engine.Open(dir, nil, opts)
 }
 
 // AnswerTuple projects an answer onto the query head, in head order.
