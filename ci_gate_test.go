@@ -2,8 +2,12 @@ package rankedaccess
 
 import (
 	"encoding/json"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -38,6 +42,53 @@ func TestCIGateRowsAreBenchmarkRows(t *testing.T) {
 	for _, m := range gated {
 		if name := string(m[1]); !declared[name] {
 			t.Errorf("ci.yml gates on %q, which BENCHMARK.json's per_layer does not declare", name)
+		}
+	}
+}
+
+// TestCIRunPatternsNameTests holds every `-run` / `-fuzz` pattern in
+// ci.yml to the tests it means to run: each alternative must match a
+// Test… or Fuzz… function of the module. go test runs nothing, and
+// passes, for a pattern that matches nothing, so a renamed or deleted
+// test would otherwise drop out of its CI job silently.
+func TestCIRunPatternsNameTests(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	var names []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case strings.HasSuffix(path, "_test.go"):
+			src, err := os.ReadFile(path)
+			for _, m := range decl.FindAllSubmatch(src, -1) {
+				names = append(names, string(m[1]))
+			}
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := regexp.MustCompile(`-(?:run|fuzz)[ =]'([^']*)'`).FindAllSubmatch(ci, -1)
+	if len(patterns) == 0 {
+		t.Fatal("ci.yml passes no -run or -fuzz pattern")
+	}
+	for _, m := range patterns {
+		for _, alt := range strings.Split(string(m[1]), "|") {
+			if alt == "^$" {
+				continue // runs no test, on purpose
+			}
+			re, err := regexp.Compile(alt)
+			if err != nil || !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("ci.yml runs %q, which names no Test or Fuzz function (%v)", alt, err)
+			}
 		}
 	}
 }

@@ -98,7 +98,8 @@ func (e *APIError) Is(target error) bool {
 }
 
 // Spec is the textual ranked-access request registered under a name:
-// Query, Order | SumBy, FDs, Shards, ShardBy.
+// Query, Order | SumBy, FDs, Shards, ShardBy. Only a coordinator reads
+// ShardBy; every server ignores Shards (see api.Spec).
 type Spec = api.Spec
 
 // Options configures Dial.

@@ -260,17 +260,17 @@ type view struct {
 	window   time.Duration
 	lifetime bool
 
-	qps, p50, p95, p99    float64
-	inFlight              float64
-	shed429PS, shed503PS  float64
-	coalescePct           float64 // hit share of coalescer traffic, 0-100
-	epochsPS, rebuildsPS  float64
-	bgRebuilds            float64
-	walBatches, walErrors float64
-	version, tuples       float64
-	degraded              bool
-	ready                 bool
-	readyDetail           string
+	qps, p50, p95, p99   float64
+	inFlight             float64
+	shed429PS, shed503PS float64
+	coalescePct          float64 // hit share of coalescer traffic, 0-100
+	epochsPS, rebuildsPS float64
+	bgRebuilds           float64
+	walBatches           float64
+	version, tuples      float64
+	degraded             bool
+	ready                bool
+	readyDetail          string
 }
 
 func digest(prev, cur *snap) view {
@@ -308,7 +308,6 @@ func digest(prev, cur *snap) view {
 	v.rebuildsPS = (d("ra_engine_delta_rebuilds_total") + d("ra_engine_bg_rebuilds_total")) / secs
 	v.bgRebuilds = cur.sum("ra_engine_bg_rebuilding")
 	v.walBatches = cur.sum("ra_engine_wal_batches_total")
-	v.walErrors = cur.sum("ra_engine_wal_errors_total")
 	v.version = cur.sum("ra_engine_instance_version")
 	v.tuples = cur.sum("ra_engine_tuples")
 	v.degraded = cur.sum("ra_engine_degraded") > 0
@@ -399,16 +398,12 @@ func render(w io.Writer, base string, prev, cur *snap, hist *history) {
 		v.shed429PS, v.shed503PS, v.coalescePct)
 	fmt.Fprintf(w, "epochs    %.1f/s overlay, %.1f/s rebuilt   bg rebuilding %.0f\n",
 		v.epochsPS, v.rebuildsPS, v.bgRebuilds)
-	wal := "healthy"
-	if v.walErrors > 0 {
-		wal = fmt.Sprintf("%.0f ERRORS", v.walErrors)
-	}
 	degraded := "no"
 	if v.degraded {
 		degraded = "YES"
 	}
-	fmt.Fprintf(w, "engine    version %.0f   tuples %.0f   wal %.0f batches (%s)   degraded: %s\n",
-		v.version, v.tuples, v.walBatches, wal, degraded)
+	fmt.Fprintf(w, "engine    version %.0f   tuples %.0f   wal %.0f batches   degraded: %s\n",
+		v.version, v.tuples, v.walBatches, degraded)
 	if hist != nil {
 		fmt.Fprintln(w, burnLine(hist, cur))
 	}

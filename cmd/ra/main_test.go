@@ -76,12 +76,13 @@ func TestQueryStreamLocalEqualsRemote(t *testing.T) {
 		}
 	}
 
-	// The process's shutdown checkpoint is a file ra snapshot verifies.
+	// The process's shutdown checkpoint, the newest after the seed's, is
+	// a file ra snapshot verifies.
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	infos, err := snapshot.List(snaps)
-	if err != nil || len(infos) != 1 {
+	if err != nil || len(infos) != 2 {
 		t.Fatalf("snapshots: %v, %v", infos, err)
 	}
 	if out, stderr, code := ra(t, "snapshot", "-dir", snaps); code != 0 || !strings.Contains(out, infos[0].Name) {

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"rankedaccess/internal/shard/shardtest"
 	"rankedaccess/internal/workload"
 )
 
@@ -70,48 +69,32 @@ func TestFacadeSentinelsAcrossLayers(t *testing.T) {
 
 // TestCursorNextZeroAllocs is the acceptance guard: a steady-state
 // cursor Next through a reused destination buffer must not allocate —
-// through the cursor's own probe buffer on an unsharded structure, out
-// of the cursor's AccessRange window on a sharded handle.
+// it steps through the cursor's own probe buffer. (A coordinator
+// handle's window half is internal/engine's
+// TestRemoteCursorNextZeroAllocs.)
 func TestCursorNextZeroAllocs(t *testing.T) {
-	e, pq := buildStreamEngine(t, 1<<12)
-	sharded, err := e.Register("bench-p4", EngineSpec{
-		Query:  "Q(x, y, z) :- R(x, y), S(y, z)",
-		Order:  "x, y, z",
-		Shards: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, pq := range map[string]*PreparedQuery{"unsharded": pq, "shards=4": sharded} {
-		t.Run(name, func(t *testing.T) {
-			cur, err := pq.Cursor()
+	_, pq := buildStreamEngine(t, 1<<12)
+	t.Run("unsharded", func(t *testing.T) {
+		cur, err := pq.Cursor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]Value, 0, 8)
+		if n := testing.AllocsPerRun(2000, func() {
+			var ok bool
+			dst, ok, err = cur.Next(dst[:0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			isSharded := cur.Handle().Plan.Shards > 1
-			if isSharded != (pq == sharded) {
-				t.Fatalf("plan %+v, want sharded: %v", cur.Handle().Plan, pq == sharded)
-			}
-			if isSharded && shardtest.RaceEnabled() {
-				t.Skip("a window refill borrows a pooled probe; sync.Pool drops items at random under the race detector")
-			}
-			dst := make([]Value, 0, 8)
-			if n := testing.AllocsPerRun(2000, func() {
-				var ok bool
-				dst, ok, err = cur.Next(dst[:0])
-				if err != nil {
+			if !ok {
+				if _, err := cur.Seek(0, io.SeekStart); err != nil {
 					t.Fatal(err)
 				}
-				if !ok {
-					if _, err := cur.Seek(0, io.SeekStart); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}); n != 0 {
-				t.Fatalf("steady-state Cursor.Next allocates %v times per probe, want 0", n)
 			}
-		})
-	}
+		}); n != 0 {
+			t.Fatalf("steady-state Cursor.Next allocates %v times per probe, want 0", n)
+		}
+	})
 }
 
 // BenchmarkCursorNext measures the prepared-cursor single-step path:

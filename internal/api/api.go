@@ -53,22 +53,21 @@ type Spec struct {
 	// FDs are unary functional dependencies "R: x -> y" to refine the
 	// classification (§8).
 	FDs []string `json:"fds,omitempty"`
-	// Shards, when ≥ 2, requests hash-partitioned execution: the
-	// instance is split on a partition variable, per-shard structures
-	// are built in parallel, and accesses merge per-shard answer counts
-	// (internal/shard). Queries that cannot be partitioned fall back to
-	// a single structure; ShardEcho.ShardNote records why. Values above
-	// shard.MaxShards are clamped.
+	// Shards is accepted for compatibility and ignored: sharding
+	// happens only across nodes, where the coordinator's cluster
+	// configuration fixes the shard count, and a local engine serves
+	// every spec from one structure.
 	Shards int `json:"shards,omitempty"`
-	// ShardBy optionally names the partition variable, which must be a
-	// free variable of the query; empty picks the free variable
-	// appearing in the most atoms. Ignored unless Shards ≥ 2.
+	// ShardBy optionally names a coordinator's partition variable,
+	// which must be a free variable of the query; empty picks the free
+	// variable appearing in the most atoms. A local engine ignores it.
 	ShardBy string `json:"shard_by,omitempty"`
 }
 
-// ShardEcho is the response fragment reporting how a request was
-// sharded — the plan's outcome, not the spec's wish — omitted entirely
-// when execution was single-structure.
+// ShardEcho is the response fragment reporting how a coordinator
+// sharded a request — the cluster's partitioning, not the spec's wish —
+// omitted entirely on a local engine. Nothing sets ShardNote; its key
+// stays on the wire for compatibility (see CONTRIBUTING.md).
 type ShardEcho struct {
 	Shards    int    `json:"shards,omitempty"`
 	ShardBy   string `json:"shard_by,omitempty"`
@@ -206,7 +205,8 @@ type CountRequest struct {
 	ShardBy string `json:"shard_by,omitempty"`
 }
 
-// CountResponse is |Q(I)| and how the count was sharded.
+// CountResponse is |Q(I)| and, from a coordinator, how the count was
+// sharded.
 type CountResponse struct {
 	Count int64 `json:"count"`
 	ShardEcho

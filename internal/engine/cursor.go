@@ -9,7 +9,7 @@ import (
 	"rankedaccess/internal/values"
 )
 
-// cursorChunk is the batch width All, and Next on a sharded handle, use
+// cursorChunk is the batch width All, and Next on a coordinator handle, use
 // for their internal AccessRange calls: big enough to amortize
 // per-range setup (shard rank search, probe pool round-trips), small
 // enough to keep one reusable buffer.
@@ -33,7 +33,7 @@ type Cursor struct {
 	pos int64
 
 	// buf is the cursor-owned probe scratch for single-step Next on an
-	// unsharded structure, borrowed from it on first use and never
+	// local structure, borrowed from it on first use and never
 	// handed back (nil for structures that probe without scratch). A
 	// dedicated buffer instead of the handle's pooled path keeps Next
 	// deterministically allocation-free: sync.Pool may shed entries
@@ -42,7 +42,7 @@ type Cursor struct {
 	// are successor steps (see access.LexBuf).
 	buf *access.LexBuf
 
-	// win is what Next serves a sharded handle from: the head tuples of
+	// win is what Next serves a coordinator handle from: the head tuples of
 	// ranks winPos, winPos+1, … fetched by one AccessRange, so the
 	// handle's rank search is paid once per cursorChunk rows, not per
 	// row. It is looked up by position, so a Seek needs no reset.
@@ -108,8 +108,8 @@ func (c *Cursor) Seek(offset int64, whence int) (int64, error) {
 // Next appends the head tuple at the current position to dst, advances,
 // and returns the extended slice and true. At the end of the answer
 // list it returns (dst, false, nil). Steady-state calls with a reused
-// dst perform zero allocations, on an unsharded structure (overlaid or
-// not) and on a sharded handle.
+// dst perform zero allocations, on a local structure (overlaid or not)
+// and on a coordinator handle.
 func (c *Cursor) Next(dst []values.Value) ([]values.Value, bool, error) {
 	total := c.h.Total()
 	if c.pos >= total {

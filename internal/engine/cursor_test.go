@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rankedaccess/internal/access"
+	"rankedaccess/internal/shard/shardtest"
 	"rankedaccess/internal/values"
 )
 
@@ -281,8 +282,9 @@ func TestCursorDrainsEpochAcrossMutation(t *testing.T) {
 	}
 }
 
-// TestShardedCursorEquivalence checks that cursors over sharded
-// executions (P ∈ {1, 4}) emit exactly the unsharded stream.
+// TestShardedCursorEquivalence checks that cursors over coordinator
+// handles on loopback shard nodes (P ∈ {1, 4}) emit exactly the local
+// stream.
 func TestShardedCursorEquivalence(t *testing.T) {
 	e := New(randomInstance(600, 25, 3), Options{})
 	base, err := e.Register("unsharded", Spec{Query: twoPath, Order: "x, y, z"})
@@ -296,8 +298,8 @@ func TestShardedCursorEquivalence(t *testing.T) {
 	want := referenceScan(t, bh)
 
 	for _, p := range []int{1, 4} {
-		pq, err := e.Register(fmt.Sprintf("sharded%d", p),
-			Spec{Query: twoPath, Order: "x, y, z", Shards: p})
+		pq, err := coordinator(e, p).Register(fmt.Sprintf("sharded%d", p),
+			Spec{Query: twoPath, Order: "x, y, z"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +307,7 @@ func TestShardedCursorEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p >= 2 && h.Plan.Shards != p {
+		if h.Plan.Shards != p {
 			t.Fatalf("P=%d: plan = %+v, want sharded", p, h.Plan)
 		}
 		cur, err := pq.Cursor()
@@ -316,7 +318,7 @@ func TestShardedCursorEquivalence(t *testing.T) {
 			t.Fatalf("P=%d cursor stream diverges from unsharded", p)
 		}
 		// Next, one row at a time from wherever a Seek lands — inside
-		// the window a sharded cursor holds, behind it, past it, up to
+		// the window a coordinator cursor holds, behind it, past it, up to
 		// the end — reads the bytes AccessRange reads.
 		rng := rand.New(rand.NewSource(int64(p)))
 		total := h.Total()
@@ -344,6 +346,37 @@ func TestShardedCursorEquivalence(t *testing.T) {
 				t.Fatalf("P=%d Next over [%d, %d) after a Seek diverges from AccessRange", p, k0, k1)
 			}
 		}
+	}
+}
+
+// TestRemoteCursorNextZeroAllocs: a steady-state cursor Next on a
+// coordinator handle is served from the cursor's AccessRange window and
+// must not allocate (the local half is the facade's
+// TestCursorNextZeroAllocs).
+func TestRemoteCursorNextZeroAllocs(t *testing.T) {
+	if shardtest.RaceEnabled() {
+		t.Skip("a window refill borrows a pooled probe; sync.Pool drops items at random under the race detector")
+	}
+	c := coordinator(New(randomInstance(1<<12, 1<<9, 9), Options{}), 4)
+	h, err := c.Prepare(Spec{Query: twoPath, Order: "x, y, z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := h.Cursor()
+	dst := make([]values.Value, 0, 8)
+	if n := testing.AllocsPerRun(2000, func() {
+		var ok bool
+		dst, ok, err = cur.Next(dst[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if _, err := cur.Seek(0, io.SeekStart); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("steady-state Cursor.Next allocates %v times per probe, want 0", n)
 	}
 }
 

@@ -83,13 +83,13 @@ func (e *Engine) advance(s Spec, key string, stale *Handle, version uint64) *Han
 }
 
 // overlayEligible reports whether an overlay can merge over the
-// handle's structure: sharded and FD-extended handles carry per-shard
-// state or extended answer spaces the answer-level delta cannot edit,
-// Boolean queries have no answer tuples, and SUM-ordered handles
-// qualify only when every summed variable is a head variable (delta
-// answers zero the existential slots, which would corrupt weights
-// otherwise). These are access.BaseOfLex's conditions and more, read
-// off the spec.
+// handle's structure: a coordinator handle (sh) merges remote parts and
+// takes no writes, FD-extended handles carry extended answer spaces the
+// answer-level delta cannot edit, Boolean queries have no answer
+// tuples, and SUM-ordered handles qualify only when every summed
+// variable is a head variable (delta answers zero the existential
+// slots, which would corrupt weights otherwise). These are
+// access.BaseOfLex's conditions and more, read off the spec.
 func overlayEligible(h *Handle) bool {
 	return h.sh == nil && len(h.spec.FDs) == 0 && len(h.Query.Head) > 0 && sumByInHead(h)
 }

@@ -126,18 +126,6 @@ type Options struct {
 // instance: the /v1 wire type itself, so no layer copies it.
 type Spec = api.Spec
 
-// normShards canonicalizes a requested shard count: anything below 2 is
-// unsharded, anything above the shard package's bound is clamped.
-func normShards(p int) int {
-	if p < 2 {
-		return 1
-	}
-	if p > shard.MaxShards {
-		return shard.MaxShards
-	}
-	return p
-}
-
 // Mode names the structure a plan selected.
 type Mode string
 
@@ -160,14 +148,11 @@ type Plan struct {
 	Tractable bool
 	// Verdict is the classification with its certificate.
 	Verdict classify.Verdict
-	// Shards is the shard count actually used (0 when unsharded).
-	Shards int
-	// ShardBy is the partition variable actually used (empty when
-	// unsharded).
+	// Shards and ShardBy are the cluster's shard count and the
+	// partition variable a coordinator handle merges over (0 and empty
+	// on a local handle, which serves one structure).
+	Shards  int
 	ShardBy string
-	// ShardNote records why a sharding request fell back to a single
-	// structure (empty when sharding succeeded or was not requested).
-	ShardNote string
 }
 
 // Handle is a prepared, immutable, concurrency-safe access structure.
@@ -189,9 +174,9 @@ type Handle struct {
 	// touching none of them republish the handle unchanged.
 	rels map[string]bool
 
-	// st is the structure unsharded probes go through (nil on a sharded
-	// handle): the built structure itself, or — when ov is non-nil —
-	// ov, the merged view of that structure (ov.Base()) plus the
+	// st is the structure local probes go through (nil on a coordinator
+	// handle): the built structure itself, or — when ov is non-nil — ov,
+	// the merged view of that structure (ov.Base()) plus the
 	// answer-level edits ovAdds/ovDels accumulated since it was built.
 	// Immutable, like everything else on a Handle: a catch-up publishes
 	// a new Handle with a new overlay.
@@ -200,13 +185,9 @@ type Handle struct {
 	ovAdds []order.Answer
 	ovDels []order.Answer
 
-	// Sharded serving: sh merges per-shard structures; shProject maps a
-	// merged (possibly FD-extended) answer to the original query's
-	// shape and shExtend maps a caller answer into the merged shape for
-	// inverted access.
-	sh        *shard.Handle
-	shProject func(order.Answer) order.Answer
-	shExtend  func(order.Answer) (order.Answer, bool)
+	// sh merges the remote shard parts of a coordinator handle (nil on
+	// a local one).
+	sh *shard.Handle
 }
 
 // Version returns the instance version (epoch) the handle answers for.
@@ -241,14 +222,7 @@ func (h *Handle) AccessCtx(ctx context.Context, k int64) (order.Answer, error) {
 	if h.sh == nil {
 		return h.st.Access(k)
 	}
-	a, err := h.sh.AccessCtx(ctx, k)
-	if err != nil {
-		return nil, err
-	}
-	if h.shProject != nil {
-		a = h.shProject(a)
-	}
-	return a, nil
+	return h.sh.AccessCtx(ctx, k)
 }
 
 // Inverted returns the index of an answer, when the order has an
@@ -259,13 +233,6 @@ func (h *Handle) Inverted(a order.Answer) (int64, error) {
 	}
 	if h.sh == nil {
 		return access.Inverted(h.st, a)
-	}
-	if h.shExtend != nil {
-		ext, ok := h.shExtend(a)
-		if !ok {
-			return 0, access.ErrNotAnAnswer
-		}
-		a = ext
 	}
 	return h.sh.Inverted(a)
 }
@@ -757,10 +724,11 @@ func (e *Engine) Health() Health {
 // one cache slot per spec, holding the handle for whatever epoch it
 // last built or caught up to (Handle.version records which). FD and
 // SumBy lists are order-insensitive, and Order is dropped when SumBy is
-// set (parse ignores it, so the built structure is identical). The
-// shard count and partition variable are part of the accessor identity:
-// the same query sharded differently is a different structure. ShardBy
-// is dropped when the request is unsharded.
+// set (parse ignores it, so the built structure is identical). Shards
+// is dropped: a coordinator shards by its cluster's count whatever the
+// request says. ShardBy stays, since it picks a coordinator's partition
+// variable; a local engine clears both before keying (see
+// prepareVersionedCtx).
 func specKey(s Spec) string {
 	fds := append([]string(nil), s.FDs...)
 	sort.Strings(fds)
@@ -770,14 +738,8 @@ func specKey(s Spec) string {
 	if len(sumBy) > 0 {
 		lexOrder = ""
 	}
-	shards := normShards(s.Shards)
-	shardBy := s.ShardBy
-	if shards == 1 {
-		shardBy = ""
-	}
-	return fmt.Sprintf("%s\x00%s\x00%s\x00%s\x00%d\x00%s",
-		s.Query, lexOrder, strings.Join(sumBy, ","), strings.Join(fds, ";"),
-		shards, shardBy)
+	return fmt.Sprintf("%s\x00%s\x00%s\x00%s\x00%s",
+		s.Query, lexOrder, strings.Join(sumBy, ","), strings.Join(fds, ";"), s.ShardBy)
 }
 
 // flightKey scopes a single-flight build to one instance version, so a
@@ -876,6 +838,11 @@ func ctxErr(err error) bool {
 // live retry with a fresh flight rather than inheriting the stranger's
 // cancellation.
 func (e *Engine) prepareVersionedCtx(ctx context.Context, s Spec) (*Handle, uint64, error) {
+	if e.remote == nil {
+		// A local engine serves every spec from one structure: the
+		// shard fields steer only a coordinator.
+		s.Shards, s.ShardBy = 0, ""
+	}
 	key := specKey(s)
 	for {
 		h, version, retry, err := e.prepareOnce(ctx, s, key)
@@ -989,12 +956,14 @@ func (e *Engine) logBuild(ctx context.Context, s Spec, version uint64, rebuild b
 
 // directAccess runs the paper's direct-access dichotomy for the spec's
 // order — Theorem 4.1 for lex, Theorem 5.1 for SUM, on the FD-extension
-// per §8 when the spec carries FDs — returning the FD witness too.
-func (p *parsed) directAccess() (classify.Verdict, classify.WithFDs) {
+// per §8 when the spec carries FDs.
+func (p *parsed) directAccess() (v classify.Verdict) {
 	if p.sum {
-		return classify.DirectAccessSum(p.q, p.fds)
+		v, _ = classify.DirectAccessSum(p.q, p.fds)
+	} else {
+		v, _ = classify.DirectAccessLex(p.q, p.l, p.fds)
 	}
-	return classify.DirectAccessLex(p.q, p.l, p.fds)
+	return v
 }
 
 // kind is the tractable structure kind of the spec's order.
@@ -1010,19 +979,18 @@ func tractableMode(sum bool) Mode {
 	return ModeLayeredLex
 }
 
-// ladder is the decision procedure every build runs, whoever owns the
-// shards (a local engine all of them or none, a cluster node some):
+// ladder is the decision procedure every build runs, whoever builds (a
+// local engine its one structure, a cluster node the shards it owns):
 // classify; on the tractable side ask build for the ⟨n log n, log n⟩
 // structure; on an intractability certificate — the verdict's or the
 // builder's — ask it for the materialize-and-sort fallback instead.
-// build receives the structure kind and the classification's FD
-// witness; the verdict, mode and side land in plan.
-func ladder(ctx context.Context, p *parsed, plan *Plan, build func(shard.Kind, classify.WithFDs) error) error {
-	var wfd classify.WithFDs
-	plan.Verdict, wfd = p.directAccess()
+// build receives the structure kind; the verdict, mode and side land
+// in plan.
+func ladder(ctx context.Context, p *parsed, plan *Plan, build func(shard.Kind) error) error {
+	plan.Verdict = p.directAccess()
 	k := p.kind()
 	if plan.Verdict.Tractable {
-		err := build(k, wfd)
+		err := build(k)
 		if err == nil {
 			plan.Mode, plan.Tractable = tractableMode(p.sum), true
 			return nil
@@ -1037,14 +1005,13 @@ func ladder(ctx context.Context, p *parsed, plan *Plan, build func(shard.Kind, c
 	}
 	k.Materialized = true
 	plan.Mode = ModeMaterialized
-	return build(k, wfd)
+	return build(k)
 }
 
 // build plans and constructs a structure; the caller holds mu.RLock, so
-// the instance is stable throughout. Layered-lex builds, sharded or
-// not, check ctx at every preprocessing wave boundary; the other
-// structure kinds check it once before their (uninterruptible)
-// construction. A build that succeeds is observed by buildSeconds.
+// the instance is stable throughout. Layered-lex builds check ctx at
+// every preprocessing wave boundary; the other structure kinds check it
+// once before their (uninterruptible) construction. A build that succeeds is observed by buildSeconds.
 func (e *Engine) build(ctx context.Context, s Spec) (h *Handle, err error) {
 	if hist := e.buildSeconds.Load(); hist != nil {
 		defer func(start time.Time) {
@@ -1063,27 +1030,8 @@ func (e *Engine) build(ctx context.Context, s Spec) (h *Handle, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	shards := normShards(s.Shards)
-	if shards > 1 && s.ShardBy != "" {
-		// Reject a bad explicit partition variable instead of silently
-		// falling back: the caller asked for something specific, and
-		// some fallback paths never reach shard.Choose.
-		if err := shard.ValidateBy(p.q, s.ShardBy); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-	}
 	h = &Handle{Query: p.q, spec: s, rels: queryRels(p.q)}
-	err = ladder(ctx, p, &h.Plan, func(k shard.Kind, wfd classify.WithFDs) (err error) {
-		if shards > 1 {
-			err := e.buildSharded(ctx, h, p, k, wfd, s.ShardBy, shards)
-			if err == nil || ctxErr(err) {
-				return err
-			}
-			// Anything else (unshardable query, FD violation, …) falls
-			// back to a single structure, which reproduces query-level
-			// errors exactly.
-			h.Plan.ShardNote = err.Error()
-		}
+	err = ladder(ctx, p, &h.Plan, func(k shard.Kind) (err error) {
 		h.st, _, err = k.Build(ctx, p.q, e.in)
 		return err
 	})
@@ -1100,52 +1048,6 @@ func queryRels(q *cq.Query) map[string]bool {
 		rels[q.Atoms[i].Rel] = true
 	}
 	return rels
-}
-
-// buildSharded builds h's structure of kind k hash-partitioned: choose
-// the partitioning, then split, build per shard and merge (shard.Build).
-// FD specs on the tractable side are extended globally first, once,
-// before the split — the extension shares variable ids with the
-// original query, the reordered order L⁺ sorts Q⁺(I⁺) exactly as L
-// sorts Q(I) (Lemma 8.16), and promoted variables weigh zero under SUM
-// (Lemma 8.5) — so every shard prices foreign candidates against
-// complete FD-implied values. The fallback ignores FDs, as it does
-// unsharded: they change neither the answer set nor the realized order.
-// An error leaves h untouched.
-func (e *Engine) buildSharded(ctx context.Context, h *Handle, p *parsed, k shard.Kind, w classify.WithFDs, by string, shards int) error {
-	q, in := p.q, e.in
-	k.FDs = nil // extended away below, and the fallback ignores them
-	var project func(order.Answer) order.Answer
-	var extend func(order.Answer) (order.Answer, bool)
-	if len(p.fds) > 0 && !k.Materialized {
-		if err := p.fds.Check(p.q, e.in); err != nil {
-			return err
-		}
-		iplus, err := w.Ext.ExtendInstance(p.q, e.in)
-		if err != nil {
-			return err
-		}
-		if !k.IsSum {
-			if extend, err = w.Ext.AnswerExtender(p.q, e.in); err != nil {
-				return err
-			}
-			k.Lex = w.LPlus
-		}
-		orig := p.q
-		project = func(a order.Answer) order.Answer { return fd.ProjectAnswer(orig, a) }
-		q, in = w.Ext.Query, iplus
-	}
-	pt, err := shard.Choose(q, by, shards)
-	if err != nil {
-		return err
-	}
-	sh, err := shard.Merge(shard.Build(ctx, q, in, k, pt, nil))
-	if err != nil {
-		return err
-	}
-	h.sh, h.shProject, h.shExtend = sh, project, extend
-	h.Plan.Shards, h.Plan.ShardBy = pt.P, pt.VarName
-	return nil
 }
 
 // Access is Prepare plus a batch of probes in one call: it returns the
@@ -1226,60 +1128,34 @@ func (e *Engine) selectParsed(p *parsed, k int64) ([]values.Value, error) {
 
 // Count returns |Q(I)| in linear time for free-connex queries.
 func (e *Engine) Count(query string) (int64, error) {
-	n, _, err := e.CountSharded(context.Background(), query, 0, "")
+	n, _, err := e.CountCtx(context.Background(), query, "")
 	return n, err
 }
 
-// CountInfo reports how a CountSharded request was executed: the shard
-// count and partition variable actually used (zero/empty when the
-// count ran unsharded), and the fallback reason if sharding was
-// requested but impossible.
+// CountInfo reports how a coordinator's count was partitioned: the
+// cluster's shard count and partition variable (zero and empty on a
+// local engine).
 type CountInfo = api.ShardEcho
 
-// CountSharded is Count with scatter-gather: for shards ≥ 2 the
-// instance is partitioned, every shard is counted in parallel, and the
-// counts sum (shard answer sets partition Q(I)). Queries that cannot
-// be partitioned fall back to the single-instance count, recorded in
-// the returned CountInfo; an explicit partition variable that is not a
-// free variable of the query is an error. On a coordinator ctx rides
-// the scatter (deadline, trace); a local count only checks it up front.
-func (e *Engine) CountSharded(ctx context.Context, query string, shards int, by string) (int64, CountInfo, error) {
-	var info CountInfo
+// CountCtx is Count with a caller context. A coordinator counts by
+// scatter-gather over its cluster, partitioned on the free variable by
+// names (empty picks one), with ctx riding the scatter; a local engine
+// ignores by and only checks ctx up front.
+func (e *Engine) CountCtx(ctx context.Context, query, by string) (int64, CountInfo, error) {
 	if err := ctx.Err(); err != nil {
-		return 0, info, err
+		return 0, CountInfo{}, err
 	}
 	if e.remote != nil {
-		// A coordinator counts by scatter-gather over its cluster; the
-		// cluster's own shard count applies, not the request's.
 		return e.remote.CountRemote(ctx, query, by)
 	}
 	q, err := cq.Parse(query)
 	if err != nil {
-		return 0, info, err
+		return 0, CountInfo{}, err
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if p := normShards(shards); p > 1 {
-		pt, err := shard.Choose(q, by, p)
-		var ue *shard.UnshardableError
-		switch {
-		case err == nil:
-			if n, err := shard.Count(q, e.in, pt, nil); err == nil {
-				info.Shards, info.ShardBy = pt.P, pt.VarName
-				return n, info, nil
-			}
-			// Per-shard counting failures are query-level (not
-			// free-connex); the single-instance path reproduces the
-			// error exactly.
-			info.ShardNote = "per-shard count failed; recounted unsharded"
-		case errors.As(err, &ue):
-			info.ShardNote = err.Error()
-		default:
-			return 0, info, err
-		}
-	}
 	n, err := selection.CountAnswers(q, e.in)
-	return n, info, err
+	return n, CountInfo{}, err
 }
 
 // Problem names for Classify.

@@ -40,22 +40,17 @@ func (c *flipCtx) Err() error {
 
 // TestShardedBuildHonoursContext: a context that is live when the build
 // starts (so the up-front check passes) and expires before the first
-// preprocessing wave must abandon sharded and owned layered builds,
-// exactly as it abandons unsharded ones.
+// preprocessing wave must abandon owned layered builds, exactly as it
+// abandons local ones.
 func TestShardedBuildHonoursContext(t *testing.T) {
 	e := New(randomInstance(600, 48, 17), Options{})
-	for _, s := range []Spec{
-		{Query: twoPath, Order: "x, y, z"},
-		{Query: twoPath, Order: "x, y, z", Shards: 4},
-	} {
-		if _, err := e.PrepareCtx(newFlipCtx(1), s); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%+v: PrepareCtx under an expiring context = %v, want context.Canceled", s, err)
-		}
-		// The abandoned build poisoned nothing: a live requester builds.
-		h, err := e.Prepare(s)
-		if err != nil || h.Plan.Mode != ModeLayeredLex || h.Plan.Shards != s.Shards {
-			t.Fatalf("%+v: Prepare after an abandoned build = %+v, %v", s, h, err)
-		}
+	s := Spec{Query: twoPath, Order: "x, y, z"}
+	if _, err := e.PrepareCtx(newFlipCtx(1), s); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PrepareCtx under an expiring context = %v, want context.Canceled", err)
+	}
+	// The abandoned build poisoned nothing: a live requester builds.
+	if h, err := e.Prepare(s); err != nil || h.Plan.Mode != ModeLayeredLex {
+		t.Fatalf("Prepare after an abandoned build = %+v, %v", h, err)
 	}
 
 	dp, err := PlanDistributed(Spec{Query: twoPath, Order: "x, y, z"}, 4, "")
@@ -72,9 +67,9 @@ func TestShardedBuildHonoursContext(t *testing.T) {
 
 // TestPlanParityAcrossOwners pins that the one ladder lands every
 // (query, order) on the same structure mode whoever owns the shards —
-// a local engine unsharded, a local engine with Shards: 4, and two
-// nodes owning {0,2} and {1,3} of 4 — and that each of the three
-// serves Q(I) in exactly the order the brute-force baseline sorts it.
+// a local engine (which ignores a spec's Shards: 4), and two nodes
+// owning {0,2} and {1,3} of 4 — and that each serves Q(I) in exactly
+// the order the brute-force baseline sorts it.
 func TestPlanParityAcrossOwners(t *testing.T) {
 	e, eFD := shardEngines()
 	cases := []struct {
@@ -137,7 +132,7 @@ func TestPlanParityAcrossOwners(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if h.Plan.Mode != tc.mode || h.Plan.Tractable != tc.tractable || h.Plan.Shards != s.Shards {
+				if h.Plan.Mode != tc.mode || h.Plan.Tractable != tc.tractable || h.Plan.Shards != 0 {
 					t.Fatalf("Shards=%d: plan %+v, want mode %s tractable %v", s.Shards, h.Plan, tc.mode, tc.tractable)
 				}
 				check(fmt.Sprintf("local Shards=%d", s.Shards), func(k0, k1 int64) ([]int64, error) {

@@ -3,9 +3,10 @@
 //
 // Coordinator side: Options.Remote installs a RemoteBuilder; every
 // Prepare then delegates planning and structure building to it, and the
-// returned handle merges network-served shard parts through the exact
-// rank-merge machinery the in-process sharded path uses — distributed
-// answers are byte-identical to single-node answers by construction.
+// returned handle merges network-served shard parts by rank
+// (shard.NewRemote) — distributed answers are byte-identical to
+// single-node answers by construction. Sharding happens only here: a
+// local engine accepts a spec's shard fields and ignores them.
 // The write path is disabled (ErrReadOnly): the coordinator owns no
 // data, so mutations go to the nodes' own ingestion paths.
 //
@@ -121,8 +122,7 @@ func PlanDistributed(s Spec, shards int, by string) (*DistPlan, error) {
 // Verdict classifies the spec (the dichotomies are data-free, so a
 // coordinator can report it without any node's help).
 func (dp *DistPlan) Verdict() classify.Verdict {
-	v, _ := dp.p.directAccess()
-	return v
+	return dp.p.directAccess()
 }
 
 // Kind maps the structure mode the nodes' ladders landed on to the
@@ -160,7 +160,7 @@ func (e *Engine) BuildOwned(ctx context.Context, dp *DistPlan, owned []int) (*No
 	defer e.mu.RUnlock()
 	nb := &NodeBuild{Version: e.version}
 	var plan Plan
-	err := ladder(ctx, dp.p, &plan, func(k shard.Kind, _ classify.WithFDs) (err error) {
+	err := ladder(ctx, dp.p, &plan, func(k shard.Kind) (err error) {
 		nb.Owned, err = shard.Build(ctx, dp.Query, e.in, k, dp.Part, owned)
 		return err
 	})

@@ -6,29 +6,71 @@ import (
 	"testing"
 
 	"rankedaccess/internal/access"
+	"rankedaccess/internal/shard"
+	"rankedaccess/internal/shard/shardtest"
 	"rankedaccess/internal/values"
 )
 
-// shardCases cover every structure mode the sharded planner serves:
-// layered-lex, sum, materialized (intractable order), and the
-// FD-extended layered path (extend globally, shard the extension). The
-// FD case gets its own engine whose S relation actually satisfies
-// y → z.
-func shardCases() []struct {
-	spec Spec
-	eng  *Engine
-} {
-	e, eFD := shardEngines()
-	return []struct {
-		spec Spec
-		eng  *Engine
-	}{
-		{Spec{Query: twoPath, Order: "x, y, z"}, e},
-		{Spec{Query: twoPath, Order: "y desc, x"}, e},
-		{Spec{Query: "Q(x, y) :- R(x, y)", SumBy: []string{"x", "y"}}, e},
-		{Spec{Query: twoPath, Order: "x, z, y"}, e},
-		{Spec{Query: twoPath, Order: "x, z, y", FDs: []string{"S: y -> z"}}, eFD},
+// loopback is a RemoteBuilder over one data engine: it plans a spec for
+// p shards as a coordinator does, builds the even and the odd shards as
+// two nodes' owned halves, and merges them over shardtest.Loopback — a
+// cluster minus the network.
+type loopback struct {
+	data *Engine
+	p    int
+}
+
+// coordinator returns a coordinator engine over p shards of data.
+func coordinator(data *Engine, p int) *Engine {
+	return New(nil, Options{Remote: loopback{data: data, p: p}})
+}
+
+func (l loopback) BuildRemote(ctx context.Context, s Spec) (*RemoteHandle, error) {
+	dp, err := PlanDistributed(s, l.p, s.ShardBy)
+	if err != nil {
+		return nil, err
 	}
+	halves := make([][]int, min(l.p, 2))
+	for i := 0; i < l.p; i++ {
+		halves[i%2] = append(halves[i%2], i)
+	}
+	var owned []*shard.Owned
+	var mode Mode
+	for _, half := range halves {
+		nb, err := l.data.BuildOwned(ctx, dp, half)
+		if err != nil {
+			return nil, err
+		}
+		owned, mode = append(owned, nb.Owned), nb.Mode
+	}
+	kind, err := dp.Kind(mode)
+	if err != nil {
+		return nil, err
+	}
+	sh, err := shardtest.New(owned...).Handle(ctx, kind)
+	if err != nil {
+		return nil, err
+	}
+	plan := Plan{Mode: mode, Tractable: !kind.Materialized, Verdict: dp.Verdict(), Shards: l.p, ShardBy: dp.Part.VarName}
+	return &RemoteHandle{Query: dp.Query, Plan: plan, Sh: sh}, nil
+}
+
+func (l loopback) CountRemote(ctx context.Context, query, by string) (int64, CountInfo, error) {
+	dp, err := PlanDistributed(Spec{Query: query}, l.p, by)
+	if err != nil {
+		return 0, CountInfo{}, err
+	}
+	n, err := l.data.CountOwned(dp, nil)
+	return n, CountInfo{Shards: l.p, ShardBy: dp.Part.VarName}, err
+}
+
+// shardSpecs cover every structure mode a coordinator serves:
+// layered-lex, sum, and materialized (intractable order).
+var shardSpecs = []Spec{
+	{Query: twoPath, Order: "x, y, z"},
+	{Query: twoPath, Order: "y desc, x"},
+	{Query: "Q(x, y) :- R(x, y)", SumBy: []string{"x", "y"}},
+	{Query: twoPath, Order: "x, z, y"},
 }
 
 // shardEngines returns an engine over a random two-path instance and
@@ -45,24 +87,24 @@ func shardEngines() (e, eFD *Engine) {
 	return e, New(fdIn, Options{})
 }
 
-// TestShardedMatchesSingle cross-checks the sharded engine against the
-// single-shard engine on randomized instances: identical answers for
-// ranked access, ranges, totals, and inverted access, for P ∈ {2, 3, 8}.
+// TestShardedMatchesSingle cross-checks a coordinator over loopback
+// shard nodes against the single local structure on randomized
+// instances: identical answers for ranked access, ranges, totals, and
+// inverted access, for P ∈ {2, 3, 8}.
 func TestShardedMatchesSingle(t *testing.T) {
-	for _, tc := range shardCases() {
-		base, e := tc.spec, tc.eng
-		ref, err := e.Prepare(base)
+	e, _ := shardEngines()
+	for _, s := range shardSpecs {
+		ref, err := e.Prepare(s)
 		if err != nil {
-			t.Fatalf("%+v: %v", base, err)
+			t.Fatalf("%+v: %v", s, err)
 		}
 		total := ref.Total()
 		if total < 8 {
-			t.Fatalf("%+v: too few answers (%d)", base, total)
+			t.Fatalf("%+v: too few answers (%d)", s, total)
 		}
 		for _, p := range []int{2, 3, 8} {
-			s := base
-			s.Shards = p
-			h, err := e.Prepare(s)
+			c := coordinator(e, p)
+			h, err := c.Prepare(s)
 			if err != nil {
 				t.Fatalf("%+v: %v", s, err)
 			}
@@ -85,26 +127,16 @@ func TestShardedMatchesSingle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%+v: AppendTuple(%d): %v", s, k, err)
 				}
-				if len(want) != len(got) {
-					t.Fatalf("%+v k=%d: widths differ", s, k)
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%+v k=%d: %v vs %v", s, k, got, want)
-					}
+				if !eqValues(got, want) {
+					t.Fatalf("%+v k=%d: %v vs %v", s, k, got, want)
 				}
 				wa, err1 := ref.Access(k)
 				ga, err2 := h.Access(k)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("%+v k=%d: %v, %v", s, k, err1, err2)
 				}
-				if len(wa) != len(ga) {
-					t.Fatalf("%+v k=%d: answer shapes differ (%d vs %d)", s, k, len(wa), len(ga))
-				}
-				for i := range wa {
-					if wa[i] != ga[i] {
-						t.Fatalf("%+v k=%d: answers %v vs %v", s, k, ga, wa)
-					}
+				if !eqValues(ga, wa) {
+					t.Fatalf("%+v k=%d: answers %v vs %v", s, k, ga, wa)
 				}
 				wantInv, errW := ref.Inverted(wa)
 				gotInv, errG := h.Inverted(ga)
@@ -117,21 +149,16 @@ func TestShardedMatchesSingle(t *testing.T) {
 				}
 			}
 			// Full range scans agree.
-			_, wantFlat, err := e.AccessRange(base, nil, 0, total)
+			_, wantFlat, err := e.AccessRange(s, nil, 0, total)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, gotFlat, err := e.AccessRange(s, nil, 0, total)
+			_, gotFlat, err := c.AccessRange(s, nil, 0, total)
 			if err != nil {
 				t.Fatalf("%+v: AccessRange: %v", s, err)
 			}
-			if len(wantFlat) != len(gotFlat) {
-				t.Fatalf("%+v: range lengths %d vs %d", s, len(gotFlat), len(wantFlat))
-			}
-			for i := range wantFlat {
-				if wantFlat[i] != gotFlat[i] {
-					t.Fatalf("%+v: range mismatch at %d", s, i)
-				}
+			if !eqValues(gotFlat, wantFlat) {
+				t.Fatalf("%+v: range scans differ", s)
 			}
 			// Out-of-bound probes fail identically.
 			if _, err := h.Access(total); !errors.Is(err, access.ErrOutOfBound) {
@@ -144,43 +171,10 @@ func TestShardedMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestShardedFallback: queries that cannot be partitioned still answer
-// correctly through the single structure, and the plan says why.
-func TestShardedFallback(t *testing.T) {
-	in := smallInstance()
-	in.AddRow("R", 5, 3) // join R with itself through the second column
-	e := New(in, Options{})
-	selfjoin := "Q(x, y, z) :- R(x, y), R(y, z)"
-	single, err := e.Prepare(Spec{Query: selfjoin, Order: ""})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := e.Prepare(Spec{Query: selfjoin, Order: "", Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Plan.Shards != 0 || h.Plan.ShardNote == "" {
-		t.Fatalf("plan = %+v, want unsharded with a fallback note", h.Plan)
-	}
-	if h.Total() != single.Total() {
-		t.Fatalf("fallback total %d, want %d", h.Total(), single.Total())
-	}
-	for k := int64(0); k < single.Total(); k++ {
-		want, _ := single.Access(k)
-		got, err := h.Access(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("k=%d: %v vs %v", k, got, want)
-			}
-		}
-	}
-}
-
-// TestShardSpecIdentity: the shard count and partition variable are
-// part of the accessor's cache identity.
+// TestShardSpecIdentity: a local engine ignores the shard fields, so a
+// sharded spec shares the bare spec's cache slot — one build, the same
+// bytes. A coordinator drops Shards from the key (its cluster fixes the
+// count) but keeps ShardBy, which picks its partition variable.
 func TestShardSpecIdentity(t *testing.T) {
 	e := New(randomInstance(200, 32, 5), Options{})
 	base := Spec{Query: twoPath, Order: "x, y, z"}
@@ -188,60 +182,61 @@ func TestShardSpecIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := base
-	s2.Shards = 2
-	h2, err := e.Prepare(s2)
+	want, err := h1.AccessRange(nil, 0, h1.Total())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h1 == h2 {
-		t.Fatal("sharded and unsharded specs shared a cache entry")
-	}
-	s2b := base
-	s2b.Shards = 2
-	h2b, err := e.Prepare(s2b)
+	sharded := base
+	sharded.Shards, sharded.ShardBy = 4, "y"
+	h2, got, err := e.AccessRange(sharded, nil, 0, h1.Total())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h2 != h2b {
-		t.Fatal("identical sharded specs did not share a cache entry")
+	if h2 != h1 || e.Stats().Misses != 1 || e.Stats().Entries != 1 {
+		t.Fatalf("sharded spec took its own slot: %+v", e.Stats())
 	}
-	sBy := s2
-	sBy.ShardBy = "x"
-	hBy, err := e.Prepare(sBy)
+	if !eqValues(got, want) || h2.Plan.Shards != 0 || h2.Plan.ShardBy != "" {
+		t.Fatalf("sharded spec served differently: plan %+v", h2.Plan)
+	}
+
+	c := coordinator(e, 2)
+	hc, err := c.Prepare(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hBy == h2 {
-		t.Fatal("different partition variables shared a cache entry")
+	if h, err := c.Prepare(sharded); err != nil || h == hc || h.Plan.ShardBy != "y" {
+		t.Fatalf("coordinator shard_by y shared the default slot: %+v, %v", h, err)
 	}
-	// Shards 0 and 1 are the same (unsharded) identity.
-	s1 := base
-	s1.Shards = 1
-	h1b, err := e.Prepare(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1b != h1 {
-		t.Fatal("Shards: 1 must share the unsharded cache entry")
+	sharded.Shards = 8
+	if h, err := c.Prepare(sharded); err != nil || h.Plan.Shards != 2 || c.Stats().Entries != 2 {
+		t.Fatalf("coordinator keyed on the request's shard count: %+v, %+v, %v", h, c.Stats(), err)
 	}
 }
 
+// TestShardByValidation: a coordinator refuses a partition variable
+// that is unknown or existential; a local engine ignores it.
 func TestShardByValidation(t *testing.T) {
 	e := New(smallInstance(), Options{})
-	if _, err := e.Prepare(Spec{Query: twoPath, Order: "x, y, z", Shards: 2, ShardBy: "w"}); err == nil {
-		t.Fatal("unknown shard_by accepted")
-	}
-	// Existential variables cannot partition answers.
-	if _, err := e.Prepare(Spec{Query: "Q(x, z) :- R(x, y), S(y, z)", Order: "", Shards: 2, ShardBy: "y"}); err == nil {
-		t.Fatal("existential shard_by accepted")
-	}
-	// ShardBy without Shards is inert, not an error.
-	if _, err := e.Prepare(Spec{Query: twoPath, Order: "x, y, z", ShardBy: "w"}); err != nil {
-		t.Fatalf("inert shard_by rejected: %v", err)
+	c := coordinator(e, 2)
+	for _, s := range []Spec{
+		{Query: twoPath, Order: "x, y, z", Shards: 2, ShardBy: "w"},
+		{Query: "Q(x, z) :- R(x, y), S(y, z)", Order: "", Shards: 2, ShardBy: "y"},
+	} {
+		if _, err := c.Prepare(s); err == nil {
+			t.Fatalf("coordinator accepted shard_by %q", s.ShardBy)
+		}
+		if _, _, err := c.CountCtx(context.Background(), s.Query, s.ShardBy); err == nil {
+			t.Fatalf("coordinator count accepted shard_by %q", s.ShardBy)
+		}
+		if _, err := e.Prepare(s); err != nil {
+			t.Fatalf("local engine refused ignored shard_by %q: %v", s.ShardBy, err)
+		}
 	}
 }
 
+// TestCountSharded: a coordinator's scatter-gathered count equals the
+// local count and echoes its partitioning; an unshardable query has no
+// single-structure fallback across nodes, so the coordinator refuses it.
 func TestCountSharded(t *testing.T) {
 	e := New(randomInstance(500, 40, 23), Options{})
 	want, err := e.Count(twoPath)
@@ -249,43 +244,34 @@ func TestCountSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 3, 8} {
-		got, info, err := e.CountSharded(context.Background(), twoPath, p, "")
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		if got != want {
-			t.Fatalf("P=%d: count %d, want %d", p, got, want)
+		got, info, err := coordinator(e, p).CountCtx(context.Background(), twoPath, "")
+		if err != nil || got != want {
+			t.Fatalf("P=%d: count %d, %v; want %d", p, got, err, want)
 		}
 		if info.Shards != p || info.ShardBy == "" || info.ShardNote != "" {
 			t.Fatalf("P=%d: info = %+v", p, info)
 		}
 	}
-	if _, _, err := e.CountSharded(context.Background(), twoPath, 2, "nope"); err == nil {
-		t.Fatal("bad shard_by accepted by CountSharded")
+	if _, _, err := coordinator(e, 4).CountCtx(context.Background(), "Q() :- R(x, y)", ""); err == nil {
+		t.Fatal("coordinator counted a Boolean query")
 	}
-	// Unshardable queries fall back to the global count and say so.
-	got, info, err := e.CountSharded(context.Background(), "Q() :- R(x, y)", 4, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("boolean count = %d, want 1", got)
-	}
-	if info.Shards != 0 || info.ShardNote == "" {
-		t.Fatalf("fallback info = %+v, want unsharded with a note", info)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := e.CountCtx(ctx, twoPath, ""); !errors.Is(err, context.Canceled) {
+		t.Fatalf("local count under a cancelled context = %v", err)
 	}
 }
 
-// TestShardedConcurrentAccess hammers one sharded handle from many
+// TestShardedConcurrentAccess hammers one coordinator handle from many
 // goroutines (run under -race in CI).
 func TestShardedConcurrentAccess(t *testing.T) {
 	e := New(randomInstance(400, 40, 29), Options{})
-	s := Spec{Query: twoPath, Order: "x, y, z", Shards: 4}
-	h, err := e.Prepare(s)
+	s := Spec{Query: twoPath, Order: "x, y, z"}
+	h, err := coordinator(e, 4).Prepare(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := e.Prepare(Spec{Query: twoPath, Order: "x, y, z"})
+	ref, err := e.Prepare(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +288,9 @@ func TestShardedConcurrentAccess(t *testing.T) {
 					return
 				}
 				want, _ = ref.AppendTuple(want[:0], k)
-				for i := range want {
-					if dst[i] != want[i] {
-						done <- errors.New("concurrent sharded access mismatch")
-						return
-					}
+				if !eqValues(dst, want) {
+					done <- errors.New("concurrent sharded access mismatch")
+					return
 				}
 			}
 			done <- nil

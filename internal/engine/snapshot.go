@@ -27,10 +27,10 @@ const WALFileName = "wal.log"
 // mapped file instead of re-running the O(n log n) preprocessing.
 //
 // What is persisted: the instance (all relations plus the value
-// dictionary), every cached or registered unsharded structure built
-// without FDs (their flat columns map back verbatim), and the registry
-// names and specs. Sharded and FD-extended structures carry closures
-// and per-shard state that do not serialize; they are skipped and
+// dictionary), every cached or registered structure built without FDs
+// (their flat columns map back verbatim), and the registry names and
+// specs. FD-extended structures carry closures that do not serialize;
+// they are skipped and
 // simply rebuild on first use after a warm start, exactly as on a cold
 // cache miss. The registry itself always survives: registrations are
 // rehydrated lazily, so the first by-name probe after a warm start hits
@@ -418,15 +418,15 @@ func (e *Engine) loadSnapshot(path string, fresh bool) (RestoreInfo, error) {
 // only the data-level arrays come from the file, zero-copy.
 func (e *Engine) rehydrate(f *snapshot.File, sm *snapshot.StructureMeta) (*Handle, error) {
 	s := sm.Spec
-	if len(s.FDs) > 0 || normShards(s.Shards) > 1 {
-		return nil, fmt.Errorf("snapshot holds a structure for an unsupported spec (FDs or shards)")
+	if len(s.FDs) > 0 {
+		return nil, fmt.Errorf("snapshot holds a structure for an unsupported spec (FDs)")
 	}
 	p, err := parseSpec(s)
 	if err != nil {
 		return nil, err
 	}
 	h := &Handle{Query: p.q, spec: s, rels: queryRels(p.q)}
-	h.Plan.Verdict, _ = p.directAccess()
+	h.Plan.Verdict = p.directAccess()
 	h.Plan.Tractable = sm.Tractable
 	switch sm.Kind {
 	case snapshot.KindLayeredLex:
@@ -469,8 +469,9 @@ func (e *Engine) rehydrate(f *snapshot.File, sm *snapshot.StructureMeta) (*Handl
 }
 
 // structureMeta serializes one handle's structure into the builder,
-// reporting ok=false for handles that cannot be persisted (sharded
-// execution, FD closures, or shapes the flat encoding cannot carry).
+// reporting ok=false for handles that cannot be persisted (a
+// coordinator's remote parts, FD closures, or shapes the flat encoding
+// cannot carry).
 // With rehydrate, it is the one place outside access and Kind.Build
 // that tells the structure types apart: the kind tag is file format.
 func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool) {
@@ -482,9 +483,8 @@ func structureMeta(b *snapshot.Builder, h *Handle) (snapshot.StructureMeta, bool
 		AnswersCol: snapshot.NoCol,
 		WeightsCol: snapshot.NoCol,
 	}
-	// Exactly the specs rehydrate takes back: a spec that asked for
-	// shards is out even when its plan fell back to one structure.
-	if h.sh != nil || normShards(h.spec.Shards) > 1 || len(h.spec.FDs) > 0 {
+	// Exactly the specs rehydrate takes back.
+	if h.sh != nil || len(h.spec.FDs) > 0 {
 		return sm, false
 	}
 	var rp *access.RowParts

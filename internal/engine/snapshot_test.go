@@ -25,15 +25,15 @@ func snapInstance(t testing.TB, n int) *database.Instance {
 	return in
 }
 
-// snapSpecs covers every persistable structure kind plus the skip
-// paths (sharded, FDs).
+// snapSpecs covers every persistable structure kind, plus a sharded
+// spec a local engine serves from the first spec's structure.
 var snapSpecs = []Spec{
 	{Query: "Q(x, y, z) :- R(x, y), S(y, z)", Order: "x, y, z"},            // layered-lex
 	{Query: "Q(x, y, z) :- R(x, y), S(y, z)", Order: "y desc, x"},          // layered-lex, partial+desc
 	{Query: "Q(x, y) :- R(x, y)", SumBy: []string{"x", "y"}},               // sum
 	{Query: "Q(x, z) :- R(x, y), S(y, z)", Order: "x, z"},                  // materialized (projection)
 	{Query: "Q(x, z) :- R(x, y), S(y, z)", SumBy: []string{"x", "z"}},      // materialized sum
-	{Query: "Q(x, y, z) :- R(x, y), S(y, z)", Order: "x, y, z", Shards: 4}, // sharded: skipped
+	{Query: "Q(x, y, z) :- R(x, y), S(y, z)", Order: "x, y, z", Shards: 4}, // sharded: shares spec 0's slot
 }
 
 // probeAll reads the first and last few answers of a handle.
@@ -77,8 +77,8 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Structures != 5 || info.Skipped != 1 {
-		t.Fatalf("persisted %d structures, skipped %d; want 5/1", info.Structures, info.Skipped)
+	if info.Structures != 5 || info.Skipped != 0 {
+		t.Fatalf("persisted %d structures, skipped %d; want 5/0", info.Structures, info.Skipped)
 	}
 	if info.Registrations != 1 {
 		t.Fatalf("persisted %d registrations, want 1", info.Registrations)
@@ -103,7 +103,7 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 		t.Fatalf("tuples %d, want %d", st.Tuples, in.Size())
 	}
 	misses := st.Misses
-	for i, s := range snapSpecs[:5] {
+	for i, s := range snapSpecs {
 		h, err := e2.Prepare(s)
 		if err != nil {
 			t.Fatalf("warm prepare %d: %v", i, err)
@@ -117,17 +117,6 @@ func TestCheckpointOpenRoundTrip(t *testing.T) {
 	}
 	if st2 := e2.Stats(); st2.Misses != misses {
 		t.Fatalf("warm prepares built %d structures; want pure cache hits", st2.Misses-misses)
-	}
-	// The skipped sharded spec rebuilds on demand and still answers
-	// identically.
-	for i, s := range snapSpecs[5:] {
-		h, err := e2.Prepare(s)
-		if err != nil {
-			t.Fatalf("rebuild prepare %d: %v", i, err)
-		}
-		if got := probeAll(t, h); !reflect.DeepEqual(got, want[i+5]) {
-			t.Fatalf("spec %d: rebuilt answers differ", i+5)
-		}
 	}
 	// The registry rehydrated lazily: the first by-name acquire resolves
 	// against the preloaded cache.
@@ -201,29 +190,6 @@ func TestWarmStartFullScanByteIdentical(t *testing.T) {
 	if err != nil || k != 17 {
 		t.Fatalf("inverted = %d, %v; want 17", k, err)
 	}
-}
-
-// TestCheckpointSkipsShardFallback: a spec that asked for shards but
-// fell back to one structure (a self-join cannot be partitioned) is one
-// rehydrate refuses, so a checkpoint must not persist it — it used to,
-// and every later Open or Restore of that file failed.
-func TestCheckpointSkipsShardFallback(t *testing.T) {
-	e := New(snapInstance(t, 64), Options{})
-	s := Spec{Query: "Q(x, y, z) :- R(x, y), R(y, z)", Shards: 2}
-	h, err := e.Prepare(s)
-	if err != nil || h.Plan.ShardNote == "" {
-		t.Fatalf("prepare: note %q, err %v; want an unsharded fallback", h.Plan.ShardNote, err)
-	}
-	dir := t.TempDir()
-	info, err := e.Checkpoint(dir)
-	if err != nil || info.Skipped != 1 || info.Structures != 0 {
-		t.Fatalf("checkpoint %+v, err %v; want the fallback structure skipped", info, err)
-	}
-	e2, warm, err := Open(dir, nil, Options{})
-	if err != nil || !warm {
-		t.Fatalf("open: warm=%v err=%v", warm, err)
-	}
-	e2.Close()
 }
 
 // TestCheckpointSkipsFDStructures: FD-extended structures carry
@@ -498,7 +464,7 @@ func writeRowStructures(t *testing.T, dir string, in *database.Instance, specs [
 		}
 		sm := snapshot.StructureMeta{Spec: s, NumVars: p.q.NumVars(), WeightsCol: snapshot.NoCol}
 		var rp *access.RowParts
-		if v, _ := p.directAccess(); !v.Tractable {
+		if v := p.directAccess(); !v.Tractable {
 			sm.Kind, sm.MatIsLex = snapshot.KindMaterialized, !p.sum
 			if p.sum {
 				rp, _ = access.BuildMaterializedSum(p.q, in, p.w).Parts()

@@ -286,14 +286,28 @@ func TestProcessKeepsLateRegistrations(t *testing.T) {
 	}
 }
 
-// TestProcessSeededRebootKeepsWrites: a delete acknowledged before the
-// first checkpoint survives a crash when -data seeds the same fresh
-// -snapshot-dir again, because the WAL replays over the seed.
+// TestProcessSeededRebootKeepsWrites: a delete acknowledged before any
+// checkpoint but the seed's survives a crash when -data seeds the same
+// -snapshot-dir again: the seed snapshot wins over -data and the WAL
+// replays over it.
 func TestProcessSeededRebootKeepsWrites(t *testing.T) {
+	crashAfterSeededDelete(t, func(c *RunConfig, data, snaps string) { c.DataDir, c.SnapshotDir = data, snaps })
+}
+
+// TestProcessSeedCheckpointed: booting a fresh -snapshot-dir from -data
+// checkpoints the seed, so a reboot from -snapshot-dir alone serves the
+// same tuples at the same version, not the WAL over an empty instance.
+func TestProcessSeedCheckpointed(t *testing.T) {
+	crashAfterSeededDelete(t, func(c *RunConfig, _, snaps string) { c.SnapshotDir = snaps })
+}
+
+// crashAfterSeededDelete boots -data into a fresh -snapshot-dir, deletes
+// every copy of one row, crashes, reboots with reboot's flags, and
+// requires the delete to be there.
+func crashAfterSeededDelete(t *testing.T, reboot func(c *RunConfig, data, snaps string)) {
 	in, data := procData(t)
 	snaps := t.TempDir()
-	seeded := func(c *RunConfig) { c.DataDir, c.SnapshotDir = data, snaps }
-	p := boot(t, seeded)
+	p := boot(t, func(c *RunConfig) { c.DataDir, c.SnapshotDir = data, snaps })
 	r := in.Relation("R")
 	row, copies := r.Tuple(0), 0
 	for i := 0; i < r.Len(); i++ {
@@ -309,11 +323,11 @@ func TestProcessSeededRebootKeepsWrites(t *testing.T) {
 	check(t, p.api.Close())
 	<-p.served
 	check(t, p.release(true))
-	if n := snapshots(t, snaps); n != 0 {
-		t.Fatalf("%d snapshots before the reboot, want none", n)
+	if n := snapshots(t, snaps); n != 1 {
+		t.Fatalf("%d snapshots before the reboot, want the seed's alone", n)
 	}
 
-	p = boot(t, seeded)
+	p = boot(t, func(c *RunConfig) { reboot(c, data, snaps) })
 	defer shutdown(t, p)
 	cl, err = client.Dial(bg, "http://"+p.Addr(), nil)
 	check(t, err)
@@ -350,8 +364,8 @@ func TestProcessStalledReader(t *testing.T) {
 	if err := p.Shutdown(ctx); err == nil || !strings.Contains(err.Error(), "closed the remaining connections") {
 		t.Fatalf("Shutdown past a stalled reader = %v", err)
 	}
-	if n := snapshots(t, snaps); n != 1 {
-		t.Fatalf("%d snapshots after the cut-off drain, want the shutdown checkpoint", n)
+	if n := snapshots(t, snaps); n != 2 {
+		t.Fatalf("%d snapshots after the cut-off drain, want the seed's and the shutdown checkpoint", n)
 	}
 }
 

@@ -228,6 +228,12 @@ func Start(cfg RunConfig) (_ *Process, err error) {
 			st := p.e.Stats()
 			log.Printf("serve: warm start from %s: %d tuples, %d structures mapped, version %d",
 				cfg.SnapshotDir, st.Tuples, st.WarmStructures, st.Version)
+		} else if seed {
+			// Record the seed, so that a reboot from -snapshot-dir alone
+			// replays the WAL over it rather than over an empty instance.
+			if _, err := p.e.Checkpoint(cfg.SnapshotDir); err != nil {
+				return nil, fmt.Errorf("serve: seed checkpoint: %w", err)
+			}
 		}
 	} else {
 		if cfg.Role == "coordinator" {

@@ -45,11 +45,10 @@
 // reflection over the answers, and the coalescer in front of them costs
 // a point read O(1) whether it hits or misses (see coalesce.go).
 //
-// Sharded serving: access, range, and count accept "shards" (and
-// optionally "shard_by"); the engine partitions the instance, builds
-// per-shard structures in parallel, and the handlers' probes fan out
-// across shards and merge by global rank — each shard keeping its
-// zero-alloc buffered probe path.
+// Sharded serving: access, range, and count accept "shards" and
+// "shard_by". A local engine ignores both and echoes neither; a
+// coordinator shards by its cluster configuration, honours shard_by,
+// and echoes its partitioning.
 //
 // Overload behavior: every non-monitoring request passes the admission
 // pipeline (per-client token bucket → per-request deadline → global
@@ -317,7 +316,7 @@ func (s *server) route(mux *http.ServeMux, pattern, endpoint string, h http.Hand
 }
 
 func shardInfo(p engine.Plan) api.ShardEcho {
-	return api.ShardEcho{Shards: p.Shards, ShardBy: p.ShardBy, ShardNote: p.ShardNote}
+	return api.ShardEcho{Shards: p.Shards, ShardBy: p.ShardBy}
 }
 
 func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
@@ -549,9 +548,9 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	// Shards ≥ 2 scatter-gathers: per-shard counts run in parallel and
-	// sum (shard answer sets partition the answer space).
-	n, info, err := s.e.CountSharded(r.Context(), req.Query, req.Shards, req.ShardBy)
+	// A coordinator scatter-gathers over its cluster's shards; a local
+	// engine counts its one instance and ignores the shard fields.
+	n, info, err := s.e.CountCtx(r.Context(), req.Query, req.ShardBy)
 	if err != nil {
 		failErr(w, err)
 		return

@@ -385,9 +385,9 @@ func TestNDJSONStreamEqualsAccessBatch(t *testing.T) {
 	}
 }
 
-// TestV1ShardedCursorEquivalence streams the same window sharded
-// (P ∈ {1, 4}) and unsharded through HTTP cursors and requires
-// identical bytes.
+// TestV1ShardedCursorEquivalence streams the same window with and
+// without a shard count (P ∈ {1, 4}, which a local engine ignores)
+// through HTTP cursors and requires identical bytes.
 func TestV1ShardedCursorEquivalence(t *testing.T) {
 	srv, _ := v1Server(t, 400, 46)
 	register(t, srv, "plain", twoPath, "x, y, z")

@@ -337,8 +337,8 @@ func wireTranscript(t *testing.T) string {
 	)
 
 	// The durability endpoints: absent without a snapshot directory;
-	// with one, a checkpoint persists the plain structures and skips the
-	// sharded one.
+	// with one, a checkpoint persists every structure (the sharded
+	// registration shares the plain one's).
 	wr.section("snapshots")
 	wr.run(h, wPost("/v1/snapshots", ""))
 	se := engine.New(nil, engine.Options{})

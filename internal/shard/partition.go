@@ -26,6 +26,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
@@ -38,8 +39,8 @@ import (
 const MaxShards = 64
 
 // UnshardableError reports that a query cannot be partitioned (rather
-// than that a request was malformed): callers are expected to fall back
-// to a single structure and surface the reason as a note.
+// than that a request was malformed): there is no single-structure
+// fallback across nodes, so a coordinator refuses the query.
 type UnshardableError struct{ Reason string }
 
 func (e *UnshardableError) Error() string { return "shard: " + e.Reason }
@@ -88,10 +89,10 @@ func Choose(q *cq.Query, by string, p int) (Partitioning, error) {
 		return Partitioning{}, &UnshardableError{Reason: "query has self-joins; one relation cannot be both split and replicated"}
 	}
 	if by != "" {
-		if err := ValidateBy(q, by); err != nil {
-			return Partitioning{}, err
+		id, ok := q.VarByName(by)
+		if !ok || !slices.Contains(q.Head, id) {
+			return Partitioning{}, fmt.Errorf("shard: partition variable %q is not a free variable of the query", by)
 		}
-		id, _ := q.VarByName(by)
 		return Partitioning{P: p, Var: id, VarName: by}, nil
 	}
 	best, bestCount := cq.VarID(-1), -1
@@ -110,27 +111,6 @@ func Choose(q *cq.Query, by string, p int) (Partitioning, error) {
 		return Partitioning{}, &UnshardableError{Reason: "no free variable to partition on"}
 	}
 	return Partitioning{P: p, Var: best, VarName: q.VarName(best)}, nil
-}
-
-// ValidateBy checks that an explicit partition variable names a free
-// variable of the query — the single definition of that requirement,
-// shared by Choose and by callers that pre-validate requests before
-// attempting (and possibly falling back from) a sharded build.
-func ValidateBy(q *cq.Query, by string) error {
-	id, ok := q.VarByName(by)
-	if !ok || !isFree(q, id) {
-		return fmt.Errorf("shard: partition variable %q is not a free variable of the query", by)
-	}
-	return nil
-}
-
-func isFree(q *cq.Query, v cq.VarID) bool {
-	for _, h := range q.Head {
-		if h == v {
-			return true
-		}
-	}
-	return false
 }
 
 func atomHasVar(at *cq.Atom, v cq.VarID) bool {

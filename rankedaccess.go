@@ -294,16 +294,15 @@ func NewDirectAccessAny(q *Query, in *Instance, l LexOrder, fds FDSet) (acc Acce
 // Engine is the concurrency-safe planning/caching query engine: it
 // classifies each request, builds the best structure (layered lex, SUM,
 // or materialized fallback), caches it in an LRU keyed by (query, order,
-// FD set, shard count, instance version), and invalidates on mutation.
+// FD set, instance version), and invalidates on mutation.
 type Engine = engine.Engine
 
 // EngineOptions configures NewEngine.
 type EngineOptions = engine.Options
 
-// EngineSpec is a textual ranked-access request against an Engine.
-// Setting Shards ≥ 2 partitions the instance on a free variable and
-// serves global ranked access by merging per-shard answer counts; the
-// answers are identical to unsharded execution (internal/shard).
+// EngineSpec is a textual ranked-access request against an Engine. A
+// local Engine accepts Shards and ShardBy and ignores them: sharding
+// happens only across nodes, through a coordinator (internal/cluster).
 type EngineSpec = engine.Spec
 
 // EngineHandle is a prepared, immutable access structure; safe for
