@@ -36,7 +36,7 @@
 // in its bucket advances, later layers restart in the buckets their
 // parents now select — not a second O(log n) descent. There is no scan
 // API: every loop that probes consecutive ranks through one buffer gets
-// the step for free — engine.Cursor.Next, the in-process shard merge,
+// the step for free — engine.Cursor.Next, a node's batched accesses,
 // enum.RankedLexBuffered — and a probe of any other rank descends.
 // AppendRange goes further, by runs. A run is the tuples left in the
 // last layer's current bucket: consecutive answers inside it differ

@@ -111,7 +111,7 @@ func (tc *testCluster) splitterRank(t *testing.T, spec engine.Spec, node int) in
 	}
 	for _, k := range rh.Sh.Splitters() {
 		before := tc.calls()
-		if _, err := rh.Sh.Access(k); err != nil {
+		if _, err := rh.Sh.Access(context.Background(), k); err != nil {
 			t.Fatalf("Access(splitter rank %d): %v", k, err)
 		}
 		after, all := tc.calls(), uint64(0)
@@ -645,7 +645,7 @@ func TestDistributedRPCBudget(t *testing.T) {
 		before, wire0, r0 := tc.calls(), wire.Load(), rankRounds()
 		_, a0 := sent(rpc.KindAccessBatch)
 		_, k0 := sent(rpc.KindRankBatch)
-		if _, err := h.Access(k); err != nil {
+		if _, err := h.Access(context.Background(), k); err != nil {
 			t.Fatalf("Access(%d): %v", k, err)
 		}
 		after, used, r := tc.calls(), wire.Load()-wire0, rankRounds()-r0
@@ -696,7 +696,7 @@ func TestDistributedRPCBudget(t *testing.T) {
 		_, a0 := sent(rpc.KindAccessBatch)
 		_, k0r := sent(rpc.KindRankBatch)
 		r0 := rankRounds()
-		if _, err := h.Access(k0); err != nil {
+		if _, err := h.Access(context.Background(), k0); err != nil {
 			t.Fatalf("Access(%d): %v", k0, err)
 		}
 		_, a1 := sent(rpc.KindAccessBatch)

@@ -20,7 +20,7 @@ import (
 // Prepare to every node owning shards, verifies the nodes agree on the
 // structure mode and realized order, and assembles a shard.Handle whose
 // parts probe the nodes over RPC. The handle's rank-merge is the exact
-// machinery the in-process sharded path uses, so distributed answers
+// machinery shard.Merge runs in one process, so distributed answers
 // are byte-identical to single-node answers by construction.
 //
 // Preparing a spec also prices the handle's splitter table (shard's
@@ -196,7 +196,7 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	}
 
 	// Merge by the comparator of the structure kind the nodes agreed
-	// on — the same one the in-process sharded path installs, which is
+	// on — the same one shard.Merge installs in one process, which is
 	// what makes distributed answers byte-identical.
 	kind, err := dp.Kind(mode)
 	if err != nil {

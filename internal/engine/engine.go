@@ -222,7 +222,7 @@ func (h *Handle) AccessCtx(ctx context.Context, k int64) (order.Answer, error) {
 	if h.sh == nil {
 		return h.st.Access(k)
 	}
-	return h.sh.AccessCtx(ctx, k)
+	return h.sh.Access(ctx, k)
 }
 
 // Inverted returns the index of an answer, when the order has an

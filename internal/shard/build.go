@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/cq"
@@ -138,27 +139,21 @@ func Build(ctx context.Context, q *cq.Query, in *database.Instance, k Kind, pt P
 
 // Merge turns the result of a Build that owns every shard into the
 // merging accessor; it takes Build's results directly so a full build
-// is one expression. It prices the handle's splitter table in process
-// (one AccessInto and P−1 Ranks per splitter, a few milliseconds).
+// is one expression. The handle is NewRemote's over the build's Node:
+// the router a coordinator runs, with no socket in the way, pricing the
+// splitter table in one lane.
 func Merge(o *Owned, err error) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	totals := make([]int64, len(o.parts))
-	for s, p := range o.parts {
-		if p == nil {
+	totals := make([]int64, o.Part.P)
+	for s := range totals {
+		if totals[s], err = o.Total(s); err != nil {
 			return nil, fmt.Errorf("shard: cannot merge: shard %d of %d was not built", s, o.Part.P)
 		}
-		totals[s] = p.Total()
 	}
-	h := newHandle(o.Query, o.Part, totals, o.kind.Comparator(o.Query, o.completed))
-	h.parts = o.parts
-	h.Completed = o.completed
-	// In-process pricing neither blocks nor reads its context.
-	if err := h.fillSplitters(context.Background(), make([]int, len(totals))); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return NewRemote(context.Background(), o.Query, o.Part, o.kind.Comparator(o.Query, o.completed), o.completed,
+		[]Node{o.Node()}, [][]int{o.Shards()}, totals, new(atomic.Int64))
 }
 
 // BuildLex builds and merges the layered lexicographic structures of

@@ -14,10 +14,11 @@ import (
 )
 
 // Handle merges P per-shard structures sharing one total answer order
-// into a single logical accessor. It is immutable after construction
-// and safe for any number of concurrent goroutines: per-probe scratch
-// comes from an internal pool, so steady-state accesses allocate
-// nothing beyond what the caller's destination slice needs.
+// into a single logical accessor, reaching them through the nodes that
+// serve them (see NewRemote; Merge serves a complete build as one
+// in-process node). It is immutable after construction and safe for any
+// number of concurrent goroutines: per-probe scratch comes from an
+// internal pool.
 type Handle struct {
 	// Query is the query the parts were built for (the FD-extension
 	// when the caller extended before sharding).
@@ -28,21 +29,14 @@ type Handle struct {
 	// for SUM and materialized-SUM groups).
 	Completed order.Lex
 
-	// Exactly one of parts and router is set: in-process structures
-	// (Merge), or shards served by other processes, which the router
-	// probes in batches (NewRemote). Which one it is decides how wide a
-	// rank round is — a network round trip is worth many pivots, an
-	// in-process call is worth one. A probe keeps the buffers it
-	// borrowed from its parts for good (see newHandle); a located
-	// answer may alias one, valid until the probe's next access.
-	parts  []access.Structure
+	// router probes the shards' nodes in batches.
 	router *router
 
 	totals []int64
 	total  int64
 	cmp    func(a, b order.Answer) int
 	// split starts every rank search several rounds in (see splitters);
-	// filled once by Merge / NewRemote, immutable afterwards.
+	// filled once by NewRemote, immutable afterwards.
 	split splitters
 
 	probes sync.Pool
@@ -50,7 +44,6 @@ type Handle struct {
 
 // probe is the per-call scratch of one merge operation.
 type probe struct {
-	bufs  []*access.LexBuf
 	lo    []int64
 	hi    []int64
 	ranks []int64
@@ -59,16 +52,15 @@ type probe struct {
 	// lim bounds a range merge's cursors: no answer of shard j ranked
 	// inside the window sits at or past local index lim[j].
 	lim []int64
-	// One rank round's pivots: xs[i] is the answer at local index
-	// pivPos[i] of shard pivShard[i], priced into
-	// pivRanks[i*P : (i+1)*P] (see price).
+	// One rank round's pivots: the answer at local index pivPos[i] of
+	// shard pivShard[i], priced into pivRanks[i*P : (i+1)*P] (see
+	// price).
 	pivShard []int
 	pivPos   []int64
-	xs       []order.Answer
 	pivRanks []int64
 	// nodeOpen sums each node's open window widths (see pickPivots).
 	nodeOpen []int64
-	// pend/pi buffer prefetched windows of remote parts during
+	// pend/pi buffer prefetched windows of the parts during
 	// AppendRange merges.
 	pend [][]order.Answer
 	pi   []int
@@ -81,8 +73,7 @@ func newHandle(q *cq.Query, pt Partitioning, totals []int64, cmp func(a, b order
 	}
 	p := len(totals)
 	h.probes.New = func() any {
-		pr := &probe{
-			bufs:     make([]*access.LexBuf, p),
+		return &probe{
 			lo:       make([]int64, p),
 			hi:       make([]int64, p),
 			ranks:    make([]int64, p),
@@ -91,15 +82,10 @@ func newHandle(q *cq.Query, pt Partitioning, totals []int64, cmp func(a, b order
 			lim:      make([]int64, p),
 			pivShard: make([]int, 1),
 			pivPos:   make([]int64, 1),
-			xs:       make([]order.Answer, 1),
 			nodeOpen: make([]int64, p),
 			pend:     make([][]order.Answer, p),
 			pi:       make([]int, p),
 		}
-		for i, part := range h.parts {
-			pr.bufs[i] = part.GetBuf()
-		}
-		return pr
 	}
 	return h
 }
@@ -129,19 +115,16 @@ func (h *Handle) putProbe(p *probe) { h.probes.Put(p) }
 // priced ahead of time, so the search starts from the two that bracket
 // k — windows about 1/(S+1) as wide as the shards, ⌈log_{m·P+1}(n/(S+1))⌉
 // rounds to go instead of ⌈log_{m·P+1} n⌉ — and only then pays for
-// rounds. In process a round is one pivot, the median of the widest
-// window; over remote parts a round is a batch taken from one node's
-// windows (see pickPivots), because there a round costs two network
-// hops however many pivots ride in it. Once a single window is left
-// open the result's local index is determined and, with fetch set, is
-// fetched directly: the table keeps no answers, so every access reaches
-// the owner of its result at least once. On return pr.ranks holds each
-// shard's count of answers strictly below the result — the owner's
-// entry is the result's local index — which AppendRange uses as its
-// per-shard merge cursors. AppendRange searches without fetch, since
-// the result is its owner's first row of the window anyway, and may get
-// a nil answer. The returned answer may alias the owner's probe buffer
-// in pr.
+// rounds. A round is a batch taken from one node's windows (see
+// pickPivots), because a round costs two network hops however many
+// pivots ride in it. Once a single window is left open the result's
+// local index is determined and, with fetch set, is fetched directly:
+// the table keeps no answers, so every access reaches the owner of its
+// result at least once. On return pr.ranks holds each shard's count of
+// answers strictly below the result — the owner's entry is the result's
+// local index — which AppendRange uses as its per-shard merge cursors.
+// AppendRange searches without fetch, since the result is its owner's
+// first row of the window anyway, and may get a nil answer.
 func (h *Handle) locate(ctx context.Context, pr *probe, k int64, fetch bool) (order.Answer, error) {
 	if k < 0 || k >= h.total {
 		return nil, access.ErrOutOfBound
@@ -152,10 +135,10 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64, fetch bool) (or
 		lo[j], hi[j] = 0, h.totals[j]
 	}
 	h.split.seed(pr, k)
-	// A round at least halves every window it takes pivots from: in
-	// process the widest, remote every window of the node holding the
-	// most open positions — at least 1/P of them — each cut below a
-	// quarter. 64 bits per part bounds the number of such rounds.
+	// A round at least halves every window it takes pivots from: every
+	// window of the node holding the most open positions — at least 1/P
+	// of them — each cut below a quarter. 64 bits per part bounds the
+	// number of such rounds.
 	maxIter := 64*p + 2
 	for iter := 0; iter < maxIter; iter++ {
 		s, width, open := -1, int64(0), 0
@@ -191,12 +174,8 @@ func (h *Handle) locate(ctx context.Context, pr *probe, k int64, fetch bool) (or
 			}
 			return h.accessOne(ctx, pr, s, m)
 		}
-		if h.router != nil {
-			h.pickPivots(pr, open)
-			h.router.searches.Add(1)
-		} else {
-			pr.pivShard, pr.pivPos = append(pr.pivShard[:0], s), append(pr.pivPos[:0], lo[s]+width/2)
-		}
+		h.pickPivots(pr, open)
+		h.router.searches.Add(1)
 		xs, ranks, err := h.price(ctx, pr)
 		if err != nil {
 			return nil, err
@@ -251,13 +230,6 @@ func (pr *probe) narrow(k int64, s int, rk []int64) bool {
 
 // accessOne fetches the answer at local index m of shard s.
 func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (order.Answer, error) {
-	if h.router == nil {
-		x, err := h.parts[s].AccessInto(pr.bufs[s], m)
-		if err != nil {
-			return nil, fmt.Errorf("shard: internal: part %d access(%d): %w", s, m, err)
-		}
-		return x, nil
-	}
 	// A caller that gave up costs the nodes nothing further, not even
 	// the one fetch a search the table settled would still send.
 	if err := ctx.Err(); err != nil {
@@ -270,7 +242,7 @@ func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (orde
 	return xs[0], nil
 }
 
-// PivotsPerWindow is how many pivots one remote rank round spends per
+// PivotsPerWindow is how many pivots one rank round spends per
 // open window. A round costs two network hops whatever it carries, and
 // m·P staggered pivots cut the candidates to about 1/(m·P+1), so rounds
 // fall from log₂ n to log_{m·P+1} n. Chosen by measurement, not a
@@ -292,7 +264,7 @@ const MaxPivots = 256
 
 const _ = uint(MaxPivots - MaxShards) // does not compile if a round cannot hold a pivot per shard
 
-// pickPivots chooses one remote round's pivots into pr.pivShard and
+// pickPivots chooses one round's pivots into pr.pivShard and
 // pr.pivPos, all from one source node: the one with the most open
 // positions, ties to the lowest index. Shards of one partitioning hold
 // statistically alike slices of the order, so the round's whole budget
@@ -359,44 +331,24 @@ func spread(shards []int, pos []int64, j int, l, w int64, per, stagger, o int) (
 
 // price runs one rank round over the pivots in pr.pivShard and
 // pr.pivPos: it fetches them and prices each on every shard, so that
-// ranks[i*P+j] is shard j's count of answers strictly below xs[i]. Over
-// remote shards that is one router.price — one fetch-and-price per
-// owning node, one rank call per node owning not all pivots; in process
-// one AccessInto and P−1 Ranks per pivot, and xs[i] aliases its shard's
-// probe buffer — a later pivot of the same shard overwrites it (a
-// search prices one pivot a round, the splitter fill keeps only the
-// ranks).
+// ranks[i*P+j] is shard j's count of answers strictly below xs[i]. That
+// is one router.price — one fetch-and-price per owning node, one rank
+// call per node owning not all pivots.
 func (h *Handle) price(ctx context.Context, pr *probe) ([]order.Answer, []int64, error) {
 	p := len(h.totals)
 	n := len(pr.pivPos) * p
 	if cap(pr.pivRanks) < n {
 		pr.pivRanks = make([]int64, n)
 	}
-	xs, ranks := pr.xs[:0], pr.pivRanks[:n]
-	if h.router == nil {
-		for i, s := range pr.pivShard {
-			x, err := h.accessOne(ctx, pr, s, pr.pivPos[i])
-			if err != nil {
-				return nil, nil, err
-			}
-			for j, part := range h.parts {
-				if j != s {
-					ranks[i*p+j], _ = part.Rank(x)
-				}
-			}
-			xs = append(xs, x)
-		}
-		pr.xs = xs
-	} else {
-		// A caller that gave up stops the search between rounds: no
-		// further call leaves for any node.
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		var err error
-		if xs, err = h.router.price(ctx, pr.pivShard, pr.pivPos, ranks); err != nil {
-			return nil, nil, err
-		}
+	ranks := pr.pivRanks[:n]
+	// A caller that gave up stops the search between rounds: no
+	// further call leaves for any node.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	xs, err := h.router.price(ctx, pr.pivShard, pr.pivPos, ranks)
+	if err != nil {
+		return nil, nil, err
 	}
 	// The owner's rank of its own m-th answer is m by definition;
 	// pinning it also shields the batched path from owner drift.
@@ -406,15 +358,10 @@ func (h *Handle) price(ctx context.Context, pr *probe) ([]order.Answer, []int64,
 	return xs, ranks, nil
 }
 
-// Access returns the global k-th answer in the shared order. The answer
-// is freshly allocated; use AppendTuple for the allocation-free path.
-func (h *Handle) Access(k int64) (order.Answer, error) {
-	return h.AccessCtx(context.Background(), k)
-}
-
-// AccessCtx is Access with a caller context threaded through remote
-// parts (deadline and trace propagation); in-process parts ignore it.
-func (h *Handle) AccessCtx(ctx context.Context, k int64) (order.Answer, error) {
+// Access returns the global k-th answer in the shared order, with the
+// caller's context threaded through the nodes (deadline and trace
+// propagation). The answer is freshly allocated.
+func (h *Handle) Access(ctx context.Context, k int64) (order.Answer, error) {
 	pr := h.getProbe()
 	x, err := h.locate(ctx, pr, k, true)
 	if err != nil {
@@ -428,13 +375,15 @@ func (h *Handle) AccessCtx(ctx context.Context, k int64) (order.Answer, error) {
 
 // AppendTuple appends the projection of the global k-th answer onto the
 // given head variables to dst and returns the extended slice,
-// allocating only when dst lacks capacity.
+// allocating only when dst lacks capacity. It and AppendRange keep
+// their context-free spellings beside the Ctx ones because the
+// benchmark ladder calls them.
 func (h *Handle) AppendTuple(dst []values.Value, head []cq.VarID, k int64) ([]values.Value, error) {
 	return h.AppendTupleCtx(context.Background(), dst, head, k)
 }
 
 // AppendTupleCtx is AppendTuple with a caller context threaded through
-// remote parts.
+// the nodes.
 func (h *Handle) AppendTupleCtx(ctx context.Context, dst []values.Value, head []cq.VarID, k int64) ([]values.Value, error) {
 	pr := h.getProbe()
 	x, err := h.locate(ctx, pr, k, true)
@@ -451,40 +400,26 @@ func (h *Handle) AppendTupleCtx(ctx context.Context, dst []values.Value, head []
 
 // Rank returns the number of answers strictly preceding the tuple in
 // the global order (the sum of per-shard ranks) and whether the tuple
-// is an answer of some shard. The error is always nil for in-process
-// parts; remote parts surface transport failures through it.
-func (h *Handle) Rank(a order.Answer) (int64, bool, error) {
-	return h.RankCtx(context.Background(), a)
-}
-
-// RankCtx is Rank with a caller context threaded through remote parts.
-func (h *Handle) RankCtx(ctx context.Context, a order.Answer) (int64, bool, error) {
+// is an answer of some shard, with the caller's context threaded
+// through the nodes, which surface transport failures as the error.
+func (h *Handle) Rank(ctx context.Context, a order.Answer) (int64, bool, error) {
 	var k int64
-	if h.router != nil {
-		pr := h.getProbe()
-		defer h.putProbe(pr)
-		// One priced round: the answer on every shard of every node.
-		exact, err := h.router.rankOthers(h.router.round(ctx, 1), []order.Answer{a}, nil, pr.ranks)
-		if err != nil {
-			return 0, false, err
-		}
-		for _, r := range pr.ranks {
-			k += r
-		}
-		return k, exact[0], nil
+	pr := h.getProbe()
+	defer h.putProbe(pr)
+	// One priced round: the answer on every shard of every node.
+	exact, err := h.router.rankOthers(h.router.round(ctx, 1), []order.Answer{a}, nil, pr.ranks)
+	if err != nil {
+		return 0, false, err
 	}
-	exact := false
-	for _, p := range h.parts {
-		r, ex := p.Rank(a)
+	for _, r := range pr.ranks {
 		k += r
-		exact = exact || ex
 	}
-	return k, exact, nil
+	return k, exact[0], nil
 }
 
 // Inverted returns the global index of an answer, or ErrNotAnAnswer.
 func (h *Handle) Inverted(a order.Answer) (int64, error) {
-	k, ok, err := h.Rank(a)
+	k, ok, err := h.Rank(context.Background(), a)
 	if err != nil {
 		return 0, err
 	}
@@ -497,18 +432,14 @@ func (h *Handle) Inverted(a order.Answer) (int64, error) {
 // AppendRange appends the head projections of the global answers
 // k0 ≤ k < k1 to dst: one rank search finds each shard's starting
 // cursor, the splitter table bounds how far each cursor may move, then
-// a P-way merge emits the window in order. In process each shard's
-// cursor probes consecutive local ranks through the probe's own buffer
-// for that shard, so an emitted answer costs one O(log n) descent per
-// shard at the start of the window and a successor step (see
-// access.LexBuf) plus a P-wide comparison from then on. Over remote
-// parts each shard's rows arrive in windows (see prime).
+// a P-way merge emits the window in order, each shard's rows arriving
+// in windows (see prime).
 func (h *Handle) AppendRange(dst []values.Value, head []cq.VarID, k0, k1 int64) ([]values.Value, error) {
 	return h.AppendRangeCtx(context.Background(), dst, head, k0, k1)
 }
 
 // AppendRangeCtx is AppendRange with a caller context threaded through
-// remote parts.
+// the nodes.
 func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []cq.VarID, k0, k1 int64) ([]values.Value, error) {
 	if k0 >= k1 {
 		return dst, nil
@@ -536,10 +467,8 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 		}
 		pr.cur[j], pr.pend[j], pr.pi[j] = nil, pr.pend[j][:0], 0
 	}
-	if h.router != nil {
-		if err := h.prime(ctx, pr, k1-k0); err != nil {
-			return dst, err
-		}
+	if err := h.prime(ctx, pr, k1-k0); err != nil {
+		return dst, err
 	}
 	for j := range pr.cur {
 		if err := h.fillCursor(ctx, pr, j, k1-k0); err != nil {
@@ -581,7 +510,7 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 // that a share somewhat above its estimate still arrives in one fetch.
 const rangeSlack = 16
 
-// prime fetches the first window of every remote part its bound leaves
+// prime fetches the first window of every part its bound leaves
 // answers, in one parallel scatter, so a range pays one round trip
 // before its first row instead of P sequential ones. Part j holds
 // g = lim[j]−idx[j] of the G answers from k0 up to the bounds, so of the
@@ -606,7 +535,7 @@ func (h *Handle) prime(ctx context.Context, pr *probe, n int64) error {
 	})
 }
 
-// fetchWindow fetches remote shard j's next window into pr.pend[j]: want
+// fetchWindow fetches shard j's next window into pr.pend[j]: want
 // answers from its cursor on, but none at or past its bound and no more
 // than one Range call may carry.
 func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, want int64) error {
@@ -624,19 +553,14 @@ func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, want int64) 
 }
 
 // fillCursor makes pr.cur[j] hold part j's next answer, nil once the
-// part reached its bound. Remote parts are served from their fetched
-// window; one that runs dry is refilled with all the merge may still
+// part reached its bound. It is served from the part's fetched window;
+// one that runs dry is refilled with all the merge may still
 // take from it — the remaining rows, up to its bound — so a part whose
 // bound fits one Range call is refilled at most once.
 func (h *Handle) fillCursor(ctx context.Context, pr *probe, j int, remaining int64) error {
 	if pr.idx[j] >= pr.lim[j] {
 		pr.cur[j] = nil
 		return nil
-	}
-	if h.router == nil {
-		x, err := h.accessOne(ctx, pr, j, pr.idx[j])
-		pr.cur[j] = x
-		return err
 	}
 	if pr.pi[j] >= len(pr.pend[j]) {
 		if err := h.fetchWindow(ctx, pr, j, remaining); err != nil {

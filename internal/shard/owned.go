@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 
 	"rankedaccess/internal/access"
@@ -9,9 +10,9 @@ import (
 )
 
 // Owned holds the per-shard structures Build made for the shard
-// indices one process owns. A complete set merges into a Handle (see
-// Merge); a partial set is the node-side half of the distributed
-// handle whose coordinator-side half is NewRemote. All probes address
+// indices one process owns: the node-side half of the handle whose
+// merging half is NewRemote. A complete set merges in process too (see
+// Merge), through the same router over one Node. All probes address
 // shards by their global index; asking for a shard the node does not
 // own is an error, never a silent wrong answer.
 type Owned struct {
@@ -39,6 +40,28 @@ func (o *Owned) Shards() []int {
 		}
 	}
 	return out
+}
+
+// Node serves every owned shard, in ascending order, as one Node whose
+// calls go straight to AccessBatch, RankBatch and Range; the context is
+// ignored.
+func (o *Owned) Node() Node { return ownedNode{o, o.Shards()} }
+
+type ownedNode struct {
+	o      *Owned
+	shards []int
+}
+
+func (n ownedNode) AccessBatch(_ context.Context, shards []int, pos []int64) ([]order.Answer, []int64, error) {
+	return n.o.AccessBatch(shards, pos, n.shards)
+}
+
+func (n ownedNode) RankBatch(_ context.Context, answers []order.Answer) ([]int64, []bool, error) {
+	return n.o.RankBatch(answers, n.shards)
+}
+
+func (n ownedNode) Range(_ context.Context, shard int, k0, k1 int64) ([]order.Answer, error) {
+	return n.o.Range(shard, k0, k1)
 }
 
 func (o *Owned) part(shard int) (access.Structure, error) {

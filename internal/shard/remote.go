@@ -64,10 +64,10 @@ type router struct {
 	searches *atomic.Int64
 }
 
-// NewRemote assembles a Handle over shards served by other processes:
-// the same rank-merge machinery as the in-process sharded path (so
-// distributed answers are byte-identical by construction), with every
-// probe routed to the nodes. Node i serves the shards owned[i], in the
+// NewRemote assembles a Handle over shards served by nodes — other
+// processes, or one in-process Node (see Merge), so distributed answers
+// are byte-identical to a merge in one process by construction — with
+// every probe routed to the nodes. Node i serves the shards owned[i], in the
 // order its ranks list them, and totals[j] is shard j's answer count.
 // cmp must realize the same total order every node's structures sort
 // by; completed is the realized lex order of layered builds (zero for

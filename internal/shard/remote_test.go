@@ -213,7 +213,7 @@ func TestRemoteOracle(t *testing.T) {
 					if err != nil || !slices.Equal(dst, want[i*w:(i+1)*w]) {
 						t.Fatalf("k=%d: %v (%v), baseline %v", i, dst, err, want[i*w:(i+1)*w])
 					}
-					if r, exact, err := h.Rank(sorted[i]); err != nil || !exact || r != i {
+					if r, exact, err := h.Rank(context.Background(), sorted[i]); err != nil || !exact || r != i {
 						t.Fatalf("Rank(answer %d) = %d, %v, %v", i, r, exact, err)
 					}
 				}
@@ -243,27 +243,27 @@ func TestRemoteOracle(t *testing.T) {
 // probe round takes its pivots from one owner, which prices them in its
 // fetch, then sends at most one rank call to each other owner — with
 // one owner a round is a single call — and Access, AppendRange and Rank
-// equal the in-process handle's at every k.
+// equal the unsharded structure's at every k.
 func TestRoundsFetchFromOneOwner(t *testing.T) {
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
 	in := randomInstance(9, 240, 240, 30, 30)
+	ref := unsharded(t, q, in, k)
 	for _, p := range []int{2, 3, 4, 8} {
-		merged := mergedHandle(t, q, in, k, p)
 		for owners := 1; owners <= min(p, 3); owners++ {
 			t.Run(fmt.Sprintf("P=%d/%d owners", p, owners), func(t *testing.T) {
 				h, loop := ownersHandle(t, q, in, k, p, owners)
-				if h.Total() != merged.Total() {
-					t.Fatalf("total %d, in process %d", h.Total(), merged.Total())
+				if h.Total() != ref.Total() {
+					t.Fatalf("total %d, unsharded %d", h.Total(), ref.Total())
 				}
 				var got, want []values.Value
 				var err error
 				for i := int64(0); i < h.Total(); i++ {
 					r0, a0, k0 := loop.Rounds.Load(), loop.AccessCalls.Load(), loop.RankCalls.Load()
 					got, err = h.AppendTuple(got[:0], q.Head, i)
-					want, _ = merged.AppendTuple(want[:0], q.Head, i)
+					want, _ = ref.AppendTuple(want[:0], i)
 					if err != nil || !slices.Equal(got, want) {
-						t.Fatalf("k=%d: %v (%v), in process %v", i, got, err, want)
+						t.Fatalf("k=%d: %v (%v), unsharded %v", i, got, err, want)
 					}
 					r, a, rk := loop.Rounds.Load()-r0, loop.AccessCalls.Load()-a0, loop.RankCalls.Load()-k0
 					if a < r || a > r+1 || rk > r*int64(owners-1) {
@@ -271,12 +271,12 @@ func TestRoundsFetchFromOneOwner(t *testing.T) {
 					}
 					end := min(i+5, h.Total())
 					got, err = h.AppendRange(got[:0], q.Head, i, end)
-					want, _ = merged.AppendRange(want[:0], q.Head, i, end)
+					want, _ = ref.AppendRange(want[:0], i, end)
 					if err != nil || !slices.Equal(got, want) {
-						t.Fatalf("range [%d, %d): %v (%v), in process %v", i, end, got, err, want)
+						t.Fatalf("range [%d, %d): %v (%v), unsharded %v", i, end, got, err, want)
 					}
-					x, _ := merged.Access(i)
-					if r, ex, err := h.Rank(x); err != nil || !ex || r != i {
+					x, _ := ref.Access(i)
+					if r, ex, err := h.Rank(context.Background(), x); err != nil || !ex || r != i {
 						t.Fatalf("Rank(answer %d) = %d, %v, %v", i, r, ex, err)
 					}
 				}
@@ -318,7 +318,7 @@ func TestRemoteMoreWindowsThanARoundCarries(t *testing.T) {
 		t.Fatalf("%d splitters over shards of %v: the first round would not see %d open windows", s, h.PartTotals(), p)
 	}
 	for i := 0; i < len(sorted); i += 97 {
-		got, err := h.Access(int64(i))
+		got, err := h.Access(context.Background(), int64(i))
 		if err != nil || !slices.Equal(got, sorted[i]) {
 			t.Fatalf("k=%d: %v (%v), baseline %v", i, got, err, sorted[i])
 		}
@@ -340,7 +340,7 @@ func TestRemoteSingleShardIsOneAccess(t *testing.T) {
 		t.Fatalf("%d splitters, %d fill calls over one shard of %d answers; want none, on a shard wide enough to have them", s, loop.FillCalls, h.Total())
 	}
 	for i := int64(0); i < h.Total(); i += 7 {
-		if _, err := h.Access(i); err != nil {
+		if _, err := h.Access(context.Background(), i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -570,7 +570,7 @@ func TestRemoteLocateStopsBetweenRounds(t *testing.T) {
 	k := int64(-1)
 	for c := h.Total() / 2; c < h.Total() && k < 0; c++ {
 		before := sent()
-		if _, err := h.Access(c); err != nil {
+		if _, err := h.Access(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
 		if sent()-before >= 4 { // two rounds of two calls, then the fetch
@@ -588,7 +588,7 @@ func TestRemoteLocateStopsBetweenRounds(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err := h.AccessCtx(ctx, k)
+	_, err := h.Access(ctx, k)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Access cancelled mid-search = %v, want context.Canceled", err)
 	}

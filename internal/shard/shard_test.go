@@ -129,7 +129,7 @@ func checkLexEquivalence(t *testing.T, q *cq.Query, single *access.Lex, sh *Hand
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sh.Access(k)
+		got, err := sh.Access(context.Background(), k)
 		if err != nil {
 			t.Fatalf("sharded Access(%d): %v", k, err)
 		}
@@ -169,10 +169,10 @@ func checkLexEquivalence(t *testing.T, q *cq.Query, single *access.Lex, sh *Hand
 		}
 	}
 	// Out-of-bound and empty windows.
-	if _, err := sh.Access(total); !errors.Is(err, access.ErrOutOfBound) {
+	if _, err := sh.Access(context.Background(), total); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("Access(total) = %v, want ErrOutOfBound", err)
 	}
-	if _, err := sh.Access(-1); !errors.Is(err, access.ErrOutOfBound) {
+	if _, err := sh.Access(context.Background(), -1); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("Access(-1) = %v, want ErrOutOfBound", err)
 	}
 	if out, err := sh.AppendRange(nil, q.Head, 5, 5); err != nil || len(out) != 0 {
@@ -212,7 +212,7 @@ func TestShardedLexMatchesSingle(t *testing.T) {
 					a[v] = values.Value(rng.Intn(30))
 				}
 				wantK, wantEx := single.Rank(a)
-				gotK, gotEx, rerr := sh.Rank(a)
+				gotK, gotEx, rerr := sh.Rank(context.Background(), a)
 				if rerr != nil {
 					t.Fatalf("P=%d Rank(%v): %v", p, a, rerr)
 				}
@@ -288,7 +288,7 @@ func TestShardedSumMatchesSingle(t *testing.T) {
 		}
 		for k := int64(0); k < single.Total(); k++ {
 			want, _ := single.Access(k)
-			got, err := sh.Access(k)
+			got, err := sh.Access(context.Background(), k)
 			if err != nil {
 				t.Fatalf("P=%d Access(%d): %v", p, k, err)
 			}
@@ -296,7 +296,7 @@ func TestShardedSumMatchesSingle(t *testing.T) {
 				t.Fatalf("P=%d k=%d: %v vs %v", p, k, want, got)
 			}
 		}
-		if _, err := sh.Access(single.Total()); !errors.Is(err, access.ErrOutOfBound) {
+		if _, err := sh.Access(context.Background(), single.Total()); !errors.Is(err, access.ErrOutOfBound) {
 			t.Fatalf("Access(total) = %v", err)
 		}
 	}
@@ -324,7 +324,7 @@ func TestShardedMaterializedMatchesSingle(t *testing.T) {
 		}
 		for k := int64(0); k < single.Total(); k++ {
 			want, _ := single.Access(k)
-			got, err := sh.Access(k)
+			got, err := sh.Access(context.Background(), k)
 			if err != nil {
 				t.Fatalf("P=%d Access(%d): %v", p, k, err)
 			}
@@ -358,7 +358,7 @@ func TestShardedMaterializedSumMatchesSingle(t *testing.T) {
 		}
 		for k := int64(0); k < single.Total(); k++ {
 			want, _ := single.Access(k)
-			got, err := sh.Access(k)
+			got, err := sh.Access(context.Background(), k)
 			if err != nil {
 				t.Fatalf("P=%d Access(%d): %v", p, k, err)
 			}
@@ -367,7 +367,7 @@ func TestShardedMaterializedSumMatchesSingle(t *testing.T) {
 					t.Fatalf("P=%d k=%d: %v vs %v", p, k, got, want)
 				}
 			}
-			inv, ok, rerr := sh.Rank(want)
+			inv, ok, rerr := sh.Rank(context.Background(), want)
 			if rerr != nil || !ok || inv != k {
 				t.Fatalf("P=%d Rank(answer %d) = (%d, %v)", p, k, inv, ok)
 			}

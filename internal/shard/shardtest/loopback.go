@@ -1,9 +1,8 @@
 // Package shardtest serves owned shard builds to a remote shard.Handle
-// without a network, for tests: every owned build is a shard.Node whose
-// calls reach Owned.AccessBatch, Owned.RankBatch and Owned.Range
-// directly, so the handle's router — the one a coordinator's RPCs leave
-// through — splits, scatters and places exactly as it does over a
-// cluster, minus the socket.
+// without a network, for tests: every owned build is a counting
+// shard.Node over the build's own Owned.Node, so the handle's router —
+// the one a coordinator's RPCs leave through — splits, scatters and
+// places exactly as it does over a cluster, minus the socket.
 package shardtest
 
 import (
@@ -71,7 +70,7 @@ func (l *Loopback) Handle(ctx context.Context, k shard.Kind) (*shard.Handle, err
 	o := l.owned[0]
 	nodes, totals := make([]shard.Node, len(l.owned)), make([]int64, o.Part.P)
 	for i, on := range l.owned {
-		nodes[i] = node{l, on, l.shards[i]}
+		nodes[i] = node{l, on.Node()}
 		if l.Wrap != nil {
 			nodes[i] = l.Wrap(i, nodes[i])
 		}
@@ -114,11 +113,10 @@ func (l *Loopback) call(ctx context.Context, calls *atomic.Int64, n int) error {
 	return nil
 }
 
-// node is one owned build as a shard.Node.
+// node counts the calls to one owned build's shard.Node.
 type node struct {
-	l      *Loopback
-	o      *shard.Owned
-	shards []int
+	l *Loopback
+	n shard.Node
 }
 
 func (n node) AccessBatch(ctx context.Context, shards []int, pos []int64) ([]order.Answer, []int64, error) {
@@ -133,14 +131,14 @@ func (n node) AccessBatch(ctx context.Context, shards []int, pos []int64) ([]ord
 	if err := n.l.call(ctx, &n.l.AccessCalls, len(pos)); err != nil {
 		return nil, nil, err
 	}
-	return n.o.AccessBatch(shards, pos, n.shards)
+	return n.n.AccessBatch(ctx, shards, pos)
 }
 
 func (n node) RankBatch(ctx context.Context, answers []order.Answer) ([]int64, []bool, error) {
 	if err := n.l.call(ctx, &n.l.RankCalls, len(answers)); err != nil {
 		return nil, nil, err
 	}
-	return n.o.RankBatch(answers, n.shards)
+	return n.n.RankBatch(ctx, answers)
 }
 
 func (n node) Range(ctx context.Context, s int, k0, k1 int64) ([]order.Answer, error) {
@@ -150,7 +148,7 @@ func (n node) Range(ctx context.Context, s int, k0, k1 int64) ([]order.Answer, e
 	if n.l.OnRange != nil {
 		n.l.OnRange(s, k0, k1)
 	}
-	rows, err := n.o.Range(s, k0, k1)
+	rows, err := n.n.Range(ctx, s, k0, k1)
 	n.l.RangeRows.Add(int64(len(rows)))
 	return rows, err
 }

@@ -33,19 +33,6 @@ const SplittersPerShard = 16384
 // (to 124 at MaxShards).
 const maxSplitterBytes = 4 << 20
 
-// inProcessSplitters and inProcessSplitterBytes are the share and the
-// cap of a handle over in-process parts — 256 per shard up to P = 10, 7
-// at MaxShards: there a splitter saves a search one pivot's P descents,
-// not two round trips, and costs the build as much to price. On the
-// benchmark's four in-process shards (n ≈ 6·10⁸, build 150–210 ms),
-// 31 µs per access without a table, 1 024 per shard cost the build
-// 9–15 ms for 13.3 µs, 256 per shard 2 ms (1 %) for 15.1 µs, 64 per
-// shard 0.5 ms for 17.6 µs.
-const (
-	inProcessSplitters     = 256
-	inProcessSplitterBytes = 256 << 10
-)
-
 // splitters is a handle's table of pivots priced ahead of any search,
 // in ascending global rank: splitter i is the answer at local index
 // ranks[i*P+owner[i]] of shard owner[i], shard j holds ranks[i*P+j]
@@ -84,8 +71,7 @@ func (t *splitters) seed(pr *probe, k int64) {
 // about the m·P open positions one round prices, and a denser table
 // would only trade that round for a price per answer at Prepare and
 // P+2 words per answer on the handle. The fill runs one lane per node —
-// shard j's positions are lane node[j]'s, all lane 0 in process: a
-// goroutine with a probe of its own that prices its positions in
+// shard j's positions are lane node[j]'s: a goroutine with a probe of its own that prices its positions in
 // batches of at most MaxPivots, one batch in flight, and stops before
 // its next batch once ctx is cancelled or another lane failed. Lanes
 // write disjoint rows and the table is sorted by global rank, so it is
@@ -95,11 +81,8 @@ func (h *Handle) fillSplitters(ctx context.Context, node []int) error {
 	if slices.Max(h.totals) == h.total {
 		return nil // at most one non-empty shard
 	}
-	p, per, bytes := len(h.totals), int64(SplittersPerShard), maxSplitterBytes
-	if h.router == nil {
-		per, bytes = inProcessSplitters, inProcessSplitterBytes
-	}
-	per = min(per, int64(bytes/(8*(p+2))/p))
+	p := len(h.totals)
+	per := min(int64(SplittersPerShard), int64(maxSplitterBytes/(8*(p+2))/p))
 	var (
 		shards []int
 		pos    []int64

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rankedaccess/internal/access"
 	"rankedaccess/internal/baseline"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/database"
@@ -38,9 +39,19 @@ func fanOut(ys, xs, zs int) *database.Instance {
 // full splitter table.
 func deepInstance() *database.Instance { return fanOut(200, 200, 250) }
 
-// mergedHandle builds all p shards in process and merges them; at p = 1
-// it is the unsharded reference the merged handles must agree with,
-// cheaper than sorting the baseline's answers where there are many.
+// unsharded builds the one structure of kind k over the whole instance:
+// the reference the sharded handles must agree with, cheaper than
+// sorting the baseline's answers where there are many.
+func unsharded(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind) access.Structure {
+	t.Helper()
+	st, _, err := k.Build(context.Background(), q, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// mergedHandle builds all p shards in process and merges them.
 func mergedHandle(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind, p int) *shard.Handle {
 	t.Helper()
 	pt, err := shard.Choose(q, "y", p)
@@ -56,8 +67,8 @@ func mergedHandle(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind
 
 // TestSplitterHits probes the ranks the table treats specially, on the
 // skewed and the balanced layout and on an instance deep enough to need
-// rounds after the seeding, for every structure kind, over remote parts
-// and in process: k = the rank of a splitter — answered by one fetch
+// rounds after the seeding, for every structure kind, over a loopback
+// and through Merge: k = the rank of a splitter — answered by one fetch
 // from the splitter's owner and no rank round — and its two neighbours,
 // where the splitter is a bracket and its owner's window starts one past
 // it. Answers and the range cursors the search leaves behind must match
@@ -72,7 +83,7 @@ func TestSplitterHits(t *testing.T) {
 				if lay.name == "deep" && k.Materialized {
 					t.Skip("materializing the deep instance takes seconds under -race; the search is the layered kind's")
 				}
-				ref := mergedHandle(t, q, lay.in, k, 1)
+				ref := unsharded(t, q, lay.in, k)
 				remote, loop := remoteHandle(t, q, lay.in, k, lay.p)
 				merged := mergedHandle(t, q, lay.in, k, lay.p)
 				var dst, want []values.Value
@@ -86,7 +97,7 @@ func TestSplitterHits(t *testing.T) {
 					for i := 0; i < len(sums); i += max(7, len(sums)/600) {
 						for c := max(sums[i]-1, 0); c <= min(sums[i]+1, h.Total()-1); c++ {
 							a0, r0, p0 := loop.AccessCalls.Load(), loop.RankCalls.Load(), loop.Pivots.Load()
-							got, err := h.Access(c)
+							got, err := h.Access(context.Background(), c)
 							if x, _ := ref.Access(c); err != nil || !slices.Equal(got, x) {
 								t.Fatalf("k=%d beside splitter %d: %v (%v), unsharded %v", c, sums[i], got, err, x)
 							}
@@ -96,7 +107,7 @@ func TestSplitterHits(t *testing.T) {
 							}
 							// A range starts from the cursors locate leaves.
 							dst, err = h.AppendRange(dst[:0], q.Head, c, min(c+3, h.Total()))
-							if want, _ = ref.AppendRange(want[:0], q.Head, c, min(c+3, h.Total())); err != nil || !slices.Equal(dst, want) {
+							if want, _ = ref.AppendRange(want[:0], c, min(c+3, h.Total())); err != nil || !slices.Equal(dst, want) {
 								t.Fatalf("range from k=%d: %v (%v), unsharded %v", c, dst, err, want)
 							}
 						}
@@ -263,11 +274,11 @@ func TestSplitterFillStopsBetweenBatches(t *testing.T) {
 	}
 }
 
-// TestSplitterNarrowShards: shards narrower than their share — here
-// than the in-process one too — still contribute one splitter in every
-// m·P answers, so the table is strictly ascending and seeds exact
-// searches: the rank of a splitter is one fetch from its owner and no
-// round over remote parts, and every rank matches the baseline.
+// TestSplitterNarrowShards: shards narrower than their share still
+// contribute one splitter in every m·P answers, so the table is
+// strictly ascending and seeds exact searches: the rank of a splitter
+// is one fetch from its owner and no round over remote parts, and every
+// rank matches the baseline.
 func TestSplitterNarrowShards(t *testing.T) {
 	const p = 4
 	q := cq.MustParse(twoPath)
@@ -286,7 +297,7 @@ func TestSplitterNarrowShards(t *testing.T) {
 		}
 		for i, x := range sorted {
 			a0, r0 := loop.AccessCalls.Load(), loop.RankCalls.Load()
-			got, err := h.Access(int64(i))
+			got, err := h.Access(context.Background(), int64(i))
 			if err != nil || !slices.Equal(got, x) {
 				t.Fatalf("k=%d: %v (%v), baseline %v", i, got, err, x)
 			}
@@ -299,10 +310,10 @@ func TestSplitterNarrowShards(t *testing.T) {
 
 // TestSplitterTableBounded pins the table's size: SplittersPerShard per
 // shard while that fits maxSplitterBytes, fewer per shard past it, and
-// never more than 4 MiB of S·(P+2) words; over in-process parts 256 per
-// shard within 256 KiB — 256 at P = 4, 7 at MaxShards. No shard
-// contributes more than one splitter in every m·P answers. The capped
-// table still seeds exact searches.
+// never more than 4 MiB of S·(P+2) words. No shard contributes more than
+// one splitter in every m·P answers. Merge's one lane prices exactly the
+// table the loopback's two lanes price, and the capped table still seeds
+// exact searches.
 func TestSplitterTableBounded(t *testing.T) {
 	q := cq.MustParse(twoPath)
 	k := remoteCases(t)[0].kind(q)
@@ -310,18 +321,17 @@ func TestSplitterTableBounded(t *testing.T) {
 	// 3.2·10⁶ answers: at P = 4 every shard holds a full share's m·P
 	// answers per splitter.
 	in := fanOut(1000, 40, 80)
-	ref := mergedHandle(t, q, in, k, 1)
+	ref := unsharded(t, q, in, k)
 	for _, p := range []int{4, shard.MaxShards} {
 		per := min(shard.SplittersPerShard, maxBytes/(8*(p+2))/p)
-		inProcess := min(256, (256<<10)/(8*(p+2))/p)
 		remote, _ := remoteHandle(t, q, in, k, p)
 		merged := mergedHandle(t, q, in, k, p)
-		want, wantIn, full := 0, 0, false
+		want, full := 0, false
 		for _, n := range remote.PartTotals() {
 			stride := int64(shard.PivotsPerWindow * p)
-			want, wantIn = want+int(min(int64(per), n/stride)), wantIn+int(min(int64(inProcess), n/stride))
+			want += int(min(int64(per), n/stride))
 			full = full || n/stride >= int64(per)
-			if n/stride < int64(inProcess) || (p == 4 && n/stride < int64(per)) {
+			if p == 4 && n/stride < int64(per) {
 				t.Fatalf("P=%d: a shard of %d answers is too narrow for a full share", p, n)
 			}
 		}
@@ -329,13 +339,15 @@ func TestSplitterTableBounded(t *testing.T) {
 		if bytes := s * (p + 2) * 8; s != want || !full || bytes > maxBytes || (p == 4 && s != 4*shard.SplittersPerShard) || (p == shard.MaxShards && per >= shard.SplittersPerShard) {
 			t.Fatalf("P=%d: %d splitters (%d bytes), want %d, up to %d per shard within %d bytes", p, s, bytes, want, per, maxBytes)
 		}
-		if s := len(merged.Splitters()); s != wantIn || s != inProcess*p || (p == 4 && inProcess != 256) || (p == shard.MaxShards && inProcess != 7) {
-			t.Fatalf("P=%d in process: %d splitters, want %d per shard", p, s, inProcess)
+		sums, owner, ranks := shard.SplitterTable(remote)
+		mSums, mOwner, mRanks := shard.SplitterTable(merged)
+		if !slices.Equal(sums, mSums) || !slices.Equal(owner, mOwner) || !slices.Equal(ranks, mRanks) {
+			t.Fatalf("P=%d: Merge priced a table of %d splitters, the loopback's lanes one of %d; want the same", p, len(mSums), s)
 		}
 		for i := int64(0); i < ref.Total(); i += ref.Total()/500 + 1 {
 			x, _ := ref.Access(i)
 			for _, h := range []*shard.Handle{remote, merged} {
-				if got, err := h.Access(i); err != nil || !slices.Equal(got, x) {
+				if got, err := h.Access(context.Background(), i); err != nil || !slices.Equal(got, x) {
 					t.Fatalf("P=%d k=%d: %v (%v), unsharded %v", p, i, got, err, x)
 				}
 			}
