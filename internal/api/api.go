@@ -59,8 +59,10 @@ type Spec struct {
 	// every spec from one structure.
 	Shards int `json:"shards,omitempty"`
 	// ShardBy optionally names a coordinator's partition variable,
-	// which must be a free variable of the query; empty picks the free
-	// variable appearing in the most atoms. A local engine ignores it.
+	// which must be a free variable of the query. Empty partitions a
+	// lex spec on the first variable of its order, and a SUM or
+	// order-less spec on the free variable appearing in the most atoms.
+	// A local engine ignores it.
 	ShardBy string `json:"shard_by,omitempty"`
 }
 

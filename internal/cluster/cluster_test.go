@@ -554,7 +554,10 @@ func TestDistributedRPCBudget(t *testing.T) {
 		t.Fatal("no ra_cluster_rank_rounds_total series")
 		return 0
 	}
-	spec := engine.Spec{Query: twoPath, Order: "x, y, z"}
+	// Partitioned on the join variable, the shards' answers interleave
+	// all through the order, so searches still run rounds; under the
+	// default, on the order's leading variable, the table settles them.
+	spec := engine.Spec{Query: twoPath, Order: "x, y, z", ShardBy: "y"}
 	sent := func(kind rpc.Kind) (per []uint64, sum uint64) {
 		for _, peer := range tc.coord.Table().Peers {
 			n := peer.Client.Stats().Calls[kind]
@@ -834,7 +837,9 @@ func TestSplitterFillSpanUnderARequest(t *testing.T) {
 // context before every round, so no RPC leaves after the cancel.
 func TestAccessCancelledBetweenRounds(t *testing.T) {
 	tc := startCluster(t, 2, 4, nil)
-	h, err := tc.ce.Prepare(engine.Spec{Query: twoPath, Order: "x, y, z"})
+	// On the join variable, so the probes below need rounds (see
+	// TestDistributedRPCBudget).
+	h, err := tc.ce.Prepare(engine.Spec{Query: twoPath, Order: "x, y, z", ShardBy: "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -856,6 +861,124 @@ func TestAccessCancelledBetweenRounds(t *testing.T) {
 	}
 	if d := sent() - before; d != 0 {
 		t.Fatalf("%d probe RPCs left for a cancelled request", d)
+	}
+}
+
+// TestLeadingVariablePartition: a lex spec without shard_by is
+// partitioned on the first variable of its order, so each leading
+// value's answers sit whole in one shard. The shards then hold even
+// shares of the answers, and an access costs fewer RPCs than under the
+// join variable's partition, because the splitters bracketing k mostly
+// leave one shard open. An explicit shard_by still wins, SUM specs and
+// counts keep shard.Choose's most-atoms pick, and answers are the
+// single node's.
+func TestLeadingVariablePartition(t *testing.T) {
+	const p = 4
+	tc := startClusterOn(t, deepInstance, 2, p, nil)
+	local := engine.New(deepInstance(), engine.Options{})
+	for _, c := range []struct {
+		spec engine.Spec
+		by   string
+	}{
+		{engine.Spec{Query: twoPath, Order: "x, y, z"}, "x"},
+		{engine.Spec{Query: twoPath, Order: "z desc, y, x"}, "z"},
+		{engine.Spec{Query: twoPath, Order: "x, y, z", ShardBy: "y"}, "y"},
+		// Both variables sit in the one atom: the pick is the lowest
+		// variable id, not the first summand.
+		{engine.Spec{Query: "Q(x, y) :- R(x, y)", SumBy: []string{"y", "x"}}, "x"},
+	} {
+		h, err := tc.ce.Prepare(c.spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", c.spec, err)
+		}
+		if h.Plan.ShardBy != c.by || h.Plan.Shards != p {
+			t.Fatalf("%+v: partitioned %d ways on %q, want %d on %q", c.spec, h.Plan.Shards, h.Plan.ShardBy, p, c.by)
+		}
+	}
+	if _, info, err := tc.ce.CountCtx(context.Background(), twoPath, ""); err != nil || info.ShardBy != "y" {
+		t.Fatalf("count partitioned on %q (%v), want the most-atoms pick y", info.ShardBy, err)
+	}
+
+	byLead, err := tc.coord.BuildRemote(context.Background(), engine.Spec{Query: twoPath, Order: "x, y, z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byJoin, err := tc.coord.BuildRemote(context.Background(), engine.Spec{Query: twoPath, Order: "x, y, z", ShardBy: "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, join := byLead.Sh, byJoin.Sh
+	if lead.Part.VarName != "x" || join.Part.VarName != "y" || lead.Total() != join.Total() {
+		t.Fatalf("handles on %q and %q with %d and %d answers", lead.Part.VarName, join.Part.VarName, lead.Total(), join.Total())
+	}
+	total := lead.Total()
+	for s, n := range lead.PartTotals() {
+		if share := float64(n) / float64(total); share > 0.35 {
+			t.Fatalf("shard %d holds %.0f%% of the answers (totals %v), want at most 35%%", s, 100*share, lead.PartTotals())
+		}
+	}
+
+	ref, err := local.Prepare(engine.Spec{Query: twoPath, Order: "x, y, z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(46))
+	ks := []int64{0, total - 1}
+	for len(ks) < 200 {
+		ks = append(ks, rng.Int63n(total))
+	}
+	rpcs := func(h *shard.Handle) (n uint64) {
+		before := tc.calls()
+		for _, k := range ks {
+			got, err := h.Access(context.Background(), k)
+			if err != nil {
+				t.Fatalf("%s: Access(%d): %v", h.Part.VarName, k, err)
+			}
+			want, err := ref.Access(k)
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: Access(%d) = %v, single node %v (%v)", h.Part.VarName, k, got, want, err)
+			}
+		}
+		for i, c := range tc.calls() {
+			n += c - before[i]
+		}
+		return n
+	}
+	onLead, onJoin := rpcs(lead), rpcs(join)
+	t.Logf("RPCs per access over %d ks: %.2f on the leading variable, %.2f on the join variable",
+		len(ks), float64(onLead)/float64(len(ks)), float64(onJoin)/float64(len(ks)))
+	if 10*onLead > 8*onJoin {
+		t.Fatalf("%d RPCs for %d accesses on the leading variable, %d on the join variable; want at most 0.8×", onLead, len(ks), onJoin)
+	}
+	const width = 512
+	for _, k0 := range ks[:20] {
+		k0 = min(k0, total-width)
+		want, err := ref.AccessRange(nil, k0, k0+width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := lead.AppendRange(nil, lead.Query.Head, k0, k0+width)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("range [%d, %d) diverges from the single node (%v)", k0, k0+width, err)
+		}
+	}
+
+	// A search the table settles sends no rounds, so the context check
+	// before each round cannot stop it: a cancelled caller must still
+	// cost the nodes nothing, access and range alike.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := tc.calls()
+	for _, k := range ks[:20] {
+		if _, err := lead.Access(ctx, k); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Access(%d) under a cancelled context = %v, want context.Canceled", k, err)
+		}
+		if _, err := lead.AppendRangeCtx(ctx, nil, lead.Query.Head, k, min(k+8, total)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("range from %d under a cancelled context = %v, want context.Canceled", k, err)
+		}
+	}
+	if after := tc.calls(); !slices.Equal(after, before) {
+		t.Fatalf("cancelled probes sent RPCs: %v before, %v after", before, after)
 	}
 }
 

@@ -32,9 +32,15 @@ import (
 // The cluster.splitter_fill span covers it, and
 // ra_cluster_splitter_fill_seconds and ra_cluster_splitters report it.
 //
-// A global Access(k) then costs about log_{m·P+1}(n/(S+1)) ROUNDS (m =
-// shard's PivotsPerWindow) — the table starts the search between the two
-// splitters that bracket k. Each round of the handle's rank search
+// A global Access(k) then costs at most about log_{m·P+1}(n/(S+1))
+// ROUNDS (m = shard's PivotsPerWindow) — the table starts the search
+// between the two splitters that bracket k. That bound is met on a
+// partition whose shards interleave all through the order, as on a
+// join variable. planSpec partitions a lex spec on its order's leading
+// variable unless shard_by names another, so each leading value's
+// answers sit whole in one shard: the bracketing splitters then usually
+// leave one shard open and the search needs no round at all, only the
+// final fetch below. Each round of the handle's rank search
 // spends m pivots per open shard window on the windows of ONE node, the
 // one with the most open positions, and makes one call per node per hop
 // (the handle's router in shard, over one peerNode per peer): one
@@ -118,7 +124,9 @@ func (c *Coordinator) RegisterMetrics(reg *metrics.Registry) {
 }
 
 // planSpec plans a spec locally, fixing the partitioning every node
-// must agree on. Unshardable queries (boolean, self-joins) cannot run
+// must agree on: shard_by when the spec names one, else a lex order's
+// leading variable, else shard.Choose's pick (engine.PlanDistributed
+// holds the rule). Unshardable queries (boolean, self-joins) cannot run
 // on a cluster at all — there is no local fallback, unlike the
 // single-node sharded path.
 func (c *Coordinator) planSpec(s engine.Spec) (*engine.DistPlan, error) {

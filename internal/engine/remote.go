@@ -102,8 +102,11 @@ type DistPlan struct {
 // distributed path cannot serve — FD specs (the extension is global,
 // not per-shard) and unshardable queries (there is no single-structure
 // fallback across nodes) — and fixes the partitioning: shards ways on
-// the free variable by names (empty picks one deterministically). Every
-// error is the requester's fault.
+// the free variable by names. An empty by partitions a lex spec on the
+// first variable of its order, so every group of answers sharing a
+// leading value sits whole in one shard and the shards' answers
+// interleave only where leading values change; SUM and order-less specs
+// leave the pick to shard.Choose. Every error is the requester's fault.
 func PlanDistributed(s Spec, shards int, by string) (*DistPlan, error) {
 	p, err := parseSpec(s)
 	if err != nil {
@@ -111,6 +114,9 @@ func PlanDistributed(s Spec, shards int, by string) (*DistPlan, error) {
 	}
 	if len(p.fds) > 0 {
 		return nil, errors.New("engine: distributed serving does not support FD specs")
+	}
+	if by == "" && !p.sum && len(p.l.Entries) > 0 {
+		by = p.q.VarName(p.l.Entries[0].Var)
 	}
 	pt, err := shard.Choose(p.q, by, shards)
 	if err != nil {

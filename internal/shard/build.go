@@ -103,7 +103,11 @@ func ownedShards(pt Partitioning, owned []int) ([]int, error) {
 }
 
 // Build splits the instance per pt and builds one structure of the
-// given kind per owned shard (nil = all of them) in parallel. All
+// given kind per owned shard (nil = all of them), one shard after
+// another: each build fans out over the worker pool on its own, and
+// replicated relations make every shard's structure about as large as
+// the largest, so building the shards side by side would hold several
+// builds' scaffolding at once for no gain in wall time. All
 // shards complete the requested order over the same query structure,
 // so they realize the same total order; that is verified defensively
 // and a mismatch is an error (a coordinator additionally verifies it
@@ -119,13 +123,10 @@ func Build(ctx context.Context, q *cq.Query, in *database.Instance, k Kind, pt P
 	ins := Split(q, in, pt, shards...)
 	o := &Owned{Query: q, Part: pt, kind: k, parts: make([]access.Structure, pt.P)}
 	lexes := make([]order.Lex, len(shards))
-	err = par.DoErr(len(shards), func(i int) error {
-		var err error
-		o.parts[shards[i]], lexes[i], err = k.Build(ctx, q, ins[shards[i]])
-		return err
-	})
-	if err != nil {
-		return nil, err
+	for i, s := range shards {
+		if o.parts[s], lexes[i], err = k.Build(ctx, q, ins[s]); err != nil {
+			return nil, err
+		}
 	}
 	o.completed = lexes[0]
 	for i, s := range shards {

@@ -228,14 +228,16 @@ func (pr *probe) narrow(k int64, s int, rk []int64) bool {
 	return false
 }
 
-// accessOne fetches the answer at local index m of shard s.
+// accessOne fetches the answer at local index m of shard s with one
+// AccessBatch straight to its owner: one position has one node to go
+// to, so it skips the router's split and scatter (see router.price).
 func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (order.Answer, error) {
 	// A caller that gave up costs the nodes nothing further, not even
 	// the one fetch a search the table settled would still send.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	xs, err := h.router.price(ctx, append(pr.pivShard[:0], s), append(pr.pivPos[:0], m), nil)
+	xs, _, err := h.router.nodes[h.router.owner[s]].AccessBatch(ctx, append(pr.pivShard[:0], s), append(pr.pivPos[:0], m))
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +255,10 @@ func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (orde
 // behind the splitter table, whose remaining ≈ 2 rounds price pivots
 // that sit close together: m = 4, 8, 12, 16 gave medians of 1 145,
 // 1 096, 1 078 and 1 152 µs over three alternating runs each, every one
-// inside the others' 1.04–1.21 ms spread, so 8 stays.
+// inside the others' 1.04–1.21 ms spread, so 8 stays. Both sweeps ran
+// with the shards partitioned on the join variable y, before a lex spec
+// defaulted to its order's leading variable; the value is settled and
+// was not swept again under that partition.
 const PivotsPerWindow = 8
 
 // MaxPivots caps the pivots of one rank round, and with it what a
@@ -266,8 +271,10 @@ const _ = uint(MaxPivots - MaxShards) // does not compile if a round cannot hold
 
 // pickPivots chooses one round's pivots into pr.pivShard and
 // pr.pivPos, all from one source node: the one with the most open
-// positions, ties to the lowest index. Shards of one partitioning hold
-// statistically alike slices of the order, so the round's whole budget
+// positions, ties to the lowest index. Shards hashed on a variable
+// other than the order's leading one hold statistically alike slices
+// of the order (on the leading one a search rarely needs a round at
+// all), so the round's whole budget
 // — m per open window, at most MaxPivots — spread over the source's
 // windows alone narrows as well as spread over all, and the source
 // prices its own pivots in the fetch. A source window no wider than its
@@ -466,6 +473,11 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 			pr.lim[j] = h.split.ranks[c*len(pr.lim)+j]
 		}
 		pr.cur[j], pr.pend[j], pr.pi[j] = nil, pr.pend[j][:0], 0
+	}
+	// As in accessOne: a search the table settled sent nothing, and a
+	// caller that gave up should not start the fetches either.
+	if err := ctx.Err(); err != nil {
+		return dst, err
 	}
 	if err := h.prime(ctx, pr, k1-k0); err != nil {
 		return dst, err

@@ -1,19 +1,24 @@
 // Package shard turns the single-structure reproduction into a
 // horizontally partitioned engine: a database instance is hash-split
 // into P shards on one free variable of the query, per-shard direct
-// access structures are built in parallel, and global ranked access is
-// answered by merging per-shard answer counts — no shard ever
-// materializes more than its own slice of the answer space.
+// access structures are built one shard after another, and global
+// ranked access is answered by merging per-shard answer counts — no
+// shard ever materializes more than its own slice of the answer space.
 //
 // Partitioning scheme. A partition variable v (free in the query) is
 // fixed; every relation whose atom contains v is split by the hash of
 // the tuple's v-column, and every other relation is replicated to all
 // shards by reference (relations are immutable during builds, so
-// replication is free). Each answer a therefore lives in exactly the
-// shard ShardOf(a[v], P): atoms containing v force all of a's witnesses
-// into that shard, and no other shard can assemble them. Self-joins are
-// rejected — one relation serving two atoms could need to be both split
-// and replicated — which matches the paper's self-join-free scope.
+// replication copies nothing, but every shard's structure is built
+// over the whole replicated relation). Each answer a therefore lives
+// in exactly the shard ShardOf(a[v], P): atoms containing v force all
+// of a's witnesses into that shard, and no other shard can assemble
+// them. Self-joins are rejected — one relation serving two atoms could
+// need to be both split and replicated — which matches the paper's
+// self-join-free scope. Which v to pick is the caller's: a coordinator
+// takes a lex order's leading variable, so that each leading value's
+// answers form one run of one shard (see engine.PlanDistributed), and
+// Choose's most-atoms rule otherwise.
 //
 // Global rank merge. Shard answer sets partition Q(I), and every shard
 // orders its local answers by the same total order, so the global rank
@@ -73,7 +78,10 @@ func ShardOf(v values.Value, p int) int {
 // Choose picks the partitioning for a query: the named free variable
 // when by is non-empty, otherwise the free variable contained in the
 // most atoms (splitting more relations and replicating fewer), ties to
-// the smallest variable id so the choice is deterministic.
+// the smallest variable id so the choice is deterministic. It knows no
+// order: a coordinator names a lex spec's leading variable as by
+// itself, and leaves SUM specs, order-less specs and counts to the
+// most-atoms rule.
 //
 // A *UnshardableError means the query itself cannot be partitioned
 // (Boolean, or with self-joins); any other error is a bad request (an

@@ -143,32 +143,29 @@ func (r *router) round(ctx context.Context, pivots int) context.Context {
 }
 
 // place writes request answer a's ranks on a node's shards, row[j]
-// being the node's j-th shard's, into its row of ranks (nil: nothing to
-// price).
+// being the node's j-th shard's, into its row of ranks.
 func (r *router) place(ranks []int64, a, node int, row []int64) {
-	for j := 0; ranks != nil && j < len(r.owned[node]); j++ {
-		ranks[a*len(r.owner)+r.owned[node][j]] = row[j]
+	for j, s := range r.owned[node] {
+		ranks[a*len(r.owner)+s] = row[j]
 	}
 }
 
-// price returns, for every i, the answer at local index pos[i] of shard
-// shards[i], in request order, fetched with one AccessBatch per owning
-// node, and unless ranks is nil prices each on every shard:
+// price runs one priced round: it returns, for every i, the answer at
+// local index pos[i] of shard shards[i], in request order, fetched with
+// one AccessBatch per owning node, and prices each on every shard:
 // ranks[i*P+j] becomes shard j's count of answers strictly below
 // answers[i]. Each fetch prices its answers on its own node's shards,
 // and one RankBatch per node owning not all of them prices the rest
 // (see rankOthers). A round's pivots come from one node, so a round is
 // one access plus one rank call per other node — two hops however many
-// pivots it prices — and the final fetch (ranks nil) is the access
-// alone.
+// pivots it prices. A search's final fetch is not a round and skips the
+// router (see Handle.accessOne).
 func (r *router) price(ctx context.Context, shards []int, pos []int64, ranks []int64) ([]order.Answer, error) {
 	batches, err := r.split(shards, pos)
 	if err != nil {
 		return nil, err
 	}
-	if ranks != nil {
-		ctx = r.round(ctx, len(pos))
-	}
+	ctx = r.round(ctx, len(pos))
 	out := make([]order.Answer, len(pos))
 	err = Scatter(len(batches), func(i int) error {
 		b := &batches[i]
@@ -182,8 +179,8 @@ func (r *router) price(ctx context.Context, shards []int, pos []int64, ranks []i
 		}
 		return nil
 	})
-	if err != nil || ranks == nil {
-		return out, err
+	if err != nil {
+		return nil, err
 	}
 	_, err = r.rankOthers(ctx, out, shards, ranks)
 	return out, err

@@ -658,3 +658,38 @@ func TestOwnedProbeAllocs(t *testing.T) {
 		t.Fatalf("Range of 16 answers allocates %.0f times, ceiling 3", allocs)
 	}
 }
+
+// TestMergeFetchAllocs pins what a search's final fetch costs the
+// handle: at P = 1 every access is that fetch alone, sent straight to
+// the owner's AccessBatch, so an AppendTuple into a buffer with room
+// allocates only the node's answer block, twice. Routing the one
+// position through the router's split and scatter costs 11.
+func TestMergeFetchAllocs(t *testing.T) {
+	if shardtest.RaceEnabled() {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	q, err := cq.Parse(twoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := layouts()[2]
+	pt, err := shard.Choose(q, "y", lay.p)
+	if err != nil || pt.P != 1 {
+		t.Fatalf("Choose = %+v, %v; want the P = 1 layout", pt, err)
+	}
+	h, err := shard.Merge(shard.Build(context.Background(), q, lay.in, remoteCases(t)[0].kind(q), pt, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]values.Value, 0, len(q.Head))
+	k := int64(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		k = (k + 7919) % h.Total()
+		if got, err := h.AppendTuple(dst, q.Head, k); err != nil || len(got) != len(q.Head) {
+			t.Fatalf("AppendTuple(%d) = %v, %v", k, got, err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("AppendTuple at P = 1 allocates %.0f times, ceiling 2", allocs)
+	}
+}

@@ -24,7 +24,10 @@ import (
 // 0.80–0.94, 0.89–1.32 and 0.99–1.28 s, all inside 1 024's 0.77–1.49 s,
 // so the densest stays: 1.25 rank rounds and 3.5 RPCs per access, where
 // 1 024 left 2.0 and 5.0, for a fill of ≈ 65 ms over two nodes in one
-// lane each (≈ 120 ms in a single lane, ≈ 20 ms for 1 024).
+// lane each (≈ 120 ms in a single lane, ≈ 20 ms for 1 024). Every one
+// of these sweeps ran with the shards partitioned on the join variable
+// y, before a lex spec defaulted to its order's leading variable; the
+// value is settled and was not swept again under that partition.
 const SplittersPerShard = 16384
 
 // maxSplitterBytes caps a handle's table — S·(P+2) words: a global rank,
