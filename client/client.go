@@ -254,13 +254,16 @@ func (c *Client) send(ctx context.Context, method, path string, in, out any, acc
 }
 
 // maxPresize bounds (in bytes) what a Content-Length header alone makes
-// decodeBody allocate.
+// decodeBody allocate. Every JSON body a server sends carries one (only
+// NDJSON streams, which Cursor.Stream reads line by line, go unsized),
+// and a 1 024-row page is ≈ 20 KB, far below it.
 const maxPresize = 1 << 20
 
 // decodeBody reads the whole body — to EOF, so the connection goes back
-// to the transport's pool — and decodes it into out. A body of
-// internal/api that decodes itself (an access batch, a range window, a
-// cursor page) is handed the bytes directly: its UnmarshalJSON checks
+// to the transport's pool — into one buffer sized by its Content-Length,
+// and decodes it into out. A body of internal/api that decodes itself
+// (an access batch, a range window, a cursor page) is handed the bytes
+// directly: its UnmarshalJSON checks them in the same pass that parses
 // them, so json.Unmarshal's scan ahead of it would only read them twice.
 func decodeBody(resp *http.Response, out any) error {
 	var buf bytes.Buffer

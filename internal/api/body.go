@@ -2,18 +2,16 @@
 // reflecting over their rows: a range window and a cursor page —
 // kilobytes of rows behind a hundred bytes of header — and an access
 // batch, whose answers carry one row each. On the way out the rows and
-// the answers are appended straight from the engine's flat buffer; the
-// range and page headers still go through encoding/json, the access
-// header, which every point read writes, is appended by hand. On the
-// way in each body is walked member by member (walkObject), every byte
-// checked, by the rules encoding/json decodes a struct by: any key
-// order, names matched up to case folding and after unescaping, unknown
-// members skipped once they are valid JSON, null leaving a field alone,
-// the last duplicate winning. Only what no server writes — an escaped
-// string, a repeated answers or tuple member, which encoding/json
-// merges — is handed to encoding/json. The SDK's access request is
-// appended by hand too. FuzzRows holds all of it to a reflective
-// encode / decode.
+// the answers are appended straight from the engine's flat buffer, and
+// every header is appended by hand. On the way in each body is walked
+// member by member (walkObject), every byte checked, by the rules
+// encoding/json decodes a struct by: any key order, names matched up to
+// case folding and after unescaping, unknown members skipped once they
+// are valid JSON, null leaving a field alone, the last duplicate
+// winning. Only what no server writes — an escaped string, a repeated
+// answers or tuple member, which encoding/json merges — is handed to
+// encoding/json. The SDK's access request is appended by hand too.
+// FuzzRows holds all of it to a reflective encode / decode.
 
 package api
 
@@ -51,12 +49,12 @@ type FlatAccess struct {
 
 // AppendJSON appends the body as json.Marshal would write it.
 func (b FlatRange) AppendJSON(dst []byte) ([]byte, error) {
-	return appendBody(dst, b.RangeHeader, b.Tuples)
+	return appendTuples(b.RangeHeader.appendJSON(dst), b.Tuples), nil
 }
 
 // AppendJSON appends the body as json.Marshal would write it.
 func (b FlatPage) AppendJSON(dst []byte) ([]byte, error) {
-	return appendBody(dst, b.PageHeader, b.Tuples)
+	return appendTuples(b.PageHeader.appendJSON(dst), b.Tuples), nil
 }
 
 // AppendJSON appends the body as json.Marshal would write the
@@ -69,7 +67,7 @@ func (b FlatAccess) AppendJSON(dst []byte) ([]byte, error) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = strconv.AppendInt(append(dst, `{"k":`...), k, 10)
+		dst = appendInt(append(dst, `{"k":`...), k)
 		switch {
 		case b.Errs != nil && b.Errs[i] != "":
 			dst = appendString(append(dst, `,"error":`...), b.Errs[i])
@@ -87,18 +85,41 @@ func (b FlatAccess) MarshalJSON() ([]byte, error) { return b.AppendJSON(nil) }
 
 // appendJSON appends the header's object without its closing brace.
 func (h AccessHeader) appendJSON(dst []byte) []byte {
-	dst = strconv.AppendInt(append(dst, `{"total":`...), h.Total, 10)
+	dst = appendInt(append(dst, `{"total":`...), h.Total)
 	dst = appendString(append(dst, `,"mode":`...), h.Mode)
 	dst = strconv.AppendBool(append(dst, `,"tractable":`...), h.Tractable)
 	dst = appendString(append(dst, `,"verdict":`...), h.Verdict)
-	if h.Shards != 0 {
-		dst = strconv.AppendInt(append(dst, `,"shards":`...), int64(h.Shards), 10)
+	return h.ShardEcho.appendJSON(dst)
+}
+
+// appendJSON appends the header's object without its closing brace.
+func (h RangeHeader) appendJSON(dst []byte) []byte {
+	dst = appendInt(append(dst, `{"total":`...), h.Total)
+	dst = appendString(append(dst, `,"mode":`...), h.Mode)
+	dst = strconv.AppendBool(append(dst, `,"tractable":`...), h.Tractable)
+	dst = appendInt(append(dst, `,"k0":`...), h.K0)
+	return h.ShardEcho.appendJSON(dst)
+}
+
+// appendJSON appends the header's object without its closing brace.
+func (h PageHeader) appendJSON(dst []byte) []byte {
+	dst = appendString(append(dst, `{"cursor":`...), h.Cursor)
+	dst = appendString(append(dst, `,"query":`...), h.Query)
+	dst = appendInt(append(dst, `,"pos":`...), h.Pos)
+	return strconv.AppendBool(append(dst, `,"done":`...), h.Done)
+}
+
+// appendJSON appends the members encoding/json writes for the echo, each
+// after a comma.
+func (e ShardEcho) appendJSON(dst []byte) []byte {
+	if e.Shards != 0 {
+		dst = appendInt(append(dst, `,"shards":`...), int64(e.Shards))
 	}
-	if h.ShardBy != "" {
-		dst = appendString(append(dst, `,"shard_by":`...), h.ShardBy)
+	if e.ShardBy != "" {
+		dst = appendString(append(dst, `,"shard_by":`...), e.ShardBy)
 	}
-	if h.ShardNote != "" {
-		dst = appendString(append(dst, `,"shard_note":`...), h.ShardNote)
+	if e.ShardNote != "" {
+		dst = appendString(append(dst, `,"shard_note":`...), e.ShardNote)
 	}
 	return dst
 }
@@ -186,16 +207,10 @@ func (e *ShardEcho) member(b, key []byte, i int) (int, error) {
 	return i, errSkip
 }
 
-// appendBody appends header's object with rows as its last member,
+// appendTuples closes a header's object with rows as its last member,
 // "tuples". No header is empty, so the comma is always due.
-func appendBody(dst []byte, header any, rows FlatRows) ([]byte, error) {
-	h, err := json.Marshal(header)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, h[:len(h)-1]...)
-	dst = append(dst, `,"tuples":`...)
-	return append(rows.AppendJSON(dst), '}'), nil
+func appendTuples(dst []byte, rows FlatRows) []byte {
+	return append(rows.AppendJSON(append(dst, `,"tuples":`...)), '}')
 }
 
 var (
@@ -316,10 +331,11 @@ func parseAnswers(b []byte, i int, dst *[]Answer) (int, error) {
 		return i + 1, nil
 	}
 	// A tuple's value is its row's first, after a '[', or follows a
-	// comma: sized like this, flat never moves under the tuples cut from
-	// it. Every answer but null is an object.
+	// comma: sized like this, flat has room for every value parseRow
+	// stores. Every answer but null is an object.
 	rest := b[i:]
-	flat := make([]Value, 0, bytes.Count(rest, []byte{','})+bytes.Count(rest, []byte{'['}))
+	flat := make([]Value, bytes.Count(rest, []byte{','})+bytes.Count(rest, []byte{'['}))
+	n := 0
 	ans := make([]Answer, 0, bytes.Count(rest, []byte{'{'}))
 	for {
 		ans = append(ans, Answer{})
@@ -333,7 +349,7 @@ func parseAnswers(b []byte, i int, dst *[]Answer) (int, error) {
 				if a.Tuple != nil {
 					return merge(b, i, 3, &a.Tuple)
 				}
-				end, flat, err = parseTuple(b, i, &a.Tuple, flat)
+				end, n, err = parseTuple(b, i, &a.Tuple, flat, n)
 				return end, err
 			case isMember(key, "error"):
 				return parseString(b, i, &a.Err)
@@ -358,18 +374,18 @@ func parseAnswers(b []byte, i int, dst *[]Answer) (int, error) {
 	}
 }
 
-// parseTuple cuts the tuple at b[i] from flat into the nil *dst.
-func parseTuple(b []byte, i int, dst *[]Value, flat []Value) (int, []Value, error) {
-	start := len(flat)
-	flat, end, null, err := parseRow(flat, b, i)
+// parseTuple cuts the tuple at b[i] from flat, from index n on, into the
+// nil *dst.
+func parseTuple(b []byte, i int, dst *[]Value, flat []Value, n int) (end, next int, err error) {
+	next, end, null, err := parseRow(flat, n, b, i)
 	switch {
 	case err != nil || null:
-	case len(flat) == start:
+	case next == n:
 		*dst = []Value{}
 	default:
-		*dst = flat[start:len(flat):len(flat)]
+		*dst = flat[n:next:next]
 	}
-	return end, flat, err
+	return end, next, err
 }
 
 // merge has encoding/json decode the value at b[i], depth containers

@@ -354,6 +354,21 @@ func FuzzRows(f *testing.F) {
 	for _, s := range []string{"[[-0,9223372036854775807],[-9223372036854775808,01]]", "[[1.0],[1e3],[+5]]", "[null,[null],[]]", "[ ]"} {
 		f.Add([]byte(s))
 	}
+	// The formatter's and the parser's edges: a window as the server
+	// writes it, each digit count's first and last value, the int64
+	// bounds and one past them, 19 and 20 digits, a leading zero, and
+	// whitespace and null between the values of long rows.
+	window, _ := rangeBody().AppendJSON(nil)
+	f.Add(window)
+	for _, s := range []string{
+		"[[9,10,99,100,999999999999999999,1000000000000000000],[-9,-10,-99,-100,-999999999999999999,-1000000000000000000]]",
+		"[[9223372036854775807,-9223372036854775808],[9223372036854775808],[-9223372036854775809]]",
+		"[[1234567890123456789,9999999999999999999],[12345678901234567890],[-1234567890123456789,-9999999999999999999]]",
+		"[[01],[0],[-01],[00]]",
+		"[[1, 2 ,\t3\r\n,null , 5,null,7,8,9,10,11,12,13,14,15,16],[null,null,\n null ,1],[ 1 ,null]]",
+	} {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		checkRows(t, in)
 		checkBodies(t, in)
@@ -423,4 +438,69 @@ func TestNestingLimit(t *testing.T) {
 	} {
 		checkBodies(t, []byte(in))
 	}
+}
+
+// rangeBody is a 512-row window of three values as the server writes
+// it: values of one to six digits, as on the benchmark instance.
+func rangeBody() FlatRange {
+	flat := make([]Value, 0, 512*3)
+	for i := range int64(512) {
+		flat = append(flat, i*i%262144, 100000+i*7919%900000, i*31%1000)
+	}
+	return FlatRange{
+		RangeHeader: RangeHeader{Total: 262144, Mode: "layered-lex", Tractable: true, K0: 123456},
+		Tuples:      FlatRows{Flat: flat, Width: 3, N: 512},
+	}
+}
+
+// BenchmarkRangeBody is a 512-row range body through the codec and
+// through reflection, each way.
+func BenchmarkRangeBody(b *testing.B) {
+	flat := rangeBody()
+	in, err := flat.AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rr RangeResponse
+	if err := rr.UnmarshalJSON(in); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(in)))
+		for i := 0; i < b.N; i++ {
+			var r RangeResponse
+			if err := r.UnmarshalJSON(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode-reflect", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(in)))
+		for i := 0; i < b.N; i++ {
+			var r mirrorRange
+			if err := json.Unmarshal(in, &r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(in)))
+		dst := make([]byte, 0, 2*len(in))
+		for i := 0; i < b.N; i++ {
+			dst, _ = flat.AppendJSON(dst[:0])
+		}
+	})
+	b.Run("encode-reflect", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(in)))
+		body := mirrorRange{rr.RangeHeader, rr.Tuples}
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

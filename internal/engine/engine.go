@@ -911,12 +911,7 @@ func (e *Engine) prepareOnce(ctx context.Context, s Spec, key string) (*Handle, 
 
 	e.cmu.Lock()
 	if fl.err == nil {
-		// Same guard as spawnRebuild: a slow catch-up for an older
-		// version must not overwrite a newer handle a concurrent request
-		// already cached.
-		if cur := e.cache.get(key); cur == nil || cur.version <= fl.h.version {
-			e.cache.add(key, fl.h)
-		}
+		e.publishLocked(key, fl.h)
 	}
 	// Deregister before waking waiters: a waiter retrying after a
 	// canceled build must find either the cached result or no flight at
@@ -925,6 +920,18 @@ func (e *Engine) prepareOnce(ctx context.Context, s Spec, key string) (*Handle, 
 	e.cmu.Unlock()
 	close(fl.done)
 	return fl.h, version, false, fl.err
+}
+
+// publishLocked caches a flight's handle unless the cache already holds
+// one of its version or newer: a slow catch-up for an older version
+// must not overwrite a newer handle a concurrent request cached, nor one
+// for the same version the rebuild its own overlay scheduled (see
+// advance), which can swap in before the catch-up gets here. The caller
+// holds cmu.
+func (e *Engine) publishLocked(key string, h *Handle) {
+	if cur := e.cache.get(key); cur == nil || cur.version < h.version {
+		e.cache.add(key, h)
+	}
 }
 
 // logBuild emits one structured event for a synchronous structure

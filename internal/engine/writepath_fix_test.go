@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"rankedaccess/internal/delta"
 	"rankedaccess/internal/values"
+	"rankedaccess/internal/workload"
 )
 
 // TestApplyBatchIntraBatchArityConflict: a batch whose mutations create
@@ -228,5 +230,44 @@ func TestPrepareKeepsNewerCachedHandle(t *testing.T) {
 	e.cmu.Unlock()
 	if cur.version != newer.version {
 		t.Fatalf("cached handle version = %d, want %d (older flight overwrote the newer epoch)", cur.version, newer.version)
+	}
+}
+
+// TestCatchUpKeepsBackgroundRebuild: an overlay past the soft limit
+// schedules a rebuild, and when that rebuild swaps in before the
+// catch-up that scheduled it publishes its overlay epoch, the cache
+// keeps the rebuilt structure.
+func TestCatchUpKeepsBackgroundRebuild(t *testing.T) {
+	_, in := workload.TwoPath(rand.New(rand.NewSource(17)), 2048, 256, 0.3)
+	e := New(in, Options{DeltaSoft: 1})
+	s := Spec{Query: twoPath, Order: "x, y, z"}
+	if _, err := e.Prepare(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddRows("R", [][]values.Value{{70001, 1}, {70002, 1}, {70003, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	// prepareOnce's catch-up, with the rebuild finishing between its
+	// advance and its publish.
+	key := specKey(s)
+	e.mu.RLock()
+	e.cmu.Lock()
+	stale := e.cache.get(key)
+	e.cmu.Unlock()
+	ov := e.advance(s, key, stale, e.version)
+	e.mu.RUnlock()
+	if ov == nil || ov.DeltaEdits() <= 1 {
+		t.Fatalf("catch-up gave no overlay past the soft limit: %v", ov)
+	}
+	e.Quiesce()
+	e.cmu.Lock()
+	e.publishLocked(key, ov)
+	e.cmu.Unlock()
+	h, err := e.Prepare(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.DeltaEdits() != 0 || e.Stats().BGRebuilds != 1 {
+		t.Fatalf("cache serves %d overlay edits after %d background rebuilds; want the rebuilt structure", h.DeltaEdits(), e.Stats().BGRebuilds)
 	}
 }

@@ -72,6 +72,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -662,21 +663,22 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	buf.Reset()
 	if err := encodeInto(buf, body); err != nil {
 		encPool.Put(buf)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = w.Write([]byte(`{"error":"serve: response encoding failed"}` + "\n"))
+		writeRaw(w, http.StatusInternalServerError, []byte(`{"error":"serve: response encoding failed"}`+"\n"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	writeRaw(w, status, buf.Bytes())
 	putEncBuf(buf)
 }
 
 // writeRaw emits a pre-encoded JSON body (the coalescer caches and
-// shares encoded bodies across requests).
+// shares encoded bodies across requests). Its Content-Length goes ahead
+// of it, so net/http writes the body as it is: unsized, a body past
+// 2 KB would go out chunked, one more write for the server and no size
+// for the client to read it into.
 func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }

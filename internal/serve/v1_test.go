@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -476,5 +477,57 @@ func TestStatsRegistryCounters(t *testing.T) {
 	del(t, srv, "/v1/cursors/"+cr.Cursor, http.StatusNoContent)
 	if after = getStats(t, srv); after.OpenCursors != 0 {
 		t.Fatalf("open_cursors after close = %d, want 0", after.OpenCursors)
+	}
+}
+
+// TestBodiesAreSized: every buffered body goes out with its
+// Content-Length, never chunked — a 512-row range, a 1 024-row cursor
+// page and an error alike — so a client can read it into one buffer of
+// the right size. Only an NDJSON stream is written as it is produced.
+func TestBodiesAreSized(t *testing.T) {
+	srv, _ := v1Server(t, 1024, 49)
+	if info := register(t, srv, "q", twoPath, "x, y, z"); info.Total < 2048 {
+		t.Fatalf("only %d answers", info.Total)
+	}
+	var cr api.CursorResponse
+	post(t, srv, "/v1/queries/q/cursor", api.CursorRequest{}, &cr)
+	do := func(method, path, accept string, body []byte) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", accept)
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, got
+	}
+	for _, tc := range []struct {
+		name, method, path string
+		body               string
+		status, minLen     int
+	}{
+		{"range", http.MethodPost, "/v1/queries/q/range", `{"k0":100,"k1":612}`, http.StatusOK, 2048},
+		{"page", http.MethodGet, "/v1/cursors/" + cr.Cursor + "/next?n=1024", "", http.StatusOK, 2048},
+		{"error", http.MethodPost, "/v1/queries/nope/range", `{"k0":0,"k1":1}`, http.StatusNotFound, 1},
+	} {
+		resp, body := do(tc.method, tc.path, "application/json", []byte(tc.body))
+		if resp.StatusCode != tc.status || len(body) < tc.minLen {
+			t.Fatalf("%s: status %d with %d bytes, want %d with at least %d", tc.name, resp.StatusCode, len(body), tc.status, tc.minLen)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %q for a %d-byte body", tc.name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+	resp, body := do(http.MethodGet, "/v1/cursors/"+cr.Cursor+"/next?n=1024", "application/x-ndjson", nil)
+	if resp.StatusCode != http.StatusOK || len(body) < 2048 || resp.ContentLength != -1 {
+		t.Errorf("stream: status %d, Content-Length %d for a %d-byte body, want a 200 of unknown length", resp.StatusCode, resp.ContentLength, len(body))
 	}
 }
