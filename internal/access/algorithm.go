@@ -537,6 +537,21 @@ func (la *Lex) bucketKeys(i int) [][]values.Value {
 	return keys
 }
 
+// RootGroups returns the root layer's tuples: the distinct values of
+// the completed order's leading variable, in its direction, and each
+// one's start, the count of answers before its group. The answers whose
+// leading value is vals[i] are local indices [starts[i], starts[i+1]),
+// the last group ending at Total. Both slices are the structure's own
+// and must not be modified; a Boolean structure has no root layer and
+// returns nil.
+func (la *Lex) RootGroups() (vals []values.Value, starts []int64) {
+	if len(la.layers) == 0 {
+		return nil, nil
+	}
+	root := &la.layers[0]
+	return root.vals, root.starts
+}
+
 // LayerVar returns the lexicographic variable of layer i.
 func (la *Lex) LayerVar(i int) values.Value { return values.Value(la.layers[i].v) }
 

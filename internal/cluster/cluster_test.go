@@ -83,6 +83,9 @@ type testCluster struct {
 	maxBatch atomic.Int64
 	// onRank, when set, runs as a node receives a batched rank call.
 	onRank atomic.Pointer[func()]
+	// noGroups has bit i set while node i's Prepare replies carry no
+	// group lists, as a node's whose lists would overrun the frame.
+	noGroups atomic.Int64
 }
 
 // calls returns, per peer, the RPCs of any kind sent so far, less the
@@ -130,11 +133,24 @@ func (tc *testCluster) splitterRank(t *testing.T, spec engine.Spec, node int) in
 }
 
 // batchMeter is a node backend that records the size of every batched
-// request on its way in.
+// request on its way in, and drops the group lists of its Prepare
+// replies while its bit in noGroups is set.
 type batchMeter struct {
 	rpc.Backend
-	max    *atomic.Int64
-	onRank *atomic.Pointer[func()]
+	max      *atomic.Int64
+	onRank   *atomic.Pointer[func()]
+	noGroups *atomic.Int64
+	i        int
+}
+
+func (b batchMeter) Prepare(ctx context.Context, spec rpc.Spec) (*rpc.PrepareInfo, error) {
+	info, err := b.Backend.Prepare(ctx, spec)
+	if err == nil && b.noGroups.Load()&(1<<b.i) != 0 {
+		trimmed := *info
+		trimmed.Groups = nil
+		return &trimmed, nil
+	}
+	return info, err
 }
 
 func (b batchMeter) note(n int) {
@@ -146,9 +162,9 @@ func (b batchMeter) note(n int) {
 	}
 }
 
-func (b batchMeter) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, shards []int, pos []int64) ([]order.Answer, []int64, error) {
+func (b batchMeter) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, shards []int, pos []int64, priced bool) ([]order.Answer, []int64, error) {
 	b.note(len(pos))
-	return b.Backend.AccessBatch(ctx, spec, version, shards, pos)
+	return b.Backend.AccessBatch(ctx, spec, version, shards, pos, priced)
 }
 
 func (b batchMeter) RankBatch(ctx context.Context, spec rpc.Spec, version uint64, answers []order.Answer) ([]int64, []bool, error) {
@@ -214,7 +230,7 @@ func startClusterOn(t *testing.T, inst func() *database.Instance, nNodes, p int,
 			lis = wrap(lis)
 		}
 		node := cluster.NewNode(e)
-		srv := rpc.NewServer(batchMeter{Backend: node, max: &tc.maxBatch, onRank: &tc.onRank})
+		srv := rpc.NewServer(batchMeter{Backend: node, max: &tc.maxBatch, onRank: &tc.onRank, noGroups: &tc.noGroups, i: i})
 		go func() { _ = srv.Serve(lis) }()
 		t.Cleanup(func() { _ = srv.Close() })
 		tc.engines = append(tc.engines, e)
@@ -727,7 +743,9 @@ func TestDistributedRPCBudget(t *testing.T) {
 // fill — the newest table's size on ra_cluster_splitters, the fill's
 // wall time on ra_cluster_splitter_fill_seconds, and one
 // cluster.splitter_fill span saying how many splitters, batches and
-// lanes it took — from the first Register on.
+// lanes it took — from the first Register on. Both specs partition on
+// a variable that does not lead their order, so both fills are priced;
+// TestBoundaryFillObservable covers the fill read off the groups.
 func TestSplitterFillObservable(t *testing.T) {
 	tc := startCluster(t, 2, 4, nil)
 	reg := metrics.NewRegistry()
@@ -757,14 +775,14 @@ func TestSplitterFillObservable(t *testing.T) {
 	if s, n := scrape(); s != 0 || n != 0 {
 		t.Fatalf("before any Register: ra_cluster_splitters %v, %v fills; want both series at 0", s, n)
 	}
-	spec := engine.Spec{Query: twoPath, Order: "x, y, z"}
+	spec := engine.Spec{Query: twoPath, Order: "x, y, z", ShardBy: "y"}
 	if _, err := tc.ce.Register("q", spec); err != nil {
 		t.Fatal(err)
 	}
 	if s, n := scrape(); s <= 0 || n != 1 {
 		t.Fatalf("after a Register: ra_cluster_splitters %v, %v fills; want a table and one fill", s, n)
 	}
-	rh, err := tc.coord.BuildRemote(context.Background(), engine.Spec{Query: twoPath, Order: "y desc, x"})
+	rh, err := tc.coord.BuildRemote(context.Background(), engine.Spec{Query: twoPath, Order: "y desc, x", ShardBy: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -803,7 +821,8 @@ func TestSplitterFillSpanUnderARequest(t *testing.T) {
 	tracer := trace.New(trace.Options{Rate: 1, Buffer: 16})
 	tc.coord.SetTracer(tracer)
 	ctx, req := tracer.Start(context.Background(), "request", trace.KindServer)
-	rh, err := tc.coord.BuildRemote(ctx, engine.Spec{Query: twoPath, Order: "x, y, z"})
+	// On the join variable, so that the table is priced in rounds.
+	rh, err := tc.coord.BuildRemote(ctx, engine.Spec{Query: twoPath, Order: "x, y, z", ShardBy: "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -829,6 +848,103 @@ func TestSplitterFillSpanUnderARequest(t *testing.T) {
 	if fill == nil || fill["splitters"] != int64(n) || dropped == 0 || !kept {
 		t.Fatalf("fill of %d splitters: span %v in a trace that dropped %d spans, request's later span kept %v; want the span, over a full buffer, and the later span",
 			n, fill, dropped, kept)
+	}
+}
+
+// TestBoundaryFillObservable: a lex spec partitioned on its order's
+// leading variable, ascending or descending, gets its splitter table
+// from the nodes' Prepare replies — the fill sends no RPC beyond the
+// Prepares, and its span and series say so, with no batch and no lane —
+// and an access is then one RPC, the unpriced fetch from the owner of
+// its answer, with the single node's answer. One node that sends no
+// group lists makes the coordinator price the table instead.
+func TestBoundaryFillObservable(t *testing.T) {
+	const p = 4
+	tc := startClusterOn(t, deepInstance, 2, p, nil)
+	reg := metrics.NewRegistry()
+	tc.coord.RegisterMetrics(reg)
+	tracer := trace.New(trace.Options{Rate: 1, Buffer: 64})
+	tc.coord.SetTracer(tracer)
+	local := engine.New(deepInstance(), engine.Options{})
+	sent := func(kind rpc.Kind) (n uint64) {
+		for _, peer := range tc.coord.Table().Peers {
+			n += peer.Client.Stats().Calls[kind]
+		}
+		return n
+	}
+	for fills, order := range []string{"x, y, z", "x desc, y desc, z"} {
+		spec := engine.Spec{Query: twoPath, Order: order}
+		before, prepares := tc.calls(), sent(rpc.KindPrepare)
+		rh, err := tc.coord.BuildRemote(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, all := tc.calls(), uint64(0)
+		for i := range after {
+			all += after[i] - before[i]
+		}
+		h := rh.Sh
+		n, batches, lanes := h.SplitterFill()
+		if all != 2 || sent(rpc.KindPrepare)-prepares != 2 || n < 100 || batches != 0 || lanes != 0 {
+			t.Fatalf("%s: %d splitters in %d batches over %d lanes for %d RPCs; want many, read off the two Prepares alone", order, n, batches, lanes, all)
+		}
+		var span map[string]int64
+		for _, tr := range tracer.Store().Snapshot() {
+			for _, sp := range tr.Spans {
+				if sp.Name == "cluster.splitter_fill" && span == nil {
+					span = map[string]int64{}
+					for _, a := range sp.Attrs {
+						span[a.Key] = a.Num
+					}
+				}
+			}
+		}
+		if span["splitters"] != int64(n) || span["batches"] != 0 || span["lanes"] != 0 {
+			t.Fatalf("%s: the newest cluster.splitter_fill span says %v; want %d splitters, no batch, no lane", order, span, n)
+		}
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := metrics.ParseText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sm := range samples {
+			if (sm.Name == "ra_cluster_splitters" && sm.Value != float64(n)) || (sm.Name == "ra_cluster_splitter_fill_seconds_count" && sm.Value != float64(fills+1)) {
+				t.Fatalf("%s: %s = %v after %d fills of %d splitters", order, sm.Name, sm.Value, fills+1, n)
+			}
+		}
+		ref, err := local.Prepare(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(fills)))
+		before, ranks := tc.calls(), sent(rpc.KindRankBatch)
+		const probes = 200
+		for range probes {
+			k := rng.Int63n(h.Total())
+			got, err := h.Access(context.Background(), k)
+			want, werr := ref.Access(k)
+			if err != nil || werr != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: Access(%d) = %v (%v), single node %v (%v)", order, k, got, err, want, werr)
+			}
+		}
+		after, all = tc.calls(), 0
+		for i := range after {
+			all += after[i] - before[i]
+		}
+		if all != probes || sent(rpc.KindRankBatch) != ranks {
+			t.Fatalf("%s: %d accesses sent %d RPCs, %d of them rank calls; want one fetch each", order, probes, all, sent(rpc.KindRankBatch)-ranks)
+		}
+	}
+	tc.noGroups.Store(1 << 1)
+	rh, err := tc.coord.BuildRemote(context.Background(), engine.Spec{Query: twoPath, Order: "x, y, z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, batches, lanes := rh.Sh.SplitterFill(); n == 0 || batches < lanes || lanes != 2 {
+		t.Fatalf("with one node's groups missing: %d splitters in %d batches over %d lanes; want a table priced in two lanes", n, batches, lanes)
 	}
 }
 
@@ -1246,7 +1362,7 @@ func TestNodeProbeAllocs(t *testing.T) {
 		}
 		shards[i], pos[i] = spec.Owned[j], int64(i%16)*info.Totals[j]/16
 	}
-	answers, _, err := node.AccessBatch(ctx, spec, info.Version, shards, pos)
+	answers, _, err := node.AccessBatch(ctx, spec, info.Version, shards, pos, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,34 +23,45 @@ import (
 // machinery shard.Merge runs in one process, so distributed answers
 // are byte-identical to single-node answers by construction.
 //
-// Preparing a spec also prices the handle's splitter table (shard's
-// SplittersPerShard positions of every shard, S in all, S·(P+2) words
-// on the coordinator, at most 4 MiB): rounds like the ones below over
-// fixed positions, at most MaxPivots each, once per (spec, version), in
-// one lane per node — each node's positions in its own sequence of
-// rounds, the lanes in parallel; a fill that fails fails the Prepare.
-// The cluster.splitter_fill span covers it, and
-// ra_cluster_splitter_fill_seconds and ra_cluster_splitters report it.
+// Preparing a spec also fills the handle's splitter table (S splitters,
+// S·(P+2) words on the coordinator, at most 4 MiB), once per (spec,
+// version), in one of two ways; the cluster.splitter_fill span covers
+// either, and ra_cluster_splitter_fill_seconds and ra_cluster_splitters
+// report it. planSpec partitions a lex spec on its order's leading
+// variable unless shard_by names another, so each leading value's
+// answers sit whole in one shard, and each node's Prepare reply then
+// carries its shards' groups — every leading value and where its group
+// starts — which the table is read off with no RPC at all (see
+// shard.NewRemote): its splitters are the group boundaries, at least
+// m·P answers apart. Otherwise — SUM specs, materialized builds, another
+// partition variable, or a node whose groups would overrun the frame
+// and sent none — the table is priced: shard's SplittersPerShard
+// positions of every shard, in rounds like the ones below over fixed
+// positions, at most MaxPivots each, in one lane per node — each node's
+// positions in its own sequence of rounds, the lanes in parallel; a
+// fill that fails fails the Prepare.
 //
 // A global Access(k) then costs at most about log_{m·P+1}(n/(S+1))
 // ROUNDS (m = shard's PivotsPerWindow) — the table starts the search
 // between the two splitters that bracket k. That bound is met on a
 // partition whose shards interleave all through the order, as on a
-// join variable. planSpec partitions a lex spec on its order's leading
-// variable unless shard_by names another, so each leading value's
-// answers sit whole in one shard: the bracketing splitters then usually
-// leave one shard open and the search needs no round at all, only the
-// final fetch below. Each round of the handle's rank search
+// join variable. Behind a table read off the groups, the two group
+// boundaries bracketing k leave one shard open, and the search needs no
+// round at all, only the final fetch below — unless k falls among
+// groups smaller than m·P that share a bracket, which a round splits.
+// Each round of the handle's rank search
 // spends m pivots per open shard window on the windows of ONE node, the
 // one with the most open positions, and makes one call per node per hop
 // (the handle's router in shard, over one peerNode per peer): one
 // AccessBatch to that node, which fetches the pivots and prices them on
 // its own shards, then one RankBatch to every other node, nodes in
 // parallel — with two nodes, two RPCs per round.
-// At most one single-position AccessBatch for the result follows, which
-// a search the table settles outright still sends: the table holds
-// ranks, never answers, so a node that died or moved past the prepared
-// version still fails every access that needs it. A range runs the
+// At most one single-position AccessBatch for the result follows,
+// unpriced, so the node runs no Rank descent for it; a search the table
+// settles outright still sends it: the table holds ranks, never
+// answers, so a node that died or moved past the prepared version still
+// fails every access that needs it. So with two nodes an access costs
+// 2·rounds + 1 RPCs: 1 where the table settles it. A range runs the
 // search for its first row without that fetch, then sends one parallel
 // Range scatter to the shards the splitter table leaves open below the
 // window's end, each sized by the shard's share of the answers up to
@@ -210,14 +221,17 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 	if err != nil {
 		return nil, fmt.Errorf("cluster: nodes disagree with the plan: %w", err)
 	}
-	// Assembling the handle prices its splitter table on the nodes; a
-	// node that fails that fails the Prepare (the peer nodes' errors
-	// already say which). The fill's hundreds of rounds root a local
-	// trace of their own under the request's, whose span buffer they
-	// would overrun.
+	// Assembling the handle fills its splitter table: read off the
+	// nodes' groups where the plan partitions a layered lex build on its
+	// order's leading variable and every node sent them, priced on the
+	// nodes otherwise; a node that fails the pricing fails the Prepare
+	// (the peer nodes' errors already say which). A priced fill's
+	// hundreds of rounds root a local trace of their own under the
+	// request's, whose span buffer they would overrun.
+	groups := nodeGroups(dp, kind, completed, peers, infos)
 	fctx, span := c.tracer.Start(trace.Detach(ctx), "cluster.splitter_fill", trace.KindInternal)
 	start := time.Now()
-	sh, err := shard.NewRemote(fctx, dp.Query, dp.Part, kind.Comparator(dp.Query, completed), completed, nodes, owned, totals, &c.rankRounds)
+	sh, err := shard.NewRemote(fctx, dp.Query, dp.Part, kind.Comparator(dp.Query, completed), completed, nodes, owned, totals, groups, &c.rankRounds)
 	span.SetError(err)
 	defer span.End()
 	if err != nil {
@@ -240,6 +254,27 @@ func (c *Coordinator) BuildRemote(ctx context.Context, s engine.Spec) (*engine.R
 		},
 		Sh: sh,
 	}, nil
+}
+
+// nodeGroups gathers the nodes' group lists by shard for the boundary
+// fill (see shard.NewRemote), or returns nil for the priced one: for SUM
+// specs, materialized builds and partitions on a variable that does not
+// lead the order, whatever the replies hold, and whenever a node sent
+// none — its lists would have overrun the frame.
+func nodeGroups(dp *engine.DistPlan, kind shard.Kind, completed order.Lex, peers []*Peer, infos []*rpc.PrepareInfo) []shard.Groups {
+	if kind.IsSum || kind.Materialized || len(completed.Entries) == 0 || completed.Entries[0].Var != dp.Part.Var {
+		return nil
+	}
+	groups := make([]shard.Groups, dp.Part.P)
+	for i, p := range peers {
+		if len(infos[i].Groups) != len(p.Shards) {
+			return nil
+		}
+		for j, s := range p.Shards {
+			groups[s] = shard.Groups(infos[i].Groups[j])
+		}
+	}
+	return groups
 }
 
 // CountRemote scatters the count to every shard-owning node and sums
@@ -286,10 +321,10 @@ type peerNode struct {
 	tracer  *trace.Tracer
 }
 
-func (n *peerNode) AccessBatch(ctx context.Context, shards []int, pos []int64) ([]order.Answer, []int64, error) {
+func (n *peerNode) AccessBatch(ctx context.Context, shards []int, pos []int64, priced bool) ([]order.Answer, []int64, error) {
 	ctx, span := n.round(ctx)
 	defer span.End()
-	answers, ranks, err := n.c.AccessBatch(ctx, n.spec, n.version, shards, pos)
+	answers, ranks, err := n.c.AccessBatch(ctx, n.spec, n.version, shards, pos, priced)
 	return answers, ranks, n.fail(span, "access", err)
 }
 

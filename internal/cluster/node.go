@@ -162,7 +162,10 @@ func (n *Node) getVersioned(ctx context.Context, spec rpc.Spec, version uint64) 
 }
 
 // Prepare builds (or reuses) the owned shards and reports the build's
-// identity and per-shard totals.
+// identity, per-shard totals and, where the build leads with the
+// partition variable, per-shard groups (see shard.Owned.Groups): what
+// the coordinator reads its splitter table from. The groups are the
+// builds' own root layers, encoded straight off them.
 func (n *Node) Prepare(ctx context.Context, spec rpc.Spec) (*rpc.PrepareInfo, error) {
 	nb, err := n.getBuild(ctx, spec)
 	if err != nil {
@@ -180,6 +183,12 @@ func (n *Node) Prepare(ctx context.Context, spec rpc.Spec) (*rpc.PrepareInfo, er
 			return nil, err
 		}
 		info.Totals[i] = t
+	}
+	if groups := nb.Owned.Groups(spec.Owned); groups != nil {
+		info.Groups = make([]rpc.Groups, len(groups))
+		for i, g := range groups {
+			info.Groups[i] = rpc.Groups(g)
+		}
 	}
 	return info, nil
 }
@@ -212,10 +221,11 @@ func (n *Node) RankBatch(ctx context.Context, spec rpc.Spec, version uint64, ans
 	return ranks, exact, err
 }
 
-// AccessBatch returns the local answers at (shards[i], pos[i]), each
-// priced on every owned shard — the pivots one coordinator rank round
-// takes from this node, with this node's half of their ranks.
-func (n *Node) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, shards []int, pos []int64) ([]order.Answer, []int64, error) {
+// AccessBatch returns the local answers at (shards[i], pos[i]), priced
+// on every owned shard when asked — the pivots one coordinator rank
+// round takes from this node, with this node's half of their ranks —
+// and fetched alone when not: a search's final fetch.
+func (n *Node) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, shards []int, pos []int64, priced bool) ([]order.Answer, []int64, error) {
 	ctx, sp := n.span(ctx, "node.access", trace.Int("pivots", int64(len(pos))))
 	defer sp.End()
 	nb, err := n.getVersioned(ctx, spec, version)
@@ -223,7 +233,11 @@ func (n *Node) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, s
 		sp.SetError(err)
 		return nil, nil, err
 	}
-	out, ranks, err := nb.Owned.AccessBatch(shards, pos, spec.Owned)
+	owned := spec.Owned
+	if !priced {
+		owned = nil
+	}
+	out, ranks, err := nb.Owned.AccessBatch(shards, pos, owned)
 	if err != nil {
 		sp.SetError(err)
 	}

@@ -17,8 +17,10 @@ import (
 // one client request through an HTTP coordinator over two shard nodes
 // produces ONE trace — rooted at the coordinator's HTTP server span,
 // with at least one rank-round span per peer (the request prepares its
-// spec, so the splitter fill's rounds are its own and reach both nodes;
-// the probes behind the table may need none) and exactly one per peer a
+// spec on the join variable y, so a priced splitter fill's rounds are
+// its own and reach both nodes; the probes behind the table may need
+// none, and on the leading variable the fill needs none) and exactly
+// one per peer a
 // round reaches, continued on every shard node (server +
 // per-shard engine spans under the same trace id), visible in each
 // process's /debug/traces, and linked from a /metrics latency exemplar
@@ -43,7 +45,7 @@ func TestTraceStitchesAcrossCluster(t *testing.T) {
 	ts := httptest.NewServer(api)
 	defer ts.Close()
 
-	body := strings.NewReader(`{"query": "` + twoPath + `", "order": "x, y, z", "ks": [0, 17, 100]}`)
+	body := strings.NewReader(`{"query": "` + twoPath + `", "order": "x, y, z", "shard_by": "y", "ks": [0, 17, 100]}`)
 	resp, err := http.Post(ts.URL+"/v1/instance/access", "application/json", body)
 	if err != nil {
 		t.Fatal(err)

@@ -169,8 +169,10 @@ func mergeEdits(h *Handle, adds, dels []order.Answer) (newAdds, newDels []order.
 // spawnRebuild schedules a background re-preprocess for the spec,
 // deduplicating concurrent requests per cache key. The goroutine builds
 // against whatever version it observes (≥ the caller's) and swaps the
-// fresh structure into the cache unless a newer epoch got there first;
-// readers keep probing the published overlay epoch until the swap.
+// fresh structure into the cache unless a newer epoch got there first,
+// and into the registrations still holding that epoch (see
+// followRebuild); readers keep probing the published overlay epoch
+// until the swap.
 func (e *Engine) spawnRebuild(s Spec, key string) {
 	e.cmu.Lock()
 	if e.bgRebuilding[key] {
@@ -201,6 +203,9 @@ func (e *Engine) spawnRebuild(s Spec, key string) {
 			}
 		}
 		e.cmu.Unlock()
+		if swapped {
+			e.followRebuild(key, h)
+		}
 		if e.log != nil {
 			level, attrs := slog.LevelInfo, []slog.Attr{
 				slog.String("query", s.Query),

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"rankedaccess/internal/database"
@@ -246,8 +247,8 @@ func TestCursorDrainsAcrossBackgroundSwap(t *testing.T) {
 		t.Fatalf("cursor stream changed across background swap:\n got %v\nwant %v", got, want)
 	}
 	// After the swap, the cache serves the rebuilt structure — same
-	// answers, no overlay. (The registry keeps handing out its pinned
-	// overlay epoch until the next version bump, which is also correct.)
+	// answers, no overlay — and so does the registration (see
+	// TestRegistrationFollowsBackgroundRebuild).
 	st := e.Stats()
 	if st.BGRebuilds == 0 {
 		t.Fatalf("background rebuild never swapped in: %+v", st)
@@ -261,6 +262,106 @@ func TestCursorDrainsAcrossBackgroundSwap(t *testing.T) {
 	}
 	if post := drainAll(t, h2); !eqValues(post, want) {
 		t.Fatalf("rebuilt structure diverged from overlay epoch:\n got %v\nwant %v", post, want)
+	}
+}
+
+// TestRegistrationFollowsBackgroundRebuild: once a background rebuild
+// swaps in, a by-name Acquire at the same version returns the rebuilt
+// structure, not the overlaid handle the catch-up published — the
+// registration follows the cache without waiting for another write. A
+// registration of another spec keeps its own handle.
+func TestRegistrationFollowsBackgroundRebuild(t *testing.T) {
+	_, in := workload.TwoPath(rand.New(rand.NewSource(17)), 2048, 256, 0.3)
+	e := New(in, Options{DeltaSoft: 1})
+	pq, err := e.Register("swap", Spec{Query: twoPath, Order: "x, y, z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := e.Register("other", Spec{Query: twoPath, Order: "y, x, z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddRows("R", [][]values.Value{{70001, 1}, {70002, 1}, {70003, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	overlaid, err := pq.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if overlaid.DeltaEdits() == 0 {
+		t.Fatalf("the catch-up published no overlay (stats %+v)", e.Stats())
+	}
+	want := drainAll(t, overlaid)
+	e.Quiesce()
+	if st := e.Stats(); st.BGRebuilds != 1 {
+		t.Fatalf("%d background rebuilds swapped in, want 1", st.BGRebuilds)
+	}
+	h, err := pq.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h == overlaid || h.DeltaEdits() != 0 {
+		t.Fatalf("by-name Acquire after the rebuild returned a handle with %d overlay edits (the overlaid one: %v)", h.DeltaEdits(), h == overlaid)
+	}
+	if got := drainAll(t, h); !eqValues(got, want) {
+		t.Fatalf("rebuilt registration diverged from the overlay epoch:\n got %v\nwant %v", got, want)
+	}
+	// The other spec was never caught up: its stale handle is left to
+	// its own next Acquire.
+	if cur, fresh := other.Current(); fresh || cur.DeltaEdits() != 0 {
+		t.Fatalf("the other registration's handle: fresh %v, %d edits; want its untouched first build", fresh, cur.DeltaEdits())
+	}
+}
+
+// TestRegistrationFollowsRebuildsUnderLoad: readers re-prepare a
+// registration while writes schedule background rebuilds that publish
+// to it, from their own goroutines. Once the writes stop and the last
+// rebuild swapped in, the registration holds it whatever order the
+// re-prepares and the publications ran in.
+func TestRegistrationFollowsRebuildsUnderLoad(t *testing.T) {
+	_, in := workload.TwoPath(rand.New(rand.NewSource(19)), 1024, 128, 0.3)
+	e := New(in, Options{DeltaSoft: 1})
+	defer e.Close()
+	pq, err := e.Register("hot", Spec{Query: twoPath, Order: "x, y, z"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := pq.Acquire(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := range values.Value(20) {
+		if err := e.AddRows("R", [][]values.Value{{80000 + i, 1}, {80100 + i, 2}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if _, err := pq.Acquire(); err != nil { // the last write's catch-up
+		t.Fatal(err)
+	}
+	e.Quiesce()
+	h, err := pq.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.DeltaEdits() != 0 {
+		t.Fatalf("after the last rebuild the registration serves %d overlay edits (stats %+v)", h.DeltaEdits(), e.Stats())
 	}
 }
 

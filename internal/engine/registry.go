@@ -132,11 +132,51 @@ func (pq *PreparedQuery) reprepare(ctx context.Context) (*Handle, uint64, error)
 	if err != nil {
 		return nil, 0, err
 	}
-	if !pq.evicted.Load() {
-		pq.cur.Store(&preparedHandle{h: h, version: version})
+	next := &preparedHandle{h: h, version: version}
+	for !pq.evicted.Load() {
+		cur := pq.cur.Load()
+		if cur != nil && cur.version >= version {
+			// A background rebuild of this version was published
+			// meanwhile (see followRebuild): it is the one to keep.
+			h, version = cur.h, cur.version
+			break
+		}
+		if pq.cur.CompareAndSwap(cur, next) {
+			break
+		}
 	}
 	pq.e.reprepares.Add(1)
 	return h, version, nil
+}
+
+// followRebuild publishes a background rebuild that swapped into the
+// cache to every registration of its spec key holding its epoch or an
+// older one — the overlaid handle of the same version, or the stale one
+// a re-prepare is about to replace with that overlay (reprepare keeps
+// the rebuild then) — so that by-name probes read the rebuilt structure
+// from then on, not the overlay until the next write. A registration
+// already at a newer version keeps its handle. Rebuilds run on local
+// engines only, whose cache keys ignore the shard fields.
+func (e *Engine) followRebuild(key string, h *Handle) {
+	e.rmu.Lock()
+	var pqs []*PreparedQuery
+	for _, pq := range e.registry {
+		s := pq.spec
+		s.Shards, s.ShardBy = 0, ""
+		if specKey(s) == key {
+			pqs = append(pqs, pq)
+		}
+	}
+	e.rmu.Unlock()
+	next := &preparedHandle{h: h, version: h.version}
+	for _, pq := range pqs {
+		for {
+			cur := pq.cur.Load()
+			if cur == nil || cur.version > h.version || pq.cur.CompareAndSwap(cur, next) {
+				break
+			}
+		}
+	}
 }
 
 // Select answers the one-shot selection problem for the registered

@@ -424,16 +424,21 @@ func (c *Client) Range(ctx context.Context, spec Spec, version uint64, shard int
 }
 
 // AccessBatch returns the local answers at (shards[i], pos[i]) over
-// the peer's owned shards, in request order, each priced on every owned
-// shard: ranks[i*len(spec.Owned)+j] is the spec's j-th owned shard's
-// count of answers strictly below answers[i]. One round trip fetches
-// and prices all of a rank round's pivots this peer owns.
-func (c *Client) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) (answers []order.Answer, ranks []int64, err error) {
+// the peer's owned shards, in request order, and with priced set prices
+// each on every owned shard: ranks[i*len(spec.Owned)+j] is the spec's
+// j-th owned shard's count of answers strictly below answers[i]. One
+// round trip fetches and prices all of a rank round's pivots this peer
+// owns; unpriced, it fetches only, and ranks is nil.
+func (c *Client) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64, priced bool) (answers []order.Answer, ranks []int64, err error) {
 	if len(shards) != len(pos) || len(pos) > MaxPivots {
 		return nil, nil, fmt.Errorf("rpc: access batch of %d shards and %d positions (cap %d)", len(shards), len(pos), MaxPivots)
 	}
-	req := AccessBatchReq{Spec: spec, Version: version, Shards: shards, Pos: pos}
-	err = c.call(ctx, KindAccessBatch, req.encode, func(d *dec) { answers, ranks = decodeAccessBatchResp(d, len(pos), len(spec.Owned)) })
+	owned := 0
+	if priced {
+		owned = len(spec.Owned)
+	}
+	req := AccessBatchReq{Spec: spec, Version: version, Priced: priced, Shards: shards, Pos: pos}
+	err = c.call(ctx, KindAccessBatch, req.encode, func(d *dec) { answers, ranks = decodeAccessBatchResp(d, len(pos), owned) })
 	return answers, ranks, err
 }
 

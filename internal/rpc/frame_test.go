@@ -250,10 +250,10 @@ func TestWireCompatibility(t *testing.T) {
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if err := writeHandshake(conn, 4); err != nil {
+		if err := writeHandshake(conn, ProtoVersion); err != nil {
 			t.Fatal(err)
 		}
-		if ver, err := readHandshake(conn); err != nil || ver != 4 {
+		if ver, err := readHandshake(conn); err != nil || ver != ProtoVersion {
 			t.Fatalf("handshake = %d, %v", ver, err)
 		}
 		for id := uint64(1); id <= 3; id++ {
@@ -293,7 +293,7 @@ func TestWireCompatibility(t *testing.T) {
 			if _, err := readHandshake(conn); err != nil {
 				return
 			}
-			if err := writeHandshake(conn, 4); err != nil {
+			if err := writeHandshake(conn, ProtoVersion); err != nil {
 				return
 			}
 			for {
@@ -415,7 +415,7 @@ func TestResponseNeverAliasesPooledBuffer(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				k := int64((g*50 + i) % 90)
 				shards, pos := []int{1, 3, 1}, []int64{k, k + 1, k + 2}
-				rows, ranks, err := c.AccessBatch(ctx, testSpec(), 7, shards, pos)
+				rows, ranks, err := c.AccessBatch(ctx, testSpec(), 7, shards, pos, true)
 				if err != nil {
 					t.Errorf("caller %d: AccessBatch: %v", g, err)
 					return

@@ -4,19 +4,22 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
 	"rankedaccess/internal/order"
+	"rankedaccess/internal/values"
 )
 
 // FuzzBatchCodec feeds arbitrary bytes to the decoders of the batch
-// kinds (AccessBatch request and its v4 response, RankBatch request and
-// response) and of the answers block alone. Each must either fail
-// cleanly or decode to a message that re-encodes and decodes back to
-// itself; none may panic, none may hold more than the pivot cap allows
-// however large a count the bytes claim, and an AccessBatch response
-// whose rank count is not answers × owned shards is refused.
+// kinds (AccessBatch request, priced and unpriced, and both forms of
+// its response, RankBatch request and response) and of the answers
+// block alone. Each must either fail cleanly or decode to a message
+// that re-encodes and decodes back to itself; none may panic, none may
+// hold more than the pivot cap allows however large a count the bytes
+// claim, and an AccessBatch response whose rank count is not answers ×
+// owned shards — none, unpriced — is refused.
 func FuzzBatchCodec(f *testing.F) {
 	spec := testSpec()
 	seed := func(encode func(*enc)) {
@@ -24,7 +27,8 @@ func FuzzBatchCodec(f *testing.F) {
 		encode(e)
 		f.Add(e.b)
 	}
-	seed((&AccessBatchReq{Spec: spec, Version: 7, Shards: []int{1, 3}, Pos: []int64{0, 41}}).encode)
+	seed((&AccessBatchReq{Spec: spec, Version: 7, Priced: true, Shards: []int{1, 3}, Pos: []int64{0, 41}}).encode)
+	seed((&AccessBatchReq{Spec: spec, Version: 7, Shards: []int{3}, Pos: []int64{41}}).encode)
 	seed((&RankBatchReq{Spec: spec, Version: 7, Answers: []order.Answer{{1, 2}, {3, 4}}}).encode)
 	seed((&RankBatchResp{Ranks: []int64{5, 6, 7, 8}, Exact: []bool{true, false}}).encode)
 	accessResp := func(answers []order.Answer, ranks []int64) func(*enc) {
@@ -41,6 +45,19 @@ func FuzzBatchCodec(f *testing.F) {
 		d := &dec{b: e.b}
 		if decodeAccessBatchResp(d, 2, 2); d.err() == nil {
 			f.Fatalf("2 answers with %d ranks on 2 owned shards decoded", len(ranks))
+		}
+	}
+	// Unpriced, the answers block is the whole response: a trailing
+	// ranks block is refused.
+	for _, ranks := range [][]int64{nil, {1, 2}} {
+		e := &enc{}
+		e.answers([]order.Answer{{1, 2}})
+		if ranks != nil {
+			e.i64s(ranks)
+		}
+		d := &dec{b: e.b}
+		if decodeAccessBatchResp(d, 1, 0); (d.err() == nil) != (ranks == nil) {
+			f.Fatalf("unpriced response with %d ranks: %v", len(ranks), d.err())
 		}
 	}
 	seed(func(e *enc) { e.u32(1 << 30); e.u32(1 << 30) })
@@ -79,6 +96,15 @@ func FuzzBatchCodec(f *testing.F) {
 			func(t *testing.T, m any) {
 				if r := m.(accessBatchResp); len(r.answers) > MaxPivots || len(r.ranks) != 2*len(r.answers) {
 					t.Fatalf("decoded %d answers with %d ranks on 2 owned shards", len(r.answers), len(r.ranks))
+				}
+			})
+		// The unpriced one, the answers block alone.
+		roundTrip(t, data,
+			func(d *dec) any { a, r := decodeAccessBatchResp(d, n, 0); return accessBatchResp{a, r} },
+			func(m any, e *enc) { e.answers(m.(accessBatchResp).answers) },
+			func(t *testing.T, m any) {
+				if r := m.(accessBatchResp); len(r.answers) > MaxPivots || r.ranks != nil {
+					t.Fatalf("decoded %d unpriced answers with %d ranks", len(r.answers), len(r.ranks))
 				}
 			})
 		roundTrip(t, data,
@@ -139,13 +165,16 @@ func roundTripFrames() [][]byte {
 		out = append(out, e.b)
 	}
 	info := &PrepareInfo{Version: 7, Mode: "layered-lex", Totals: []int64{10, 10},
-		Completed: []order.LexEntry{{Var: 0, Dir: order.Asc}, {Var: 1, Dir: order.Desc}}}
+		Completed: []order.LexEntry{{Var: 0, Dir: order.Asc}, {Var: 1, Dir: order.Desc}},
+		Groups:    []Groups{{Vals: []values.Value{1, 11}, Starts: []int64{0, 5}}, {Vals: []values.Value{3, 13}, Starts: []int64{0, 5}}}}
 	request(KindPrepare, spec.encode)
 	response(KindPrepare, statusOK, info.encode)
 	request(KindCount, (&CountSpec{Query: "Q(x) :- R(x)", P: 4, ShardVar: "x", Owned: []int{0, 2}}).encode)
 	response(KindCount, statusOK, func(e *enc) { e.i64(20) })
-	request(KindAccessBatch, (&AccessBatchReq{Spec: spec, Version: 7, Shards: []int{3, 1}, Pos: []int64{4, 0}}).encode)
+	request(KindAccessBatch, (&AccessBatchReq{Spec: spec, Version: 7, Priced: true, Shards: []int{3, 1}, Pos: []int64{4, 0}}).encode)
 	response(KindAccessBatch, statusOK, func(e *enc) { e.answers([]order.Answer{{304, -4}, {100, 0}}); e.i64s([]int64{4, 4, 0, 0}) })
+	request(KindAccessBatch, (&AccessBatchReq{Spec: spec, Version: 7, Shards: []int{3, 1}, Pos: []int64{4, 0}}).encode)
+	response(KindAccessBatch, statusOK, func(e *enc) { e.answers([]order.Answer{{304, -4}, {100, 0}}) })
 	request(KindRange, func(e *enc) { spec.encode(e); e.u64(7); e.u32(1); e.i64(2); e.i64(5) })
 	response(KindRange, statusOK, func(e *enc) { e.answers([]order.Answer{{102, -2}, {103, -3}, {104, -4}}) })
 	request(KindRankBatch, (&RankBatchReq{Spec: spec, Version: 7, Answers: []order.Answer{{6, 0}, {3, 1}}}).encode)
@@ -202,13 +231,29 @@ func FuzzFrame(f *testing.F) {
 // not cover: the specs, PrepareInfo, the request header and the response
 // status. Each fails cleanly or round-trips; a decoded spec's key is the
 // bytes it was decoded from, which is what lets a node use it as the
-// spec's canonical encoding.
+// spec's canonical encoding, and a decoded PrepareInfo holds no group
+// lists or one per total, within the budget.
 func FuzzMessages(f *testing.F) {
 	for _, payload := range roundTripFrames() {
 		f.Add(payload)
 		f.Add(payload[min(len(payload), 8+1+4+25):]) // a request's body
 		f.Add(payload[min(len(payload), 8+1):])      // a response's status and body
 	}
+	// PrepareInfo bodies: no lists, one shard's, a list claiming the
+	// longest length a count can, and counts cut short.
+	prepare := func(totals []int64, groups []Groups) []byte {
+		e := &enc{}
+		(&PrepareInfo{Version: 2, Mode: "layered-lex", Completed: []order.LexEntry{{Var: 0, Dir: order.Desc}}, Totals: totals, Groups: groups}).encode(e)
+		return e.b
+	}
+	f.Add(prepare([]int64{4, 0}, nil))
+	one := prepare([]int64{9}, []Groups{{Vals: []values.Value{8, 5, 2}, Starts: []int64{0, 3, 6}}})
+	f.Add(one)
+	longest := prepare([]int64{9}, nil)
+	longest = binary.LittleEndian.AppendUint32(longest[:len(longest)-4], 1)
+	f.Add(binary.LittleEndian.AppendUint32(longest, math.MaxUint32))
+	f.Add(one[:len(one)-16-2])
+	f.Add(one[:len(one)-3*16-4-2])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		roundTrip(t, data,
@@ -224,7 +269,19 @@ func FuzzMessages(f *testing.F) {
 			func(m any, e *enc) { c := m.(CountSpec); c.encode(e) }, nil)
 		roundTrip(t, data,
 			func(d *dec) any { return decodePrepareInfo(d) },
-			func(m any, e *enc) { m.(*PrepareInfo).encode(e) }, nil)
+			func(m any, e *enc) { m.(*PrepareInfo).encode(e) },
+			func(t *testing.T, m any) {
+				p, pairs := m.(*PrepareInfo), 0
+				for _, g := range p.Groups {
+					pairs += len(g.Vals)
+					if len(g.Vals) != len(g.Starts) {
+						t.Fatalf("a group list of %d values and %d starts", len(g.Vals), len(g.Starts))
+					}
+				}
+				if (p.Groups != nil && len(p.Groups) != len(p.Totals)) || pairs > maxGroups {
+					t.Fatalf("%d group lists of %d pairs for %d totals", len(p.Groups), pairs, len(p.Totals))
+				}
+			})
 
 		// The request header is a prefix, not a whole message: what it
 		// consumed must re-encode to the same bytes.

@@ -3,6 +3,7 @@ package rpc
 import (
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/order"
+	"rankedaccess/internal/values"
 )
 
 // Spec is the wire form of a distributed ranked-access request: the
@@ -91,7 +92,26 @@ type PrepareInfo struct {
 	// Totals are the per-shard answer counts, aligned with the
 	// request's Owned slice.
 	Totals []int64
+	// Groups, aligned with Totals, are the owned shards' answers
+	// grouped by the order's leading value (shard.Groups), sent only by
+	// layered builds partitioned on that variable, and only while they
+	// hold at most maxGroups (value, start) pairs in all; nil otherwise,
+	// and the coordinator then prices its splitter table instead.
+	Groups []Groups
 }
+
+// Groups is one shard's answers grouped by the order's leading value,
+// the wire form of shard.Groups: the answers whose leading value is
+// Vals[i] are the shard's local indices [Starts[i], Starts[i+1]), the
+// last group ending at the shard's total.
+type Groups struct {
+	Vals   []values.Value
+	Starts []int64
+}
+
+// maxGroups bounds the (value, start) pairs of one Prepare reply's
+// group lists: at 16 bytes each, a quarter of the frame cap.
+const maxGroups = maxFrame / 4 / 16
 
 func (p *PrepareInfo) encode(e *enc) {
 	e.u64(p.Version)
@@ -102,6 +122,7 @@ func (p *PrepareInfo) encode(e *enc) {
 		e.u8(uint8(le.Dir))
 	}
 	e.i64s(p.Totals)
+	e.groups(p.Groups, maxGroups)
 }
 
 func decodePrepareInfo(d *dec) *PrepareInfo {
@@ -113,7 +134,59 @@ func decodePrepareInfo(d *dec) *PrepareInfo {
 		p.Completed = append(p.Completed, order.LexEntry{Var: cq.VarID(v), Dir: order.Direction(dir)})
 	}
 	p.Totals = d.i64s()
+	p.Groups = d.groups(len(p.Totals), maxGroups)
 	return p
+}
+
+// groups writes group lists: their count, then per list its length and
+// its (value, start) pairs. Lists holding more than budget pairs in all
+// are written as none — a count of 0 — which is how a node whose groups
+// would overrun the frame says it sends none.
+func (e *enc) groups(gs []Groups, budget int) {
+	pairs := 0
+	for _, g := range gs {
+		pairs += len(g.Vals)
+	}
+	if pairs > budget {
+		gs = nil
+	}
+	e.u32(uint32(len(gs)))
+	for _, g := range gs {
+		e.u32(uint32(len(g.Vals)))
+		for i, v := range g.Vals {
+			e.i64(int64(v))
+			e.i64(g.Starts[i])
+		}
+	}
+}
+
+// groups reads what enc.groups wrote: no lists, or exactly lists of
+// them, with at most budget pairs in all.
+func (d *dec) groups(lists, budget int) []Groups {
+	n := d.count(4)
+	if d.bad || n == 0 {
+		return nil
+	}
+	if n != lists {
+		d.fail()
+		return nil
+	}
+	out, pairs := make([]Groups, n), 0
+	for i := range out {
+		m := d.count(16)
+		if pairs += m; d.bad || pairs > budget {
+			d.fail()
+			return nil
+		}
+		if m == 0 {
+			continue
+		}
+		out[i] = Groups{Vals: make([]values.Value, m), Starts: make([]int64, m)}
+		for k := range m {
+			out[i].Vals[k], out[i].Starts[k] = values.Value(d.i64()), d.i64()
+		}
+	}
+	return out
 }
 
 // CountSpec asks a node to count its owned shards' answers for a
@@ -155,10 +228,13 @@ type HealthInfo struct {
 
 // AccessBatchReq asks a node for the local answers at (Shards[i],
 // Pos[i]) — the pivots one rank round takes from its owned shards —
-// priced on every owned shard (see decodeAccessBatchResp).
+// priced on every owned shard when Priced is set (see
+// decodeAccessBatchResp). A search's final fetch is unpriced: the
+// coordinator already knows every shard's count below its answer.
 type AccessBatchReq struct {
 	Spec    Spec
 	Version uint64
+	Priced  bool
 	Shards  []int
 	Pos     []int64
 }
@@ -166,6 +242,7 @@ type AccessBatchReq struct {
 func (r *AccessBatchReq) encode(e *enc) {
 	r.Spec.encode(e)
 	e.u64(r.Version)
+	e.bool(r.Priced)
 	e.u32(uint32(len(r.Pos)))
 	for i, k := range r.Pos {
 		e.u32(uint32(r.Shards[i]))
@@ -174,7 +251,7 @@ func (r *AccessBatchReq) encode(e *enc) {
 }
 
 func decodeAccessBatchReq(d *dec) AccessBatchReq {
-	r := AccessBatchReq{Spec: decodeSpec(d), Version: d.u64()}
+	r := AccessBatchReq{Spec: decodeSpec(d), Version: d.u64(), Priced: d.u8() != 0}
 	n := d.count(12)
 	if n > MaxPivots {
 		d.fail()
@@ -190,12 +267,17 @@ func decodeAccessBatchReq(d *dec) AccessBatchReq {
 }
 
 // decodeAccessBatchResp reads a node's answer to an AccessBatchReq of n
-// positions on a spec owning owned shards: the answers block in request
-// order, then an i64s block whose ranks[i*owned+j] is the count of
-// answers strictly below answers[i] on the spec's j-th owned shard. A
-// count that disagrees with n, or with n·owned, is malformed.
+// positions priced on owned shards: the answers block in request order,
+// then, when owned > 0, an i64s block whose ranks[i*owned+j] is the
+// count of answers strictly below answers[i] on the spec's j-th owned
+// shard. An unpriced request (owned = 0) is answered with the answers
+// block alone. A count that disagrees with n, or with n·owned, is
+// malformed.
 func decodeAccessBatchResp(d *dec, n, owned int) (answers []order.Answer, ranks []int64) {
-	answers, ranks = d.answers(MaxPivots), d.i64s()
+	answers = d.answers(MaxPivots)
+	if owned > 0 {
+		ranks = d.i64s()
+	}
 	if len(answers) != n || len(ranks) != n*owned {
 		d.fail()
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/order"
+	"rankedaccess/internal/values"
 )
 
 // fakeBackend is a deterministic Backend for protocol tests: shard s
@@ -47,6 +49,8 @@ func (f *fakeBackend) Prepare(ctx context.Context, spec Spec) (*PrepareInfo, err
 	}
 	for i := range spec.Owned {
 		info.Totals[i] = f.total
+		// Two groups per shard, of the shard's leading values.
+		info.Groups = append(info.Groups, Groups{Vals: []values.Value{int64(spec.Owned[i]), int64(spec.Owned[i] + 10)}, Starts: []int64{0, f.total / 2}})
 	}
 	return info, nil
 }
@@ -96,13 +100,17 @@ func (f *fakeBackend) Range(ctx context.Context, spec Spec, version uint64, shar
 	return out, nil
 }
 
-func (f *fakeBackend) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) ([]order.Answer, []int64, error) {
+func (f *fakeBackend) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64, priced bool) ([]order.Answer, []int64, error) {
 	out := make([]order.Answer, len(pos))
 	var ranks []int64
 	for i, k := range pos {
 		a, err := f.access(ctx, shards[i], k)
 		if err != nil {
 			return nil, nil, err
+		}
+		if !priced {
+			out[i] = a
+			continue
 		}
 		r, _, err := f.rank(ctx, spec, version, a)
 		if err != nil {
@@ -183,6 +191,9 @@ func TestRoundTrip(t *testing.T) {
 	if len(info.Completed) != 2 || info.Completed[1] != (order.LexEntry{Var: 1, Dir: order.Desc}) {
 		t.Fatalf("Completed = %v", info.Completed)
 	}
+	if fmt.Sprint(info.Groups) != "[{[1 11] [0 5]} {[3 13] [0 5]}]" {
+		t.Fatalf("Groups = %v", info.Groups)
+	}
 
 	n, err := c.Count(ctx, CountSpec{Query: "Q(x) :- R(x)", P: 4, ShardVar: "x", Owned: []int{0, 2}})
 	if err != nil || n != 20 {
@@ -199,16 +210,20 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Range = %v, %v", rows, err)
 	}
 
-	batch, aranks, err := c.AccessBatch(ctx, testSpec(), 7, []int{3, 1, 3}, []int64{4, 0, 9})
+	batch, aranks, err := c.AccessBatch(ctx, testSpec(), 7, []int{3, 1, 3}, []int64{4, 0, 9}, true)
 	if err != nil || len(batch) != 3 || batch[0][0] != 304 || batch[1][0] != 100 || batch[2][1] != -9 || fmt.Sprint(aranks) != "[4 4 0 0 9 9]" {
 		t.Fatalf("AccessBatch = %v, %v, %v", batch, aranks, err)
+	}
+	// Unpriced, the same fetch comes back without a ranks block.
+	if fetched, ranks, err := c.AccessBatch(ctx, testSpec(), 7, []int{3, 1, 3}, []int64{4, 0, 9}, false); err != nil || fmt.Sprint(fetched) != fmt.Sprint(batch) || ranks != nil {
+		t.Fatalf("unpriced AccessBatch = %v, %v, %v", fetched, ranks, err)
 	}
 	branks, bexact, err := c.RankBatch(ctx, testSpec(), 7, []order.Answer{{6, 0}, {3, 1}, {14, 2}})
 	if err != nil || fmt.Sprint(branks) != "[6 6 3 3 4 4]" || fmt.Sprint(bexact) != "[true false true]" {
 		t.Fatalf("RankBatch = %v, %v, %v", branks, bexact, err)
 	}
 	// An empty round is legal on the wire and costs no allocation.
-	if got, ranks, err := c.AccessBatch(ctx, testSpec(), 7, nil, nil); err != nil || len(got) != 0 || len(ranks) != 0 {
+	if got, ranks, err := c.AccessBatch(ctx, testSpec(), 7, nil, nil, true); err != nil || len(got) != 0 || len(ranks) != 0 {
 		t.Fatalf("empty AccessBatch = %v, %v, %v", got, ranks, err)
 	}
 
@@ -223,6 +238,43 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrepareGroupsBudget pins the group lists of a Prepare reply: they
+// round-trip one per owned shard, empty ones included; lists holding
+// more pairs in all than the budget are sent as none, which is how a
+// node whose groups would overrun the frame says so; and a decoder
+// refuses lists that do not match the totals or overrun the budget.
+func TestPrepareGroupsBudget(t *testing.T) {
+	info := &PrepareInfo{Version: 3, Mode: "layered-lex", Totals: []int64{10, 0, 7},
+		Groups: []Groups{{Vals: []values.Value{3, 5}, Starts: []int64{0, 4}}, {}, {Vals: []values.Value{-9}, Starts: []int64{0}}}}
+	e := &enc{}
+	info.encode(e)
+	d := &dec{b: e.b}
+	if got := decodePrepareInfo(d); d.err() != nil || !reflect.DeepEqual(got, info) {
+		t.Fatalf("PrepareInfo round trip = %+v, %v; want %+v", got, d.err(), info)
+	}
+	for _, c := range []struct {
+		budget int
+		lists  int
+	}{{3, 3}, {2, 0}, {0, 0}} {
+		e := &enc{}
+		e.groups(info.Groups, c.budget)
+		d := &dec{b: e.b}
+		if got := d.groups(3, maxGroups); d.err() != nil || len(got) != c.lists {
+			t.Fatalf("3 pairs under a budget of %d: %d lists (%v), want %d", c.budget, len(got), d.err(), c.lists)
+		}
+	}
+	e = &enc{}
+	e.groups(info.Groups, maxGroups)
+	for _, c := range []struct {
+		lists, budget int
+	}{{2, maxGroups}, {4, maxGroups}, {3, 2}} {
+		d := &dec{b: e.b}
+		if got := d.groups(c.lists, c.budget); d.err() == nil {
+			t.Fatalf("3 lists of 3 pairs decoded as %d lists under a budget of %d: %v", c.lists, c.budget, got)
+		}
+	}
+}
+
 // TestSentinelStatuses pins that app-level errors cross the wire as the
 // EXACT engine sentinels — that equivalence is what makes distributed
 // error responses byte-identical to single-node ones.
@@ -233,7 +285,7 @@ func TestSentinelStatuses(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	if _, _, err := c.AccessBatch(ctx, testSpec(), 7, []int{1, 1}, []int64{2, 99}); !errors.Is(err, access.ErrOutOfBound) {
+	if _, _, err := c.AccessBatch(ctx, testSpec(), 7, []int{1, 1}, []int64{2, 99}, true); !errors.Is(err, access.ErrOutOfBound) {
 		t.Fatalf("out-of-range AccessBatch = %v, want ErrOutOfBound", err)
 	}
 	if _, _, err := c.RankBatch(ctx, testSpec(), 8, []order.Answer{{0, 0}}); !errors.Is(err, ErrStaleVersion) {

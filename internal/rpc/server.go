@@ -26,8 +26,9 @@ type Backend interface {
 	// AccessBatch and RankBatch serve a whole rank round: the local
 	// answers at many (shard, position) pairs, priced on every owned
 	// shard, and many answers priced on every owned shard (see
-	// decodeAccessBatchResp, RankBatchResp for the layouts).
-	AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64) (answers []order.Answer, ranks []int64, err error)
+	// decodeAccessBatchResp, RankBatchResp for the layouts). An
+	// unpriced AccessBatch — a search's final fetch — only fetches.
+	AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64, priced bool) (answers []order.Answer, ranks []int64, err error)
 	RankBatch(ctx context.Context, spec Spec, version uint64, answers []order.Answer) (ranks []int64, exact []bool, err error)
 	Stats(ctx context.Context) (*PeerStats, error)
 	Health(ctx context.Context) (*HealthInfo, error)
@@ -293,12 +294,14 @@ func (s *Server) run(ctx context.Context, kind Kind, d *dec, e *enc) error {
 		if err := d.err(); err != nil {
 			return &BadRequestError{Msg: err.Error()}
 		}
-		rows, ranks, err := s.b.AccessBatch(ctx, req.Spec, req.Version, req.Shards, req.Pos)
+		rows, ranks, err := s.b.AccessBatch(ctx, req.Spec, req.Version, req.Shards, req.Pos, req.Priced)
 		if err != nil {
 			return err
 		}
 		e.answers(rows)
-		e.i64s(ranks)
+		if req.Priced {
+			e.i64s(ranks)
+		}
 	case KindRankBatch:
 		req := decodeRankBatchReq(d)
 		if err := d.err(); err != nil {

@@ -15,13 +15,15 @@ import (
 // TestBelowFloorClientRefused pins that every version below the floor
 // gets no handshake reply, so the peer fails at connect, not mid-call:
 // the never-shipped v1; v2, whose coordinators may still send the
-// single-answer kinds this build no longer serves; and v3, whose
-// coordinators read an AccessBatch response without its ranks. The
+// single-answer kinds this build no longer serves; v3, whose
+// coordinators read an AccessBatch response without its ranks; and v4,
+// whose coordinators send an AccessBatch request without its pricing
+// flag and read a Prepare response without its group lists. The
 // versions are literals: lowering the floor must fail here.
 func TestBelowFloorClientRefused(t *testing.T) {
 	b := &fakeBackend{total: 10}
 	_, lis := startServer(t, b, nil)
-	for _, ver := range []uint16{0, 1, 2, 3} {
+	for _, ver := range []uint16{0, 1, 2, 3, 4} {
 		conn, err := net.Dial("tcp", lis.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -39,7 +41,7 @@ func TestBelowFloorClientRefused(t *testing.T) {
 }
 
 // TestFutureClientNegotiatedDown pins that a client offering a newer
-// version than the server speaks — v5 — is answered with the server's
+// version than the server speaks — v6 — is answered with the server's
 // own.
 func TestFutureClientNegotiatedDown(t *testing.T) {
 	b := &fakeBackend{total: 10}
@@ -50,15 +52,15 @@ func TestFutureClientNegotiatedDown(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeHandshake(conn, 5); err != nil {
+	if err := writeHandshake(conn, 6); err != nil {
 		t.Fatal(err)
 	}
 	ver, err := readHandshake(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != 4 || ProtoVersion != 4 {
-		t.Fatalf("negotiated a v5 offer to %d against ProtoVersion %d, want 4", ver, ProtoVersion)
+	if ver != 5 || ProtoVersion != 5 {
+		t.Fatalf("negotiated a v6 offer to %d against ProtoVersion %d, want 5", ver, ProtoVersion)
 	}
 }
 

@@ -72,14 +72,23 @@
 //	    shard reports its position), so the node a rank round takes
 //	    its pivots from prices them in the same call. The floor rose
 //	    with it: like 3, the bump is not rolling — restart a cluster's
-//	    coordinator and nodes together.
+//	    coordinator and nodes together. Below the floor since version
+//	    5.
+//	5 — the KindPrepare response ends in group lists: none (a count
+//	    of 0) or one per owned shard, each its length and (value,
+//	    start) pairs — the shard's answers grouped by the order's
+//	    leading value, which the coordinator reads its splitter table
+//	    from. The KindAccessBatch request carries a pricing flag after
+//	    its version; unpriced, the response is the answers block alone,
+//	    so a search's final fetch costs the node no Rank descent. The
+//	    floor rose with it, and like 3 and 4 the bump is not rolling.
 //
 // Adding a call kind is NOT a version bump: no existing frame or body
 // changes, and a node that predates the kind answers it with the
 // bad-request status (3) every client already decodes into a
 // BadRequestError. KindAccessBatch and KindRankBatch (PR 15) joined
 // version 2 this way. Removing a kind or changing a body IS one (see
-// versions 3 and 4).
+// versions 3, 4 and 5).
 package rpc
 
 import (
@@ -97,12 +106,12 @@ import (
 
 // ProtoVersion is the newest wire-protocol version this build speaks.
 // Bump it on ANY incompatible framing or message change.
-const ProtoVersion = 4
+const ProtoVersion = 5
 
 // minProtoVersion is the oldest version this build still serves; the
 // negotiated connection version always lands in [minProtoVersion,
 // ProtoVersion].
-const minProtoVersion = 4
+const minProtoVersion = 5
 
 // magic opens every handshake; "RARC" = RankedAccess RPC.
 var magic = [4]byte{'R', 'A', 'R', 'C'}

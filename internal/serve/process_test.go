@@ -395,13 +395,16 @@ func TestProcessCluster(t *testing.T) {
 	if streamTSV(t, coord.Addr(), 1000) != streamTSV(t, nodes[0].Addr(), 1000) {
 		t.Fatal("the coordinator's stream differs from a node's own")
 	}
+	// Every node was sent a Prepare; the query partitions on its order's
+	// leading variable, so the splitter table is read off the Prepares
+	// and the stream need not reach both nodes with any other call.
 	cm, nm := scrape(t, coord.Addr()), scrape(t, nodes[0].Addr())
 	for _, a := range peer {
-		if cm["ra_rpc_client_requests_total|method=rank|peer="+a] < 1 || cm["ra_cluster_peer_up|peer="+a] != 1 {
+		if cm["ra_rpc_client_requests_total|method=prepare|peer="+a] < 1 || cm["ra_cluster_peer_up|peer="+a] != 1 {
 			t.Fatalf("coordinator /metrics lacks peer %s's series: %v", a, cm)
 		}
 	}
-	if nm["ra_rpc_server_requests_total|method=rank"] < 1 {
+	if nm["ra_rpc_server_requests_total|method=prepare"] < 1 {
 		t.Fatalf("shard /metrics lacks the RPC server counters: %v", nm)
 	}
 	// One tracer per process reaches the HTTP middleware, the RPC clients

@@ -141,8 +141,9 @@ func Build(ctx context.Context, q *cq.Query, in *database.Instance, k Kind, pt P
 // Merge turns the result of a Build that owns every shard into the
 // merging accessor; it takes Build's results directly so a full build
 // is one expression. The handle is NewRemote's over the build's Node:
-// the router a coordinator runs, with no socket in the way, pricing the
-// splitter table in one lane.
+// the router a coordinator runs, with no socket in the way, reading the
+// splitter table off the build's own groups where it has them and
+// pricing it in one lane where not.
 func Merge(o *Owned, err error) (*Handle, error) {
 	if err != nil {
 		return nil, err
@@ -154,7 +155,7 @@ func Merge(o *Owned, err error) (*Handle, error) {
 		}
 	}
 	return NewRemote(context.Background(), o.Query, o.Part, o.kind.Comparator(o.Query, o.completed), o.completed,
-		[]Node{o.Node()}, [][]int{o.Shards()}, totals, new(atomic.Int64))
+		[]Node{o.Node()}, [][]int{o.Shards()}, totals, o.Groups(o.Shards()), new(atomic.Int64))
 }
 
 // BuildLex builds and merges the layered lexicographic structures of

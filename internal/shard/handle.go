@@ -111,9 +111,9 @@ func (h *Handle) putProbe(p *probe) { h.probes.Put(p) }
 // (Rank = answers strictly below, O(log n) each) and applies one
 // narrowing rule per pivot (see narrow): a pivot of global rank k is the
 // result, otherwise every shard discards what the pivot priced on the
-// wrong side of k. The handle's splitter table holds S such pivots
-// priced ahead of time, so the search starts from the two that bracket
-// k — windows about 1/(S+1) as wide as the shards, ⌈log_{m·P+1}(n/(S+1))⌉
+// wrong side of k. The handle's splitter table holds S such pivots,
+// priced ahead of time or read off the shards' groups, so the search
+// starts from the two that bracket k — windows about 1/(S+1) as wide as the shards, ⌈log_{m·P+1}(n/(S+1))⌉
 // rounds to go instead of ⌈log_{m·P+1} n⌉ — and only then pays for
 // rounds. A round is a batch taken from one node's windows (see
 // pickPivots), because a round costs two network hops however many
@@ -229,15 +229,17 @@ func (pr *probe) narrow(k int64, s int, rk []int64) bool {
 }
 
 // accessOne fetches the answer at local index m of shard s with one
-// AccessBatch straight to its owner: one position has one node to go
-// to, so it skips the router's split and scatter (see router.price).
+// unpriced AccessBatch straight to its owner: one position has one node
+// to go to, so it skips the router's split and scatter (see
+// router.price), and the search already knows every shard's count below
+// the result, so the node runs no Rank descent for it.
 func (h *Handle) accessOne(ctx context.Context, pr *probe, s int, m int64) (order.Answer, error) {
 	// A caller that gave up costs the nodes nothing further, not even
 	// the one fetch a search the table settled would still send.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	xs, _, err := h.router.nodes[h.router.owner[s]].AccessBatch(ctx, append(pr.pivShard[:0], s), append(pr.pivPos[:0], m))
+	xs, _, err := h.router.nodes[h.router.owner[s]].AccessBatch(ctx, append(pr.pivShard[:0], s), append(pr.pivPos[:0], m), false)
 	if err != nil {
 		return nil, err
 	}

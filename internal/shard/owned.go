@@ -7,6 +7,7 @@ import (
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/order"
+	"rankedaccess/internal/values"
 )
 
 // Owned holds the per-shard structures Build made for the shard
@@ -52,7 +53,10 @@ type ownedNode struct {
 	shards []int
 }
 
-func (n ownedNode) AccessBatch(_ context.Context, shards []int, pos []int64) ([]order.Answer, []int64, error) {
+func (n ownedNode) AccessBatch(_ context.Context, shards []int, pos []int64, priced bool) ([]order.Answer, []int64, error) {
+	if !priced {
+		return n.o.AccessBatch(shards, pos, nil)
+	}
 	return n.o.AccessBatch(shards, pos, n.shards)
 }
 
@@ -69,6 +73,41 @@ func (o *Owned) part(shard int) (access.Structure, error) {
 		return nil, fmt.Errorf("shard: shard %d is not owned by this node", shard)
 	}
 	return o.parts[shard], nil
+}
+
+// Groups is one shard's answers grouped by the order's leading value:
+// the answers whose leading value is Vals[i] are the shard's local
+// indices [Starts[i], Starts[i+1]), the last group ending at the
+// shard's total, and Vals runs in the leading variable's direction.
+type Groups struct {
+	Vals   []values.Value
+	Starts []int64
+}
+
+// Groups returns the groups of each given owned shard, in the order
+// given, read off its layered build's root layer — the structure's own
+// slices, which the caller must not modify. It returns nil unless the
+// builds lead with the partition variable: only then does every group
+// sit whole in one shard, so that the groups' boundaries are exact
+// splitters (see NewRemote). SUM and materialized builds, and lex
+// orders led by another variable, have none.
+func (o *Owned) Groups(shards []int) []Groups {
+	if len(o.completed.Entries) == 0 || o.completed.Entries[0].Var != o.Part.Var {
+		return nil
+	}
+	out := make([]Groups, len(shards))
+	for i, s := range shards {
+		p, err := o.part(s)
+		if err != nil {
+			return nil
+		}
+		la, ok := p.(*access.Lex)
+		if !ok {
+			return nil
+		}
+		out[i].Vals, out[i].Starts = la.RootGroups()
+	}
+	return out
 }
 
 // Total returns one owned shard's answer count.
@@ -136,8 +175,10 @@ func (b *answerBlock) add(a order.Answer) {
 // shards — the node-side half of a rank round's fetch from its source
 // node. ranks[i*len(owned)+j] is shard owned[j]'s count of answers
 // strictly below answers[i]; on shards[i] itself that is pos[i], which
-// is pinned rather than computed. A run of positions on one shard
-// shares one probe buffer, borrowed from the shard's structure (an
+// is pinned rather than computed. With no owned shards given it prices
+// nothing — a search's final fetch, which runs no Rank descent and
+// returns no ranks. A run of positions on one shard shares one probe
+// buffer, borrowed from the shard's structure (an
 // error path keeps it: garbage, not a leak); the ranks share the
 // answers' backing array.
 func (o *Owned) AccessBatch(shards []int, pos []int64, owned []int) (answers []order.Answer, ranks []int64, err error) {

@@ -22,8 +22,8 @@ import (
 type Node interface {
 	// AccessBatch returns the answer at local index pos[i] of owned
 	// shard shards[i], in request order, each priced on the owned
-	// shards.
-	AccessBatch(ctx context.Context, shards []int, pos []int64) (answers []order.Answer, ranks []int64, err error)
+	// shards when priced is set; unpriced, it returns no ranks.
+	AccessBatch(ctx context.Context, shards []int, pos []int64, priced bool) (answers []order.Answer, ranks []int64, err error)
 	// RankBatch prices every answer on the owned shards; exact[i]
 	// reports whether one of them holds answers[i].
 	RankBatch(ctx context.Context, answers []order.Answer) (ranks []int64, exact []bool, err error)
@@ -71,12 +71,16 @@ type router struct {
 // order its ranks list them, and totals[j] is shard j's answer count.
 // cmp must realize the same total order every node's structures sort
 // by; completed is the realized lex order of layered builds (zero for
-// SUM orders). The handle adds its search rounds to searches. Assembling
-// prices the handle's splitter table through the nodes — one lane of
-// rounds per node, under ctx — and fails if that fails: there is no
-// table-less handle.
+// SUM orders). The handle adds its search rounds to searches.
+//
+// Assembling fills the handle's splitter table, and fails if that
+// fails: there is no table-less handle. With groups — shard j's are
+// groups[j], which needs pt to partition on completed's leading
+// variable — the table is read off the groups' boundaries and no node
+// is called (see fillBoundaries). Without, it is priced through the
+// nodes, one lane of rounds per node, under ctx (see fillSplitters).
 func NewRemote(ctx context.Context, q *cq.Query, pt Partitioning, cmp func(a, b order.Answer) int, completed order.Lex,
-	nodes []Node, owned [][]int, totals []int64, searches *atomic.Int64) (*Handle, error) {
+	nodes []Node, owned [][]int, totals []int64, groups []Groups, searches *atomic.Int64) (*Handle, error) {
 	r := &router{nodes: nodes, owned: owned, owner: slices.Repeat([]int{-1}, len(totals)), searches: searches}
 	for i, shards := range owned {
 		for _, s := range shards {
@@ -88,7 +92,16 @@ func NewRemote(ctx context.Context, q *cq.Query, pt Partitioning, cmp func(a, b 
 	}
 	h := newHandle(q, pt, totals, cmp)
 	h.router, h.Completed = r, completed
-	if err := h.fillSplitters(ctx, r.owner); err != nil {
+	var err error
+	switch {
+	case groups == nil:
+		err = h.fillSplitters(ctx, r.owner)
+	case len(completed.Entries) == 0 || completed.Entries[0].Var != pt.Var:
+		err = fmt.Errorf("shard: group lists over a partition on %q, which does not lead the order", pt.VarName)
+	default:
+		err = h.fillBoundaries(groups, completed.Entries[0].Dir, maxSplitterBytes/(8*(len(totals)+2)))
+	}
+	if err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -169,7 +182,7 @@ func (r *router) price(ctx context.Context, shards []int, pos []int64, ranks []i
 	out := make([]order.Answer, len(pos))
 	err = Scatter(len(batches), func(i int) error {
 		b := &batches[i]
-		got, rk, err := r.nodes[b.node].AccessBatch(ctx, b.shards, b.pos)
+		got, rk, err := r.nodes[b.node].AccessBatch(ctx, b.shards, b.pos, true)
 		if err != nil {
 			return err
 		}

@@ -68,17 +68,23 @@ func New(owned ...*shard.Owned) *Loopback {
 // with.
 func (l *Loopback) Handle(ctx context.Context, k shard.Kind) (*shard.Handle, error) {
 	o := l.owned[0]
-	nodes, totals := make([]shard.Node, len(l.owned)), make([]int64, o.Part.P)
+	nodes, totals, groups := make([]shard.Node, len(l.owned)), make([]int64, o.Part.P), make([]shard.Groups, o.Part.P)
 	for i, on := range l.owned {
 		nodes[i] = node{l, on.Node()}
 		if l.Wrap != nil {
 			nodes[i] = l.Wrap(i, nodes[i])
 		}
-		for _, s := range l.shards[i] {
+		g := on.Groups(l.shards[i])
+		for j, s := range l.shards[i] {
 			totals[s], _ = on.Total(s) // on owns s by construction
+			if g == nil {
+				groups = nil
+			} else if groups != nil {
+				groups[s] = g[j]
+			}
 		}
 	}
-	h, err := shard.NewRemote(ctx, o.Query, o.Part, k.Comparator(o.Query, o.Completed()), o.Completed(), nodes, l.shards, totals, &l.Rounds)
+	h, err := shard.NewRemote(ctx, o.Query, o.Part, k.Comparator(o.Query, o.Completed()), o.Completed(), nodes, l.shards, totals, groups, &l.Rounds)
 	l.FillCalls = l.AccessCalls.Swap(0) + l.RankCalls.Swap(0)
 	l.FillMaxBatch = l.MaxBatch.Swap(0)
 	l.Pivots.Store(0)
@@ -119,7 +125,7 @@ type node struct {
 	n shard.Node
 }
 
-func (n node) AccessBatch(ctx context.Context, shards []int, pos []int64) ([]order.Answer, []int64, error) {
+func (n node) AccessBatch(ctx context.Context, shards []int, pos []int64, priced bool) ([]order.Answer, []int64, error) {
 	sources := 1 // a plain fetch is one position's
 	if rd, ok := shard.RoundOf(ctx); ok {
 		n.l.mu.Lock()
@@ -131,7 +137,7 @@ func (n node) AccessBatch(ctx context.Context, shards []int, pos []int64) ([]ord
 	if err := n.l.call(ctx, &n.l.AccessCalls, len(pos)); err != nil {
 		return nil, nil, err
 	}
-	return n.n.AccessBatch(ctx, shards, pos)
+	return n.n.AccessBatch(ctx, shards, pos, priced)
 }
 
 func (n node) RankBatch(ctx context.Context, answers []order.Answer) ([]int64, []bool, error) {

@@ -51,18 +51,11 @@ func unsharded(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind) a
 	return st
 }
 
-// mergedHandle builds all p shards in process and merges them.
+// mergedHandle builds all p shards, partitioned on y, in process and
+// merges them.
 func mergedHandle(t *testing.T, q *cq.Query, in *database.Instance, k shard.Kind, p int) *shard.Handle {
 	t.Helper()
-	pt, err := shard.Choose(q, "y", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := shard.Merge(shard.Build(context.Background(), q, in, k, pt, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+	return mergedOn(t, q, in, k, "y", p)
 }
 
 // TestSplitterHits probes the ranks the table treats specially, on the
@@ -176,10 +169,10 @@ type meteredNode struct {
 	i int
 }
 
-func (n meteredNode) AccessBatch(ctx context.Context, shards []int, pos []int64) ([]order.Answer, []int64, error) {
+func (n meteredNode) AccessBatch(ctx context.Context, shards []int, pos []int64, priced bool) ([]order.Answer, []int64, error) {
 	rd, _ := shard.RoundOf(ctx)
 	defer n.m.enter(rd, n.i, true)()
-	return n.Node.AccessBatch(ctx, shards, pos)
+	return n.Node.AccessBatch(ctx, shards, pos, priced)
 }
 
 func (n meteredNode) RankBatch(ctx context.Context, answers []order.Answer) ([]int64, []bool, error) {
@@ -188,8 +181,8 @@ func (n meteredNode) RankBatch(ctx context.Context, answers []order.Answer) ([]i
 	return n.Node.RankBatch(ctx, answers)
 }
 
-// TestSplitterFillLanes: on every layout and structure kind the fill
-// runs one lane per node, whose batches hold at most MaxPivots
+// TestSplitterFillLanes: on every layout and structure kind whose table
+// is priced the fill runs one lane per node, whose batches hold at most MaxPivots
 // positions, all on the lane's node, one batch in flight; lanes overlap
 // in time; and the table is exactly the one a fill in a single lane
 // prices.
@@ -215,6 +208,13 @@ func TestSplitterFillLanes(t *testing.T) {
 			for _, c := range m.sent {
 				sent, busy = sent+c, busy+min(c, 1)
 			}
+			if boundaryFilled(h) {
+				// Read off the groups: no lane, no batch, no call.
+				if sent != 0 || batches != 0 || lanes != 0 || m.FillCalls != 0 {
+					t.Fatalf("%s/%s: %d splitters read off the groups in %d batches over %d lanes; the lanes sent %v", lay.name, rc.name, n, batches, lanes, m.sent)
+				}
+				continue
+			}
 			if sent != batches || lanes != busy || (n > 0) != lay.tabled() {
 				t.Fatalf("%s/%s: %d splitters in %d batches over %d lanes; the lanes sent %v", lay.name, rc.name, n, batches, lanes, m.sent)
 			}
@@ -236,7 +236,7 @@ func TestSplitterFillLanes(t *testing.T) {
 // batch, and gets context.Canceled and no handle.
 func TestSplitterFillStopsBetweenBatches(t *testing.T) {
 	q := cq.MustParse(twoPath)
-	k := remoteCases(t)[0].kind(q)
+	k := interleavedLex(t)(q)
 	owned := ownedBuilds(t, q, randomInstance(7, 12000, 1000, 100, 20), k, 4, 2)
 	h, err := newLaneMeter(owned).Handle(context.Background(), k)
 	if err != nil {
@@ -282,7 +282,7 @@ func TestSplitterFillStopsBetweenBatches(t *testing.T) {
 func TestSplitterNarrowShards(t *testing.T) {
 	const p = 4
 	q := cq.MustParse(twoPath)
-	k := remoteCases(t)[0].kind(q)
+	k := interleavedLex(t)(q)
 	in := randomInstance(10, 160, 160, 40, 12)
 	sorted := baseline.SortedByLex(q, in, k.Lex)
 	remote, loop := remoteHandle(t, q, in, k, p)
@@ -316,7 +316,7 @@ func TestSplitterNarrowShards(t *testing.T) {
 // exact searches.
 func TestSplitterTableBounded(t *testing.T) {
 	q := cq.MustParse(twoPath)
-	k := remoteCases(t)[0].kind(q)
+	k := interleavedLex(t)(q)
 	const maxBytes = 4 << 20
 	// 3.2·10⁶ answers: at P = 4 every shard holds a full share's m·P
 	// answers per splitter.
