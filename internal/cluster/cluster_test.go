@@ -1418,3 +1418,83 @@ func TestConcurrentFirstProbes(t *testing.T) {
 		t.Fatalf("node caches %+v (%v), want the one build", st, err)
 	}
 }
+
+// TestRangeInsideOneShardTCP is shard's TestRangeInsideOneShard over
+// sockets: on the default partition of a lex spec, on its order's
+// leading variable, a window inside one group — or ending at its
+// boundary — moves ra_rpc_client_requests_total{method="range"} by
+// exactly one, summed over the peers, and no other method's series but
+// the prober's health checks. Its rows are the single node's.
+func TestRangeInsideOneShardTCP(t *testing.T) {
+	inst := func() *database.Instance { // 40 groups of 160 answers, one per x
+		in := database.NewInstance()
+		for y := range values.Value(8) {
+			for x := range values.Value(40) {
+				in.AddRow("R", x, y)
+			}
+			for z := range values.Value(20) {
+				in.AddRow("S", y, z)
+			}
+		}
+		return in
+	}
+	tc := startClusterOn(t, inst, 2, 4, nil)
+	reg := metrics.NewRegistry()
+	tc.coord.RegisterMetrics(reg)
+	spec := engine.Spec{Query: twoPath, Order: "x, y, z"}
+	rh, err := tc.coord.BuildRemote(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := engine.New(inst(), engine.Options{}).Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests := func() map[string]float64 {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := metrics.ParseText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, sm := range samples {
+			if sm.Name == "ra_rpc_client_requests_total" && sm.Labels["method"] != "health" {
+				out[sm.Labels["method"]] += sm.Value
+			}
+		}
+		return out
+	}
+	h := rh.Sh
+	bounds := append(append([]int64{0}, h.Splitters()...), h.Total())
+	if len(bounds) != 41 {
+		t.Fatalf("%d group boundaries, want 41", len(bounds))
+	}
+	for i := 0; i+1 < len(bounds); i++ {
+		for _, w := range [][2]int64{{bounds[i] + 5, bounds[i+1] - 5}, {bounds[i] + 20, bounds[i+1]}} {
+			before := requests()
+			got, err := h.AppendRange(nil, h.Query.Head, w[0], w[1])
+			if err != nil {
+				t.Fatalf("range [%d, %d): %v", w[0], w[1], err)
+			}
+			if want, err := ref.AccessRange(nil, w[0], w[1]); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("range [%d, %d) diverges from the single node (%v)", w[0], w[1], err)
+			}
+			after := requests()
+			if _, ok := after["range"]; !ok {
+				t.Fatal(`no ra_rpc_client_requests_total{method="range"} series`)
+			}
+			for method, n := range after {
+				want := 0.0
+				if method == "range" {
+					want = 1
+				}
+				if d := n - before[method]; d != want {
+					t.Fatalf("range [%d, %d) inside one shard sent %v %s RPCs, want %v", w[0], w[1], d, method, want)
+				}
+			}
+		}
+	}
+}

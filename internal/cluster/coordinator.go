@@ -13,6 +13,7 @@ import (
 	"rankedaccess/internal/rpc"
 	"rankedaccess/internal/shard"
 	"rankedaccess/internal/trace"
+	"rankedaccess/internal/values"
 )
 
 // Coordinator implements engine.RemoteBuilder over a cluster: it plans
@@ -62,11 +63,15 @@ import (
 // answers, so a node that died or moved past the prepared version still
 // fails every access that needs it. So with two nodes an access costs
 // 2·rounds + 1 RPCs: 1 where the table settles it. A range runs the
-// search for its first row without that fetch, then sends one parallel
-// Range scatter to the shards the splitter table leaves open below the
-// window's end, each sized by the shard's share of the answers up to
-// that bound, and at most one refill per shard for all that is left of
-// it. TestDistributedRPCBudget pins the arithmetic;
+// search for its first row without that fetch. Where the splitter
+// table then leaves one shard open below the window's end — on the
+// leading variable's partition, a window inside one shard's groups —
+// it sends that shard ONE Range for the whole window, so with the
+// search settled a range is one RPC. Otherwise it sends one parallel
+// Range scatter to the open shards alone, each sized by the shard's
+// share of the answers up to that bound, and at most one refill per
+// shard for all that is left of it. TestDistributedRPCBudget and
+// TestRangeInsideOneShardTCP pin the arithmetic;
 // ra_cluster_rank_rounds_total counts the rounds.
 type Coordinator struct {
 	table  *Table
@@ -335,8 +340,9 @@ func (n *peerNode) RankBatch(ctx context.Context, answers []order.Answer) ([]int
 	return ranks, exact, n.fail(span, "rank", err)
 }
 
-func (n *peerNode) Range(ctx context.Context, s int, k0, k1 int64) ([]order.Answer, error) {
-	return n.c.Range(ctx, n.spec, n.version, s, k0, k1)
+func (n *peerNode) Range(ctx context.Context, s int, k0, k1 int64, rows []values.Value) ([]values.Value, error) {
+	rows, _, err := n.c.AppendRange(ctx, n.spec, n.version, s, k0, k1, rows)
+	return rows, err
 }
 
 // round opens the call's cluster.rank_round span when it belongs to a

@@ -244,20 +244,21 @@ func (n *Node) AccessBatch(ctx context.Context, spec rpc.Spec, version uint64, s
 	return out, ranks, err
 }
 
-// Range returns one owned shard's local answers k0 ≤ k < k1.
-func (n *Node) Range(ctx context.Context, spec rpc.Spec, version uint64, s int, k0, k1 int64) ([]order.Answer, error) {
+// Range returns one owned shard's local answers k0 ≤ k < k1 as the
+// rows Owned.Range writes, every variable of the query in each.
+func (n *Node) Range(ctx context.Context, spec rpc.Spec, version uint64, s int, k0, k1 int64) ([]int64, int, error) {
 	ctx, sp := n.span(ctx, "node.range", trace.Int("shard", int64(s)), trace.Int("k0", k0), trace.Int("k1", k1))
 	defer sp.End()
 	nb, err := n.getVersioned(ctx, spec, version)
 	if err != nil {
 		sp.SetError(err)
-		return nil, err
+		return nil, 0, err
 	}
-	rows, err := nb.Owned.Range(s, k0, k1)
+	rows, err := nb.Owned.Range(s, k0, k1, nil)
 	if err != nil {
 		sp.SetError(err)
 	}
-	return rows, err
+	return rows, nb.Owned.Query.NumVars(), err
 }
 
 // Stats reports the node's identity counters.

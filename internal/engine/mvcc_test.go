@@ -313,6 +313,36 @@ func TestRegistrationFollowsBackgroundRebuild(t *testing.T) {
 	}
 }
 
+// TestPublishKeepsNewerHandle: a re-prepare's publish keeps the handle a
+// background rebuild published meanwhile when that one's version is the
+// same as its own or newer, and replaces an older one; an evicted
+// registration publishes nothing.
+func TestPublishKeepsNewerHandle(t *testing.T) {
+	for _, c := range []struct {
+		published uint64
+		keep      bool
+	}{{4, false}, {5, true}, {6, true}} {
+		pq := &PreparedQuery{}
+		cur := &preparedHandle{h: &Handle{}, version: c.published}
+		pq.cur.Store(cur)
+		next := &preparedHandle{h: &Handle{}, version: 5}
+		want := next
+		if c.keep {
+			want = cur
+		}
+		if got := pq.publish(next); got != want || pq.cur.Load() != want {
+			t.Fatalf("publishing version 5 over version %d: returned its own handle %v, left it published %v; want %v",
+				c.published, got == next, pq.cur.Load() == next, !c.keep)
+		}
+	}
+	pq := &PreparedQuery{}
+	pq.evicted.Store(true)
+	next := &preparedHandle{h: &Handle{}, version: 5}
+	if got := pq.publish(next); got != next || pq.cur.Load() != nil {
+		t.Fatal("an evicted registration published its re-prepare")
+	}
+}
+
 // TestRegistrationFollowsRebuildsUnderLoad: readers re-prepare a
 // registration while writes schedule background rebuilds that publish
 // to it, from their own goroutines. Once the writes stop and the last

@@ -132,21 +132,26 @@ func (pq *PreparedQuery) reprepare(ctx context.Context) (*Handle, uint64, error)
 	if err != nil {
 		return nil, 0, err
 	}
-	next := &preparedHandle{h: h, version: version}
+	kept := pq.publish(&preparedHandle{h: h, version: version})
+	pq.e.reprepares.Add(1)
+	return kept.h, kept.version, nil
+}
+
+// publish makes next the registration's handle and returns it, unless
+// a handle of next's version or a newer one is published already — a
+// background rebuild (see followRebuild) — which it keeps and returns
+// instead. An evicted registration publishes nothing.
+func (pq *PreparedQuery) publish(next *preparedHandle) *preparedHandle {
 	for !pq.evicted.Load() {
 		cur := pq.cur.Load()
-		if cur != nil && cur.version >= version {
-			// A background rebuild of this version was published
-			// meanwhile (see followRebuild): it is the one to keep.
-			h, version = cur.h, cur.version
-			break
+		if cur != nil && cur.version >= next.version {
+			return cur
 		}
 		if pq.cur.CompareAndSwap(cur, next) {
 			break
 		}
 	}
-	pq.e.reprepares.Add(1)
-	return h, version, nil
+	return next
 }
 
 // followRebuild publishes a background rebuild that swapped into the

@@ -407,20 +407,34 @@ func (c *Client) Rank(ctx context.Context, spec Spec, version uint64, a order.An
 	return ranks, exacts[0], nil
 }
 
-// Range returns one shard's local answers k0 ≤ k < k1 in order.
-func (c *Client) Range(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64) (out []order.Answer, err error) {
-	err = c.call(ctx, KindRange, func(e *enc) {
+// Range returns one shard's local answers k0 ≤ k < k1 in order: the
+// rows AppendRange decodes, cut into answers.
+func (c *Client) Range(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64) ([]order.Answer, error) {
+	rows, width, err := c.AppendRange(ctx, spec, version, shard, k0, k1, nil)
+	if err != nil {
+		return nil, err
+	}
+	return answersOf(rows, width, int(k1-k0)), nil
+}
+
+// AppendRange appends one shard's local answers k0 ≤ k < k1, in order,
+// to rows — width values each, every variable of the spec's query — and
+// returns the extended slice and the width. The reply is decoded
+// straight into rows, in one pass; one holding other than k1−k0 answers
+// is a protocol error. On any error rows comes back as it was given.
+func (c *Client) AppendRange(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64, rows []int64) ([]int64, int, error) {
+	base, width := len(rows), 0
+	err := c.call(ctx, KindRange, func(e *enc) {
 		spec.encode(e)
 		e.u64(version)
 		e.u32(uint32(shard))
 		e.i64(k0)
 		e.i64(k1)
-	}, func(d *dec) {
-		// A node never serves more than it was asked for, and what was
-		// asked for is bounded by the frame.
-		out = d.answers(maxFrame / 8)
-	})
-	return out, err
+	}, func(d *dec) { rows, width = decodeRangeResp(d, rows, k1-k0) })
+	if err != nil {
+		return rows[:base], 0, err
+	}
+	return rows, width, nil
 }
 
 // AccessBatch returns the local answers at (shards[i], pos[i]) over

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rankedaccess/internal/order"
@@ -108,10 +109,16 @@ func FuzzBatchCodec(f *testing.F) {
 				}
 			})
 		roundTrip(t, data,
-			func(d *dec) any { return d.answers(MaxPivots) },
+			func(d *dec) any { return answersOf(d.rows(nil, MaxPivots)) },
 			func(m any, e *enc) { e.answers(m.([]order.Answer)) },
 			capped(func(m any) int { return len(m.([]order.Answer)) }))
 	})
+}
+
+// rangeRows is a decoded Range response, for roundTrip.
+type rangeRows struct {
+	rows  []int64
+	width int
 }
 
 // accessBatchResp is a decoded AccessBatch response, for roundTrip.
@@ -228,11 +235,14 @@ func FuzzFrame(f *testing.F) {
 }
 
 // FuzzMessages feeds arbitrary bytes to the decoders FuzzBatchCodec does
-// not cover: the specs, PrepareInfo, the request header and the response
-// status. Each fails cleanly or round-trips; a decoded spec's key is the
-// bytes it was decoded from, which is what lets a node use it as the
-// spec's canonical encoding, and a decoded PrepareInfo holds no group
-// lists or one per total, within the budget.
+// not cover: the specs, PrepareInfo, the Range response, the request
+// header and the response status. Each fails cleanly or round-trips; a
+// decoded spec's key is the bytes it was decoded from, which is what
+// lets a node use it as the spec's canonical encoding, and a decoded
+// PrepareInfo holds no group lists or one per total, within the budget.
+// A Range response decodes, as the answer to as many answers as it
+// claims, to exactly that many rows of its width, appended after what
+// the buffer held; asked for one more, it is refused.
 func FuzzMessages(f *testing.F) {
 	for _, payload := range roundTripFrames() {
 		f.Add(payload)
@@ -254,6 +264,24 @@ func FuzzMessages(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(longest, math.MaxUint32))
 	f.Add(one[:len(one)-16-2])
 	f.Add(one[:len(one)-3*16-4-2])
+	// Range responses: rows of width 0, a count whose rows run past the
+	// payload, trailing bytes, and a count the request disagrees with.
+	rangeResp := func(body func(*enc)) []byte {
+		e := &enc{}
+		body(e)
+		return e.b
+	}
+	three := rangeResp(func(e *enc) { e.rows([]int64{1, 2, 3, 4, 5, 6}, 2) })
+	f.Add(three)
+	f.Add(rangeResp(func(e *enc) { e.u32(0); e.u32(3) }))
+	f.Add(rangeResp(func(e *enc) { e.u32(3); e.u32(100); e.i64(1); e.i64(2); e.i64(3) }))
+	f.Add(append(three, 0))
+	for _, n := range []int64{2, 3, 4} {
+		d := &dec{b: three}
+		if decodeRangeResp(d, nil, n); (d.err() == nil) != (n == 3) {
+			f.Fatalf("3 rows decoded as the answer to %d: %v", n, d.err())
+		}
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		roundTrip(t, data,
@@ -280,6 +308,30 @@ func FuzzMessages(f *testing.F) {
 				}
 				if (p.Groups != nil && len(p.Groups) != len(p.Totals)) || pairs > maxGroups {
 					t.Fatalf("%d group lists of %d pairs for %d totals", len(p.Groups), pairs, len(p.Totals))
+				}
+			})
+
+		// A Range response, as the answer to as many answers as its block
+		// claims, appended after two values the buffer held.
+		var n int64
+		if len(data) >= 8 {
+			n = int64(binary.LittleEndian.Uint32(data[4:8]))
+		}
+		roundTrip(t, data,
+			func(d *dec) any { rows, width := decodeRangeResp(d, nil, n); return rangeRows{rows, width} },
+			func(m any, e *enc) { r := m.(rangeRows); e.rows(r.rows, r.width) },
+			func(t *testing.T, m any) {
+				r := m.(rangeRows)
+				if int64(len(r.rows)) != n*int64(r.width) {
+					t.Fatalf("%d values of width %d decoded as the answer to %d", len(r.rows), r.width, n)
+				}
+				d := &dec{b: data}
+				if rows, _ := decodeRangeResp(d, []int64{-1, -2}, n); d.err() != nil || !slices.Equal(rows[:2], []int64{-1, -2}) || !slices.Equal(rows[2:], r.rows) {
+					t.Fatalf("appended after two values: %v (%v), want them and %v", rows, d.err(), r.rows)
+				}
+				d = &dec{b: data}
+				if decodeRangeResp(d, nil, n+1); d.err() == nil {
+					t.Fatalf("%d rows decoded as the answer to %d", n, n+1)
 				}
 			})
 

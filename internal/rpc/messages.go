@@ -274,7 +274,7 @@ func decodeAccessBatchReq(d *dec) AccessBatchReq {
 // block alone. A count that disagrees with n, or with n·owned, is
 // malformed.
 func decodeAccessBatchResp(d *dec, n, owned int) (answers []order.Answer, ranks []int64) {
-	answers = d.answers(MaxPivots)
+	answers = answersOf(d.rows(nil, MaxPivots))
 	if owned > 0 {
 		ranks = d.i64s()
 	}
@@ -282,6 +282,17 @@ func decodeAccessBatchResp(d *dec, n, owned int) (answers []order.Answer, ranks 
 		d.fail()
 	}
 	return answers, ranks
+}
+
+// decodeRangeResp appends a node's answer to a KindRange request for n
+// answers — the answers block — to rows and returns them with the
+// block's width. A block of another length is malformed.
+func decodeRangeResp(d *dec, rows []int64, n int64) ([]int64, int) {
+	rows, width, count := d.rows(rows, maxFrame/8)
+	if int64(count) != n {
+		d.fail()
+	}
+	return rows, width
 }
 
 // RankBatchReq asks a node to price every answer on every owned shard.
@@ -298,7 +309,7 @@ func (r *RankBatchReq) encode(e *enc) {
 }
 
 func decodeRankBatchReq(d *dec) RankBatchReq {
-	return RankBatchReq{Spec: decodeSpec(d), Version: d.u64(), Answers: d.answers(MaxPivots)}
+	return RankBatchReq{Spec: decodeSpec(d), Version: d.u64(), Answers: answersOf(d.rows(nil, MaxPivots))}
 }
 
 // RankBatchResp is a node's answer to RankBatchReq: Ranks[i*owned+j]

@@ -86,18 +86,18 @@ func (f *fakeBackend) access(ctx context.Context, shard int, k int64) (order.Ans
 	return order.Answer{int64(shard)*100 + k, -k}, nil
 }
 
-func (f *fakeBackend) Range(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64) ([]order.Answer, error) {
+func (f *fakeBackend) Range(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64) ([]int64, int, error) {
 	if err := f.wait(ctx); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if k0 < 0 || k1 < k0 || k1 > f.total {
-		return nil, access.ErrOutOfBound
+		return nil, 0, access.ErrOutOfBound
 	}
-	out := make([]order.Answer, 0, k1-k0)
+	out := make([]int64, 0, 2*(k1-k0))
 	for k := k0; k < k1; k++ {
-		out = append(out, order.Answer{int64(shard)*100 + k, -k})
+		out = append(out, int64(shard)*100+k, -k)
 	}
-	return out, nil
+	return out, 2, nil
 }
 
 func (f *fakeBackend) AccessBatch(ctx context.Context, spec Spec, version uint64, shards []int, pos []int64, priced bool) ([]order.Answer, []int64, error) {
@@ -528,7 +528,7 @@ func TestHostileLengths(t *testing.T) {
 	e7.u32(2)       // count
 	e7.i64(1)
 	d7 := &dec{b: e7.b}
-	if got := d7.answers(MaxPivots); !d7.bad || got != nil {
+	if got, _, _ := d7.rows(nil, MaxPivots); !d7.bad || got != nil {
 		t.Fatal("decoder accepted a hostile answer width")
 	}
 }

@@ -22,7 +22,9 @@ import (
 type Backend interface {
 	Prepare(ctx context.Context, spec Spec) (*PrepareInfo, error)
 	Count(ctx context.Context, spec CountSpec) (int64, error)
-	Range(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64) ([]order.Answer, error)
+	// Range returns one owned shard's local answers k0 ≤ k < k1, row by
+	// row, width values each (see enc.rows).
+	Range(ctx context.Context, spec Spec, version uint64, shard int, k0, k1 int64) (rows []int64, width int, err error)
 	// AccessBatch and RankBatch serve a whole rank round: the local
 	// answers at many (shard, position) pairs, priced on every owned
 	// shard, and many answers priced on every owned shard (see
@@ -284,11 +286,11 @@ func (s *Server) run(ctx context.Context, kind Kind, d *dec, e *enc) error {
 		if err := d.err(); err != nil {
 			return &BadRequestError{Msg: err.Error()}
 		}
-		rows, err := s.b.Range(ctx, spec, version, shard, k0, k1)
+		rows, width, err := s.b.Range(ctx, spec, version, shard, k0, k1)
 		if err != nil {
 			return err
 		}
-		e.answers(rows)
+		e.rows(rows, width)
 	case KindAccessBatch:
 		req := decodeAccessBatchReq(d)
 		if err := d.err(); err != nil {

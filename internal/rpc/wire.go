@@ -98,6 +98,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"rankedaccess/internal/metrics"
 	"rankedaccess/internal/order"
@@ -416,6 +417,19 @@ func (e *enc) answers(rows []order.Answer) {
 	}
 }
 
+// rows writes flat — rows of width values each — as the block answers
+// writes for the same rows.
+func (e *enc) rows(flat []int64, width int) {
+	if len(flat) == 0 {
+		width = 0
+	}
+	e.u32(uint32(width))
+	e.u32(uint32(len(flat) / max(width, 1)))
+	for _, v := range flat {
+		e.i64(v)
+	}
+}
+
 // dec consumes a little-endian message body with sticky error state:
 // any out-of-bounds or over-limit read marks the decoder bad and every
 // subsequent read returns zero values, so codecs can decode straight
@@ -536,24 +550,35 @@ func (d *dec) i64s() []int64 {
 	return out
 }
 
-// answers reads a block written by enc.answers, of at most limit rows.
-// Width and count are checked against the limit and the remaining
-// payload before anything is allocated; the rows share one backing
-// array.
-func (d *dec) answers(limit int) []order.Answer {
+// rows appends a block written by enc.answers, of at most limit rows,
+// to dst and returns it with the block's width and row count. Width and
+// count are checked against the limit and the remaining payload before
+// dst grows; the values are copied out of the payload in one pass.
+func (d *dec) rows(dst []int64, limit int) ([]int64, int, int) {
 	width, count := int(d.u32()), int(d.u32())
 	if d.bad || count == 0 {
-		return nil
+		return dst, 0, 0
 	}
 	if count > limit || width == 0 || width > (len(d.b)-d.off)/8/count {
 		d.fail()
+		return dst, 0, 0
+	}
+	b := d.b[d.off : d.off+8*width*count]
+	d.off += len(b)
+	dst = slices.Grow(dst, width*count)
+	for i := 0; i < len(b); i += 8 {
+		dst = append(dst, int64(binary.LittleEndian.Uint64(b[i:])))
+	}
+	return dst, width, count
+}
+
+// answersOf cuts flat into its count answers of width values each —
+// what dec.rows returns — sharing flat as their backing array.
+func answersOf(flat []int64, width, count int) []order.Answer {
+	if count == 0 {
 		return nil
 	}
 	out := make([]order.Answer, count)
-	flat := make([]int64, count*width)
-	for i := range flat {
-		flat[i] = d.i64()
-	}
 	for i := range out {
 		out[i] = flat[i*width : (i+1)*width : (i+1)*width]
 	}

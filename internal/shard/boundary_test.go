@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -213,5 +214,103 @@ func TestUnpricedFetchRanksNothing(t *testing.T) {
 	fetched, ranks, err := o.Node().AccessBatch(context.Background(), shards, pos, false)
 	if err != nil || len(ranks) != 0 || descents.Load() != 0 || fmt.Sprint(fetched) != fmt.Sprint(priced) {
 		t.Fatalf("unpriced fetch: %v with %d ranks and %d Rank descents (%v); want %v, none and none", fetched, len(ranks), descents.Load(), err, priced)
+	}
+}
+
+// TestRangeInsideOneShard: on a partition on the order's leading
+// variable, a range window the splitter table places inside one shard —
+// inside one group, from or up to a group boundary, from rank 0, up to
+// Total() — sends exactly one Range call, of exactly its rows, and no
+// AccessBatch or RankBatch. A window straddling a boundary between two
+// shards sends each of them one Range call, and at most one refill, and
+// no other shard any. Every window's rows equal the unsharded
+// structure's, over a loopback and through Merge alike, and a caller
+// that already gave up sends nothing.
+func TestRangeInsideOneShard(t *testing.T) {
+	const p = 4
+	q := cq.MustParse(twoPath)
+	in := fanOut(8, 40, 5) // 40 groups of 40 answers, each at least m·P
+	for _, spec := range []string{"x, y, z", "x desc, y desc, z"} {
+		t.Run(spec, func(t *testing.T) {
+			k := lexKind(t, spec, false)(q)
+			ref := unsharded(t, q, in, k)
+			loop := shardtest.New(leadBuilds(t, q, in, k, p)...)
+			remote, err := loop.Handle(context.Background(), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged := mergedOn(t, q, in, k, "x", p)
+			var per [p]atomic.Int64
+			loop.OnRange = func(s int, _, _ int64) { per[s].Add(1) }
+			total := ref.Total()
+			bounds := append(append([]int64{0}, remote.Splitters()...), total)
+			if len(bounds) != 41 {
+				t.Fatalf("%d group boundaries, want 41", len(bounds))
+			}
+			x, _ := q.VarByName("x")
+			shardAt := func(k int64) int {
+				a, _ := ref.Access(k)
+				return shard.ShardOf(a[x], p)
+			}
+			var got, want []values.Value
+			check := func(k0, k1 int64, straddle bool) {
+				t.Helper()
+				a0, r0, g0, rows0 := loop.AccessCalls.Load(), loop.RankCalls.Load(), loop.RangeCalls.Load(), loop.RangeRows.Load()
+				for s := range per {
+					per[s].Store(0)
+				}
+				for _, h := range []*shard.Handle{remote, merged} {
+					got, err = h.AppendRange(got[:0], q.Head, k0, k1)
+					want, _ = ref.AppendRange(want[:0], k0, k1)
+					if err != nil || !slices.Equal(got, want) {
+						t.Fatalf("range [%d, %d): %v (%v), unsharded %v", k0, k1, got, err, want)
+					}
+				}
+				a, r, g, rows := loop.AccessCalls.Load()-a0, loop.RankCalls.Load()-r0, loop.RangeCalls.Load()-g0, loop.RangeRows.Load()-rows0
+				if a != 0 || r != 0 {
+					t.Fatalf("range [%d, %d) sent %d AccessBatch and %d RankBatch calls; the table settles its search", k0, k1, a, r)
+				}
+				if !straddle {
+					if g != 1 || rows != k1-k0 || per[shardAt(k0)].Load() != 1 {
+						t.Fatalf("range [%d, %d) inside shard %d: %d Range calls of %d rows, want one of %d", k0, k1, shardAt(k0), g, rows, k1-k0)
+					}
+					return
+				}
+				lo, hi := shardAt(k0), shardAt(k1-1)
+				for s := range per {
+					if n := per[s].Load(); (s == lo || s == hi) != (n >= 1 && n <= 2) {
+						t.Fatalf("range [%d, %d) over shards %d and %d sent shard %d %d Range calls", k0, k1, lo, hi, s, n)
+					}
+				}
+			}
+			check(0, 17, false)
+			check(total-25, total, false)
+			straddled := 0
+			for i := 0; i+1 < len(bounds); i++ {
+				g0, g1 := bounds[i], bounds[i+1]
+				check(g0+5, g1-10, false)
+				check(g0+12, g1, false)
+				check(g0, g0+9, false)
+				if g1 < total && shardAt(g1-1) != shardAt(g1) {
+					check(g1-10, g1+10, true)
+					straddled++
+				}
+			}
+			if straddled == 0 {
+				t.Fatal("no two adjacent groups sit in different shards")
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			a0, r0, g0 := loop.AccessCalls.Load(), loop.RankCalls.Load(), loop.RangeCalls.Load()
+			for _, w := range [][2]int64{{0, 17}, {bounds[3] + 5, bounds[4]}, {bounds[3] - 10, bounds[3] + 10}} {
+				if _, err := remote.AppendRangeCtx(ctx, nil, q.Head, w[0], w[1]); !errors.Is(err, context.Canceled) {
+					t.Fatalf("range [%d, %d) under a cancelled context = %v, want context.Canceled", w[0], w[1], err)
+				}
+			}
+			if loop.AccessCalls.Load() != a0 || loop.RankCalls.Load() != r0 || loop.RangeCalls.Load() != g0 {
+				t.Fatal("ranges under a cancelled context sent calls")
+			}
+		})
 	}
 }

@@ -267,11 +267,11 @@ func TestOwnedBuild(t *testing.T) {
 				t.Fatalf("shard %d Rank(Access(%d)) = (%v, %v, %v)", s, k, r, exact, err)
 			}
 		}
-		rows, err := o.Range(s, 0, min64(n, 10))
+		rows, err := o.Range(s, 0, min64(n, 10), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int64(len(rows)) != min64(n, 10) {
+		if int64(len(rows)) != min64(n, 10)*int64(q.NumVars()) {
 			t.Fatalf("shard %d Range len %d", s, len(rows))
 		}
 	}

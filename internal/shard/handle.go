@@ -60,9 +60,11 @@ type probe struct {
 	pivRanks []int64
 	// nodeOpen sums each node's open window widths (see pickPivots).
 	nodeOpen []int64
-	// pend/pi buffer prefetched windows of the parts during
-	// AppendRange merges.
-	pend [][]order.Answer
+	// open lists the parts a range's bounds leave answers in. pend[j]
+	// holds part j's fetched window as full-width rows, its buffer kept
+	// from probe to probe, and pi[j] the offset of its next row there.
+	open []int
+	pend [][]values.Value
 	pi   []int
 }
 
@@ -83,7 +85,7 @@ func newHandle(q *cq.Query, pt Partitioning, totals []int64, cmp func(a, b order
 			pivShard: make([]int, 1),
 			pivPos:   make([]int64, 1),
 			nodeOpen: make([]int64, p),
-			pend:     make([][]order.Answer, p),
+			pend:     make([][]values.Value, p),
 			pi:       make([]int, p),
 		}
 	}
@@ -440,9 +442,11 @@ func (h *Handle) Inverted(a order.Answer) (int64, error) {
 
 // AppendRange appends the head projections of the global answers
 // k0 ≤ k < k1 to dst: one rank search finds each shard's starting
-// cursor, the splitter table bounds how far each cursor may move, then
-// a P-way merge emits the window in order, each shard's rows arriving
-// in windows (see prime).
+// cursor and the splitter table bounds how far each cursor may move. A
+// window the bounds leave inside one shard is that shard's consecutive
+// rows, fetched as they are (see appendOne); any other is a merge of
+// the shards they leave open, each shard's rows arriving in windows
+// (see prime).
 func (h *Handle) AppendRange(dst []values.Value, head []cq.VarID, k0, k1 int64) ([]values.Value, error) {
 	return h.AppendRangeCtx(context.Background(), dst, head, k0, k1)
 }
@@ -469,10 +473,14 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 	// splitter c, the first ranked k1 or later, so none of them is in the
 	// window: a bound the table proves, the shard's total without one.
 	c, _ := slices.BinarySearch(h.split.sums, k1)
+	pr.open = pr.open[:0]
 	for j := range pr.lim {
 		pr.lim[j] = h.totals[j]
 		if c < len(h.split.sums) {
 			pr.lim[j] = h.split.ranks[c*len(pr.lim)+j]
+		}
+		if pr.lim[j] > pr.idx[j] {
+			pr.open = append(pr.open, j)
 		}
 		pr.cur[j], pr.pend[j], pr.pi[j] = nil, pr.pend[j][:0], 0
 	}
@@ -481,17 +489,20 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 	if err := ctx.Err(); err != nil {
 		return dst, err
 	}
+	if len(pr.open) == 1 {
+		return h.appendOne(ctx, pr, pr.open[0], dst, head, k1-k0)
+	}
 	if err := h.prime(ctx, pr, k1-k0); err != nil {
 		return dst, err
 	}
-	for j := range pr.cur {
+	for _, j := range pr.open {
 		if err := h.fillCursor(ctx, pr, j, k1-k0); err != nil {
 			return dst, err
 		}
 	}
 	for n := k1 - k0; n > 0; n-- {
 		best := -1
-		for j := range pr.cur {
+		for _, j := range pr.open {
 			if pr.cur[j] == nil {
 				continue
 			}
@@ -506,7 +517,7 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 			dst = append(dst, pr.cur[best][v])
 		}
 		pr.idx[best]++
-		pr.pi[best]++
+		pr.pi[best] += h.Query.NumVars()
 		pr.cur[best] = nil
 		if n == 1 {
 			break // the window is complete: no probe (or RPC) for a row nobody reads
@@ -518,15 +529,41 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 	return dst, nil
 }
 
+// appendOne appends the head projections of part j's next n answers to
+// dst: the window, when the splitter table leaves it inside part j. It
+// fetches them on the caller's goroutine, in one Range call up to
+// maxOwnedRange answers, and compares nothing.
+func (h *Handle) appendOne(ctx context.Context, pr *probe, j int, dst []values.Value, head []cq.VarID, n int64) ([]values.Value, error) {
+	nv := h.Query.NumVars()
+	for n > 0 {
+		if pr.idx[j] >= pr.lim[j] {
+			return dst, fmt.Errorf("shard: internal: part %d ran dry with %d answers pending", j, n)
+		}
+		got, err := h.fetchWindow(ctx, pr, j, n)
+		if err != nil {
+			return dst, err
+		}
+		for i := range int(got) {
+			row := pr.pend[j][i*nv:]
+			for _, v := range head {
+				dst = append(dst, row[v])
+			}
+		}
+		pr.idx[j] += got
+		n -= got
+	}
+	return dst, nil
+}
+
 // rangeSlack, plus a quarter of an even share — n/(4·P) of an n-row
 // range, about 3σ of one shard's count among 512 answers spread evenly
 // over four — pads a primed window past its part's expected share, so
 // that a share somewhat above its estimate still arrives in one fetch.
 const rangeSlack = 16
 
-// prime fetches the first window of every part its bound leaves
-// answers, in one parallel scatter, so a range pays one round trip
-// before its first row instead of P sequential ones. Part j holds
+// prime fetches the first window of every open part, in one parallel
+// scatter over those parts alone, so a range pays one round trip before
+// its first row instead of one per part. Part j holds
 // g = lim[j]−idx[j] of the G answers from k0 up to the bounds, so of the
 // window's n rows it is expected to supply ⌈n·g/G⌉: its window is that
 // share plus the slack (see fetchWindow for the caps). Together the
@@ -535,52 +572,51 @@ const rangeSlack = 16
 // the window, over shards that interleave.
 func (h *Handle) prime(ctx context.Context, pr *probe, n int64) error {
 	var gap int64
-	for j, l := range pr.lim {
-		gap += l - pr.idx[j]
+	for _, j := range pr.open {
+		gap += pr.lim[j] - pr.idx[j]
 	}
-	return Scatter(len(h.totals), func(j int) error {
-		g := pr.lim[j] - pr.idx[j]
-		if g == 0 {
-			return nil
-		}
+	return Scatter(len(pr.open), func(i int) error {
+		j := pr.open[i]
 		// In floating point: n·g overflows int64 on 2^62-answer shards.
-		share := int64(math.Ceil(float64(n)*float64(g)/float64(gap))) + n/int64(4*len(h.totals)) + rangeSlack
-		return h.fetchWindow(ctx, pr, j, min(share, n))
+		share := int64(math.Ceil(float64(n)*float64(pr.lim[j]-pr.idx[j])/float64(gap))) + n/int64(4*len(h.totals)) + rangeSlack
+		_, err := h.fetchWindow(ctx, pr, j, min(share, n))
+		return err
 	})
 }
 
-// fetchWindow fetches shard j's next window into pr.pend[j]: want
-// answers from its cursor on, but none at or past its bound and no more
-// than one Range call may carry.
-func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, want int64) error {
+// fetchWindow fetches shard j's next window into pr.pend[j] and returns
+// its length: want answers from its cursor on, but none at or past its
+// bound and no more than one Range call may carry.
+func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, want int64) (int64, error) {
 	k0 := pr.idx[j]
 	k1 := k0 + min(want, pr.lim[j]-k0, maxOwnedRange)
-	rows, err := h.router.nodes[h.router.owner[j]].Range(ctx, j, k0, k1)
+	rows, err := h.router.nodes[h.router.owner[j]].Range(ctx, j, k0, k1, pr.pend[j][:0])
 	if err != nil {
-		return fmt.Errorf("shard: part %d range [%d, %d): %w", j, k0, k1, err)
+		return 0, fmt.Errorf("shard: part %d range [%d, %d): %w", j, k0, k1, err)
 	}
-	if int64(len(rows)) != k1-k0 {
-		return fmt.Errorf("shard: part %d range [%d, %d) returned %d answers", j, k0, k1, len(rows))
+	if nv := int64(h.Query.NumVars()); int64(len(rows)) != (k1-k0)*nv {
+		return 0, fmt.Errorf("shard: part %d range [%d, %d) returned %d values, want %d answers of %d", j, k0, k1, len(rows), k1-k0, nv)
 	}
 	pr.pend[j], pr.pi[j] = rows, 0
-	return nil
+	return k1 - k0, nil
 }
 
-// fillCursor makes pr.cur[j] hold part j's next answer, nil once the
-// part reached its bound. It is served from the part's fetched window;
-// one that runs dry is refilled with all the merge may still
-// take from it — the remaining rows, up to its bound — so a part whose
-// bound fits one Range call is refilled at most once.
+// fillCursor makes pr.cur[j] hold part j's next answer — a row of
+// pr.pend[j] — nil once the part reached its bound. A window that runs
+// dry is refilled with all the merge may still take from it — the
+// remaining rows, up to its bound — so a part whose bound fits one
+// Range call is refilled at most once.
 func (h *Handle) fillCursor(ctx context.Context, pr *probe, j int, remaining int64) error {
 	if pr.idx[j] >= pr.lim[j] {
 		pr.cur[j] = nil
 		return nil
 	}
 	if pr.pi[j] >= len(pr.pend[j]) {
-		if err := h.fetchWindow(ctx, pr, j, remaining); err != nil {
+		if _, err := h.fetchWindow(ctx, pr, j, remaining); err != nil {
 			return err
 		}
 	}
-	pr.cur[j] = pr.pend[j][pr.pi[j]]
+	at, nv := pr.pi[j], h.Query.NumVars()
+	pr.cur[j] = pr.pend[j][at : at+nv : at+nv]
 	return nil
 }

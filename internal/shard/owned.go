@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"rankedaccess/internal/access"
 	"rankedaccess/internal/cq"
@@ -64,8 +65,8 @@ func (n ownedNode) RankBatch(_ context.Context, answers []order.Answer) ([]int64
 	return n.o.RankBatch(answers, n.shards)
 }
 
-func (n ownedNode) Range(_ context.Context, shard int, k0, k1 int64) ([]order.Answer, error) {
-	return n.o.Range(shard, k0, k1)
+func (n ownedNode) Range(_ context.Context, shard int, k0, k1 int64, rows []values.Value) ([]values.Value, error) {
+	return n.o.Range(shard, k0, k1, rows)
 }
 
 func (o *Owned) part(shard int) (access.Structure, error) {
@@ -231,35 +232,40 @@ func (o *Owned) AccessBatch(shards []int, pos []int64, owned []int) (answers []o
 // single request can demand from a node.
 const maxOwnedRange = 4096
 
-// Range returns one owned shard's local answers k0 ≤ k < k1, each
-// freshly allocated off one backing array: the part's AppendRange
-// writes the head rows into the array's tail, and each head value is
-// copied from there into its variable's slot of an answer.
-func (o *Owned) Range(shard int, k0, k1 int64) ([]order.Answer, error) {
+// Range appends one owned shard's local answers k0 ≤ k < k1 to dst,
+// each the row of all the query's variables — 0 for one outside the
+// head — and returns the extended slice. A part whose head lists every
+// variable in order writes its rows straight into dst; any other writes
+// its head rows into dst's spare capacity past the answers, from where
+// each head value is copied into its variable's slot.
+func (o *Owned) Range(shard int, k0, k1 int64, dst []values.Value) ([]values.Value, error) {
 	p, err := o.part(shard)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if k0 < 0 || k1 < k0 || k1 > p.Total() {
-		return nil, access.ErrOutOfBound
+		return dst, access.ErrOutOfBound
 	}
-	n := k1 - k0
+	n := int(k1 - k0)
 	if n > maxOwnedRange {
-		return nil, fmt.Errorf("shard: range of %d answers exceeds the per-call cap %d", n, maxOwnedRange)
+		return dst, fmt.Errorf("shard: range of %d answers exceeds the per-call cap %d", n, maxOwnedRange)
 	}
 	nv, head := o.Query.NumVars(), p.Head()
-	flat := make([]int64, int(n)*(nv+len(head)))
-	rows, err := p.AppendRange(flat[int(n)*nv:int(n)*nv], k0, k1)
+	if len(head) == nv && slices.IsSorted(head) { // every variable, in order: distinct ids below nv
+		return p.AppendRange(slices.Grow(dst, n*nv), k0, k1)
+	}
+	base, end := len(dst), len(dst)+n*nv
+	dst = slices.Grow(dst, n*(nv+len(head)))
+	rows, err := p.AppendRange(dst[end:end], k0, k1)
 	if err != nil {
-		return nil, err
+		return dst[:base], err
 	}
-	answers := make([]order.Answer, n)
-	for i := range answers {
-		a := flat[i*nv : (i+1)*nv : (i+1)*nv]
+	out := dst[base:end]
+	clear(out)
+	for i := range n {
 		for j, v := range head {
-			a[v] = rows[i*len(head)+j]
+			out[i*nv+int(v)] = rows[i*len(head)+j]
 		}
-		answers[i] = a
 	}
-	return answers, nil
+	return dst[:end], nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"rankedaccess/internal/cq"
 	"rankedaccess/internal/order"
+	"rankedaccess/internal/values"
 )
 
 // Node is one process serving some shards of a remote partitioning,
@@ -27,8 +28,10 @@ type Node interface {
 	// RankBatch prices every answer on the owned shards; exact[i]
 	// reports whether one of them holds answers[i].
 	RankBatch(ctx context.Context, answers []order.Answer) (ranks []int64, exact []bool, err error)
-	// Range returns one owned shard's local answers k0 ≤ k < k1.
-	Range(ctx context.Context, shard int, k0, k1 int64) ([]order.Answer, error)
+	// Range appends one owned shard's local answers k0 ≤ k < k1 to
+	// rows, each the row of all the query's variables, and returns the
+	// extended slice.
+	Range(ctx context.Context, shard int, k0, k1 int64, rows []values.Value) ([]values.Value, error)
 }
 
 // Round identifies a priced rank round to the Node calls it makes: Seq

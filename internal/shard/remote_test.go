@@ -622,10 +622,11 @@ func TestRemoteLocateStopsBetweenRounds(t *testing.T) {
 }
 
 // TestOwnedProbeAllocs pins the node-side cost of one batched pivot fetch
-// and one range window: the answer block's two slices — the fetch's
-// ranks ride in the answers' backing array — and nothing per shard run:
-// the probe buffers are borrowed from the structures' pools (a fresh
-// LexBuf per run was four allocations each).
+// and one range window: the fetch's answer block, two slices — its
+// ranks ride in the answers' backing array — and the window's one flat
+// array of rows, and nothing per shard run: the probe buffers are
+// borrowed from the structures' pools (a fresh LexBuf per run was four
+// allocations each).
 func TestOwnedProbeAllocs(t *testing.T) {
 	if shardtest.RaceEnabled() {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -674,12 +675,12 @@ func TestOwnedProbeAllocs(t *testing.T) {
 		t.Fatalf("AccessBatch of 32 positions on 2 shards allocates %.0f times, ceiling 3", allocs)
 	}
 	allocs = testing.AllocsPerRun(200, func() {
-		if out, err := o.Range(3, 0, 16); err != nil || len(out) != 16 {
-			t.Fatalf("Range = %d answers, %v", len(out), err)
+		if out, err := o.Range(3, 0, 16, nil); err != nil || len(out) != 16*q.NumVars() {
+			t.Fatalf("Range = %d values, %v", len(out), err)
 		}
 	})
-	if allocs > 3 {
-		t.Fatalf("Range of 16 answers allocates %.0f times, ceiling 3", allocs)
+	if allocs > 1 {
+		t.Fatalf("Range of 16 answers allocates %.0f times, ceiling 1", allocs)
 	}
 }
 
@@ -715,5 +716,36 @@ func TestMergeFetchAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("AppendTuple at P = 1 allocates %.0f times, ceiling 2", allocs)
+	}
+}
+
+// TestMergeRangeAllocs pins what a 512-row range inside one shard costs
+// the handle through Merge: the search the table settles, one Range
+// call into the probe's pooled rows, the head projections into a dst
+// with room: none at all — no scatter, no answer headers, no merge.
+// Through the P-way merge it cost 8 allocations.
+func TestMergeRangeAllocs(t *testing.T) {
+	if shardtest.RaceEnabled() {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const p, width = 4, 512
+	q := cq.MustParse(twoPath)
+	// 16 groups of 640 answers, one per x.
+	h := mergedOn(t, q, fanOut(8, 16, 80), lexKind(t, "x, y, z", false)(q), "x", p)
+	sums := h.Splitters()
+	if len(sums) != 15 {
+		t.Fatalf("%d splitters, want the 15 group boundaries", len(sums))
+	}
+	dst := make([]values.Value, 0, width*len(q.Head))
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		k0 := sums[i%len(sums)] + int64(i%100)
+		i++
+		if got, err := h.AppendRangeCtx(context.Background(), dst, q.Head, k0, k0+width); err != nil || len(got) != width*len(q.Head) {
+			t.Fatalf("AppendRange(%d, %d) = %d values, %v", k0, k0+width, len(got), err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a %d-row range inside one shard allocates %.0f times, ceiling 1", width, allocs)
 	}
 }

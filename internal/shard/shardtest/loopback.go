@@ -13,6 +13,7 @@ import (
 
 	"rankedaccess/internal/order"
 	"rankedaccess/internal/shard"
+	"rankedaccess/internal/values"
 )
 
 // Loopback is one counting shard.Node per owned build of one
@@ -147,14 +148,16 @@ func (n node) RankBatch(ctx context.Context, answers []order.Answer) ([]int64, [
 	return n.n.RankBatch(ctx, answers)
 }
 
-func (n node) Range(ctx context.Context, s int, k0, k1 int64) ([]order.Answer, error) {
+func (n node) Range(ctx context.Context, s int, k0, k1 int64, rows []values.Value) ([]values.Value, error) {
 	if err := n.l.call(ctx, &n.l.RangeCalls, 0); err != nil {
-		return nil, err
+		return rows, err
 	}
 	if n.l.OnRange != nil {
 		n.l.OnRange(s, k0, k1)
 	}
-	rows, err := n.n.Range(ctx, s, k0, k1)
-	n.l.RangeRows.Add(int64(len(rows)))
+	rows, err := n.n.Range(ctx, s, k0, k1, rows)
+	if err == nil {
+		n.l.RangeRows.Add(k1 - k0)
+	}
 	return rows, err
 }
