@@ -442,11 +442,11 @@ func (h *Handle) Inverted(a order.Answer) (int64, error) {
 
 // AppendRange appends the head projections of the global answers
 // k0 ≤ k < k1 to dst: one rank search finds each shard's starting
-// cursor and the splitter table bounds how far each cursor may move. A
-// window the bounds leave inside one shard is that shard's consecutive
-// rows, fetched as they are (see appendOne); any other is a merge of
-// the shards they leave open, each shard's rows arriving in windows
-// (see prime).
+// cursor and the splitter table bounds how far each cursor may move,
+// then a merge of the shards the bounds leave open emits the window in
+// order, each shard's rows arriving in windows (see prime). A window
+// of up to maxOwnedRange rows that the bounds leave inside one shard is
+// one Range call, its rows taken in turn with no comparison.
 func (h *Handle) AppendRange(dst []values.Value, head []cq.VarID, k0, k1 int64) ([]values.Value, error) {
 	return h.AppendRangeCtx(context.Background(), dst, head, k0, k1)
 }
@@ -489,9 +489,6 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 	if err := ctx.Err(); err != nil {
 		return dst, err
 	}
-	if len(pr.open) == 1 {
-		return h.appendOne(ctx, pr, pr.open[0], dst, head, k1-k0)
-	}
 	if err := h.prime(ctx, pr, k1-k0); err != nil {
 		return dst, err
 	}
@@ -529,32 +526,6 @@ func (h *Handle) AppendRangeCtx(ctx context.Context, dst []values.Value, head []
 	return dst, nil
 }
 
-// appendOne appends the head projections of part j's next n answers to
-// dst: the window, when the splitter table leaves it inside part j. It
-// fetches them on the caller's goroutine, in one Range call up to
-// maxOwnedRange answers, and compares nothing.
-func (h *Handle) appendOne(ctx context.Context, pr *probe, j int, dst []values.Value, head []cq.VarID, n int64) ([]values.Value, error) {
-	nv := h.Query.NumVars()
-	for n > 0 {
-		if pr.idx[j] >= pr.lim[j] {
-			return dst, fmt.Errorf("shard: internal: part %d ran dry with %d answers pending", j, n)
-		}
-		got, err := h.fetchWindow(ctx, pr, j, n)
-		if err != nil {
-			return dst, err
-		}
-		for i := range int(got) {
-			row := pr.pend[j][i*nv:]
-			for _, v := range head {
-				dst = append(dst, row[v])
-			}
-		}
-		pr.idx[j] += got
-		n -= got
-	}
-	return dst, nil
-}
-
 // rangeSlack, plus a quarter of an even share — n/(4·P) of an n-row
 // range, about 3σ of one shard's count among 512 answers spread evenly
 // over four — pads a primed window past its part's expected share, so
@@ -579,26 +550,25 @@ func (h *Handle) prime(ctx context.Context, pr *probe, n int64) error {
 		j := pr.open[i]
 		// In floating point: n·g overflows int64 on 2^62-answer shards.
 		share := int64(math.Ceil(float64(n)*float64(pr.lim[j]-pr.idx[j])/float64(gap))) + n/int64(4*len(h.totals)) + rangeSlack
-		_, err := h.fetchWindow(ctx, pr, j, min(share, n))
-		return err
+		return h.fetchWindow(ctx, pr, j, min(share, n))
 	})
 }
 
-// fetchWindow fetches shard j's next window into pr.pend[j] and returns
-// its length: want answers from its cursor on, but none at or past its
-// bound and no more than one Range call may carry.
-func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, want int64) (int64, error) {
+// fetchWindow fetches shard j's next window into pr.pend[j]: want
+// answers from its cursor on, but none at or past its bound and no more
+// than one Range call may carry.
+func (h *Handle) fetchWindow(ctx context.Context, pr *probe, j int, want int64) error {
 	k0 := pr.idx[j]
 	k1 := k0 + min(want, pr.lim[j]-k0, maxOwnedRange)
 	rows, err := h.router.nodes[h.router.owner[j]].Range(ctx, j, k0, k1, pr.pend[j][:0])
 	if err != nil {
-		return 0, fmt.Errorf("shard: part %d range [%d, %d): %w", j, k0, k1, err)
+		return fmt.Errorf("shard: part %d range [%d, %d): %w", j, k0, k1, err)
 	}
 	if nv := int64(h.Query.NumVars()); int64(len(rows)) != (k1-k0)*nv {
-		return 0, fmt.Errorf("shard: part %d range [%d, %d) returned %d values, want %d answers of %d", j, k0, k1, len(rows), k1-k0, nv)
+		return fmt.Errorf("shard: part %d range [%d, %d) returned %d values, want %d answers of %d", j, k0, k1, len(rows), k1-k0, nv)
 	}
 	pr.pend[j], pr.pi[j] = rows, 0
-	return k1 - k0, nil
+	return nil
 }
 
 // fillCursor makes pr.cur[j] hold part j's next answer — a row of
@@ -612,7 +582,7 @@ func (h *Handle) fillCursor(ctx context.Context, pr *probe, j int, remaining int
 		return nil
 	}
 	if pr.pi[j] >= len(pr.pend[j]) {
-		if _, err := h.fetchWindow(ctx, pr, j, remaining); err != nil {
+		if err := h.fetchWindow(ctx, pr, j, remaining); err != nil {
 			return err
 		}
 	}

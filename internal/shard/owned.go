@@ -234,10 +234,9 @@ const maxOwnedRange = 4096
 
 // Range appends one owned shard's local answers k0 ≤ k < k1 to dst,
 // each the row of all the query's variables — 0 for one outside the
-// head — and returns the extended slice. A part whose head lists every
-// variable in order writes its rows straight into dst; any other writes
-// its head rows into dst's spare capacity past the answers, from where
-// each head value is copied into its variable's slot.
+// head — and returns the extended slice. The part writes its head rows
+// into dst's spare capacity past the answers, from where each head
+// value is copied into its variable's slot.
 func (o *Owned) Range(shard int, k0, k1 int64, dst []values.Value) ([]values.Value, error) {
 	p, err := o.part(shard)
 	if err != nil {
@@ -251,9 +250,6 @@ func (o *Owned) Range(shard int, k0, k1 int64, dst []values.Value) ([]values.Val
 		return dst, fmt.Errorf("shard: range of %d answers exceeds the per-call cap %d", n, maxOwnedRange)
 	}
 	nv, head := o.Query.NumVars(), p.Head()
-	if len(head) == nv && slices.IsSorted(head) { // every variable, in order: distinct ids below nv
-		return p.AppendRange(slices.Grow(dst, n*nv), k0, k1)
-	}
 	base, end := len(dst), len(dst)+n*nv
 	dst = slices.Grow(dst, n*(nv+len(head)))
 	rows, err := p.AppendRange(dst[end:end], k0, k1)

@@ -254,8 +254,12 @@ func (r *router) rankOthers(ctx context.Context, xs []order.Answer, shards []int
 
 // Scatter runs fn(0) … fn(n-1) in parallel and returns the first
 // failure in index order. The last call runs on the caller's goroutine:
-// a scatter to one node spawns nothing, one to two nodes spawns one.
+// a scatter to one node spawns nothing and allocates nothing, one to
+// two nodes spawns one.
 func Scatter(n int, fn func(i int) error) error {
+	if n == 1 {
+		return fn(0)
+	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n-1; i++ {

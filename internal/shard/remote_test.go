@@ -721,9 +721,10 @@ func TestMergeFetchAllocs(t *testing.T) {
 
 // TestMergeRangeAllocs pins what a 512-row range inside one shard costs
 // the handle through Merge: the search the table settles, one Range
-// call into the probe's pooled rows, the head projections into a dst
-// with room: none at all — no scatter, no answer headers, no merge.
-// Through the P-way merge it cost 8 allocations.
+// call into the probe's pooled rows on the caller's goroutine, the head
+// projections into a dst with room: one, the closure prime hands
+// Scatter — no goroutine, no answer headers. Through the P-way merge it
+// cost 8 allocations.
 func TestMergeRangeAllocs(t *testing.T) {
 	if shardtest.RaceEnabled() {
 		t.Skip("sync.Pool drops items at random under -race")
